@@ -35,7 +35,7 @@ from sceneground.bench import DOMAIN_KINDS, domain_text
 from sceneground.graph import Exemplar, exemplar_to_json
 from sceneground.pddl import parse_domain, serialize_problem
 from sceneground.pddl.model import Domain, GroundAtom, GroundLiteral, Problem
-from sceneground.planner import SearchConfig, ground_actions, make_state, apply_action, applicable, solve
+from sceneground.planner import GroundTask, SearchConfig, solve
 from sceneground.scene import (
     Box,
     Detection,
@@ -192,20 +192,17 @@ def _blocks_observation(stacks: list[list[str]]) -> tuple[SceneObservation, dict
 
 def _blocks_distance_map(domain: Domain, problem_objects, init):
     """Breadth-first distances from init over the whole reachable space."""
-    actions = ground_actions(domain, problem_objects)
-    start = make_state(init, domain)
-    dist = {start.base: 0}
-    queue = deque([start])
+    problem = Problem("distances", domain.name, problem_objects, init, ())
+    task = GroundTask(domain, problem)
+    dist = {task.init[0]: 0}
+    queue = deque([task.init])
     while queue:
         state = queue.popleft()
-        for action in actions:
-            if not applicable(state, action):
-                continue
-            nxt = apply_action(state, action, domain)
-            if nxt.base not in dist:
-                dist[nxt.base] = dist[state.base] + 1
-                queue.append(nxt)
-    return dist
+        for _, base in task.successors(state):
+            if base not in dist:
+                dist[base] = dist[state[0]] + 1
+                queue.append((base, task.closure(base)))
+    return {task.decode(base): d for base, d in dist.items()}
 
 
 _BLOCKS_EXEMPLAR_STACKS = 3, 2  # fixed independent exemplar: one 3-stack, one 2-stack

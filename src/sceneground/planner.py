@@ -1,15 +1,27 @@
 """Forward state-space search over the typed STRIPS subset.
 
-Actions are grounded up front (equality literals are resolved away at
-grounding time, dropping bindings they rule out).  Derived predicates are
-recomputed as a least fixpoint after every state change; the fixpoint
-engine tolerates positive recursion even though the shipped domains keep
-their rule dependencies acyclic.
+Each ``solve`` call compiles its problem once into a ``GroundTask``: actions
+are grounded (equality literals are resolved away at grounding time,
+dropping bindings they rule out), every atom becomes an int, and derived
+rules become ground (head, body) instances over type-valid bindings.  The
+search, the heuristic and the final plan replay all run on that task.
+
+Derived predicates are recomputed after every state change by counter-based
+forward chaining over the rule instances (Dowling & Gallier 1984): each
+instance counts its unmet body atoms and fires when the count reaches zero.
+That handles positive recursion, although the shipped domains keep their
+rule dependencies acyclic.  The task's closure is typed: a rule derives a
+head only for bindings that fit the head predicate's parameter types, as
+PDDL requires.  The lifted ``axiom_closure`` (kept for ``make_state`` and
+the plan validator in ``metrics``) ignores head types and so may also
+derive ill-typed atoms; no action precondition or typed goal reads one.
 
 Two search modes: "optimal" is plain breadth-first search over unit-cost
 actions; "satisficing" is greedy best-first search under an additive-cost
-heuristic on the delete relaxation (derived rules cost nothing).  Every
-returned plan is replayed against the model before it leaves this module.
+heuristic on the delete relaxation (derived rules cost nothing), computed
+as a generalised Dijkstra over the task's rule and precondition watch lists
+(Bonet & Geffner 2001).  Every returned plan is replayed against the task
+before it leaves this module.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from sceneground.pddl.model import (
     EQUALITY,
@@ -272,92 +284,194 @@ def applicable(state: State, action: GroundAction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Additive-cost heuristic (delete relaxation)
+# The compiled task
 # ---------------------------------------------------------------------------
 
 
-class _AdditiveHeuristic:
-    """h_add: cheapest relaxed cost per atom, ignoring deletes.
+class GroundTask:
+    """One problem compiled to integers, built once per ``solve`` call.
 
-    Actions cost 1 plus the summed costs of their positive preconditions
-    (negative ones are free in the relaxation); derived rules cost only
-    their bodies.  The heuristic value is the summed cost of positive goal
-    literals, plus 1 for each currently violated negative goal literal, so
-    it is zero exactly on goal states.
+    ``atoms[i]`` is the atom with id ``i``.  ``actions`` are the grounded
+    actions in ``ground_actions`` order, and ``compiled[i]`` is action ``i``
+    as (positive precondition, negative precondition, add, delete) ids.  A
+    task state is a pair ``(base, full)`` of id frozensets: the observed
+    atoms, and those plus every atom the rule instances derive from them.
     """
 
-    def __init__(self, actions, rule_instances, goal):
-        self.actions = [
+    def __init__(self, domain: Domain, problem: Problem):
+        self.actions = ground_actions(domain, problem.objects)
+        self.atoms: list[GroundAtom] = []
+        self.ids: dict[GroundAtom, int] = {}
+        intern = self._intern
+        self.compiled = tuple(
             (
-                tuple(lit.atom for lit in a.precondition if not lit.negated),
-                a.add,
+                tuple(intern(lit.atom) for lit in a.precondition if not lit.negated),
+                tuple(intern(lit.atom) for lit in a.precondition if lit.negated),
+                frozenset(map(intern, a.add)),
+                frozenset(map(intern, a.delete)),
             )
-            for a in actions
+            for a in self.actions
+        )
+        rules = [
+            (intern(head), tuple(map(intern, body)))
+            for head, body in _rule_instances(domain.derived, problem.objects, domain)
         ]
-        self.rules = rule_instances
-        self.goal = goal
+        self.goal_pos = tuple(intern(lit.atom) for lit in problem.goal if not lit.negated)
+        self.goal_neg = tuple(intern(lit.atom) for lit in problem.goal if lit.negated)
+        base = frozenset(map(intern, problem.init))
 
-    def __call__(self, state: State) -> float:
-        cost: dict[GroundAtom, float] = {}
-        for atom in state.base | state.derived:
-            cost[atom] = 0.0
-        changed = True
-        while changed:
-            changed = False
-            for pre, add in self.actions:
-                total = 1.0
-                for atom in pre:
-                    c = cost.get(atom)
-                    if c is None:
-                        break
-                    total += c
-                else:
-                    for atom in add:
-                        if total < cost.get(atom, INFINITY):
-                            cost[atom] = total
-                            changed = True
-            for head, body in self.rules:
-                total = 0.0
-                for atom in body:
-                    c = cost.get(atom)
-                    if c is None:
-                        break
-                    total += c
-                else:
-                    if total < cost.get(head, INFINITY):
-                        cost[head] = total
-                        changed = True
-        h = 0.0
-        for lit in self.goal:
-            if lit.negated:
-                if lit.atom in cost and cost[lit.atom] == 0.0:
-                    h += 1.0
-            else:
-                c = cost.get(lit.atom, INFINITY)
-                if c == INFINITY:
-                    return INFINITY
-                h += c
-        return h
+        # Watch lists: per atom, the rule instances and the actions whose
+        # positive body lists it, once per occurrence, so a body that names
+        # an atom twice counts it twice (as h_add sums it twice).
+        self.rule_head = [head for head, _ in rules]
+        self.rule_size = [len(body) for _, body in rules]
+        self.action_size = [len(pos) for pos, _, _, _ in self.compiled]
+        rule_watch: list[list[int]] = [[] for _ in self.atoms]
+        action_watch: list[list[int]] = [[] for _ in self.atoms]
+        for index, (_, body) in enumerate(rules):
+            for atom in body:
+                rule_watch[atom].append(index)
+        for index, (pos, _, _, _) in enumerate(self.compiled):
+            for atom in pos:
+                action_watch[atom].append(index)
+        self.rule_watch = tuple(map(tuple, rule_watch))
+        self.action_watch = tuple(map(tuple, action_watch))
+        self.init = (base, self.closure(base))
+
+    def _intern(self, atom: GroundAtom) -> int:
+        index = self.ids.get(atom)
+        if index is None:
+            index = self.ids[atom] = len(self.atoms)
+            self.atoms.append(atom)
+        return index
+
+    def encode(self, atoms) -> frozenset[int]:
+        """Ids of the given atoms.  Atoms the task never mentions are
+        dropped: no precondition, rule body or goal can read them."""
+        ids = self.ids
+        return frozenset(ids[a] for a in atoms if a in ids)
+
+    def decode(self, ids) -> frozenset[GroundAtom]:
+        return frozenset(self.atoms[i] for i in ids)
+
+    def closure(self, base: frozenset[int]) -> frozenset[int]:
+        """The base plus every atom derivable from it, by forward chaining:
+        each rule instance fires once its count of unmet body atoms is 0."""
+        unmet = self.rule_size.copy()
+        heads = self.rule_head
+        watch = self.rule_watch
+        known = set(base)
+        queue = list(base)
+        while queue:
+            for rule in watch[queue.pop()]:
+                unmet[rule] -= 1
+                if not unmet[rule]:
+                    head = heads[rule]
+                    if head not in known:
+                        known.add(head)
+                        queue.append(head)
+        return frozenset(known)
+
+    def successors(self, state):
+        """(action index, next base) for each applicable action, in order."""
+        base, full = state
+        for index, (pos, neg, add, delete) in enumerate(self.compiled):
+            if full.issuperset(pos) and full.isdisjoint(neg):
+                yield index, (base - delete) | add
+
+    def satisfied(self, full: frozenset[int]) -> bool:
+        return full.issuperset(self.goal_pos) and full.isdisjoint(self.goal_neg)
+
+    def goal_count(self, full: frozenset[int]) -> float:
+        missed = sum(atom not in full for atom in self.goal_pos)
+        return float(missed + sum(atom in full for atom in self.goal_neg))
+
+    def h_add(self, full: frozenset[int]) -> float:
+        """Additive cost of the goal under the delete relaxation.
+
+        An action costs 1 plus the summed costs of its positive
+        preconditions (negative ones are free in the relaxation); a rule
+        instance costs the summed costs of its body.  The atoms of the
+        state cost 0.  Costs are settled cheapest first, as in Dijkstra's
+        algorithm, until every positive goal atom is settled.  The value is
+        the summed cost of the positive goal literals, plus 1 for each
+        negative goal literal whose atom holds, so it is zero exactly on
+        goal states.
+        """
+        violated = float(sum(atom in full for atom in self.goal_neg))
+        pending = set(self.goal_pos)
+        if not pending:
+            return violated
+        heads, rule_watch = self.rule_head, self.rule_watch
+        compiled, action_watch = self.compiled, self.action_watch
+        rule_unmet = self.rule_size.copy()
+        rule_sum = [0.0] * len(rule_unmet)
+        action_unmet = self.action_size.copy()
+        action_sum = [1.0] * len(action_unmet)
+        heap = [(0.0, atom) for atom in full]
+        heap.extend(
+            (1.0, atom)
+            for index, size in enumerate(action_unmet)
+            if not size
+            for atom in compiled[index][2]
+        )
+        heapify(heap)
+        cost: dict[int, float] = {}
+        while heap:
+            value, atom = heappop(heap)
+            if atom in cost:
+                continue
+            cost[atom] = value
+            pending.discard(atom)
+            if not pending:
+                break
+            for rule in rule_watch[atom]:
+                rule_sum[rule] += value
+                rule_unmet[rule] -= 1
+                if not rule_unmet[rule] and heads[rule] not in cost:
+                    heappush(heap, (rule_sum[rule], heads[rule]))
+            for index in action_watch[atom]:
+                action_sum[index] += value
+                action_unmet[index] -= 1
+                if not action_unmet[index]:
+                    total = action_sum[index]
+                    for added in compiled[index][2]:
+                        if added not in cost:
+                            heappush(heap, (total, added))
+        if pending:
+            return INFINITY
+        return violated + sum(cost[atom] for atom in self.goal_pos)
 
 
-def _goal_count(goal):
-    def h(state: State) -> float:
-        return float(sum(not state.holds(lit) for lit in goal))
-
-    return h
+# ---------------------------------------------------------------------------
+# Heuristics
+# ---------------------------------------------------------------------------
 
 
-def make_heuristic(domain: Domain, problem: Problem, name: str):
-    """Build the named heuristic as a callable State -> float."""
+def _task_heuristic(task: GroundTask, name: str):
     if name == "additive-cost":
-        actions = ground_actions(domain, problem.objects)
-        rules = _rule_instances(domain.derived, problem.objects, domain)
-        return _AdditiveHeuristic(actions, rules, problem.goal)
+        return task.h_add
     if name == "goal-count":
-        return _goal_count(problem.goal)
+        return task.goal_count
     if name == "blind":
-        return lambda state: 0.0
+        return lambda full: 0.0
     raise PlannerError(f"unknown heuristic {name!r}")
+
+
+def make_heuristic(
+    domain: Domain, problem: Problem, name: str, task: GroundTask | None = None
+):
+    """Build the named heuristic.
+
+    Given the problem's compiled task, the heuristic scores a task state by
+    its full atom-id set.  Without one it compiles the problem itself and
+    is a callable ``State -> float``.
+    """
+    if task is not None:
+        return _task_heuristic(task, name)
+    compiled = GroundTask(domain, problem)
+    h = _task_heuristic(compiled, name)
+    return lambda state: h(compiled.closure(compiled.encode(state.base)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,24 +491,23 @@ def solve(
     defect and raises instead of returning a bad plan.
     """
     start = time.perf_counter()
-    actions = ground_actions(domain, problem.objects)
-    init = make_state(problem.init, domain)
-    goal = problem.goal
+    task = GroundTask(domain, problem)
+    init = task.init
 
     def finish(status, plan, expanded):
         wall = (time.perf_counter() - start) * 1000.0
         return SolveResult(status, plan, expanded, wall)
 
-    if init.satisfies(goal):
+    if task.satisfied(init[1]):
         return finish("solved", Plan(()), 0)
 
     if cfg.mode == "optimal":
         heuristic = None
     else:
-        heuristic = make_heuristic(domain, problem, cfg.heuristic)
+        heuristic = make_heuristic(domain, problem, cfg.heuristic, task)
 
-    parents: dict[frozenset, tuple[frozenset, GroundAction]] = {}
-    seen: set[frozenset] = {init.base}
+    parents: dict[frozenset[int], tuple[frozenset[int], int]] = {}
+    seen: set[frozenset[int]] = {init[0]}
     expanded = 0
     counter = itertools.count()
 
@@ -404,7 +517,7 @@ def solve(
         push = lambda state, h: queue.append(state)
         frontier = queue
     else:
-        heap: list[tuple[float, int, State]] = []
+        heap: list[tuple[float, int, tuple]] = []
         pop = lambda: heappop(heap)[2]
         push = lambda state, h: heappush(heap, (h, next(counter), state))
         push(init, 0.0)
@@ -417,45 +530,43 @@ def solve(
             return finish("time-limit", None, expanded)
         state = pop()
         expanded += 1
-        for action in actions:
-            if not applicable(state, action):
+        for index, base in task.successors(state):
+            if base in seen:
                 continue
-            nxt = apply_action(state, action, domain)
-            if nxt.base in seen:
-                continue
-            seen.add(nxt.base)
-            parents[nxt.base] = (state.base, action)
-            if nxt.satisfies(goal):
-                plan = _reconstruct(parents, init.base, nxt.base)
-                _check_plan(domain, problem, plan)
+            seen.add(base)
+            parents[base] = (state[0], index)
+            full = task.closure(base)
+            if task.satisfied(full):
+                plan = _reconstruct(task, parents, init[0], base)
+                _check_plan(task, plan)
                 return finish("solved", plan, expanded)
             if heuristic is None:
-                push(nxt, 0.0)
+                push((base, full), 0.0)
             else:
-                h = heuristic(nxt)
+                h = heuristic(full)
                 if h < INFINITY:
-                    push(nxt, h)
+                    push((base, full), h)
     return finish("unsolvable", None, expanded)
 
 
-def _reconstruct(parents, root, leaf) -> Plan:
+def _reconstruct(task: GroundTask, parents, root, leaf) -> Plan:
     steps = []
     node = leaf
     while node != root:
-        node, action = parents[node]
-        steps.append(action.step())
+        node, index = parents[node]
+        steps.append(task.actions[index].step())
     steps.reverse()
     return Plan(tuple(steps))
 
 
-def _check_plan(domain: Domain, problem: Problem, plan: Plan) -> None:
-    """Replay the plan; any failure is an internal planner defect."""
-    actions = {(a.name, a.args): a for a in ground_actions(domain, problem.objects)}
-    state = make_state(problem.init, domain)
+def _check_plan(task: GroundTask, plan: Plan) -> None:
+    """Replay the plan on the task; any failure is an internal planner defect."""
+    index = {(a.name, a.args): i for i, a in enumerate(task.actions)}
+    state = task.init
     for step in plan.steps:
-        action = actions.get((step.action, step.args))
-        if action is None or not applicable(state, action):
+        base = dict(task.successors(state)).get(index.get((step.action, step.args)))
+        if base is None:
             raise PlannerError(f"planner produced an invalid step {step}")
-        state = apply_action(state, action, domain)
-    if not state.satisfies(problem.goal):
+        state = (base, task.closure(base))
+    if not task.satisfied(state[1]):
         raise PlannerError("planner produced a plan that misses the goal")

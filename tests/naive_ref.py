@@ -1,7 +1,8 @@
 """Reference interpreter used to cross-check the planner and the validator.
 
 Deliberately naive: generate-and-test grounding, closure by repeated full
-re-derivation, breadth-first search with no ordering tricks.  It imports
+re-derivation, h_add by Bellman-Ford sweeps, breadth-first search with no
+ordering tricks.  It imports
 only the model types, never the planner or metrics modules, so agreement
 between the implementations is meaningful evidence rather than an echo.
 """
@@ -142,3 +143,89 @@ def naive_bfs(domain: Domain, problem: Problem, state_limit: int = 10**5):
                 raise RuntimeError("state limit exceeded")
             queue.append((nxt, depth + 1))
     return None
+
+
+def well_typed(atom: GroundAtom, domain: Domain, objects) -> bool:
+    """True if every argument's object type fits its predicate position."""
+    types = dict(objects)
+    sig = domain.predicate(atom.predicate)
+    return all(
+        arg in types and domain.hierarchy.is_subtype(types[arg], want)
+        for arg, (_, want) in zip(atom.args, sig.params)
+    )
+
+
+def _relaxed_actions(domain: Domain, objects):
+    """(positive preconditions, adds) of each typed grounding whose
+    equality literals hold."""
+    out = []
+    for step in _ground_steps(domain, objects):
+        schema = domain.action(step.action)
+        env = {var: value for (var, _), value in zip(schema.params, step.args)}
+        pre = []
+        feasible = True
+        for lit in schema.precondition:
+            if lit.atom.predicate == EQUALITY:
+                left, right = (env[a] for a in lit.atom.args)
+                feasible = feasible and (left == right) != lit.negated
+            elif not lit.negated:
+                pre.append(_subst(lit.atom, env))
+        if feasible:
+            out.append((pre, [_subst(a, env) for a in schema.add]))
+    return out
+
+
+def _typed_rule_instances(domain: Domain, objects):
+    """(body, head) of each rule binding that makes every atom well typed."""
+    names = [name for name, _ in objects]
+    out = []
+    for rule in domain.derived:
+        variables = []
+        for atom in (rule.head, *rule.body):
+            for var in atom.args:
+                if var not in variables:
+                    variables.append(var)
+        for combo in itertools.product(names, repeat=len(variables)):
+            env = dict(zip(variables, combo))
+            head = _subst(rule.head, env)
+            body = [_subst(b, env) for b in rule.body]
+            if all(well_typed(a, domain, objects) for a in (head, *body)):
+                out.append((body, head))
+    return out
+
+
+def naive_h_add(domain: Domain, problem: Problem, atoms) -> float:
+    """Additive delete-relaxation cost of problem.goal from base atoms.
+
+    Bellman-Ford sweeps until no cost drops.  Base atoms cost 0; an action
+    costs 1 plus the summed costs of its positive preconditions; a typed
+    rule instance costs the summed costs of its body.  The value sums the
+    positive goal atoms' costs and adds 1 per negative goal literal whose
+    atom costs 0 (holds in the state).
+    """
+    steps = [(pre, add, 1.0) for pre, add in _relaxed_actions(domain, problem.objects)]
+    steps += [
+        (body, [head], 0.0)
+        for body, head in _typed_rule_instances(domain, problem.objects)
+    ]
+    cost = {atom: 0.0 for atom in atoms}
+    changed = True
+    while changed:
+        changed = False
+        for pre, add, own in steps:
+            if not all(atom in cost for atom in pre):
+                continue
+            total = own + sum(cost[atom] for atom in pre)
+            for atom in add:
+                if total < cost.get(atom, float("inf")):
+                    cost[atom] = total
+                    changed = True
+    h = 0.0
+    for lit in problem.goal:
+        if lit.negated:
+            h += cost.get(lit.atom) == 0.0
+        elif lit.atom not in cost:
+            return float("inf")
+        else:
+            h += cost[lit.atom]
+    return h

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naive_ref import naive_bfs, naive_run
+import sceneground.planner as planner
+from naive_ref import naive_bfs, naive_closure, naive_h_add, naive_run, well_typed
 from sceneground.bench import domain_text
+from sceneground.bench.generate import gen_cooking
 from sceneground.pddl import parse_domain
 from sceneground.pddl.model import (
     Atom,
@@ -27,6 +29,7 @@ from sceneground.pddl.model import (
     Problem,
 )
 from sceneground.planner import (
+    GroundTask,
     PlannerError,
     SearchConfig,
     _check_plan,
@@ -202,6 +205,20 @@ def test_closure_on_blocks_stack():
 
 def test_closure_of_empty_base_is_empty():
     assert axiom_closure(frozenset(), BLOCKS.derived) == frozenset()
+
+
+def test_task_closure_respects_head_types():
+    # Cooking truth init with the cucumber on the board: the rule
+    # in(?o - carriable, ?c - container) <- at(?o, ?c) must not derive
+    # in(cucumber, board1), because a board is not a container.
+    problem = gen_cooking(0).truth
+    assert GroundAtom("at", ("cucumber", "board1")) in problem.init
+    task = GroundTask(COOKING, problem)
+    derived = task.decode(task.init[1]) - problem.init
+    assert GroundAtom("in", ("cucumber", "board1")) not in derived
+    assert GroundAtom("in", ("tomato", "white_bowl")) in derived
+    lifted = axiom_closure(problem.init, COOKING.derived)
+    assert derived == {a for a in lifted if well_typed(a, COOKING, problem.objects)}
 
 
 @st.composite
@@ -424,6 +441,21 @@ def test_identical_inputs_give_identical_plans():
         assert first.expanded == second.expanded
 
 
+@pytest.mark.parametrize("mode", ["optimal", "satisficing"])
+def test_solve_grounds_once(monkeypatch, mode):
+    calls = []
+    original = planner.ground_actions
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(planner, "ground_actions", counting)
+    result = solve(HANOI, hanoi_problem(3), SearchConfig(mode=mode))
+    assert result.status == "solved"
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Heuristics
 # ---------------------------------------------------------------------------
@@ -512,4 +544,107 @@ def test_internal_replay_guard_catches_bad_plans():
     problem = hanoi_problem(2)
     bogus = Plan((PlanStep("move", ("d2", "p1", "p3")),))  # d1 blocks d2
     with pytest.raises(PlannerError):
-        _check_plan(HANOI, problem, bogus)
+        _check_plan(GroundTask(HANOI, problem), bogus)
+    short = Plan((PlanStep("move", ("d1", "p1", "p2")),))  # valid, goal unmet
+    with pytest.raises(PlannerError, match="misses the goal"):
+        _check_plan(GroundTask(HANOI, problem), short)
+
+
+# ---------------------------------------------------------------------------
+# Compiled task against the naive reference
+# ---------------------------------------------------------------------------
+
+
+def random_hanoi_instance(rng: random.Random, disks: int) -> Problem:
+    """Random legal placement (any disk-to-peg map is one) and goal map."""
+    names = [f"d{i}" for i in range(1, disks + 1)]
+    objects = tuple((d, "disk") for d in names) + tuple((p, "peg") for p in PEGS)
+    init = set()
+    for i, small in enumerate(names):
+        for big in names[i + 1 :]:
+            init.add(GroundAtom("smaller", (small, big)))
+    placed: dict[str, list[str]] = {p: [] for p in PEGS}
+    for disk in reversed(names):  # largest first, so each lands on a bigger one
+        peg = rng.choice(PEGS)
+        if placed[peg]:
+            init.add(GroundAtom("on", (disk, placed[peg][-1])))
+        placed[peg].append(disk)
+        init.add(GroundAtom("onpeg", (disk, peg)))
+    goal = tuple(positive("onpeg", d, rng.choice(PEGS)) for d in names)
+    return Problem("placed", "hanoi", objects, frozenset(init), goal)
+
+
+def differential_cases():
+    cases = [
+        pytest.param(
+            BLOCKS, random_blocks_instance(random.Random(seed), 4), id=f"blocks-{seed}"
+        )
+        for seed in range(3)
+    ]
+    cases += [
+        pytest.param(
+            HANOI, random_hanoi_instance(random.Random(seed), disks), id=f"hanoi-{seed}"
+        )
+        for seed, disks in ((0, 2), (1, 3), (2, 3))
+    ]
+    cases += [
+        pytest.param(COOKING, gen_cooking(seed).truth, id=f"cooking-{seed}")
+        for seed in (0, 1)
+    ]
+    # A rule whose body can name one atom twice (?b = ?c): the instance
+    # must still fire, and h_add must count that atom's cost twice.
+    twin = parse_domain(
+        domain_text("blocksworld")
+        .replace("(covered ?b - block)", "(covered ?b - block)\n    (twin ?a - block)", 1)
+        .replace(
+            "(:derived (covered",
+            "(:derived (twin ?a - block) (and (on ?a ?b) (on ?a ?c)))\n  (:derived (covered",
+        )
+    )
+    walked = random_blocks_instance(random.Random(3), 4)
+    goal = walked.goal + (positive("twin", "b1"), positive("twin", "b2"))
+    cases.append(
+        pytest.param(
+            twin,
+            Problem("twin", "blocksworld", walked.objects, walked.init, goal),
+            id="blocks-repeated-body-atom",
+        )
+    )
+    return cases
+
+
+@pytest.mark.parametrize("domain,problem", differential_cases())
+def test_task_agrees_with_naive_reference(domain, problem):
+    # Over reachable states (breadth-first, capped): the counter closure is
+    # the naive closure restricted to well-typed atoms, and the Dijkstra
+    # h_add equals Bellman-Ford h_add, for the problem's goal and for the
+    # goal with every literal negated.
+    task = GroundTask(domain, problem)
+    flipped = Problem(
+        problem.name,
+        problem.domain_name,
+        problem.objects,
+        problem.init,
+        tuple(GroundLiteral(lit.atom, not lit.negated) for lit in problem.goal),
+    )
+    flipped_h = make_heuristic(
+        domain, flipped, "additive-cost", GroundTask(domain, flipped)
+    )
+    states = [task.init]
+    seen = {task.init[0]}
+    for state in states:
+        for _, base in task.successors(state):
+            if base not in seen and len(states) < 120:
+                seen.add(base)
+                states.append((base, task.closure(base)))
+    assert len(states) > 1
+    for base, full in states:
+        atoms = task.decode(base)
+        expected = {
+            a
+            for a in naive_closure(atoms, domain)
+            if well_typed(a, domain, problem.objects)
+        }
+        assert task.decode(full) == expected
+        assert task.h_add(full) == naive_h_add(domain, problem, atoms)
+        assert flipped_h(full) == naive_h_add(domain, flipped, atoms)
