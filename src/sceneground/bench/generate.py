@@ -31,9 +31,9 @@ from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from sceneground.bench import DOMAIN_KINDS, domain_text
+from sceneground.bench import DOMAIN_KINDS, domain_text, shipped_domain
 from sceneground.graph import Exemplar, exemplar_to_json
-from sceneground.pddl import parse_domain, serialize_problem
+from sceneground.pddl import serialize_problem
 from sceneground.pddl.model import Domain, GroundAtom, GroundLiteral, Problem
 from sceneground.planner import GroundTask, SearchConfig, solve
 from sceneground.scene import (
@@ -111,10 +111,6 @@ def _box(x_min: float, y_min: float, x_max: float, y_max: float) -> Box:
 
 def _centered(cx: float, cy: float, w: float, h: float) -> Box:
     return _box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-
-
-def _shift(box: Box, dx: float, dy: float) -> Box:
-    return _box(box.x_min + dx, box.y_min + dy, box.x_max + dx, box.y_max + dy)
 
 
 def _name_of(scene: Scene, box: Box) -> str:
@@ -235,9 +231,8 @@ def gen_blocksworld(n: int, seed: int) -> GeneratedProblem:
     longest one within ten moves wins, which keeps five-block suites in
     the single-digit optimum band.
     """
-    if not 2 <= n <= 6:
-        raise BenchError("blocksworld needs 2 to 6 blocks")
-    domain = parse_domain(domain_text("blocksworld"))
+    GenConfig("blocksworld", n=n)  # checks the bounds
+    domain = shipped_domain("blocksworld")
     rng = random.Random(f"blocksworld-{n}-{seed}")
 
     internal = [f"b{i}" for i in range(1, n + 1)]
@@ -339,15 +334,8 @@ def gen_hanoi(d: int, g: int, seed: int) -> GeneratedProblem:
     in x and y), so every labeled pair feature matches its test twin
     exactly while the boxes differ.
     """
-    if not 1 <= d <= 6:
-        raise BenchError("hanoi needs 1 to 6 disks")
-    if not 2 <= g <= 6:
-        raise BenchError("hanoi needs 2 to 6 pegs")
-    if d >= 2 and g == 2:
-        raise BenchError("two pegs cannot host a transfer of more than one disk")
-    if g >= 4 and d > 4:
-        raise BenchError("wide peg layouts keep the exact oracle tractable up to 4 disks")
-    domain = parse_domain(domain_text("hanoi"))
+    GenConfig("hanoi", d=d, g=g)  # checks the bounds
+    domain = shipped_domain("hanoi")
     rng = random.Random(f"hanoi-{d}-{g}-{seed}")
     start_peg = rng.randrange(g)
     goal_peg = rng.choice([p for p in range(g) if p != start_peg])
@@ -396,14 +384,14 @@ def gen_hanoi(d: int, g: int, seed: int) -> GeneratedProblem:
         int(CANVAS_W),
         int(CANVAS_H),
         tuple(
-            Detection(det.query, _shift(det.box, dx, dy)) for det in detections
+            Detection(det.query, det.box.shifted(dx, dy)) for det in detections
         ),
         (),
     )
     exemplar_scene = merge_detections(exemplar_obs, domain)
     # Uniform shifts preserve raster order, so names carry over one to one.
     shifted = {
-        _name_of(exemplar_scene, _shift(box, dx, dy)): name
+        _name_of(exemplar_scene, box.shifted(dx, dy)): name
         for name, box in [(disk[r], disk_boxes[r]) for r in disk_boxes]
         + [(peg[p], peg_boxes[p]) for p in peg_boxes]
     }
@@ -496,7 +484,7 @@ def gen_cooking(seed: int) -> GeneratedProblem:
     sliced (the unary predicate needs one positive in every scene) and at
     least one gripper starts out carrying something.
     """
-    domain = parse_domain(domain_text("cooking"))
+    domain = shipped_domain("cooking")
     rng = random.Random(f"cooking-{seed}")
     target = rng.choice(("cucumber", "tomato"))
     other = "tomato" if target == "cucumber" else "cucumber"
@@ -640,8 +628,7 @@ def _overlaps(a: Box, b: Box) -> bool:
 def derive_cooking_atoms(scene: Scene) -> frozenset[GroundAtom]:
     """carry: strict containment by a gripper; at: location overlap;
     sliced: flat aspect ratio."""
-    domain = parse_domain(domain_text("cooking"))
-    hierarchy = domain.hierarchy
+    hierarchy = shipped_domain("cooking").hierarchy
     atoms = set()
     grippers = [o for o in scene.objects if o.type == "gripper"]
     carriables = [

@@ -14,29 +14,32 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from sceneground.bench import DOMAIN_KINDS, BenchError, GenConfig, write_suite
-from sceneground.goals import (
-    Cassette,
-    GoalError,
-    LlmEndpointConfig,
-    llm_parse_goal,
-    parse_structured_goal,
-    resolve_goal,
+from sceneground.goals import GoalError, LlmEndpointConfig
+from sceneground.graph import ExemplarError
+from sceneground.metrics import (
+    EvalError,
+    ManifestEntry,
+    PipelineConfig,
+    evaluate_suite,
+    ground,
+    read_text,
+    validate_plan,
 )
-from sceneground.graph import ExemplarError, classify_scene, exemplar_from_json, ground_scene
-from sceneground.metrics import EvalError, PipelineConfig, evaluate_suite, validate_plan
 from sceneground.pddl import (
     PddlError,
     parse_domain,
     parse_plan,
     parse_problem,
+    serialize_plan,
     serialize_problem,
 )
 from sceneground.pddl.model import check_plannable
 from sceneground.planner import PlannerError, SearchConfig, solve
-from sceneground.scene import SceneError, merge_detections, observation_from_json
+from sceneground.scene import SceneError
 
 USER_ERRORS = (
     PddlError,
@@ -50,15 +53,11 @@ USER_ERRORS = (
 )
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        raw = json.loads(_read(path))
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise EvalError(f"bad config file {path}: {exc}") from None
     if not isinstance(raw, dict):
@@ -106,11 +105,11 @@ def _llm_config(args, config: dict) -> LlmEndpointConfig | None:
 
 
 def _cmd_pddl_check(args, config: dict) -> int:
-    domain = parse_domain(_read(args.domain))
+    domain = parse_domain(read_text(args.domain))
     print(f"domain {domain.name}: ok")
     if args.problem is None:
         return 0
-    problem = parse_problem(_read(args.problem), domain)
+    problem = parse_problem(read_text(args.problem), domain)
     violations = check_plannable(problem.init, domain, problem.objects)
     if violations:
         for v in violations:
@@ -121,67 +120,50 @@ def _cmd_pddl_check(args, config: dict) -> int:
 
 
 def _cmd_ground(args, config: dict) -> int:
-    domain = parse_domain(_read(args.domain))
-    threshold = _setting(args.threshold, config, "match_threshold", 0.5)
-    obs = observation_from_json(_read(args.scene))
-    exemplar = exemplar_from_json(_read(args.exemplar), domain, threshold)
-    scene = merge_detections(obs, domain, threshold)
-
-    goal_text = args.goal
-    if Path(goal_text).is_file():
-        goal_text = _read(goal_text)
-    try:
-        spec = parse_structured_goal(goal_text, domain)
-    except GoalError:
-        llm = _llm_config(args, config)
-        if llm is None:
-            raise GoalError(
-                "goal is not in the structured grammar and no LLM endpoint is configured"
-            ) from None
-        cassette_path = _setting(args.cassette, config, "cassette", None)
-        cassette = None
-        if cassette_path is not None:
-            mode = _setting(args.cassette_mode, config, "cassette_mode", "replay")
-            cassette = Cassette(Path(cassette_path), mode)
-        spec = llm_parse_goal(goal_text, domain, llm, cassette)
-    goal = resolve_goal(spec, scene.typed_objects(), domain)
-
+    domain = parse_domain(read_text(args.domain))
+    pipeline = PipelineConfig(
+        match_threshold=_setting(args.threshold, config, "match_threshold", 0.5),
+        llm=_llm_config(args, config),
+        cassette=_setting(args.cassette, config, "cassette", None),
+        cassette_mode=_setting(args.cassette_mode, config, "cassette_mode", "replay"),
+    )
+    goal = args.goal
+    if Path(goal).is_file():
+        goal = read_text(goal)
     name = args.name or Path(args.scene).stem.lower().replace(" ", "-")
-    problem = ground_scene(obs, domain, exemplar, goal, threshold, name)
-    graph = classify_scene(scene, domain, exemplar)
+    # Both goal fields set: the grammar first, the LLM only as a fallback.
+    entry = ManifestEntry(
+        name, args.scene, args.exemplar,
+        goal_text=goal, goal_structured=goal, ground_truth_problem=None,
+    )
+    grounded = ground(domain, entry, pipeline)
+    if grounded.failure is not None:
+        print(f"error: {grounded.failure}", file=sys.stderr)
+        return 1
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     problem_path = out / f"{name}.pddl"
     graph_path = out / f"{name}.graph.json"
-    problem_path.write_text(serialize_problem(problem), encoding="utf-8")
-    graph_path.write_text(
-        json.dumps(graph.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    problem_path.write_text(serialize_problem(grounded.problem), encoding="utf-8")
+    graph_path.write_text(grounded.graph.to_json(), encoding="utf-8")
     print(problem_path)
     print(graph_path)
     return 0
 
 
 def _cmd_plan(args, config: dict) -> int:
-    domain = parse_domain(_read(args.domain))
-    problem = parse_problem(_read(args.problem), domain)
+    domain = parse_domain(read_text(args.domain))
+    problem = parse_problem(read_text(args.problem), domain)
     result = solve(domain, problem, _search_config(args, config))
-    summary = {
-        "status": result.status,
-        "plan_length": len(result.plan) if result.plan is not None else None,
-        "expanded_nodes": result.expanded,
-    }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    summary = json.dumps(result.as_dict(), indent=2, sort_keys=True)
+    print(summary)
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "result.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        (out / "result.json").write_text(summary + "\n", encoding="utf-8")
         if result.plan is not None:
-            lines = "".join(f"{step}\n" for step in result.plan.steps)
-            (out / "plan.txt").write_text(lines, encoding="utf-8")
+            (out / "plan.txt").write_text(serialize_plan(result.plan), encoding="utf-8")
     if result.status != "solved":
         print(f"error: {result.status}", file=sys.stderr)
         return 1
@@ -189,17 +171,11 @@ def _cmd_plan(args, config: dict) -> int:
 
 
 def _cmd_validate(args, config: dict) -> int:
-    domain = parse_domain(_read(args.domain))
-    problem = parse_problem(_read(args.problem), domain)
-    plan = parse_plan(_read(args.plan))
+    domain = parse_domain(read_text(args.domain))
+    problem = parse_problem(read_text(args.problem), domain)
+    plan = parse_plan(read_text(args.plan))
     verdict = validate_plan(domain, problem.init, problem.goal, plan)
-    print(
-        json.dumps(
-            {"ok": verdict.ok, "step": verdict.step, "reason": verdict.reason},
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(asdict(verdict), indent=2, sort_keys=True))
     return 0 if verdict.ok else 1
 
 

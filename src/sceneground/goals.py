@@ -43,6 +43,9 @@ class GoalSpec:
 _CLAUSE_RE = re.compile(
     r"^\s*(not\s+)?([a-z0-9_-]+)\s*\(\s*([a-z0-9_,\s-]*?)\s*\)\s*$"
 )
+# AND joins clauses only after a closing parenthesis, so a name such as
+# salt-and-pepper never splits.
+_AND_RE = re.compile(r"(?<=\))\s*and(?![a-z0-9_-])")
 
 
 def parse_structured_goal(text: str, domain: Domain, source: str = "structured") -> GoalSpec:
@@ -55,7 +58,7 @@ def parse_structured_goal(text: str, domain: Domain, source: str = "structured")
     if not lowered:
         raise GoalError("empty goal text")
     conjuncts = []
-    for clause in re.split(r"\band\b", lowered):
+    for clause in _AND_RE.split(lowered):
         m = _CLAUSE_RE.match(clause)
         if m is None:
             raise GoalError(f"cannot parse goal clause {clause.strip()!r}")
@@ -150,7 +153,8 @@ class Cassette:
 
     In replay mode each stored exchange is consumed at most once, matched
     by exact request payload.  In record mode live responses are appended
-    and the file rewritten.
+    and the file replaced atomically.  A file that cannot be read or holds
+    anything but such an array is a GoalError.
     """
 
     path: Path
@@ -163,7 +167,14 @@ class Cassette:
         if self.mode not in ("replay", "record"):
             raise GoalError(f"bad cassette mode {self.mode!r}")
         if self.path.exists():
-            self.entries = json.loads(self.path.read_text())
+            try:
+                self.entries = json.loads(self.path.read_text(encoding="utf-8"))
+                if not isinstance(self.entries, list) or not all(
+                    "request" in e and isinstance(e["response"], str) for e in self.entries
+                ):
+                    raise ValueError("not an array of {request, response} objects")
+            except (OSError, ValueError, TypeError, KeyError) as exc:
+                raise GoalError(f"bad cassette {self.path}: {exc}") from None
 
     def replay(self, request: dict) -> str | None:
         for i, entry in enumerate(self.entries):
@@ -174,7 +185,11 @@ class Cassette:
 
     def record(self, request: dict, response: str) -> None:
         self.entries.append({"request": request, "response": response})
-        self.path.write_text(json.dumps(self.entries, indent=2, sort_keys=True) + "\n")
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        tmp.write_text(
+            json.dumps(self.entries, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        os.replace(tmp, self.path)
 
 
 def _goal_prompt(instruction: str, domain: Domain) -> str:

@@ -1,9 +1,10 @@
 """Domain-conditioned scene graphs from a single labeled exemplar.
 
-The pipeline stage between detection merging and planning: enumerate the
-type-valid candidate triplets a domain's observed predicates allow, score
-each against the exemplar's labeled candidates by nearest neighbor in
-spatial-feature space, and rewrite the surviving edges as an initial state.
+The pipeline stage after detection merging: enumerate the type-valid
+candidate triplets a domain's observed predicates allow, score each
+against the exemplar's labeled candidates by nearest neighbor in
+spatial-feature space, and rewrite the surviving edges as init atoms.
+The problem around them is assembled by ``metrics.ground``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from dataclasses import dataclass
 from sceneground.pddl.model import (
     Domain,
     GroundAtom,
-    GroundLiteral,
-    PredicateSignature,
-    Problem,
     check_plannable,
 )
 from sceneground.scene import (
@@ -216,27 +214,6 @@ def classify_scene(scene: Scene, domain: Domain, exemplar: Exemplar) -> SceneGra
             continue
         kept.extend(classify(cands, exemplar, domain))
     return build_graph(scene.objects, kept)
-
-
-def ground_scene(
-    obs: SceneObservation,
-    domain: Domain,
-    exemplar: Exemplar,
-    goal: tuple[GroundLiteral, ...],
-    threshold: float = MATCH_THRESHOLD,
-    name: str = "scene",
-) -> Problem:
-    """Observation in, plannable problem out.
-
-    The goal must already be grounded (goal construction never sees the
-    predicted init, so mistakes there cannot leak into the goal).  The
-    emitted problem always parses and type-checks: objects come from
-    merging, init atoms from classified type-valid candidates.
-    """
-    scene = merge_detections(obs, domain, threshold)
-    graph = classify_scene(scene, domain, exemplar)
-    init = graph_to_init(graph)
-    return Problem(name, domain.name, scene.typed_objects(), init, goal)
 
 
 def exemplar_to_json(exemplar_obs: SceneObservation, true_atoms) -> str:

@@ -1,4 +1,5 @@
-"""Scoring: grounding precision/recall, plan validation, suite evaluation.
+"""Grounding pipeline (``ground``), grounding precision/recall, plan
+validation, suite evaluation.
 
 Grounding is scored as exact-match precision/recall over observed-predicate
 atoms (derived atoms never count).  Suite metrics pool tp/fp/fn across
@@ -12,9 +13,10 @@ stages it never reached; the suite never aborts on one bad problem.
 from __future__ import annotations
 
 import json
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import fmean
 
@@ -28,6 +30,7 @@ from sceneground.goals import (
 )
 from sceneground.graph import (
     ExemplarError,
+    SceneGraph,
     classify_scene,
     exemplar_from_json,
     graph_to_init,
@@ -191,7 +194,7 @@ class ManifestEntry:
     exemplar: str
     goal_text: str | None
     goal_structured: str | None
-    ground_truth_problem: str
+    ground_truth_problem: str | None  # None for a scene grounded outside a suite
 
 
 @dataclass(frozen=True)
@@ -205,19 +208,10 @@ class ProblemRecord:
     failure: str | None
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "precision": self.grounding.precision,
-            "recall": self.grounding.recall,
-            "tp": self.grounding.tp,
-            "fp": self.grounding.fp,
-            "fn": self.grounding.fn,
-            "problem_valid": self.problem_valid,
-            "plan_valid": self.plan_valid,
-            "success": self.success,
-            "plan_length": self.plan_length,
-            "failure": self.failure,
-        }
+        """The fields with the grounding counts inlined."""
+        out = asdict(self)
+        out.update(out.pop("grounding"))
+        return out
 
 
 @dataclass(frozen=True)
@@ -233,17 +227,7 @@ class DomainRow:
     success: float
 
     def as_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "n": self.n,
-            "precision": self.precision,
-            "recall": self.recall,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "problem_validity": self.problem_validity,
-            "plan_validity": self.plan_validity,
-            "success": self.success,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -368,26 +352,85 @@ def load_manifest(path) -> tuple[Domain, tuple[ManifestEntry, ...]]:
     return domain, tuple(entries)
 
 
-def _read(path: str) -> str:
+def read_text(path: str) -> str:
+    """A UTF-8 input file; an unreadable one is a SceneError."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SceneError(f"cannot read {path}: {exc}") from None
 
 
-def _goal_literals(domain, entry, scene, config):
+@dataclass(frozen=True)
+class Grounding:
+    """What the grounding chain made of one entry.
+
+    failure names the first stage that failed ("grounding: ...", "goal:
+    ...", "invalid-problem: ...").  graph and init are kept when only the
+    goal or the problem failed; problem is set only on success.
+    """
+
+    graph: SceneGraph | None
+    init: frozenset[GroundAtom] | None
+    problem: Problem | None
+    failure: str | None
+
+
+def _goal_spec(domain, entry, config):
+    """goal_structured goes through the grammar and goal_text through the
+    LLM.  An entry with both (the CLI's --goal) asks the LLM only when the
+    grammar rejects the text."""
     if entry.goal_structured is not None:
-        spec = parse_structured_goal(entry.goal_structured, domain)
-    else:
-        if config.llm is None:
-            raise GoalError("goal_text entries need an LLM endpoint configured")
-        cassette = (
-            Cassette(config.cassette, mode=config.cassette_mode)
-            if config.cassette
-            else None
+        try:
+            return parse_structured_goal(entry.goal_structured, domain)
+        except GoalError:
+            if entry.goal_text is None:
+                raise
+            if config.llm is None:
+                raise GoalError(
+                    "goal is not in the structured grammar and no LLM endpoint "
+                    "is configured"
+                ) from None
+    if config.llm is None:
+        raise GoalError("goal_text entries need an LLM endpoint configured")
+    cassette = (
+        Cassette(config.cassette, mode=config.cassette_mode)
+        if config.cassette
+        else None
+    )
+    return llm_parse_goal(entry.goal_text, domain, config.llm, cassette)
+
+
+def ground(domain: Domain, entry: ManifestEntry, config: PipelineConfig) -> Grounding:
+    """Scene and exemplar files plus a goal in, a checked problem out.
+
+    Merges and classifies once, builds the goal from the merged objects
+    only (never from the predicted init), and requires the problem to
+    survive its own serialize/parse round trip.  Stage failures are
+    returned, never raised.
+    """
+    try:
+        obs = observation_from_json(read_text(entry.scene))
+        exemplar = exemplar_from_json(
+            read_text(entry.exemplar), domain, config.match_threshold
         )
-        spec = llm_parse_goal(entry.goal_text, domain, config.llm, cassette)
-    return resolve_goal(spec, scene.typed_objects(), domain)
+        scene = merge_detections(obs, domain, config.match_threshold)
+        graph = classify_scene(scene, domain, exemplar)
+    except (SceneError, ExemplarError) as exc:
+        return Grounding(None, None, None, f"grounding: {exc}")
+    init = graph_to_init(graph)
+
+    try:
+        spec = _goal_spec(domain, entry, config)
+        goal = resolve_goal(spec, scene.typed_objects(), domain)
+    except GoalError as exc:
+        return Grounding(graph, init, None, f"goal: {exc}")
+
+    problem = Problem(entry.name, domain.name, scene.typed_objects(), init, goal)
+    try:
+        parse_problem(serialize_problem(problem), domain)
+    except PddlError as exc:
+        return Grounding(graph, init, None, f"invalid-problem: {exc}")
+    return Grounding(graph, init, problem, None)
 
 
 def evaluate_problem(
@@ -400,37 +443,18 @@ def evaluate_problem(
     stage and everything after it (a failed goal stage still reports the
     grounding scores, matching the single-attempt protocol).
     """
-    truth = parse_problem(_read(entry.ground_truth_problem), domain)
+    truth = parse_problem(read_text(entry.ground_truth_problem), domain)
     observed = {sig.name for sig in domain.observed}
-    truth_observed = {a for a in truth.init if a.predicate in observed}
-
-    try:
-        obs = observation_from_json(_read(entry.scene))
-        exemplar = exemplar_from_json(
-            _read(entry.exemplar), domain, config.match_threshold
-        )
-        scene = merge_detections(obs, domain, config.match_threshold)
-        init = graph_to_init(classify_scene(scene, domain, exemplar))
-    except (SceneError, ExemplarError) as exc:
-        empty = GroundingScore(0.0, 0.0, 0, 0, len(truth_observed))
+    grounded = ground(domain, entry, config)
+    if grounded.init is None:
+        truth_observed = {a for a in truth.init if a.predicate in observed}
+        grounding = GroundingScore(0.0, 0.0, 0, 0, len(truth_observed))
+    else:
+        grounding = triplet_pr(grounded.init, truth.init, observed, config.empty_precision)
+    problem = grounded.problem
+    if problem is None:
         return ProblemRecord(
-            entry.name, empty, False, False, False, None, f"grounding: {exc}"
-        )
-    grounding = triplet_pr(init, truth.init, observed, config.empty_precision)
-
-    try:
-        goal = _goal_literals(domain, entry, scene, config)
-    except GoalError as exc:
-        return ProblemRecord(
-            entry.name, grounding, False, False, False, None, f"goal: {exc}"
-        )
-
-    problem = Problem(entry.name, domain.name, scene.typed_objects(), init, goal)
-    try:
-        parse_problem(serialize_problem(problem), domain)
-    except PddlError as exc:
-        return ProblemRecord(
-            entry.name, grounding, False, False, False, None, f"invalid-problem: {exc}"
+            entry.name, grounding, False, False, False, None, grounded.failure
         )
 
     result = solver(domain, problem, config.search)
@@ -463,7 +487,8 @@ def evaluate_suite(
 
     Runs in-process unless config.jobs > 1, the solver is the default, and
     no entry needs a live LLM call (worker processes cannot share a
-    cassette safely).  Records keep manifest order either way.
+    cassette safely).  The pool has at most one worker per CPU.  Records
+    keep manifest order either way.
     """
     domain, entries = load_manifest(manifest)
     parallel = (
@@ -472,7 +497,8 @@ def evaluate_suite(
         and all(e.goal_text is None for e in entries)
     )
     if parallel:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        workers = min(config.jobs, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = tuple(
                 pool.map(_pool_worker, [(domain, e, config) for e in entries])
             )

@@ -307,12 +307,6 @@ class Problem:
         if not isinstance(self.init, frozenset):
             object.__setattr__(self, "init", frozenset(self.init))
 
-    def object_type(self, name: str) -> str | None:
-        for obj, typ in self.objects:
-            if obj == name:
-                return typ
-        return None
-
 
 @dataclass(frozen=True)
 class PlanStep:

@@ -100,14 +100,12 @@ class SolveResult:
     status: str  # solved | unsolvable | node-limit | time-limit
     plan: Plan | None
     expanded: int
-    wall_time_ms: float
 
     def as_dict(self) -> dict:
         return {
             "status": self.status,
             "plan_length": len(self.plan) if self.plan is not None else None,
             "expanded_nodes": self.expanded,
-            "wall_time_ms": round(self.wall_time_ms, 3),
         }
 
 
@@ -494,12 +492,8 @@ def solve(
     task = GroundTask(domain, problem)
     init = task.init
 
-    def finish(status, plan, expanded):
-        wall = (time.perf_counter() - start) * 1000.0
-        return SolveResult(status, plan, expanded, wall)
-
     if task.satisfied(init[1]):
-        return finish("solved", Plan(()), 0)
+        return SolveResult("solved", Plan(()), 0)
 
     if cfg.mode == "optimal":
         heuristic = None
@@ -525,9 +519,9 @@ def solve(
 
     while frontier:
         if expanded >= cfg.node_limit:
-            return finish("node-limit", None, expanded)
+            return SolveResult("node-limit", None, expanded)
         if time.perf_counter() - start > cfg.time_limit_s:
-            return finish("time-limit", None, expanded)
+            return SolveResult("time-limit", None, expanded)
         state = pop()
         expanded += 1
         for index, base in task.successors(state):
@@ -539,14 +533,14 @@ def solve(
             if task.satisfied(full):
                 plan = _reconstruct(task, parents, init[0], base)
                 _check_plan(task, plan)
-                return finish("solved", plan, expanded)
+                return SolveResult("solved", plan, expanded)
             if heuristic is None:
                 push((base, full), 0.0)
             else:
                 h = heuristic(full)
                 if h < INFINITY:
                     push((base, full), h)
-    return finish("unsolvable", None, expanded)
+    return SolveResult("unsolvable", None, expanded)
 
 
 def _reconstruct(task: GroundTask, parents, root, leaf) -> Plan:

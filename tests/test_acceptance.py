@@ -25,16 +25,19 @@ from sceneground.bench import (
     perturb,
     write_suite,
 )
-from sceneground.goals import parse_structured_goal, resolve_goal
 from sceneground.graph import (
-    ExemplarError,
     classify_scene,
-    exemplar_from_json,
     exemplar_to_json,
     graph_to_init,
-    ground_scene,
 )
-from sceneground.metrics import PipelineConfig, evaluate_suite, triplet_pr, validate_plan
+from sceneground.metrics import (
+    ManifestEntry,
+    PipelineConfig,
+    evaluate_suite,
+    ground,
+    triplet_pr,
+    validate_plan,
+)
 from sceneground.pddl import parse_domain, parse_problem, serialize_domain, serialize_problem
 from sceneground.pddl.model import Plan, PlanStep
 from sceneground.planner import SearchConfig, solve
@@ -75,10 +78,18 @@ def blocks_101():
     return [gen_blocksworld(5, seed) for seed in range(101)]
 
 
-def grounded_goal(problem, domain):
-    spec = parse_structured_goal(problem.goal_structured, domain)
-    scene = merge_detections(problem.scene, domain)
-    return resolve_goal(spec, scene.typed_objects(), domain)
+def ground_with(problem, domain, exemplar_doc, folder):
+    """Run the grounding pipeline on a generated scene, its goal and the
+    given exemplar document."""
+    folder.mkdir(parents=True, exist_ok=True)
+    scene = folder / "scene.json"
+    scene.write_text(problem.scene.to_json())
+    exemplar = folder / "exemplar.json"
+    exemplar.write_text(json.dumps(exemplar_doc))
+    entry = ManifestEntry(
+        "scene", str(scene), str(exemplar), None, problem.goal_structured, None
+    )
+    return ground(domain, entry, PipelineConfig())
 
 
 def block_of(text: str, opener: str) -> str:
@@ -278,7 +289,7 @@ def _label_flipped_doc(problem, domain, rng):
     return doc
 
 
-def test_criterion_7_goal_first_isolation():
+def test_criterion_7_goal_first_isolation(tmp_path):
     rng = random.Random("goal-isolation")
     kinds = ("blocksworld", "hanoi", "cooking")
     corrupted_inits = 0
@@ -291,14 +302,18 @@ def test_criterion_7_goal_first_isolation():
         }[kind]
         problem = generate(cfg)
         domain = DOMAINS[kind]
-        goal = grounded_goal(problem, domain)
-        clean = serialize_problem(ground_scene(problem.scene, domain, problem.exemplar, goal))
+        clean_doc = json.loads(
+            exemplar_to_json(problem.exemplar_obs, problem.exemplar.true_atoms)
+        )
+        clean_run = ground_with(problem, domain, clean_doc, tmp_path / f"{case}-clean")
         if case % 3 == 2:
             doc = _label_flipped_doc(problem, domain, rng)
         else:
             doc = _jittered_exemplar_doc(problem, rng)
-        bad_exemplar = exemplar_from_json(doc, domain)
-        bad = serialize_problem(ground_scene(problem.scene, domain, bad_exemplar, goal))
+        bad_run = ground_with(problem, domain, doc, tmp_path / f"{case}-bad")
+        assert clean_run.failure is None and bad_run.failure is None, case
+        clean = serialize_problem(clean_run.problem)
+        bad = serialize_problem(bad_run.problem)
         assert block_of(bad, "(:goal") == block_of(clean, "(:goal"), case
         assert block_of(bad, "(:objects") == block_of(clean, "(:objects"), case
         if block_of(bad, "(:init") != block_of(clean, "(:init"):
@@ -310,7 +325,7 @@ def test_criterion_7_goal_first_isolation():
     )
 
 
-def test_criterion_8_exemplar_gate():
+def test_criterion_8_exemplar_gate(tmp_path):
     from sceneground.graph import enumerate_candidates
 
     injected = tripped = 0
@@ -322,7 +337,6 @@ def test_criterion_8_exemplar_gate():
                 "cooking": GenConfig("cooking", seed=seed),
             }[kind]
             problem = generate(cfg)
-            goal = grounded_goal(problem, domain)
             base = json.loads(
                 exemplar_to_json(problem.exemplar_obs, problem.exemplar.true_atoms)
             )
@@ -337,10 +351,9 @@ def test_criterion_8_exemplar_gate():
                 never["true_atoms"] = [r for r in base["true_atoms"] if r[0] != sig.name]
                 for doc in (always, never):
                     injected += 1
-                    with pytest.raises(ExemplarError) as exc:
-                        exemplar = exemplar_from_json(doc, domain)
-                        ground_scene(problem.scene, domain, exemplar, goal)
-                    assert "uninformative" in str(exc.value)
+                    grounded = ground_with(problem, domain, doc, tmp_path / str(injected))
+                    assert grounded.problem is None
+                    assert grounded.failure.startswith("grounding: exemplar is uninformative")
                     tripped += 1
     assert injected == tripped == 28
     print(f"criterion 8: PASS - gate tripped on {tripped}/{injected} injected violations")

@@ -10,6 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import sceneground.cli as cli
+import sceneground.goals as goals
+import sceneground.graph as graph
+import sceneground.metrics as metrics
 from sceneground.bench import GenConfig, write_suite
 from sceneground.cli import main
 from sceneground.pddl import parse_domain, parse_problem
@@ -180,6 +184,75 @@ def test_freeform_goal_without_llm_fails(suite_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "LLM" in capsys.readouterr().err
+
+
+def ground_argv(suite_dir, goal, out, *extra):
+    problem_dir = suite_dir / "problems" / "000"
+    return [
+        "ground",
+        str(suite_dir / "domain.pddl"),
+        str(problem_dir / "scene.json"),
+        str(problem_dir / "exemplar.json"),
+        "--goal",
+        goal,
+        "--out",
+        str(out),
+        "--name",
+        "p0",
+        *extra,
+    ]
+
+
+LLM_FLAGS = ("--llm-base-url", "http://127.0.0.1:9", "--llm-model", "stub")
+
+
+def test_freeform_goal_falls_back_to_the_llm(suite_dir, first_goal, tmp_path, monkeypatch):
+    instruction = "please move the tower somewhere nice"
+    domain = parse_domain((suite_dir / "domain.pddl").read_text())
+    cassette = tmp_path / "cassette.json"
+    request = {
+        "model": "stub",
+        "temperature": 0,
+        "messages": [{"role": "user", "content": goals._goal_prompt(instruction, domain)}],
+    }
+    cassette.write_text(json.dumps([{"request": request, "response": first_goal}]))
+
+    def no_network(request, cfg):
+        raise AssertionError("a replay cassette must not reach the endpoint")
+
+    monkeypatch.setattr(goals, "_post_chat", no_network)
+    assert main(ground_argv(suite_dir, first_goal, tmp_path / "structured")) == 0
+    argv = ground_argv(
+        suite_dir, instruction, tmp_path / "llm", *LLM_FLAGS, "--cassette", str(cassette)
+    )
+    assert main(argv) == 0
+    assert tree_bytes(tmp_path / "llm") == tree_bytes(tmp_path / "structured")
+
+
+def test_corrupt_cassette_is_a_user_error(suite_dir, tmp_path, capsys):
+    cassette = tmp_path / "cassette.json"
+    cassette.write_text("{not json")
+    argv = ground_argv(
+        suite_dir, "move the tower", tmp_path, *LLM_FLAGS, "--cassette", str(cassette)
+    )
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "p0.pddl").exists()
+
+
+def test_ground_classifies_the_scene_once(suite_dir, first_goal, tmp_path, monkeypatch):
+    calls = []
+    original = graph.classify_scene
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (cli, graph, metrics):
+        if hasattr(module, "classify_scene"):
+            monkeypatch.setattr(module, "classify_scene", counting)
+    assert main(ground_argv(suite_dir, first_goal, tmp_path)) == 0
+    assert len(calls) == 1
 
 
 def test_plan_reruns_are_byte_identical(suite_dir, tmp_path):

@@ -17,6 +17,7 @@ from sceneground.goals import (
     resolve_goal,
 )
 from sceneground.pddl import GroundAtom, GroundLiteral, parse_domain
+from sceneground.scene import valid_name
 
 KITCHEN = parse_domain(
     """
@@ -54,6 +55,17 @@ def test_parse_two_conjuncts():
 def test_parse_negated_clause():
     spec = parse_structured_goal("NOT carry(gripper1, cucumber)", KITCHEN)
     assert spec.conjuncts == ((True, "carry", ("gripper1", "cucumber")),)
+
+
+def test_and_inside_a_name_does_not_split_clauses():
+    assert valid_name("salt-and-pepper")
+    spec = parse_structured_goal(
+        "sliced(salt-and-pepper) AND in(salt-and-pepper, white_bowl)", KITCHEN
+    )
+    assert spec.conjuncts == (
+        (False, "sliced", ("salt-and-pepper",)),
+        (False, "in", ("salt-and-pepper", "white_bowl")),
+    )
 
 
 def test_parse_is_case_insensitive():
@@ -213,6 +225,32 @@ def test_cassette_replay_miss_is_an_error(tmp_path):
     with pytest.raises(GoalError) as err:
         llm_parse_goal("slice it", KITCHEN, cfg, Cassette(path, mode="replay"))
     assert "cassette" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{not json",
+        b"\xff\xfe",
+        b'{"request": {}}',
+        b'[{"request": {}}]',
+        b'[{"request": {}, "response": 3}]',
+    ],
+)
+def test_corrupt_cassette_is_a_goal_error(tmp_path, content):
+    path = tmp_path / "cassette.json"
+    path.write_bytes(content)
+    with pytest.raises(GoalError, match="cassette"):
+        Cassette(path)
+
+
+def test_cassette_record_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "cassette.json"
+    cassette = Cassette(path, mode="record")
+    cassette.record({"q": 1}, "sliced(tomato)")
+    cassette.record({"q": 2}, "sliced(cucumber)")
+    assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]
+    assert Cassette(path).replay({"q": 2}) == "sliced(cucumber)"
 
 
 def test_endpoint_config_validation():

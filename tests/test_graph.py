@@ -14,8 +14,8 @@ from sceneground.graph import (
     exemplar_from_json,
     exemplar_to_json,
     graph_to_init,
-    ground_scene,
 )
+from sceneground.metrics import ManifestEntry, PipelineConfig, ground
 from sceneground.pddl import (
     GroundAtom,
     GroundLiteral,
@@ -312,18 +312,20 @@ def _stack_observation():
     )
 
 
-def _stack_exemplar():
-    scene = _scene(
-        _block("exa", 10, 40, 10),
-        _block("exb", 10, 52, 10),
-        _block("exc", 50, 52, 10),
+def test_ground_scene_end_to_end(tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_text(_stack_observation().to_json())
+    exemplar = tmp_path / "exemplar.json"
+    exemplar.write_text(
+        exemplar_to_json(_stack_observation(), [GroundAtom("on", ("block1", "block2"))])
     )
-    return Exemplar(scene, frozenset({GroundAtom("on", ("exa", "exb"))}))
-
-
-def test_ground_scene_end_to_end():
+    entry = ManifestEntry(
+        "scene", str(scene), str(exemplar), None, "on(block2, block1)", None
+    )
+    grounded = ground(BLOCKS, entry, PipelineConfig())
+    assert grounded.failure is None
+    problem = grounded.problem
     goal = (GroundLiteral(GroundAtom("on", ("block2", "block1")), False),)
-    problem = ground_scene(_stack_observation(), BLOCKS, _stack_exemplar(), goal)
     assert problem.init == {GroundAtom("on", ("block1", "block2"))}
     assert problem.goal == goal
     assert check_plannable(problem.init, BLOCKS, problem.objects) == []

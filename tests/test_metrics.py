@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
 
+import sceneground.goals as goals
+import sceneground.metrics as metrics
 from naive_ref import naive_run
 from sceneground.bench import domain_text
+from sceneground.goals import LlmEndpointConfig
 from sceneground.metrics import (
     EvalError,
     GroundingScore,
@@ -334,7 +338,7 @@ def test_empty_plan_stub_counts_already_satisfied_goals(tmp_path):
     manifest = write_suite(tmp_path, TWO_GOALS)
 
     def stub(domain, problem, cfg):
-        return SolveResult("solved", Plan(()), 0, 0.0)
+        return SolveResult("solved", Plan(()), 0)
 
     report = evaluate_suite(manifest, solver=stub)
     # covered(block1) already holds in the ground truth init; the other
@@ -387,6 +391,91 @@ def test_goal_text_without_endpoint_is_a_goal_failure(tmp_path):
     rec = report.records[0]
     assert rec.failure is not None and rec.failure.startswith("goal:")
     assert rec.grounding.precision == 1.0
+
+
+DEAD_ENDPOINT = LlmEndpointConfig(base_url="http://127.0.0.1:9", model="stub", retries=0)
+
+
+def as_goal_text(manifest, instructions):
+    """Turn the first len(instructions) entries of a manifest into
+    goal_text entries, in place."""
+    raw = json.loads(manifest.read_text())
+    for problem, instruction in zip(raw["problems"], instructions):
+        problem.pop("goal_structured")
+        problem["goal_text"] = instruction
+    manifest.write_text(json.dumps(raw))
+
+
+def test_goal_text_with_replay_cassette_matches_structured_twin(tmp_path, monkeypatch):
+    (tmp_path / "structured").mkdir()
+    (tmp_path / "text").mkdir()
+    structured = evaluate_suite(write_suite(tmp_path / "structured", TWO_GOALS))
+    manifest = write_suite(tmp_path / "text", TWO_GOALS)
+    instructions = ["stack block2 onto block1", "cover block1"]
+    as_goal_text(manifest, instructions)
+    cassette = tmp_path / "cassette.json"
+    cassette.write_text(
+        json.dumps(
+            [
+                {
+                    "request": {
+                        "model": "stub",
+                        "temperature": 0,
+                        "messages": [
+                            {"role": "user", "content": goals._goal_prompt(text, BLOCKS)}
+                        ],
+                    },
+                    "response": goal["structured"],
+                }
+                for text, goal in zip(instructions, TWO_GOALS)
+            ]
+        )
+    )
+
+    def no_network(request, cfg):
+        raise AssertionError("a replay cassette must not reach the endpoint")
+
+    monkeypatch.setattr(goals, "_post_chat", no_network)
+    config = PipelineConfig(llm=DEAD_ENDPOINT, cassette=str(cassette))
+    replayed = evaluate_suite(manifest, config)
+    assert replayed.records == structured.records
+    assert all(r.success for r in replayed.records)
+
+
+def test_corrupt_cassette_fails_one_goal_only(tmp_path):
+    manifest = write_suite(tmp_path, TWO_GOALS)
+    as_goal_text(manifest, ["stack block2 onto block1"])
+    cassette = tmp_path / "cassette.json"
+    cassette.write_text("{not json")
+    config = PipelineConfig(llm=DEAD_ENDPOINT, cassette=str(cassette))
+    bad, good = evaluate_suite(manifest, config).records
+    assert bad.failure.startswith("goal: bad cassette")
+    assert bad.grounding.precision == 1.0
+    assert good.failure is None and good.success
+
+
+def test_pool_size_is_clamped_to_cpu_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    manifest = write_suite(tmp_path, TWO_GOALS)
+    report = evaluate_suite(manifest, PipelineConfig(jobs=10**6))
+    assert sizes == [3]
+    assert report == evaluate_suite(manifest, PipelineConfig(jobs=1))
 
 
 def test_success_implies_a_plan_was_produced(tmp_path):

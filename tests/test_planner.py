@@ -529,15 +529,9 @@ def test_search_config_rejects_bad_values(kwargs):
 def test_result_dict_shape():
     result = solve(HANOI, hanoi_problem(2), SearchConfig(mode="optimal"))
     payload = result.as_dict()
-    assert sorted(payload) == [
-        "expanded_nodes",
-        "plan_length",
-        "status",
-        "wall_time_ms",
-    ]
+    assert sorted(payload) == ["expanded_nodes", "plan_length", "status"]
     assert payload["status"] == "solved"
     assert payload["plan_length"] == 3
-    assert payload["wall_time_ms"] >= 0.0
 
 
 def test_internal_replay_guard_catches_bad_plans():
