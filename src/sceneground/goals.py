@@ -21,7 +21,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from sceneground.pddl.model import Domain, GroundAtom, GroundLiteral
+from sceneground.pddl.model import Domain, GroundAtom, GroundLiteral, valid_name
 
 
 class GoalError(ValueError):
@@ -65,7 +65,7 @@ def parse_structured_goal(text: str, domain: Domain, source: str = "structured")
         negated = m.group(1) is not None
         predicate = m.group(2)
         args = tuple(a.strip() for a in m.group(3).split(","))
-        if any(not a for a in args):
+        if not all(map(valid_name, args)):
             raise GoalError(f"bad argument list in clause {clause.strip()!r}")
         sig = domain.predicate(predicate)
         if sig is None:

@@ -49,6 +49,7 @@ from sceneground.pddl.model import (
 )
 from sceneground.planner import SearchConfig, axiom_closure, solve
 from sceneground.scene import (
+    MATCH_THRESHOLD,
     SceneError,
     merge_detections,
     observation_from_json,
@@ -170,7 +171,7 @@ def validate_plan(domain: Domain, init, goal, plan: Plan) -> Verdict:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    match_threshold: float = 0.5
+    match_threshold: float = MATCH_THRESHOLD
     search: SearchConfig = SearchConfig()
     empty_precision: float = 1.0
     llm: LlmEndpointConfig | None = None

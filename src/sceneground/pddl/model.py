@@ -2,8 +2,7 @@
 
 Everything here is an immutable value object.  Construction-time validation
 is limited to local shape checks; cross-object invariants (types exist,
-variables declared, rules stratified) are enforced by ``Domain.validate`` and
-``Problem`` construction helpers, which the parser always runs.
+variables declared, rules stratified) are enforced by the parser.
 """
 
 from __future__ import annotations
@@ -219,50 +218,6 @@ class Domain:
     @property
     def observed(self) -> tuple[PredicateSignature, ...]:
         return tuple(p for p in self.predicates if p.kind == "observed")
-
-    @property
-    def derived_predicates(self) -> tuple[PredicateSignature, ...]:
-        return tuple(p for p in self.predicates if p.kind == "derived")
-
-    def rule_strata(self) -> tuple[tuple[DerivedRule, ...], ...]:
-        """Rules grouped by dependency depth, lowest stratum first.
-
-        The parser guarantees acyclicity, so a topological layering exists.
-        Rule engines may still evaluate recursive rule sets built by hand;
-        this helper is only for parsed domains.
-        """
-        depth: dict[str, int] = {}
-
-        def pred_depth(name: str, active: tuple[str, ...] = ()) -> int:
-            if name in depth:
-                return depth[name]
-            if name in active:
-                raise ModelError(f"derived predicate {name!r} depends on itself")
-            sig = self.predicate(name)
-            if sig is None or sig.kind != "derived":
-                return -1
-            d = 0
-            for rule in self.derived:
-                if rule.head.predicate != name:
-                    continue
-                for atom in rule.body:
-                    d = max(d, 1 + pred_depth(atom.predicate, active + (name,)))
-            depth[name] = d
-            return d
-
-        for p in self.derived_predicates:
-            pred_depth(p.name)
-        if not self.derived:
-            return ()
-        max_d = max(depth.values(), default=0)
-        strata: list[tuple[DerivedRule, ...]] = []
-        for d in range(max_d + 1):
-            layer = tuple(
-                r for r in self.derived if depth.get(r.head.predicate, 0) == d
-            )
-            if layer:
-                strata.append(layer)
-        return tuple(strata)
 
 
 # ---------------------------------------------------------------------------

@@ -538,11 +538,7 @@ def parse_domain(text: str | bytes) -> Domain:
     for n in sorted(deps):
         visit(n, ())
 
-    domain = Domain(
-        dom_name, hierarchy, tuple(sig_list), tuple(actions), tuple(rules)
-    )
-    domain.rule_strata()  # re-checks acyclicity through the model layer
-    return domain
+    return Domain(dom_name, hierarchy, tuple(sig_list), tuple(actions), tuple(rules))
 
 
 # ---------------------------------------------------------------------------

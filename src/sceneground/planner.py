@@ -12,8 +12,8 @@ instance counts its unmet body atoms and fires when the count reaches zero.
 That handles positive recursion, although the shipped domains keep their
 rule dependencies acyclic.  The task's closure is typed: a rule derives a
 head only for bindings that fit the head predicate's parameter types, as
-PDDL requires.  The lifted ``axiom_closure`` (kept for ``make_state`` and
-the plan validator in ``metrics``) ignores head types and so may also
+PDDL requires.  The lifted ``axiom_closure`` (the closure the plan
+validator in ``metrics`` judges with) ignores head types and so may also
 derive ill-typed atoms; no action precondition or typed goal reads one.
 
 Two search modes: "optimal" is plain breadth-first search over unit-cost
@@ -34,7 +34,6 @@ from heapq import heapify, heappop, heappush
 
 from sceneground.pddl.model import (
     EQUALITY,
-    ActionSchema,
     Atom,
     DerivedRule,
     Domain,
@@ -62,21 +61,6 @@ class GroundAction:
 
     def step(self) -> PlanStep:
         return PlanStep(self.name, self.args)
-
-
-@dataclass(frozen=True)
-class State:
-    """Base (observed) atoms plus the cached fixpoint of the derived ones."""
-
-    base: frozenset[GroundAtom]
-    derived: frozenset[GroundAtom]
-
-    def holds(self, literal: GroundLiteral) -> bool:
-        present = literal.atom in self.base or literal.atom in self.derived
-        return present != literal.negated
-
-    def satisfies(self, goal: tuple[GroundLiteral, ...]) -> bool:
-        return all(self.holds(lit) for lit in goal)
 
 
 @dataclass(frozen=True)
@@ -268,19 +252,6 @@ def _match_body(body, by_predicate: dict[str, list[GroundAtom]], env: dict[str, 
             yield from _match_body(rest, by_predicate, trial)
 
 
-def make_state(base, domain: Domain) -> State:
-    base = frozenset(base)
-    return State(base, axiom_closure(base, domain.derived))
-
-
-def apply_action(state: State, action: GroundAction, domain: Domain) -> State:
-    return make_state((state.base - action.delete) | action.add, domain)
-
-
-def applicable(state: State, action: GroundAction) -> bool:
-    return all(state.holds(lit) for lit in action.precondition)
-
-
 # ---------------------------------------------------------------------------
 # The compiled task
 # ---------------------------------------------------------------------------
@@ -342,12 +313,6 @@ class GroundTask:
             index = self.ids[atom] = len(self.atoms)
             self.atoms.append(atom)
         return index
-
-    def encode(self, atoms) -> frozenset[int]:
-        """Ids of the given atoms.  Atoms the task never mentions are
-        dropped: no precondition, rule body or goal can read them."""
-        ids = self.ids
-        return frozenset(ids[a] for a in atoms if a in ids)
 
     def decode(self, ids) -> frozenset[GroundAtom]:
         return frozenset(self.atoms[i] for i in ids)
@@ -446,7 +411,8 @@ class GroundTask:
 # ---------------------------------------------------------------------------
 
 
-def _task_heuristic(task: GroundTask, name: str):
+def make_heuristic(task: GroundTask, name: str):
+    """The named heuristic, scoring a task state by its full atom-id set."""
     if name == "additive-cost":
         return task.h_add
     if name == "goal-count":
@@ -454,22 +420,6 @@ def _task_heuristic(task: GroundTask, name: str):
     if name == "blind":
         return lambda full: 0.0
     raise PlannerError(f"unknown heuristic {name!r}")
-
-
-def make_heuristic(
-    domain: Domain, problem: Problem, name: str, task: GroundTask | None = None
-):
-    """Build the named heuristic.
-
-    Given the problem's compiled task, the heuristic scores a task state by
-    its full atom-id set.  Without one it compiles the problem itself and
-    is a callable ``State -> float``.
-    """
-    if task is not None:
-        return _task_heuristic(task, name)
-    compiled = GroundTask(domain, problem)
-    h = _task_heuristic(compiled, name)
-    return lambda state: h(compiled.closure(compiled.encode(state.base)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +448,7 @@ def solve(
     if cfg.mode == "optimal":
         heuristic = None
     else:
-        heuristic = make_heuristic(domain, problem, cfg.heuristic, task)
+        heuristic = make_heuristic(task, cfg.heuristic)
 
     parents: dict[frozenset[int], tuple[frozenset[int], int]] = {}
     seen: set[frozenset[int]] = {init[0]}

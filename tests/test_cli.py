@@ -86,6 +86,20 @@ def test_pddl_check_rejects_junk(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_pddl_check_rejects_an_ill_typed_init_atom(suite_dir, tmp_path, capsys):
+    problem = tmp_path / "bad.pddl"
+    problem.write_text(
+        "(define (problem bad) (:domain hanoi)\n"
+        "  (:objects d1 - disk p1 p2 - peg)\n"
+        "  (:init (onpeg p1 d1))\n"
+        "  (:goal (onpeg d1 p2)))\n"
+    )
+    assert main(["pddl", "check", str(suite_dir / "domain.pddl"), str(problem)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "at 3:17" in err
+
+
 def test_missing_file_is_a_domain_error(capsys):
     assert main(["pddl", "check", "/no/such/file.pddl"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -354,3 +368,29 @@ def test_config_file_sets_defaults_and_flags_win(suite_dir, tmp_path):
     ]
     assert main(argv) == 1  # config's node limit stops the search
     assert main(argv + ["--node-limit", "100000"]) == 0  # flag overrides config
+
+
+def test_config_file_reaches_ground_and_eval(suite_dir, first_goal, tmp_path, monkeypatch):
+    seen = {}
+
+    def capture(name):
+        def fake(*args):
+            seen[name] = args[-1]
+            raise metrics.EvalError("captured")
+
+        return fake
+
+    monkeypatch.setattr(cli, "ground", capture("ground"))
+    monkeypatch.setattr(cli, "evaluate_suite", capture("eval"))
+    ground_args = ground_argv(suite_dir, first_goal, tmp_path)
+    eval_args = ["eval", str(suite_dir / "manifest.json")]
+    assert main(ground_args) == main(eval_args) == 1
+    assert seen == {"ground": metrics.PipelineConfig(), "eval": metrics.PipelineConfig()}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"match_threshold": 0.3, "cassette_mode": "record"}))
+    seen.clear()
+    assert main(["--config", str(config)] + ground_args) == 1
+    assert main(["--config", str(config)] + eval_args) == 1
+    assert sorted(seen) == ["eval", "ground"]
+    for pipeline in seen.values():
+        assert (pipeline.match_threshold, pipeline.cassette_mode) == (0.3, "record")

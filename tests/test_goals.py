@@ -68,6 +68,15 @@ def test_and_inside_a_name_does_not_split_clauses():
     )
 
 
+@pytest.mark.parametrize(
+    "text", ["sliced(salt and pepper)", "at(tomato board, white_bowl)"]
+)
+def test_name_with_spaces_is_rejected_at_parse_time(text):
+    with pytest.raises(GoalError) as err:
+        parse_structured_goal(text, KITCHEN)
+    assert repr(text) in str(err.value)
+
+
 def test_parse_is_case_insensitive():
     a = parse_structured_goal("Sliced(Cucumber) AND In(CUCUMBER, White_Bowl)", KITCHEN)
     b = parse_structured_goal("sliced(cucumber) and in(cucumber, white_bowl)", KITCHEN)

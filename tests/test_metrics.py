@@ -34,15 +34,7 @@ from sceneground.pddl.model import (
     PlanStep,
     Problem,
 )
-from sceneground.planner import (
-    SearchConfig,
-    SolveResult,
-    applicable,
-    apply_action,
-    ground_actions,
-    make_state,
-    solve,
-)
+from sceneground.planner import GroundTask, SearchConfig, SolveResult, solve
 from sceneground.graph import exemplar_to_json
 from sceneground.scene import Box, Detection, SceneObservation
 
@@ -179,20 +171,20 @@ def random_state_and_plan(rng: random.Random):
             tower.append(b)
         else:
             tower = [b]
-    actions = ground_actions(BLOCKS, objects)
-    state = make_state(frozenset(init), BLOCKS)
+    walk = Problem("walk", "blocksworld", objects, frozenset(init), ())
+    task = GroundTask(BLOCKS, walk)
+    base = task.init[0]
     steps = []
     for _ in range(rng.randint(0, 4)):
         roll = rng.random()
         if roll < 0.6:
-            options = [a for a in actions if applicable(state, a)]
+            options = list(task.successors((base, task.closure(base))))
             if not options:
                 continue
-            choice = rng.choice(options)
-            steps.append(choice.step())
-            state = apply_action(state, choice, BLOCKS)
+            index, base = rng.choice(options)
+            steps.append(task.actions[index].step())
         elif roll < 0.8:
-            choice = rng.choice(actions)  # often inapplicable
+            choice = rng.choice(task.actions)  # often inapplicable
             steps.append(choice.step())
         elif roll < 0.9:
             steps.append(PlanStep("warp", tuple(rng.sample(blocks, 2))))

@@ -300,7 +300,7 @@ def test_signature_rejects_bad_observed_arity():
 
 def test_recursive_rule_rejected_even_when_guarded():
     # Transitivity is positive recursion; the subset keeps rule dependencies
-    # acyclic so downstream consumers can rely on a fixed stratum order.
+    # acyclic.
     text = (
         "(define (domain d) (:predicates (on ?a ?b) (above ?a ?b))"
         " (:derived (above ?a ?b) (on ?a ?b))"
@@ -309,21 +309,6 @@ def test_recursive_rule_rejected_even_when_guarded():
     with pytest.raises(PddlError) as err:
         parse_domain(text)
     assert "unstratified" in str(err.value)
-
-
-def test_rule_strata_order(toy_domain):
-    # covered/supported both depend only on observed facts: one stratum.
-    assert len(toy_domain.rule_strata()) == 1
-    chained = parse_domain(
-        "(define (domain d) (:predicates (on ?a ?b) (supported ?b) (elevated ?b))"
-        " (:derived (supported ?b) (on ?b ?a))"
-        " (:derived (elevated ?b) (and (on ?b ?a) (supported ?a))))"
-    )
-    strata = chained.rule_strata()
-    assert [r.head.predicate for layer in strata for r in layer] == [
-        "supported",
-        "elevated",
-    ]
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sceneground.planner as planner
-from naive_ref import naive_bfs, naive_closure, naive_h_add, naive_run, well_typed
+from naive_ref import (
+    _ground_steps,
+    naive_apply,
+    naive_bfs,
+    naive_closure,
+    naive_h_add,
+    naive_run,
+    well_typed,
+)
 from sceneground.bench import domain_text
 from sceneground.bench.generate import gen_cooking
 from sceneground.pddl import parse_domain
@@ -33,12 +41,9 @@ from sceneground.planner import (
     PlannerError,
     SearchConfig,
     _check_plan,
-    apply_action,
-    applicable,
     axiom_closure,
     ground_actions,
     make_heuristic,
-    make_state,
     solve,
 )
 
@@ -78,6 +83,22 @@ def positive(predicate: str, *args: str) -> GroundLiteral:
 
 def negative(predicate: str, *args: str) -> GroundLiteral:
     return GroundLiteral(GroundAtom(predicate, args), True)
+
+
+def reachable(task: GroundTask, limit: float = float("inf")) -> list:
+    """Task states reachable from init, breadth first, at most ``limit``."""
+    states = [task.init]
+    seen = {task.init[0]}
+    for state in states:
+        for _, base in task.successors(state):
+            if base not in seen and len(states) < limit:
+                seen.add(base)
+                states.append((base, task.closure(base)))
+    return states
+
+
+def action_index(task: GroundTask, name: str, *args: str) -> int:
+    return [(a.name, a.args) for a in task.actions].index((name, args))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +263,7 @@ def test_closure_is_monotone_in_the_base(small, extra):
 @given(on_atom_sets())
 def test_closure_derives_only_derived_predicates(base):
     derived = axiom_closure(base, BLOCKS.derived)
-    names = {sig.name for sig in BLOCKS.derived_predicates}
+    names = {sig.name for sig in BLOCKS.predicates if sig.kind == "derived"}
     assert all(atom.predicate in names for atom in derived)
     assert not derived & base
 
@@ -254,58 +275,32 @@ def test_closure_derives_only_derived_predicates(base):
 
 def test_covered_block_cannot_move():
     problem = blocks_problem(3, init_on=[("b1", "b2"), ("b2", "b3")])
-    state = make_state(problem.init, BLOCKS)
-    actions = {(a.name, a.args): a for a in ground_actions(BLOCKS, problem.objects)}
-    assert applicable(state, actions[("unstack-from-tower", ("b1", "b2"))])
-    assert not applicable(state, actions[("unstack-from-base", ("b2", "b3"))])
+    task = GroundTask(BLOCKS, problem)
+    moves = dict(task.successors(task.init))
+    assert action_index(task, "unstack-from-tower", "b1", "b2") in moves
+    assert action_index(task, "unstack-from-base", "b2", "b3") not in moves
 
 
 def test_apply_action_refreshes_derived_atoms():
     problem = blocks_problem(2, init_on=[("b1", "b2")])
-    state = make_state(problem.init, BLOCKS)
-    assert GroundAtom("covered", ("b2",)) in state.derived
-    actions = {(a.name, a.args): a for a in ground_actions(BLOCKS, problem.objects)}
-    after = apply_action(state, actions[("unstack-from-base", ("b1", "b2"))], BLOCKS)
-    assert after.base == frozenset()
-    assert after.derived == frozenset()
+    task = GroundTask(BLOCKS, problem)
+    assert GroundAtom("covered", ("b2",)) in task.decode(task.init[1])
+    moves = dict(task.successors(task.init))
+    after = moves[action_index(task, "unstack-from-base", "b1", "b2")]
+    assert after == frozenset()
+    assert task.closure(after) == frozenset()
 
 
 def test_hanoi_reachable_states_number_three_to_the_d():
     # Any disk-to-peg assignment is legal (order on a peg is forced by
     # size), and every assignment is reachable from the start tower.
-    problem = hanoi_problem(3)
-    actions = ground_actions(HANOI, problem.objects)
-    seen = {make_state(problem.init, HANOI).base}
-    stack = [make_state(problem.init, HANOI)]
-    while stack:
-        state = stack.pop()
-        for action in actions:
-            if not applicable(state, action):
-                continue
-            nxt = apply_action(state, action, HANOI)
-            if nxt.base not in seen:
-                seen.add(nxt.base)
-                stack.append(nxt)
-    assert len(seen) == 27
+    assert len(reachable(GroundTask(HANOI, hanoi_problem(3)))) == 27
 
 
 @pytest.mark.parametrize("n,count", [(2, 3), (3, 13), (4, 73), (5, 501)])
 def test_blocksworld_reachable_configuration_counts(n, count):
     # Orderings of n labeled blocks into towers: 1, 3, 13, 73, 501, ...
-    problem = blocks_problem(n)
-    actions = ground_actions(BLOCKS, problem.objects)
-    seen = {make_state(problem.init, BLOCKS).base}
-    stack = [make_state(problem.init, BLOCKS)]
-    while stack:
-        state = stack.pop()
-        for action in actions:
-            if not applicable(state, action):
-                continue
-            nxt = apply_action(state, action, BLOCKS)
-            if nxt.base not in seen:
-                seen.add(nxt.base)
-                stack.append(nxt)
-    assert len(seen) == count
+    assert len(reachable(GroundTask(BLOCKS, blocks_problem(n)))) == count
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +402,16 @@ def random_blocks_instance(rng: random.Random, n: int):
         else:
             tower = [name]
     problem = blocks_problem(n, init_on=init_on)
-    actions = ground_actions(BLOCKS, problem.objects)
-    state = make_state(problem.init, BLOCKS)
+    task = GroundTask(BLOCKS, problem)
+    base = task.init[0]
     for _ in range(rng.randint(2, 6)):
-        options = [a for a in actions if applicable(state, a)]
+        options = [nxt for _, nxt in task.successors((base, task.closure(base)))]
         if not options:
             break
-        state = apply_action(state, rng.choice(options), BLOCKS)
+        base = rng.choice(options)
     goal = tuple(
         GroundLiteral(atom, False)
-        for atom in sorted(state.base)
+        for atom in sorted(task.decode(base))
         if atom.predicate == "on"
     )
     if not goal:
@@ -463,22 +458,19 @@ def test_solve_grounds_once(monkeypatch, mode):
 
 def test_additive_cost_zero_exactly_on_goal_states():
     problem = blocks_problem(3, goal=[positive("on", "b1", "b2")])
-    h = make_heuristic(BLOCKS, problem, "additive-cost")
-    actions = ground_actions(BLOCKS, problem.objects)
-    seen = {}
-    stack = [make_state(problem.init, BLOCKS)]
-    while stack:
-        state = stack.pop()
-        if state.base in seen:
-            continue
-        seen[state.base] = state
-        for action in actions:
-            if applicable(state, action):
-                stack.append(apply_action(state, action, BLOCKS))
-    assert len(seen) == 13
-    for state in seen.values():
-        satisfied = state.satisfies(problem.goal)
-        assert (h(state) == 0.0) == satisfied
+    task = GroundTask(BLOCKS, problem)
+    h = make_heuristic(task, "additive-cost")
+    states = reachable(task)
+    assert len(states) == 13
+    for _, full in states:
+        atoms = task.decode(full)
+        satisfied = all((lit.atom in atoms) != lit.negated for lit in problem.goal)
+        assert (h(full) == 0.0) == satisfied
+
+
+def init_score(problem: Problem, name: str) -> float:
+    task = GroundTask(BLOCKS, problem)
+    return make_heuristic(task, name)(task.init[1])
 
 
 def test_additive_cost_counts_violated_negative_goals():
@@ -487,8 +479,7 @@ def test_additive_cost_counts_violated_negative_goals():
         init_on=[("b1", "b2")],
         goal=[negative("on", "b1", "b2"), negative("covered", "b2")],
     )
-    h = make_heuristic(BLOCKS, problem, "additive-cost")
-    assert h(make_state(problem.init, BLOCKS)) == 2.0
+    assert init_score(problem, "additive-cost") == 2.0
 
 
 def test_goal_count_heuristic_counts_unsatisfied_literals():
@@ -497,14 +488,12 @@ def test_goal_count_heuristic_counts_unsatisfied_literals():
         init_on=[("b1", "b2")],
         goal=[positive("on", "b1", "b2"), positive("on", "b2", "b3")],
     )
-    h = make_heuristic(BLOCKS, problem, "goal-count")
-    assert h(make_state(problem.init, BLOCKS)) == 1.0
+    assert init_score(problem, "goal-count") == 1.0
 
 
 def test_unreachable_goal_scores_infinite():
     problem = blocks_problem(2, goal=[positive("on", "b1", "b1")])
-    h = make_heuristic(BLOCKS, problem, "additive-cost")
-    assert h(make_state(problem.init, BLOCKS)) == float("inf")
+    assert init_score(problem, "additive-cost") == float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -621,16 +610,8 @@ def test_task_agrees_with_naive_reference(domain, problem):
         problem.init,
         tuple(GroundLiteral(lit.atom, not lit.negated) for lit in problem.goal),
     )
-    flipped_h = make_heuristic(
-        domain, flipped, "additive-cost", GroundTask(domain, flipped)
-    )
-    states = [task.init]
-    seen = {task.init[0]}
-    for state in states:
-        for _, base in task.successors(state):
-            if base not in seen and len(states) < 120:
-                seen.add(base)
-                states.append((base, task.closure(base)))
+    flipped_h = make_heuristic(GroundTask(domain, flipped), "additive-cost")
+    states = reachable(task, limit=120)
     assert len(states) > 1
     for base, full in states:
         atoms = task.decode(base)
@@ -642,3 +623,161 @@ def test_task_agrees_with_naive_reference(domain, problem):
         assert task.decode(full) == expected
         assert task.h_add(full) == naive_h_add(domain, problem, atoms)
         assert flipped_h(full) == naive_h_add(domain, flipped, atoms)
+
+
+@st.composite
+def small_typed_tasks(draw):
+    """A random small typed domain, parsed from PDDL text, and a problem.
+
+    Each rule-head parameter takes the most specific type among the body
+    positions its variable occupies, so every binding the untyped naive
+    closure finds for a state of well-typed atoms is itself well typed.
+    """
+    parent = {"t0": "object"}
+    if draw(st.booleans()):
+        parent["t1"] = draw(st.sampled_from(["object", "t0"]))
+    types = sorted(parent)
+
+    def fits(have, want):
+        return have == want or parent.get(have) == want
+
+    signatures = {
+        f"p{i}": draw(st.lists(st.sampled_from(types), min_size=1, max_size=2))
+        for i in range(draw(st.integers(2, 3)))
+    }
+    observed = sorted(signatures)
+    rules = []
+    for i in range(draw(st.integers(0, 2))):
+        body, positions = [], {}
+        for predicate in draw(
+            st.lists(st.sampled_from(sorted(signatures)), min_size=1, max_size=2)
+        ):
+            variables = st.sampled_from(["?x", "?y", "?z"])
+            args = [draw(variables) for _ in signatures[predicate]]
+            for var, want in zip(args, signatures[predicate]):
+                positions.setdefault(var, []).append(want)
+            body.append(f"({predicate} {' '.join(args)})")
+        head = {}
+        for var, wants in sorted(positions.items()):
+            tightest = [t for t in wants if all(fits(t, w) for w in wants)]
+            if tightest:
+                head[var] = tightest[0]
+        if not head:
+            continue  # every variable sits in positions of unrelated types
+        head_vars = draw(
+            st.lists(st.sampled_from(sorted(head)), min_size=1, max_size=2, unique=True)
+        )
+        name = f"d{i}"
+        signatures[name] = [head[var] for var in head_vars]
+        params = " ".join(f"{var} - {head[var]}" for var in head_vars)
+        rules.append(f"(:derived ({name} {params}) (and {' '.join(body)}))")
+
+    def literal(predicates, params, negated=None):
+        """A literal over ``params`` (variable -> type) that type-checks, or
+        None; its sign is drawn unless ``negated`` is given."""
+        options = [
+            p
+            for p in predicates
+            if all(any(fits(t, w) for t in params.values()) for w in signatures[p])
+        ]
+        if not options:
+            return None
+        predicate = draw(st.sampled_from(options))
+        args = [
+            draw(st.sampled_from([v for v, t in params.items() if fits(t, w)]))
+            for w in signatures[predicate]
+        ]
+        atom = f"({predicate} {' '.join(args)})"
+        if negated is None:
+            negated = draw(st.booleans())
+        return f"(not {atom})" if negated else atom
+
+    actions = []
+    for i in range(draw(st.integers(1, 2))):
+        # An add over the parameters, which follow its predicate so that it
+        # fits, and perhaps a delete: move-like actions give deeper spaces.
+        first = draw(st.sampled_from(observed))
+        params = {f"?{'ab'[k]}": t for k, t in enumerate(signatures[first])}
+        effects = [f"({first} {' '.join(params)})"]
+        if draw(st.booleans()):
+            effects.append(literal(observed, params, negated=True))
+        pre = [literal(sorted(signatures), params) for _ in range(draw(st.integers(0, 2)))]
+        if len(params) == 2:
+            pre.append(draw(st.sampled_from([None, "(= ?a ?b)", "(not (= ?a ?b))"])))
+        pre = " ".join(p for p in pre if p is not None)
+        actions.append(
+            f"(:action a{i} :parameters ({' '.join(f'{v} - {t}' for v, t in params.items())})"
+            + (f" :precondition (and {pre})" if pre else "")
+            + f" :effect (and {' '.join(effects)}))"
+        )
+    declared = " ".join(
+        f"({name} {' '.join(f'?v{k} - {t}' for k, t in enumerate(params))})"
+        for name, params in signatures.items()
+    )
+    text = (
+        "(define (domain small)"
+        " (:requirements :strips :typing :negative-preconditions"
+        " :derived-predicates :equality)"
+        f" (:types {' '.join(f'{t} - {p}' for t, p in parent.items())})"
+        f" (:predicates {declared}) {' '.join(actions + rules)})"
+    )
+    domain = parse_domain(text)
+
+    # One object of each type, and three or four objects in all.
+    extra = st.lists(st.sampled_from(types), min_size=3 - len(types), max_size=4 - len(types))
+    kinds = types + draw(extra)
+    objects = tuple((f"o{k}", t) for k, t in enumerate(kinds))
+    atoms = [
+        GroundAtom(sig.name, combo)
+        for sig in domain.predicates
+        for combo in itertools.product([name for name, _ in objects], repeat=sig.arity)
+    ]
+    atoms = [a for a in atoms if well_typed(a, domain, objects)]
+    base = [a for a in atoms if domain.predicate(a.predicate).kind == "observed"]
+    init = frozenset(draw(st.sets(st.sampled_from(base))) if base else ())
+    # The goal holds after a short random walk and names every atom the walk
+    # changed (or one or two others if it changed none); half the time its
+    # first literal flips.
+    walked = init
+    steps = _ground_steps(domain, objects)
+    for _ in range(draw(st.integers(2, 6))):
+        moves = [naive_apply(domain, walked, step) for step in steps]
+        moves = [nxt for reason, nxt in moves if reason == "ok"]
+        if not moves:
+            break
+        walked = draw(st.sampled_from(moves))
+    reached = naive_closure(walked, domain)
+    named = sorted(reached ^ naive_closure(init, domain))
+    if not named and atoms:
+        named = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=2))
+    goal = [GroundLiteral(atom, atom not in reached) for atom in named]
+    if goal and draw(st.booleans()):
+        goal[0] = GroundLiteral(goal[0].atom, not goal[0].negated)
+    return domain, Problem("small", "small", objects, init, tuple(goal))
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_typed_tasks())
+def test_task_agrees_with_naive_reference_on_random_domains(case):
+    # On reachable states (breadth-first, capped): the closure equals the
+    # naive closure, the successor sets equal the naive interpreter's, and
+    # when the whole space fits under the cap, the optimal plan length equals
+    # the naive breadth-first one.
+    domain, problem = case
+    task = GroundTask(domain, problem)
+    steps = _ground_steps(domain, problem.objects)
+    closures: dict = {}
+    states = reachable(task, limit=150)
+    for base, full in states:
+        atoms = task.decode(base)
+        assert task.decode(full) == naive_closure(atoms, domain)
+        expected = set()
+        for step in steps:
+            reason, nxt = naive_apply(domain, atoms, step, closures)
+            if reason == "ok":
+                expected.add(nxt)
+        assert {task.decode(nxt) for _, nxt in task.successors((base, full))} == expected
+    if len(states) < 150:
+        result = solve(domain, problem, SearchConfig(mode="optimal"))
+        length = None if result.plan is None else len(result.plan)
+        assert length == naive_bfs(domain, problem)
