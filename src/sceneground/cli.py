@@ -65,13 +65,35 @@ def _load_config(path: str | None) -> dict:
 
 
 def _setting(flag, config: dict, key: str, default):
+    """The flag, else the config value (checked against the default's type),
+    else the default."""
     if flag is not None:
         return flag
-    return config.get(key, default)
+    if key not in config:
+        return default
+    value = config[key]
+    if default is None or isinstance(default, str):
+        ok, kind = isinstance(value, (str, type(default))), "a string"
+    elif isinstance(default, int):
+        ok, kind = type(value) is int, "an integer"
+    else:
+        ok, kind = type(value) in (int, float), "a number"
+    if not ok:
+        raise EvalError(f"config key {key!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _section(config: dict, key: str) -> dict:
+    section = config.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise EvalError(f"config key {key!r} must be an object, got {section!r}")
+    return section
 
 
 def _search_config(args, config: dict) -> SearchConfig:
-    section = config.get("search", {})
+    section = _section(config, "search")
     defaults = SearchConfig()
     return SearchConfig(
         mode=_setting(args.mode, section, "mode", defaults.mode),
@@ -101,7 +123,7 @@ def _pipeline_config(args, config: dict, **flags) -> PipelineConfig:
 
 
 def _llm_config(args, config: dict) -> LlmEndpointConfig | None:
-    section = config.get("llm") or {}
+    section = _section(config, "llm")
     base_url = _setting(getattr(args, "llm_base_url", None), section, "base_url", None)
     model = _setting(getattr(args, "llm_model", None), section, "model", None)
     if base_url is None and model is None:

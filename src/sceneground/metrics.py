@@ -383,13 +383,13 @@ def _goal_spec(domain, entry, config):
     if entry.goal_structured is not None:
         try:
             return parse_structured_goal(entry.goal_structured, domain)
-        except GoalError:
+        except GoalError as exc:
             if entry.goal_text is None:
                 raise
             if config.llm is None:
                 raise GoalError(
-                    "goal is not in the structured grammar and no LLM endpoint "
-                    "is configured"
+                    f"goal is not in the structured grammar ({exc}) and no LLM "
+                    "endpoint is configured"
                 ) from None
     if config.llm is None:
         raise GoalError("goal_text entries need an LLM endpoint configured")

@@ -12,9 +12,12 @@ instance counts its unmet body atoms and fires when the count reaches zero.
 That handles positive recursion, although the shipped domains keep their
 rule dependencies acyclic.  The task's closure is typed: a rule derives a
 head only for bindings that fit the head predicate's parameter types, as
-PDDL requires.  The lifted ``axiom_closure`` (the closure the plan
-validator in ``metrics`` judges with) ignores head types and so may also
-derive ill-typed atoms; no action precondition or typed goal reads one.
+PDDL requires.  The lifted ``axiom_closure`` is the plan validator's
+closure in ``metrics``, kept apart from the task so that it judges
+independently: it joins rule bodies against an index of the atoms built
+per call, and re-runs a rule only when a predicate its body reads gained
+atoms.  It ignores head types and so may also derive ill-typed atoms; no
+action precondition or typed goal reads one.
 
 Two search modes: "optimal" is plain breadth-first search over unit-cost
 actions; "satisficing" is greedy best-first search under an additive-cost
@@ -207,49 +210,82 @@ def axiom_closure(
 ) -> frozenset[GroundAtom]:
     """Least fixpoint of the positive rules over the base atoms.
 
-    Plain naive iteration: re-derive until nothing new appears.  Handles
-    recursive rule sets, not just the acyclic ones the parser admits.
+    Semi-naive by predicate: the first round runs every rule, and a later
+    round runs only the rules whose body reads a predicate that gained
+    atoms in the round before.  A rule that reads nothing new has the same
+    matches as last round, so every head they give is already known.
+    Handles recursive rule sets, not just the acyclic ones the parser
+    admits.
     """
+    read = {atom.predicate for rule in rules for atom in rule.body}
     known: set[GroundAtom] = set(base)
-    by_predicate: dict[str, list[GroundAtom]] = {}
-    for atom in known:
-        by_predicate.setdefault(atom.predicate, []).append(atom)
+    index: dict[tuple, list[tuple[str, ...]]] = {}
+    _index_atoms(index, known, read)
     derived: set[GroundAtom] = set()
-    while True:
+    pending = tuple(rules)
+    while pending:
         fresh: set[GroundAtom] = set()
-        for rule in rules:
-            for env in _match_body(rule.body, by_predicate, {}):
+        for rule in pending:
+            for env in _match_body(rule.body, index, {}):
                 head = _substitute(rule.head, env)
                 if head not in known:
                     fresh.add(head)
-        if not fresh:
-            return frozenset(derived)
         known |= fresh
         derived |= fresh
-        for atom in fresh:
-            by_predicate.setdefault(atom.predicate, []).append(atom)
+        _index_atoms(index, fresh, read)
+        changed = {atom.predicate for atom in fresh}
+        pending = tuple(
+            rule for rule in rules if any(a.predicate in changed for a in rule.body)
+        )
+    return frozenset(derived)
 
 
-def _match_body(body, by_predicate: dict[str, list[GroundAtom]], env: dict[str, str]):
-    """Backtracking join of body atoms against the known atom set."""
+def _index_atoms(index: dict, atoms, read: set[str]) -> None:
+    """File the argument tuples of the atoms whose predicate some rule body
+    reads under ``(predicate, ())`` and ``(predicate, ((position, value),))``
+    for each of their positions."""
+    for atom in atoms:
+        if atom.predicate not in read:
+            continue
+        index.setdefault((atom.predicate, ()), []).append(atom.args)
+        for key in enumerate(atom.args):
+            index.setdefault((atom.predicate, (key,)), []).append(atom.args)
+
+
+def _match_body(body, index: dict, env: dict[str, str]):
+    """Backtracking join of the body atoms against the atom index, yielding
+    each binding of their variables.
+
+    Each atom is looked up by the first of its arguments that ``env``
+    already binds (all atoms of its predicate when none is bound).  One env
+    dict is passed down and copied only where a match binds a new variable,
+    so callers must not change a yielded binding.
+    """
     if not body:
-        yield dict(env)
+        yield env
         return
     first, rest = body[0], body[1:]
-    for atom in by_predicate.get(first.predicate, ()):
-        if len(atom.args) != len(first.args):
+    key = ()
+    for position, var in enumerate(first.args):
+        value = env.get(var)
+        if value is not None:
+            key = ((position, value),)
+            break
+    arity = len(first.args)
+    for values in index.get((first.predicate, key), ()):
+        if len(values) != arity:
             continue
-        trial = dict(env)
-        ok = True
-        for var, value in zip(first.args, atom.args):
+        trial = env
+        for var, value in zip(first.args, values):
             bound = trial.get(var)
             if bound is None:
+                if trial is env:
+                    trial = dict(env)
                 trial[var] = value
             elif bound != value:
-                ok = False
                 break
-        if ok:
-            yield from _match_body(rest, by_predicate, trial)
+        else:
+            yield from _match_body(rest, index, trial)
 
 
 # ---------------------------------------------------------------------------

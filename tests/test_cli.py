@@ -200,6 +200,14 @@ def test_freeform_goal_without_llm_fails(suite_dir, tmp_path, capsys):
     assert "LLM" in capsys.readouterr().err
 
 
+def test_grammar_reason_survives_the_llm_fallback(suite_dir, tmp_path, capsys):
+    assert main(ground_argv(suite_dir, "onpeg(big disk, p3)", tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: goal: ")
+    assert "bad argument list in clause 'onpeg(big disk, p3)'" in err
+    assert "no LLM endpoint is configured" in err
+
+
 def ground_argv(suite_dir, goal, out, *extra):
     problem_dir = suite_dir / "problems" / "000"
     return [
@@ -394,3 +402,53 @@ def test_config_file_reaches_ground_and_eval(suite_dir, first_goal, tmp_path, mo
     assert sorted(seen) == ["eval", "ground"]
     for pipeline in seen.values():
         assert (pipeline.match_threshold, pipeline.cassette_mode) == (0.3, "record")
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("ground", {"match_threshold": "high"}),
+        ("ground", {"cassette": 3}),
+        ("ground", {"llm": "http://127.0.0.1:9"}),
+        ("ground", {"llm": {"base_url": "http://127.0.0.1:9", "model": 7}}),
+        ("eval", {"match_threshold": "high"}),
+        ("eval", {"jobs": True}),
+        ("eval", {"empty_precision": None}),
+        ("eval", {"cassette_mode": None}),
+        ("eval", {"search": {"node_limit": "many"}}),
+        ("eval", {"llm": []}),
+        ("plan", {"search": {"node_limit": "many"}}),
+        ("plan", {"search": {"time_limit_s": False}}),
+        ("plan", {"search": {"mode": 1}}),
+        ("plan", {"search": "fast"}),
+    ],
+)
+def test_wrong_typed_config_value_is_a_user_error(
+    suite_dir, first_goal, tmp_path, capsys, command, config
+):
+    argv = {
+        "ground": ground_argv(suite_dir, first_goal, tmp_path),
+        "eval": ["eval", str(suite_dir / "manifest.json")],
+        "plan": [
+            "plan",
+            str(suite_dir / "domain.pddl"),
+            str(suite_dir / "problems" / "000" / "truth.pddl"),
+        ],
+    }[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "p0.pddl").exists()
+
+
+def test_well_typed_config_values_are_accepted(suite_dir, tmp_path):
+    # Integers are numbers, and an absent or null section is empty.
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"match_threshold": 1, "llm": None, "search": {"time_limit_s": 60}})
+    )
+    argv = ["--config", str(config), "eval", str(suite_dir / "manifest.json")]
+    assert main(argv) == 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -266,6 +267,56 @@ def test_closure_derives_only_derived_predicates(base):
     names = {sig.name for sig in BLOCKS.predicates if sig.kind == "derived"}
     assert all(atom.predicate in names for atom in derived)
     assert not derived & base
+
+
+# The parser refuses recursion, so this rule set is built by hand:
+# p is the transitive closure of e.
+TRANSITIVE = (
+    DerivedRule(Atom("p", ("?a", "?b")), (Atom("e", ("?a", "?b")),)),
+    DerivedRule(
+        Atom("p", ("?a", "?b")), (Atom("e", ("?a", "?m")), Atom("p", ("?m", "?b")))
+    ),
+)
+CLOSURE_CASES = [
+    (domain.derived, [(sig.name, sig.arity) for sig in domain.observed])
+    for domain in (BLOCKS, HANOI, COOKING)
+] + [(TRANSITIVE, [("e", 2)])]
+
+
+@st.composite
+def closure_cases(draw):
+    rules, predicates = draw(st.sampled_from(CLOSURE_CASES))
+    names = st.sampled_from(("o1", "o2", "o3", "o4"))
+    atom = st.sampled_from(predicates).flatmap(
+        lambda sig: st.tuples(st.just(sig[0]), st.tuples(*[names] * sig[1]))
+    )
+    atoms = draw(st.frozensets(atom, max_size=10))
+    return rules, frozenset(GroundAtom(name, args) for name, args in atoms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closure_cases())
+def test_closure_agrees_with_naive_reference(case):
+    rules, base = case
+    reference = naive_closure(base, SimpleNamespace(derived=rules))
+    assert base | axiom_closure(base, rules) == reference
+
+
+def test_closure_joins_a_rule_again_only_when_its_body_changed(monkeypatch):
+    # Hanoi's rules read only observed predicates, so a second round would
+    # repeat the first one's matches.  The join's recursive calls pass
+    # shorter bodies: only a rule's whole body marks the start of its join.
+    bodies = []
+    match_body = planner._match_body
+
+    def counting(body, *args):
+        bodies.append(body)
+        return match_body(body, *args)
+
+    monkeypatch.setattr(planner, "_match_body", counting)
+    derived = axiom_closure(hanoi_problem(6).init, HANOI.derived)
+    assert {atom.predicate for atom in derived} == {"blocked", "above"}
+    assert [bodies.count(rule.body) for rule in HANOI.derived] == [1, 1]
 
 
 # ---------------------------------------------------------------------------
