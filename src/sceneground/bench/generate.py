@@ -26,6 +26,7 @@ the exemplar stay clean.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
@@ -82,8 +83,8 @@ class GenConfig:
             raise BenchError("two pegs cannot host a transfer of more than one disk")
         if self.kind == "hanoi" and self.g >= 4 and self.d > 4:
             raise BenchError("wide peg layouts keep the exact oracle tractable up to 4 disks")
-        if self.sigma < 0:
-            raise BenchError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise BenchError("sigma must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -687,8 +688,8 @@ def perturb(problem: GeneratedProblem, sigma: float, seed: int) -> GeneratedProb
     that box's mean side length, then the box is clamped back to a valid
     in-canvas shape.  sigma=0 is the identity.
     """
-    if sigma < 0:
-        raise BenchError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise BenchError("sigma must be nonnegative and finite")
     if sigma == 0:
         return problem
     rng = random.Random(f"perturb-{seed}")

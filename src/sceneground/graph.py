@@ -150,28 +150,24 @@ def _validate_exemplar(exemplar: Exemplar, domain: Domain) -> None:
 
 def classify(
     test: tuple[CandidateTriplet, ...] | list[CandidateTriplet],
-    exemplar: Exemplar,
-    domain: Domain,
+    labeled: tuple[CandidateTriplet, ...],
+    true_atoms: frozenset[GroundAtom],
 ) -> tuple[CandidateTriplet, ...]:
     """Label each test candidate by its nearest exemplar candidate.
 
-    Distances are Euclidean in feature space, per predicate.  A tie at
-    exactly equal distance between a positive and a negative exemplar
-    candidate resolves to false.  Returns the true-labeled candidates in
-    their input order.
+    ``labeled`` holds the exemplar's candidates of the same predicate; those
+    in ``true_atoms`` are positive.  Distances are Euclidean in feature
+    space.  A tie at exactly equal distance between a positive and a
+    negative exemplar candidate resolves to false.  Returns the true-labeled
+    candidates in their input order.
     """
     if not test:
         return ()
-    predicate = test[0].predicate
-    sig = domain.predicate(predicate)
-    if sig is None or sig.kind != "observed":
-        raise ExemplarError(f"cannot classify non-observed predicate {predicate!r}")
-    ex_cands = enumerate_candidates(exemplar.scene, domain)[predicate]
-    positives = [c.feature for c in ex_cands if c.atom() in exemplar.true_atoms]
-    negatives = [c.feature for c in ex_cands if c.atom() not in exemplar.true_atoms]
+    positives = [c.feature for c in labeled if c.atom() in true_atoms]
+    negatives = [c.feature for c in labeled if c.atom() not in true_atoms]
     if not positives or not negatives:
         raise ExemplarError(
-            f"exemplar is uninformative for {predicate!r}: "
+            f"exemplar is uninformative for {test[0].predicate!r}: "
             f"{len(positives)} positive / {len(negatives)} negative candidates"
         )
     kept = []
@@ -206,13 +202,15 @@ def graph_to_init(graph: SceneGraph) -> frozenset[GroundAtom]:
 
 
 def classify_scene(scene: Scene, domain: Domain, exemplar: Exemplar) -> SceneGraph:
-    """Run candidate enumeration and per-predicate classification."""
+    """Enumerate the scene's and the exemplar's candidates once each, then
+    classify each predicate's candidates."""
     _validate_exemplar(exemplar, domain)
+    labeled = enumerate_candidates(exemplar.scene, domain)
     kept: list[CandidateTriplet] = []
     for predicate, cands in enumerate_candidates(scene, domain).items():
         if not cands:
             continue
-        kept.extend(classify(cands, exemplar, domain))
+        kept.extend(classify(cands, labeled[predicate], exemplar.true_atoms))
     return build_graph(scene.objects, kept)
 
 

@@ -37,47 +37,46 @@ class TypeHierarchy:
     """Type names with single inheritance rooted at ``object``.
 
     ``parents`` maps each non-root type to its parent.  The root is implicit
-    and always present.
+    and always present.  Each type's ancestors, itself included, are tabled
+    once at construction, so ``contains`` and ``is_subtype`` are lookups.
     """
 
     parents: tuple[tuple[str, str], ...]
+    _ancestors: dict[str, frozenset[str]] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        table: dict[str, str] = {}
         for name, parent in self.parents:
             if not valid_name(name) or not valid_name(parent):
                 raise ModelError(f"bad type name in ({name} - {parent})")
             if name == ROOT_TYPE:
                 raise ModelError("the root type cannot be redeclared")
-            if name in seen:
+            if name in table:
                 raise ModelError(f"duplicate type {name!r}")
-            seen.add(name)
-        table = dict(self.parents)
+            table[name] = parent
+        ancestors = {ROOT_TYPE: frozenset((ROOT_TYPE,))}
         for name in table:
-            # Walk to the root; a cycle never reaches it.
-            hops = 0
-            cur = name
-            while cur != ROOT_TYPE:
-                cur = table.get(cur, ROOT_TYPE)
-                hops += 1
-                if hops > len(table) + 1:
+            # Walk up to a type already in the table; a cycle never gets
+            # there.  An undeclared parent is not a type: it leads to the root.
+            chain, cur = [], name
+            while cur not in ancestors:
+                if cur in chain:
                     raise ModelError(f"type cycle through {name!r}")
+                chain.append(cur)
+                cur = table[cur] if table[cur] in table else ROOT_TYPE
+            for typ in reversed(chain):
+                ancestors[typ] = ancestors[cur] | {typ}
+                cur = typ
+        object.__setattr__(self, "_ancestors", ancestors)
 
     def contains(self, name: str) -> bool:
-        return name == ROOT_TYPE or any(n == name for n, _ in self.parents)
+        return name in self._ancestors
 
     def is_subtype(self, name: str, ancestor: str) -> bool:
         """True if ``name`` equals ``ancestor`` or descends from it."""
-        if not self.contains(name) or not self.contains(ancestor):
-            return False
-        table = dict(self.parents)
-        cur = name
-        while True:
-            if cur == ancestor:
-                return True
-            if cur == ROOT_TYPE:
-                return False
-            cur = table.get(cur, ROOT_TYPE)
+        return ancestor in self._ancestors.get(name, ())
 
     def all_types(self) -> tuple[str, ...]:
         return (ROOT_TYPE,) + tuple(n for n, _ in self.parents)
@@ -328,7 +327,6 @@ def check_plannable(
                 )
             )
             continue
-        ok = True
         for arg, (_, want) in zip(atom.args, sig.params):
             if arg not in type_of:
                 out.append(
@@ -336,7 +334,6 @@ def check_plannable(
                         "unknown-object", atom, f"object {arg!r} is not declared"
                     )
                 )
-                ok = False
                 break
             if not domain.hierarchy.is_subtype(type_of[arg], want):
                 out.append(
@@ -347,8 +344,5 @@ def check_plannable(
                         f"{atom.predicate!r} requires {want!r}",
                     )
                 )
-                ok = False
                 break
-        if not ok:
-            continue
     return out

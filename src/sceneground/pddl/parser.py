@@ -319,8 +319,6 @@ def parse_domain(text: str | bytes) -> Domain:
         if name in seen_preds:
             raise PddlError(f"duplicate predicate {name!r}", line, col)
         seen_preds.add(name)
-        if name == EQUALITY:
-            raise PddlError("'=' is builtin and cannot be declared", line, col)
         for pname, ptyp, pline, pcol in params:
             if not hierarchy.contains(ptyp):
                 raise PddlError(f"unknown type {ptyp!r}", pline, pcol)
@@ -501,12 +499,6 @@ def parse_domain(text: str | bytes) -> Domain:
                 raise PddlError("'=' is not allowed in rule bodies", line, col)
             body.append(
                 check_atom_types(pred, args, var_types, line, col, "rule body")
-            )
-        if not body:
-            raise PddlError(
-                f"rule for {head_name.text!r} has an empty body",
-                head_name.line,
-                head_name.col,
             )
         try:
             rules.append(DerivedRule(Atom(head_name.text, tuple(head_vars)), tuple(body)))

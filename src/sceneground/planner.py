@@ -78,8 +78,8 @@ class SearchConfig:
             raise PlannerError(f"unknown mode {self.mode!r}")
         if self.heuristic not in ("additive-cost", "goal-count", "blind"):
             raise PlannerError(f"unknown heuristic {self.heuristic!r}")
-        if self.node_limit <= 0 or self.time_limit_s <= 0:
-            raise PlannerError("limits must be positive")
+        if self.node_limit <= 0 or not 0 < self.time_limit_s < INFINITY:
+            raise PlannerError("limits must be positive and finite")
 
 
 @dataclass(frozen=True)

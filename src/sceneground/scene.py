@@ -9,6 +9,7 @@ streams into uniquely named, typed scene objects.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from sceneground.pddl.model import ROOT_TYPE, Domain, valid_name
@@ -93,7 +94,7 @@ class SceneObservation:
     phrase_detections: tuple[Detection, ...] = ()
 
     def __post_init__(self):
-        if self.image_width <= 0 or self.image_height <= 0:
+        if not (0 < self.image_width < math.inf and 0 < self.image_height < math.inf):
             raise SceneError(f"bad canvas {self.image_width}x{self.image_height}")
         for det in (*self.class_detections, *self.phrase_detections):
             b = det.box
@@ -124,12 +125,15 @@ def _det_dict(det: Detection) -> dict:
 def _det_from_dict(raw: dict) -> Detection:
     try:
         box = Box(*(float(v) for v in raw["box"]))
+        names = {key: raw.get(key) for key in ("suggested_type", "referent_name")}
+        for key, value in names.items():
+            if value is not None and not isinstance(value, str):
+                raise TypeError(f"{key} must be a string or null, got {value!r}")
         return Detection(
             query=str(raw["query"]),
             box=box,
             score=float(raw.get("score", 1.0)),
-            suggested_type=raw.get("suggested_type"),
-            referent_name=raw.get("referent_name"),
+            **names,
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SceneError):
@@ -180,7 +184,7 @@ class Scene:
     objects: tuple[SceneObject, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise SceneError(f"bad canvas {self.width}x{self.height}")
         seen = set()
         for obj in self.objects:

@@ -1,10 +1,12 @@
-"""Reference interpreter used to cross-check the planner and the validator.
+"""Reference interpreter used to cross-check the planner, the validator,
+the type hierarchy and the scene classifier.
 
-Deliberately naive: generate-and-test grounding, closure by repeated full
-re-derivation, h_add by Bellman-Ford sweeps, breadth-first search with no
-ordering tricks.  It imports
-only the model types, never the planner or metrics modules, so agreement
-between the implementations is meaningful evidence rather than an echo.
+Deliberately naive: subtyping by walking the parent pairs, generate-and-test
+grounding, closure by repeated full re-derivation, h_add by Bellman-Ford
+sweeps, breadth-first search with no ordering tricks, and 1-NN labels by
+nested loops.  It imports only the model types and the box features, never
+the graph, planner or metrics modules, so agreement between the
+implementations is meaningful evidence rather than an echo.
 """
 
 from __future__ import annotations
@@ -14,12 +16,41 @@ from collections import deque
 
 from sceneground.pddl.model import (
     EQUALITY,
+    ROOT_TYPE,
     Domain,
     GroundAtom,
     Plan,
     PlanStep,
     Problem,
+    TypeHierarchy,
 )
+from sceneground.scene import binary_feature, unary_feature
+
+
+def naive_type_chain(parents, name: str) -> list[str] | None:
+    """``name`` and its parents up to the root, or None if the walk loops.
+
+    A parent that is never declared leads straight to the root.
+    """
+    chain = [name]
+    while chain[-1] != ROOT_TYPE:
+        if len(chain) > len(parents) + 1:
+            return None
+        parent = ROOT_TYPE
+        for child, declared in parents:
+            if child == chain[-1]:
+                parent = declared
+        chain.append(parent)
+    return chain
+
+
+def naive_is_subtype(hierarchy: TypeHierarchy, name: str, ancestor: str) -> bool:
+    """True if both are types of the hierarchy and ``ancestor`` lies on
+    ``name``'s walk to the root."""
+    declared = [ROOT_TYPE] + [child for child, _ in hierarchy.parents]
+    if name not in declared or ancestor not in declared:
+        return False
+    return ancestor in naive_type_chain(hierarchy.parents, name)
 
 
 def _subst(atom, env):
@@ -103,7 +134,7 @@ def _ground_steps(domain: Domain, objects):
         pools = []
         for _, want in schema.params:
             pools.append(
-                [n for n, t in objects if domain.hierarchy.is_subtype(t, want)]
+                [n for n, t in objects if naive_is_subtype(domain.hierarchy, t, want)]
             )
         for combo in itertools.product(*pools):
             steps.append(PlanStep(schema.name, combo))
@@ -150,7 +181,7 @@ def well_typed(atom: GroundAtom, domain: Domain, objects) -> bool:
     types = dict(objects)
     sig = domain.predicate(atom.predicate)
     return all(
-        arg in types and domain.hierarchy.is_subtype(types[arg], want)
+        arg in types and naive_is_subtype(domain.hierarchy, types[arg], want)
         for arg, (_, want) in zip(atom.args, sig.params)
     )
 
@@ -229,3 +260,63 @@ def naive_h_add(domain: Domain, problem: Problem, atoms) -> float:
         else:
             h += cost[lit.atom]
     return h
+
+
+def _naive_candidates(scene, domain: Domain, sig):
+    """(args, feature) of every type-valid candidate of one observed
+    predicate, in scene order."""
+    out = []
+    for subj in scene.objects:
+        for obj in scene.objects:
+            if sig.arity == 1:
+                if obj is subj and naive_is_subtype(
+                    domain.hierarchy, subj.type, sig.params[0][1]
+                ):
+                    feature = unary_feature(subj.box, scene.width, scene.height)
+                    out.append(((subj.name,), feature))
+            elif (
+                obj.name != subj.name
+                and naive_is_subtype(domain.hierarchy, subj.type, sig.params[0][1])
+                and naive_is_subtype(domain.hierarchy, obj.type, sig.params[1][1])
+            ):
+                feature = binary_feature(subj.box, obj.box, scene.width, scene.height)
+                out.append(((subj.name, obj.name), feature))
+    return out
+
+
+def naive_classify_scene(scene, domain: Domain, exemplar):
+    """Atoms 1-NN puts in the init, or None for an uninformative exemplar.
+
+    Every test candidate is compared with every labeled exemplar candidate
+    of its predicate; it is kept when the nearest positive is strictly
+    nearer than the nearest negative, so an exact tie is false.  The
+    exemplar is uninformative when a predicate with test candidates has no
+    positive or no negative exemplar candidate.
+    """
+    kept = set()
+    for sig in domain.observed:
+        test = _naive_candidates(scene, domain, sig)
+        if not test:
+            continue
+        positives, negatives = [], []
+        for args, feature in _naive_candidates(exemplar.scene, domain, sig):
+            if GroundAtom(sig.name, args) in exemplar.true_atoms:
+                positives.append(feature)
+            else:
+                negatives.append(feature)
+        if not positives or not negatives:
+            return None
+        for args, feature in test:
+            if _nearest(feature, positives) < _nearest(feature, negatives):
+                kept.add(GroundAtom(sig.name, args))
+    return frozenset(kept)
+
+
+def _nearest(feature, pool) -> float:
+    """Smallest squared Euclidean distance from feature to a pool member."""
+    best = None
+    for other in pool:
+        d = sum((x - y) ** 2 for x, y in zip(feature, other))
+        if best is None or d < best:
+            best = d
+    return best

@@ -79,6 +79,8 @@ def predicted_init(problem):
         {"kind": "hanoi", "d": 2, "g": 2},
         {"kind": "hanoi", "d": 5, "g": 4},
         {"kind": "cooking", "sigma": -0.1},
+        {"kind": "cooking", "sigma": float("nan")},
+        {"kind": "cooking", "sigma": float("inf")},
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):
@@ -91,8 +93,9 @@ def test_generator_functions_check_bounds_too():
         gen_blocksworld(9, 0)
     with pytest.raises(BenchError):
         gen_hanoi(3, 2, 0)
-    with pytest.raises(BenchError):
-        perturb(gen_cooking(0), -1.0, 0)
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(BenchError):
+            perturb(gen_cooking(0), sigma, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ generated once per module and reused for the chained runs.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -452,3 +453,70 @@ def test_well_typed_config_values_are_accepted(suite_dir, tmp_path):
     )
     argv = ["--config", str(config), "eval", str(suite_dir / "manifest.json")]
     assert main(argv) == 0
+
+
+@pytest.fixture(scope="module")
+def cooking_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cooking")
+    write_suite(GenConfig("cooking", seed=0), 3, out)
+    return out
+
+
+@pytest.mark.parametrize("value", [5, ["vegetable"]])
+@pytest.mark.parametrize("field", ["suggested_type", "referent_name"])
+@pytest.mark.parametrize(
+    "file, stream",
+    [("scene.json", "phrase_detections"), ("exemplar.json", "class_detections")],
+)
+def test_non_string_detection_field_fails_one_problem(
+    cooking_dir, tmp_path, capsys, file, stream, field, value
+):
+    suite = tmp_path / "suite"
+    shutil.copytree(cooking_dir, suite)
+    path = suite / "problems" / "001" / file
+    doc = json.loads(path.read_text())
+    doc[stream][0][field] = value
+    path.write_text(json.dumps(doc))
+    report_path = tmp_path / "report.json"
+    assert main(["eval", str(suite / "manifest.json"), "--out", str(report_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    records = json.loads(report_path.read_text())["problems"]
+    assert [r["failure"] is None for r in records] == [True, False, True]
+    assert records[1]["failure"].startswith("grounding: bad detection entry")
+    assert f"{field} must be a string or null" in records[1]["failure"]
+
+
+def test_non_finite_canvas_fails_ground(suite_dir, first_goal, tmp_path, capsys):
+    doc = json.loads((suite_dir / "problems" / "000" / "scene.json").read_text())
+    for value in ("nan", "inf"):
+        scene = tmp_path / f"scene-{value}.json"
+        scene.write_text(json.dumps({**doc, "image_width": float(value)}))
+        argv = ground_argv(suite_dir, first_goal, tmp_path)
+        argv[2] = str(scene)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grounding: bad canvas") and err.count("\n") == 1
+    assert not (tmp_path / "p0.pddl").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_time_limit_is_a_user_error(suite_dir, tmp_path, capsys, value):
+    plan = [
+        "plan",
+        str(suite_dir / "domain.pddl"),
+        str(suite_dir / "problems" / "000" / "truth.pddl"),
+    ]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"search": {"time_limit_s": float(value)}}))
+    for argv in (plan + ["--time-limit", value], ["--config", str(config)] + plan):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: limits must be positive and finite\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_sigma_is_a_user_error(tmp_path, capsys, value):
+    out = tmp_path / "suite"
+    assert main(["genbench", "cooking", "--sigma", value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: sigma must be nonnegative and finite\n"
+    assert not out.exists()

@@ -1,6 +1,13 @@
 """Candidate enumeration, one-shot classification, graph rewriting."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from naive_ref import naive_classify_scene, well_typed
+from sceneground.bench import domain_text
 
 from sceneground.graph import (
     CandidateTriplet,
@@ -118,7 +125,11 @@ def test_classify_nearest_neighbor_oracle():
         SceneObject("s", "block", Box(11, 39, 21, 51)),
         _block("o", 10, 10),
     )
-    kept = classify(enumerate_candidates(scene, BLOCKS)["on"], exemplar, BLOCKS)
+    kept = classify(
+        enumerate_candidates(scene, BLOCKS)["on"],
+        enumerate_candidates(exemplar.scene, BLOCKS)["on"],
+        exemplar.true_atoms,
+    )
     assert [c.atom() for c in kept] == [GroundAtom("on", ("s", "o"))]
 
 
@@ -126,7 +137,11 @@ def test_classify_zero_distance_to_negative_is_false():
     exemplar = _three_block_exemplar()
     # Exactly the negative exemplar layout: side-by-side blocks.
     scene = _scene(_block("p", 50, 10), _block("q", 10, 10))
-    kept = classify(enumerate_candidates(scene, BLOCKS)["on"], exemplar, BLOCKS)
+    kept = classify(
+        enumerate_candidates(scene, BLOCKS)["on"],
+        enumerate_candidates(exemplar.scene, BLOCKS)["on"],
+        exemplar.true_atoms,
+    )
     assert kept == ()
 
 
@@ -142,7 +157,11 @@ def test_classify_tie_resolves_to_false():
         SceneObject("p", "block", Box(10, 10, 20, 20)),
         SceneObject("q", "block", Box(10, 10, 20, 20)),
     )
-    kept = classify(enumerate_candidates(scene, BLOCKS)["on"], exemplar, BLOCKS)
+    kept = classify(
+        enumerate_candidates(scene, BLOCKS)["on"],
+        enumerate_candidates(exemplar.scene, BLOCKS)["on"],
+        exemplar.true_atoms,
+    )
     assert kept == ()
 
 
@@ -152,7 +171,11 @@ def test_gate_rejects_all_false_exemplar():
     )
     scene = _scene(_block("a", 0, 0), _block("b", 30, 0))
     with pytest.raises(ExemplarError) as err:
-        classify(enumerate_candidates(scene, BLOCKS)["on"], exemplar, BLOCKS)
+        classify(
+            enumerate_candidates(scene, BLOCKS)["on"],
+            enumerate_candidates(exemplar.scene, BLOCKS)["on"],
+            exemplar.true_atoms,
+        )
     assert "uninformative" in str(err.value)
 
 
@@ -165,14 +188,22 @@ def test_gate_rejects_all_true_exemplar():
     )
     scene = _scene(_block("a", 0, 0), _block("b", 30, 0))
     with pytest.raises(ExemplarError):
-        classify(enumerate_candidates(scene, BLOCKS)["on"], exemplar, BLOCKS)
+        classify(
+            enumerate_candidates(scene, BLOCKS)["on"],
+            enumerate_candidates(exemplar.scene, BLOCKS)["on"],
+            exemplar.true_atoms,
+        )
 
 
 def test_gate_rejects_candidate_free_exemplar():
     exemplar = Exemplar(_scene(_block("lone", 10, 10)), frozenset())
     scene = _scene(_block("a", 0, 0), _block("b", 30, 0))
     with pytest.raises(ExemplarError):
-        classify(enumerate_candidates(scene, BLOCKS)["on"], exemplar, BLOCKS)
+        classify(
+            enumerate_candidates(scene, BLOCKS)["on"],
+            enumerate_candidates(exemplar.scene, BLOCKS)["on"],
+            exemplar.true_atoms,
+        )
 
 
 def test_gate_skipped_when_predicate_absent_from_test():
@@ -254,7 +285,11 @@ def test_unary_classification_by_shape():
         SceneObject("veg1", "vegetable", Box(11, 11, 42, 17)),  # flat
         SceneObject("veg2", "vegetable", Box(11, 11, 27, 27)),  # square
     )
-    kept = classify(enumerate_candidates(scene, KITCHEN)["sliced"], exemplar, KITCHEN)
+    kept = classify(
+        enumerate_candidates(scene, KITCHEN)["sliced"],
+        enumerate_candidates(exemplar.scene, KITCHEN)["sliced"],
+        exemplar.true_atoms,
+    )
     assert [c.atom() for c in kept] == [GroundAtom("sliced", ("veg1",))]
 
 
@@ -345,3 +380,56 @@ def test_exemplar_json_round_trip():
         Scene(100, 100, loaded.scene.objects), BLOCKS, loaded
     )
     assert graph_to_init(kept) == frozenset(atoms)
+
+
+COOKING = parse_domain(domain_text("cooking"))
+COOKING_TYPES = ("gripper", "vegetable", "tool", "board", "container")
+# Few distinct boxes on a 100x100 canvas, so scenes repeat boxes and
+# features: equal distances to a positive and a negative (exact ties) are
+# common, not rare.
+BOX_POOL = tuple(
+    Box(x, y, x + w, y + h) for x in (0, 30, 60) for y in (0, 30, 60)
+    for w, h in ((20, 20), (30, 10))
+)
+
+
+@st.composite
+def classification_cases(draw):
+    domain, types = draw(
+        st.sampled_from(((BLOCKS, ("block",)), (COOKING, COOKING_TYPES)))
+    )
+
+    def scene(prefix, min_size):
+        rows = draw(
+            st.lists(
+                st.tuples(st.sampled_from(types), st.sampled_from(BOX_POOL)),
+                min_size=min_size, max_size=5,
+            )
+        )
+        return _scene(
+            *(SceneObject(f"{prefix}{i}", t, box) for i, (t, box) in enumerate(rows))
+        )
+
+    ex_scene = scene("ex", 2)
+    objects = ex_scene.typed_objects()
+    labels = [
+        GroundAtom(sig.name, args)
+        for sig in domain.observed
+        for args in itertools.product([n for n, _ in objects], repeat=sig.arity)
+        if len(set(args)) == sig.arity
+        and well_typed(GroundAtom(sig.name, args), domain, objects)
+    ]
+    true_atoms = frozenset(a for a in labels if draw(st.booleans()))
+    return domain, scene("t", 1), Exemplar(ex_scene, true_atoms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(classification_cases())
+def test_classify_scene_agrees_with_naive_1nn(case):
+    domain, scene, exemplar = case
+    expected = naive_classify_scene(scene, domain, exemplar)
+    if expected is None:
+        with pytest.raises(ExemplarError, match="uninformative"):
+            classify_scene(scene, domain, exemplar)
+    else:
+        assert graph_to_init(classify_scene(scene, domain, exemplar)) == expected

@@ -1,9 +1,12 @@
 """Parser, writer, and model tests for the typed STRIPS subset."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naive_ref import naive_is_subtype, naive_type_chain
 from sceneground.pddl import (
     Domain,
     GroundAtom,
@@ -21,7 +24,7 @@ from sceneground.pddl import (
     serialize_plan,
     serialize_problem,
 )
-from sceneground.pddl.model import ModelError, PredicateSignature
+from sceneground.pddl.model import ROOT_TYPE, ModelError, PredicateSignature
 
 DOMAIN_TEXT = """
 (define (domain toy)
@@ -188,6 +191,8 @@ def test_error_carries_position():
          " (:derived (q ?a) (p ?a)))", "not declared"),
         ("(define (domain d) (:predicates (p ?a) (q ?a))"
          " (:derived (q ?a) (not (p ?a))))", "negation"),
+        ("(define (domain d) (:predicates (p ?a) (q ?a))\n"
+         " (:derived (q ?a) (and)))", "rule for 'q' has an empty body at 2:13"),
         ("(define (domain d) (:predicates (p ?a)) (:functions (f ?a)))",
          "unsupported section"),
         ("(define (domain d) (:predicates (= ?a ?b)))", "builtin"),
@@ -288,6 +293,42 @@ def test_type_hierarchy_subtyping():
     assert h.is_subtype("vegetable", "carriable")
     assert not h.is_subtype("carriable", "vegetable")
     assert h.is_subtype("object", "object")
+
+
+TYPE_POOL = ("a", "b", "c", "d", "e")
+UNDECLARED = ("u", "w")
+
+
+@st.composite
+def type_forests(draw):
+    """Parent pairs over a small name pool.  Most parents are the root, an
+    undeclared name or an earlier type (a forest); one in four may also be
+    the type itself or a later one, which can close a cycle."""
+    names = draw(st.lists(st.sampled_from(TYPE_POOL), unique=True, max_size=5))
+    parents = []
+    for i, name in enumerate(names):
+        pool = [ROOT_TYPE, *UNDECLARED, *names[:i]]
+        if draw(st.integers(0, 3)) == 0:
+            pool += names[i:]
+        parents.append((name, draw(st.sampled_from(pool))))
+    return tuple(parents)
+
+
+@settings(max_examples=200, deadline=None)
+@given(type_forests())
+def test_hierarchy_agrees_with_naive_walk(parents):
+    looping = [name for name, _ in parents if naive_type_chain(parents, name) is None]
+    if looping:
+        with pytest.raises(ModelError, match=re.escape(f"type cycle through {looping[0]!r}")):
+            TypeHierarchy(parents)
+        return
+    h = TypeHierarchy(parents)
+    declared = {ROOT_TYPE, *(name for name, _ in parents)}
+    probes = (ROOT_TYPE, *TYPE_POOL, *UNDECLARED, "zz")
+    for name in probes:
+        assert h.contains(name) == (name in declared)
+        for ancestor in probes:
+            assert h.is_subtype(name, ancestor) == naive_is_subtype(h, name, ancestor)
 
 
 def test_signature_rejects_bad_observed_arity():

@@ -559,6 +559,8 @@ def test_unreachable_goal_scores_infinite():
         {"heuristic": "manhattan"},
         {"node_limit": 0},
         {"time_limit_s": 0.0},
+        {"time_limit_s": float("nan")},
+        {"time_limit_s": float("inf")},
     ],
 )
 def test_search_config_rejects_bad_values(kwargs):

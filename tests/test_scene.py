@@ -325,6 +325,14 @@ def test_detection_score_validated():
         Detection("x", Box(0, 0, 1, 1), score=1.5)
 
 
+@pytest.mark.parametrize("size", [(0, 10), (10, -1), (math.nan, 10), (10, math.inf)])
+def test_canvas_must_be_positive_and_finite(size):
+    with pytest.raises(SceneError, match="bad canvas"):
+        SceneObservation(*size, (Detection("b", Box(0, 0, 1, 1)),))
+    with pytest.raises(SceneError, match="bad canvas"):
+        Scene(*size)
+
+
 def test_scene_lookup_and_typed_objects():
     scene = Scene(
         100,
