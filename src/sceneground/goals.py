@@ -14,6 +14,7 @@ an input, so state-grounding mistakes cannot bend the goal.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import urllib.error
@@ -141,8 +142,8 @@ class LlmEndpointConfig:
     retries: int = 2
 
     def __post_init__(self):
-        if self.timeout_s <= 0:
-            raise GoalError("timeout must be positive")
+        if not 0 < self.timeout_s < math.inf:
+            raise GoalError("timeout must be positive and finite")
         if self.retries < 0:
             raise GoalError("retries must be nonnegative")
 

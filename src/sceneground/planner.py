@@ -10,13 +10,18 @@ Derived predicates are recomputed after every state change by counter-based
 forward chaining over the rule instances (Dowling & Gallier 1984): each
 instance counts its unmet body atoms and fires when the count reaches zero.
 That handles positive recursion, although the shipped domains keep their
-rule dependencies acyclic.  The task's closure is typed: a rule derives a
-head only for bindings that fit the head predicate's parameter types, as
-PDDL requires.  The lifted ``axiom_closure`` is the plan validator's
-closure in ``metrics``, kept apart from the task so that it judges
-independently: it joins rule bodies against an index of the atoms built
-per call, and re-runs a rule only when a predicate its body reads gained
-atoms.  It ignores head types and so may also derive ill-typed atoms; no
+rule dependencies acyclic.  Static atoms, the init atoms no action deletes,
+are chained once when the task is compiled (as Fast Downward's translator
+does, Helmert 2006): instances they make fire, or that read an atom nothing
+can make true, are dropped, and the rest stop watching them.  So the
+task's closure is exact only for a base that holds every static atom,
+which every state reachable from init does.  The closure is also typed: a
+rule derives a head only for bindings that fit the head predicate's
+parameter types, as PDDL requires.  The lifted ``axiom_closure`` is the
+plan validator's closure in ``metrics``, kept apart from the task so that
+it judges independently: it joins rule bodies against an index of the
+atoms built per call, and re-runs a rule only when a predicate its body
+reads gained atoms.  It ignores head types and so may also derive ill-typed atoms; no
 action precondition or typed goal reads one.
 
 Two search modes: "optimal" is plain breadth-first search over unit-cost
@@ -293,6 +298,17 @@ def _match_body(body, index: dict, env: dict[str, str]):
 # ---------------------------------------------------------------------------
 
 
+def _watch_lists(size: int, bodies) -> tuple[tuple[int, ...], ...]:
+    """Per atom id below ``size``, the indices of the bodies that list it,
+    once per occurrence, so a body that names an atom twice counts it twice
+    (as h_add sums it twice)."""
+    watch: list[list[int]] = [[] for _ in range(size)]
+    for index, body in enumerate(bodies):
+        for atom in body:
+            watch[atom].append(index)
+    return tuple(map(tuple, watch))
+
+
 class GroundTask:
     """One problem compiled to integers, built once per ``solve`` call.
 
@@ -301,6 +317,14 @@ class GroundTask:
     as (positive precondition, negative precondition, add, delete) ids.  A
     task state is a pair ``(base, full)`` of id frozensets: the observed
     atoms, and those plus every atom the rule instances derive from them.
+
+    The rule instances are folded over the static atoms (init atoms no
+    action deletes) and the atoms they derive, the const atoms: an instance
+    whose head is const, or whose body names an atom that is not in init,
+    not added by an action and not a rule head, is dropped, and the rest
+    lose their const body atoms.  ``const_derived`` holds the const atoms
+    that are not static.  Every state reachable from init keeps the static
+    atoms, and ``closure`` relies on it.
     """
 
     def __init__(self, domain: Domain, problem: Problem):
@@ -325,23 +349,33 @@ class GroundTask:
         self.goal_neg = tuple(intern(lit.atom) for lit in problem.goal if lit.negated)
         base = frozenset(map(intern, problem.init))
 
-        # Watch lists: per atom, the rule instances and the actions whose
-        # positive body lists it, once per occurrence, so a body that names
-        # an atom twice counts it twice (as h_add sums it twice).
+        # The const atoms hold in every reachable state, so they are chained
+        # once, here, with the unfolded instances.
+        static = base.difference(*(delete for _, _, _, delete in self.compiled))
+        self.const_derived = frozenset()
+        self._watch_rules(rules)
+        const = self.closure(static)
+        never = set(range(len(self.atoms))).difference(
+            base, *(add for _, _, add, _ in self.compiled), self.rule_head
+        )
+        self._watch_rules(
+            [
+                (head, tuple(atom for atom in body if atom not in const))
+                for head, body in rules
+                if head not in const and never.isdisjoint(body)
+            ]
+        )
+        self.const_derived = const - static
+        self.action_size = [len(pos) for pos, _, _, _ in self.compiled]
+        self.action_watch = _watch_lists(
+            len(self.atoms), (pos for pos, _, _, _ in self.compiled)
+        )
+        self.init = (base, self.closure(base))
+
+    def _watch_rules(self, rules) -> None:
         self.rule_head = [head for head, _ in rules]
         self.rule_size = [len(body) for _, body in rules]
-        self.action_size = [len(pos) for pos, _, _, _ in self.compiled]
-        rule_watch: list[list[int]] = [[] for _ in self.atoms]
-        action_watch: list[list[int]] = [[] for _ in self.atoms]
-        for index, (_, body) in enumerate(rules):
-            for atom in body:
-                rule_watch[atom].append(index)
-        for index, (pos, _, _, _) in enumerate(self.compiled):
-            for atom in pos:
-                action_watch[atom].append(index)
-        self.rule_watch = tuple(map(tuple, rule_watch))
-        self.action_watch = tuple(map(tuple, action_watch))
-        self.init = (base, self.closure(base))
+        self.rule_watch = _watch_lists(len(self.atoms), (body for _, body in rules))
 
     def _intern(self, atom: GroundAtom) -> int:
         index = self.ids.get(atom)
@@ -355,11 +389,17 @@ class GroundTask:
 
     def closure(self, base: frozenset[int]) -> frozenset[int]:
         """The base plus every atom derivable from it, by forward chaining:
-        each rule instance fires once its count of unmet body atoms is 0."""
+        each rule instance fires once its count of unmet body atoms is 0.
+
+        The base must hold the task's static atoms, as every reachable
+        state does: ``const_derived`` is added without chaining, and no
+        instance watches a const atom.
+        """
         unmet = self.rule_size.copy()
         heads = self.rule_head
         watch = self.rule_watch
         known = set(base)
+        known |= self.const_derived
         queue = list(base)
         while queue:
             for rule in watch[queue.pop()]:

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import sceneground.goals as goals
 import sceneground.metrics as metrics
 from naive_ref import naive_run
-from sceneground.bench import domain_text
+from sceneground.bench import GenConfig, domain_text
+from sceneground.bench import write_suite as write_bench_suite
 from sceneground.goals import LlmEndpointConfig
 from sceneground.metrics import (
     EvalError,
@@ -21,12 +25,13 @@ from sceneground.metrics import (
     SuiteReport,
     Verdict,
     aggregate,
+    evaluate_problem,
     evaluate_suite,
     load_manifest,
     triplet_pr,
     validate_plan,
 )
-from sceneground.pddl import parse_domain, serialize_problem
+from sceneground.pddl import parse_domain, parse_problem, serialize_problem
 from sceneground.pddl.model import (
     GroundAtom,
     GroundLiteral,
@@ -468,6 +473,82 @@ def test_pool_size_is_clamped_to_cpu_count(tmp_path, monkeypatch):
     report = evaluate_suite(manifest, PipelineConfig(jobs=10**6))
     assert sizes == [3]
     assert report == evaluate_suite(manifest, PipelineConfig(jobs=1))
+
+
+def test_plan_is_replayed_once_when_prediction_is_the_truth(tmp_path, monkeypatch):
+    manifest = write_bench_suite(GenConfig("hanoi", d=3), 3, tmp_path)
+    domain, entries = load_manifest(manifest)
+    inits = []
+
+    def counting(domain, init, goal, plan):
+        inits.append(init)
+        return validate_plan(domain, init, goal, plan)
+
+    monkeypatch.setattr(metrics, "validate_plan", counting)
+    config = PipelineConfig(search=SearchConfig(mode="optimal"))
+    for entry in entries:
+        del inits[:]
+        record = evaluate_problem(domain, entry, config)
+        assert record.success and record.plan_valid
+        assert len(inits) == 1
+
+    # The same entry against a truth with one more (unread) init atom, and
+    # against one whose goal the plan misses: the plan is replayed on both
+    # problems each time.
+    entry = entries[0]
+    truth = parse_problem(Path(entry.ground_truth_problem).read_text(), domain)
+    extra = GroundAtom("on", ("disk3", "disk1"))
+    assert extra not in truth.init
+    missed = (lit("onpeg", "disk1", "peg2"),)
+    for changed, success in (
+        (replace(truth, init=truth.init | {extra}), True),
+        (replace(truth, goal=missed), False),
+    ):
+        path = tmp_path / "changed-truth.pddl"
+        path.write_text(serialize_problem(changed))
+        del inits[:]
+        record = evaluate_problem(
+            domain, replace(entry, ground_truth_problem=str(path)), config
+        )
+        assert record.plan_valid and record.success == success
+        assert inits == [truth.init, changed.init]
+
+
+def test_single_replay_keeps_the_records_of_two(tmp_path):
+    # Reference: replay every found plan on the predicted problem and on
+    # the truth, as if the two were never the same.  The noiseless suites
+    # give entries whose prediction is the truth, the noisy ones others.
+    plans = []
+
+    def recording(domain, problem, cfg):
+        result = solve(domain, problem, cfg)
+        plans.append((problem, result.plan))
+        return result
+
+    shared = solved = 0
+    for kind, sigma in itertools.product(("blocksworld", "cooking"), (0.0, 0.2)):
+        manifest = write_bench_suite(
+            GenConfig(kind, sigma=sigma), 4, tmp_path / f"{kind}-{sigma}"
+        )
+        domain, entries = load_manifest(manifest)
+        for entry in entries:
+            del plans[:]
+            record = evaluate_problem(domain, entry, PipelineConfig(), recording)
+            truth = parse_problem(Path(entry.ground_truth_problem).read_text(), domain)
+            expected = record
+            if plans and plans[0][1] is not None:
+                problem, plan = plans[0]
+                solved += 1
+                shared += problem.init == truth.init
+                expected = replace(
+                    record,
+                    plan_valid=validate_plan(domain, problem.init, problem.goal, plan).ok,
+                    success=validate_plan(domain, truth.init, truth.goal, plan).ok,
+                )
+            else:
+                assert not (record.plan_valid or record.success)
+            assert record == expected
+    assert 0 < shared < solved
 
 
 def test_success_implies_a_plan_was_produced(tmp_path):

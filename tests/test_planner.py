@@ -12,7 +12,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import sceneground.planner as planner
@@ -317,6 +317,17 @@ def test_closure_joins_a_rule_again_only_when_its_body_changed(monkeypatch):
     derived = axiom_closure(hanoi_problem(6).init, HANOI.derived)
     assert {atom.predicate for atom in derived} == {"blocked", "above"}
     assert [bodies.count(rule.body) for rule in HANOI.derived] == [1, 1]
+
+
+def test_task_folds_static_atoms_out_of_its_rule_instances():
+    # Unfolded, 6-disk hanoi has 108 blocked and 108 above instances with
+    # 540 watch entries.  Its 15 smaller atoms are static and the other 21
+    # ordered pairs never hold, so 45 of each rule remain, each watching
+    # only its onpeg atoms.  Blocksworld never holds (on ?b ?b): 205 -> 145.
+    task = GroundTask(HANOI, hanoi_problem(6))
+    assert len(task.rule_head) == 90
+    assert sum(map(len, task.rule_watch)) == 135
+    assert len(GroundTask(BLOCKS, blocks_problem(5)).rule_head) == 145
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +693,10 @@ def test_task_agrees_with_naive_reference(domain, problem):
 def small_typed_tasks(draw):
     """A random small typed domain, parsed from PDDL text, and a problem.
 
+    No action writes the observed predicate s, and init holds at least one
+    of its atoms, so rule bodies can read static atoms, atoms that are
+    never true, or static atoms only (see ``folding_cases``).
+
     Each rule-head parameter takes the most specific type among the body
     positions its variable occupies, so every binding the untyped naive
     closure finds for a state of well-typed atoms is itself well typed.
@@ -698,7 +713,9 @@ def small_typed_tasks(draw):
         f"p{i}": draw(st.lists(st.sampled_from(types), min_size=1, max_size=2))
         for i in range(draw(st.integers(2, 3)))
     }
-    observed = sorted(signatures)
+    written = sorted(signatures)
+    # No action writes s: its init atoms are static and the rest never true.
+    signatures["s"] = draw(st.lists(st.sampled_from(types), min_size=1, max_size=2))
     rules = []
     for i in range(draw(st.integers(0, 2))):
         body, positions = [], {}
@@ -749,11 +766,11 @@ def small_typed_tasks(draw):
     for i in range(draw(st.integers(1, 2))):
         # An add over the parameters, which follow its predicate so that it
         # fits, and perhaps a delete: move-like actions give deeper spaces.
-        first = draw(st.sampled_from(observed))
+        first = draw(st.sampled_from(written))
         params = {f"?{'ab'[k]}": t for k, t in enumerate(signatures[first])}
         effects = [f"({first} {' '.join(params)})"]
         if draw(st.booleans()):
-            effects.append(literal(observed, params, negated=True))
+            effects.append(literal(written, params, negated=True))
         pre = [literal(sorted(signatures), params) for _ in range(draw(st.integers(0, 2)))]
         if len(params) == 2:
             pre.append(draw(st.sampled_from([None, "(= ?a ?b)", "(not (= ?a ?b))"])))
@@ -786,8 +803,10 @@ def small_typed_tasks(draw):
         for combo in itertools.product([name for name, _ in objects], repeat=sig.arity)
     ]
     atoms = [a for a in atoms if well_typed(a, domain, objects)]
-    base = [a for a in atoms if domain.predicate(a.predicate).kind == "observed"]
+    base = [a for a in atoms if a.predicate in written]
+    static = [a for a in atoms if a.predicate == "s"]
     init = frozenset(draw(st.sets(st.sampled_from(base))) if base else ())
+    init |= draw(st.sets(st.sampled_from(static), min_size=1))
     # The goal holds after a short random walk and names every atom the walk
     # changed (or one or two others if it changed none); half the time its
     # first literal flips.
@@ -834,3 +853,41 @@ def test_task_agrees_with_naive_reference_on_random_domains(case):
         result = solve(domain, problem, SearchConfig(mode="optimal"))
         length = None if result.plan is None else len(result.plan)
         assert length == naive_bfs(domain, problem)
+
+
+def folding_cases(domain, problem) -> tuple[bool, bool, bool]:
+    """Whether some rule instance's body reads a static atom, whether one
+    reads an atom that is never true, and whether one reads static atoms
+    only (so its head holds in every reachable state)."""
+    actions = ground_actions(domain, problem.objects)
+    instances = planner._rule_instances(domain.derived, problem.objects, domain)
+    static = problem.init.difference(*(a.delete for a in actions))
+    never = {atom for _, body in instances for atom in body}.difference(
+        problem.init, *(a.add for a in actions), (head for head, _ in instances)
+    )
+    return (
+        any(static.intersection(body) for _, body in instances),
+        any(never.intersection(body) for _, body in instances),
+        any(static.issuperset(body) for _, body in instances),
+    )
+
+
+def test_random_domains_draw_every_folding_case():
+    # The differential test above runs 50 examples; each case the task's
+    # static-atom folding handles must turn up in at least a fifth of them.
+    cases = []
+
+    @settings(
+        max_examples=50,
+        derandomize=True,
+        database=None,
+        phases=[Phase.generate],
+        deadline=None,
+    )
+    @given(small_typed_tasks())
+    def collect(case):
+        cases.append(folding_cases(*case))
+
+    collect()
+    assert len(cases) == 50
+    assert min(sum(drawn) for drawn in zip(*cases)) >= 10
