@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -156,7 +157,7 @@ def _cmd_ground(args, config: dict) -> int:
     domain = parse_domain(read_text(args.domain))
     pipeline = _pipeline_config(args, config)
     goal = args.goal
-    if Path(goal).is_file():
+    if os.path.isfile(goal):  # a goal too long for a file name is text
         goal = read_text(goal)
     name = args.name or Path(args.scene).stem.lower().replace(" ", "-")
     # Both goal fields set: the grammar first, the LLM only as a fallback.
@@ -184,6 +185,11 @@ def _cmd_plan(args, config: dict) -> int:
     domain = parse_domain(read_text(args.domain))
     problem = parse_problem(read_text(args.problem), domain)
     result = solve(domain, problem, _search_config(args, config))
+    if result.plan is not None:
+        verdict = validate_plan(domain, problem.init, problem.goal, result.plan)
+        if not verdict.ok:
+            at = "" if verdict.step is None else f" at step {verdict.step}"
+            raise PlannerError(f"planner produced an invalid plan: {verdict.reason}{at}")
     summary = json.dumps(result.as_dict(), indent=2, sort_keys=True)
     print(summary)
     if args.out is not None:

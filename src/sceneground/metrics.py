@@ -316,6 +316,8 @@ def load_manifest(path) -> tuple[Domain, tuple[ManifestEntry, ...]]:
         raise EvalError(f"cannot read manifest {path}: {exc}") from None
     if not isinstance(raw, dict) or "domain_file" not in raw or "problems" not in raw:
         raise EvalError("manifest must be an object with domain_file and problems")
+    if not isinstance(raw["domain_file"], str):
+        raise EvalError("manifest key 'domain_file' must be a string")
     base = path.parent
     from sceneground.pddl import parse_domain
 
@@ -333,6 +335,11 @@ def load_manifest(path) -> tuple[Domain, tuple[ManifestEntry, ...]]:
         for key in ("scene", "exemplar", "ground_truth_problem"):
             if key not in item:
                 raise EvalError(f"problem {index} is missing {key}")
+            if not isinstance(item[key], str):
+                raise EvalError(f"problem {index}: {key} must be a string")
+        for key in ("goal_text", "goal_structured"):
+            if not isinstance(item.get(key), (str, type(None))):
+                raise EvalError(f"problem {index}: {key} must be a string or null")
         text = item.get("goal_text")
         structured = item.get("goal_structured")
         if (text is None) == (structured is None):

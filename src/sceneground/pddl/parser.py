@@ -512,23 +512,24 @@ def parse_domain(text: str | bytes) -> Domain:
         for atom in rule.body:
             if atom.predicate in derived_names:
                 deps[rule.head.predicate].add(atom.predicate)
+    # Depth-first in sorted order, on an explicit stack so that deep rule
+    # chains cannot exhaust the recursion limit.  The bottom iterator holds
+    # the roots; state is 1 while a predicate is on the path, 2 when done.
     state: dict[str, int] = {}
-
-    def visit(n: str, trail: tuple[str, ...]) -> None:
-        if state.get(n) == 2:
-            return
-        if state.get(n) == 1:
-            raise PddlError(
-                "unstratified rules: cycle through "
-                + " -> ".join(trail + (n,))
-            )
-        state[n] = 1
-        for m in sorted(deps[n]):
-            visit(m, trail + (n,))
-        state[n] = 2
-
-    for n in sorted(deps):
-        visit(n, ())
+    path: list[str] = []
+    stack = [iter(sorted(deps))]
+    while stack:
+        n = next(stack[-1], None)
+        if n is None:
+            stack.pop()
+            if path:
+                state[path.pop()] = 2
+        elif state.get(n) == 1:
+            raise PddlError("unstratified rules: cycle through " + " -> ".join([*path, n]))
+        elif n not in state:
+            state[n] = 1
+            path.append(n)
+            stack.append(iter(sorted(deps[n])))
 
     return Domain(dom_name, hierarchy, tuple(sig_list), tuple(actions), tuple(rules))
 

@@ -4,7 +4,7 @@ Each ``solve`` call compiles its problem once into a ``GroundTask``: actions
 are grounded (equality literals are resolved away at grounding time,
 dropping bindings they rule out), every atom becomes an int, and derived
 rules become ground (head, body) instances over type-valid bindings.  The
-search, the heuristic and the final plan replay all run on that task.
+search and the heuristic both run on that task.
 
 Derived predicates are recomputed after every state change by counter-based
 forward chaining over the rule instances (Dowling & Gallier 1984): each
@@ -28,8 +28,8 @@ Two search modes: "optimal" is plain breadth-first search over unit-cost
 actions; "satisficing" is greedy best-first search under an additive-cost
 heuristic on the delete relaxation (derived rules cost nothing), computed
 as a generalised Dijkstra over the task's rule and precondition watch lists
-(Bonet & Geffner 2001).  Every returned plan is replayed against the task
-before it leaves this module.
+(Bonet & Geffner 2001).  A returned plan is not replayed here: the plan
+validator in ``metrics`` judges it wherever it leaves the program.
 """
 
 from __future__ import annotations
@@ -510,9 +510,9 @@ def solve(
 
     Optimal mode is breadth-first (shortest plan under unit costs);
     satisficing mode is greedy best-first under cfg.heuristic.  Ties break
-    on grounded-action order, so equal inputs give equal plans.  The found
-    plan is replayed before returning; a replay failure would be a planner
-    defect and raises instead of returning a bad plan.
+    on grounded-action order, so equal inputs give equal plans.  The plan
+    is the one the search path spells out; callers that hand it on check
+    it with ``metrics.validate_plan``.
     """
     start = time.perf_counter()
     task = GroundTask(domain, problem)
@@ -526,8 +526,9 @@ def solve(
     else:
         heuristic = make_heuristic(task, cfg.heuristic)
 
-    parents: dict[frozenset[int], tuple[frozenset[int], int]] = {}
-    seen: set[frozenset[int]] = {init[0]}
+    # The closed set: each reached base maps to its parent base and the
+    # index of the action between them, the root to None.
+    parents: dict[frozenset[int], tuple[frozenset[int], int] | None] = {init[0]: None}
     expanded = 0
     counter = itertools.count()
 
@@ -551,15 +552,12 @@ def solve(
         state = pop()
         expanded += 1
         for index, base in task.successors(state):
-            if base in seen:
+            if base in parents:
                 continue
-            seen.add(base)
             parents[base] = (state[0], index)
             full = task.closure(base)
             if task.satisfied(full):
-                plan = _reconstruct(task, parents, init[0], base)
-                _check_plan(task, plan)
-                return SolveResult("solved", plan, expanded)
+                return SolveResult("solved", _reconstruct(task, parents, base), expanded)
             if heuristic is None:
                 push((base, full), 0.0)
             else:
@@ -569,24 +567,10 @@ def solve(
     return SolveResult("unsolvable", None, expanded)
 
 
-def _reconstruct(task: GroundTask, parents, root, leaf) -> Plan:
+def _reconstruct(task: GroundTask, parents, node) -> Plan:
     steps = []
-    node = leaf
-    while node != root:
+    while parents[node] is not None:
         node, index = parents[node]
         steps.append(task.actions[index].step())
     steps.reverse()
     return Plan(tuple(steps))
-
-
-def _check_plan(task: GroundTask, plan: Plan) -> None:
-    """Replay the plan on the task; any failure is an internal planner defect."""
-    index = {(a.name, a.args): i for i, a in enumerate(task.actions)}
-    state = task.init
-    for step in plan.steps:
-        base = dict(task.successors(state)).get(index.get((step.action, step.args)))
-        if base is None:
-            raise PlannerError(f"planner produced an invalid step {step}")
-        state = (base, task.closure(base))
-    if not task.satisfied(state[1]):
-        raise PlannerError("planner produced a plan that misses the goal")

@@ -18,6 +18,8 @@ import sceneground.metrics as metrics
 from sceneground.bench import GenConfig, write_suite
 from sceneground.cli import main
 from sceneground.pddl import parse_domain, parse_problem
+from sceneground.pddl.model import Plan, PlanStep
+from sceneground.planner import SolveResult
 
 UNSOLVABLE_PROBLEM = """
 (define (problem impossible)
@@ -278,6 +280,13 @@ def test_ground_classifies_the_scene_once(suite_dir, first_goal, tmp_path, monke
     assert len(calls) == 1
 
 
+def test_goal_longer_than_a_file_name_is_goal_text(suite_dir, first_goal, tmp_path):
+    goal = " AND ".join([first_goal] * 5)
+    assert len(goal) > 255  # too long for a file name on common file systems
+    assert main(ground_argv(suite_dir, goal, tmp_path)) == 0
+    assert (tmp_path / "p0.pddl").is_file()
+
+
 def test_plan_reruns_are_byte_identical(suite_dir, tmp_path):
     truth = suite_dir / "problems" / "001" / "truth.pddl"
     # truth.pddl has no goal-reaching issue: plan straight from it
@@ -293,6 +302,21 @@ def test_plan_reruns_are_byte_identical(suite_dir, tmp_path):
         )
         assert code == 0
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+
+def test_plan_checks_its_plan_before_writing(suite_dir, tmp_path, monkeypatch, capsys):
+    truth = suite_dir / "problems" / "001" / "truth.pddl"
+    bogus = Plan((PlanStep("move", ("disk1", "peg1", "peg1")),))  # from == to
+    monkeypatch.setattr(cli, "solve", lambda *args: SolveResult("solved", bogus, 1))
+    argv = ["plan", str(suite_dir / "domain.pddl"), str(truth), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: planner produced an invalid plan: precondition-unsatisfied at step 0\n"
+    )
+    assert not (tmp_path / "plan.txt").exists()
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_unsolvable_problem_exits_1(tmp_path, capsys):

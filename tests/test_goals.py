@@ -167,6 +167,9 @@ def stub_server():
     _StubHandler.calls = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_llm_parse_goal_against_stub(stub_server):

@@ -345,6 +345,29 @@ def test_empty_plan_stub_counts_already_satisfied_goals(tmp_path):
     assert report.rows[0].precision == 1.0  # grounding unaffected by the stub
 
 
+def test_a_defective_plan_fails_its_record_only(tmp_path):
+    # The validator is the one judge of a found plan: a solver that returns
+    # a plan whose first step cannot run costs that problem its plan
+    # validity and success, and the suite carries on.
+    manifest = write_suite(tmp_path, TWO_GOALS)
+    reference = evaluate_suite(manifest)
+    bogus = Plan((PlanStep("unstack-from-base", ("block2", "block2")),))
+
+    def defective(domain, problem, cfg):
+        result = solve(domain, problem, cfg)
+        if problem.name != reference.records[0].name:
+            return result
+        return SolveResult("solved", bogus, result.expanded)
+
+    report = evaluate_suite(manifest, solver=defective)
+    bad, *rest = report.records
+    assert bad == replace(
+        reference.records[0], plan_valid=False, success=False, plan_length=1
+    )
+    assert tuple(rest) == reference.records[1:]
+    assert report.rows[0].plan_validity == report.rows[0].success == 0.5
+
+
 def test_parallel_evaluation_matches_inline(tmp_path):
     manifest = write_suite(tmp_path, TWO_GOALS)
     inline = evaluate_suite(manifest, PipelineConfig(jobs=1))
@@ -582,6 +605,31 @@ def test_missing_manifest_raises():
         (
             lambda raw: raw["problems"][0].pop("goal_structured"),
             "exactly one",
+        ),
+        (lambda raw: raw.update(domain_file=5), "'domain_file' must be a string"),
+        (
+            lambda raw: raw["problems"][0].update(scene=7),
+            "problem 0: scene must be a string",
+        ),
+        (
+            lambda raw: raw["problems"][0].update(exemplar=None),
+            "problem 0: exemplar must be a string",
+        ),
+        (
+            lambda raw: raw["problems"][0].update(ground_truth_problem=["t.pddl"]),
+            "problem 0: ground_truth_problem must be a string",
+        ),
+        (
+            lambda raw: raw["problems"][0].update(goal_structured=123),
+            "problem 0: goal_structured must be a string or null",
+        ),
+        (
+            lambda raw: raw["problems"][0].update(goal_structured=["on(a, b)"]),
+            "problem 0: goal_structured must be a string or null",
+        ),
+        (
+            lambda raw: raw["problems"][0].update(goal_structured=None, goal_text=5),
+            "problem 0: goal_text must be a string or null",
         ),
     ],
 )

@@ -352,6 +352,24 @@ def test_recursive_rule_rejected_even_when_guarded():
     assert "unstratified" in str(err.value)
 
 
+def chain_domain(length: int, cyclic: bool) -> str:
+    """Rules p0 <- p1 <- ... <- p{length}; cyclic also closes p{length-1} <- p0."""
+    preds = " ".join(f"(p{i} ?a)" for i in range(length + 1))
+    rules = [f"(:derived (p{i} ?a) (p{i + 1} ?a))" for i in range(length - 1)]
+    last = 0 if cyclic else length
+    rules.append(f"(:derived (p{length - 1} ?a) (p{last} ?a))")
+    return f"(define (domain chain) (:predicates {preds}) {' '.join(rules)})"
+
+
+def test_deep_rule_chains_are_checked_without_recursion():
+    domain = parse_domain(chain_domain(3000, cyclic=False))
+    assert len(domain.derived) == 3000
+    with pytest.raises(PddlError) as err:
+        parse_domain(chain_domain(3000, cyclic=True))
+    cycle = " -> ".join(f"p{i}" for i in (*range(3000), 0))
+    assert str(err.value) == f"unstratified rules: cycle through {cycle}"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=200))
 def test_parser_is_total_on_text(text):

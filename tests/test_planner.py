@@ -34,14 +34,12 @@ from sceneground.pddl.model import (
     GroundAtom,
     GroundLiteral,
     Plan,
-    PlanStep,
     Problem,
 )
 from sceneground.planner import (
     GroundTask,
     PlannerError,
     SearchConfig,
-    _check_plan,
     axiom_closure,
     ground_actions,
     make_heuristic,
@@ -585,16 +583,6 @@ def test_result_dict_shape():
     assert sorted(payload) == ["expanded_nodes", "plan_length", "status"]
     assert payload["status"] == "solved"
     assert payload["plan_length"] == 3
-
-
-def test_internal_replay_guard_catches_bad_plans():
-    problem = hanoi_problem(2)
-    bogus = Plan((PlanStep("move", ("d2", "p1", "p3")),))  # d1 blocks d2
-    with pytest.raises(PlannerError):
-        _check_plan(GroundTask(HANOI, problem), bogus)
-    short = Plan((PlanStep("move", ("d1", "p1", "p2")),))  # valid, goal unmet
-    with pytest.raises(PlannerError, match="misses the goal"):
-        _check_plan(GroundTask(HANOI, problem), short)
 
 
 # ---------------------------------------------------------------------------
