@@ -13,6 +13,7 @@ an input, so state-grounding mistakes cannot bend the goal.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
@@ -221,11 +222,17 @@ def _post_chat(request: dict, cfg: LlmEndpointConfig) -> str:
         url, data=json.dumps(request).encode(), headers=headers, method="POST"
     )
     with urllib.request.urlopen(req, timeout=cfg.timeout_s) as resp:
-        body = json.loads(resp.read().decode("utf-8"))
+        raw = resp.read()
+    # ValueError covers bytes that are not UTF-8 and text that is not JSON.
     try:
-        return body["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
+        content = json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise GoalError(f"malformed endpoint response: {exc}") from None
+    if not isinstance(content, str):
+        raise GoalError(
+            f"malformed endpoint response: content is {type(content).__name__}, not text"
+        )
+    return content
 
 
 def _extract_goal_line(content: str, domain: Domain) -> GoalSpec:
@@ -272,6 +279,12 @@ def llm_parse_goal(
                 if cassette is not None:
                     cassette.record(request, content)
             return _extract_goal_line(content, domain)
-        except (GoalError, urllib.error.URLError, TimeoutError, OSError) as exc:
+        except (
+            GoalError,
+            urllib.error.URLError,
+            http.client.HTTPException,  # a garbled status line or a cut-off body
+            TimeoutError,
+            OSError,
+        ) as exc:
             last = exc
     raise GoalError(f"goal translation failed after {cfg.retries + 1} attempts: {last}")

@@ -26,10 +26,12 @@ action precondition or typed goal reads one.
 
 Two search modes: "optimal" is plain breadth-first search over unit-cost
 actions; "satisficing" is greedy best-first search under an additive-cost
-heuristic on the delete relaxation (derived rules cost nothing), computed
-as a generalised Dijkstra over the task's rule and precondition watch lists
-(Bonet & Geffner 2001).  A returned plan is not replayed here: the plan
-validator in ``metrics`` judges it wherever it leaves the program.
+heuristic on the delete relaxation (derived rules cost nothing; Bonet &
+Geffner 2001).  Every action costs 1, so every cost is a whole number, and
+h_add settles atoms from a bucket queue keyed by cost (Dial 1969) over the
+task's rule and precondition watch lists.  A returned plan is not replayed
+here: the plan validator in ``metrics`` judges it wherever it leaves the
+program.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from sceneground.pddl.model import (
     EQUALITY,
@@ -324,7 +326,8 @@ class GroundTask:
     not added by an action and not a rule head, is dropped, and the rest
     lose their const body atoms.  ``const_derived`` holds the const atoms
     that are not static.  Every state reachable from init keeps the static
-    atoms, and ``closure`` relies on it.
+    atoms, and ``closure`` relies on it.  ``free_adds`` holds the adds of
+    the actions with no positive precondition, which cost 1 in every state.
     """
 
     def __init__(self, domain: Domain, problem: Problem):
@@ -367,6 +370,9 @@ class GroundTask:
         )
         self.const_derived = const - static
         self.action_size = [len(pos) for pos, _, _, _ in self.compiled]
+        self.free_adds = tuple(
+            atom for pos, _, add, _ in self.compiled if not pos for atom in add
+        )
         self.action_watch = _watch_lists(
             len(self.atoms), (pos for pos, _, _, _ in self.compiled)
         )
@@ -431,55 +437,66 @@ class GroundTask:
         An action costs 1 plus the summed costs of its positive
         preconditions (negative ones are free in the relaxation); a rule
         instance costs the summed costs of its body.  The atoms of the
-        state cost 0.  Costs are settled cheapest first, as in Dijkstra's
-        algorithm, until every positive goal atom is settled.  The value is
-        the summed cost of the positive goal literals, plus 1 for each
+        state cost 0.  So every cost is a whole number, and atoms are
+        settled cheapest first from buckets keyed by cost (Dial 1969): the
+        state's atoms settle at level 0, ``free_adds`` wait at level 1, a
+        rule head that costs the current level joins it, and the next
+        level is the smallest cost waiting, however far up that is.  This
+        stops once every positive goal atom is settled.  The value is the
+        summed cost of the positive goal literals, plus 1 for each
         negative goal literal whose atom holds, so it is zero exactly on
         goal states.
         """
-        violated = float(sum(atom in full for atom in self.goal_neg))
-        pending = set(self.goal_pos)
-        if not pending:
-            return violated
+        violated = sum(atom in full for atom in self.goal_neg)
+        pending = set(self.goal_pos).difference(full)
         heads, rule_watch = self.rule_head, self.rule_watch
         compiled, action_watch = self.compiled, self.action_watch
         rule_unmet = self.rule_size.copy()
-        rule_sum = [0.0] * len(rule_unmet)
+        rule_sum = [0] * len(rule_unmet)
         action_unmet = self.action_size.copy()
-        action_sum = [1.0] * len(action_unmet)
-        heap = [(0.0, atom) for atom in full]
-        heap.extend(
-            (1.0, atom)
-            for index, size in enumerate(action_unmet)
-            if not size
-            for atom in compiled[index][2]
-        )
-        heapify(heap)
-        cost: dict[int, float] = {}
-        while heap:
-            value, atom = heappop(heap)
-            if atom in cost:
-                continue
-            cost[atom] = value
-            pending.discard(atom)
+        action_sum = [1] * len(action_unmet)
+        cost = dict.fromkeys(full, 0)
+        buckets = {1: list(self.free_adds)} if self.free_adds else {}
+        level, settled = 0, list(full)
+        while True:
+            # ``settled`` holds the atoms that cost ``level``, and grows
+            # while it is walked when a rule head costs ``level`` too.
+            for atom in settled:
+                if not pending:
+                    break
+                for rule in rule_watch[atom]:
+                    rule_sum[rule] += level
+                    rule_unmet[rule] -= 1
+                    if not rule_unmet[rule] and heads[rule] not in cost:
+                        head, total = heads[rule], rule_sum[rule]
+                        if total == level:
+                            cost[head] = level
+                            settled.append(head)
+                            pending.discard(head)
+                        elif total in buckets:
+                            buckets[total].append(head)
+                        else:
+                            buckets[total] = [head]
+                for index in action_watch[atom]:
+                    action_sum[index] += level
+                    action_unmet[index] -= 1
+                    if not action_unmet[index]:
+                        total = action_sum[index]
+                        if total in buckets:
+                            buckets[total].extend(compiled[index][2])
+                        else:
+                            buckets[total] = list(compiled[index][2])
             if not pending:
-                break
-            for rule in rule_watch[atom]:
-                rule_sum[rule] += value
-                rule_unmet[rule] -= 1
-                if not rule_unmet[rule] and heads[rule] not in cost:
-                    heappush(heap, (rule_sum[rule], heads[rule]))
-            for index in action_watch[atom]:
-                action_sum[index] += value
-                action_unmet[index] -= 1
-                if not action_unmet[index]:
-                    total = action_sum[index]
-                    for added in compiled[index][2]:
-                        if added not in cost:
-                            heappush(heap, (total, added))
-        if pending:
-            return INFINITY
-        return violated + sum(cost[atom] for atom in self.goal_pos)
+                return float(violated + sum(cost[atom] for atom in self.goal_pos))
+            if not buckets:
+                return INFINITY
+            level = min(buckets)
+            settled = []
+            for atom in buckets.pop(level):
+                if atom not in cost:
+                    cost[atom] = level
+                    settled.append(atom)
+            pending.difference_update(settled)
 
 
 # ---------------------------------------------------------------------------

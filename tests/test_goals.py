@@ -1,11 +1,15 @@
 """Structured goal grammar, grounding, and the endpoint client."""
 
+import http.client
 import json
 import threading
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from sceneground.bench import GenConfig, write_suite
+from sceneground.cli import main
 from sceneground.goals import (
     Cassette,
     GoalError,
@@ -138,16 +142,18 @@ def test_goal_spec_must_be_nonempty():
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    responses: list[str] = []
+    """Answers each POST with the next of ``responses``: a str is sent as
+    the message content of a well-formed reply, bytes as the whole body."""
+
+    responses: list[str | bytes] = []
     calls: list[dict] = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         _StubHandler.calls.append(json.loads(self.rfile.read(length)))
-        content = _StubHandler.responses.pop(0)
-        body = json.dumps(
-            {"choices": [{"message": {"content": content}}]}
-        ).encode()
+        body = _StubHandler.responses.pop(0)
+        if isinstance(body, str):
+            body = json.dumps({"choices": [{"message": {"content": body}}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -203,6 +209,82 @@ def test_llm_prose_only_fails_after_retries(stub_server):
         llm_parse_goal("slice it", KITCHEN, cfg)
     assert "2 attempts" in str(err.value)
     assert len(_StubHandler.calls) == 2
+
+
+MALFORMED_BODIES = [
+    pytest.param(b"<html>busy</html>", "Expecting value", id="html"),
+    pytest.param(b"\xff\xfe", "can't decode byte", id="not-utf8"),
+    pytest.param(
+        b'{"choices": [{"message": {"content": null}}]}',
+        "content is NoneType, not text",
+        id="null-content",
+    ),
+]
+
+
+@pytest.mark.parametrize("body, reason", MALFORMED_BODIES)
+def test_malformed_endpoint_body_is_retried_then_a_goal_error(
+    stub_server, tmp_path, body, reason
+):
+    _StubHandler.responses = [body, body]
+    cfg = LlmEndpointConfig(base_url=stub_server, model="stub", retries=1)
+    cassette = Cassette(tmp_path / "cassette.json", mode="record")
+    with pytest.raises(GoalError) as err:
+        llm_parse_goal("slice it", KITCHEN, cfg, cassette)
+    assert "2 attempts: malformed endpoint response: " in str(err.value)
+    assert reason in str(err.value)
+    assert len(_StubHandler.calls) == 2
+    assert not (tmp_path / "cassette.json").exists()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [http.client.BadStatusLine("garbage"), http.client.IncompleteRead(b'{"cho', 95)],
+    ids=["bad-status-line", "cut-off-body"],
+)
+def test_broken_http_answer_is_retried_then_a_goal_error(monkeypatch, error):
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise error
+
+    monkeypatch.setattr(urllib.request, "urlopen", broken)
+    cfg = LlmEndpointConfig(base_url="http://127.0.0.1:9", model="stub", retries=1)
+    with pytest.raises(GoalError, match="2 attempts"):
+        llm_parse_goal("slice it", KITCHEN, cfg)
+    assert len(calls) == 2
+
+
+def test_eval_scores_a_malformed_endpoint_body_as_a_goal_failure(
+    stub_server, tmp_path, capsys
+):
+    suite = tmp_path / "suite"
+    write_suite(GenConfig("hanoi", d=3, g=3, seed=0), 2, suite)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    for entry in manifest["problems"]:
+        entry["goal_text"] = "move the tower to the last peg"
+        entry["goal_structured"] = None
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    _StubHandler.responses = [b"<html>busy</html>"] * 6  # 2 entries, 3 attempts each
+    argv = [
+        "eval",
+        str(suite / "manifest.json"),
+        "--llm-base-url",
+        stub_server,
+        "--llm-model",
+        "stub",
+        "--out",
+        str(tmp_path / "report.json"),
+    ]
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    records = json.loads((tmp_path / "report.json").read_text())["problems"]
+    assert len(records) == 2
+    for record in records:
+        assert record["failure"].startswith("goal: goal translation failed after 3")
+        assert "malformed endpoint response" in record["failure"]
+    assert len(_StubHandler.calls) == 6
 
 
 def test_llm_unreachable_endpoint_fails():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -651,7 +652,7 @@ def differential_cases():
 @pytest.mark.parametrize("domain,problem", differential_cases())
 def test_task_agrees_with_naive_reference(domain, problem):
     # Over reachable states (breadth-first, capped): the counter closure is
-    # the naive closure restricted to well-typed atoms, and the Dijkstra
+    # the naive closure restricted to well-typed atoms, and the bucket-queue
     # h_add equals Bellman-Ford h_add, for the problem's goal and for the
     # goal with every literal negated.
     task = GroundTask(domain, problem)
@@ -813,18 +814,42 @@ def small_typed_tasks(draw):
     goal = [GroundLiteral(atom, atom not in reached) for atom in named]
     if goal and draw(st.booleans()):
         goal[0] = GroundLiteral(goal[0].atom, not goal[0].negated)
+    # A quarter of the time the goal also asks for an s atom init lacks:
+    # nothing makes it true, so h_add is infinite on every state.
+    absent = sorted(set(static) - init)
+    if absent and draw(st.integers(0, 3)) == 0:
+        goal.append(GroundLiteral(draw(st.sampled_from(absent)), False))
     return domain, Problem("small", "small", objects, init, tuple(goal))
+
+
+def flipped_goals(problem: Problem) -> list[Problem]:
+    """The problem, then one copy per goal literal with that literal's sign
+    flipped."""
+    goal = problem.goal
+    flips = [
+        (*goal[:i], GroundLiteral(lit.atom, not lit.negated), *goal[i + 1 :])
+        for i, lit in enumerate(goal)
+    ]
+    return [problem] + [replace(problem, goal=flipped) for flipped in flips]
+
+
+def h_add_of(task: GroundTask, atoms) -> float:
+    """The task's h_add on the reachable base ``atoms``, interned by the task
+    itself: tasks with different goals may number atoms differently."""
+    return task.h_add(task.closure(frozenset(task.ids[atom] for atom in atoms)))
 
 
 @settings(max_examples=50, deadline=None)
 @given(small_typed_tasks())
 def test_task_agrees_with_naive_reference_on_random_domains(case):
     # On reachable states (breadth-first, capped): the closure equals the
-    # naive closure, the successor sets equal the naive interpreter's, and
-    # when the whole space fits under the cap, the optimal plan length equals
-    # the naive breadth-first one.
+    # naive closure, the successor sets equal the naive interpreter's, h_add
+    # equals the Bellman-Ford h_add for the goal and for the goal with each
+    # literal flipped, and when the whole space fits under the cap, the
+    # optimal plan length equals the naive breadth-first one.
     domain, problem = case
     task = GroundTask(domain, problem)
+    posed = [(GroundTask(domain, p), p) for p in flipped_goals(problem)]
     steps = _ground_steps(domain, problem.objects)
     closures: dict = {}
     states = reachable(task, limit=150)
@@ -837,6 +862,8 @@ def test_task_agrees_with_naive_reference_on_random_domains(case):
             if reason == "ok":
                 expected.add(nxt)
         assert {task.decode(nxt) for _, nxt in task.successors((base, full))} == expected
+        for judged, goal_problem in posed:
+            assert h_add_of(judged, atoms) == naive_h_add(domain, goal_problem, atoms)
     if len(states) < 150:
         result = solve(domain, problem, SearchConfig(mode="optimal"))
         length = None if result.plan is None else len(result.plan)
@@ -879,3 +906,69 @@ def test_random_domains_draw_every_folding_case():
     collect()
     assert len(cases) == 50
     assert min(sum(drawn) for drawn in zip(*cases)) >= 10
+
+
+def heuristic_cases(domain, problem) -> tuple[bool, bool]:
+    """Whether some grounded action has no positive precondition (its adds
+    cost 1 in every state), and whether the naive h_add is infinite on some
+    reachable state for the goal or a goal with one literal flipped."""
+    free = any(
+        all(lit.negated for lit in action.precondition)
+        for action in ground_actions(domain, problem.objects)
+    )
+    task = GroundTask(domain, problem)
+    infinite = any(
+        naive_h_add(domain, posed, task.decode(base)) == float("inf")
+        for base, _ in reachable(task, limit=150)
+        for posed in flipped_goals(problem)
+    )
+    return free, infinite
+
+
+def test_random_domains_draw_every_heuristic_case():
+    # The differential test's h_add comparison must meet actions whose adds
+    # cost 1 in every state and goals that cannot be reached, each in at
+    # least a fifth of its 50 examples.
+    cases = []
+
+    @settings(
+        max_examples=50,
+        derandomize=True,
+        database=None,
+        phases=[Phase.generate],
+        deadline=None,
+    )
+    @given(small_typed_tasks())
+    def collect(case):
+        cases.append(heuristic_cases(*case))
+
+    collect()
+    assert len(cases) == 50
+    assert min(sum(drawn) for drawn in zip(*cases)) >= 10
+
+
+def test_h_add_jumps_to_far_apart_costs():
+    # Layer i takes two l{i-1} atoms, so each l{i} atom costs 1 + 2 * (the
+    # cost of an l{i-1} atom) = 2^i - 1.  The goal's cost is 2^40 - 1: only
+    # a queue that goes straight to the next cost waiting gets there.
+    layers = 40
+    predicates = " ".join(f"(l{i} ?x - thing)" for i in range(layers + 1))
+    actions = " ".join(
+        f"(:action make{i} :parameters (?x - thing ?y - thing)"
+        f" :precondition (and (l{i - 1} ?x) (l{i - 1} ?y) (not (= ?x ?y)))"
+        f" :effect (and (l{i} ?x) (l{i} ?y)))"
+        for i in range(1, layers + 1)
+    )
+    domain = parse_domain(
+        "(define (domain chain) (:requirements :strips :typing :equality)"
+        f" (:types thing) (:predicates {predicates}) {actions})"
+    )
+    problem = Problem(
+        "chain",
+        "chain",
+        (("a", "thing"), ("b", "thing")),
+        frozenset({GroundAtom("l0", ("a",)), GroundAtom("l0", ("b",))}),
+        (positive(f"l{layers}", "a"),),
+    )
+    task = GroundTask(domain, problem)
+    assert task.h_add(task.init[1]) == float(2**layers - 1)
