@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
 from sceneground.pddl.model import (
     Domain,
@@ -102,35 +103,57 @@ def enumerate_candidates(
     objects; unary ones get every compatible object paired with itself.
     """
     out: dict[str, tuple[CandidateTriplet, ...]] = {}
-    hierarchy = domain.hierarchy
+    is_subtype = domain.hierarchy.is_subtype
+    objects, width, height = scene.objects, scene.width, scene.height
     for sig in domain.observed:
-        cands: list[CandidateTriplet] = []
+        pools = [
+            [obj for obj in objects if is_subtype(obj.type, want)]
+            for _, want in sig.params
+        ]
         if sig.arity == 1:
-            want = sig.params[0][1]
-            for obj in scene.objects:
-                if hierarchy.is_subtype(obj.type, want):
-                    feature = unary_feature(obj.box, scene.width, scene.height)
-                    cands.append(CandidateTriplet(obj, sig.name, obj, feature))
+            out[sig.name] = tuple(
+                CandidateTriplet(
+                    obj, sig.name, obj, unary_feature(obj.box, width, height)
+                )
+                for obj in pools[0]
+            )
         else:
-            want_s, want_o = sig.params[0][1], sig.params[1][1]
-            for subj in scene.objects:
-                if not hierarchy.is_subtype(subj.type, want_s):
-                    continue
-                for obj in scene.objects:
-                    if obj.name == subj.name:
-                        continue
-                    if not hierarchy.is_subtype(obj.type, want_o):
-                        continue
-                    feature = binary_feature(
-                        subj.box, obj.box, scene.width, scene.height
-                    )
-                    cands.append(CandidateTriplet(subj, sig.name, obj, feature))
-        out[sig.name] = tuple(cands)
+            out[sig.name] = tuple(
+                CandidateTriplet(
+                    subj,
+                    sig.name,
+                    obj,
+                    binary_feature(subj.box, obj.box, width, height),
+                )
+                for subj in pools[0]
+                for obj in pools[1]
+                if obj.name != subj.name
+            )
     return out
 
 
-def _distance2(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    return sum((x - y) ** 2 for x, y in zip(a, b))
+def _distance2_binary(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 - b0) ** 2 + (a1 - b1) ** 2 + (a2 - b2) ** 2 + (a3 - b3) ** 2
+
+
+def _distance2_unary(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    a0, a1, a2, a3, a4, a5 = a
+    b0, b1, b2, b3, b4, b5 = b
+    return (
+        (a0 - b0) ** 2
+        + (a1 - b1) ** 2
+        + (a2 - b2) ** 2
+        + (a3 - b3) ** 2
+        + (a4 - b4) ** 2
+        + (a5 - b5) ** 2
+    )
+
+
+# Squared Euclidean distance by feature length: the left-to-right float sum
+# of (a_i - b_i) ** 2, so every Python rounds it the same way.
+_DISTANCE2 = {4: _distance2_binary, 6: _distance2_unary}
 
 
 def _validate_exemplar(exemplar: Exemplar, domain: Domain) -> None:
@@ -156,25 +179,33 @@ def classify(
     """Label each test candidate by its nearest exemplar candidate.
 
     ``labeled`` holds the exemplar's candidates of the same predicate; those
-    in ``true_atoms`` are positive.  Distances are Euclidean in feature
-    space.  A tie at exactly equal distance between a positive and a
-    negative exemplar candidate resolves to false.  Returns the true-labeled
-    candidates in their input order.
+    in ``true_atoms`` are positive.  The squared distance is the
+    left-to-right float sum of ``(a_i - b_i) ** 2``.  A test candidate is
+    rejected at the first negative exemplar candidate that is at least as
+    near as its nearest positive, so an exact tie resolves to false.
+    Returns the true-labeled candidates in their input order.
     """
     if not test:
         return ()
-    positives = [c.feature for c in labeled if c.atom() in true_atoms]
-    negatives = [c.feature for c in labeled if c.atom() not in true_atoms]
+    truth = {(atom.predicate, atom.args) for atom in true_atoms}
+    positives: list[tuple[float, ...]] = []
+    negatives: list[tuple[float, ...]] = []
+    for c in labeled:
+        (positives if (c.predicate, c.args) in truth else negatives).append(c.feature)
     if not positives or not negatives:
         raise ExemplarError(
             f"exemplar is uninformative for {test[0].predicate!r}: "
             f"{len(positives)} positive / {len(negatives)} negative candidates"
         )
+    distance2 = _DISTANCE2[len(positives[0])]
     kept = []
     for cand in test:
-        d_pos = min(_distance2(cand.feature, f) for f in positives)
-        d_neg = min(_distance2(cand.feature, f) for f in negatives)
-        if d_pos < d_neg:
+        x = cand.feature
+        d_pos = min(map(distance2, repeat(x), positives))
+        for f in negatives:
+            if distance2(x, f) <= d_pos:
+                break
+        else:
             kept.append(cand)
     return tuple(kept)
 
@@ -237,11 +268,13 @@ def exemplar_from_json(
     rows = raw["true_atoms"]
     obs = observation_from_json({k: v for k, v in raw.items() if k != "true_atoms"})
     scene = merge_detections(obs, domain, threshold)
+    if not isinstance(rows, list):
+        raise SceneError(f"bad true_atoms: expected a list, not {type(rows).__name__}")
     atoms = set()
-    try:
-        for row in rows:
-            predicate, *args = (str(part) for part in row)
-            atoms.add(GroundAtom(predicate, tuple(args)))
-    except (TypeError, ValueError) as exc:
-        raise SceneError(f"bad true_atoms entry: {exc}") from None
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not row:
+            raise SceneError(f"bad true_atoms entry {i}: expected a non-empty list")
+        if not all(isinstance(part, str) for part in row):
+            raise SceneError(f"bad true_atoms entry {i}: parts must be strings")
+        atoms.add(GroundAtom(row[0], tuple(row[1:])))
     return Exemplar(scene, frozenset(atoms))

@@ -312,11 +312,23 @@ def naive_classify_scene(scene, domain: Domain, exemplar):
     return frozenset(kept)
 
 
+def naive_distance2(a, b) -> float:
+    """Squared Euclidean distance, summed left to right from 0.0.
+
+    An explicit loop rather than ``sum``: from CPython 3.12 on, ``sum`` of
+    floats is compensated and can round differently.
+    """
+    d = 0.0
+    for x, y in zip(a, b):
+        d += (x - y) ** 2
+    return d
+
+
 def _nearest(feature, pool) -> float:
     """Smallest squared Euclidean distance from feature to a pool member."""
     best = None
     for other in pool:
-        d = sum((x - y) ** 2 for x, y in zip(feature, other))
+        d = naive_distance2(feature, other)
         if best is None or d < best:
             best = d
     return best

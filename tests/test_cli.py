@@ -523,6 +523,23 @@ def test_non_finite_canvas_fails_ground(suite_dir, first_goal, tmp_path, capsys)
     assert not (tmp_path / "p0.pddl").exists()
 
 
+@pytest.mark.parametrize(
+    "rows",
+    ["on", [["on", 1, 2]], [["on", ["x"], "b"]]],
+    ids=["string", "numbers", "nested-list"],
+)
+def test_malformed_true_atoms_fail_ground(suite_dir, first_goal, tmp_path, capsys, rows):
+    path = suite_dir / "problems" / "000" / "exemplar.json"
+    exemplar = tmp_path / "exemplar.json"
+    exemplar.write_text(json.dumps({**json.loads(path.read_text()), "true_atoms": rows}))
+    argv = ground_argv(suite_dir, first_goal, tmp_path)
+    argv[3] = str(exemplar)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grounding: bad true_atoms") and err.count("\n") == 1
+    assert not (tmp_path / "p0.pddl").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_time_limit_is_a_user_error(suite_dir, tmp_path, capsys, value):
     plan = [

@@ -1,15 +1,18 @@
 """Candidate enumeration, one-shot classification, graph rewriting."""
 
 import itertools
+import json
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from naive_ref import naive_classify_scene, well_typed
+from naive_ref import naive_classify_scene, naive_distance2, well_typed
 from sceneground.bench import domain_text
 
 from sceneground.graph import (
+    _DISTANCE2,
     CandidateTriplet,
     Exemplar,
     ExemplarError,
@@ -36,6 +39,7 @@ from sceneground.scene import (
     Detection,
     Scene,
     SceneObject,
+    SceneError,
     SceneObservation,
 )
 
@@ -163,6 +167,27 @@ def test_classify_tie_resolves_to_false():
         exemplar.true_atoms,
     )
     assert kept == ()
+
+
+def test_classification_is_the_same_on_every_python():
+    # The nearest positive (exa over exb) is at squared distance
+    # 0.8599999999999999 and the nearest negative (exb under exa) at 0.86
+    # when summed left to right; the compensated float sum of CPython 3.12
+    # rounds both to 0.86, a tie, which would drop the edge.
+    exemplar = Exemplar(
+        _scene(
+            SceneObject("exa", "block", Box(0, 0, 20, 20)),
+            SceneObject("exb", "block", Box(30, 0, 50, 20)),
+            SceneObject("exc", "block", Box(0, 0, 30, 10)),
+        ),
+        frozenset({GroundAtom("on", ("exa", "exb"))}),
+    )
+    scene = _scene(
+        SceneObject("s", "block", Box(0, 0, 20, 20)),
+        SceneObject("o", "block", Box(60, 60, 90, 70)),
+    )
+    graph = classify_scene(scene, BLOCKS, exemplar)
+    assert graph_to_init(graph) == {GroundAtom("on", ("s", "o"))}
 
 
 def test_gate_rejects_all_false_exemplar():
@@ -369,6 +394,26 @@ def test_ground_scene_end_to_end(tmp_path):
     assert reparsed == problem
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("on", "bad true_atoms: expected a list, not str"),
+        ({"on": ["a", "b"]}, "bad true_atoms: expected a list, not dict"),
+        ([["on", 1, 2]], "bad true_atoms entry 0: parts must be strings"),
+        ([["on", "a", "b"], ["on", ["x"], "b"]], "bad true_atoms entry 1: parts"),
+        ([[]], "bad true_atoms entry 0: expected a non-empty list"),
+        (["on"], "bad true_atoms entry 0: expected a non-empty list"),
+        ([None], "bad true_atoms entry 0: expected a non-empty list"),
+    ],
+    ids=["string", "object", "numbers", "nested-list", "empty-row", "bare-row", "null"],
+)
+def test_malformed_true_atoms_rows_rejected(rows, message):
+    doc = json.loads(exemplar_to_json(_stack_observation(), []))
+    doc["true_atoms"] = rows
+    with pytest.raises(SceneError, match=f"^{re.escape(message)}"):
+        exemplar_from_json(json.dumps(doc), BLOCKS)
+
+
 def test_exemplar_json_round_trip():
     obs = _stack_observation()
     atoms = [GroundAtom("on", ("block1", "block2"))]
@@ -383,6 +428,7 @@ def test_exemplar_json_round_trip():
 
 
 COOKING = parse_domain(domain_text("cooking"))
+HANOI = parse_domain(domain_text("hanoi"))
 COOKING_TYPES = ("gripper", "vegetable", "tool", "board", "container")
 # Few distinct boxes on a 100x100 canvas, so scenes repeat boxes and
 # features: equal distances to a positive and a negative (exact ties) are
@@ -396,7 +442,13 @@ BOX_POOL = tuple(
 @st.composite
 def classification_cases(draw):
     domain, types = draw(
-        st.sampled_from(((BLOCKS, ("block",)), (COOKING, COOKING_TYPES)))
+        st.sampled_from(
+            (
+                (BLOCKS, ("block",)),
+                (COOKING, COOKING_TYPES),
+                (HANOI, ("disk", "peg")),
+            )
+        )
     )
 
     def scene(prefix, min_size):
@@ -433,3 +485,69 @@ def test_classify_scene_agrees_with_naive_1nn(case):
             classify_scene(scene, domain, exemplar)
     else:
         assert graph_to_init(classify_scene(scene, domain, exemplar)) == expected
+
+
+def kernel_cases(domain, scene, exemplar) -> tuple[bool, bool]:
+    """Whether some test candidate's nearest positive and nearest negative
+    are exactly as far, and whether some candidate is rejected by a
+    negative after the first one the classifier scans."""
+    tie = late = False
+    labeled = enumerate_candidates(exemplar.scene, domain)
+    for predicate, test in enumerate_candidates(scene, domain).items():
+        positives, negatives = [], []
+        for c in labeled[predicate]:
+            truth = c.atom() in exemplar.true_atoms
+            (positives if truth else negatives).append(c.feature)
+        if not test or not positives or not negatives:
+            continue
+        for cand in test:
+            d_pos = min(naive_distance2(cand.feature, f) for f in positives)
+            d_neg = [naive_distance2(cand.feature, f) for f in negatives]
+            tie |= d_pos == min(d_neg)
+            late |= d_neg[0] > d_pos >= min(d_neg)
+    return tie, late
+
+
+def test_classification_cases_draw_ties_and_late_rejections():
+    # The differential test above runs 150 examples; exact ties and
+    # candidates that only a later negative rejects must each turn up in at
+    # least 10 of them.
+    cases = []
+
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        database=None,
+        phases=[Phase.generate],
+        deadline=None,
+    )
+    @given(classification_cases())
+    def collect(case):
+        cases.append(kernel_cases(*case))
+
+    collect()
+    assert len(cases) == 150
+    assert min(sum(drawn) for drawn in zip(*cases)) >= 10
+
+
+# Unit-range floats with the edge values drawn on purpose: signed zeros,
+# the smallest subnormal and the largest subnormal.
+UNIT_FLOATS = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((4, 6)).flatmap(
+        lambda n: st.tuples(*[st.tuples(*[UNIT_FLOATS] * n)] * 2)
+    )
+)
+# The C library's pow may round a square differently from a product: with
+# glibc 2.36, 0.0397 ** 2 is one ulp below 0.0397 * 0.0397.
+@example(((0.0397, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)))
+@example(((0.0, 0.0, 0.0, 0.0, 0.0, 0.2551), (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)))
+def test_unrolled_distance_is_the_left_to_right_sum(pair):
+    a, b = pair
+    assert _DISTANCE2[len(a)](a, b).hex() == naive_distance2(a, b).hex()
