@@ -135,24 +135,30 @@ def enumerate_candidates(
 def _distance2_binary(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
-    return (a0 - b0) ** 2 + (a1 - b1) ** 2 + (a2 - b2) ** 2 + (a3 - b3) ** 2
+    return (
+        (d0 := a0 - b0) * d0
+        + (d1 := a1 - b1) * d1
+        + (d2 := a2 - b2) * d2
+        + (d3 := a3 - b3) * d3
+    )
 
 
 def _distance2_unary(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     a0, a1, a2, a3, a4, a5 = a
     b0, b1, b2, b3, b4, b5 = b
     return (
-        (a0 - b0) ** 2
-        + (a1 - b1) ** 2
-        + (a2 - b2) ** 2
-        + (a3 - b3) ** 2
-        + (a4 - b4) ** 2
-        + (a5 - b5) ** 2
+        (d0 := a0 - b0) * d0
+        + (d1 := a1 - b1) * d1
+        + (d2 := a2 - b2) * d2
+        + (d3 := a3 - b3) * d3
+        + (d4 := a4 - b4) * d4
+        + (d5 := a5 - b5) * d5
     )
 
 
 # Squared Euclidean distance by feature length: the left-to-right float sum
-# of (a_i - b_i) ** 2, so every Python rounds it the same way.
+# of d_i * d_i (d_i = a_i - b_i).  A product, unlike the C library's pow
+# behind ``** 2``, is correctly rounded, so every platform sums the same.
 _DISTANCE2 = {4: _distance2_binary, 6: _distance2_unary}
 
 
@@ -180,9 +186,10 @@ def classify(
 
     ``labeled`` holds the exemplar's candidates of the same predicate; those
     in ``true_atoms`` are positive.  The squared distance is the
-    left-to-right float sum of ``(a_i - b_i) ** 2``.  A test candidate is
-    rejected at the first negative exemplar candidate that is at least as
-    near as its nearest positive, so an exact tie resolves to false.
+    left-to-right float sum of ``d_i * d_i`` for ``d_i = a_i - b_i``.  A
+    test candidate is rejected at the first negative exemplar candidate
+    that is at least as near as its nearest positive, so an exact tie
+    resolves to false.
     Returns the true-labeled candidates in their input order.
     """
     if not test:

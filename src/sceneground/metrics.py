@@ -46,6 +46,7 @@ from sceneground.pddl.model import (
     GroundAtom,
     Plan,
     Problem,
+    relevant_rules,
 )
 from sceneground.planner import SearchConfig, axiom_closure, solve
 from sceneground.scene import (
@@ -121,24 +122,22 @@ def triplet_pr(
 # ---------------------------------------------------------------------------
 
 
-def _full(atoms: frozenset[GroundAtom], domain: Domain) -> frozenset[GroundAtom]:
-    return atoms | axiom_closure(atoms, domain.derived)
-
-
 def validate_plan(domain: Domain, init, goal, plan: Plan) -> Verdict:
     """Replay the plan from init; the goal must hold after the last step.
 
-    Steps are checked against the closure of the current state.  A step
-    naming no schema (or the wrong number of arguments) is unknown-action;
-    the first violation wins.
+    Steps are checked against the closure of the current state under the
+    rules some precondition or goal literal reads (``relevant_rules``).  A
+    step naming no schema (or the wrong number of arguments) is
+    unknown-action; the first violation wins.
     """
+    rules = relevant_rules(domain, goal)
     atoms = frozenset(init)
     for index, step in enumerate(plan.steps):
         schema = domain.action(step.action)
         if schema is None or len(schema.params) != len(step.args):
             return Verdict(False, index, "unknown-action")
         env = dict(zip((v for v, _ in schema.params), step.args))
-        reached = _full(atoms, domain)
+        reached = atoms | axiom_closure(atoms, rules)
         for lit in schema.precondition:
             if lit.atom.predicate == EQUALITY:
                 holds = env[lit.atom.args[0]] == env[lit.atom.args[1]]
@@ -158,7 +157,7 @@ def validate_plan(domain: Domain, init, goal, plan: Plan) -> Verdict:
             for a in schema.add
         }
         atoms = frozenset((atoms - delete) | add)
-    reached = _full(atoms, domain)
+    reached = atoms | axiom_closure(atoms, rules)
     if all((lit.atom in reached) != lit.negated for lit in goal):
         return Verdict(True, None, None)
     return Verdict(False, None, "goal-unsatisfied")

@@ -219,6 +219,25 @@ class Domain:
         return tuple(p for p in self.predicates if p.kind == "observed")
 
 
+def relevant_rules(domain: Domain, goal) -> tuple[DerivedRule, ...]:
+    """The rules whose head predicate is read, in declaration order.
+
+    A predicate is read by an action precondition of either sign, by a
+    literal of ``goal``, or by the body of a rule whose head is read.  The
+    other rules cannot change whether an action applies or the goal holds
+    (the relevance analysis of Fast Downward's translator, Helmert 2009).
+    """
+    read = {lit.atom.predicate for lit in goal}
+    read.update(lit.atom.predicate for a in domain.actions for lit in a.precondition)
+    size = 0
+    while size != len(read):
+        size = len(read)
+        for rule in domain.derived:
+            if rule.head.predicate in read:
+                read.update(atom.predicate for atom in rule.body)
+    return tuple(rule for rule in domain.derived if rule.head.predicate in read)
+
+
 # ---------------------------------------------------------------------------
 # Ground state, problems, plans
 # ---------------------------------------------------------------------------

@@ -3,8 +3,13 @@
 Each ``solve`` call compiles its problem once into a ``GroundTask``: actions
 are grounded (equality literals are resolved away at grounding time,
 dropping bindings they rule out), every atom becomes an int, and derived
-rules become ground (head, body) instances over type-valid bindings.  The
-search and the heuristic both run on that task.
+rules become ground (head, body) instances over type-valid bindings.  Only
+the rules ``relevant_rules`` keeps are ground: those whose head a
+precondition, a goal literal or another kept rule's body reads (the
+relevance analysis of Fast Downward's translator, Helmert 2009).  No other
+derived atom can change which actions apply or whether the goal holds, so
+a task state holds no atom of an unread derived predicate.  The search and
+the heuristic both run on that task.
 
 Derived predicates are recomputed after every state change by counter-based
 forward chaining over the rule instances (Dowling & Gallier 1984): each
@@ -13,16 +18,18 @@ That handles positive recursion, although the shipped domains keep their
 rule dependencies acyclic.  Static atoms, the init atoms no action deletes,
 are chained once when the task is compiled (as Fast Downward's translator
 does, Helmert 2006): instances they make fire, or that read an atom nothing
-can make true, are dropped, and the rest stop watching them.  So the
-task's closure is exact only for a base that holds every static atom,
+can make true, are dropped, and the rest stop watching them.  A state's
+chaining starts only from its atoms that some instance still watches.  So
+the task's closure is exact only for a base that holds every static atom,
 which every state reachable from init does.  The closure is also typed: a
 rule derives a head only for bindings that fit the head predicate's
 parameter types, as PDDL requires.  The lifted ``axiom_closure`` is the
 plan validator's closure in ``metrics``, kept apart from the task so that
-it judges independently: it joins rule bodies against an index of the
-atoms built per call, and re-runs a rule only when a predicate its body
-reads gained atoms.  It ignores head types and so may also derive ill-typed atoms; no
-action precondition or typed goal reads one.
+it judges independently; the two share only ``relevant_rules``.  It joins
+rule bodies against an index of the atoms built per call, and re-runs a
+rule only when a predicate its body reads gained atoms.  It ignores head
+types and so may also derive ill-typed atoms; no action precondition or
+typed goal reads one.
 
 Two search modes: "optimal" is plain breadth-first search over unit-cost
 actions; "satisficing" is greedy best-first search under an additive-cost
@@ -52,6 +59,7 @@ from sceneground.pddl.model import (
     Plan,
     PlanStep,
     Problem,
+    relevant_rules,
 )
 
 INFINITY = float("inf")
@@ -346,7 +354,9 @@ class GroundTask:
         )
         rules = [
             (intern(head), tuple(map(intern, body)))
-            for head, body in _rule_instances(domain.derived, problem.objects, domain)
+            for head, body in _rule_instances(
+                relevant_rules(domain, problem.goal), problem.objects, domain
+            )
         ]
         self.goal_pos = tuple(intern(lit.atom) for lit in problem.goal if not lit.negated)
         self.goal_neg = tuple(intern(lit.atom) for lit in problem.goal if lit.negated)
@@ -382,6 +392,7 @@ class GroundTask:
         self.rule_head = [head for head, _ in rules]
         self.rule_size = [len(body) for _, body in rules]
         self.rule_watch = _watch_lists(len(self.atoms), (body for _, body in rules))
+        self.watched = frozenset(i for i, ids in enumerate(self.rule_watch) if ids)
 
     def _intern(self, atom: GroundAtom) -> int:
         index = self.ids.get(atom)
@@ -396,6 +407,8 @@ class GroundTask:
     def closure(self, base: frozenset[int]) -> frozenset[int]:
         """The base plus every atom derivable from it, by forward chaining:
         each rule instance fires once its count of unmet body atoms is 0.
+        Only the base atoms in ``watched``, those some instance watches,
+        start the chaining.
 
         The base must hold the task's static atoms, as every reachable
         state does: ``const_derived`` is added without chaining, and no
@@ -406,7 +419,7 @@ class GroundTask:
         watch = self.rule_watch
         known = set(base)
         known |= self.const_derived
-        queue = list(base)
+        queue = list(base & self.watched)
         while queue:
             for rule in watch[queue.pop()]:
                 unmet[rule] -= 1

@@ -2,7 +2,8 @@
 the type hierarchy and the scene classifier.
 
 Deliberately naive: subtyping by walking the parent pairs, generate-and-test
-grounding, closure by repeated full re-derivation, h_add by Bellman-Ford
+grounding, closure by repeated full re-derivation of every rule, read or
+not, read predicates by a depth-first walk, h_add by Bellman-Ford
 sweeps, breadth-first search with no ordering tricks, and 1-NN labels by
 nested loops.  It imports only the model types and the box features, never
 the graph, planner or metrics modules, so agreement between the
@@ -82,6 +83,32 @@ def naive_closure(atoms, domain: Domain) -> frozenset[GroundAtom]:
         if not fresh:
             return frozenset(known)
         known |= fresh
+
+
+def naive_read_predicates(domain: Domain, goal) -> set[str]:
+    """Every predicate that an action precondition (either sign) or a goal
+    literal names, and every predicate in the body of a rule whose head is
+    one of these, by a depth-first walk from the first two."""
+    stack = [lit.atom.predicate for lit in goal]
+    for schema in domain.actions:
+        stack += [lit.atom.predicate for lit in schema.precondition]
+    read = set()
+    while stack:
+        name = stack.pop()
+        if name in read:
+            continue
+        read.add(name)
+        for rule in domain.derived:
+            if rule.head.predicate == name:
+                stack.extend(atom.predicate for atom in rule.body)
+    return read
+
+
+def naive_unread(domain: Domain, goal, atoms) -> set[GroundAtom]:
+    """The atoms of derived predicates that ``naive_read_predicates`` lacks."""
+    read = naive_read_predicates(domain, goal)
+    derived = {sig.name for sig in domain.predicates if sig.kind == "derived"}
+    return {atom for atom in atoms if atom.predicate in derived - read}
 
 
 def naive_apply(domain: Domain, atoms: frozenset, step: PlanStep, closures=None):
@@ -316,12 +343,15 @@ def naive_distance2(a, b) -> float:
     """Squared Euclidean distance, summed left to right from 0.0.
 
     An explicit loop rather than ``sum``: from CPython 3.12 on, ``sum`` of
-    floats is compensated and can round differently.
+    floats is compensated and can round differently.  Each square is a
+    product, which is correctly rounded, not ``** 2``, which calls the C
+    library's pow.
     """
-    d = 0.0
+    total = 0.0
     for x, y in zip(a, b):
-        d += (x - y) ** 2
-    return d
+        diff = x - y
+        total += diff * diff
+    return total
 
 
 def _nearest(feature, pool) -> float:

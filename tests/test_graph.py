@@ -544,10 +544,19 @@ UNIT_FLOATS = st.one_of(
         lambda n: st.tuples(*[st.tuples(*[UNIT_FLOATS] * n)] * 2)
     )
 )
-# The C library's pow may round a square differently from a product: with
-# glibc 2.36, 0.0397 ** 2 is one ulp below 0.0397 * 0.0397.
+# Squares where glibc 2.36's pow rounds x ** 2 one ulp away from the
+# correctly rounded product x * x.
 @example(((0.0397, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)))
 @example(((0.0, 0.0, 0.0, 0.0, 0.0, 0.2551), (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)))
 def test_unrolled_distance_is_the_left_to_right_sum(pair):
     a, b = pair
     assert _DISTANCE2[len(a)](a, b).hex() == naive_distance2(a, b).hex()
+
+
+def test_squares_are_correctly_rounded_products():
+    # The two examples above: glibc 2.36's pow gives 0.0015760899999999998
+    # and 0.06507600999999999, one ulp below the products.
+    cases = (((0.0397,) + (0.0,) * 3, 0.00157609), ((0.0,) * 5 + (0.2551,), 0.06507601))
+    for a, square in cases:
+        zero = (0.0,) * len(a)
+        assert _DISTANCE2[len(a)](a, zero) == naive_distance2(a, zero) == square

@@ -23,11 +23,14 @@ from naive_ref import (
     naive_bfs,
     naive_closure,
     naive_h_add,
+    naive_read_predicates,
     naive_run,
+    naive_unread,
     well_typed,
 )
 from sceneground.bench import domain_text
 from sceneground.bench.generate import gen_cooking
+from sceneground.metrics import validate_plan
 from sceneground.pddl import parse_domain
 from sceneground.pddl.model import (
     Atom,
@@ -35,7 +38,9 @@ from sceneground.pddl.model import (
     GroundAtom,
     GroundLiteral,
     Plan,
+    PlanStep,
     Problem,
+    relevant_rules,
 )
 from sceneground.planner import (
     GroundTask,
@@ -319,14 +324,47 @@ def test_closure_joins_a_rule_again_only_when_its_body_changed(monkeypatch):
 
 
 def test_task_folds_static_atoms_out_of_its_rule_instances():
-    # Unfolded, 6-disk hanoi has 108 blocked and 108 above instances with
-    # 540 watch entries.  Its 15 smaller atoms are static and the other 21
-    # ordered pairs never hold, so 45 of each rule remain, each watching
-    # only its onpeg atoms.  Blocksworld never holds (on ?b ?b): 205 -> 145.
+    # Nothing reads hanoi's above, so 6-disk hanoi grounds only its 108
+    # blocked instances, with 216 watch entries.  Its 15 smaller atoms are
+    # static and the other 21 ordered pairs never hold, so 45 remain, each
+    # watching only its onpeg atom.  Blocksworld's actions read only covered
+    # and supported (50 instances), and (on ?b ?b) never holds: 40 remain.
     task = GroundTask(HANOI, hanoi_problem(6))
-    assert len(task.rule_head) == 90
-    assert sum(map(len, task.rule_watch)) == 135
-    assert len(GroundTask(BLOCKS, blocks_problem(5)).rule_head) == 145
+    assert len(task.rule_head) == 45
+    assert sum(map(len, task.rule_watch)) == 45
+    assert len(GroundTask(BLOCKS, blocks_problem(5)).rule_head) == 40
+
+
+@pytest.mark.parametrize(
+    "domain,goal,heads",
+    [
+        (HANOI, hanoi_problem(3).goal, ["blocked"]),
+        (BLOCKS, (), ["covered", "supported"]),
+        (BLOCKS, (positive("buried", "b1"),), ["covered", "supported", "buried"]),
+        # With no action, only buried's body reads covered and supported.
+        (
+            replace(BLOCKS, actions=()),
+            (positive("buried", "b1"),),
+            ["covered", "supported", "buried"],
+        ),
+        (COOKING, (), ["gripping", "held"]),
+        (
+            COOKING,
+            (negative("in", "tomato", "white_bowl"),),
+            ["in", "gripping", "held"],
+        ),
+    ],
+    ids=[
+        "hanoi",
+        "blocks-no-goal",
+        "blocks-buried",
+        "blocks-buried-no-actions",
+        "cooking-no-goal",
+        "cooking-in",
+    ],
+)
+def test_relevant_rules_keep_what_is_read(domain, goal, heads):
+    assert [rule.head.predicate for rule in relevant_rules(domain, goal)] == heads
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +690,8 @@ def differential_cases():
 @pytest.mark.parametrize("domain,problem", differential_cases())
 def test_task_agrees_with_naive_reference(domain, problem):
     # Over reachable states (breadth-first, capped): the counter closure is
-    # the naive closure restricted to well-typed atoms, and the bucket-queue
+    # the naive closure restricted to well-typed atoms, less exactly the
+    # atoms of derived predicates that nothing reads, and the bucket-queue
     # h_add equals Bellman-Ford h_add, for the problem's goal and for the
     # goal with every literal negated.
     task = GroundTask(domain, problem)
@@ -673,7 +712,8 @@ def test_task_agrees_with_naive_reference(domain, problem):
             for a in naive_closure(atoms, domain)
             if well_typed(a, domain, problem.objects)
         }
-        assert task.decode(full) == expected
+        unread = naive_unread(domain, problem.goal, expected)
+        assert task.decode(full) == expected - unread
         assert task.h_add(full) == naive_h_add(domain, problem, atoms)
         assert flipped_h(full) == naive_h_add(domain, flipped, atoms)
 
@@ -684,7 +724,9 @@ def small_typed_tasks(draw):
 
     No action writes the observed predicate s, and init holds at least one
     of its atoms, so rule bodies can read static atoms, atoms that are
-    never true, or static atoms only (see ``folding_cases``).
+    never true, or static atoms only (see ``folding_cases``).  Derived
+    predicates can be unread, or read only through another rule's body
+    (see ``relevance_cases``).
 
     Each rule-head parameter takes the most specific type among the body
     positions its variable occupies, so every binding the untyped naive
@@ -706,11 +748,19 @@ def small_typed_tasks(draw):
     # No action writes s: its init atoms are static and the rest never true.
     signatures["s"] = draw(st.lists(st.sampled_from(types), min_size=1, max_size=2))
     rules = []
-    for i in range(draw(st.integers(0, 2))):
+    # Half the time a rule for h comes first, and d0's body reads it.  No
+    # precondition or goal names h, so h is unread or read only through d0.
+    # The d rules number zero to three otherwise, one to three after h.
+    names = [] if draw(st.booleans()) else ["h", "d0"]
+    names += [f"d{i}" for i in range(len(names) // 2, draw(st.integers(0, 3)))]
+    for name in names:
         body, positions = [], {}
-        for predicate in draw(
+        predicates = draw(
             st.lists(st.sampled_from(sorted(signatures)), min_size=1, max_size=2)
-        ):
+        )
+        if name == "d0" and "h" in signatures:
+            predicates.insert(0, "h")
+        for predicate in predicates:
             variables = st.sampled_from(["?x", "?y", "?z"])
             args = [draw(variables) for _ in signatures[predicate]]
             for var, want in zip(args, signatures[predicate]):
@@ -726,7 +776,6 @@ def small_typed_tasks(draw):
         head_vars = draw(
             st.lists(st.sampled_from(sorted(head)), min_size=1, max_size=2, unique=True)
         )
-        name = f"d{i}"
         signatures[name] = [head[var] for var in head_vars]
         params = " ".join(f"{var} - {head[var]}" for var in head_vars)
         rules.append(f"(:derived ({name} {params}) (and {' '.join(body)}))")
@@ -760,7 +809,8 @@ def small_typed_tasks(draw):
         effects = [f"({first} {' '.join(params)})"]
         if draw(st.booleans()):
             effects.append(literal(written, params, negated=True))
-        pre = [literal(sorted(signatures), params) for _ in range(draw(st.integers(0, 2)))]
+        readable = sorted(set(signatures) - {"h"})
+        pre = [literal(readable, params) for _ in range(draw(st.integers(0, 2)))]
         if len(params) == 2:
             pre.append(draw(st.sampled_from([None, "(= ?a ?b)", "(not (= ?a ?b))"])))
         pre = " ".join(p for p in pre if p is not None)
@@ -809,8 +859,10 @@ def small_typed_tasks(draw):
         walked = draw(st.sampled_from(moves))
     reached = naive_closure(walked, domain)
     named = sorted(reached ^ naive_closure(init, domain))
-    if not named and atoms:
-        named = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=2))
+    named = [atom for atom in named if atom.predicate != "h"]
+    shown = [atom for atom in atoms if atom.predicate != "h"]
+    if not named and shown:
+        named = draw(st.lists(st.sampled_from(shown), min_size=1, max_size=2))
     goal = [GroundLiteral(atom, atom not in reached) for atom in named]
     if goal and draw(st.booleans()):
         goal[0] = GroundLiteral(goal[0].atom, not goal[0].negated)
@@ -843,7 +895,8 @@ def h_add_of(task: GroundTask, atoms) -> float:
 @given(small_typed_tasks())
 def test_task_agrees_with_naive_reference_on_random_domains(case):
     # On reachable states (breadth-first, capped): the closure equals the
-    # naive closure, the successor sets equal the naive interpreter's, h_add
+    # naive closure less exactly the atoms of derived predicates that
+    # nothing reads, the successor sets equal the naive interpreter's, h_add
     # equals the Bellman-Ford h_add for the goal and for the goal with each
     # literal flipped, and when the whole space fits under the cap, the
     # optimal plan length equals the naive breadth-first one.
@@ -855,7 +908,9 @@ def test_task_agrees_with_naive_reference_on_random_domains(case):
     states = reachable(task, limit=150)
     for base, full in states:
         atoms = task.decode(base)
-        assert task.decode(full) == naive_closure(atoms, domain)
+        reference = naive_closure(atoms, domain)
+        unread = naive_unread(domain, problem.goal, reference)
+        assert task.decode(full) == reference - unread
         expected = set()
         for step in steps:
             reason, nxt = naive_apply(domain, atoms, step, closures)
@@ -870,12 +925,47 @@ def test_task_agrees_with_naive_reference_on_random_domains(case):
         assert length == naive_bfs(domain, problem)
 
 
+@settings(max_examples=50, deadline=None)
+@given(small_typed_tasks(), st.data())
+def test_validator_agrees_with_naive_reference_on_random_domains(case, data):
+    # Random plans: applicable steps, any grounded step, steps naming no
+    # action or the wrong number of arguments.  The validator closes each
+    # state under the rules something reads and the naive interpreter under
+    # all of them; their verdicts agree for the goal and for the goal with
+    # each literal flipped.
+    domain, problem = case
+    steps = _ground_steps(domain, problem.objects)
+    plan, atoms = [], problem.init
+    for _ in range(data.draw(st.integers(0, 5))):
+        kind = data.draw(st.sampled_from(["legal", "legal", "any", "unknown", "arity"]))
+        doable = [s for s in steps if naive_apply(domain, atoms, s)[0] == "ok"]
+        if kind == "legal" and doable:
+            step = data.draw(st.sampled_from(doable))
+        elif kind == "unknown":
+            step = PlanStep("teleport", ())
+        else:
+            step = data.draw(st.sampled_from(steps))
+            if kind == "arity":
+                step = PlanStep(step.action, step.args[:-1])
+        plan.append(step)
+        reason, after = naive_apply(domain, atoms, step)
+        if reason == "ok":
+            atoms = after
+    for posed in flipped_goals(problem):
+        verdict = validate_plan(domain, posed.init, posed.goal, Plan(tuple(plan)))
+        expected = naive_run(domain, posed.init, posed.goal, Plan(tuple(plan)))
+        assert (verdict.ok, verdict.reason, verdict.step) == expected
+
+
 def folding_cases(domain, problem) -> tuple[bool, bool, bool]:
     """Whether some rule instance's body reads a static atom, whether one
     reads an atom that is never true, and whether one reads static atoms
-    only (so its head holds in every reachable state)."""
+    only (so its head holds in every reachable state).  Only the rules of
+    read predicates count: the task grounds no other."""
     actions = ground_actions(domain, problem.objects)
-    instances = planner._rule_instances(domain.derived, problem.objects, domain)
+    read = naive_read_predicates(domain, problem.goal)
+    rules = tuple(rule for rule in domain.derived if rule.head.predicate in read)
+    instances = planner._rule_instances(rules, problem.objects, domain)
     static = problem.init.difference(*(a.delete for a in actions))
     never = {atom for _, body in instances for atom in body}.difference(
         problem.init, *(a.add for a in actions), (head for head, _ in instances)
@@ -887,10 +977,10 @@ def folding_cases(domain, problem) -> tuple[bool, bool, bool]:
     )
 
 
-def test_random_domains_draw_every_folding_case():
-    # The differential test above runs 50 examples; each case the task's
-    # static-atom folding handles must turn up in at least a fifth of them.
-    cases = []
+def drawn_counts(cases) -> list[int]:
+    """Over 50 derandomized draws of ``small_typed_tasks``, how many draws
+    ``cases`` finds each of its cases in."""
+    drawn = []
 
     @settings(
         max_examples=50,
@@ -901,11 +991,17 @@ def test_random_domains_draw_every_folding_case():
     )
     @given(small_typed_tasks())
     def collect(case):
-        cases.append(folding_cases(*case))
+        drawn.append(cases(*case))
 
     collect()
-    assert len(cases) == 50
-    assert min(sum(drawn) for drawn in zip(*cases)) >= 10
+    assert len(drawn) == 50
+    return [sum(column) for column in zip(*drawn)]
+
+
+def test_random_domains_draw_every_folding_case():
+    # The differential test above runs 50 examples; each case the task's
+    # static-atom folding handles must turn up in at least a fifth of them.
+    assert min(drawn_counts(folding_cases)) >= 10
 
 
 def heuristic_cases(domain, problem) -> tuple[bool, bool]:
@@ -929,22 +1025,24 @@ def test_random_domains_draw_every_heuristic_case():
     # The differential test's h_add comparison must meet actions whose adds
     # cost 1 in every state and goals that cannot be reached, each in at
     # least a fifth of its 50 examples.
-    cases = []
+    assert min(drawn_counts(heuristic_cases)) >= 10
 
-    @settings(
-        max_examples=50,
-        derandomize=True,
-        database=None,
-        phases=[Phase.generate],
-        deadline=None,
-    )
-    @given(small_typed_tasks())
-    def collect(case):
-        cases.append(heuristic_cases(*case))
 
-    collect()
-    assert len(cases) == 50
-    assert min(sum(drawn) for drawn in zip(*cases)) >= 10
+def relevance_cases(domain, problem) -> tuple[bool, bool]:
+    """Whether some derived predicate is unread, and whether one is read
+    only through the body of another rule."""
+    read = naive_read_predicates(domain, problem.goal)
+    named = {lit.atom.predicate for lit in problem.goal}
+    named.update(lit.atom.predicate for a in domain.actions for lit in a.precondition)
+    heads = {rule.head.predicate for rule in domain.derived}
+    return bool(heads - read), bool(heads & read - named)
+
+
+def test_random_domains_draw_every_relevance_case():
+    # The task and the validator drop the rules of unread predicates and
+    # keep those read through another rule: the differential tests must
+    # meet each case in at least a fifth of their examples.
+    assert min(drawn_counts(relevance_cases)) >= 10
 
 
 def test_h_add_jumps_to_far_apart_costs():
