@@ -35,10 +35,15 @@ Two search modes: "optimal" is plain breadth-first search over unit-cost
 actions; "satisficing" is greedy best-first search under an additive-cost
 heuristic on the delete relaxation (derived rules cost nothing; Bonet &
 Geffner 2001).  Every action costs 1, so every cost is a whole number, and
-h_add settles atoms from a bucket queue keyed by cost (Dial 1969) over the
-task's rule and precondition watch lists.  A returned plan is not replayed
-here: the plan validator in ``metrics`` judges it wherever it leaves the
-program.
+h_add settles atoms from a bucket queue keyed by cost (Dial 1969).  It
+watches only the goal-relevant actions and rule instances, those a walk
+back from the positive goal atoms through their achievers reaches (Nebel,
+Dimopoulos & Koehler 1997); every achiever of a relevant atom is relevant,
+so its values are those of h_add over the whole task.  A search tests each
+new child of a node for the goal before it scores any of them, so no
+heuristic call goes to a sibling of the goal.  A returned plan is not
+replayed here: the plan validator in ``metrics`` judges it wherever it
+leaves the program.
 """
 
 from __future__ import annotations
@@ -47,7 +52,9 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from sceneground.pddl.model import (
     EQUALITY,
@@ -319,6 +326,28 @@ def _watch_lists(size: int, bodies) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, watch))
 
 
+class Relaxation(NamedTuple):
+    """The goal-relevant actions and rule instances of a task, as h_add
+    reads them: one list of producers, the actions first.  ``actions`` and
+    ``rules`` index ``GroundTask.compiled`` and ``GroundTask.rule_head``.
+    Producer ``i`` needs ``size[i]`` atoms (an action's positive
+    precondition, an instance's body), costs ``base[i]`` more than their
+    summed costs (1 for an action, 0 for an instance) and makes
+    ``makes[i]`` (an action's relevant adds, an instance's head).
+    ``watch[atom]`` lists the producers that need the atom, once per
+    occurrence.  ``free`` holds what the actions that need nothing make,
+    which costs 1 in every state; every folded instance has a body."""
+
+    actions: tuple[int, ...]
+    rules: tuple[int, ...]
+    atoms: frozenset[int]
+    base: list[int]
+    size: list[int]
+    makes: list[tuple[int, ...]]
+    watch: tuple[tuple[int, ...], ...]
+    free: tuple[int, ...]
+
+
 class GroundTask:
     """One problem compiled to integers, built once per ``solve`` call.
 
@@ -334,8 +363,9 @@ class GroundTask:
     not added by an action and not a rule head, is dropped, and the rest
     lose their const body atoms.  ``const_derived`` holds the const atoms
     that are not static.  Every state reachable from init keeps the static
-    atoms, and ``closure`` relies on it.  ``free_adds`` holds the adds of
-    the actions with no positive precondition, which cost 1 in every state.
+    atoms, and ``closure`` relies on it.  ``rule_head``, ``rule_body`` and
+    ``rule_watch`` describe the folded instances, which the closure reads in
+    full; h_add reads only their goal-relevant part, ``relaxed``.
     """
 
     def __init__(self, domain: Domain, problem: Problem):
@@ -379,20 +409,60 @@ class GroundTask:
             ]
         )
         self.const_derived = const - static
-        self.action_size = [len(pos) for pos, _, _, _ in self.compiled]
-        self.free_adds = tuple(
-            atom for pos, _, add, _ in self.compiled if not pos for atom in add
-        )
-        self.action_watch = _watch_lists(
-            len(self.atoms), (pos for pos, _, _, _ in self.compiled)
-        )
         self.init = (base, self.closure(base))
 
     def _watch_rules(self, rules) -> None:
         self.rule_head = [head for head, _ in rules]
+        self.rule_body = [body for _, body in rules]
         self.rule_size = [len(body) for _, body in rules]
         self.rule_watch = _watch_lists(len(self.atoms), (body for _, body in rules))
         self.watched = frozenset(i for i, ids in enumerate(self.rule_watch) if ids)
+
+    @cached_property
+    def relaxed(self) -> Relaxation:
+        """h_add's tables, over the goal-relevant part of the task only.
+
+        Walking back from the positive goal atoms: an action that adds a
+        relevant atom is relevant, and so are its positive preconditions; a
+        rule instance whose head is relevant is relevant, and so are its
+        body atoms (Nebel, Dimopoulos & Koehler 1997).  Negative
+        preconditions and negative goal literals cost nothing in the
+        relaxation, so they make nothing relevant.  Every achiever of a
+        relevant atom is relevant, so each goal atom costs what it would
+        over the whole task.  Built on the first h_add call, so a search
+        that runs no h_add never pays for it.
+        """
+        # Producers: the actions, then the rule instances.
+        needs = [pos for pos, _, _, _ in self.compiled] + self.rule_body
+        makes = [add for _, _, add, _ in self.compiled]
+        makes += [(head,) for head in self.rule_head]
+        producers: list[list[int]] = [[] for _ in self.atoms]
+        for index, made in enumerate(makes):
+            for atom in made:
+                producers[atom].append(index)
+        atoms = set(self.goal_pos)
+        queue = list(atoms)
+        kept: set[int] = set()
+        while queue:
+            for index in producers[queue.pop()]:
+                if index not in kept:
+                    kept.add(index)
+                    fresh = set(needs[index]) - atoms
+                    atoms |= fresh
+                    queue.extend(fresh)
+        order = sorted(kept)
+        actions = len(self.compiled)
+        kept_makes = [tuple(atom for atom in makes[i] if atom in atoms) for i in order]
+        return Relaxation(
+            tuple(i for i in order if i < actions),
+            tuple(i - actions for i in order if i >= actions),
+            frozenset(atoms),
+            [int(i < actions) for i in order],
+            [len(needs[i]) for i in order],
+            kept_makes,
+            _watch_lists(len(self.atoms), (needs[i] for i in order)),
+            tuple(atom for i, made in zip(order, kept_makes) if not needs[i] for atom in made),
+        )
 
     def _intern(self, atom: GroundAtom) -> int:
         index = self.ids.get(atom)
@@ -452,53 +522,47 @@ class GroundTask:
         instance costs the summed costs of its body.  The atoms of the
         state cost 0.  So every cost is a whole number, and atoms are
         settled cheapest first from buckets keyed by cost (Dial 1969): the
-        state's atoms settle at level 0, ``free_adds`` wait at level 1, a
-        rule head that costs the current level joins it, and the next
-        level is the smallest cost waiting, however far up that is.  This
-        stops once every positive goal atom is settled.  The value is the
+        state's relevant atoms settle at level 0, ``relaxed.free`` waits at
+        level 1, a rule head that costs the current level joins it, and the
+        next level is the smallest cost waiting, however far up that is.
+        Only the goal-relevant actions and rule instances (``relaxed``) are
+        watched, and only relevant atoms get a cost; the goal atoms cost
+        what they would over the whole task.  This stops once every
+        positive goal atom is settled.  The value is the
         summed cost of the positive goal literals, plus 1 for each
         negative goal literal whose atom holds, so it is zero exactly on
         goal states.
         """
         violated = sum(atom in full for atom in self.goal_neg)
         pending = set(self.goal_pos).difference(full)
-        heads, rule_watch = self.rule_head, self.rule_watch
-        compiled, action_watch = self.compiled, self.action_watch
-        rule_unmet = self.rule_size.copy()
-        rule_sum = [0] * len(rule_unmet)
-        action_unmet = self.action_size.copy()
-        action_sum = [1] * len(action_unmet)
-        cost = dict.fromkeys(full, 0)
-        buckets = {1: list(self.free_adds)} if self.free_adds else {}
-        level, settled = 0, list(full)
+        relaxed = self.relaxed
+        makes, watch = relaxed.makes, relaxed.watch
+        unmet = relaxed.size.copy()
+        total = relaxed.base.copy()
+        cost = dict.fromkeys(full & relaxed.atoms, 0)
+        buckets = {1: list(relaxed.free)} if relaxed.free else {}
+        level, settled = 0, list(cost)
         while True:
             # ``settled`` holds the atoms that cost ``level``, and grows
-            # while it is walked when a rule head costs ``level`` too.
+            # while it is walked when a rule instance's body costs ``level``.
             for atom in settled:
                 if not pending:
                     break
-                for rule in rule_watch[atom]:
-                    rule_sum[rule] += level
-                    rule_unmet[rule] -= 1
-                    if not rule_unmet[rule] and heads[rule] not in cost:
-                        head, total = heads[rule], rule_sum[rule]
-                        if total == level:
-                            cost[head] = level
-                            settled.append(head)
-                            pending.discard(head)
-                        elif total in buckets:
-                            buckets[total].append(head)
+                for index in watch[atom]:
+                    total[index] += level
+                    unmet[index] -= 1
+                    if not unmet[index]:
+                        price = total[index]
+                        if price == level:
+                            for made in makes[index]:
+                                if made not in cost:
+                                    cost[made] = level
+                                    settled.append(made)
+                                    pending.discard(made)
+                        elif price in buckets:
+                            buckets[price].extend(makes[index])
                         else:
-                            buckets[total] = [head]
-                for index in action_watch[atom]:
-                    action_sum[index] += level
-                    action_unmet[index] -= 1
-                    if not action_unmet[index]:
-                        total = action_sum[index]
-                        if total in buckets:
-                            buckets[total].extend(compiled[index][2])
-                        else:
-                            buckets[total] = list(compiled[index][2])
+                            buckets[price] = list(makes[index])
             if not pending:
                 return float(violated + sum(cost[atom] for atom in self.goal_pos))
             if not buckets:
@@ -581,6 +645,9 @@ def solve(
             return SolveResult("time-limit", None, expanded)
         state = pop()
         expanded += 1
+        # Every new child is goal-tested before any is scored, so no
+        # heuristic call goes to a sibling of a goal.
+        children = []
         for index, base in task.successors(state):
             if base in parents:
                 continue
@@ -588,12 +655,14 @@ def solve(
             full = task.closure(base)
             if task.satisfied(full):
                 return SolveResult("solved", _reconstruct(task, parents, base), expanded)
+            children.append((base, full))
+        for child in children:
             if heuristic is None:
-                push((base, full), 0.0)
+                push(child, 0.0)
             else:
-                h = heuristic(full)
+                h = heuristic(child[1])
                 if h < INFINITY:
-                    push((base, full), h)
+                    push(child, h)
     return SolveResult("unsolvable", None, expanded)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
+from heapq import heappop, heappush
 from types import SimpleNamespace
 
 import pytest
@@ -35,6 +36,7 @@ from sceneground.pddl import parse_domain
 from sceneground.pddl.model import (
     Atom,
     DerivedRule,
+    Domain,
     GroundAtom,
     GroundLiteral,
     Plan,
@@ -335,6 +337,22 @@ def test_task_folds_static_atoms_out_of_its_rule_instances():
     assert len(GroundTask(BLOCKS, blocks_problem(5)).rule_head) == 40
 
 
+def test_h_add_reads_only_the_goal_relevant_actions_and_rule_instances():
+    # The cooking truth's goal is (sliced cucumber) (in cucumber red_bowl):
+    # nothing that moves or slices the tomato reaches it (14 of the 40
+    # actions), and of the 18 rule instances only the one deriving
+    # (in cucumber red_bowl) from (at cucumber red_bowl) does.  Every hanoi
+    # move adds an onpeg atom that a goal atom's achievers read, and blocked
+    # is read only by negative preconditions, which cost nothing in the
+    # relaxation.
+    task = GroundTask(COOKING, gen_cooking(0).truth)
+    assert (len(task.relaxed.actions), len(task.compiled)) == (26, 40)
+    assert (len(task.relaxed.rules), len(task.rule_head)) == (1, 18)
+    hanoi = GroundTask(HANOI, hanoi_problem(6))
+    assert len(hanoi.relaxed.actions) == len(hanoi.compiled) == 36
+    assert (len(hanoi.relaxed.rules), len(hanoi.rule_head)) == (0, 45)
+
+
 @pytest.mark.parametrize(
     "domain,goal,heads",
     [
@@ -548,6 +566,59 @@ def test_solve_grounds_once(monkeypatch, mode):
     result = solve(HANOI, hanoi_problem(3), SearchConfig(mode=mode))
     assert result.status == "solved"
     assert len(calls) == 1
+
+
+def score_every_child(domain: Domain, problem: Problem):
+    """Greedy best-first search under h_add that scores each child as it
+    is generated, ``solve``'s tie-breaking otherwise.  Returns the plan,
+    the expansions, the heuristic calls, and how many of those went to
+    siblings generated before the goal."""
+    task = GroundTask(domain, problem)
+    parents = {task.init[0]: None}
+    heap, counter = [(0.0, 0, task.init)], itertools.count(1)
+    expanded = calls = 0
+    while heap:
+        state = heappop(heap)[2]
+        expanded += 1
+        before = calls
+        for index, base in task.successors(state):
+            if base in parents:
+                continue
+            parents[base] = (state[0], index)
+            full = task.closure(base)
+            if task.satisfied(full):
+                plan = planner._reconstruct(task, parents, base)
+                return plan, expanded, calls, calls - before
+            calls += 1
+            h = task.h_add(full)
+            if h < float("inf"):
+                heappush(heap, (h, next(counter), (base, full)))
+    raise AssertionError("no plan")
+
+
+def test_solve_scores_no_sibling_of_a_goal(monkeypatch):
+    # On 3-disk hanoi the goal is not the first new child of the last node
+    # expanded: scoring children as they come spends one call on a sibling
+    # of the goal, which solve skips, and finds the same plan.
+    scored = []
+    original = planner.make_heuristic
+
+    def counting(task, name):
+        heuristic = original(task, name)
+
+        def score(full):
+            scored.append(full)
+            return heuristic(full)
+
+        return score
+
+    monkeypatch.setattr(planner, "make_heuristic", counting)
+    problem = hanoi_problem(3)
+    result = solve(HANOI, problem, SearchConfig(mode="satisficing"))
+    plan, expanded, calls, siblings = score_every_child(HANOI, problem)
+    assert (result.plan, result.expanded) == (plan, expanded)
+    assert siblings == 1
+    assert len(scored) == calls - siblings
 
 
 # ---------------------------------------------------------------------------
@@ -1043,6 +1114,28 @@ def test_random_domains_draw_every_relevance_case():
     # keep those read through another rule: the differential tests must
     # meet each case in at least a fifth of their examples.
     assert min(drawn_counts(relevance_cases)) >= 10
+
+
+def goal_relevance_cases(domain, problem) -> tuple[bool, bool]:
+    """Whether h_add leaves out an action that has a positive
+    precondition, and whether it leaves out a rule instance the closure
+    watches."""
+    task = GroundTask(domain, problem)
+    relaxed = task.relaxed
+    return (
+        any(
+            pos and index not in relaxed.actions
+            for index, (pos, _, _, _) in enumerate(task.compiled)
+        ),
+        len(relaxed.rules) < len(task.rule_head),
+    )
+
+
+def test_random_domains_draw_every_goal_relevance_case():
+    # h_add reads only the goal-relevant actions and rule instances, and
+    # the differential test's h_add comparison must meet each kind of
+    # pruning in at least a fifth of its 50 examples.
+    assert min(drawn_counts(goal_relevance_cases)) >= 10
 
 
 def test_h_add_jumps_to_far_apart_costs():
