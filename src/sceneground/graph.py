@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from sceneground.pddl.model import (
     Domain,
@@ -48,12 +49,12 @@ class Exemplar:
     true_atoms: frozenset[GroundAtom]
 
 
-@dataclass(frozen=True)
-class CandidateTriplet:
+class CandidateTriplet(NamedTuple):
     """One type-valid (subject, predicate, object) hypothesis with its feature.
 
     Unary predicates use subject == object and the 6-dim shape feature;
     binary ones use distinct objects and the 4-dim difference feature.
+    A tuple, so building one costs no per-field ``__setattr__``.
     """
 
     subject: SceneObject
@@ -194,11 +195,11 @@ def classify(
     """
     if not test:
         return ()
-    truth = {(atom.predicate, atom.args) for atom in true_atoms}
     positives: list[tuple[float, ...]] = []
     negatives: list[tuple[float, ...]] = []
     for c in labeled:
-        (positives if (c.predicate, c.args) in truth else negatives).append(c.feature)
+        # A ground atom is a tuple, so the plain key finds it.
+        (positives if (c.predicate, c.args) in true_atoms else negatives).append(c.feature)
     if not positives or not negatives:
         raise ExemplarError(
             f"exemplar is uninformative for {test[0].predicate!r}: "

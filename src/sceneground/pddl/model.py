@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 ROOT_TYPE = "object"
 # Equality is a builtin usable in preconditions only; it is not part of the
@@ -243,9 +244,12 @@ def relevant_rules(domain: Domain, goal) -> tuple[DerivedRule, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class GroundAtom:
-    """A predicate applied to object names.  Orderable for canonical output."""
+class GroundAtom(NamedTuple):
+    """A predicate applied to object names.  Orderable for canonical output.
+
+    A tuple: it hashes, compares and sorts as ``(predicate, args)``, so a
+    plain ``(predicate, args)`` key also finds it in a dict or set.
+    """
 
     predicate: str
     args: tuple[str, ...]
@@ -254,8 +258,9 @@ class GroundAtom:
         return "(" + " ".join((self.predicate,) + self.args) + ")"
 
 
-@dataclass(frozen=True)
-class GroundLiteral:
+class GroundLiteral(NamedTuple):
+    """A ground atom with polarity; a tuple like ``GroundAtom``."""
+
     atom: GroundAtom
     negated: bool = False
 
@@ -265,7 +270,8 @@ class GroundLiteral:
 
 @dataclass(frozen=True)
 class Problem:
-    """A problem instance.  Objects are stored sorted by name (canonical)."""
+    """A problem instance.  Objects are stored sorted by name (canonical),
+    and no two share a name."""
 
     name: str
     domain_name: str
@@ -274,9 +280,11 @@ class Problem:
     goal: tuple[GroundLiteral, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "objects", tuple(sorted(self.objects, key=lambda o: o[0]))
-        )
+        objects = tuple(sorted(self.objects, key=lambda o: o[0]))
+        for (name, _), (after, _) in zip(objects, objects[1:]):
+            if name == after:
+                raise ModelError(f"duplicate object {name!r}")
+        object.__setattr__(self, "objects", objects)
         if not isinstance(self.init, frozenset):
             object.__setattr__(self, "init", frozenset(self.init))
 

@@ -1,11 +1,16 @@
 """Forward state-space search over the typed STRIPS subset.
 
-Each ``solve`` call compiles its problem once into a ``GroundTask``: actions
-are grounded (equality literals are resolved away at grounding time,
-dropping bindings they rule out), every atom becomes an int, and derived
-rules become ground (head, body) instances over type-valid bindings.  Only
-the rules ``relevant_rules`` keeps are ground: those whose head a
-precondition, a goal literal or another kept rule's body reads (the
+Each ``solve`` call compiles its problem once into a ``GroundTask``.
+``ground_actions`` lists each schema's type-valid bindings as steps
+(equality literals are resolved away there, dropping the bindings they rule
+out).  The task instantiates every step straight to atom ids from one
+template per schema, which gives each precondition literal, add and delete
+as a predicate and the binding positions of its arguments, as Fast
+Downward's translator grounds into integer facts (Helmert 2009); a
+``GroundAtom`` is built only for each new distinct atom.  Derived rules
+become ground (head, body) id instances the same way, over type-valid
+bindings.  Only the rules ``relevant_rules`` keeps are ground: those whose
+head a precondition, a goal literal or another kept rule's body reads (the
 relevance analysis of Fast Downward's translator, Helmert 2009).  No other
 derived atom can change which actions apply or whether the goal holds, so
 a task state holds no atom of an unread derived predicate.  The search and
@@ -51,18 +56,20 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import NamedTuple
 
 from sceneground.pddl.model import (
     EQUALITY,
+    ActionSchema,
     Atom,
     DerivedRule,
     Domain,
     GroundAtom,
-    GroundLiteral,
     Plan,
     PlanStep,
     Problem,
@@ -74,18 +81,6 @@ INFINITY = float("inf")
 
 class PlannerError(ValueError):
     """Bad search configuration or an ill-formed planning input."""
-
-
-@dataclass(frozen=True)
-class GroundAction:
-    name: str
-    args: tuple[str, ...]
-    precondition: tuple[GroundLiteral, ...]
-    add: frozenset[GroundAtom]
-    delete: frozenset[GroundAtom]
-
-    def step(self) -> PlanStep:
-        return PlanStep(self.name, self.args)
 
 
 @dataclass(frozen=True)
@@ -143,54 +138,67 @@ def _substitute(atom: Atom, env: dict[str, str]) -> GroundAtom:
 
 def ground_actions(
     domain: Domain, objects: tuple[tuple[str, str], ...]
-) -> tuple[GroundAction, ...]:
-    """All type-valid bindings of every schema, in deterministic order.
+) -> tuple[PlanStep, ...]:
+    """All type-valid bindings of every schema, as steps, in deterministic
+    order.
 
     Equality literals are evaluated against the binding right here: a
-    grounding that falsifies one is dropped, and satisfied ones vanish from
-    the grounded precondition.
+    binding that falsifies one is dropped.  No atom is built here;
+    ``GroundTask`` instantiates the survivors from per-schema templates.
     """
-    out: list[GroundAction] = []
-    seen: set[tuple[str, tuple[str, ...]]] = set()
+    out: list[PlanStep] = []
     for schema in domain.actions:
-        var_names = [v for v, _ in schema.params]
-        for combo in _bindings(schema.params, objects, domain):
-            key = (schema.name, combo)
-            if key in seen:
-                continue
-            seen.add(key)
-            env = dict(zip(var_names, combo))
-            pre = []
-            feasible = True
-            for lit in schema.precondition:
-                if lit.atom.predicate == EQUALITY:
-                    left, right = (env[a] for a in lit.atom.args)
-                    if (left == right) == lit.negated:
-                        feasible = False
-                        break
-                    continue
-                pre.append(GroundLiteral(_substitute(lit.atom, env), lit.negated))
-            if not feasible:
-                continue
-            out.append(
-                GroundAction(
-                    schema.name,
-                    combo,
-                    tuple(pre),
-                    frozenset(_substitute(a, env) for a in schema.add),
-                    frozenset(_substitute(a, env) for a in schema.delete),
-                )
-            )
+        variables = [v for v, _ in schema.params]
+        combos = _bindings(schema.params, objects, domain)
+        for lit in schema.precondition:
+            if lit.atom.predicate == EQUALITY:
+                left, right = map(variables.index, lit.atom.args)
+                combos = [
+                    c for c in combos if (c[left] == c[right]) != lit.negated
+                ]
+        out.extend(PlanStep(schema.name, combo) for combo in combos)
     return tuple(out)
+
+
+def _picker(positions: tuple[int, ...]):
+    """A function from a binding to its values at ``positions``, a tuple."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda values: (values[position],)
+    if not positions:
+        return lambda values: ()
+    return itemgetter(*positions)
+
+
+def _templates(atoms, variables: list[str]) -> tuple[tuple[str, Callable], ...]:
+    """Each atom as ``(predicate, picker)``, the picker taking its arguments
+    from a binding of ``variables``."""
+    return tuple(
+        (atom.predicate, _picker(tuple(map(variables.index, atom.args))))
+        for atom in atoms
+    )
+
+
+def _action_templates(schema: ActionSchema):
+    """The schema's positive and negative precondition atoms (equality
+    left out), adds and deletes, as templates over its parameters."""
+    variables = [v for v, _ in schema.params]
+    pre = [lit for lit in schema.precondition if lit.atom.predicate != EQUALITY]
+    return (
+        _templates([lit.atom for lit in pre if not lit.negated], variables),
+        _templates([lit.atom for lit in pre if lit.negated], variables),
+        _templates(schema.add, variables),
+        _templates(schema.delete, variables),
+    )
 
 
 def _rule_instances(
     rules: tuple[DerivedRule, ...],
     objects: tuple[tuple[str, str], ...],
     domain: Domain,
-) -> tuple[tuple[GroundAtom, tuple[GroundAtom, ...]], ...]:
-    """Fully ground every rule: (head, body) pairs over type-valid bindings."""
-    instances = []
+):
+    """Per rule: its head template, its body templates, and every
+    type-valid binding of its variables."""
     for rule in rules:
         # Each variable must satisfy every predicate position it occupies.
         constraints: dict[str, list[str]] = {}
@@ -211,15 +219,8 @@ def _rule_instances(
                 if all(domain.hierarchy.is_subtype(typ, want) for want in constraints[var])
             ]
             pools.append(pool)
-        for combo in itertools.product(*pools):
-            env = dict(zip(order, combo))
-            instances.append(
-                (
-                    _substitute(rule.head, env),
-                    tuple(_substitute(a, env) for a in rule.body),
-                )
-            )
-    return tuple(instances)
+        (head,) = _templates((rule.head,), order)
+        yield head, _templates(rule.body, order), itertools.product(*pools)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +352,11 @@ class Relaxation(NamedTuple):
 class GroundTask:
     """One problem compiled to integers, built once per ``solve`` call.
 
-    ``atoms[i]`` is the atom with id ``i``.  ``actions`` are the grounded
-    actions in ``ground_actions`` order, and ``compiled[i]`` is action ``i``
-    as (positive precondition, negative precondition, add, delete) ids.  A
+    ``atoms[i]`` is the atom with id ``i``, and ``ids`` maps an atom, or a
+    plain ``(predicate, args)`` key, back to its id.  ``actions`` are the
+    steps ``ground_actions`` returns, in its order, and ``compiled[i]`` is
+    step ``i`` as (positive precondition, negative precondition, add,
+    delete) ids, instantiated from its schema's templates.  A
     task state is a pair ``(base, full)`` of id frozensets: the observed
     atoms, and those plus every atom the rule instances derive from them.
 
@@ -373,24 +376,34 @@ class GroundTask:
         self.atoms: list[GroundAtom] = []
         self.ids: dict[GroundAtom, int] = {}
         intern = self._intern
-        self.compiled = tuple(
-            (
-                tuple(intern(lit.atom) for lit in a.precondition if not lit.negated),
-                tuple(intern(lit.atom) for lit in a.precondition if lit.negated),
-                frozenset(map(intern, a.add)),
-                frozenset(map(intern, a.delete)),
+
+        def ground(templates, binding) -> list[int]:
+            return [intern(predicate, pick(binding)) for predicate, pick in templates]
+
+        templates = {schema.name: _action_templates(schema) for schema in domain.actions}
+        compiled = []
+        for step in self.actions:
+            pos, neg, add, delete = templates[step.action]
+            args = step.args
+            compiled.append(
+                (
+                    tuple(ground(pos, args)),
+                    tuple(ground(neg, args)),
+                    frozenset(ground(add, args)),
+                    frozenset(ground(delete, args)),
+                )
             )
-            for a in self.actions
-        )
+        self.compiled = tuple(compiled)
         rules = [
-            (intern(head), tuple(map(intern, body)))
-            for head, body in _rule_instances(
+            (intern(head, pick_head(combo)), tuple(ground(body, combo)))
+            for (head, pick_head), body, bindings in _rule_instances(
                 relevant_rules(domain, problem.goal), problem.objects, domain
             )
+            for combo in bindings
         ]
-        self.goal_pos = tuple(intern(lit.atom) for lit in problem.goal if not lit.negated)
-        self.goal_neg = tuple(intern(lit.atom) for lit in problem.goal if lit.negated)
-        base = frozenset(map(intern, problem.init))
+        self.goal_pos = tuple(intern(*lit.atom) for lit in problem.goal if not lit.negated)
+        self.goal_neg = tuple(intern(*lit.atom) for lit in problem.goal if lit.negated)
+        base = frozenset(intern(*atom) for atom in problem.init)
 
         # The const atoms hold in every reachable state, so they are chained
         # once, here, with the unfolded instances.
@@ -464,9 +477,12 @@ class GroundTask:
             tuple(atom for i, made in zip(order, kept_makes) if not needs[i] for atom in made),
         )
 
-    def _intern(self, atom: GroundAtom) -> int:
-        index = self.ids.get(atom)
+    def _intern(self, predicate: str, args: tuple[str, ...]) -> int:
+        """The id of the atom, a new one if it has none yet; the
+        ``GroundAtom`` is built only then."""
+        index = self.ids.get((predicate, args))
         if index is None:
+            atom = GroundAtom(predicate, args)
             index = self.ids[atom] = len(self.atoms)
             self.atoms.append(atom)
         return index
@@ -670,6 +686,6 @@ def _reconstruct(task: GroundTask, parents, node) -> Plan:
     steps = []
     while parents[node] is not None:
         node, index = parents[node]
-        steps.append(task.actions[index].step())
+        steps.append(task.actions[index])
     steps.reverse()
     return Plan(tuple(steps))

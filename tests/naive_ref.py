@@ -155,6 +155,20 @@ def naive_run(domain: Domain, init, goal, plan: Plan):
     return True, None, None
 
 
+def naive_ground_action(domain: Domain, step: PlanStep):
+    """A step's positive and negative precondition atoms, in schema order
+    with equality literals left out, and its add and delete sets."""
+    schema = domain.action(step.action)
+    env = {var: value for (var, _), value in zip(schema.params, step.args)}
+    pos, neg = [], []
+    for lit in schema.precondition:
+        if lit.atom.predicate != EQUALITY:
+            (neg if lit.negated else pos).append(_subst(lit.atom, env))
+    add = {_subst(a, env) for a in schema.add}
+    delete = {_subst(a, env) for a in schema.delete}
+    return pos, neg, add, delete
+
+
 def _ground_steps(domain: Domain, objects):
     steps = []
     for schema in domain.actions:

@@ -187,10 +187,9 @@ def random_state_and_plan(rng: random.Random):
             if not options:
                 continue
             index, base = rng.choice(options)
-            steps.append(task.actions[index].step())
+            steps.append(task.actions[index])
         elif roll < 0.8:
-            choice = rng.choice(task.actions)  # often inapplicable
-            steps.append(choice.step())
+            steps.append(rng.choice(task.actions))  # often inapplicable
         elif roll < 0.9:
             steps.append(PlanStep("warp", tuple(rng.sample(blocks, 2))))
         else:

@@ -1,5 +1,7 @@
 """Parser, writer, and model tests for the typed STRIPS subset."""
 
+import pickle
+import random
 import re
 
 import pytest
@@ -402,6 +404,49 @@ def test_deep_nesting_does_not_overflow(depth):
 def test_ground_atom_str():
     assert str(GroundAtom("on", ("b1", "b2"))) == "(on b1 b2)"
     assert str(GroundLiteral(GroundAtom("covered", ("b1",)), True)) == "(not (covered b1))"
+
+
+def test_ground_atoms_and_literals_are_their_field_tuples():
+    atom = GroundAtom("on", ("b1", "b2"))
+    lit = GroundLiteral(atom, True)
+    assert atom == ("on", ("b1", "b2"))
+    assert hash(atom) == hash(("on", ("b1", "b2")))
+    assert lit == (atom, True)
+    assert hash(lit) == hash((atom, True))
+    assert GroundLiteral(atom) == (atom, False)
+    assert ("on", ("b1", "b2")) in {atom}
+    assert {atom: 0}[("on", ("b1", "b2"))] == 0
+    assert repr(atom) == "GroundAtom(predicate='on', args=('b1', 'b2'))"
+    assert repr(lit) == (
+        "GroundLiteral(atom=GroundAtom(predicate='on', args=('b1', 'b2')), negated=True)"
+    )
+    assert str(GroundLiteral(atom)) == "(on b1 b2)"
+    for value in (atom, lit):
+        again = pickle.loads(pickle.dumps(value))
+        assert (type(again), again, repr(again)) == (type(value), value, repr(value))
+
+
+def test_ground_atoms_sort_by_predicate_then_args():
+    ordered = [
+        GroundAtom("clear", ()),
+        GroundAtom("clear", ("b1",)),
+        GroundAtom("clear", ("b2",)),
+        GroundAtom("on", ("b1",)),
+        GroundAtom("on", ("b1", "b10")),
+        GroundAtom("on", ("b1", "b2")),
+        GroundAtom("on", ("b2", "b1")),
+        GroundAtom("on-table", ("b1",)),
+    ]
+    for seed in range(5):
+        shuffled = ordered.copy()
+        random.Random(seed).shuffle(shuffled)
+        assert sorted(shuffled) == ordered
+
+
+def test_problem_rejects_a_duplicate_object_name():
+    objects = (("b1", "block"), ("b2", "block"), ("b1", "table"))
+    with pytest.raises(ModelError, match="duplicate object 'b1'"):
+        Problem("p", "toy", objects, frozenset(), ())
 
 
 def test_plan_len():

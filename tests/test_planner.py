@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 import sceneground.planner as planner
 from naive_ref import (
     _ground_steps,
+    _typed_rule_instances,
     naive_apply,
     naive_bfs,
     naive_closure,
+    naive_ground_action,
     naive_h_add,
     naive_read_predicates,
     naive_run,
@@ -105,7 +107,7 @@ def reachable(task: GroundTask, limit: float = float("inf")) -> list:
 
 
 def action_index(task: GroundTask, name: str, *args: str) -> int:
-    return [(a.name, a.args) for a in task.actions].index((name, args))
+    return task.actions.index(PlanStep(name, args))
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +122,9 @@ def test_hanoi_three_disks_grounds_to_18_actions():
 
 
 def test_grounding_resolves_equality_away():
-    problem = hanoi_problem(2)
-    for action in ground_actions(HANOI, problem.objects):
-        assert all(lit.atom.predicate != "=" for lit in action.precondition)
+    task = GroundTask(HANOI, hanoi_problem(2))
+    for action, (pos, neg, _, _) in zip(task.actions, task.compiled):
+        assert all(atom.predicate != "=" for atom in task.decode(pos + neg))
         _, from_peg, to_peg = action.args
         assert from_peg != to_peg
 
@@ -133,7 +135,7 @@ def test_blocksworld_grounding_count_by_hand():
     grounded = ground_actions(BLOCKS, blocks_problem(3).objects)
     per_schema = {}
     for action in grounded:
-        per_schema[action.name] = per_schema.get(action.name, 0) + 1
+        per_schema[action.action] = per_schema.get(action.action, 0) + 1
     assert per_schema == {
         "unstack-from-base": 9,
         "unstack-from-tower": 9,
@@ -184,7 +186,7 @@ def brute_force_ground(domain, objects):
     ids=["blocksworld", "hanoi", "cooking"],
 )
 def test_grounding_matches_brute_force(domain, objects):
-    grounded = {(a.name, a.args) for a in ground_actions(domain, objects)}
+    grounded = {(a.action, a.args) for a in ground_actions(domain, objects)}
     assert grounded == brute_force_ground(domain, objects)
 
 
@@ -996,6 +998,61 @@ def test_task_agrees_with_naive_reference_on_random_domains(case):
         assert length == naive_bfs(domain, problem)
 
 
+def assert_compiled_as_substituted(domain: Domain, problem: Problem) -> None:
+    """Every compiled action, decoded, is its schema substituted by the
+    naive reference: each delete is checked, not only those some reachable
+    state exposes."""
+    task = GroundTask(domain, problem)
+    assert len(task.compiled) == len(task.actions)
+    for step, (pos, neg, add, delete) in zip(task.actions, task.compiled):
+        decoded = (
+            [task.atoms[i] for i in pos],
+            [task.atoms[i] for i in neg],
+            task.decode(add),
+            task.decode(delete),
+        )
+        assert decoded == naive_ground_action(domain, step), step
+
+
+# A derived predicate of arity 0, read by a negative precondition.
+FLAG = parse_domain(
+    "(define (domain flag) (:requirements :strips :typing :derived-predicates)"
+    " (:types thing) (:predicates (made ?x - thing) (any))"
+    " (:derived (any) (made ?x))"
+    " (:action make :parameters (?x - thing) :precondition (not (any))"
+    " :effect (made ?x)))"
+)
+
+
+@pytest.mark.parametrize(
+    "domain,problem",
+    [
+        (BLOCKS, blocks_problem(4)),
+        (HANOI, hanoi_problem(4)),
+        (COOKING, gen_cooking(0).truth),
+        (
+            FLAG,
+            Problem(
+                "flag",
+                "flag",
+                (("a", "thing"), ("b", "thing")),
+                frozenset(),
+                (positive("any"),),
+            ),
+        ),
+    ],
+    ids=["blocksworld", "hanoi", "cooking", "nullary"],
+)
+def test_compiled_actions_match_naive_substitution(domain, problem):
+    assert_compiled_as_substituted(domain, problem)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_typed_tasks())
+def test_compiled_actions_match_naive_substitution_on_random_domains(case):
+    assert_compiled_as_substituted(*case)
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_typed_tasks(), st.data())
 def test_validator_agrees_with_naive_reference_on_random_domains(case, data):
@@ -1033,13 +1090,18 @@ def folding_cases(domain, problem) -> tuple[bool, bool, bool]:
     reads an atom that is never true, and whether one reads static atoms
     only (so its head holds in every reachable state).  Only the rules of
     read predicates count: the task grounds no other."""
-    actions = ground_actions(domain, problem.objects)
+    task = GroundTask(domain, problem)
+    adds = [task.decode(add) for _, _, add, _ in task.compiled]
+    deletes = [task.decode(delete) for _, _, _, delete in task.compiled]
     read = naive_read_predicates(domain, problem.goal)
-    rules = tuple(rule for rule in domain.derived if rule.head.predicate in read)
-    instances = planner._rule_instances(rules, problem.objects, domain)
-    static = problem.init.difference(*(a.delete for a in actions))
+    instances = [
+        (head, body)
+        for body, head in _typed_rule_instances(domain, problem.objects)
+        if head.predicate in read
+    ]
+    static = problem.init.difference(*deletes)
     never = {atom for _, body in instances for atom in body}.difference(
-        problem.init, *(a.add for a in actions), (head for head, _ in instances)
+        problem.init, *adds, (head for head, _ in instances)
     )
     return (
         any(static.intersection(body) for _, body in instances),
@@ -1079,11 +1141,8 @@ def heuristic_cases(domain, problem) -> tuple[bool, bool]:
     """Whether some grounded action has no positive precondition (its adds
     cost 1 in every state), and whether the naive h_add is infinite on some
     reachable state for the goal or a goal with one literal flipped."""
-    free = any(
-        all(lit.negated for lit in action.precondition)
-        for action in ground_actions(domain, problem.objects)
-    )
     task = GroundTask(domain, problem)
+    free = any(not pos for pos, _, _, _ in task.compiled)
     infinite = any(
         naive_h_add(domain, posed, task.decode(base)) == float("inf")
         for base, _ in reachable(task, limit=150)
