@@ -46,7 +46,6 @@ from sceneground.pddl.model import (
     GroundAtom,
     Plan,
     Problem,
-    relevant_rules,
 )
 from sceneground.planner import SearchConfig, axiom_closure, solve
 from sceneground.scene import (
@@ -125,39 +124,35 @@ def triplet_pr(
 def validate_plan(domain: Domain, init, goal, plan: Plan) -> Verdict:
     """Replay the plan from init; the goal must hold after the last step.
 
-    Steps are checked against the closure of the current state under the
-    rules some precondition or goal literal reads (``relevant_rules``).  A
-    step naming no schema (or the wrong number of arguments) is
-    unknown-action; the first violation wins.
+    The state is kept as per-predicate sets of argument tuples, changed in
+    place by each step (deletes, then adds).  Each step's precondition
+    literals and the goal literals are looked up in a fresh
+    ``axiom_closure`` view of the state, which proves only the derived
+    atoms they ask about.  A step naming no schema (or the wrong number of
+    arguments) is unknown-action; the first violation wins.
     """
-    rules = relevant_rules(domain, goal)
-    atoms = frozenset(init)
+    facts: dict[str, set[tuple[str, ...]]] = {}
+    for atom in init:
+        facts.setdefault(atom.predicate, set()).add(atom.args)
     for index, step in enumerate(plan.steps):
         schema = domain.action(step.action)
         if schema is None or len(schema.params) != len(step.args):
             return Verdict(False, index, "unknown-action")
         env = dict(zip((v for v, _ in schema.params), step.args))
-        reached = atoms | axiom_closure(atoms, rules)
+        reached = axiom_closure(facts, domain.derived)
         for lit in schema.precondition:
+            args = tuple(env[a] for a in lit.atom.args)
             if lit.atom.predicate == EQUALITY:
-                holds = env[lit.atom.args[0]] == env[lit.atom.args[1]]
+                holds = args[0] == args[1]
             else:
-                grounded = GroundAtom(
-                    lit.atom.predicate, tuple(env[a] for a in lit.atom.args)
-                )
-                holds = grounded in reached
+                holds = (lit.atom.predicate, args) in reached
             if holds == lit.negated:
                 return Verdict(False, index, "precondition-unsatisfied")
-        delete = {
-            GroundAtom(a.predicate, tuple(env[x] for x in a.args))
-            for a in schema.delete
-        }
-        add = {
-            GroundAtom(a.predicate, tuple(env[x] for x in a.args))
-            for a in schema.add
-        }
-        atoms = frozenset((atoms - delete) | add)
-    reached = atoms | axiom_closure(atoms, rules)
+        for atom in schema.delete:
+            facts.get(atom.predicate, set()).discard(tuple(env[a] for a in atom.args))
+        for atom in schema.add:
+            facts.setdefault(atom.predicate, set()).add(tuple(env[a] for a in atom.args))
+    reached = axiom_closure(facts, domain.derived)
     if all((lit.atom in reached) != lit.negated for lit in goal):
         return Verdict(True, None, None)
     return Verdict(False, None, "goal-unsatisfied")

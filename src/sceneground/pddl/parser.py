@@ -10,7 +10,7 @@ line/column position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from sceneground.pddl.model import (
     EQUALITY,
@@ -47,32 +47,24 @@ class PddlError(ValueError):
 # Tokenizing and nesting
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[()]|[^\s();]+|;[^\n]*")
+_TOKEN_RE = re.compile(r"[()]|[^\s();]+")
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     text: str
     line: int
     col: int
 
 
 def _tokenize(text: str) -> list[_Tok]:
+    """The tokens of each line, a ``;`` comment cut off first.  No token
+    spans a newline, and ``;`` cannot occur inside one, so the first ``;``
+    of a line starts its comment."""
     toks: list[_Tok] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        # Track line numbers across the gap since the previous token.
-        gap = text[pos : m.start()]
-        line += gap.count("\n")
-        if "\n" in gap:
-            line_start = pos + gap.rfind("\n") + 1
-        pos = m.start()
-        tok = m.group(0)
-        if tok.startswith(";"):
-            continue
-        toks.append(_Tok(tok, line, m.start() - line_start + 1))
+    for line, chars in enumerate(text.split("\n"), 1):
+        if ";" in chars:
+            chars = chars[: chars.index(";")]
+        toks.extend(_Tok(m.group(), line, m.start() + 1) for m in _TOKEN_RE.finditer(chars))
     return toks
 
 

@@ -30,11 +30,12 @@ which every state reachable from init does.  The closure is also typed: a
 rule derives a head only for bindings that fit the head predicate's
 parameter types, as PDDL requires.  The lifted ``axiom_closure`` is the
 plan validator's closure in ``metrics``, kept apart from the task so that
-it judges independently; the two share only ``relevant_rules``.  It joins
-rule bodies against an index of the atoms built per call, and re-runs a
-rule only when a predicate its body reads gained atoms.  It ignores head
-types and so may also derive ill-typed atoms; no action precondition or
-typed goal reads one.
+it judges independently.  It derives nothing up front: its view of a state
+proves each atom it is asked about top-down, joining rule bodies against
+the state's facts and answering derived body atoms as memoized subqueries
+(query-subquery evaluation, Vieille 1986), so a plan step costs only the
+literals it reads.  It ignores head types and so may also prove ill-typed
+atoms; no action precondition or typed goal reads one.
 
 Two search modes: "optimal" is plain breadth-first search over unit-cost
 actions; "satisficing" is greedy best-first search under an additive-cost
@@ -53,6 +54,7 @@ leaves the program.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections import deque
@@ -66,7 +68,6 @@ from typing import NamedTuple
 from sceneground.pddl.model import (
     EQUALITY,
     ActionSchema,
-    Atom,
     DerivedRule,
     Domain,
     GroundAtom,
@@ -130,10 +131,6 @@ def _bindings(
             return
         pools.append(pool)
     yield from itertools.product(*pools)
-
-
-def _substitute(atom: Atom, env: dict[str, str]) -> GroundAtom:
-    return GroundAtom(atom.predicate, tuple(env[a] for a in atom.args))
 
 
 def ground_actions(
@@ -224,91 +221,167 @@ def _rule_instances(
 
 
 # ---------------------------------------------------------------------------
-# Derived-predicate fixpoint
+# Derived atoms on demand
 # ---------------------------------------------------------------------------
 
 
 def axiom_closure(
-    base, rules: tuple[DerivedRule, ...] | list[DerivedRule]
-) -> frozenset[GroundAtom]:
-    """Least fixpoint of the positive rules over the base atoms.
+    facts: dict[str, set[tuple[str, ...]]], rules: tuple[DerivedRule, ...]
+) -> ClosureView:
+    """The closure of ``facts`` under ``rules``, as a view that proves each
+    atom it is asked about (see ``ClosureView``).
 
-    Semi-naive by predicate: the first round runs every rule, and a later
-    round runs only the rules whose body reads a predicate that gained
-    atoms in the round before.  A rule that reads nothing new has the same
-    matches as last round, so every head they give is already known.
-    Handles recursive rule sets, not just the acyclic ones the parser
-    admits.
+    ``facts`` maps each predicate to the argument tuples of its atoms.  The
+    view reads it without copying, so it answers for the state that
+    ``facts`` holds until the next change to it.
     """
-    read = {atom.predicate for rule in rules for atom in rule.body}
-    known: set[GroundAtom] = set(base)
-    index: dict[tuple, list[tuple[str, ...]]] = {}
-    _index_atoms(index, known, read)
-    derived: set[GroundAtom] = set()
-    pending = tuple(rules)
-    while pending:
-        fresh: set[GroundAtom] = set()
-        for rule in pending:
-            for env in _match_body(rule.body, index, {}):
-                head = _substitute(rule.head, env)
-                if head not in known:
-                    fresh.add(head)
-        known |= fresh
-        derived |= fresh
-        _index_atoms(index, fresh, read)
-        changed = {atom.predicate for atom in fresh}
-        pending = tuple(
-            rule for rule in rules if any(a.predicate in changed for a in rule.body)
+    return ClosureView(facts, rules)
+
+
+class ClosureView:
+    """``atom in view`` is true when the atom is a fact or some rule proves
+    it from the facts, by query-subquery evaluation (Vieille 1986).
+
+    A base atom is a lookup in ``facts``.  A derived atom is unified with
+    each rule head of its predicate, and the rule body is joined left to
+    right against the facts: a body atom whose arguments are all bound is
+    looked up, the others are scanned, bound positions filtered before a
+    binding is copied.  A derived body atom is a subquery with the bound
+    positions of its pattern filled in and ``None`` at the others.  Its
+    answers, the matching argument tuples, are memoized once per view in
+    ``answers``.  A join that needs an unanswered subquery is suspended on
+    an explicit stack while the subquery runs, so a deep rule chain does
+    not recurse on the interpreter stack.  The parser admits only acyclic
+    rules; a query that comes to depend on itself raises ``PlannerError``.
+    Head types are not checked: a rule proves a head for every binding its
+    body matches.
+    """
+
+    __slots__ = ("facts", "rules", "answers")
+
+    def __init__(self, facts, rules) -> None:
+        self.facts = facts
+        self.rules: dict[str, list[DerivedRule]] = {}
+        for rule in rules:
+            self.rules.setdefault(rule.head.predicate, []).append(rule)
+        self.answers: dict[tuple, set[tuple[str, ...]]] = {}
+
+    def __contains__(self, atom) -> bool:
+        predicate, args = atom
+        if predicate in self.rules:
+            return bool(self._query((predicate, args)))
+        return args in self.facts.get(predicate, ())
+
+    def _query(self, query) -> set[tuple[str, ...]]:
+        """The answers to ``query``, found with every subquery it suspends
+        on unless they are memoized."""
+        answers = self.answers
+        if query in answers:
+            return answers[query]
+        stack = [(query, self._solve(*query))]
+        waiting = {query}
+        reply = None
+        while True:
+            query, proof = stack[-1]
+            try:
+                sub = proof.send(reply)
+            except StopIteration as done:
+                answers[query] = reply = done.value
+                waiting.discard(query)
+                stack.pop()
+                if not stack:
+                    return reply
+            else:
+                if sub in waiting:
+                    raise PlannerError(f"recursive rules for {sub[0]!r}")
+                waiting.add(sub)
+                stack.append((sub, self._solve(*sub)))
+                reply = None
+
+    def _solve(self, predicate: str, pattern: tuple):
+        """A generator that yields each unanswered subquery, is sent its
+        answers, and returns the argument tuples of ``predicate`` that match
+        ``pattern``; when the pattern is fully bound, it stops at the first
+        proof."""
+        facts, rules, answers = self.facts, self.rules, self.answers
+        found = {
+            values
+            for values in facts.get(predicate, ())
+            if len(values) == len(pattern)
+            and all(want in (None, value) for want, value in zip(pattern, values))
+        }
+        complete = None not in pattern
+        if complete and found:
+            return found
+        mask = tuple(value is not None for value in pattern)
+        for rule in rules[predicate]:
+            if len(rule.head.args) != len(pattern):
+                continue
+            env: dict[str, str] = {}
+            for var, value in zip(rule.head.args, pattern):
+                if value is not None and env.setdefault(var, value) != value:
+                    break
+            else:
+                head, steps = _join_plan(rule, mask)
+                pending = [(0, env)]
+                while pending:
+                    depth, env = pending.pop()
+                    if depth == len(steps):
+                        if complete:
+                            return {pattern}
+                        found.add(head(env))
+                        continue
+                    name, bound, arity, checked, wanted, binds = steps[depth]
+                    args = tuple(map(env.get, bound))
+                    if name in rules:
+                        rows = answers.get((name, args))
+                        if rows is None:
+                            rows = yield (name, args)
+                    elif binds:
+                        rows = facts.get(name, ())
+                    else:
+                        rows = (args,) if args in facts.get(name, ()) else ()
+                    want = wanted(env) if wanted else None
+                    for values in rows:
+                        if len(values) != arity or (checked and checked(values) != want):
+                            continue
+                        trial = env.copy() if binds else env
+                        for position, var in binds:
+                            value = values[position]
+                            if trial.setdefault(var, value) != value:
+                                break
+                        else:
+                            pending.append((depth + 1, trial))
+        return found
+
+
+@functools.lru_cache(maxsize=1024)
+def _join_plan(rule: DerivedRule, mask: tuple[bool, ...]):
+    """The head picker and the body's join steps, when a query binds the
+    head positions that ``mask`` marks.  Each step is a body atom's
+    predicate, its variables with ``None`` at those not bound before it,
+    its arity, pickers of a row's values and of the binding's values at
+    the bound positions (``None`` when no position is bound or all are, so
+    a lookup needs no check), and the (position, variable) pairs it
+    binds."""
+    known = {var for var, bound in zip(rule.head.args, mask) if bound}
+    steps = []
+    for atom in rule.body:
+        checks = [(pos, var) for pos, var in enumerate(atom.args) if var in known]
+        binds = tuple((pos, var) for pos, var in enumerate(atom.args) if var not in known)
+        scan = checks and binds
+        steps.append(
+            (
+                atom.predicate,
+                tuple(var if var in known else None for var in atom.args),
+                len(atom.args),
+                itemgetter(*(pos for pos, _ in checks)) if scan else None,
+                itemgetter(*(var for _, var in checks)) if scan else None,
+                binds,
+            )
         )
-    return frozenset(derived)
-
-
-def _index_atoms(index: dict, atoms, read: set[str]) -> None:
-    """File the argument tuples of the atoms whose predicate some rule body
-    reads under ``(predicate, ())`` and ``(predicate, ((position, value),))``
-    for each of their positions."""
-    for atom in atoms:
-        if atom.predicate not in read:
-            continue
-        index.setdefault((atom.predicate, ()), []).append(atom.args)
-        for key in enumerate(atom.args):
-            index.setdefault((atom.predicate, (key,)), []).append(atom.args)
-
-
-def _match_body(body, index: dict, env: dict[str, str]):
-    """Backtracking join of the body atoms against the atom index, yielding
-    each binding of their variables.
-
-    Each atom is looked up by the first of its arguments that ``env``
-    already binds (all atoms of its predicate when none is bound).  One env
-    dict is passed down and copied only where a match binds a new variable,
-    so callers must not change a yielded binding.
-    """
-    if not body:
-        yield env
-        return
-    first, rest = body[0], body[1:]
-    key = ()
-    for position, var in enumerate(first.args):
-        value = env.get(var)
-        if value is not None:
-            key = ((position, value),)
-            break
-    arity = len(first.args)
-    for values in index.get((first.predicate, key), ()):
-        if len(values) != arity:
-            continue
-        trial = env
-        for var, value in zip(first.args, values):
-            bound = trial.get(var)
-            if bound is None:
-                if trial is env:
-                    trial = dict(env)
-                trial[var] = value
-            elif bound != value:
-                break
-        else:
-            yield from _match_body(rest, index, trial)
+        known.update(atom.args)
+    return _picker(rule.head.args), tuple(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from sceneground.pddl.model import (
 from sceneground.planner import GroundTask, SearchConfig, SolveResult, solve
 from sceneground.graph import exemplar_to_json
 from sceneground.scene import Box, Detection, SceneObservation
+from test_pddl import chain_domain
 
 BLOCKS = parse_domain(domain_text("blocksworld"))
 HANOI = parse_domain(domain_text("hanoi"))
@@ -141,6 +142,16 @@ def test_equality_preconditions_are_enforced():
     plan = Plan((PlanStep("move", ("d1", "p1", "p1")),))
     verdict = validate_plan(HANOI, init, (lit("onpeg", "d1", "p1"),), plan)
     assert verdict == Verdict(False, 0, "precondition-unsatisfied")
+
+
+def test_deep_rule_chains_are_judged_without_recursion():
+    # p0 <- p1 <- ... <- p3000: proving (p0 a) suspends 3000 nested joins.
+    domain = parse_domain(chain_domain(3000, cyclic=False))
+    goal = (lit("p0", "a"),)
+    verdict = validate_plan(domain, {GroundAtom("p3000", ("a",))}, goal, Plan(()))
+    assert verdict == Verdict(True, None, None)
+    verdict = validate_plan(domain, set(), goal, Plan(()))
+    assert verdict == Verdict(False, None, "goal-unsatisfied")
 
 
 def test_solver_plans_validate_end_to_end():

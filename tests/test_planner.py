@@ -11,12 +11,12 @@ import itertools
 import random
 from dataclasses import replace
 from heapq import heappop, heappush
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import sceneground.metrics as metrics
 import sceneground.planner as planner
 from naive_ref import (
     _ground_steps,
@@ -202,27 +202,35 @@ def test_grounding_order_is_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def test_closure_supports_recursive_rules():
-    # The parser refuses recursive files, but the fixpoint engine itself
-    # must handle them: transitive reachability over a chain.
-    above_step = DerivedRule(
-        Atom("above", ("?x", "?z")),
-        (Atom("on", ("?x", "?y")), Atom("above", ("?y", "?z"))),
-    )
-    above_base = DerivedRule(Atom("above", ("?x", "?y")), (Atom("on", ("?x", "?y")),))
-    base = {GroundAtom("on", ("a", "b")), GroundAtom("on", ("b", "c"))}
-    derived = axiom_closure(base, (above_step, above_base))
-    assert derived == {
-        GroundAtom("above", ("a", "b")),
-        GroundAtom("above", ("b", "c")),
-        GroundAtom("above", ("a", "c")),
-    }
+def facts_of(atoms) -> dict[str, set[tuple[str, ...]]]:
+    """The atoms as ``axiom_closure`` reads them: argument tuples per
+    predicate."""
+    facts: dict[str, set[tuple[str, ...]]] = {}
+    for atom in atoms:
+        facts.setdefault(atom.predicate, set()).add(atom.args)
+    return facts
+
+
+def closure_of(atoms, domain: Domain):
+    return axiom_closure(facts_of(atoms), domain.derived)
+
+
+def ground_atoms(domain: Domain, kind: str, constants) -> list[GroundAtom]:
+    """Every atom of the domain's predicates of this kind over the
+    constants, types ignored."""
+    return [
+        GroundAtom(sig.name, args)
+        for sig in domain.predicates
+        if sig.kind == kind
+        for args in itertools.product(constants, repeat=sig.arity)
+    ]
 
 
 def test_closure_on_blocks_stack():
     base = {GroundAtom("on", ("b1", "b2")), GroundAtom("on", ("b2", "b3"))}
-    derived = axiom_closure(base, BLOCKS.derived)
-    assert derived == {
+    view = closure_of(base, BLOCKS)
+    held = {a for a in ground_atoms(BLOCKS, "derived", ("b1", "b2", "b3")) if a in view}
+    assert held == {
         GroundAtom("covered", ("b2",)),
         GroundAtom("covered", ("b3",)),
         GroundAtom("supported", ("b1",)),
@@ -234,7 +242,8 @@ def test_closure_on_blocks_stack():
 
 
 def test_closure_of_empty_base_is_empty():
-    assert axiom_closure(frozenset(), BLOCKS.derived) == frozenset()
+    view = closure_of(frozenset(), BLOCKS)
+    assert not any(a in view for a in ground_atoms(BLOCKS, "derived", ("b1", "b2")))
 
 
 def test_task_closure_respects_head_types():
@@ -247,14 +256,18 @@ def test_task_closure_respects_head_types():
     derived = task.decode(task.init[1]) - problem.init
     assert GroundAtom("in", ("cucumber", "board1")) not in derived
     assert GroundAtom("in", ("tomato", "white_bowl")) in derived
-    lifted = axiom_closure(problem.init, COOKING.derived)
+    view = closure_of(problem.init, COOKING)
+    names = [name for name, _ in problem.objects]
+    lifted = [a for a in ground_atoms(COOKING, "derived", names) if a in view]
     assert derived == {a for a in lifted if well_typed(a, COOKING, problem.objects)}
+
+
+BLOCK_NAMES = ("b1", "b2", "b3", "b4")
 
 
 @st.composite
 def on_atom_sets(draw):
-    names = ("b1", "b2", "b3", "b4")
-    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    pairs = st.tuples(st.sampled_from(BLOCK_NAMES), st.sampled_from(BLOCK_NAMES))
     atoms = draw(st.frozensets(pairs, max_size=8))
     return frozenset(GroundAtom("on", pair) for pair in atoms)
 
@@ -263,68 +276,81 @@ def on_atom_sets(draw):
 @given(on_atom_sets(), on_atom_sets())
 def test_closure_is_monotone_in_the_base(small, extra):
     # Positive rules only, so a larger base never loses derived atoms.
-    assert axiom_closure(small, BLOCKS.derived) <= axiom_closure(
-        small | extra, BLOCKS.derived
-    )
+    smaller, larger = closure_of(small, BLOCKS), closure_of(small | extra, BLOCKS)
+    for atom in ground_atoms(BLOCKS, "derived", BLOCK_NAMES):
+        assert atom not in smaller or atom in larger
 
 
 @settings(max_examples=40, deadline=None)
 @given(on_atom_sets())
 def test_closure_derives_only_derived_predicates(base):
-    derived = axiom_closure(base, BLOCKS.derived)
-    names = {sig.name for sig in BLOCKS.predicates if sig.kind == "derived"}
-    assert all(atom.predicate in names for atom in derived)
-    assert not derived & base
+    view = closure_of(base, BLOCKS)
+    for atom in ground_atoms(BLOCKS, "observed", BLOCK_NAMES):
+        assert (atom in view) == (atom in base)
 
 
-# The parser refuses recursion, so this rule set is built by hand:
-# p is the transitive closure of e.
-TRANSITIVE = (
-    DerivedRule(Atom("p", ("?a", "?b")), (Atom("e", ("?a", "?b")),)),
-    DerivedRule(
-        Atom("p", ("?a", "?b")), (Atom("e", ("?a", "?m")), Atom("p", ("?m", "?b")))
-    ),
-)
 CLOSURE_CASES = [
-    (domain.derived, [(sig.name, sig.arity) for sig in domain.observed])
+    (domain, [(sig.name, sig.arity) for sig in domain.observed])
     for domain in (BLOCKS, HANOI, COOKING)
-] + [(TRANSITIVE, [("e", 2)])]
+]
+CLOSURE_NAMES = ("o1", "o2", "o3", "o4")
 
 
 @st.composite
 def closure_cases(draw):
-    rules, predicates = draw(st.sampled_from(CLOSURE_CASES))
-    names = st.sampled_from(("o1", "o2", "o3", "o4"))
+    domain, predicates = draw(st.sampled_from(CLOSURE_CASES))
+    names = st.sampled_from(CLOSURE_NAMES)
     atom = st.sampled_from(predicates).flatmap(
         lambda sig: st.tuples(st.just(sig[0]), st.tuples(*[names] * sig[1]))
     )
     atoms = draw(st.frozensets(atom, max_size=10))
-    return rules, frozenset(GroundAtom(name, args) for name, args in atoms)
+    return domain, frozenset(GroundAtom(name, args) for name, args in atoms)
 
 
 @settings(max_examples=100, deadline=None)
 @given(closure_cases())
 def test_closure_agrees_with_naive_reference(case):
-    rules, base = case
-    reference = naive_closure(base, SimpleNamespace(derived=rules))
-    assert base | axiom_closure(base, rules) == reference
+    domain, base = case
+    reference = naive_closure(base, domain)
+    view = closure_of(base, domain)
+    for atom in ground_atoms(domain, "derived", CLOSURE_NAMES):
+        assert (atom in view) == (atom in reference)
 
 
-def test_closure_joins_a_rule_again_only_when_its_body_changed(monkeypatch):
-    # Hanoi's rules read only observed predicates, so a second round would
-    # repeat the first one's matches.  The join's recursive calls pass
-    # shorter bodies: only a rule's whole body marks the start of its join.
-    bodies = []
-    match_body = planner._match_body
+def test_closure_refuses_a_recursive_derivation():
+    # The parser refuses recursive rules.  A hand-built rule set still
+    # answers a query that never comes to depend on itself, and refuses
+    # one that does: p(o1, o3) asks p(o2, o3), which asks p(o1, o3).
+    rules = (
+        DerivedRule(Atom("p", ("?a", "?b")), (Atom("e", ("?a", "?b")),)),
+        DerivedRule(
+            Atom("p", ("?a", "?b")), (Atom("e", ("?a", "?m")), Atom("p", ("?m", "?b")))
+        ),
+    )
+    view = axiom_closure({"e": {("o1", "o2"), ("o2", "o1")}}, rules)
+    assert ("p", ("o1", "o2")) in view
+    with pytest.raises(PlannerError, match="recursive rules for 'p'"):
+        ("p", ("o1", "o3")) in view
 
-    def counting(body, *args):
-        bodies.append(body)
-        return match_body(body, *args)
 
-    monkeypatch.setattr(planner, "_match_body", counting)
-    derived = axiom_closure(hanoi_problem(6).init, HANOI.derived)
-    assert {atom.predicate for atom in derived} == {"blocked", "above"}
-    assert [bodies.count(rule.body) for rule in HANOI.derived] == [1, 1]
+def test_validator_proves_only_the_derived_atoms_a_step_reads(monkeypatch):
+    # A hanoi move reads two blocked atoms and the goal reads only onpeg,
+    # so replaying the 63-step 6-disk plan answers two blocked queries per
+    # step and none for the goal.  A full closure of a state would derive
+    # every blocked atom that holds in it.
+    views = []
+
+    def capture(facts, rules):
+        views.append(axiom_closure(facts, rules))
+        return views[-1]
+
+    monkeypatch.setattr(metrics, "axiom_closure", capture)
+    problem = hanoi_problem(6)
+    plan = solve(HANOI, problem, SearchConfig(mode="optimal")).plan
+    assert len(plan) == 63
+    assert validate_plan(HANOI, problem.init, problem.goal, plan).ok
+    assert [len(view.answers) for view in views] == [2] * 63 + [0]
+    assert {query[0] for view in views for query in view.answers} == {"blocked"}
 
 
 def test_task_folds_static_atoms_out_of_its_rule_instances():
