@@ -205,7 +205,7 @@ def _blocks_distance_map(domain: Domain, problem_objects, init):
 _BLOCKS_EXEMPLAR_STACKS = 3, 2  # fixed independent exemplar: one 3-stack, one 2-stack
 
 
-def _blocks_exemplar(domain: Domain) -> tuple[SceneObservation, frozenset[GroundAtom]]:
+def _blocks_exemplar(domain: Domain) -> tuple[SceneObservation, Exemplar]:
     names = [f"e{i}" for i in range(1, sum(_BLOCKS_EXEMPLAR_STACKS) + 1)]
     stacks = []
     cursor = 0
@@ -221,7 +221,7 @@ def _blocks_exemplar(domain: Domain) -> tuple[SceneObservation, frozenset[Ground
         on_atom(renamed[a.args[0]], renamed[a.args[1]])
         for a in _stack_atoms(stacks)
     )
-    return obs, atoms
+    return obs, Exemplar(scene, atoms)
 
 
 def gen_blocksworld(n: int, seed: int) -> GeneratedProblem:
@@ -277,8 +277,7 @@ def gen_blocksworld(n: int, seed: int) -> GeneratedProblem:
     instruction = "restack the blocks so that " + " and ".join(
         f"{a.args[0]} rests on {a.args[1]}" for a in ordered
     )
-    exemplar_obs, exemplar_atoms = _blocks_exemplar(domain)
-    exemplar = Exemplar(merge_detections(exemplar_obs, domain), exemplar_atoms)
+    exemplar_obs, exemplar = _blocks_exemplar(domain)
     return GeneratedProblem(
         "blocksworld",
         obs,
@@ -454,7 +453,7 @@ def _veg_box(slot: str, sliced: bool) -> Box:
     return _centered(cx, cy, VEG_W, VEG_H)
 
 
-def _cooking_exemplar(domain: Domain) -> tuple[SceneObservation, frozenset[GroundAtom]]:
+def _cooking_exemplar(domain: Domain) -> tuple[SceneObservation, Exemplar]:
     """Fixed coverage scene: both vegetable shapes at every vegetable slot.
 
     Extra tool copies sit on the board and inside a gripper so carried
@@ -475,7 +474,7 @@ def _cooking_exemplar(domain: Domain) -> tuple[SceneObservation, frozenset[Groun
         detections.append(Detection("vegetable", _veg_box(slot, True)))
     obs = SceneObservation(int(CANVAS_W), int(CANVAS_H), tuple(detections), ())
     scene = merge_detections(obs, domain)
-    return obs, derive_cooking_atoms(scene)
+    return obs, Exemplar(scene, derive_cooking_atoms(scene))
 
 
 def gen_cooking(seed: int) -> GeneratedProblem:
@@ -550,8 +549,7 @@ def gen_cooking(seed: int) -> GeneratedProblem:
     instruction = (
         f"slice the {target} and put it in the {bowl.replace('_', ' ')}"
     )
-    exemplar_obs, exemplar_atoms = _cooking_exemplar(domain)
-    exemplar = Exemplar(merge_detections(exemplar_obs, domain), exemplar_atoms)
+    exemplar_obs, exemplar = _cooking_exemplar(domain)
     return GeneratedProblem(
         "cooking",
         obs,

@@ -14,6 +14,7 @@ from sceneground.pddl.model import (
     Atom,
     DerivedRule,
     Domain,
+    GroundAtom,
     GroundLiteral,
     Literal,
     Plan,
@@ -21,16 +22,12 @@ from sceneground.pddl.model import (
 )
 
 
-def _atom(atom: Atom) -> str:
+def _atom(atom: Atom | GroundAtom) -> str:
     return "(" + " ".join((atom.predicate, *atom.args)) + ")"
 
 
 def _literal(lit: Literal | GroundLiteral) -> str:
-    inner = (
-        _atom(lit.atom)
-        if isinstance(lit, Literal)
-        else str(lit.atom)
-    )
+    inner = _atom(lit.atom)
     return f"(not {inner})" if lit.negated else inner
 
 

@@ -18,24 +18,25 @@ the heuristic both run on that task.
 
 Derived predicates are recomputed after every state change by counter-based
 forward chaining over the rule instances (Dowling & Gallier 1984): each
-instance counts its unmet body atoms and fires when the count reaches zero.
-That handles positive recursion, although the shipped domains keep their
-rule dependencies acyclic.  Static atoms, the init atoms no action deletes,
-are chained once when the task is compiled (as Fast Downward's translator
-does, Helmert 2006): instances they make fire, or that read an atom nothing
-can make true, are dropped, and the rest stop watching them.  A state's
-chaining starts only from its atoms that some instance still watches.  So
-the task's closure is exact only for a base that holds every static atom,
-which every state reachable from init does.  The closure is also typed: a
-rule derives a head only for bindings that fit the head predicate's
-parameter types, as PDDL requires.  The lifted ``axiom_closure`` is the
-plan validator's closure in ``metrics``, kept apart from the task so that
-it judges independently.  It derives nothing up front: its view of a state
-proves each atom it is asked about top-down, joining rule bodies against
-the state's facts and answering derived body atoms as memoized subqueries
-(query-subquery evaluation, Vieille 1986), so a plan step costs only the
-literals it reads.  It ignores head types and so may also prove ill-typed
-atoms; no action precondition or typed goal reads one.
+instance counts its unmet body atoms and fires when the count reaches zero,
+so the rules need no evaluation order.  Static atoms, the init atoms no
+action deletes, are chained once when the task is compiled (as Fast
+Downward's translator does, Helmert 2006): instances they make fire, or
+that read an atom nothing can make true, are dropped, and the rest stop
+watching them.  A state's chaining starts only from its atoms that some
+instance still watches.  So the task's closure is exact only for a base
+that holds every static atom, which every state reachable from init does.
+The closure is also typed: a rule derives a head only for bindings that
+fit the head predicate's parameter types, as PDDL requires.  The lifted
+``axiom_closure`` is the plan validator's closure in ``metrics``, kept
+apart from the task so that it judges independently.  It derives nothing
+up front: its view of a state proves each atom it is asked about
+top-down, joining rule bodies against the state's facts and answering
+derived body atoms as memoized subqueries (query-subquery evaluation,
+Vieille 1986); a join that met unanswered subqueries runs again once they
+are answered.  So a plan step costs only the literals it reads.  It
+ignores head types and so may also prove ill-typed atoms; no action
+precondition or typed goal reads one.
 
 Two search modes: "optimal" is plain breadth-first search over unit-cost
 actions; "satisficing" is greedy best-first search under an additive-cost
@@ -54,7 +55,6 @@ leaves the program.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from collections import deque
@@ -244,17 +244,17 @@ class ClosureView:
 
     A base atom is a lookup in ``facts``.  A derived atom is unified with
     each rule head of its predicate, and the rule body is joined left to
-    right against the facts: a body atom whose arguments are all bound is
-    looked up, the others are scanned, bound positions filtered before a
-    binding is copied.  A derived body atom is a subquery with the bound
-    positions of its pattern filled in and ``None`` at the others.  Its
-    answers, the matching argument tuples, are memoized once per view in
-    ``answers``.  A join that needs an unanswered subquery is suspended on
-    an explicit stack while the subquery runs, so a deep rule chain does
-    not recurse on the interpreter stack.  The parser admits only acyclic
-    rules; a query that comes to depend on itself raises ``PlannerError``.
-    Head types are not checked: a rule proves a head for every binding its
-    body matches.
+    right against the facts: a body atom's arguments are read from the
+    binding, ``None`` where unbound; a fully bound base atom is looked up,
+    any other is scanned, and each row binds its variables unless it
+    contradicts the binding.  A derived body atom is a subquery with that
+    pattern, whose answers are memoized once per view in ``answers``.  A
+    join that meets unanswered subqueries scans on, collecting them all,
+    and is simply run again once they are answered.  Queries run from an
+    explicit stack, so a deep rule chain does not recurse on the
+    interpreter stack.  The parser admits only acyclic rules; a query that
+    comes to depend on itself raises ``PlannerError``.  Head types are not
+    checked: a rule proves a head for every binding its body matches.
     """
 
     __slots__ = ("facts", "rules", "answers")
@@ -273,36 +273,34 @@ class ClosureView:
         return args in self.facts.get(predicate, ())
 
     def _query(self, query) -> set[tuple[str, ...]]:
-        """The answers to ``query``, found with every subquery it suspends
-        on unless they are memoized."""
+        """The answers to ``query`` and to every subquery it needs.  Depth
+        first, the queries ``waiting`` for subqueries are exactly the
+        ancestors of the one on top, so a subquery among them is a cycle."""
         answers = self.answers
-        if query in answers:
-            return answers[query]
-        stack = [(query, self._solve(*query))]
-        waiting = {query}
-        reply = None
-        while True:
-            query, proof = stack[-1]
-            try:
-                sub = proof.send(reply)
-            except StopIteration as done:
-                answers[query] = reply = done.value
-                waiting.discard(query)
+        stack = [query]
+        waiting = set()
+        while stack:
+            top = stack[-1]
+            if top in answers:
                 stack.pop()
-                if not stack:
-                    return reply
-            else:
+                continue
+            result = self._solve(*top)
+            if isinstance(result, set):
+                answers[top] = result
+                waiting.discard(top)
+                stack.pop()
+                continue
+            waiting.add(top)
+            for sub in result:
                 if sub in waiting:
                     raise PlannerError(f"recursive rules for {sub[0]!r}")
-                waiting.add(sub)
-                stack.append((sub, self._solve(*sub)))
-                reply = None
+                stack.append(sub)
+        return answers[query]
 
     def _solve(self, predicate: str, pattern: tuple):
-        """A generator that yields each unanswered subquery, is sent its
-        answers, and returns the argument tuples of ``predicate`` that match
-        ``pattern``; when the pattern is fully bound, it stops at the first
-        proof."""
+        """The argument tuples of ``predicate`` that match ``pattern``, or
+        the unanswered subqueries its joins met, as a list; when the pattern
+        is fully bound, the first proof ends the search."""
         facts, rules, answers = self.facts, self.rules, self.answers
         found = {
             values
@@ -313,7 +311,7 @@ class ClosureView:
         complete = None not in pattern
         if complete and found:
             return found
-        mask = tuple(value is not None for value in pattern)
+        missing = []
         for rule in rules[predicate]:
             if len(rule.head.args) != len(pattern):
                 continue
@@ -322,66 +320,38 @@ class ClosureView:
                 if value is not None and env.setdefault(var, value) != value:
                     break
             else:
-                head, steps = _join_plan(rule, mask)
+                body = rule.body
                 pending = [(0, env)]
                 while pending:
                     depth, env = pending.pop()
-                    if depth == len(steps):
+                    if depth == len(body):
                         if complete:
                             return {pattern}
-                        found.add(head(env))
+                        found.add(tuple([env[var] for var in rule.head.args]))
                         continue
-                    name, bound, arity, checked, wanted, binds = steps[depth]
-                    args = tuple(map(env.get, bound))
-                    if name in rules:
-                        rows = answers.get((name, args))
+                    atom = body[depth]
+                    args = tuple(map(env.get, atom.args))
+                    if atom.predicate in rules:
+                        rows = answers.get((atom.predicate, args))
                         if rows is None:
-                            rows = yield (name, args)
-                    elif binds:
-                        rows = facts.get(name, ())
-                    else:
-                        rows = (args,) if args in facts.get(name, ()) else ()
-                    want = wanted(env) if wanted else None
-                    for values in rows:
-                        if len(values) != arity or (checked and checked(values) != want):
+                            missing.append((atom.predicate, args))
                             continue
-                        trial = env.copy() if binds else env
-                        for position, var in binds:
-                            value = values[position]
+                    elif None in args:
+                        rows = facts.get(atom.predicate, ())
+                    else:
+                        if args in facts.get(atom.predicate, ()):
+                            pending.append((depth + 1, env))
+                        continue
+                    for values in rows:
+                        if len(values) != len(args):
+                            continue
+                        trial = env.copy()
+                        for var, value in zip(atom.args, values):
                             if trial.setdefault(var, value) != value:
                                 break
                         else:
                             pending.append((depth + 1, trial))
-        return found
-
-
-@functools.lru_cache(maxsize=1024)
-def _join_plan(rule: DerivedRule, mask: tuple[bool, ...]):
-    """The head picker and the body's join steps, when a query binds the
-    head positions that ``mask`` marks.  Each step is a body atom's
-    predicate, its variables with ``None`` at those not bound before it,
-    its arity, pickers of a row's values and of the binding's values at
-    the bound positions (``None`` when no position is bound or all are, so
-    a lookup needs no check), and the (position, variable) pairs it
-    binds."""
-    known = {var for var, bound in zip(rule.head.args, mask) if bound}
-    steps = []
-    for atom in rule.body:
-        checks = [(pos, var) for pos, var in enumerate(atom.args) if var in known]
-        binds = tuple((pos, var) for pos, var in enumerate(atom.args) if var not in known)
-        scan = checks and binds
-        steps.append(
-            (
-                atom.predicate,
-                tuple(var if var in known else None for var in atom.args),
-                len(atom.args),
-                itemgetter(*(pos for pos, _ in checks)) if scan else None,
-                itemgetter(*(var for _, var in checks)) if scan else None,
-                binds,
-            )
-        )
-        known.update(atom.args)
-    return _picker(rule.head.args), tuple(steps)
+        return missing or found
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,8 @@ def assign_names(entries) -> tuple[SceneObject, ...]:
     Entries are sorted by (y_min, x_min); unnamed ones become
     ``<type><index>`` with per-type 1-based indices.  Forced (phrase-derived)
     names win and do not consume an index.  The result is independent of the
-    input order.
+    input order.  Names are not checked for clashes here: ``Scene`` refuses
+    a duplicate.
     """
     rows = []
     for entry in entries:
@@ -229,11 +230,6 @@ def assign_names(entries) -> tuple[SceneObject, ...]:
         else:
             name = forced
         objects.append(SceneObject(name, typ, box))
-    seen = set()
-    for obj in objects:
-        if obj.name in seen:
-            raise SceneError(f"duplicate object name {obj.name!r}")
-        seen.add(obj.name)
     return tuple(objects)
 
 

@@ -11,6 +11,7 @@ import itertools
 import random
 from dataclasses import replace
 from heapq import heappop, heappush
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -331,6 +332,35 @@ def test_closure_refuses_a_recursive_derivation():
     assert ("p", ("o1", "o2")) in view
     with pytest.raises(PlannerError, match="recursive rules for 'p'"):
         ("p", ("o1", "o3")) in view
+
+
+def test_fan_out_query_runs_its_join_at_most_twice(monkeypatch):
+    # p(a) reads r(y) for each of 500 q(a, y) rows.  One pass over the rows
+    # collects all 500 subqueries and a second run joins their answers; a
+    # join that stopped at its first unanswered subquery would run 501 times.
+    rules = (
+        DerivedRule(Atom("p", ("?x",)), (Atom("q", ("?x", "?y")), Atom("r", ("?y",)))),
+        DerivedRule(Atom("r", ("?y",)), (Atom("s", ("?y",)),)),
+    )
+    names = [f"y{i}" for i in range(500)]
+    base = {GroundAtom("q", ("a", y)) for y in names}
+    base |= {GroundAtom("q", ("b", y)) for y in names[:100]}
+    base |= {GroundAtom("s", (y,)) for y in names[100::7]}
+    runs = []
+    solve_once = planner.ClosureView._solve
+
+    def counted(view, predicate, pattern):
+        runs.append((predicate, pattern))
+        return solve_once(view, predicate, pattern)
+
+    monkeypatch.setattr(planner.ClosureView, "_solve", counted)
+    view = axiom_closure(facts_of(base), rules)
+    assert ("p", ("a",)) in view
+    assert runs.count(("p", ("a",))) <= 2
+    reference = naive_closure(base, SimpleNamespace(derived=rules))
+    for name in ("a", "b", *names):
+        for atom in (GroundAtom("p", (name,)), GroundAtom("r", (name,))):
+            assert (atom in view) == (atom in reference)
 
 
 def test_validator_proves_only_the_derived_atoms_a_step_reads(monkeypatch):
