@@ -178,13 +178,23 @@ def _stack_atoms(stacks: list[list[str]]) -> frozenset[GroundAtom]:
     return frozenset(atoms)
 
 
-def _blocks_observation(stacks: list[list[str]]) -> tuple[SceneObservation, dict[str, Box]]:
+def _blocks_scene(
+    domain: Domain, stacks: list[list[str]]
+) -> tuple[SceneObservation, Scene, frozenset[GroundAtom]]:
+    """The stacks as an observation, its merged scene, and the stacks'
+    ``on`` atoms under the names merging gives the blocks."""
     boxes: dict[str, Box] = {}
     for slot, stack in enumerate(stacks):
         for level, name in enumerate(stack):
             boxes[name] = _block_box(slot, level)
     detections = tuple(Detection("block", boxes[n]) for n in sorted(boxes))
-    return SceneObservation(int(CANVAS_W), int(CANVAS_H), detections, ()), boxes
+    obs = SceneObservation(int(CANVAS_W), int(CANVAS_H), detections, ())
+    scene = merge_detections(obs, domain)
+    renamed = {internal: _name_of(scene, box) for internal, box in boxes.items()}
+    atoms = frozenset(
+        on_atom(renamed[a.args[0]], renamed[a.args[1]]) for a in _stack_atoms(stacks)
+    )
+    return obs, scene, atoms
 
 
 def _blocks_distance_map(domain: Domain, problem_objects, init):
@@ -212,15 +222,7 @@ def _blocks_exemplar(domain: Domain) -> tuple[SceneObservation, Exemplar]:
     for size in _BLOCKS_EXEMPLAR_STACKS:
         stacks.append(names[cursor : cursor + size])
         cursor += size
-    obs, boxes = _blocks_observation(stacks)
-    scene = merge_detections(obs, domain)
-    renamed = {
-        internal: _name_of(scene, box) for internal, box in boxes.items()
-    }
-    atoms = frozenset(
-        on_atom(renamed[a.args[0]], renamed[a.args[1]])
-        for a in _stack_atoms(stacks)
-    )
+    obs, scene, atoms = _blocks_scene(domain, stacks)
     return obs, Exemplar(scene, atoms)
 
 
@@ -238,16 +240,9 @@ def gen_blocksworld(n: int, seed: int) -> GeneratedProblem:
 
     internal = [f"b{i}" for i in range(1, n + 1)]
     init_stacks = _random_stacks(rng, internal)
-    obs, boxes = _blocks_observation(init_stacks)
-    scene = merge_detections(obs, domain)
-    renamed = {i: _name_of(scene, box) for i, box in boxes.items()}
-    names = sorted(renamed.values())
-    init_atoms = frozenset(
-        on_atom(renamed[a.args[0]], renamed[a.args[1]])
-        for a in _stack_atoms(init_stacks)
-    )
-
+    obs, scene, init_atoms = _blocks_scene(domain, init_stacks)
     objects = scene.typed_objects()
+    names = sorted(name for name, _ in objects)
     dist = _blocks_distance_map(domain, objects, init_atoms)
 
     candidates: list[tuple[frozenset[GroundAtom], int]] = []

@@ -104,13 +104,10 @@ def enumerate_candidates(
     objects; unary ones get every compatible object paired with itself.
     """
     out: dict[str, tuple[CandidateTriplet, ...]] = {}
-    is_subtype = domain.hierarchy.is_subtype
     objects, width, height = scene.objects, scene.width, scene.height
+    fits = domain.hierarchy.fitting(obj.type for obj in objects)
     for sig in domain.observed:
-        pools = [
-            [obj for obj in objects if is_subtype(obj.type, want)]
-            for _, want in sig.params
-        ]
+        pools = [[objects[i] for i in fits.get(want, ())] for _, want in sig.params]
         if sig.arity == 1:
             out[sig.name] = tuple(
                 CandidateTriplet(

@@ -8,6 +8,7 @@ variables declared, rules stratified) are enforced by the parser.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -39,7 +40,8 @@ class TypeHierarchy:
 
     ``parents`` maps each non-root type to its parent.  The root is implicit
     and always present.  Each type's ancestors, itself included, are tabled
-    once at construction, so ``contains`` and ``is_subtype`` are lookups.
+    once at construction, so ``contains`` and ``is_subtype`` are lookups,
+    and ``fitting`` files a list of objects under every type they fit.
     """
 
     parents: tuple[tuple[str, str], ...]
@@ -78,6 +80,16 @@ class TypeHierarchy:
     def is_subtype(self, name: str, ancestor: str) -> bool:
         """True if ``name`` equals ``ancestor`` or descends from it."""
         return ancestor in self._ancestors.get(name, ())
+
+    def fitting(self, types: Iterable[str]) -> dict[str, list[int]]:
+        """Each type to the positions in ``types`` of the entries that are
+        it or descend from it, ascending.  An undeclared entry fits no
+        type, and an undeclared type has no key."""
+        table: dict[str, list[int]] = {typ: [] for typ in self._ancestors}
+        for position, typ in enumerate(types):
+            for ancestor in self._ancestors.get(typ, ()):
+                table[ancestor].append(position)
+        return table
 
     def all_types(self) -> tuple[str, ...]:
         return (ROOT_TYPE,) + tuple(n for n, _ in self.parents)

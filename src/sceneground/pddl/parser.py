@@ -56,12 +56,12 @@ class _Tok(NamedTuple):
     col: int
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    """The tokens of each line, a ``;`` comment cut off first.  No token
-    spans a newline, and ``;`` cannot occur inside one, so the first ``;``
-    of a line starts its comment."""
+def _tokenize(lines, first: int = 1) -> list[_Tok]:
+    """The tokens of each line, numbered from ``first``, a ``;`` comment cut
+    off first.  No token spans a newline, and ``;`` cannot occur inside one,
+    so the first ``;`` of a line starts its comment."""
     toks: list[_Tok] = []
-    for line, chars in enumerate(text.split("\n"), 1):
+    for line, chars in enumerate(lines, first):
         if ";" in chars:
             chars = chars[: chars.index(";")]
         toks.extend(_Tok(m.group(), line, m.start() + 1) for m in _TOKEN_RE.finditer(chars))
@@ -123,7 +123,7 @@ def _prepare(text: str | bytes, what: str) -> list[_Node]:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise PddlError(f"{what} is not valid UTF-8: {exc}") from None
-    forms = _nest(_tokenize(text.lower()))
+    forms = _nest(_tokenize(text.lower().split("\n")))
     if len(forms) != 1:
         raise PddlError(f"expected exactly one (define ...) form in {what}")
     form = _expect_list(forms[0], "(define ...)")
@@ -477,8 +477,16 @@ def parse_domain(text: str | bytes) -> Domain:
         for (v, t, line, col), (_, declared_t) in zip(head_params, sig.params):
             if v in var_types:
                 raise PddlError(f"duplicate head variable {v!r}", line, col)
-            # An untyped head variable inherits the signature's type.
-            var_types[v] = declared_t if t == ROOT_TYPE else t
+            # An untyped head variable takes the signature's type; a rule
+            # head may not narrow or change it.
+            if t not in (ROOT_TYPE, declared_t):
+                raise PddlError(
+                    f"head variable {v} has type {t!r}, {head_name.text!r} "
+                    f"declares {declared_t!r}",
+                    line,
+                    col,
+                )
+            var_types[v] = declared_t
             head_vars.append(v)
         body: list[Atom] = []
         for c in _flatten_and(lst[2]):
@@ -659,16 +667,16 @@ def parse_plan(text: str | bytes, domain: Domain | None = None) -> Plan:
         except UnicodeDecodeError as exc:
             raise PddlError(f"plan is not valid UTF-8: {exc}") from None
     steps: list[PlanStep] = []
-    for forms_line, raw in enumerate(text.lower().splitlines(), start=1):
-        stripped = raw.split(";", 1)[0].strip()
-        if not stripped:
+    for line, raw in enumerate(text.lower().splitlines(), start=1):
+        toks = _tokenize((raw,), line)
+        if not toks:
             continue
-        forms = _nest(_tokenize(stripped))
+        forms = _nest(toks)
         if len(forms) != 1 or not isinstance(forms[0], list):
-            raise PddlError("expected one (action args...) form", forms_line, 1)
+            raise PddlError("expected one (action args...) form", line, toks[0].col)
         lst = forms[0]
         if not lst:
-            raise PddlError("empty plan step", forms_line, 1)
+            raise PddlError("empty plan step", line, toks[0].col)
         name = _name_tok(lst[0], "action name")
         args = tuple(_name_tok(a, "argument").text for a in lst[1:])
         if domain is not None:

@@ -3,13 +3,14 @@
 Each ``solve`` call compiles its problem once into a ``GroundTask``.
 ``ground_actions`` lists each schema's type-valid bindings as steps
 (equality literals are resolved away there, dropping the bindings they rule
-out).  The task instantiates every step straight to atom ids from one
-template per schema, which gives each precondition literal, add and delete
-as a predicate and the binding positions of its arguments, as Fast
-Downward's translator grounds into integer facts (Helmert 2009); a
-``GroundAtom`` is built only for each new distinct atom.  Derived rules
-become ground (head, body) id instances the same way, over type-valid
-bindings.  Only the rules ``relevant_rules`` keeps are ground: those whose
+out), drawing each parameter's objects from one type table
+(``TypeHierarchy.fitting``).  The task instantiates every step straight to
+atom ids from one template per schema, which gives each precondition
+literal, add and delete as a predicate and the binding positions of its
+arguments, as Fast Downward's translator grounds into integer facts
+(Helmert 2009); a ``GroundAtom`` is built only for each new distinct atom.
+Derived rules become ground (head, body) id instances the same way, over
+type-valid bindings from the same table.  Only the rules ``relevant_rules`` keeps are ground: those whose
 head a precondition, a goal literal or another kept rule's body reads (the
 relevance analysis of Fast Downward's translator, Helmert 2009).  No other
 derived atom can change which actions apply or whether the goal holds, so
@@ -38,16 +39,18 @@ are answered.  So a plan step costs only the literals it reads.  It
 ignores head types and so may also prove ill-typed atoms; no action
 precondition or typed goal reads one.
 
-Two search modes: "optimal" is plain breadth-first search over unit-cost
-actions; "satisficing" is greedy best-first search under an additive-cost
-heuristic on the delete relaxation (derived rules cost nothing; Bonet &
-Geffner 2001).  Every action costs 1, so every cost is a whole number, and
-h_add settles atoms from a bucket queue keyed by cost (Dial 1969).  It
-watches only the goal-relevant actions and rule instances, those a walk
-back from the positive goal atoms through their achievers reaches (Nebel,
-Dimopoulos & Koehler 1997); every achiever of a relevant atom is relevant,
-so its values are those of h_add over the whole task.  A search tests each
-new child of a node for the goal before it scores any of them, so no
+Both search modes run one best-first loop over a heap ordered by score,
+then insertion.  "satisficing" scores a state by a heuristic, by default
+additive cost on the delete relaxation (derived rules cost nothing; Bonet &
+Geffner 2001).  "optimal" scores every state 0, so the heap pops first in,
+first out, and the loop is breadth-first search over unit-cost actions.
+Every action costs 1, so every cost is a whole number, and h_add settles
+atoms from a bucket queue keyed by cost (Dial 1969).  It watches only the
+goal-relevant actions and rule instances, those a walk back from the
+positive goal atoms through their achievers reaches (Nebel, Dimopoulos &
+Koehler 1997); every achiever of a relevant atom is relevant, so its
+values are those of h_add over the whole task.  A search tests each new
+child of a node for the goal before it scores any of them, so no
 heuristic call goes to a sibling of the goal.  A returned plan is not
 replayed here: the plan validator in ``metrics`` judges it wherever it
 leaves the program.
@@ -57,7 +60,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -119,20 +121,6 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _bindings(
-    params: tuple[tuple[str, str], ...],
-    objects: tuple[tuple[str, str], ...],
-    domain: Domain,
-):
-    pools = []
-    for _, want in params:
-        pool = [name for name, typ in objects if domain.hierarchy.is_subtype(typ, want)]
-        if not pool:
-            return
-        pools.append(pool)
-    yield from itertools.product(*pools)
-
-
 def ground_actions(
     domain: Domain, objects: tuple[tuple[str, str], ...]
 ) -> tuple[PlanStep, ...]:
@@ -143,10 +131,12 @@ def ground_actions(
     binding that falsifies one is dropped.  No atom is built here;
     ``GroundTask`` instantiates the survivors from per-schema templates.
     """
+    fits = domain.hierarchy.fitting(typ for _, typ in objects)
+    pools = {typ: [objects[i][0] for i in fit] for typ, fit in fits.items()}
     out: list[PlanStep] = []
     for schema in domain.actions:
         variables = [v for v, _ in schema.params]
-        combos = _bindings(schema.params, objects, domain)
+        combos = itertools.product(*(pools.get(want, ()) for _, want in schema.params))
         for lit in schema.precondition:
             if lit.atom.predicate == EQUALITY:
                 left, right = map(variables.index, lit.atom.args)
@@ -196,28 +186,22 @@ def _rule_instances(
 ):
     """Per rule: its head template, its body templates, and every
     type-valid binding of its variables."""
+    fits = domain.hierarchy.fitting(typ for _, typ in objects)
     for rule in rules:
-        # Each variable must satisfy every predicate position it occupies.
-        constraints: dict[str, list[str]] = {}
-        order: list[str] = []
+        # Each variable must fit every predicate position it occupies, so
+        # its pool is the intersection of those types' pools.
+        pools: dict[str, set[int]] = {}
         for atom in (rule.head, *rule.body):
             sig = domain.predicate(atom.predicate)
             assert sig is not None
             for var, (_, want) in zip(atom.args, sig.params):
-                if var not in constraints:
-                    constraints[var] = []
-                    order.append(var)
-                constraints[var].append(want)
-        pools = []
-        for var in order:
-            pool = [
-                name
-                for name, typ in objects
-                if all(domain.hierarchy.is_subtype(typ, want) for want in constraints[var])
-            ]
-            pools.append(pool)
+                fit = set(fits.get(want, ()))
+                pools[var] = pools[var] & fit if var in pools else fit
+        order = list(pools)
         (head,) = _templates((rule.head,), order)
-        yield head, _templates(rule.body, order), itertools.product(*pools)
+        yield head, _templates(rule.body, order), itertools.product(
+            *([objects[i][0] for i in sorted(pool)] for pool in pools.values())
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -661,11 +645,13 @@ def solve(
 ) -> SolveResult:
     """Search for a plan from problem.init to problem.goal.
 
-    Optimal mode is breadth-first (shortest plan under unit costs);
-    satisficing mode is greedy best-first under cfg.heuristic.  Ties break
-    on grounded-action order, so equal inputs give equal plans.  The plan
-    is the one the search path spells out; callers that hand it on check
-    it with ``metrics.validate_plan``.
+    One best-first loop serves both modes.  Satisficing mode is greedy
+    best-first under cfg.heuristic.  Optimal mode scores every state 0, so
+    the insertion counter alone orders the heap, first in, first out, and
+    the loop is breadth-first (shortest plan under unit costs).  Ties break
+    on insertion order, and so on grounded-action order, so equal inputs
+    give equal plans.  The plan is the one the search path spells out;
+    callers that hand it on check it with ``metrics.validate_plan``.
     """
     start = time.perf_counter()
     task = GroundTask(domain, problem)
@@ -675,7 +661,7 @@ def solve(
         return SolveResult("solved", Plan(()), 0)
 
     if cfg.mode == "optimal":
-        heuristic = None
+        heuristic = lambda full: 0.0
     else:
         heuristic = make_heuristic(task, cfg.heuristic)
 
@@ -684,25 +670,13 @@ def solve(
     parents: dict[frozenset[int], tuple[frozenset[int], int] | None] = {init[0]: None}
     expanded = 0
     counter = itertools.count()
-
-    if cfg.mode == "optimal":
-        queue = deque([init])
-        pop = queue.popleft
-        push = lambda state, h: queue.append(state)
-        frontier = queue
-    else:
-        heap: list[tuple[float, int, tuple]] = []
-        pop = lambda: heappop(heap)[2]
-        push = lambda state, h: heappush(heap, (h, next(counter), state))
-        push(init, 0.0)
-        frontier = heap
-
+    frontier: list[tuple[float, int, tuple]] = [(0.0, next(counter), init)]
     while frontier:
         if expanded >= cfg.node_limit:
             return SolveResult("node-limit", None, expanded)
         if time.perf_counter() - start > cfg.time_limit_s:
             return SolveResult("time-limit", None, expanded)
-        state = pop()
+        state = heappop(frontier)[2]
         expanded += 1
         # Every new child is goal-tested before any is scored, so no
         # heuristic call goes to a sibling of a goal.
@@ -716,12 +690,9 @@ def solve(
                 return SolveResult("solved", _reconstruct(task, parents, base), expanded)
             children.append((base, full))
         for child in children:
-            if heuristic is None:
-                push(child, 0.0)
-            else:
-                h = heuristic(child[1])
-                if h < INFINITY:
-                    push(child, h)
+            h = heuristic(child[1])
+            if h < INFINITY:
+                heappush(frontier, (h, next(counter), child))
     return SolveResult("unsolvable", None, expanded)
 
 

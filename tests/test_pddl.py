@@ -198,6 +198,13 @@ def test_error_carries_position():
         ("(define (domain d) (:predicates (p ?a)) (:functions (f ?a)))",
          "unsupported section"),
         ("(define (domain d) (:predicates (= ?a ?b)))", "builtin"),
+        # A rule head may not narrow its predicate's declared type.
+        ("(define (domain d) (:types sub - object) (:predicates (p ?x) (q ?x))\n"
+         " (:derived (p ?x - sub) (q ?x)))",
+         "head variable ?x has type 'sub', 'p' declares 'object' at 2:15"),
+        ("(define (domain d) (:predicates (p ?x) (q ?x))\n"
+         " (:derived (p ?x - nope) (q ?x)))",
+         "head variable ?x has type 'nope', 'p' declares 'object' at 2:15"),
         ("(define (domain d) (:predicates (p ?a))", "unbalanced"),
     ],
 )
@@ -276,6 +283,24 @@ def test_parse_plan_validates_against_domain(toy_domain):
     assert len(parse_plan("(teleport b1)")) == 1
 
 
+@pytest.mark.parametrize(
+    "bad, fragment, col",
+    [
+        ("   (mov b1 b2)", "unknown action 'mov'", 5),
+        ("   (move-to-table b1 B?2)", "bad argument 'b?2'", 22),
+        ("   (move-to-table b1 b2))", "unbalanced ')'", 25),
+    ],
+)
+def test_parse_plan_reports_the_line_and_column_of_the_raw_text(
+    toy_domain, bad, fragment, col
+):
+    text = "(move-to-table b1 b2)\n; a comment\n(move-to-table b2 b1)\n" + bad
+    with pytest.raises(PddlError) as err:
+        parse_plan(text, toy_domain)
+    assert fragment in err.value.message
+    assert (err.value.line, err.value.col) == (4, col)
+
+
 def test_check_plannable_flags(toy_domain):
     objects = (("b1", "block"), ("t1", "object"))
     atoms = [
@@ -331,6 +356,13 @@ def test_hierarchy_agrees_with_naive_walk(parents):
         assert h.contains(name) == (name in declared)
         for ancestor in probes:
             assert h.is_subtype(name, ancestor) == naive_is_subtype(h, name, ancestor)
+    # The type table files each probe under every type it fits, in order.
+    table = h.fitting(probes)
+    assert set(table) == declared
+    for ancestor in declared:
+        assert table[ancestor] == [
+            i for i, name in enumerate(probes) if naive_is_subtype(h, name, ancestor)
+        ]
 
 
 def test_signature_rejects_bad_observed_arity():

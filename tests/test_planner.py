@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import replace
 from heapq import heappop, heappush
 from types import SimpleNamespace
@@ -34,6 +35,7 @@ from naive_ref import (
 )
 from sceneground.bench import domain_text
 from sceneground.bench.generate import gen_cooking
+from sceneground.graph import enumerate_candidates
 from sceneground.metrics import validate_plan
 from sceneground.pddl import parse_domain
 from sceneground.pddl.model import (
@@ -45,6 +47,7 @@ from sceneground.pddl.model import (
     Plan,
     PlanStep,
     Problem,
+    TypeHierarchy,
     relevant_rules,
 )
 from sceneground.planner import (
@@ -600,6 +603,67 @@ def test_optimal_length_matches_naive_reference(seed):
     result = solve(BLOCKS, problem, SearchConfig(mode="optimal"))
     assert result.status == "solved"
     assert len(result.plan) == naive_bfs(BLOCKS, problem)
+
+
+def breadth_first(domain: Domain, problem: Problem):
+    """Plain breadth-first search over the task with a deque, goal-testing
+    each new child as ``solve`` does.  Returns the plan and the
+    expansions."""
+    task = GroundTask(domain, problem)
+    if task.satisfied(task.init[1]):
+        return Plan(()), 0
+    parents = {task.init[0]: None}
+    queue = deque([task.init])
+    expanded = 0
+    while queue:
+        state = queue.popleft()
+        expanded += 1
+        for index, base in task.successors(state):
+            if base in parents:
+                continue
+            parents[base] = (state[0], index)
+            full = task.closure(base)
+            if task.satisfied(full):
+                return planner._reconstruct(task, parents, base), expanded
+            queue.append((base, full))
+    raise AssertionError("no plan")
+
+
+@pytest.mark.parametrize(
+    "domain, problem",
+    [
+        *(pytest.param(HANOI, hanoi_problem(d), id=f"hanoi-{d}") for d in (3, 4, 5)),
+        *(
+            pytest.param(BLOCKS, random_blocks_instance(random.Random(seed), 4), id=f"blocks-{seed}")
+            for seed in range(8)
+        ),
+    ],
+)
+def test_optimal_mode_expands_as_breadth_first_search(domain, problem):
+    result = solve(domain, problem, SearchConfig(mode="optimal"))
+    assert (result.plan, result.expanded) == breadth_first(domain, problem)
+
+
+def test_grounding_and_candidates_read_the_type_table(monkeypatch):
+    generated = gen_cooking(0)
+    objects, scene = generated.truth.objects, generated.exemplar.scene
+
+    def enumerated():
+        rules = planner._rule_instances(COOKING.derived, objects, COOKING)
+        return (
+            ground_actions(COOKING, objects),
+            [([p for p, _ in body], list(bindings)) for _, body, bindings in rules],
+            enumerate_candidates(scene, COOKING),
+        )
+
+    before = enumerated()
+    assert before[0] and before[2] and any(bindings for _, bindings in before[1])
+
+    def refuse(*args):
+        raise AssertionError("is_subtype called")
+
+    monkeypatch.setattr(TypeHierarchy, "is_subtype", refuse)
+    assert enumerated() == before
 
 
 def test_identical_inputs_give_identical_plans():
