@@ -32,13 +32,13 @@ class GoalError(ValueError):
 
 @dataclass(frozen=True)
 class GoalSpec:
-    """Validated but not yet grounded goal: (negated, predicate, args) conjuncts."""
+    """A parsed goal: a conjunction of ground literals over known predicates
+    with the right arity, whose names are not yet resolved against a scene."""
 
-    conjuncts: tuple[tuple[bool, str, tuple[str, ...]], ...]
-    source: str = "structured"
+    literals: tuple[GroundLiteral, ...]
 
     def __post_init__(self):
-        if not self.conjuncts:
+        if not self.literals:
             raise GoalError("empty goal")
 
 
@@ -50,7 +50,7 @@ _CLAUSE_RE = re.compile(
 _AND_RE = re.compile(r"(?<=\))\s*and(?![a-z0-9_-])")
 
 
-def parse_structured_goal(text: str, domain: Domain, source: str = "structured") -> GoalSpec:
+def parse_structured_goal(text: str, domain: Domain) -> GoalSpec:
     """Parse and validate the structured goal grammar.
 
     Keywords and names are case-insensitive; predicates must exist in the
@@ -59,7 +59,7 @@ def parse_structured_goal(text: str, domain: Domain, source: str = "structured")
     lowered = text.lower().strip()
     if not lowered:
         raise GoalError("empty goal text")
-    conjuncts = []
+    literals = []
     for clause in _AND_RE.split(lowered):
         m = _CLAUSE_RE.match(clause)
         if m is None:
@@ -76,41 +76,8 @@ def parse_structured_goal(text: str, domain: Domain, source: str = "structured")
             raise GoalError(
                 f"{predicate!r} takes {sig.arity} args, got {len(args)}"
             )
-        conjuncts.append((negated, predicate, args))
-    return GoalSpec(tuple(conjuncts), source)
-
-
-def ground_goal(
-    spec: GoalSpec,
-    objects: tuple[tuple[str, str], ...],
-    domain: Domain,
-) -> tuple[tuple[GroundLiteral, ...], tuple[str, ...]]:
-    """Resolve a goal spec against named objects.
-
-    Returns the grounded conjunction plus the names that did not resolve,
-    in first-mention order.  Unresolved names are meant to be fed back as
-    phrase queries through detection merging and the goal re-grounded; a
-    caller that cannot resolve them should treat the goal as failed.
-    Resolved arguments are type-checked against the predicate signature.
-    """
-    types = dict(objects)
-    unresolved: list[str] = []
-    literals = []
-    for negated, predicate, args in spec.conjuncts:
-        sig = domain.predicate(predicate)
-        assert sig is not None  # guaranteed by parse_structured_goal
-        for arg, (_, want) in zip(args, sig.params):
-            have = types.get(arg)
-            if have is None:
-                if arg not in unresolved:
-                    unresolved.append(arg)
-                continue
-            if not domain.hierarchy.is_subtype(have, want):
-                raise GoalError(
-                    f"{arg!r} has type {have!r}, {predicate!r} requires {want!r}"
-                )
         literals.append(GroundLiteral(GroundAtom(predicate, args), negated))
-    return tuple(literals), tuple(unresolved)
+    return GoalSpec(tuple(literals))
 
 
 def resolve_goal(
@@ -118,13 +85,28 @@ def resolve_goal(
     objects: tuple[tuple[str, str], ...],
     domain: Domain,
 ) -> tuple[GroundLiteral, ...]:
-    """Ground a goal that must resolve completely, or raise."""
-    literals, unresolved = ground_goal(spec, objects, domain)
+    """Check a goal's names against the named objects and return its literals.
+
+    An argument whose object's type does not fit the predicate raises at
+    once; names that name no object raise together, sorted, after the walk.
+    """
+    types = dict(objects)
+    unresolved = set()
+    for atom, _ in spec.literals:
+        sig = domain.predicate(atom.predicate)
+        for arg, (_, want) in zip(atom.args, sig.params):
+            have = types.get(arg)
+            if have is None:
+                unresolved.add(arg)
+            elif not domain.hierarchy.is_subtype(have, want):
+                raise GoalError(
+                    f"{arg!r} has type {have!r}, {atom.predicate!r} requires {want!r}"
+                )
     if unresolved:
         raise GoalError(
             "unresolvable goal names: " + ", ".join(sorted(unresolved))
         )
-    return literals
+    return spec.literals
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +224,7 @@ def _extract_goal_line(content: str, domain: Domain) -> GoalSpec:
         if not line or "(" not in line:
             continue
         try:
-            return parse_structured_goal(line, domain, source="llm")
+            return parse_structured_goal(line, domain)
         except GoalError:
             continue
     raise GoalError(f"no parsable goal line in response {content!r}")

@@ -3,8 +3,9 @@
 The pipeline stage after detection merging: enumerate the type-valid
 candidate triplets a domain's observed predicates allow, score each
 against the exemplar's labeled candidates by nearest neighbor in
-spatial-feature space, and rewrite the surviving edges as init atoms.
-The problem around them is assembled by ``metrics.ground``.
+spatial-feature space, and keep the true-classified ones as ground atoms:
+the scene graph's edges and the problem's init.  The problem around them
+is assembled by ``metrics.ground``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from sceneground.pddl.model import (
 )
 from sceneground.scene import (
     MATCH_THRESHOLD,
-    Box,
     Scene,
     SceneError,
     SceneObject,
@@ -74,20 +74,23 @@ class CandidateTriplet(NamedTuple):
 
 @dataclass(frozen=True)
 class SceneGraph:
-    """Vertices are the scene objects; edges are the true-classified triplets."""
+    """Vertices are the scene objects; edges are the true-classified atoms.
+
+    A unary atom is an edge from its argument to itself.
+    """
 
     vertices: tuple[SceneObject, ...]
-    edges: frozenset[tuple[str, str, str]]  # (subject, predicate, object) names
+    atoms: frozenset[GroundAtom]
 
     def as_dict(self) -> dict:
+        edges = sorted((a.args[0], a.predicate, a.args[-1]) for a in self.atoms)
         return {
             "vertices": [
                 {"name": v.name, "type": v.type, "box": v.box.as_list()}
                 for v in self.vertices
             ],
             "edges": [
-                {"subject": s, "predicate": p, "object": o}
-                for s, p, o in sorted(self.edges)
+                {"subject": s, "predicate": p, "object": o} for s, p, o in edges
             ],
         }
 
@@ -162,14 +165,14 @@ _DISTANCE2 = {4: _distance2_binary, 6: _distance2_unary}
 
 def _validate_exemplar(exemplar: Exemplar, domain: Domain) -> None:
     observed = {sig.name for sig in domain.observed}
-    for atom in exemplar.true_atoms:
+    # Sorted, so the error names the same atom under every hash seed.
+    atoms = sorted(exemplar.true_atoms)
+    for atom in atoms:
         if atom.predicate not in observed:
             raise ExemplarError(
                 f"exemplar labels non-observed predicate {atom.predicate!r}"
             )
-    violations = check_plannable(
-        exemplar.true_atoms, domain, exemplar.scene.typed_objects()
-    )
+    violations = check_plannable(atoms, domain, exemplar.scene.typed_objects())
     if violations:
         first = violations[0]
         raise ExemplarError(f"malformed exemplar atom {first.atom}: {first.message}")
@@ -215,26 +218,9 @@ def classify(
     return tuple(kept)
 
 
-def build_graph(
-    objects: tuple[SceneObject, ...],
-    classified: list[CandidateTriplet] | tuple[CandidateTriplet, ...],
-) -> SceneGraph:
-    """Collect true-classified candidates into a graph over the objects."""
-    edges = frozenset(
-        (c.subject.name, c.predicate, c.object.name) for c in classified
-    )
-    return SceneGraph(tuple(objects), edges)
-
-
 def graph_to_init(graph: SceneGraph) -> frozenset[GroundAtom]:
-    """Rewrite edges as ground atoms; self-edges become unary atoms."""
-    atoms = set()
-    for subject, predicate, obj in graph.edges:
-        if subject == obj:
-            atoms.add(GroundAtom(predicate, (subject,)))
-        else:
-            atoms.add(GroundAtom(predicate, (subject, obj)))
-    return frozenset(atoms)
+    """The init atoms a scene graph stands for: its edges."""
+    return graph.atoms
 
 
 def classify_scene(scene: Scene, domain: Domain, exemplar: Exemplar) -> SceneGraph:
@@ -242,12 +228,12 @@ def classify_scene(scene: Scene, domain: Domain, exemplar: Exemplar) -> SceneGra
     classify each predicate's candidates."""
     _validate_exemplar(exemplar, domain)
     labeled = enumerate_candidates(exemplar.scene, domain)
-    kept: list[CandidateTriplet] = []
+    atoms = set()
     for predicate, cands in enumerate_candidates(scene, domain).items():
-        if not cands:
-            continue
-        kept.extend(classify(cands, labeled[predicate], exemplar.true_atoms))
-    return build_graph(scene.objects, kept)
+        if cands:
+            kept = classify(cands, labeled[predicate], exemplar.true_atoms)
+            atoms.update(c.atom() for c in kept)
+    return SceneGraph(scene.objects, frozenset(atoms))
 
 
 def exemplar_to_json(exemplar_obs: SceneObservation, true_atoms) -> str:
@@ -258,16 +244,13 @@ def exemplar_to_json(exemplar_obs: SceneObservation, true_atoms) -> str:
 
 
 def exemplar_from_json(
-    text: str | bytes | dict, domain: Domain, threshold: float = MATCH_THRESHOLD
+    text: str | bytes, domain: Domain, threshold: float = MATCH_THRESHOLD
 ) -> Exemplar:
     """Load an exemplar file; names come from merging its observation."""
-    if not isinstance(text, dict):
-        try:
-            raw = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SceneError(f"bad exemplar JSON: {exc}") from None
-    else:
-        raw = text
+    try:
+        raw = json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SceneError(f"bad exemplar JSON: {exc}") from None
     if not isinstance(raw, dict) or "true_atoms" not in raw:
         raise SceneError("exemplar JSON must be an object with true_atoms")
     rows = raw["true_atoms"]

@@ -37,6 +37,7 @@ from sceneground.graph import (
 )
 from sceneground.pddl import (
     PddlError,
+    parse_domain,
     parse_problem,
     serialize_problem,
 )
@@ -313,8 +314,6 @@ def load_manifest(path) -> tuple[Domain, tuple[ManifestEntry, ...]]:
     if not isinstance(raw["domain_file"], str):
         raise EvalError("manifest key 'domain_file' must be a string")
     base = path.parent
-    from sceneground.pddl import parse_domain
-
     try:
         domain = parse_domain((base / raw["domain_file"]).read_text(encoding="utf-8"))
     except OSError as exc:

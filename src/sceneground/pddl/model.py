@@ -333,7 +333,7 @@ class Violation:
 
 
 def check_plannable(
-    atoms: frozenset[GroundAtom] | set[GroundAtom],
+    atoms: Iterable[GroundAtom],
     domain: Domain,
     objects: tuple[tuple[str, str], ...],
 ) -> list[Violation]:

@@ -654,12 +654,11 @@ def parse_problem(text: str | bytes, domain: Domain) -> Problem:
 # ---------------------------------------------------------------------------
 
 
-def parse_plan(text: str | bytes, domain: Domain | None = None) -> Plan:
+def parse_plan(text: str | bytes) -> Plan:
     """Parse one ``(action arg ...)`` per line; blanks and comments skipped.
 
-    With ``domain`` given, unknown actions and arity mismatches raise
-    :class:`PddlError`; without it the plan is purely syntactic (the
-    validator reports semantic problems as verdicts instead).
+    The plan is purely syntactic: the validator reports unknown actions
+    and arity mismatches as verdicts.
     """
     if isinstance(text, bytes):
         try:
@@ -677,19 +676,7 @@ def parse_plan(text: str | bytes, domain: Domain | None = None) -> Plan:
         lst = forms[0]
         if not lst:
             raise PddlError("empty plan step", line, toks[0].col)
-        name = _name_tok(lst[0], "action name")
+        name = _name_tok(lst[0], "action name").text
         args = tuple(_name_tok(a, "argument").text for a in lst[1:])
-        if domain is not None:
-            schema = domain.action(name.text)
-            if schema is None:
-                raise PddlError(
-                    f"unknown action {name.text!r}", name.line, name.col
-                )
-            if len(args) != len(schema.params):
-                raise PddlError(
-                    f"{name.text!r} takes {len(schema.params)} args, got {len(args)}",
-                    name.line,
-                    name.col,
-                )
-        steps.append(PlanStep(name.text, args))
+        steps.append(PlanStep(name, args))
     return Plan(tuple(steps))

@@ -192,12 +192,6 @@ class Scene:
                 raise SceneError(f"duplicate object name {obj.name!r}")
             seen.add(obj.name)
 
-    def object(self, name: str) -> SceneObject | None:
-        for obj in self.objects:
-            if obj.name == name:
-                return obj
-        return None
-
     def typed_objects(self) -> tuple[tuple[str, str], ...]:
         return tuple((obj.name, obj.type) for obj in self.objects)
 
@@ -207,7 +201,7 @@ def _raster_key(box: Box) -> tuple[float, float, float, float]:
 
 
 def assign_names(entries) -> tuple[SceneObject, ...]:
-    """Name (type, box[, forced_name]) entries in raster order.
+    """Name (type, box, forced_name or None) entries in raster order.
 
     Entries are sorted by (y_min, x_min); unnamed ones become
     ``<type><index>`` with per-type 1-based indices.  Forced (phrase-derived)
@@ -215,12 +209,7 @@ def assign_names(entries) -> tuple[SceneObject, ...]:
     input order.  Names are not checked for clashes here: ``Scene`` refuses
     a duplicate.
     """
-    rows = []
-    for entry in entries:
-        typ, box = entry[0], entry[1]
-        forced = entry[2] if len(entry) > 2 else None
-        rows.append((typ, box, forced))
-    rows.sort(key=lambda r: _raster_key(r[1]))
+    rows = sorted(entries, key=lambda r: _raster_key(r[1]))
     counters: dict[str, int] = {}
     objects = []
     for typ, box, forced in rows:

@@ -15,7 +15,6 @@ from sceneground.goals import (
     GoalError,
     GoalSpec,
     LlmEndpointConfig,
-    ground_goal,
     llm_parse_goal,
     parse_structured_goal,
     resolve_goal,
@@ -49,16 +48,17 @@ def test_parse_two_conjuncts():
     spec = parse_structured_goal(
         "in(cucumber, white_bowl) AND sliced(cucumber)", KITCHEN
     )
-    assert spec.conjuncts == (
-        (False, "in", ("cucumber", "white_bowl")),
-        (False, "sliced", ("cucumber",)),
+    assert spec.literals == (
+        GroundLiteral(GroundAtom("in", ("cucumber", "white_bowl")), False),
+        GroundLiteral(GroundAtom("sliced", ("cucumber",)), False),
     )
-    assert spec.source == "structured"
 
 
 def test_parse_negated_clause():
     spec = parse_structured_goal("NOT carry(gripper1, cucumber)", KITCHEN)
-    assert spec.conjuncts == ((True, "carry", ("gripper1", "cucumber")),)
+    assert spec.literals == (
+        GroundLiteral(GroundAtom("carry", ("gripper1", "cucumber")), True),
+    )
 
 
 def test_and_inside_a_name_does_not_split_clauses():
@@ -66,9 +66,9 @@ def test_and_inside_a_name_does_not_split_clauses():
     spec = parse_structured_goal(
         "sliced(salt-and-pepper) AND in(salt-and-pepper, white_bowl)", KITCHEN
     )
-    assert spec.conjuncts == (
-        (False, "sliced", ("salt-and-pepper",)),
-        (False, "in", ("salt-and-pepper", "white_bowl")),
+    assert spec.literals == (
+        GroundLiteral(GroundAtom("sliced", ("salt-and-pepper",)), False),
+        GroundLiteral(GroundAtom("in", ("salt-and-pepper", "white_bowl")), False),
     )
 
 
@@ -107,26 +107,28 @@ def test_parse_errors(text, fragment):
 
 def test_ground_goal_resolves_names():
     spec = parse_structured_goal("in(cucumber, white_bowl) AND sliced(cucumber)", KITCHEN)
-    literals, unresolved = ground_goal(spec, OBJECTS, KITCHEN)
-    assert unresolved == ()
-    assert literals == (
+    assert resolve_goal(spec, OBJECTS, KITCHEN) == (
         GroundLiteral(GroundAtom("in", ("cucumber", "white_bowl")), False),
         GroundLiteral(GroundAtom("sliced", ("cucumber",)), False),
     )
 
 
 def test_ground_goal_reports_unresolved_names():
-    spec = parse_structured_goal("in(radish, red_bowl) AND sliced(radish)", KITCHEN)
-    literals, unresolved = ground_goal(spec, OBJECTS, KITCHEN)
-    assert unresolved == ("radish", "red_bowl")
-    assert len(literals) == 2  # still built, pending later resolution
+    spec = parse_structured_goal("in(tomato, red_bowl) AND sliced(radish)", KITCHEN)
+    with pytest.raises(GoalError) as err:
+        resolve_goal(spec, OBJECTS, KITCHEN)
+    assert str(err.value) == "unresolvable goal names: radish, red_bowl"
 
 
 def test_ground_goal_type_checks():
     spec = parse_structured_goal("sliced(white_bowl)", KITCHEN)
     with pytest.raises(GoalError) as err:
-        ground_goal(spec, OBJECTS, KITCHEN)
+        resolve_goal(spec, OBJECTS, KITCHEN)
     assert "requires" in str(err.value)
+    # A type error raises at once, before names that did not resolve.
+    spec = parse_structured_goal("sliced(radish) AND sliced(white_bowl)", KITCHEN)
+    with pytest.raises(GoalError, match="'white_bowl' has type 'container'"):
+        resolve_goal(spec, OBJECTS, KITCHEN)
 
 
 def test_resolve_goal_raises_on_unresolved():
@@ -182,10 +184,8 @@ def test_llm_parse_goal_against_stub(stub_server):
     _StubHandler.responses = ["in(cucumber, white_bowl) AND sliced(cucumber)"]
     cfg = LlmEndpointConfig(base_url=stub_server, model="stub", retries=0)
     spec = llm_parse_goal("put the cucumber in the white bowl, sliced", KITCHEN, cfg)
-    assert spec.source == "llm"
-    assert spec.conjuncts == (
-        (False, "in", ("cucumber", "white_bowl")),
-        (False, "sliced", ("cucumber",)),
+    assert spec == parse_structured_goal(
+        "in(cucumber, white_bowl) AND sliced(cucumber)", KITCHEN
     )
     sent = _StubHandler.calls[0]
     assert sent["temperature"] == 0
@@ -199,7 +199,7 @@ def test_llm_answer_with_fences_and_prose(stub_server):
     ]
     cfg = LlmEndpointConfig(base_url=stub_server, model="stub", retries=0)
     spec = llm_parse_goal("slice it", KITCHEN, cfg)
-    assert spec.conjuncts == ((False, "sliced", ("cucumber",)),)
+    assert spec.literals == (GroundLiteral(GroundAtom("sliced", ("cucumber",)), False),)
 
 
 def test_llm_prose_only_fails_after_retries(stub_server):

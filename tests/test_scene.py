@@ -181,8 +181,9 @@ def test_phrase_renames_best_overlap():
     )
     scene = merge_detections(obs, TOY_DOMAIN)
     assert sorted(o.name for o in scene.objects) == ["cucumber", "vegetable1"]
-    assert scene.object("cucumber").box.x_min == 40
-    assert scene.object("cucumber").type == "vegetable"
+    cucumber = next(o for o in scene.objects if o.name == "cucumber")
+    assert cucumber.box.x_min == 40
+    assert cucumber.type == "vegetable"
 
 
 def test_phrase_below_threshold_creates_new_object():
@@ -198,15 +199,13 @@ def test_phrase_below_threshold_creates_new_object():
         ],
     )
     scene = merge_detections(obs, TOY_DOMAIN)
-    assert scene.object("knife").type == "tool"
-    assert scene.object("vegetable1") is not None
-    assert len(scene.objects) == 2
+    assert scene.typed_objects() == (("vegetable1", "vegetable"), ("knife", "tool"))
 
 
 def test_phrase_without_suggestion_defaults_to_root_type():
     obs = _obs([_class("block", 10, 10)], [Detection("something", Box(60, 60, 65, 65))])
     scene = merge_detections(obs, TOY_DOMAIN)
-    assert scene.object("object1").type == "object"
+    assert ("object1", "object") in scene.typed_objects()
 
 
 def test_match_threshold_is_inclusive():
@@ -267,9 +266,9 @@ def test_object_count_accounting():
 
 def test_assign_names_permutation_invariant():
     entries = [
-        ("block", Box(10, 10, 20, 20)),
-        ("block", Box(50, 10, 60, 20)),
-        ("disk", Box(10, 40, 20, 50)),
+        ("block", Box(10, 10, 20, 20), None),
+        ("block", Box(50, 10, 60, 20), None),
+        ("disk", Box(10, 40, 20, 50), None),
     ]
     baseline = assign_names(entries)
     rng = random.Random(5)
@@ -343,7 +342,6 @@ def test_scene_lookup_and_typed_objects():
         ),
     )
     assert scene.typed_objects() == (("disk1", "disk"), ("peg1", "peg"))
-    assert scene.object("nope") is None
 
 
 def test_feature_values_are_finite():
