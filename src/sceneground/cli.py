@@ -28,6 +28,7 @@ from sceneground.metrics import (
     evaluate_suite,
     ground,
     read_text,
+    stem_name,
     validate_plan,
 )
 from sceneground.pddl import (
@@ -38,6 +39,7 @@ from sceneground.pddl import (
     serialize_plan,
     serialize_problem,
 )
+from sceneground.pddl.model import valid_name
 from sceneground.planner import PlannerError, SearchConfig, solve
 from sceneground.scene import SceneError
 
@@ -159,7 +161,7 @@ def _cmd_ground(args, config: dict) -> int:
     goal = args.goal
     if os.path.isfile(goal):  # a goal too long for a file name is text
         goal = read_text(goal)
-    name = args.name or Path(args.scene).stem.lower().replace(" ", "-")
+    name = args.name or stem_name(args.scene)
     # Both goal fields set: the grammar first, the LLM only as a fallback.
     entry = ManifestEntry(
         name, args.scene, args.exemplar,
@@ -243,6 +245,12 @@ def _cmd_eval(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _problem_name(text: str) -> str:
+    if not valid_name(text):
+        raise argparse.ArgumentTypeError(f"bad problem name {text!r}")
+    return text
+
+
 def _add_search_flags(sub):
     sub.add_argument("--mode", choices=("optimal", "satisficing"))
     sub.add_argument(
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     ground.add_argument("exemplar")
     ground.add_argument("--goal", required=True, metavar="TEXT_OR_FILE")
     ground.add_argument("--out", default=".", metavar="DIR")
-    ground.add_argument("--name", help="basename for the outputs")
+    ground.add_argument("--name", type=_problem_name, help="basename for the outputs")
     ground.add_argument("--threshold", type=float, metavar="IOU")
     _add_llm_flags(ground)
     ground.set_defaults(handler=_cmd_ground)

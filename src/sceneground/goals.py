@@ -23,7 +23,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from sceneground.pddl.model import Domain, GroundAtom, GroundLiteral, valid_name
+from sceneground.pddl.model import Domain, GroundAtom, GroundLiteral, atom_faults, valid_name
 
 
 class GoalError(ValueError):
@@ -69,14 +69,13 @@ def parse_structured_goal(text: str, domain: Domain) -> GoalSpec:
         args = tuple(a.strip() for a in m.group(3).split(","))
         if not all(map(valid_name, args)):
             raise GoalError(f"bad argument list in clause {clause.strip()!r}")
-        sig = domain.predicate(predicate)
-        if sig is None:
-            raise GoalError(f"unknown predicate {predicate!r}")
-        if len(args) != sig.arity:
-            raise GoalError(
-                f"{predicate!r} takes {sig.arity} args, got {len(args)}"
-            )
-        literals.append(GroundLiteral(GroundAtom(predicate, args), negated))
+        atom = GroundAtom(predicate, args)
+        # With no objects given, a predicate or arity fault comes first;
+        # names are resolved against a scene later.
+        position, message = next(atom_faults(atom, domain, {}), (0, ""))
+        if position < 0:
+            raise GoalError(message)
+        literals.append(GroundLiteral(atom, negated))
     return GoalSpec(tuple(literals))
 
 
@@ -88,20 +87,16 @@ def resolve_goal(
     """Check a goal's names against the named objects and return its literals.
 
     An argument whose object's type does not fit the predicate raises at
-    once; names that name no object raise together, sorted, after the walk.
+    once, as does a wrong predicate or arity (only a hand-built spec has
+    one); names that name no object raise together, sorted, after the walk.
     """
     types = dict(objects)
     unresolved = set()
     for atom, _ in spec.literals:
-        sig = domain.predicate(atom.predicate)
-        for arg, (_, want) in zip(atom.args, sig.params):
-            have = types.get(arg)
-            if have is None:
-                unresolved.add(arg)
-            elif not domain.hierarchy.is_subtype(have, want):
-                raise GoalError(
-                    f"{arg!r} has type {have!r}, {atom.predicate!r} requires {want!r}"
-                )
+        for position, message in atom_faults(atom, domain, types):
+            if position < 0 or atom.args[position] in types:
+                raise GoalError(message)
+            unresolved.add(atom.args[position])
     if unresolved:
         raise GoalError(
             "unresolvable goal names: " + ", ".join(sorted(unresolved))

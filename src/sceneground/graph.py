@@ -15,11 +15,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
-from sceneground.pddl.model import (
-    Domain,
-    GroundAtom,
-    check_plannable,
-)
+from sceneground.pddl.model import Domain, GroundAtom, atom_faults
 from sceneground.scene import (
     MATCH_THRESHOLD,
     Scene,
@@ -172,10 +168,10 @@ def _validate_exemplar(exemplar: Exemplar, domain: Domain) -> None:
             raise ExemplarError(
                 f"exemplar labels non-observed predicate {atom.predicate!r}"
             )
-    violations = check_plannable(atoms, domain, exemplar.scene.typed_objects())
-    if violations:
-        first = violations[0]
-        raise ExemplarError(f"malformed exemplar atom {first.atom}: {first.message}")
+    types = dict(exemplar.scene.typed_objects())
+    for atom in atoms:
+        for _, message in atom_faults(atom, domain, types):
+            raise ExemplarError(f"malformed exemplar atom {atom}: {message}")
 
 
 def classify(
@@ -254,7 +250,7 @@ def exemplar_from_json(
     if not isinstance(raw, dict) or "true_atoms" not in raw:
         raise SceneError("exemplar JSON must be an object with true_atoms")
     rows = raw["true_atoms"]
-    obs = observation_from_json({k: v for k, v in raw.items() if k != "true_atoms"})
+    obs = observation_from_json(raw)
     scene = merge_detections(obs, domain, threshold)
     if not isinstance(rows, list):
         raise SceneError(f"bad true_atoms: expected a list, not {type(rows).__name__}")

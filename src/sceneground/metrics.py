@@ -302,6 +302,12 @@ def aggregate(
     )
 
 
+def stem_name(path: str) -> str:
+    """A name from a file's stem: lowercased, with each character a name
+    cannot hold turned to '-', or 'scene' if the stem is empty."""
+    return re.sub(r"[^a-z0-9_-]", "-", Path(path).stem.lower()) or "scene"
+
+
 def load_manifest(path) -> tuple[Domain, tuple[ManifestEntry, ...]]:
     """Read a manifest JSON file; paths inside resolve against its folder."""
     path = Path(path)
@@ -339,10 +345,9 @@ def load_manifest(path) -> tuple[Domain, tuple[ManifestEntry, ...]]:
             raise EvalError(
                 f"problem {index} needs exactly one of goal_text, goal_structured"
             )
-        stem = re.sub(r"[^a-z0-9_-]", "-", Path(item["scene"]).stem.lower()) or "scene"
         entries.append(
             ManifestEntry(
-                name=f"{index:03d}-{stem}",
+                name=f"{index:03d}-{stem_name(item['scene'])}",
                 scene=str(base / item["scene"]),
                 exemplar=str(base / item["exemplar"]),
                 goal_text=text,

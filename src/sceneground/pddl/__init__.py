@@ -22,8 +22,7 @@ from sceneground.pddl.model import (
     PredicateSignature,
     Problem,
     TypeHierarchy,
-    Violation,
-    check_plannable,
+    atom_faults,
 )
 from sceneground.pddl.parser import PddlError, parse_domain, parse_plan, parse_problem
 from sceneground.pddl.writer import serialize_domain, serialize_plan, serialize_problem
@@ -44,8 +43,7 @@ __all__ = [
     "PredicateSignature",
     "Problem",
     "TypeHierarchy",
-    "Violation",
-    "check_plannable",
+    "atom_faults",
     "parse_domain",
     "parse_plan",
     "parse_problem",

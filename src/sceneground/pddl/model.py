@@ -2,13 +2,16 @@
 
 Everything here is an immutable value object.  Construction-time validation
 is limited to local shape checks; cross-object invariants (types exist,
-variables declared, rules stratified) are enforced by the parser.
+variables declared, rules stratified) are enforced by the parser.  The one
+exception is ``atom_faults``, the check that a ground atom is a typed
+instance of a declared predicate: problem atoms, exemplar labels and
+resolved goals all pass through it.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -17,12 +20,12 @@ ROOT_TYPE = "object"
 # domain's predicate set and never appears in states.
 EQUALITY = "="
 
-_NAME_RE = re.compile(r"^[a-z0-9_-]+$")
+_NAME_RE = re.compile(r"[a-z0-9_-]+")
 
 
 def valid_name(name: str) -> bool:
     """True if ``name`` is a legal lowercase identifier."""
-    return bool(_NAME_RE.match(name))
+    return bool(_NAME_RE.fullmatch(name))
 
 
 class ModelError(ValueError):
@@ -319,69 +322,30 @@ class Plan:
 
 
 # ---------------------------------------------------------------------------
-# Plannability check
+# Ground-atom check
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One reason an atom set is not plannable against a domain."""
+def atom_faults(
+    atom: GroundAtom, domain: Domain, types: Mapping[str, str]
+) -> Iterator[tuple[int, str]]:
+    """Why ``atom`` is not a typed instance of a declared predicate over the
+    objects ``types`` maps to their type names.
 
-    kind: str  # unknown-predicate | bad-arity | type-mismatch | unknown-object
-    atom: GroundAtom
-    message: str
-
-
-def check_plannable(
-    atoms: Iterable[GroundAtom],
-    domain: Domain,
-    objects: tuple[tuple[str, str], ...],
-) -> list[Violation]:
-    """Check every atom is a typed instantiation of a domain predicate.
-
-    Returns an empty list iff all atoms are well formed: known predicate,
-    matching arity, declared objects, and argument types that are subtypes of
-    the parameter types.  Violations are returned in atom-sorted order, worst
-    first per atom (predicate before arity before objects before types).
+    An unknown predicate or a wrong arity is one fault at position -1.
+    Otherwise each argument that names no object, or an object whose type
+    does not fit its parameter, is a fault at that argument's position, in
+    argument order.  No fault means the atom is a typed instance.
     """
-    type_of = dict(objects)
-    out: list[Violation] = []
-    for atom in sorted(atoms):
-        sig = domain.predicate(atom.predicate)
-        if sig is None:
-            out.append(
-                Violation(
-                    "unknown-predicate",
-                    atom,
-                    f"predicate {atom.predicate!r} is not declared",
-                )
-            )
-            continue
-        if len(atom.args) != sig.arity:
-            out.append(
-                Violation(
-                    "bad-arity",
-                    atom,
-                    f"{atom.predicate!r} takes {sig.arity} args, got {len(atom.args)}",
-                )
-            )
-            continue
-        for arg, (_, want) in zip(atom.args, sig.params):
-            if arg not in type_of:
-                out.append(
-                    Violation(
-                        "unknown-object", atom, f"object {arg!r} is not declared"
-                    )
-                )
-                break
-            if not domain.hierarchy.is_subtype(type_of[arg], want):
-                out.append(
-                    Violation(
-                        "type-mismatch",
-                        atom,
-                        f"{arg!r} has type {type_of[arg]!r}, "
-                        f"{atom.predicate!r} requires {want!r}",
-                    )
-                )
-                break
-    return out
+    sig = domain.predicate(atom.predicate)
+    if sig is None:
+        yield -1, f"unknown predicate {atom.predicate!r}"
+    elif len(atom.args) != sig.arity:
+        yield -1, f"{atom.predicate!r} takes {sig.arity} args, got {len(atom.args)}"
+    else:
+        for position, (arg, (_, want)) in enumerate(zip(atom.args, sig.params)):
+            have = types.get(arg)
+            if have is None:
+                yield position, f"unknown object {arg!r}"
+            elif not domain.hierarchy.is_subtype(have, want):
+                yield position, f"{arg!r} has type {have!r}, {atom.predicate!r} requires {want!r}"

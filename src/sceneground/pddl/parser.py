@@ -28,6 +28,7 @@ from sceneground.pddl.model import (
     PredicateSignature,
     Problem,
     TypeHierarchy,
+    atom_faults,
     valid_name,
 )
 
@@ -117,13 +118,17 @@ def _expect_list(node: _Node, what: str) -> list[_Node]:
     return node
 
 
-def _prepare(text: str | bytes, what: str) -> list[_Node]:
+def _decode(text: str | bytes, what: str) -> str:
     if isinstance(text, bytes):
         try:
-            text = text.decode("utf-8")
+            return text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise PddlError(f"{what} is not valid UTF-8: {exc}") from None
-    forms = _nest(_tokenize(text.lower().split("\n")))
+    return text
+
+
+def _prepare(text: str | bytes, what: str) -> list[_Node]:
+    forms = _nest(_tokenize(_decode(text, what).lower().split("\n")))
     if len(forms) != 1:
         raise PddlError(f"expected exactly one (define ...) form in {what}")
     form = _expect_list(forms[0], "(define ...)")
@@ -568,32 +573,19 @@ def parse_problem(text: str | bytes, domain: Domain) -> Problem:
     ) -> GroundAtom:
         if pred == EQUALITY:
             raise PddlError("'=' cannot appear in problems", line, col)
-        sig = domain.predicate(pred)
-        if sig is None:
-            raise PddlError(f"unknown predicate {pred!r}", line, col)
-        if len(args) != sig.arity:
-            raise PddlError(
-                f"{pred!r} takes {sig.arity} args, got {len(args)}", line, col
-            )
-        for a, (_, want) in zip(args, sig.params):
-            if a.text.startswith("?"):
-                raise PddlError(
-                    f"variables are not allowed here: {a.text!r}", a.line, a.col
-                )
-            have = object_types.get(a.text)
-            if have is None:
-                raise PddlError(f"unknown object {a.text!r}", a.line, a.col)
-            if not domain.hierarchy.is_subtype(have, want):
-                raise PddlError(
-                    f"{a.text!r} has type {have!r}, {pred!r} requires {want!r}",
-                    a.line,
-                    a.col,
-                )
-        if not in_goal and sig.kind == "derived":
+        atom = GroundAtom(pred, tuple(a.text for a in args))
+        for position, message in atom_faults(atom, domain, object_types):
+            if position < 0:
+                raise PddlError(message, line, col)
+            tok = args[position]
+            if tok.text.startswith("?"):  # never an object name, so always a fault
+                message = f"variables are not allowed here: {tok.text!r}"
+            raise PddlError(message, tok.line, tok.col)
+        if not in_goal and domain.predicate(pred).kind == "derived":
             raise PddlError(
                 f"derived predicate {pred!r} cannot appear in :init", line, col
             )
-        return GroundAtom(pred, tuple(a.text for a in args))
+        return atom
 
     for sec in sections[1:]:
         lst = _expect_list(sec, "a problem section")
@@ -660,13 +652,8 @@ def parse_plan(text: str | bytes) -> Plan:
     The plan is purely syntactic: the validator reports unknown actions
     and arity mismatches as verdicts.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise PddlError(f"plan is not valid UTF-8: {exc}") from None
     steps: list[PlanStep] = []
-    for line, raw in enumerate(text.lower().splitlines(), start=1):
+    for line, raw in enumerate(_decode(text, "plan").lower().splitlines(), start=1):
         toks = _tokenize((raw,), line)
         if not toks:
             continue

@@ -1,11 +1,12 @@
 """Reference interpreter used to cross-check the planner, the validator,
-the type hierarchy and the scene classifier.
+the type hierarchy, the problem parser's atom checks and the scene
+classifier.
 
-Deliberately naive: subtyping by walking the parent pairs, generate-and-test
-grounding, closure by repeated full re-derivation of every rule, read or
-not, read predicates by a depth-first walk, h_add by Bellman-Ford
-sweeps, breadth-first search with no ordering tricks, and 1-NN labels by
-nested loops.  It imports only the model types and the box features, never
+Deliberately naive: subtyping by walking the parent pairs, problem atoms
+checked by linear scans, generate-and-test grounding, closure by repeated
+full re-derivation of every rule, read or not, read predicates by a
+depth-first walk, h_add by Bellman-Ford sweeps, breadth-first search with
+no ordering tricks, and 1-NN labels by nested loops.  It imports only the model types and the box features, never
 the graph, planner or metrics modules, so agreement between the
 implementations is meaningful evidence rather than an echo.
 """
@@ -225,6 +226,32 @@ def well_typed(atom: GroundAtom, domain: Domain, objects) -> bool:
         arg in types and naive_is_subtype(domain.hierarchy, types[arg], want)
         for arg, (_, want) in zip(atom.args, sig.params)
     )
+
+
+def naive_atom_error(domain: Domain, objects, predicate: str, args, in_init: bool):
+    """What the problem parser says about the atom ``(predicate *args)``
+    written in :init (``in_init``) or in :goal, as (message, token): token
+    0 is the predicate and k the k-th argument.  None if the atom parses.
+    ``objects`` holds (name, type) pairs."""
+    signature = None
+    for sig in domain.predicates:
+        if sig.name == predicate:
+            signature = sig
+    if signature is None:
+        return f"unknown predicate {predicate!r}", 0
+    if len(args) != len(signature.params):
+        return f"{predicate!r} takes {len(signature.params)} args, got {len(args)}", 0
+    for k, (arg, (_, want)) in enumerate(zip(args, signature.params), start=1):
+        if arg.startswith("?"):
+            return f"variables are not allowed here: {arg!r}", k
+        kinds = [typ for name, typ in objects if name == arg]
+        if not kinds:
+            return f"unknown object {arg!r}", k
+        if not naive_is_subtype(domain.hierarchy, kinds[0], want):
+            return f"{arg!r} has type {kinds[0]!r}, {predicate!r} requires {want!r}", k
+    if in_init and signature.kind == "derived":
+        return f"derived predicate {predicate!r} cannot appear in :init", 0
+    return None
 
 
 def _relaxed_actions(domain: Domain, objects):

@@ -33,7 +33,7 @@ from sceneground.graph import (
 )
 from sceneground.metrics import evaluate_suite, load_manifest, triplet_pr
 from sceneground.pddl import parse_domain, serialize_problem
-from sceneground.pddl.model import GroundAtom, check_plannable
+from sceneground.pddl.model import GroundAtom, atom_faults
 from sceneground.planner import SearchConfig, solve
 from sceneground.scene import Box, merge_detections
 
@@ -133,7 +133,9 @@ def test_rederived_atoms_equal_truth_init(cfg):
 def test_truth_is_plannable_and_solvable(cfg):
     problem = generate(cfg)
     domain = DOMAINS[cfg.kind]
-    assert check_plannable(problem.truth.init, domain, problem.truth.objects) == []
+    types = dict(problem.truth.objects)
+    init = problem.truth.init
+    assert [fault for atom in init for fault in atom_faults(atom, domain, types)] == []
     result = solve(domain, problem.truth, SearchConfig(mode="optimal"))
     assert result.status == "solved"
     assert len(result.plan) == problem.meta.optimal_length

@@ -228,6 +228,35 @@ def ground_argv(suite_dir, goal, out, *extra):
     ]
 
 
+def test_ground_names_the_problem_from_a_cleaned_scene_stem(suite_dir, first_goal, tmp_path):
+    problem_dir = suite_dir / "problems" / "000"
+    scene = tmp_path / "Scene.V2.json"
+    shutil.copy(problem_dir / "scene.json", scene)
+    argv = [
+        "ground",
+        str(suite_dir / "domain.pddl"),
+        str(scene),
+        str(problem_dir / "exemplar.json"),
+        "--goal",
+        first_goal,
+        "--out",
+        str(tmp_path / "out"),
+    ]
+    assert main(argv) == 0
+    text = (tmp_path / "out" / "scene-v2.pddl").read_text()
+    assert text.startswith("(define (problem scene-v2)")
+
+
+@pytest.mark.parametrize("name", ["Kitchen Run", "../escape", "p0\n"])
+def test_ground_rejects_a_bad_name_before_reading_files(name, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    argv = ["ground", missing, missing, missing, "--goal", "x", "--name", name]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"bad problem name {name!r}" in capsys.readouterr().err
+
+
 LLM_FLAGS = ("--llm-base-url", "http://127.0.0.1:9", "--llm-model", "stub")
 
 

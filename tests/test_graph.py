@@ -32,7 +32,7 @@ from sceneground.metrics import ManifestEntry, PipelineConfig, ground
 from sceneground.pddl import (
     GroundAtom,
     GroundLiteral,
-    check_plannable,
+    atom_faults,
     parse_domain,
     parse_problem,
     serialize_problem,
@@ -243,19 +243,26 @@ def test_gate_skipped_when_predicate_absent_from_test():
 
 
 def test_malformed_exemplar_atoms_rejected():
-    scene = _scene(_block("exa", 10, 40), _block("exb", 10, 10))
-    with pytest.raises(ExemplarError):
-        classify_scene(
-            scene,
-            BLOCKS,
-            Exemplar(scene, frozenset({GroundAtom("on", ("exa", "ghost"))})),
-        )
-    with pytest.raises(ExemplarError):
-        classify_scene(
-            scene,
-            BLOCKS,
-            Exemplar(scene, frozenset({GroundAtom("covered", ("exa",))})),
-        )
+    blocks = _scene(_block("exa", 10, 40), _block("exb", 10, 10))
+    kitchen = _scene(
+        SceneObject("g1", "gripper", Box(0, 0, 10, 10)),
+        SceneObject("tomato", "vegetable", Box(20, 0, 30, 10)),
+    )
+    cases = [
+        (blocks, BLOCKS, GroundAtom("on", ("exa", "ghost")),
+         "malformed exemplar atom (on exa ghost): unknown object 'ghost'"),
+        (kitchen, KITCHEN, GroundAtom("carry", ("tomato", "tomato")),
+         "malformed exemplar atom (carry tomato tomato): "
+         "'tomato' has type 'vegetable', 'carry' requires 'gripper'"),
+        (blocks, BLOCKS, GroundAtom("on", ("exa",)),
+         "malformed exemplar atom (on exa): 'on' takes 2 args, got 1"),
+        (blocks, BLOCKS, GroundAtom("covered", ("exa",)),
+         "exemplar labels non-observed predicate 'covered'"),
+    ]
+    for scene, domain, atom, message in cases:
+        with pytest.raises(ExemplarError) as err:
+            classify_scene(scene, domain, Exemplar(scene, frozenset({atom})))
+        assert str(err.value) == message
 
 
 _LABEL_TWO_DERIVED_PREDICATES = """
@@ -430,7 +437,8 @@ def test_ground_scene_end_to_end(tmp_path):
     goal = (GroundLiteral(GroundAtom("on", ("block2", "block1")), False),)
     assert problem.init == {GroundAtom("on", ("block1", "block2"))}
     assert problem.goal == goal
-    assert check_plannable(problem.init, BLOCKS, problem.objects) == []
+    types = dict(problem.objects)
+    assert [fault for atom in problem.init for fault in atom_faults(atom, BLOCKS, types)] == []
     # The emitted problem survives its own serialization.
     reparsed = parse_problem(serialize_problem(problem), BLOCKS)
     assert reparsed == problem

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naive_ref import naive_is_subtype, naive_type_chain
+from naive_ref import naive_atom_error, naive_is_subtype, naive_type_chain
+from sceneground.bench import domain_text
 from sceneground.pddl import (
     Domain,
     GroundAtom,
@@ -18,7 +19,7 @@ from sceneground.pddl import (
     PlanStep,
     Problem,
     TypeHierarchy,
-    check_plannable,
+    atom_faults,
     parse_domain,
     parse_plan,
     parse_problem,
@@ -289,17 +290,86 @@ def test_parse_plan_reports_the_line_and_column_of_the_raw_text(bad, fragment, c
     assert (err.value.line, err.value.col) == (4, col)
 
 
-def test_check_plannable_flags(toy_domain):
-    objects = (("b1", "block"), ("t1", "object"))
+def test_atom_faults_flags(toy_domain):
+    types = {"b1": "block", "t1": "object"}
     atoms = [
         GroundAtom("on", ("b1", "b1")),
         GroundAtom("off", ("b1", "b1")),
         GroundAtom("on", ("b1",)),
         GroundAtom("on", ("b1", "b9")),
         GroundAtom("on", ("b1", "t1")),
+        GroundAtom("on", ("b9", "t1")),
     ]
-    kinds = [v.kind for v in check_plannable(atoms, toy_domain, objects)]
-    assert kinds == ["unknown-predicate", "bad-arity", "unknown-object", "type-mismatch"]
+    assert [list(atom_faults(atom, toy_domain, types)) for atom in atoms] == [
+        [],
+        [(-1, "unknown predicate 'off'")],
+        [(-1, "'on' takes 2 args, got 1")],
+        [(1, "unknown object 'b9'")],
+        [(1, "'t1' has type 'object', 'on' requires 'block'")],
+        # Every faulty argument, in order.
+        [(0, "unknown object 'b9'"), (1, "'t1' has type 'object', 'on' requires 'block'")],
+    ]
+
+
+COOKING = parse_domain(domain_text("cooking"))
+# One object of each cooking type.
+COOKING_OBJECTS = tuple((f"{typ}1", typ) for typ in COOKING.hierarchy.all_types())
+# An undeclared name, a variable and every object.
+COOKING_ARGUMENTS = ["nobody", "?x", *(name for name, _ in COOKING_OBJECTS)]
+
+
+@st.composite
+def cooking_atoms(draw):
+    """(predicate, args): a declared or unknown predicate, often with its
+    arity, over arguments that often fit, or name no object, or are a
+    variable."""
+    predicate = draw(st.sampled_from([sig.name for sig in COOKING.predicates] + ["ghost"]))
+    sig = COOKING.predicate(predicate)
+    wants = [want for _, want in sig.params] if sig else []
+    arity = draw(st.sampled_from([len(wants), 0, 1, 2, 3]))
+    args = []
+    for k in range(arity):
+        fitting = [
+            name
+            for name, typ in COOKING_OBJECTS
+            if k < len(wants) and naive_is_subtype(COOKING.hierarchy, typ, wants[k])
+        ]
+        anything = st.sampled_from(COOKING_ARGUMENTS)
+        args.append(draw(st.sampled_from(fitting) | anything if fitting else anything))
+    return predicate, args
+
+
+@settings(max_examples=300, deadline=None)
+@given(cooking_atoms(), st.sampled_from([":init", ":goal"]))
+def test_problem_atoms_are_checked_as_the_naive_reference_does(atom, section):
+    # The atom sits on line 3, in :init or :goal, and the other section on
+    # line 4 is valid.  The parser's verdict, message, line and column are
+    # the naive reference's.
+    predicate, args = atom
+    other = {":init": ":goal (sliced vegetable1)", ":goal": ":init"}[section]
+    objects = " ".join(f"{name} - {typ}" for name, typ in COOKING_OBJECTS)
+    text = (
+        "(define (problem p) (:domain cooking)\n"
+        f"(:objects {objects})\n"
+        f"({section} ({' '.join([predicate, *args])}))\n"
+        f"({other}))"
+    )
+    error = naive_atom_error(COOKING, COOKING_OBJECTS, predicate, args, section == ":init")
+    if error is None:
+        problem = parse_problem(text, COOKING)
+        ground = GroundAtom(predicate, tuple(args))
+        if section == ":init":
+            assert problem.init == {ground}
+        else:
+            assert problem.goal == (GroundLiteral(ground),)
+        return
+    with pytest.raises(PddlError) as err:
+        parse_problem(text, COOKING)
+    # Token 0 starts at column 9, after "(:init (" or "(:goal ("; each later
+    # token starts one space after the one before it.
+    message, token = error
+    col = 9 + sum(len(tok) + 1 for tok in [predicate, *args][:token])
+    assert (err.value.message, err.value.line, err.value.col) == (message, 3, col)
 
 
 def test_type_hierarchy_subtyping():

@@ -917,7 +917,8 @@ def small_typed_tasks(draw):
 
     No action writes the observed predicate s, and init holds at least one
     of its atoms, so rule bodies can read static atoms, atoms that are
-    never true, or static atoms only (see ``folding_cases``).  Derived
+    never true, or static atoms only (see ``folding_cases``); half the
+    time a rule for f, read by the goal, draws all three.  Derived
     predicates can be unread, or read only through another rule's body
     (see ``relevance_cases``).
 
@@ -972,6 +973,14 @@ def small_typed_tasks(draw):
         signatures[name] = [head[var] for var in head_vars]
         params = " ".join(f"{var} - {head[var]}" for var in head_vars)
         rules.append(f"(:derived ({name} {params}) (and {' '.join(body)}))")
+    # Half the time a rule for f reads s alone, and the goal names an f atom.
+    # f's instances over init's s atoms read static atoms only, and those
+    # over the s atoms init lacks read atoms that are never true.
+    if not draw(st.booleans()):
+        variables = ["?x", "?y"][: len(signatures["s"])]
+        params = " ".join(f"{var} - {t}" for var, t in zip(variables, signatures["s"]))
+        signatures["f"] = signatures["s"]
+        rules.append(f"(:derived (f {params}) (s {' '.join(variables)}))")
 
     def literal(predicates, params, negated=None):
         """A literal over ``params`` (variable -> type) that type-checks, or
@@ -1038,7 +1047,9 @@ def small_typed_tasks(draw):
     base = [a for a in atoms if a.predicate in written]
     static = [a for a in atoms if a.predicate == "s"]
     init = frozenset(draw(st.sets(st.sampled_from(base))) if base else ())
-    init |= draw(st.sets(st.sampled_from(static), min_size=1))
+    # With f, init lacks an s atom whenever s has two.
+    most = len(static) - 1 if "f" in signatures and len(static) > 1 else None
+    init |= draw(st.sets(st.sampled_from(static), min_size=1, max_size=most))
     # The goal holds after a short random walk and names every atom the walk
     # changed (or one or two others if it changed none); half the time its
     # first literal flips.
@@ -1059,6 +1070,9 @@ def small_typed_tasks(draw):
     goal = [GroundLiteral(atom, atom not in reached) for atom in named]
     if goal and draw(st.booleans()):
         goal[0] = GroundLiteral(goal[0].atom, not goal[0].negated)
+    if "f" in signatures:
+        atom = draw(st.sampled_from([atom for atom in atoms if atom.predicate == "f"]))
+        goal.append(GroundLiteral(atom, atom not in reached))
     # A quarter of the time the goal also asks for an s atom init lacks:
     # nothing makes it true, so h_add is infinite on every state.
     absent = sorted(set(static) - init)
