@@ -1,9 +1,10 @@
 """Seeded synthetic scenes with ground-truth problems for three domains.
 
-Every generator draws a scene layout on a fixed 1280x960 canvas (constants
-are canvas fractions), derives the true atoms from the geometry with the
-same rules tests can re-run (derive_atoms), picks a solvable goal, and
-fills the optimal plan length from an exhaustive search oracle.
+Every generator lays out its scenes on a fixed 1280x960 canvas (constants
+are canvas fractions) and merges each once (_merged); atoms and goals use
+the names merging gives.  The true atoms agree with the geometry rules
+tests can re-run (derive_atoms); a solvable goal is picked and the optimal
+plan length filled from an exhaustive search oracle.
 
 Exemplar policy per domain, driven by what the box features can carry:
 
@@ -12,7 +13,8 @@ Exemplar policy per domain, driven by what the box features can carry:
   translation invariant, so one small labeled scene covers every layout.
 * hanoi: a translation of the problem's own scene.  Disk/peg features
   encode which peg column a box sits in, so no small independent scene
-  can cover all peg combinations; a congruent sibling transfers exactly.
+  can cover all peg combinations; a congruent sibling transfers exactly,
+  and merging gives its boxes the same names, so the scene's atoms label it.
 * cooking: a fixed independent scene that places a sliced and an
   unsliced vegetable copy at every slot a vegetable can occupy.  Unary
   features leak absolute position, so the exemplar enumerates the
@@ -29,6 +31,7 @@ import json
 import math
 import random
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -114,11 +117,22 @@ def _centered(cx: float, cy: float, w: float, h: float) -> Box:
     return _box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
-def _name_of(scene: Scene, box: Box) -> str:
-    for obj in scene.objects:
-        if obj.box == box:
-            return obj.name
-    raise AssertionError("generated box vanished during merging")
+def _merged(
+    domain: Domain, detections: Iterable[Detection], phrases: Iterable[Detection] = ()
+) -> tuple[SceneObservation, Scene, dict[Box, str]]:
+    """The detections on the canvas as an observation, its merged scene,
+    and each merged object's box mapped to its name."""
+    obs = SceneObservation(int(CANVAS_W), int(CANVAS_H), tuple(detections), tuple(phrases))
+    scene = merge_detections(obs, domain)
+    return obs, scene, {obj.box: obj.name for obj in scene.objects}
+
+
+def _goal_text(goal: tuple[GroundLiteral, ...]) -> str:
+    """``goal`` in the structured goal grammar (``parse_structured_goal``)."""
+    return " AND ".join(
+        f"{'NOT ' if negated else ''}{atom.predicate}({', '.join(atom.args)})"
+        for atom, negated in goal
+    )
 
 
 def on_atom(a: str, b: str) -> GroundAtom:
@@ -187,14 +201,11 @@ def _blocks_scene(
     for slot, stack in enumerate(stacks):
         for level, name in enumerate(stack):
             boxes[name] = _block_box(slot, level)
-    detections = tuple(Detection("block", boxes[n]) for n in sorted(boxes))
-    obs = SceneObservation(int(CANVAS_W), int(CANVAS_H), detections, ())
-    scene = merge_detections(obs, domain)
-    renamed = {internal: _name_of(scene, box) for internal, box in boxes.items()}
-    atoms = frozenset(
-        on_atom(renamed[a.args[0]], renamed[a.args[1]]) for a in _stack_atoms(stacks)
+    obs, scene, names = _merged(
+        domain, (Detection("block", boxes[n]) for n in sorted(boxes))
     )
-    return obs, scene, atoms
+    merged = [[names[boxes[n]] for n in stack] for stack in stacks]
+    return obs, scene, _stack_atoms(merged)
 
 
 def _blocks_distance_map(domain: Domain, problem_objects, init):
@@ -212,17 +223,9 @@ def _blocks_distance_map(domain: Domain, problem_objects, init):
     return {task.decode(base): d for base, d in dist.items()}
 
 
-_BLOCKS_EXEMPLAR_STACKS = 3, 2  # fixed independent exemplar: one 3-stack, one 2-stack
-
-
 def _blocks_exemplar(domain: Domain) -> tuple[SceneObservation, Exemplar]:
-    names = [f"e{i}" for i in range(1, sum(_BLOCKS_EXEMPLAR_STACKS) + 1)]
-    stacks = []
-    cursor = 0
-    for size in _BLOCKS_EXEMPLAR_STACKS:
-        stacks.append(names[cursor : cursor + size])
-        cursor += size
-    obs, scene, atoms = _blocks_scene(domain, stacks)
+    """The fixed independent exemplar: one 3-stack and one 2-stack."""
+    obs, scene, atoms = _blocks_scene(domain, [["e1", "e2", "e3"], ["e4", "e5"]])
     return obs, Exemplar(scene, atoms)
 
 
@@ -268,7 +271,6 @@ def gen_blocksworld(n: int, seed: int) -> GeneratedProblem:
     ordered = sorted(goal_atoms)
     goal = tuple(GroundLiteral(a, False) for a in ordered)
     truth = Problem(f"blocks-{n}-{seed}", domain.name, objects, init_atoms, goal)
-    goal_text = " AND ".join(f"on({a.args[0]}, {a.args[1]})" for a in ordered)
     instruction = "restack the blocks so that " + " and ".join(
         f"{a.args[0]} rests on {a.args[1]}" for a in ordered
     )
@@ -279,7 +281,7 @@ def gen_blocksworld(n: int, seed: int) -> GeneratedProblem:
         exemplar,
         exemplar_obs,
         instruction,
-        goal_text,
+        _goal_text(goal),
         truth,
         Meta(seed, 0.0, optimal),
     )
@@ -344,10 +346,9 @@ def gen_hanoi(d: int, g: int, seed: int) -> GeneratedProblem:
     detections = tuple(
         Detection("disk", disk_boxes[rank]) for rank in sorted(disk_boxes)
     ) + tuple(Detection("peg", peg_boxes[p]) for p in range(g))
-    obs = SceneObservation(int(CANVAS_W), int(CANVAS_H), detections, ())
-    scene = merge_detections(obs, domain)
-    disk = {rank: _name_of(scene, box) for rank, box in disk_boxes.items()}
-    peg = {p: _name_of(scene, box) for p, box in peg_boxes.items()}
+    obs, scene, names = _merged(domain, detections)
+    disk = {rank: names[box] for rank, box in disk_boxes.items()}
+    peg = {p: names[box] for p, box in peg_boxes.items()}
 
     init = set()
     for small in range(1, d + 1):
@@ -366,31 +367,16 @@ def gen_hanoi(d: int, g: int, seed: int) -> GeneratedProblem:
     )
     result = solve(domain, truth, SearchConfig(mode="optimal", node_limit=10**6))
     assert result.status == "solved" and result.plan is not None
-    goal_text = " AND ".join(
-        f"onpeg({disk[rank]}, {peg[goal_peg]})" for rank in range(1, d + 1)
-    )
     instruction = (
         f"move the whole tower from {peg[start_peg]} to {peg[goal_peg]}"
     )
 
     dx = EXEMPLAR_SHIFT * CANVAS_W
     dy = EXEMPLAR_SHIFT * CANVAS_H
-    exemplar_obs = SceneObservation(
-        int(CANVAS_W),
-        int(CANVAS_H),
-        tuple(
-            Detection(det.query, det.box.shifted(dx, dy)) for det in detections
-        ),
-        (),
+    exemplar_obs, exemplar_scene, _ = _merged(
+        domain, (Detection(det.query, det.box.shifted(dx, dy)) for det in detections)
     )
-    exemplar_scene = merge_detections(exemplar_obs, domain)
     # Uniform shifts preserve raster order, so names carry over one to one.
-    shifted = {
-        _name_of(exemplar_scene, box.shifted(dx, dy)): name
-        for name, box in [(disk[r], disk_boxes[r]) for r in disk_boxes]
-        + [(peg[p], peg_boxes[p]) for p in peg_boxes]
-    }
-    assert all(new == old for new, old in shifted.items())
     exemplar = Exemplar(exemplar_scene, frozenset(init))
     return GeneratedProblem(
         "hanoi",
@@ -398,7 +384,7 @@ def gen_hanoi(d: int, g: int, seed: int) -> GeneratedProblem:
         exemplar,
         exemplar_obs,
         instruction,
-        goal_text,
+        _goal_text(goal),
         truth,
         Meta(seed, 0.0, len(result.plan)),
     )
@@ -438,7 +424,17 @@ _VEG_SLOTS = {
     "g1": _center(G1_BOX),
     "g2": _center(G2_BOX),
 }
-_KNIFE_BOARD_SLOT = (0.40 * CANVAS_W, 0.60 * CANVAS_H)
+_KNIFE_BOXES = {  # on the board, or held by the first gripper
+    "board": _centered(0.40 * CANVAS_W, 0.60 * CANVAS_H, KNIFE_W, KNIFE_H),
+    "g1": _centered(*_center(G1_BOX), KNIFE_W, KNIFE_H),
+}
+_KITCHEN = (  # the fixtures every kitchen scene shows
+    Detection("gripper", G1_BOX),
+    Detection("gripper", G2_BOX),
+    Detection("board", BOARD_BOX),
+    Detection("container", WHITE_BOWL_BOX),
+    Detection("container", RED_BOWL_BOX),
+)
 
 
 def _veg_box(slot: str, sliced: bool) -> Box:
@@ -456,19 +452,13 @@ def _cooking_exemplar(domain: Domain) -> tuple[SceneObservation, Exemplar]:
     keeping the exemplar and the geometry rules in lockstep.
     """
     detections = [
-        Detection("gripper", G1_BOX),
-        Detection("gripper", G2_BOX),
-        Detection("board", BOARD_BOX),
-        Detection("container", WHITE_BOWL_BOX),
-        Detection("container", RED_BOWL_BOX),
-        Detection("tool", _centered(*_KNIFE_BOARD_SLOT, KNIFE_W, KNIFE_H)),
-        Detection("tool", _centered(*_center(G1_BOX), KNIFE_W, KNIFE_H)),
+        *_KITCHEN,
+        *(Detection("tool", box) for box in _KNIFE_BOXES.values()),
     ]
     for slot in _VEG_SLOTS:
         detections.append(Detection("vegetable", _veg_box(slot, False)))
         detections.append(Detection("vegetable", _veg_box(slot, True)))
-    obs = SceneObservation(int(CANVAS_W), int(CANVAS_H), tuple(detections), ())
-    scene = merge_detections(obs, domain)
+    obs, scene, _ = _merged(domain, detections)
     return obs, Exemplar(scene, derive_cooking_atoms(scene))
 
 
@@ -490,11 +480,7 @@ def gen_cooking(seed: int) -> GeneratedProblem:
     )
     other_at = "board_b" if target_at == other_bowl else other_bowl
 
-    knife_box = (
-        _centered(*_KNIFE_BOARD_SLOT, KNIFE_W, KNIFE_H)
-        if knife_at == "board"
-        else _centered(*_center(G1_BOX), KNIFE_W, KNIFE_H)
-    )
+    knife_box = _KNIFE_BOXES[knife_at]
     veg_boxes = {
         target: _veg_box(target_at, False),
         other: _veg_box(other_at, True),
@@ -509,11 +495,7 @@ def gen_cooking(seed: int) -> GeneratedProblem:
         )
 
     class_detections = (
-        Detection("gripper", G1_BOX),
-        Detection("gripper", G2_BOX),
-        Detection("board", BOARD_BOX),
-        Detection("container", WHITE_BOWL_BOX),
-        Detection("container", RED_BOWL_BOX),
+        *_KITCHEN,
         Detection("tool", knife_box),
         Detection("vegetable", veg_boxes["cucumber"]),
         Detection("vegetable", veg_boxes["tomato"]),
@@ -525,10 +507,7 @@ def gen_cooking(seed: int) -> GeneratedProblem:
         phrase("white_bowl", WHITE_BOWL_BOX, "container"),
         phrase("red_bowl", RED_BOWL_BOX, "container"),
     )
-    obs = SceneObservation(
-        int(CANVAS_W), int(CANVAS_H), class_detections, phrase_detections
-    )
-    scene = merge_detections(obs, domain)
+    obs, scene, _ = _merged(domain, class_detections, phrase_detections)
     init = derive_cooking_atoms(scene)
 
     goal = (
@@ -540,7 +519,6 @@ def gen_cooking(seed: int) -> GeneratedProblem:
     )
     result = solve(domain, truth, SearchConfig(mode="optimal"))
     assert result.status == "solved" and result.plan is not None
-    goal_text = f"sliced({target}) AND in({target}, {bowl})"
     instruction = (
         f"slice the {target} and put it in the {bowl.replace('_', ' ')}"
     )
@@ -551,7 +529,7 @@ def gen_cooking(seed: int) -> GeneratedProblem:
         exemplar,
         exemplar_obs,
         instruction,
-        goal_text,
+        _goal_text(goal),
         truth,
         Meta(seed, 0.0, len(result.plan)),
     )

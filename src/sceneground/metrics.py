@@ -47,6 +47,7 @@ from sceneground.pddl.model import (
     GroundAtom,
     Plan,
     Problem,
+    valid_name,
 )
 from sceneground.planner import SearchConfig, axiom_closure, solve
 from sceneground.scene import (
@@ -303,9 +304,10 @@ def aggregate(
 
 
 def stem_name(path: str) -> str:
-    """A name from a file's stem: lowercased, with each character a name
-    cannot hold turned to '-', or 'scene' if the stem is empty."""
-    return re.sub(r"[^a-z0-9_-]", "-", Path(path).stem.lower()) or "scene"
+    """A name from a file's stem: lowercased, each character a name cannot
+    hold turned to '-'; 'scene' if that leaves nothing or a lone '-'."""
+    name = re.sub(r"[^a-z0-9_-]", "-", Path(path).stem.lower())
+    return name if valid_name(name) else "scene"
 
 
 def load_manifest(path) -> tuple[Domain, tuple[ManifestEntry, ...]]:

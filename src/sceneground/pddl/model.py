@@ -24,8 +24,10 @@ _NAME_RE = re.compile(r"[a-z0-9_-]+")
 
 
 def valid_name(name: str) -> bool:
-    """True if ``name`` is a legal lowercase identifier."""
-    return bool(_NAME_RE.fullmatch(name))
+    """True if ``name`` is a legal lowercase identifier: letters, digits,
+    ``_`` and ``-`` in any order, except a lone ``-``, which a typed list
+    reads as its type separator."""
+    return name != "-" and bool(_NAME_RE.fullmatch(name))
 
 
 class ModelError(ValueError):

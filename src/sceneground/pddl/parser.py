@@ -5,12 +5,17 @@ Text is lowercased before tokenizing (identifiers are case-insensitive) and
 so arbitrarily deep input cannot overflow the interpreter stack: any input,
 including random bytes, either parses or raises :class:`PddlError` with a
 line/column position.
+
+Domains and problems share one reader of the ``(define (WHAT NAME) ...)``
+form.  An error is raised at the first token of the form at fault; an empty
+form has none, so its error has no position.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections.abc import Iterator
+from typing import NamedTuple, NoReturn
 
 from sceneground.pddl.model import (
     EQUALITY,
@@ -97,18 +102,18 @@ def _nest(toks: list[_Tok]) -> list[_Node]:
     return root
 
 
-def _pos(node: _Node) -> tuple[int, int]:
+def _fail(message: str, node: _Node) -> NoReturn:
+    """Raise at the first token of ``node``; an empty list has no position."""
     while isinstance(node, list):
         if not node:
-            return (0, 0)
+            raise PddlError(message)
         node = node[0]
-    return (node.line, node.col)
+    raise PddlError(message, node.line, node.col)
 
 
 def _expect_tok(node: _Node, what: str) -> _Tok:
     if not isinstance(node, _Tok):
-        line, col = _pos(node)
-        raise PddlError(f"expected {what}, got a list", line, col)
+        _fail(f"expected {what}, got a list", node)
     return node
 
 
@@ -127,15 +132,40 @@ def _decode(text: str | bytes, what: str) -> str:
     return text
 
 
-def _prepare(text: str | bytes, what: str) -> list[_Node]:
+_SECTION_KEYS = {
+    "domain": (":requirements", ":types", ":predicates", ":action", ":derived"),
+    "problem": (":domain", ":objects", ":init", ":goal"),
+}
+
+
+def _prepare(
+    text: str | bytes, what: str
+) -> tuple[str, Iterator[tuple[str, list[_Node]]]]:
+    """NAME and the sections of the one ``(define (WHAT NAME) ...)`` form,
+    each section checked when the caller reaches it."""
     forms = _nest(_tokenize(_decode(text, what).lower().split("\n")))
     if len(forms) != 1:
         raise PddlError(f"expected exactly one (define ...) form in {what}")
     form = _expect_list(forms[0], "(define ...)")
     if not form or _expect_tok(form[0], "define").text != "define":
-        line, col = _pos(form)
-        raise PddlError("expected (define ...)", line, col)
-    return form
+        _fail("expected (define ...)", form)
+    if len(form) == 1:
+        raise PddlError(f"missing ({what} NAME)")
+    head = _expect_list(form[1], f"({what} NAME)")
+    if len(head) != 2 or _expect_tok(head[0], what).text != what:
+        _fail(f"expected ({what} NAME)", head)
+    return _name_tok(head[1], f"{what} name").text, _sections(form[2:], what)
+
+
+def _sections(forms: list[_Node], what: str) -> Iterator[tuple[str, list[_Node]]]:
+    """Each non-empty section's keyword and form; an unknown keyword raises."""
+    for form in forms:
+        lst = _expect_list(form, f"a {what} section")
+        if lst:
+            key = _expect_tok(lst[0], "a section keyword").text
+            if key not in _SECTION_KEYS[what]:
+                _fail(f"unsupported section {key!r}", lst)
+            yield key, lst
 
 
 def _name_tok(node: _Node, what: str) -> _Tok:
@@ -202,8 +232,7 @@ def _parse_literal(node: _Node) -> tuple[str, list[_Tok], bool, int, int]:
     """Parse ``(p a b)`` or ``(not (p a b))`` into (pred, args, negated, pos)."""
     lst = _expect_list(node, "a literal")
     if not lst:
-        line, col = _pos(node)
-        raise PddlError("empty formula", line, col)
+        raise PddlError("empty formula")
     head = _expect_tok(lst[0], "predicate name")
     negated = False
     if head.text == "not":
@@ -232,39 +261,22 @@ def parse_domain(text: str | bytes) -> Domain:
     names, cyclic types, effects on derived predicates, unstratified
     (cyclic) rules, observed predicates of arity other than 1 or 2.
     """
-    form = _prepare(text, "domain")
-    sections = form[1:]
-    if not sections:
-        raise PddlError("missing (domain NAME)")
-    head = _expect_list(sections[0], "(domain NAME)")
-    if (
-        len(head) != 2
-        or _expect_tok(head[0], "domain").text != "domain"
-    ):
-        line, col = _pos(sections[0])
-        raise PddlError("expected (domain NAME)", line, col)
-    dom_name = _name_tok(head[1], "domain name").text
+    dom_name, sections = _prepare(text, "domain")
 
     type_decls: list[tuple[str, str, int, int]] = []
     pred_decls: list[tuple[str, list[tuple[str, str, int, int]], int, int]] = []
     action_nodes: list[list[_Node]] = []
     derived_nodes: list[list[_Node]] = []
 
-    for sec in sections[1:]:
-        lst = _expect_list(sec, "a domain section")
-        if not lst:
-            continue
-        key = _expect_tok(lst[0], "a section keyword").text
-        if key == ":requirements":
-            continue  # declarative hints; the subset is fixed anyway
+    # :requirements are declarative hints; the subset is fixed anyway.
+    for key, lst in sections:
         if key == ":types":
             type_decls.extend(_typed_list(lst[1:], "type name", variables=False))
         elif key == ":predicates":
             for p in lst[1:]:
                 plist = _expect_list(p, "a predicate declaration")
                 if not plist:
-                    line, col = _pos(p)
-                    raise PddlError("empty predicate declaration", line, col)
+                    raise PddlError("empty predicate declaration")
                 first = _expect_tok(plist[0], "predicate name")
                 if first.text == EQUALITY:
                     raise PddlError(
@@ -277,10 +289,6 @@ def parse_domain(text: str | bytes) -> Domain:
             action_nodes.append(lst)
         elif key == ":derived":
             derived_nodes.append(lst)
-        else:
-            tok = lst[0]
-            line, col = _pos(tok)
-            raise PddlError(f"unsupported section {key!r}", line, col)
 
     # Types: parents referenced but not declared become children of the root.
     declared = {n for n, _, _, _ in type_decls}
@@ -299,41 +307,36 @@ def parse_domain(text: str | bytes) -> Domain:
         raise PddlError(str(exc)) from None
 
     # Predicate kinds: heads of :derived rules are derived, the rest observed.
-    derived_names: set[str] = set()
+    # Each rule keeps its head name token, head parameter nodes and body.
+    rule_forms: list[tuple[_Tok, list[_Node], _Node]] = []
     for lst in derived_nodes:
         if len(lst) != 3:
-            line, col = _pos(lst[0])
-            raise PddlError("(:derived HEAD BODY) takes two forms", line, col)
+            _fail("(:derived HEAD BODY) takes two forms", lst)
         hd = _expect_list(lst[1], "a rule head")
         if not hd:
-            line, col = _pos(lst[1])
-            raise PddlError("empty rule head", line, col)
-        derived_names.add(_name_tok(hd[0], "predicate name").text)
+            raise PddlError("empty rule head")
+        rule_forms.append((_name_tok(hd[0], "predicate name"), hd[1:], lst[2]))
+    derived_names = {head_name.text for head_name, _, _ in rule_forms}
 
-    sig_list: list[PredicateSignature] = []
-    seen_preds: set[str] = set()
+    sigs: dict[str, PredicateSignature] = {}
     for name, params, line, col in pred_decls:
-        if name in seen_preds:
+        if name in sigs:
             raise PddlError(f"duplicate predicate {name!r}", line, col)
-        seen_preds.add(name)
         for pname, ptyp, pline, pcol in params:
             if not hierarchy.contains(ptyp):
                 raise PddlError(f"unknown type {ptyp!r}", pline, pcol)
         kind = "derived" if name in derived_names else "observed"
         try:
-            sig_list.append(
-                PredicateSignature(
-                    name, tuple((v, t) for v, t, _, _ in params), kind
-                )
+            sigs[name] = PredicateSignature(
+                name, tuple((v, t) for v, t, _, _ in params), kind
             )
         except ModelError as exc:
             raise PddlError(str(exc), line, col) from None
-    missing = derived_names - seen_preds
+    missing = derived_names - sigs.keys()
     if missing:
         raise PddlError(
             f"derived predicate {sorted(missing)[0]!r} is not declared in (:predicates ...)"
         )
-    sigs = {s.name: s for s in sig_list}
 
     def check_atom_types(
         pred: str,
@@ -386,8 +389,7 @@ def parse_domain(text: str | bytes) -> Domain:
     action_names: set[str] = set()
     for lst in action_nodes:
         if len(lst) < 2:
-            line, col = _pos(lst[0])
-            raise PddlError("(:action ...) missing a name", line, col)
+            _fail("(:action ...) missing a name", lst)
         name_tok = _name_tok(lst[1], "action name")
         if name_tok.text in action_names:
             raise PddlError(
@@ -395,17 +397,15 @@ def parse_domain(text: str | bytes) -> Domain:
             )
         action_names.add(name_tok.text)
         parts: dict[str, _Node] = {}
-        i = 2
-        while i < len(lst):
-            key = _expect_tok(lst[i], "an action keyword").text
-            if key not in (":parameters", ":precondition", ":effect"):
-                tok = _expect_tok(lst[i], "keyword")
-                raise PddlError(f"unexpected {key!r} in action", tok.line, tok.col)
-            if i + 1 >= len(lst):
-                tok = _expect_tok(lst[i], "keyword")
-                raise PddlError(f"{key} missing its form", tok.line, tok.col)
-            parts[key] = lst[i + 1]
-            i += 2
+        for i in range(2, len(lst), 2):
+            key = _expect_tok(lst[i], "an action keyword")
+            if key.text not in (":parameters", ":precondition", ":effect"):
+                raise PddlError(f"unexpected {key.text!r} in action", key.line, key.col)
+            if i + 1 == len(lst):
+                raise PddlError(f"{key.text} missing its form", key.line, key.col)
+            if key.text in parts:
+                raise PddlError(f"duplicate {key.text} in action", key.line, key.col)
+            parts[key.text] = lst[i + 1]
         if ":parameters" not in parts or ":effect" not in parts:
             raise PddlError(
                 f"action {name_tok.text!r} needs :parameters and :effect",
@@ -465,11 +465,9 @@ def parse_domain(text: str | bytes) -> Domain:
 
     # Derived rules.
     rules: list[DerivedRule] = []
-    for lst in derived_nodes:
-        hd = _expect_list(lst[1], "a rule head")
-        head_name = _name_tok(hd[0], "predicate name")
+    for head_name, head_nodes, body_node in rule_forms:
         sig = sigs[head_name.text]
-        head_params = _typed_list(hd[1:], "parameter", variables=True)
+        head_params = _typed_list(head_nodes, "parameter", variables=True)
         if len(head_params) != sig.arity:
             raise PddlError(
                 f"rule head for {head_name.text!r} has {len(head_params)} "
@@ -494,7 +492,7 @@ def parse_domain(text: str | bytes) -> Domain:
             var_types[v] = declared_t
             head_vars.append(v)
         body: list[Atom] = []
-        for c in _flatten_and(lst[2]):
+        for c in _flatten_and(body_node):
             pred, args, negated, line, col = _parse_literal(c)
             if negated:
                 raise PddlError(
@@ -536,7 +534,7 @@ def parse_domain(text: str | bytes) -> Domain:
             path.append(n)
             stack.append(iter(sorted(deps[n])))
 
-    return Domain(dom_name, hierarchy, tuple(sig_list), tuple(actions), tuple(rules))
+    return Domain(dom_name, hierarchy, tuple(sigs.values()), tuple(actions), tuple(rules))
 
 
 # ---------------------------------------------------------------------------
@@ -551,18 +549,9 @@ def parse_problem(text: str | bytes, domain: Domain) -> Problem:
     may also reference derived predicates.  Raises :class:`PddlError`
     otherwise.
     """
-    form = _prepare(text, "problem")
-    sections = form[1:]
-    if not sections:
-        raise PddlError("missing (problem NAME)")
-    head = _expect_list(sections[0], "(problem NAME)")
-    if len(head) != 2 or _expect_tok(head[0], "problem").text != "problem":
-        line, col = _pos(sections[0])
-        raise PddlError("expected (problem NAME)", line, col)
-    prob_name = _name_tok(head[1], "problem name").text
+    prob_name, sections = _prepare(text, "problem")
 
     domain_name: str | None = None
-    objects: list[tuple[str, str]] = []
     object_types: dict[str, str] = {}
     init: set[GroundAtom] = set()
     goal: list[GroundLiteral] = []
@@ -587,15 +576,10 @@ def parse_problem(text: str | bytes, domain: Domain) -> Problem:
             )
         return atom
 
-    for sec in sections[1:]:
-        lst = _expect_list(sec, "a problem section")
-        if not lst:
-            continue
-        key = _expect_tok(lst[0], "a section keyword").text
+    for key, lst in sections:
         if key == ":domain":
             if len(lst) != 2:
-                line, col = _pos(sec)
-                raise PddlError("(:domain NAME) takes one name", line, col)
+                _fail("(:domain NAME) takes one name", lst)
             domain_name = _name_tok(lst[1], "domain name").text
         elif key == ":objects":
             for name, typ, line, col in _typed_list(
@@ -606,7 +590,6 @@ def parse_problem(text: str | bytes, domain: Domain) -> Problem:
                 if not domain.hierarchy.contains(typ):
                     raise PddlError(f"unknown type {typ!r}", line, col)
                 object_types[name] = typ
-                objects.append((name, typ))
         elif key == ":init":
             for c in lst[1:]:
                 pred, args, negated, line, col = _parse_literal(c)
@@ -616,8 +599,7 @@ def parse_problem(text: str | bytes, domain: Domain) -> Problem:
         elif key == ":goal":
             saw_goal = True
             if len(lst) != 2:
-                line, col = _pos(sec)
-                raise PddlError("(:goal FORMULA) takes one formula", line, col)
+                _fail("(:goal FORMULA) takes one formula", lst)
             for c in _flatten_and(lst[1]):
                 pred, args, negated, line, col = _parse_literal(c)
                 goal.append(
@@ -626,9 +608,6 @@ def parse_problem(text: str | bytes, domain: Domain) -> Problem:
                         negated,
                     )
                 )
-        else:
-            line, col = _pos(lst[0])
-            raise PddlError(f"unsupported section {key!r}", line, col)
 
     if domain_name is None:
         raise PddlError("missing (:domain NAME)")
@@ -638,7 +617,9 @@ def parse_problem(text: str | bytes, domain: Domain) -> Problem:
         )
     if not saw_goal:
         raise PddlError("missing (:goal ...)")
-    return Problem(prob_name, domain_name, tuple(objects), frozenset(init), tuple(goal))
+    return Problem(
+        prob_name, domain_name, tuple(object_types.items()), frozenset(init), tuple(goal)
+    )
 
 
 # ---------------------------------------------------------------------------

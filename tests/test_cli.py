@@ -245,9 +245,15 @@ def test_ground_names_the_problem_from_a_cleaned_scene_stem(suite_dir, first_goa
     assert main(argv) == 0
     text = (tmp_path / "out" / "scene-v2.pddl").read_text()
     assert text.startswith("(define (problem scene-v2)")
+    # A stem that cleans to a lone "-", which is not a name, gives "scene".
+    shutil.copy(problem_dir / "scene.json", tmp_path / "!.json")
+    argv[2] = str(tmp_path / "!.json")
+    assert main(argv) == 0
+    text = (tmp_path / "out" / "scene.pddl").read_text()
+    assert text.startswith("(define (problem scene)")
 
 
-@pytest.mark.parametrize("name", ["Kitchen Run", "../escape", "p0\n"])
+@pytest.mark.parametrize("name", ["Kitchen Run", "../escape", "p0\n", "-"])
 def test_ground_rejects_a_bad_name_before_reading_files(name, tmp_path, capsys):
     missing = str(tmp_path / "missing")
     argv = ["ground", missing, missing, missing, "--goal", "x", "--name", name]

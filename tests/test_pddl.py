@@ -207,6 +207,17 @@ def test_error_carries_position():
          " (:derived (p ?x - nope) (q ?x)))",
          "head variable ?x has type 'nope', 'p' declares 'object' at 2:15"),
         ("(define (domain d) (:predicates (p ?a))", "unbalanced"),
+        # Each action keyword appears at most once.
+        ("(define (domain d) (:predicates (p ?a) (q ?a))\n"
+         " (:action a :parameters (?x) :effect (p ?x) :effect (q ?x)))",
+         "duplicate :effect in action at 2:45"),
+        ("(define (domain d) (:predicates (p ?a) (q ?a))\n"
+         " (:action a :precondition (p ?x) :parameters (?x)\n"
+         "  :precondition (q ?x) :effect (p ?x)))",
+         "duplicate :precondition in action at 3:3"),
+        ("(define (domain d) (:predicates (p ?a))\n"
+         " (:action a :parameters (?x) :parameters (?y) :effect (p ?y)))",
+         "duplicate :parameters in action at 2:30"),
     ],
 )
 def test_domain_errors(text, fragment):
@@ -288,6 +299,288 @@ def test_parse_plan_reports_the_line_and_column_of_the_raw_text(bad, fragment, c
         parse_plan(text)
     assert fragment in err.value.message
     assert (err.value.line, err.value.col) == (4, col)
+
+
+# One minimal input per raise site of the parser (helpers reached from
+# several callers get one input per caller whose rewrite could move them),
+# with the message, line and column it reports; line 0 means the error
+# carries no position.  Problems are read against the toy domain.
+TABLE_DOMAIN = "(define (domain d)\n(:predicates (p ?a) (q ?a) (r ?a ?b))\n"
+TABLE_ACTION = TABLE_DOMAIN + "(:action a :parameters (?x ?y)\n"
+PARSE_ERRORS = [
+    ('domain', '(define (domain d))\n  )',
+     "unbalanced ')'", 2, 3),
+    ('domain', '(define (domain d)\n  (:predicates (p ?a))',
+     "unbalanced '('", 1, 1),
+    ('domain', '',
+     'expected exactly one (define ...) form in domain', 0, 0),
+    ('domain', '(define (domain d))\n(define (domain e))',
+     'expected exactly one (define ...) form in domain', 0, 0),
+    ('domain', 'define',
+     'expected (define ...)', 1, 1),
+    ('domain', '()',
+     'expected (define ...)', 0, 0),
+    ('domain', '\n ((define) (domain d))',
+     'expected define, got a list', 2, 4),
+    ('domain', '(domain d)',
+     'expected (define ...)', 1, 2),
+    ('domain', b'(define (domain d\xff))',
+     "domain is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 17: invalid start byte", 0, 0),
+    ('domain', '(define)',
+     'missing (domain NAME)', 0, 0),
+    ('domain', '(define\n domain d)',
+     'expected (domain NAME)', 2, 2),
+    ('domain', '(define\n (domain))',
+     'expected (domain NAME)', 2, 3),
+    ('domain', '(define\n (problem d))',
+     'expected (domain NAME)', 2, 3),
+    ('domain', '(define ())',
+     'expected (domain NAME)', 0, 0),
+    ('domain', '(define\n ((domain) d))',
+     'expected domain, got a list', 2, 4),
+    ('domain', '(define (domain d!))',
+     "bad domain name 'd!'", 1, 17),
+    ('domain', '(define (domain (d)))',
+     'expected domain name, got a list', 1, 18),
+    ('domain', '(define (domain d)\n :requirements)',
+     'expected a domain section', 2, 2),
+    ('domain', '(define (domain d)\n ((:types)))',
+     'expected a section keyword, got a list', 2, 4),
+    ('domain', '(define (domain d)\n (:functions (f ?a)))',
+     "unsupported section ':functions'", 2, 3),
+    ('domain', '(define (domain d)\n (:types - t))',
+     "dangling '-' in typed list", 2, 10),
+    ('domain', '(define (domain d)\n (:types t -))',
+     "missing type after '-'", 2, 12),
+    ('domain', '(define (domain d)\n (:types t - t!))',
+     "bad type name 't!'", 2, 14),
+    ('domain', '(define (domain d)\n (:types t (u)))',
+     'expected type name, got a list', 2, 13),
+    ('domain', '(define (domain d)\n (:types t - object object))',
+     "cannot redeclare type 'object'", 2, 21),
+    ('domain', '(define (domain d)\n (:types t - u u - t))',
+     "type cycle through 't'", 0, 0),
+    ('domain', '(define (domain d)\n (:types t - u t - object))',
+     "duplicate type 't'", 0, 0),
+    ('domain', '(define (domain d)\n (:predicates p))',
+     'expected a predicate declaration', 2, 15),
+    ('domain', '(define (domain d)\n (:predicates ()))',
+     'empty predicate declaration', 0, 0),
+    ('domain', '(define (domain d)\n (:predicates ((p) ?a)))',
+     'expected predicate name, got a list', 2, 17),
+    ('domain', '(define (domain d)\n (:predicates (= ?a ?b)))',
+     "'=' is builtin and cannot be declared", 2, 16),
+    ('domain', '(define (domain d)\n (:predicates (p! ?a)))',
+     "bad predicate name 'p!'", 2, 16),
+    ('domain', '(define (domain d)\n (:predicates (p a)))',
+     "expected a ?variable, got 'a'", 2, 18),
+    ('domain', '(define (domain d)\n (:predicates (p (?a))))',
+     'expected parameter, got a list', 2, 19),
+    ('domain', '(define (domain d)\n (:predicates (p ?a)\n (p ?b)))',
+     "duplicate predicate 'p'", 3, 3),
+    ('domain', '(define (domain d)\n (:predicates (p ?a - t)))',
+     "unknown type 't'", 2, 18),
+    ('domain', '(define (domain d)\n (:predicates (p ?a ?b ?c)))',
+     "observed predicate 'p' must have arity 1 or 2, got 3", 2, 16),
+    ('domain', '(define (domain d)\n (:predicates (p ?a ?a)))',
+     "duplicate parameter '?a' in 'p'", 2, 16),
+    ('domain', TABLE_DOMAIN + '(:derived (p ?a)))',
+     '(:derived HEAD BODY) takes two forms', 3, 2),
+    ('domain', TABLE_DOMAIN + '(:derived p (q ?a)))',
+     'expected a rule head', 3, 11),
+    ('domain', TABLE_DOMAIN + '(:derived () (q ?a)))',
+     'empty rule head', 0, 0),
+    ('domain', TABLE_DOMAIN + '(:derived ((p) ?a) (q ?a)))',
+     'expected predicate name, got a list', 3, 13),
+    ('domain', TABLE_DOMAIN + '(:derived (p! ?a) (q ?a)))',
+     "bad predicate name 'p!'", 3, 12),
+    ('domain', TABLE_DOMAIN + '(:derived (s ?a) (q ?a)))',
+     "derived predicate 's' is not declared in (:predicates ...)", 0, 0),
+    ('domain', TABLE_DOMAIN + '(:action))',
+     '(:action ...) missing a name', 3, 2),
+    ('domain', TABLE_DOMAIN + '(:action a! :parameters () :effect (p ?x)))',
+     "bad action name 'a!'", 3, 10),
+    ('domain', TABLE_DOMAIN + '(:action (a) :parameters () :effect (p ?x)))',
+     'expected action name, got a list', 3, 11),
+    ('domain', TABLE_DOMAIN + '(:action a :parameters (?x) :effect (p ?x))\n(:action a :parameters (?x) :effect (p ?x)))',
+     "duplicate action 'a'", 4, 10),
+    ('domain', TABLE_DOMAIN + '(:action a (:parameters (?x)) :effect (p ?x)))',
+     'expected an action keyword, got a list', 3, 13),
+    ('domain', TABLE_DOMAIN + '(:action a :parameters (?x) :vars (?y) :effect (p ?x)))',
+     "unexpected ':vars' in action", 3, 29),
+    ('domain', TABLE_DOMAIN + '(:action a :parameters (?x)\n :effect))',
+     ':effect missing its form', 4, 2),
+    ('domain', TABLE_DOMAIN + '(:action a :parameters (?x)))',
+     "action 'a' needs :parameters and :effect", 3, 10),
+    ('domain', TABLE_DOMAIN + '(:action a :effect (p ?x)))',
+     "action 'a' needs :parameters and :effect", 3, 10),
+    ('domain', TABLE_DOMAIN + '(:action a :parameters ?x :effect (p ?x)))',
+     'expected a parameter list', 3, 24),
+    ('domain', TABLE_DOMAIN + '(:action a :parameters (?x ?x) :effect (p ?x)))',
+     "duplicate parameter '?x'", 3, 28),
+    ('domain', TABLE_DOMAIN + '(:action a :parameters (?x - t) :effect (p ?x)))',
+     "unknown type 't'", 3, 25),
+    ('domain', TABLE_DOMAIN + '(:action a :parameters (?x - ) :effect (p ?x)))',
+     "missing type after '-'", 3, 28),
+    ('domain', TABLE_ACTION + ' :precondition p :effect (p ?x)))',
+     'expected a formula', 4, 16),
+    ('domain', TABLE_ACTION + ' :precondition (and p) :effect (p ?x)))',
+     'expected a literal', 4, 21),
+    ('domain', TABLE_ACTION + ' :precondition (and ()) :effect (p ?x)))',
+     'empty formula', 0, 0),
+    ('domain', TABLE_ACTION + ' :precondition (not (p ?x) (q ?x)) :effect (p ?x)))',
+     '(not ...) takes one formula', 4, 17),
+    ('domain', TABLE_ACTION + ' :precondition (not p) :effect (p ?x)))',
+     'expected a negated atom', 4, 21),
+    ('domain', TABLE_ACTION + ' :precondition (not ()) :effect (p ?x)))',
+     'empty negated formula', 4, 17),
+    ('domain', TABLE_ACTION + ' :precondition (not ((p) ?x)) :effect (p ?x)))',
+     'expected predicate name, got a list', 4, 23),
+    ('domain', TABLE_ACTION + ' :precondition ((p) ?x) :effect (p ?x)))',
+     'expected predicate name, got a list', 4, 18),
+    ('domain', TABLE_ACTION + ' :precondition (p! ?x) :effect (p ?x)))',
+     "bad predicate name 'p!'", 4, 17),
+    ('domain', TABLE_ACTION + ' :precondition (p (?x)) :effect (p ?x)))',
+     'expected an argument, got a list', 4, 20),
+    ('domain', TABLE_ACTION + ' :precondition (= ?x) :effect (p ?x)))',
+     "'=' takes two arguments", 4, 17),
+    ('domain', TABLE_ACTION + ' :precondition (= ?x b) :effect (p ?x)))',
+     "'=' arguments must be variables, got 'b'", 4, 22),
+    ('domain', TABLE_ACTION + ' :precondition (= ?x ?z) :effect (p ?x)))',
+     "variable '?z' is not declared", 4, 22),
+    ('domain', TABLE_ACTION + ' :precondition (s ?x) :effect (p ?x)))',
+     "unknown predicate 's' in precondition", 4, 17),
+    ('domain', TABLE_ACTION + ' :precondition (p ?x ?y) :effect (p ?x)))',
+     "'p' takes 1 args, got 2", 4, 17),
+    ('domain', TABLE_ACTION + ' :precondition (p b) :effect (p ?x)))',
+     "constants are not supported; got 'b'", 4, 19),
+    ('domain', TABLE_ACTION + ' :precondition (p ?z) :effect (p ?x)))',
+     "variable '?z' is not a parameter", 4, 19),
+    ('domain', '(define (domain d) (:types t u)\n(:predicates (p ?a - t))\n(:action a :parameters (?x - u) :effect (p ?x)))',
+     "?x has type 'u', 'p' requires 't'", 3, 44),
+    ('domain', TABLE_ACTION + ' :effect (= ?x ?y)))',
+     "'=' cannot appear in effects", 4, 11),
+    ('domain', TABLE_ACTION + ' :effect (s ?x)))',
+     "unknown predicate 's' in effect", 4, 11),
+    ('domain', TABLE_ACTION + ' :effect (p ?z)))',
+     "variable '?z' is not a parameter", 4, 13),
+    ('domain', TABLE_ACTION + ' :effect (and (p ?x) (not (p ?z)))))',
+     "variable '?z' is not a parameter", 4, 30),
+    ('domain', TABLE_DOMAIN + '(:derived (q ?a) (p ?a))\n(:action a :parameters (?x) :effect (q ?x)))',
+     "effect on derived predicate 'q'", 4, 38),
+    ('domain', TABLE_DOMAIN + '(:derived (q ?a ?b) (p ?a)))',
+     "rule head for 'q' has 2 args, signature says 1", 3, 12),
+    ('domain', TABLE_DOMAIN + '(:derived (r ?a ?a) (r ?a ?a)))',
+     "duplicate head variable '?a'", 3, 17),
+    ('domain', '(define (domain d) (:types t)\n(:predicates (p ?a) (q ?a))\n(:derived (q ?a - t) (p ?a)))',
+     "head variable ?a has type 't', 'q' declares 'object'", 3, 14),
+    ('domain', TABLE_DOMAIN + '(:derived (q ?a) (not (p ?a))))',
+     'negation is not allowed in rule bodies', 3, 24),
+    ('domain', TABLE_DOMAIN + '(:derived (q ?a) (= ?a ?a)))',
+     "'=' is not allowed in rule bodies", 3, 19),
+    ('domain', TABLE_DOMAIN + '(:derived (q ?a) (s ?a)))',
+     "unknown predicate 's' in rule body", 3, 19),
+    ('domain', TABLE_DOMAIN + '(:derived (q ?a) (p b)))',
+     "constants are not supported; got 'b'", 3, 21),
+    ('domain', TABLE_DOMAIN + '(:derived (q ?a) (and)))',
+     "rule for 'q' has an empty body", 3, 12),
+    ('domain', TABLE_DOMAIN + '(:derived (q ?a) (p ?b)))',
+     "rule for 'q' has unbound head variables ['?a']", 3, 12),
+    ('domain', TABLE_DOMAIN + '(:derived (q ?a) (p ?a))\n(:derived (p ?a) (q ?a)))',
+     'unstratified rules: cycle through p -> q -> p', 0, 0),
+    ('problem', '',
+     'expected exactly one (define ...) form in problem', 0, 0),
+    ('problem', b'(define (problem \xfe))',
+     "problem is not valid UTF-8: 'utf-8' codec can't decode byte 0xfe in position 17: invalid start byte", 0, 0),
+    ('problem', '(define (domain toy))',
+     'expected (problem NAME)', 1, 10),
+    ('problem', '(define)',
+     'missing (problem NAME)', 0, 0),
+    ('problem', '(define\n problem q)',
+     'expected (problem NAME)', 2, 2),
+    ('problem', '(define\n (problem))',
+     'expected (problem NAME)', 2, 3),
+    ('problem', '(define\n ((problem) q))',
+     'expected problem, got a list', 2, 4),
+    ('problem', '(define (problem q!))',
+     "bad problem name 'q!'", 1, 18),
+    ('problem', '(define (problem q)\n :domain)',
+     'expected a problem section', 2, 2),
+    ('problem', '(define (problem q)\n ((:domain) toy))',
+     'expected a section keyword, got a list', 2, 4),
+    ('problem', '(define (problem q)\n (:domain toy) (:requirements :strips))',
+     "unsupported section ':requirements'", 2, 17),
+    ('problem', '(define (problem q)\n (:domain toy extra))',
+     '(:domain NAME) takes one name', 2, 3),
+    ('problem', '(define (problem q)\n (:domain toy!))',
+     "bad domain name 'toy!'", 2, 11),
+    ('problem', '(define (problem q)\n (:objects b1 b1 - block))',
+     "duplicate object 'b1'", 2, 15),
+    ('problem', '(define (problem q)\n (:objects b1 - cube))',
+     "unknown type 'cube'", 2, 12),
+    ('problem', '(define (problem q) (:objects b1 b2 - block)\n (:init (not (on b1 b2))))',
+     'negation is not allowed in :init', 2, 15),
+    ('problem', '(define (problem q) (:objects b1 b2 - block)\n (:init (= b1 b2)))',
+     "'=' cannot appear in problems", 2, 10),
+    ('problem', '(define (problem q) (:objects b1 b2 - block)\n (:init (off b1 b2)))',
+     "unknown predicate 'off'", 2, 10),
+    ('problem', '(define (problem q) (:objects b1 b2 - block)\n (:init (on b1)))',
+     "'on' takes 2 args, got 1", 2, 10),
+    ('problem', '(define (problem q) (:objects b1 b2 - block)\n (:init (on b1 b9)))',
+     "unknown object 'b9'", 2, 16),
+    ('problem', '(define (problem q) (:objects b1 b2 - block)\n (:init (on b1 ?x)))',
+     "variables are not allowed here: '?x'", 2, 16),
+    ('problem', '(define (problem q) (:objects b1 b2 - block t - object)\n (:init (on b1 t)))',
+     "'t' has type 'object', 'on' requires 'block'", 2, 16),
+    ('problem', '(define (problem q) (:objects b1 b2 - block)\n (:init (covered b1)))',
+     "derived predicate 'covered' cannot appear in :init", 2, 10),
+    ('problem', '(define (problem q) (:objects b1 b2 - block)\n (:goal))',
+     '(:goal FORMULA) takes one formula', 2, 3),
+    ('problem', '(define (problem q) (:objects b1 b2 - block)\n (:goal (on b1 b2) (on b2 b1)))',
+     '(:goal FORMULA) takes one formula', 2, 3),
+    ('problem', '(define (problem q) (:objects b1 b2 - block)\n (:goal (not (on b1 b9))))',
+     "unknown object 'b9'", 2, 21),
+    ('problem', '(define (problem q) (:objects b1 b2 - block) (:init) (:goal (and)))',
+     'missing (:domain NAME)', 0, 0),
+    ('problem', '(define (problem q) (:domain other) (:goal (and)))',
+     "problem is for domain 'other', got 'toy'", 0, 0),
+    ('problem', '(define (problem q) (:domain toy) (:init))',
+     'missing (:goal ...)', 0, 0),
+    ('plan', '(a b)\n(a b) (c)',
+     'expected one (action args...) form', 2, 1),
+    ('plan', '(a b)\n  a b',
+     'expected one (action args...) form', 2, 3),
+    ('plan', '(a b)\n  ()',
+     'empty plan step', 2, 3),
+    ('plan', '(a b)\n  (a! b)',
+     "bad action name 'a!'", 2, 4),
+    ('plan', '(a b)\n  ((a) b)',
+     'expected action name, got a list', 2, 5),
+    ('plan', '(a b)\n  (a b!)',
+     "bad argument 'b!'", 2, 6),
+    ('plan', '(a b)\n  (a (b))',
+     'expected argument, got a list', 2, 7),
+    ('plan', '(a b)\n  (a b',
+     "unbalanced '('", 2, 3),
+    ('plan', b'(a \x80)',
+     "plan is not valid UTF-8: 'utf-8' codec can't decode byte 0x80 in position 3: invalid start byte", 0, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, text, message, line, col",
+    PARSE_ERRORS,
+    ids=[f"{kind}-{message}" for kind, _, message, _, _ in PARSE_ERRORS],
+)
+def test_parse_errors_report_message_line_and_column(toy_domain, kind, text, message, line, col):
+    parse = {
+        "domain": parse_domain,
+        "problem": lambda t: parse_problem(t, toy_domain),
+        "plan": parse_plan,
+    }[kind]
+    with pytest.raises(PddlError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
 
 
 def test_atom_faults_flags(toy_domain):

@@ -919,8 +919,9 @@ def small_typed_tasks(draw):
     of its atoms, so rule bodies can read static atoms, atoms that are
     never true, or static atoms only (see ``folding_cases``); half the
     time a rule for f, read by the goal, draws all three.  Derived
-    predicates can be unread, or read only through another rule's body
-    (see ``relevance_cases``).
+    predicates can be unread, or read only through another rule's body:
+    half the time h, which only d0's body reads, and a negative goal
+    literal over d0 (see ``relevance_cases`` and ``goal_relevance_cases``).
 
     Each rule-head parameter takes the most specific type among the body
     positions its variable occupies, so every binding the untyped naive
@@ -1073,6 +1074,14 @@ def small_typed_tasks(draw):
     if "f" in signatures:
         atom = draw(st.sampled_from([atom for atom in atoms if atom.predicate == "f"]))
         goal.append(GroundLiteral(atom, atom not in reached))
+    # When d0 reads h, the goal says that a d0 atom, one the walk leaves
+    # false if there is one, does not hold.  h is then read only through
+    # d0's body, and h_add, which reads positive goal literals only, leaves
+    # every d0 instance out.
+    if "h" in signatures and "d0" in signatures:
+        d0 = [atom for atom in atoms if atom.predicate == "d0"]
+        atom = draw(st.sampled_from([atom for atom in d0 if atom not in reached] or d0))
+        goal.append(GroundLiteral(atom, True))
     # A quarter of the time the goal also asks for an s atom init lacks:
     # nothing makes it true, so h_add is infinite on every state.
     absent = sorted(set(static) - init)
@@ -1217,6 +1226,78 @@ def test_validator_agrees_with_naive_reference_on_random_domains(case, data):
         verdict = validate_plan(domain, posed.init, posed.goal, Plan(tuple(plan)))
         expected = naive_run(domain, posed.init, posed.goal, Plan(tuple(plan)))
         assert (verdict.ok, verdict.reason, verdict.step) == expected
+
+
+# q(?x) asks d(?x, ?y) with ?y unbound, and the nullary p asks d(?u, ?v)
+# with nothing bound; d is derived from r, so each is a subquery whose
+# answers are the matching r rows.
+UNBOUND = parse_domain(
+    "(define (domain unbound) (:types thing)"
+    " (:predicates (r ?a - thing ?b - thing) (d ?a - thing ?b - thing)"
+    " (q ?x - thing) (p))"
+    " (:derived (q ?x) (d ?x ?y))"
+    " (:derived (d ?a ?b) (r ?a ?b))"
+    " (:derived (p) (d ?u ?v))"
+    " (:action link :parameters (?a - thing ?b - thing) :effect (r ?a ?b))"
+    " (:action use :parameters (?x - thing) :precondition (q ?x)"
+    " :effect (not (r ?x ?x))))"
+)
+
+
+@pytest.mark.parametrize(
+    "init, goal, plan, expected",
+    [
+        ({("a", "b")}, positive("q", "a"), [], (True, None, None)),
+        ({("b", "a")}, positive("q", "a"), [], (False, "goal-unsatisfied", None)),
+        (set(), positive("q", "a"), [PlanStep("link", ("a", "b"))], (True, None, None)),
+        ({("a", "b")}, None, [PlanStep("use", ("a",))], (True, None, None)),
+        ({("b", "a")}, None, [PlanStep("use", ("a",))],
+         (False, "precondition-unsatisfied", 0)),
+        ({("b", "a")}, positive("p"), [], (True, None, None)),
+        (set(), positive("p"), [], (False, "goal-unsatisfied", None)),
+    ],
+    ids=[
+        "q-row-present",
+        "q-row-absent",
+        "q-row-added",
+        "precondition-row-present",
+        "precondition-row-absent",
+        "nullary-row-present",
+        "nullary-row-absent",
+    ],
+)
+def test_validator_answers_subqueries_with_unbound_arguments(
+    monkeypatch, init, goal, plan, expected
+):
+    views = []
+
+    def capture(facts, rules):
+        views.append(axiom_closure(facts, rules))
+        return views[-1]
+
+    monkeypatch.setattr(metrics, "axiom_closure", capture)
+    init = frozenset(GroundAtom("r", args) for args in init)
+    goal = () if goal is None else (goal,)
+    plan = Plan(tuple(plan))
+    verdict = validate_plan(UNBOUND, init, goal, plan)
+    assert (verdict.ok, verdict.reason, verdict.step) == expected
+    assert naive_run(UNBOUND, init, goal, plan) == expected
+    # The d subquery had an unbound argument, and its answers are the r rows
+    # that match it.
+    subqueries = [
+        (pattern, rows)
+        for view in views
+        for (predicate, pattern), rows in view.answers.items()
+        if predicate == "d"
+    ]
+    assert subqueries and all(None in pattern for pattern, _ in subqueries)
+    assert any(rows for _, rows in subqueries) == expected[0]
+    if goal:
+        flipped = (GroundLiteral(goal[0].atom, True),)
+        verdict = validate_plan(UNBOUND, init, flipped, plan)
+        assert (verdict.ok, verdict.reason, verdict.step) == naive_run(
+            UNBOUND, init, flipped, plan
+        )
 
 
 def folding_cases(domain, problem) -> tuple[bool, bool, bool]:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -243,12 +244,14 @@ def test_duplicate_referents_rejected():
 
 
 def test_bad_referent_name_rejected():
-    obs = _obs(
-        [_class("block", 0, 0)],
-        [Detection("x", Box(0, 0, 5, 5), referent_name="Bad Name")],
-    )
-    with pytest.raises(SceneError):
-        merge_detections(obs, TOY_DOMAIN)
+    # A lone "-" would serialize as the type separator of :objects.
+    for name in ("Bad Name", "-"):
+        obs = _obs(
+            [_class("block", 0, 0)],
+            [Detection("x", Box(0, 0, 5, 5), referent_name=name)],
+        )
+        with pytest.raises(SceneError, match=re.escape(f"bad referent name {name!r}")):
+            merge_detections(obs, TOY_DOMAIN)
 
 
 def test_object_count_accounting():
