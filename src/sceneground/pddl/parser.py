@@ -3,12 +3,16 @@
 Text is lowercased before tokenizing (identifiers are case-insensitive) and
 ``;`` comments run to end of line.  Nesting is handled with an explicit stack
 so arbitrarily deep input cannot overflow the interpreter stack: any input,
-including random bytes, either parses or raises :class:`PddlError` with a
-line/column position.
+including random bytes, either parses or raises :class:`PddlError`.
 
 Domains and problems share one reader of the ``(define (WHAT NAME) ...)``
-form.  An error is raised at the first token of the form at fault; an empty
-form has none, so its error has no position.
+form.  Tokens are the only carriers of a source position: each nested form
+keeps its ``(`` token, and ``_fail`` raises at a token, at a form's first
+token, or at an empty form's ``(``.  Only errors about the whole input
+carry no position: bad UTF-8, not exactly one top form, a missing name
+form, a type cycle or duplicate type, an undeclared derived predicate,
+unstratified rules, and a missing ``:domain`` or ``:goal`` or a domain name
+mismatch.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from sceneground.pddl.model import (
 
 
 class PddlError(ValueError):
-    """A parse or validation error with a source position."""
+    """A parse or validation error with a source position (line 0: none)."""
 
     def __init__(self, message: str, line: int = 0, col: int = 0):
         self.message = message
@@ -62,6 +66,16 @@ class _Tok(NamedTuple):
     col: int
 
 
+class _Form(list):
+    """A nested form: its nodes, and its ``(`` token in ``open``.  A slice
+    of a form is a plain list, so only whole forms go to ``_fail``."""
+
+    __slots__ = ("open",)
+
+
+_Node = _Tok | _Form
+
+
 def _tokenize(lines, first: int = 1) -> list[_Tok]:
     """The tokens of each line, numbered from ``first``, a ``;`` comment cut
     off first.  No token spans a newline, and ``;`` cannot occur inside one,
@@ -74,41 +88,32 @@ def _tokenize(lines, first: int = 1) -> list[_Tok]:
     return toks
 
 
-# A node is either a _Tok or a list whose first element position we remember.
-_Node = _Tok | list
-
-
 def _nest(toks: list[_Tok]) -> list[_Node]:
-    """Group tokens into nested lists with an explicit stack."""
-    root: list[_Node] = []
-    stack: list[list[_Node]] = [root]
-    opens: list[_Tok] = []
+    """Group tokens into nested forms with an explicit stack."""
+    stack: list[list[_Node]] = [[]]
     for tok in toks:
         if tok.text == "(":
-            new: list[_Node] = []
-            stack[-1].append(new)
-            stack.append(new)
-            opens.append(tok)
+            form = _Form()
+            form.open = tok
+            stack[-1].append(form)
+            stack.append(form)
         elif tok.text == ")":
             if len(stack) == 1:
-                raise PddlError("unbalanced ')'", tok.line, tok.col)
+                _fail("unbalanced ')'", tok)
             stack.pop()
-            opens.pop()
         else:
             stack[-1].append(tok)
     if len(stack) != 1:
-        tok = opens[-1]
-        raise PddlError("unbalanced '('", tok.line, tok.col)
-    return root
+        _fail("unbalanced '('", stack[-1].open)
+    return stack[0]
 
 
 def _fail(message: str, node: _Node) -> NoReturn:
-    """Raise at the first token of ``node``; an empty list has no position."""
+    """Raise at ``node``: a token, a form's first token, an empty form's
+    ``(``."""
     while isinstance(node, list):
-        if not node:
-            raise PddlError(message)
-        node = node[0]
-    raise PddlError(message, node.line, node.col)
+        node = node[0] if node else node.open
+    raise PddlError(message, node.line, node.col) from None
 
 
 def _expect_tok(node: _Node, what: str) -> _Tok:
@@ -117,9 +122,9 @@ def _expect_tok(node: _Node, what: str) -> _Tok:
     return node
 
 
-def _expect_list(node: _Node, what: str) -> list[_Node]:
+def _expect_list(node: _Node, what: str) -> _Form:
     if not isinstance(node, list):
-        raise PddlError(f"expected {what}", node.line, node.col)
+        _fail(f"expected {what}", node)
     return node
 
 
@@ -140,7 +145,7 @@ _SECTION_KEYS = {
 
 def _prepare(
     text: str | bytes, what: str
-) -> tuple[str, Iterator[tuple[str, list[_Node]]]]:
+) -> tuple[str, Iterator[tuple[str, _Form]]]:
     """NAME and the sections of the one ``(define (WHAT NAME) ...)`` form,
     each section checked when the caller reaches it."""
     forms = _nest(_tokenize(_decode(text, what).lower().split("\n")))
@@ -157,60 +162,54 @@ def _prepare(
     return _name_tok(head[1], f"{what} name").text, _sections(form[2:], what)
 
 
-def _sections(forms: list[_Node], what: str) -> Iterator[tuple[str, list[_Node]]]:
-    """Each non-empty section's keyword and form; an unknown keyword raises."""
+def _sections(forms: list[_Node], what: str) -> Iterator[tuple[str, _Form]]:
+    """Each non-empty section's keyword and form; an unknown keyword raises,
+    and so does a problem section given twice."""
+    seen: set[str] = set()
     for form in forms:
         lst = _expect_list(form, f"a {what} section")
         if lst:
             key = _expect_tok(lst[0], "a section keyword").text
             if key not in _SECTION_KEYS[what]:
                 _fail(f"unsupported section {key!r}", lst)
+            if key in seen:
+                _fail(f"duplicate section {key!r}", lst)
+            if what == "problem":
+                seen.add(key)
             yield key, lst
 
 
 def _name_tok(node: _Node, what: str) -> _Tok:
     tok = _expect_tok(node, what)
     if not valid_name(tok.text):
-        raise PddlError(f"bad {what} {tok.text!r}", tok.line, tok.col)
+        _fail(f"bad {what} {tok.text!r}", tok)
     return tok
 
 
-def _var_tok(node: _Node) -> _Tok:
-    tok = _expect_tok(node, "variable")
-    if not tok.text.startswith("?") or not valid_name(tok.text[1:]):
-        raise PddlError(f"expected a ?variable, got {tok.text!r}", tok.line, tok.col)
-    return tok
-
-
-def _typed_list(
-    nodes: list[_Node], what: str, variables: bool
-) -> list[tuple[str, str, int, int]]:
-    """Parse ``a b - t c - s d`` into (name, type, line, col) with default type."""
-    out: list[tuple[str, str, int, int]] = []
+def _typed_list(nodes: list[_Node], what: str, variables: bool) -> list[tuple[_Tok, str]]:
+    """Parse ``a b - t c - s d`` into (name token, type), ``object`` by
+    default."""
+    out: list[tuple[_Tok, str]] = []
     pending: list[_Tok] = []
-    i = 0
-    while i < len(nodes):
-        tok = _expect_tok(nodes[i], what)
+    rest = iter(nodes)
+    for node in rest:
+        tok = _expect_tok(node, what)
         if tok.text == "-":
             if not pending:
-                raise PddlError("dangling '-' in typed list", tok.line, tok.col)
-            if i + 1 >= len(nodes):
-                raise PddlError("missing type after '-'", tok.line, tok.col)
-            typ = _name_tok(nodes[i + 1], "type name")
-            for p in pending:
-                out.append((p.text, typ.text, p.line, p.col))
+                _fail("dangling '-' in typed list", tok)
+            after = next(rest, None)
+            if after is None:
+                _fail("missing type after '-'", tok)
+            typ = _name_tok(after, "type name").text
+            out += [(p, typ) for p in pending]
             pending = []
-            i += 2
-            continue
-        if variables:
-            tok = _var_tok(nodes[i])
+        elif variables:
+            if not tok.text.startswith("?") or not valid_name(tok.text[1:]):
+                _fail(f"expected a ?variable, got {tok.text!r}", tok)
+            pending.append(tok)
         else:
-            tok = _name_tok(nodes[i], what)
-        pending.append(tok)
-        i += 1
-    for p in pending:
-        out.append((p.text, ROOT_TYPE, p.line, p.col))
-    return out
+            pending.append(_name_tok(tok, what))
+    return out + [(p, ROOT_TYPE) for p in pending]
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +227,24 @@ def _flatten_and(node: _Node) -> list[_Node]:
     return [lst]
 
 
-def _parse_literal(node: _Node) -> tuple[str, list[_Tok], bool, int, int]:
-    """Parse ``(p a b)`` or ``(not (p a b))`` into (pred, args, negated, pos)."""
+def _parse_literal(node: _Node) -> tuple[_Tok, list[_Tok], bool]:
+    """Parse ``(p a b)`` or ``(not (p a b))`` into (predicate token, args,
+    negated)."""
     lst = _expect_list(node, "a literal")
     if not lst:
-        raise PddlError("empty formula")
+        _fail("empty formula", lst)
     head = _expect_tok(lst[0], "predicate name")
-    negated = False
-    if head.text == "not":
+    negated = head.text == "not"
+    if negated:
         if len(lst) != 2:
-            raise PddlError("(not ...) takes one formula", head.line, head.col)
+            _fail("(not ...) takes one formula", head)
         lst = _expect_list(lst[1], "a negated atom")
         if not lst:
-            raise PddlError("empty negated formula", head.line, head.col)
+            _fail("empty negated formula", head)
         head = _expect_tok(lst[0], "predicate name")
-        negated = True
     if head.text != EQUALITY and not valid_name(head.text):
-        raise PddlError(f"bad predicate name {head.text!r}", head.line, head.col)
-    args = [_expect_tok(a, "an argument") for a in lst[1:]]
-    return head.text, args, negated, head.line, head.col
+        _fail(f"bad predicate name {head.text!r}", head)
+    return head, [_expect_tok(a, "an argument") for a in lst[1:]], negated
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +261,10 @@ def parse_domain(text: str | bytes) -> Domain:
     """
     dom_name, sections = _prepare(text, "domain")
 
-    type_decls: list[tuple[str, str, int, int]] = []
-    pred_decls: list[tuple[str, list[tuple[str, str, int, int]], int, int]] = []
-    action_nodes: list[list[_Node]] = []
-    derived_nodes: list[list[_Node]] = []
+    type_decls: list[tuple[_Tok, str]] = []
+    pred_decls: list[tuple[_Tok, list[tuple[_Tok, str]]]] = []
+    action_nodes: list[_Form] = []
+    derived_nodes: list[_Form] = []
 
     # :requirements are declarative hints; the subset is fixed anyway.
     for key, lst in sections:
@@ -276,28 +274,24 @@ def parse_domain(text: str | bytes) -> Domain:
             for p in lst[1:]:
                 plist = _expect_list(p, "a predicate declaration")
                 if not plist:
-                    raise PddlError("empty predicate declaration")
-                first = _expect_tok(plist[0], "predicate name")
-                if first.text == EQUALITY:
-                    raise PddlError(
-                        "'=' is builtin and cannot be declared", first.line, first.col
-                    )
+                    _fail("empty predicate declaration", plist)
+                if _expect_tok(plist[0], "predicate name").text == EQUALITY:
+                    _fail("'=' is builtin and cannot be declared", plist)
                 name = _name_tok(plist[0], "predicate name")
-                params = _typed_list(plist[1:], "parameter", variables=True)
-                pred_decls.append((name.text, params, name.line, name.col))
+                pred_decls.append((name, _typed_list(plist[1:], "parameter", variables=True)))
         elif key == ":action":
             action_nodes.append(lst)
         elif key == ":derived":
             derived_nodes.append(lst)
 
     # Types: parents referenced but not declared become children of the root.
-    declared = {n for n, _, _, _ in type_decls}
     parents: list[tuple[str, str]] = []
-    for name, parent, line, col in type_decls:
-        if name == ROOT_TYPE:
-            raise PddlError("cannot redeclare type 'object'", line, col)
-        parents.append((name, parent))
-    for _, parent, line, col in type_decls:
+    for tok, parent in type_decls:
+        if tok.text == ROOT_TYPE:
+            _fail("cannot redeclare type 'object'", tok)
+        parents.append((tok.text, parent))
+    declared = {name for name, _ in parents}
+    for _, parent in type_decls:
         if parent != ROOT_TYPE and parent not in declared:
             parents.append((parent, ROOT_TYPE))
             declared.add(parent)
@@ -314,24 +308,24 @@ def parse_domain(text: str | bytes) -> Domain:
             _fail("(:derived HEAD BODY) takes two forms", lst)
         hd = _expect_list(lst[1], "a rule head")
         if not hd:
-            raise PddlError("empty rule head")
+            _fail("empty rule head", hd)
         rule_forms.append((_name_tok(hd[0], "predicate name"), hd[1:], lst[2]))
     derived_names = {head_name.text for head_name, _, _ in rule_forms}
 
     sigs: dict[str, PredicateSignature] = {}
-    for name, params, line, col in pred_decls:
-        if name in sigs:
-            raise PddlError(f"duplicate predicate {name!r}", line, col)
-        for pname, ptyp, pline, pcol in params:
-            if not hierarchy.contains(ptyp):
-                raise PddlError(f"unknown type {ptyp!r}", pline, pcol)
-        kind = "derived" if name in derived_names else "observed"
+    for name, params in pred_decls:
+        if name.text in sigs:
+            _fail(f"duplicate predicate {name.text!r}", name)
+        for var, typ in params:
+            if not hierarchy.contains(typ):
+                _fail(f"unknown type {typ!r}", var)
+        kind = "derived" if name.text in derived_names else "observed"
         try:
-            sigs[name] = PredicateSignature(
-                name, tuple((v, t) for v, t, _, _ in params), kind
+            sigs[name.text] = PredicateSignature(
+                name.text, tuple((v.text, t) for v, t in params), kind
             )
         except ModelError as exc:
-            raise PddlError(str(exc), line, col) from None
+            _fail(str(exc), name)
     missing = derived_names - sigs.keys()
     if missing:
         raise PddlError(
@@ -339,50 +333,36 @@ def parse_domain(text: str | bytes) -> Domain:
         )
 
     def check_atom_types(
-        pred: str,
-        args: list[_Tok],
-        var_types: dict[str, str],
-        line: int,
-        col: int,
-        where: str,
+        head: _Tok, args: list[_Tok], var_types: dict[str, str], where: str
     ) -> Atom:
+        pred = head.text
         if pred == EQUALITY:
             if len(args) != 2:
-                raise PddlError("'=' takes two arguments", line, col)
+                _fail("'=' takes two arguments", head)
             for a in args:
                 if not a.text.startswith("?"):
-                    raise PddlError(
-                        f"'=' arguments must be variables, got {a.text!r}",
-                        a.line,
-                        a.col,
-                    )
+                    _fail(f"'=' arguments must be variables, got {a.text!r}", a)
                 if a.text not in var_types:
-                    raise PddlError(
-                        f"variable {a.text!r} is not declared", a.line, a.col
-                    )
+                    _fail(f"variable {a.text!r} is not declared", a)
             return Atom(EQUALITY, tuple(a.text for a in args))
         sig = sigs.get(pred)
         if sig is None:
-            raise PddlError(f"unknown predicate {pred!r} in {where}", line, col)
+            _fail(f"unknown predicate {pred!r} in {where}", head)
         if len(args) != sig.arity:
-            raise PddlError(
-                f"{pred!r} takes {sig.arity} args, got {len(args)}", line, col
-            )
+            _fail(f"{pred!r} takes {sig.arity} args, got {len(args)}", head)
         for a, (_, want) in zip(args, sig.params):
             if not a.text.startswith("?"):
-                raise PddlError(
-                    f"constants are not supported; got {a.text!r}", a.line, a.col
-                )
+                _fail(f"constants are not supported; got {a.text!r}", a)
             have = var_types.get(a.text)
-            if have is None:
-                continue  # free rule variable; bound by matching facts
-            if not hierarchy.is_subtype(have, want):
-                raise PddlError(
-                    f"{a.text} has type {have!r}, {pred!r} requires {want!r}",
-                    a.line,
-                    a.col,
-                )
+            # A free rule variable has no type; matching facts bind it.
+            if have is not None and not hierarchy.is_subtype(have, want):
+                _fail(f"{a.text} has type {have!r}, {pred!r} requires {want!r}", a)
         return Atom(pred, tuple(a.text for a in args))
+
+    def check_parameters(args: list[_Tok], var_types: dict[str, str]) -> None:
+        for a in args:
+            if a.text not in var_types:
+                _fail(f"variable {a.text!r} is not a parameter", a)
 
     # Actions.
     actions: list[ActionSchema] = []
@@ -390,73 +370,56 @@ def parse_domain(text: str | bytes) -> Domain:
     for lst in action_nodes:
         if len(lst) < 2:
             _fail("(:action ...) missing a name", lst)
-        name_tok = _name_tok(lst[1], "action name")
-        if name_tok.text in action_names:
-            raise PddlError(
-                f"duplicate action {name_tok.text!r}", name_tok.line, name_tok.col
-            )
-        action_names.add(name_tok.text)
+        name = _name_tok(lst[1], "action name")
+        if name.text in action_names:
+            _fail(f"duplicate action {name.text!r}", name)
+        action_names.add(name.text)
         parts: dict[str, _Node] = {}
         for i in range(2, len(lst), 2):
             key = _expect_tok(lst[i], "an action keyword")
             if key.text not in (":parameters", ":precondition", ":effect"):
-                raise PddlError(f"unexpected {key.text!r} in action", key.line, key.col)
+                _fail(f"unexpected {key.text!r} in action", key)
             if i + 1 == len(lst):
-                raise PddlError(f"{key.text} missing its form", key.line, key.col)
+                _fail(f"{key.text} missing its form", key)
             if key.text in parts:
-                raise PddlError(f"duplicate {key.text} in action", key.line, key.col)
+                _fail(f"duplicate {key.text} in action", key)
             parts[key.text] = lst[i + 1]
         if ":parameters" not in parts or ":effect" not in parts:
-            raise PddlError(
-                f"action {name_tok.text!r} needs :parameters and :effect",
-                name_tok.line,
-                name_tok.col,
-            )
-        raw_params = _typed_list(
+            _fail(f"action {name.text!r} needs :parameters and :effect", name)
+        var_types: dict[str, str] = {}
+        for var, typ in _typed_list(
             _expect_list(parts[":parameters"], "a parameter list"),
             "parameter",
             variables=True,
-        )
-        var_types: dict[str, str] = {}
-        for v, t, line, col in raw_params:
-            if v in var_types:
-                raise PddlError(f"duplicate parameter {v!r}", line, col)
-            if not hierarchy.contains(t):
-                raise PddlError(f"unknown type {t!r}", line, col)
-            var_types[v] = t
+        ):
+            if var.text in var_types:
+                _fail(f"duplicate parameter {var.text!r}", var)
+            if not hierarchy.contains(typ):
+                _fail(f"unknown type {typ!r}", var)
+            var_types[var.text] = typ
 
         pre: list[Literal] = []
         if ":precondition" in parts:
             for c in _flatten_and(parts[":precondition"]):
-                pred, args, negated, line, col = _parse_literal(c)
-                atom = check_atom_types(pred, args, var_types, line, col, "precondition")
-                for a in args:
-                    if a.text not in var_types:
-                        raise PddlError(
-                            f"variable {a.text!r} is not a parameter", a.line, a.col
-                        )
+                head, args, negated = _parse_literal(c)
+                atom = check_atom_types(head, args, var_types, "precondition")
+                check_parameters(args, var_types)
                 pre.append(Literal(atom, negated))
         add: list[Atom] = []
         delete: list[Atom] = []
         for c in _flatten_and(parts[":effect"]):
-            pred, args, negated, line, col = _parse_literal(c)
-            if pred == EQUALITY:
-                raise PddlError("'=' cannot appear in effects", line, col)
-            atom = check_atom_types(pred, args, var_types, line, col, "effect")
-            if sigs[pred].kind == "derived":
-                raise PddlError(
-                    f"effect on derived predicate {pred!r}", line, col
-                )
-            for a in args:
-                if a.text not in var_types:
-                    raise PddlError(
-                        f"variable {a.text!r} is not a parameter", a.line, a.col
-                    )
+            head, args, negated = _parse_literal(c)
+            if head.text == EQUALITY:
+                _fail("'=' cannot appear in effects", head)
+            atom = check_atom_types(head, args, var_types, "effect")
+            if sigs[head.text].kind == "derived":
+                _fail(f"effect on derived predicate {head.text!r}", head)
+            check_parameters(args, var_types)
             (delete if negated else add).append(atom)
         actions.append(
             ActionSchema(
-                name_tok.text,
-                tuple((v, t) for v, t, _, _ in raw_params),
+                name.text,
+                tuple(var_types.items()),
                 tuple(pre),
                 tuple(add),
                 tuple(delete),
@@ -469,44 +432,36 @@ def parse_domain(text: str | bytes) -> Domain:
         sig = sigs[head_name.text]
         head_params = _typed_list(head_nodes, "parameter", variables=True)
         if len(head_params) != sig.arity:
-            raise PddlError(
+            _fail(
                 f"rule head for {head_name.text!r} has {len(head_params)} "
                 f"args, signature says {sig.arity}",
-                head_name.line,
-                head_name.col,
+                head_name,
             )
         var_types = {}
-        head_vars: list[str] = []
-        for (v, t, line, col), (_, declared_t) in zip(head_params, sig.params):
-            if v in var_types:
-                raise PddlError(f"duplicate head variable {v!r}", line, col)
+        for (var, typ), (_, declared_t) in zip(head_params, sig.params):
+            if var.text in var_types:
+                _fail(f"duplicate head variable {var.text!r}", var)
             # An untyped head variable takes the signature's type; a rule
             # head may not narrow or change it.
-            if t not in (ROOT_TYPE, declared_t):
-                raise PddlError(
-                    f"head variable {v} has type {t!r}, {head_name.text!r} "
-                    f"declares {declared_t!r}",
-                    line,
-                    col,
+            if typ not in (ROOT_TYPE, declared_t):
+                _fail(
+                    f"head variable {var.text} has type {typ!r}, "
+                    f"{head_name.text!r} declares {declared_t!r}",
+                    var,
                 )
-            var_types[v] = declared_t
-            head_vars.append(v)
+            var_types[var.text] = declared_t
         body: list[Atom] = []
         for c in _flatten_and(body_node):
-            pred, args, negated, line, col = _parse_literal(c)
+            head, args, negated = _parse_literal(c)
             if negated:
-                raise PddlError(
-                    "negation is not allowed in rule bodies", line, col
-                )
-            if pred == EQUALITY:
-                raise PddlError("'=' is not allowed in rule bodies", line, col)
-            body.append(
-                check_atom_types(pred, args, var_types, line, col, "rule body")
-            )
+                _fail("negation is not allowed in rule bodies", head)
+            if head.text == EQUALITY:
+                _fail("'=' is not allowed in rule bodies", head)
+            body.append(check_atom_types(head, args, var_types, "rule body"))
         try:
-            rules.append(DerivedRule(Atom(head_name.text, tuple(head_vars)), tuple(body)))
+            rules.append(DerivedRule(Atom(head_name.text, tuple(var_types)), tuple(body)))
         except ModelError as exc:
-            raise PddlError(str(exc), head_name.line, head_name.col) from None
+            _fail(str(exc), head_name)
 
     # Stratification: the dependency graph over derived predicates must be
     # acyclic (self-dependency included).
@@ -546,34 +501,29 @@ def parse_problem(text: str | bytes, domain: Domain) -> Problem:
     """Parse a problem file and type-check it against ``domain``.
 
     Init atoms must be observed predicates over declared objects; the goal
-    may also reference derived predicates.  Raises :class:`PddlError`
-    otherwise.
+    may also reference derived predicates.  Each section appears at most
+    once.  Raises :class:`PddlError` otherwise.
     """
     prob_name, sections = _prepare(text, "problem")
 
     domain_name: str | None = None
     object_types: dict[str, str] = {}
     init: set[GroundAtom] = set()
-    goal: list[GroundLiteral] = []
-    saw_goal = False
+    goal: list[GroundLiteral] | None = None
 
-    def check_ground_atom(
-        pred: str, args: list[_Tok], line: int, col: int, in_goal: bool
-    ) -> GroundAtom:
-        if pred == EQUALITY:
-            raise PddlError("'=' cannot appear in problems", line, col)
-        atom = GroundAtom(pred, tuple(a.text for a in args))
+    def check_ground_atom(head: _Tok, args: list[_Tok], in_goal: bool) -> GroundAtom:
+        if head.text == EQUALITY:
+            _fail("'=' cannot appear in problems", head)
+        atom = GroundAtom(head.text, tuple(a.text for a in args))
         for position, message in atom_faults(atom, domain, object_types):
             if position < 0:
-                raise PddlError(message, line, col)
+                _fail(message, head)
             tok = args[position]
             if tok.text.startswith("?"):  # never an object name, so always a fault
                 message = f"variables are not allowed here: {tok.text!r}"
-            raise PddlError(message, tok.line, tok.col)
-        if not in_goal and domain.predicate(pred).kind == "derived":
-            raise PddlError(
-                f"derived predicate {pred!r} cannot appear in :init", line, col
-            )
+            _fail(message, tok)
+        if not in_goal and domain.predicate(head.text).kind == "derived":
+            _fail(f"derived predicate {head.text!r} cannot appear in :init", head)
         return atom
 
     for key, lst in sections:
@@ -582,32 +532,25 @@ def parse_problem(text: str | bytes, domain: Domain) -> Problem:
                 _fail("(:domain NAME) takes one name", lst)
             domain_name = _name_tok(lst[1], "domain name").text
         elif key == ":objects":
-            for name, typ, line, col in _typed_list(
-                lst[1:], "object name", variables=False
-            ):
-                if name in object_types:
-                    raise PddlError(f"duplicate object {name!r}", line, col)
+            for name, typ in _typed_list(lst[1:], "object name", variables=False):
+                if name.text in object_types:
+                    _fail(f"duplicate object {name.text!r}", name)
                 if not domain.hierarchy.contains(typ):
-                    raise PddlError(f"unknown type {typ!r}", line, col)
-                object_types[name] = typ
+                    _fail(f"unknown type {typ!r}", name)
+                object_types[name.text] = typ
         elif key == ":init":
             for c in lst[1:]:
-                pred, args, negated, line, col = _parse_literal(c)
+                head, args, negated = _parse_literal(c)
                 if negated:
-                    raise PddlError("negation is not allowed in :init", line, col)
-                init.add(check_ground_atom(pred, args, line, col, in_goal=False))
+                    _fail("negation is not allowed in :init", head)
+                init.add(check_ground_atom(head, args, in_goal=False))
         elif key == ":goal":
-            saw_goal = True
             if len(lst) != 2:
                 _fail("(:goal FORMULA) takes one formula", lst)
+            goal = []
             for c in _flatten_and(lst[1]):
-                pred, args, negated, line, col = _parse_literal(c)
-                goal.append(
-                    GroundLiteral(
-                        check_ground_atom(pred, args, line, col, in_goal=True),
-                        negated,
-                    )
-                )
+                head, args, negated = _parse_literal(c)
+                goal.append(GroundLiteral(check_ground_atom(head, args, in_goal=True), negated))
 
     if domain_name is None:
         raise PddlError("missing (:domain NAME)")
@@ -615,7 +558,7 @@ def parse_problem(text: str | bytes, domain: Domain) -> Problem:
         raise PddlError(
             f"problem is for domain {domain_name!r}, got {domain.name!r}"
         )
-    if not saw_goal:
+    if goal is None:
         raise PddlError("missing (:goal ...)")
     return Problem(
         prob_name, domain_name, tuple(object_types.items()), frozenset(init), tuple(goal)
@@ -640,10 +583,10 @@ def parse_plan(text: str | bytes) -> Plan:
             continue
         forms = _nest(toks)
         if len(forms) != 1 or not isinstance(forms[0], list):
-            raise PddlError("expected one (action args...) form", line, toks[0].col)
+            _fail("expected one (action args...) form", toks[0])
         lst = forms[0]
         if not lst:
-            raise PddlError("empty plan step", line, toks[0].col)
+            _fail("empty plan step", lst)
         name = _name_tok(lst[0], "action name").text
         args = tuple(_name_tok(a, "argument").text for a in lst[1:])
         steps.append(PlanStep(name, args))

@@ -218,6 +218,11 @@ def axiom_closure(
     ``facts`` maps each predicate to the argument tuples of its atoms.  The
     view reads it without copying, so it answers for the state that
     ``facts`` holds until the next change to it.
+
+    The view trusts what the parser checked: ``facts`` holds observed atoms
+    only, every atom (fact, query, rule head or body atom) has its
+    predicate's arity, and no rule head names a variable twice.  Input that
+    breaks this contract gets unspecified answers.
     """
     return ClosureView(facts, rules)
 
@@ -286,55 +291,42 @@ class ClosureView:
         the unanswered subqueries its joins met, as a list; when the pattern
         is fully bound, the first proof ends the search."""
         facts, rules, answers = self.facts, self.rules, self.answers
-        found = {
-            values
-            for values in facts.get(predicate, ())
-            if len(values) == len(pattern)
-            and all(want in (None, value) for want, value in zip(pattern, values))
-        }
         complete = None not in pattern
-        if complete and found:
-            return found
+        found = set()
         missing = []
         for rule in rules[predicate]:
-            if len(rule.head.args) != len(pattern):
-                continue
-            env: dict[str, str] = {}
-            for var, value in zip(rule.head.args, pattern):
-                if value is not None and env.setdefault(var, value) != value:
-                    break
-            else:
-                body = rule.body
-                pending = [(0, env)]
-                while pending:
-                    depth, env = pending.pop()
-                    if depth == len(body):
-                        if complete:
-                            return {pattern}
-                        found.add(tuple([env[var] for var in rule.head.args]))
+            body = rule.body
+            env = {
+                var: value for var, value in zip(rule.head.args, pattern) if value is not None
+            }
+            pending = [(0, env)]
+            while pending:
+                depth, env = pending.pop()
+                if depth == len(body):
+                    if complete:
+                        return {pattern}
+                    found.add(tuple([env[var] for var in rule.head.args]))
+                    continue
+                atom = body[depth]
+                args = tuple(map(env.get, atom.args))
+                if atom.predicate in rules:
+                    rows = answers.get((atom.predicate, args))
+                    if rows is None:
+                        missing.append((atom.predicate, args))
                         continue
-                    atom = body[depth]
-                    args = tuple(map(env.get, atom.args))
-                    if atom.predicate in rules:
-                        rows = answers.get((atom.predicate, args))
-                        if rows is None:
-                            missing.append((atom.predicate, args))
-                            continue
-                    elif None in args:
-                        rows = facts.get(atom.predicate, ())
+                elif None in args:
+                    rows = facts.get(atom.predicate, ())
+                else:
+                    if args in facts.get(atom.predicate, ()):
+                        pending.append((depth + 1, env))
+                    continue
+                for values in rows:
+                    trial = env.copy()
+                    for var, value in zip(atom.args, values):
+                        if trial.setdefault(var, value) != value:
+                            break
                     else:
-                        if args in facts.get(atom.predicate, ()):
-                            pending.append((depth + 1, env))
-                        continue
-                    for values in rows:
-                        if len(values) != len(args):
-                            continue
-                        trial = env.copy()
-                        for var, value in zip(atom.args, values):
-                            if trial.setdefault(var, value) != value:
-                                break
-                        else:
-                            pending.append((depth + 1, trial))
+                        pending.append((depth + 1, trial))
         return missing or found
 
 

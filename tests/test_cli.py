@@ -596,3 +596,92 @@ def test_non_finite_sigma_is_a_user_error(tmp_path, capsys, value):
     assert main(["genbench", "cooking", "--sigma", value, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: sigma must be nonnegative and finite\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json", "bad config file {}: Expecting value: line 1 column 1 (char 0)"),
+        ("[1, 2]", "config file {} must hold a JSON object"),
+    ],
+    ids=["not-json", "not-an-object"],
+)
+def test_unreadable_config_file_is_a_user_error(suite_dir, tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["--config", str(config), "pddl", "check", str(suite_dir / "domain.pddl")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(config)}\n"
+    assert captured.out == ""
+
+
+def test_llm_flags_need_a_model_with_the_base_url(suite_dir, first_goal, tmp_path, capsys):
+    argv = ground_argv(suite_dir, first_goal, tmp_path, "--llm-base-url", "http://127.0.0.1:9")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: an LLM endpoint needs both a base URL and a model name\n"
+    )
+    assert not (tmp_path / "p0.pddl").exists()
+
+
+def drop_domain_file(suite: Path) -> str:
+    (suite / "domain.pddl").unlink()
+    return f"cannot read domain file: [Errno 2] No such file or directory: '{suite / 'domain.pddl'}'"
+
+
+def replace_second_problem(suite: Path) -> str:
+    manifest = suite / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    raw["problems"][1] = "problems/001/scene.json"
+    manifest.write_text(json.dumps(raw))
+    return "problem 1 is not an object"
+
+
+@pytest.mark.parametrize("breaks", [drop_domain_file, replace_second_problem])
+def test_broken_manifest_is_a_user_error(suite_dir, tmp_path, capsys, breaks):
+    suite = tmp_path / "suite"
+    shutil.copytree(suite_dir, suite)
+    message = breaks(suite)
+    assert main(["eval", str(suite / "manifest.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def exemplar_not_json(scene: dict, exemplar: dict):
+    return scene, "not json", "bad exemplar JSON: Expecting value: line 1 column 1 (char 0)"
+
+
+def exemplar_without_atoms(scene: dict, exemplar: dict):
+    del exemplar["true_atoms"]
+    return scene, exemplar, "exemplar JSON must be an object with true_atoms"
+
+
+def phrase_of_unknown_type(scene: dict, exemplar: dict):
+    # The box overlaps no class detection, so the phrase makes a new object.
+    phrase = {"query": "a dragon", "box": [0, 0, 10, 10], "suggested_type": "dragon"}
+    scene["phrase_detections"] = [phrase]
+    return scene, exemplar, "suggested type 'dragon' not in domain"
+
+
+def degenerate_box(scene: dict, exemplar: dict):
+    scene["class_detections"][0]["box"] = [5, 5, 5, 9]
+    return scene, exemplar, "degenerate box Box(x_min=5.0, y_min=5.0, x_max=5.0, y_max=9.0)"
+
+
+@pytest.mark.parametrize(
+    "breaks", [exemplar_not_json, exemplar_without_atoms, phrase_of_unknown_type, degenerate_box]
+)
+def test_broken_scene_or_exemplar_fails_ground(suite_dir, first_goal, tmp_path, capsys, breaks):
+    problem_dir = suite_dir / "problems" / "000"
+    scene, exemplar, message = breaks(
+        json.loads((problem_dir / "scene.json").read_text()),
+        json.loads((problem_dir / "exemplar.json").read_text()),
+    )
+    argv = ground_argv(suite_dir, first_goal, tmp_path / "out")
+    for index, doc in ((2, scene), (3, exemplar)):
+        argv[index] = str(tmp_path / Path(argv[index]).name)
+        Path(argv[index]).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: grounding: {message}\n"
+    assert not (tmp_path / "out").exists()

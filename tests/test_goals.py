@@ -202,6 +202,18 @@ def test_llm_answer_with_fences_and_prose(stub_server):
     assert spec.literals == (GroundLiteral(GroundAtom("sliced", ("cucumber",)), False),)
 
 
+def test_llm_answer_skips_a_line_the_grammar_refuses(stub_server):
+    refused = "Goal: (the cucumber, sliced)"
+    with pytest.raises(GoalError) as err:
+        parse_structured_goal(refused, KITCHEN)
+    assert str(err.value) == "cannot parse goal clause 'goal: (the cucumber, sliced)'"
+    _StubHandler.responses = [f"{refused}\nsliced(cucumber)"]
+    cfg = LlmEndpointConfig(base_url=stub_server, model="stub", retries=0)
+    spec = llm_parse_goal("slice it", KITCHEN, cfg)
+    assert spec.literals == (GroundLiteral(GroundAtom("sliced", ("cucumber",)), False),)
+    assert len(_StubHandler.calls) == 1
+
+
 def test_llm_prose_only_fails_after_retries(stub_server):
     _StubHandler.responses = ["no goal here", "still chatting"]
     cfg = LlmEndpointConfig(base_url=stub_server, model="stub", retries=1)

@@ -592,6 +592,39 @@ def test_success_implies_a_plan_was_produced(tmp_path):
             assert rec.plan_length is not None
 
 
+@pytest.mark.parametrize(
+    "goal, search, failure",
+    [
+        (
+            # Each block on the other: no state holds both.
+            {
+                "structured": "on(block1, block2) AND on(block2, block1)",
+                "truth_goal": (lit("on", "block1", "block2"), lit("on", "block2", "block1")),
+            },
+            SearchConfig(),
+            "planner: unsolvable",
+        ),
+        (
+            # Two moves away, so the first expansion cannot reach it.
+            {
+                "structured": "on(block1, block2) AND on(block2, block3)",
+                "truth_goal": (lit("on", "block1", "block2"), lit("on", "block2", "block3")),
+            },
+            SearchConfig(node_limit=1),
+            "planner: node-limit",
+        ),
+    ],
+    ids=["unsolvable", "node-limit"],
+)
+def test_a_planner_failure_keeps_the_problem_and_scores_no_plan(tmp_path, goal, search, failure):
+    domain, (entry,) = load_manifest(write_suite(tmp_path, (goal,)))
+    record = evaluate_problem(domain, entry, PipelineConfig(search=search))
+    assert record.failure == failure
+    assert (record.problem_valid, record.plan_valid, record.success) == (True, False, False)
+    assert record.plan_length is None
+    assert (record.grounding.precision, record.grounding.recall) == (1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Manifest loading
 # ---------------------------------------------------------------------------

@@ -304,7 +304,9 @@ def test_parse_plan_reports_the_line_and_column_of_the_raw_text(bad, fragment, c
 # One minimal input per raise site of the parser (helpers reached from
 # several callers get one input per caller whose rewrite could move them),
 # with the message, line and column it reports; line 0 means the error
-# carries no position.  Problems are read against the toy domain.
+# carries no position, which only an error about the whole input does.  An
+# error at an empty form reports its '('.  Problems are read against the toy
+# domain.
 TABLE_DOMAIN = "(define (domain d)\n(:predicates (p ?a) (q ?a) (r ?a ?b))\n"
 TABLE_ACTION = TABLE_DOMAIN + "(:action a :parameters (?x ?y)\n"
 PARSE_ERRORS = [
@@ -319,7 +321,7 @@ PARSE_ERRORS = [
     ('domain', 'define',
      'expected (define ...)', 1, 1),
     ('domain', '()',
-     'expected (define ...)', 0, 0),
+     'expected (define ...)', 1, 1),
     ('domain', '\n ((define) (domain d))',
      'expected define, got a list', 2, 4),
     ('domain', '(domain d)',
@@ -335,7 +337,7 @@ PARSE_ERRORS = [
     ('domain', '(define\n (problem d))',
      'expected (domain NAME)', 2, 3),
     ('domain', '(define ())',
-     'expected (domain NAME)', 0, 0),
+     'expected (domain NAME)', 1, 9),
     ('domain', '(define\n ((domain) d))',
      'expected domain, got a list', 2, 4),
     ('domain', '(define (domain d!))',
@@ -346,6 +348,8 @@ PARSE_ERRORS = [
      'expected a domain section', 2, 2),
     ('domain', '(define (domain d)\n ((:types)))',
      'expected a section keyword, got a list', 2, 4),
+    ('domain', '(define (domain d)\n (() :types))',
+     'expected a section keyword, got a list', 2, 3),
     ('domain', '(define (domain d)\n (:functions (f ?a)))',
      "unsupported section ':functions'", 2, 3),
     ('domain', '(define (domain d)\n (:types - t))',
@@ -365,7 +369,7 @@ PARSE_ERRORS = [
     ('domain', '(define (domain d)\n (:predicates p))',
      'expected a predicate declaration', 2, 15),
     ('domain', '(define (domain d)\n (:predicates ()))',
-     'empty predicate declaration', 0, 0),
+     'empty predicate declaration', 2, 15),
     ('domain', '(define (domain d)\n (:predicates ((p) ?a)))',
      'expected predicate name, got a list', 2, 17),
     ('domain', '(define (domain d)\n (:predicates (= ?a ?b)))',
@@ -389,7 +393,7 @@ PARSE_ERRORS = [
     ('domain', TABLE_DOMAIN + '(:derived p (q ?a)))',
      'expected a rule head', 3, 11),
     ('domain', TABLE_DOMAIN + '(:derived () (q ?a)))',
-     'empty rule head', 0, 0),
+     'empty rule head', 3, 11),
     ('domain', TABLE_DOMAIN + '(:derived ((p) ?a) (q ?a)))',
      'expected predicate name, got a list', 3, 13),
     ('domain', TABLE_DOMAIN + '(:derived (p! ?a) (q ?a)))',
@@ -427,7 +431,7 @@ PARSE_ERRORS = [
     ('domain', TABLE_ACTION + ' :precondition (and p) :effect (p ?x)))',
      'expected a literal', 4, 21),
     ('domain', TABLE_ACTION + ' :precondition (and ()) :effect (p ?x)))',
-     'empty formula', 0, 0),
+     'empty formula', 4, 21),
     ('domain', TABLE_ACTION + ' :precondition (not (p ?x) (q ?x)) :effect (p ?x)))',
      '(not ...) takes one formula', 4, 17),
     ('domain', TABLE_ACTION + ' :precondition (not p) :effect (p ?x)))',
@@ -540,6 +544,16 @@ PARSE_ERRORS = [
      '(:goal FORMULA) takes one formula', 2, 3),
     ('problem', '(define (problem q) (:objects b1 b2 - block)\n (:goal (not (on b1 b9))))',
      "unknown object 'b9'", 2, 21),
+    ('problem', '(define (problem q)\n (:objects b1 () - block))',
+     'expected object name, got a list', 2, 15),
+    ('problem', '(define (problem q) (:domain other)\n (:domain toy) (:goal (and)))',
+     "duplicate section ':domain'", 2, 3),
+    ('problem', '(define (problem q) (:domain toy) (:objects b1 - block)\n (:objects b2 - block) (:goal (and)))',
+     "duplicate section ':objects'", 2, 3),
+    ('problem', '(define (problem q) (:domain toy) (:objects b1 b2 - block) (:init)\n (:init (on b1 b2)) (:goal (and)))',
+     "duplicate section ':init'", 2, 3),
+    ('problem', '(define (problem q) (:domain toy) (:goal (and))\n (:goal (and)))',
+     "duplicate section ':goal'", 2, 3),
     ('problem', '(define (problem q) (:objects b1 b2 - block) (:init) (:goal (and)))',
      'missing (:domain NAME)', 0, 0),
     ('problem', '(define (problem q) (:domain other) (:goal (and)))',
@@ -560,6 +574,8 @@ PARSE_ERRORS = [
      "bad argument 'b!'", 2, 6),
     ('plan', '(a b)\n  (a (b))',
      'expected argument, got a list', 2, 7),
+    ('plan', '(a b)\n  (a b () c)',
+     'expected argument, got a list', 2, 8),
     ('plan', '(a b)\n  (a b',
      "unbalanced '('", 2, 3),
     ('plan', b'(a \x80)',

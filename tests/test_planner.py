@@ -922,6 +922,8 @@ def small_typed_tasks(draw):
     predicates can be unread, or read only through another rule's body:
     half the time h, which only d0's body reads, and a negative goal
     literal over d0 (see ``relevance_cases`` and ``goal_relevance_cases``).
+    Half the time an action with a positive precondition adds atoms of w,
+    which nothing reads, so h_add leaves it out (``goal_relevance_cases``).
 
     Each rule-head parameter takes the most specific type among the body
     positions its variable occupies, so every binding the untyped naive
@@ -1022,6 +1024,17 @@ def small_typed_tasks(draw):
             + (f" :precondition (and {pre})" if pre else "")
             + f" :effect (and {' '.join(effects)}))"
         )
+    # Half the time an action adds atoms of w when an atom of a written
+    # predicate holds.  No precondition, rule body or goal reads w.
+    if draw(st.booleans()):
+        first = draw(st.sampled_from(written))
+        signatures["w"] = signatures[first]
+        params = " ".join(f"?{'ab'[k]}" for k in range(len(signatures[first])))
+        typed = " ".join(f"?{'ab'[k]} - {t}" for k, t in enumerate(signatures[first]))
+        actions.append(
+            f"(:action aw :parameters ({typed}) :precondition ({first} {params})"
+            f" :effect (w {params}))"
+        )
     declared = " ".join(
         f"({name} {' '.join(f'?v{k} - {t}' for k, t in enumerate(params))})"
         for name, params in signatures.items()
@@ -1064,8 +1077,8 @@ def small_typed_tasks(draw):
         walked = draw(st.sampled_from(moves))
     reached = naive_closure(walked, domain)
     named = sorted(reached ^ naive_closure(init, domain))
-    named = [atom for atom in named if atom.predicate != "h"]
-    shown = [atom for atom in atoms if atom.predicate != "h"]
+    named = [atom for atom in named if atom.predicate not in ("h", "w")]
+    shown = [atom for atom in atoms if atom.predicate not in ("h", "w")]
     if not named and shown:
         named = draw(st.lists(st.sampled_from(shown), min_size=1, max_size=2))
     goal = [GroundLiteral(atom, atom not in reached) for atom in named]
