@@ -7,7 +7,8 @@ problems (micro averaging) and also report means of per-problem ratios
 (macro); micro is the primary number and the report header says so.
 
 A problem that fails at any pipeline stage contributes zeros for the
-stages it never reached; the suite never aborts on one bad problem.
+stages it never reached, and counts as valid once its goal resolves; only a
+bad manifest or ground truth file aborts the suite, never one bad problem.
 """
 
 from __future__ import annotations
@@ -33,18 +34,13 @@ from sceneground.graph import (
     SceneGraph,
     classify_scene,
     exemplar_from_json,
-    graph_to_init,
 )
-from sceneground.pddl import (
-    PddlError,
-    parse_domain,
-    parse_problem,
-    serialize_problem,
-)
+from sceneground.pddl import PddlError, parse_domain, parse_problem
+# perfbench/workloads.py wraps metrics.serialize_problem by name when tracing.
+from sceneground.pddl import serialize_problem  # noqa: F401
 from sceneground.pddl.model import (
     EQUALITY,
     Domain,
-    GroundAtom,
     Plan,
     Problem,
     valid_name,
@@ -324,7 +320,7 @@ def load_manifest(path) -> tuple[Domain, tuple[ManifestEntry, ...]]:
     base = path.parent
     try:
         domain = parse_domain((base / raw["domain_file"]).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EvalError(f"cannot read domain file: {exc}") from None
     problems = raw["problems"]
     if not isinstance(problems, list) or not problems:
@@ -364,7 +360,7 @@ def read_text(path: str) -> str:
     """A UTF-8 input file; an unreadable one is a SceneError."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SceneError(f"cannot read {path}: {exc}") from None
 
 
@@ -372,13 +368,12 @@ def read_text(path: str) -> str:
 class Grounding:
     """What the grounding chain made of one entry.
 
-    failure names the first stage that failed ("grounding: ...", "goal:
-    ...", "invalid-problem: ...").  graph and init are kept when only the
-    goal or the problem failed; problem is set only on success.
+    failure names the first stage that failed ("grounding: ..." or "goal:
+    ...").  graph is kept when only the goal failed; problem is set only
+    on success.
     """
 
     graph: SceneGraph | None
-    init: frozenset[GroundAtom] | None
     problem: Problem | None
     failure: str | None
 
@@ -409,12 +404,12 @@ def _goal_spec(domain, entry, config):
 
 
 def ground(domain: Domain, entry: ManifestEntry, config: PipelineConfig) -> Grounding:
-    """Scene and exemplar files plus a goal in, a checked problem out.
+    """Scene and exemplar files plus a goal in, a problem out.
 
-    Merges and classifies once, builds the goal from the merged objects
-    only (never from the predicted init), and requires the problem to
-    survive its own serialize/parse round trip.  Stage failures are
-    returned, never raised.
+    Merges and classifies once and builds the goal from the merged objects
+    only (never from the predicted init).  Each part of the problem is
+    checked where it is made, so it needs no text round trip to be valid.
+    Stage failures are returned, never raised.
     """
     try:
         obs = observation_from_json(read_text(entry.scene))
@@ -424,21 +419,16 @@ def ground(domain: Domain, entry: ManifestEntry, config: PipelineConfig) -> Grou
         scene = merge_detections(obs, domain, config.match_threshold)
         graph = classify_scene(scene, domain, exemplar)
     except (SceneError, ExemplarError) as exc:
-        return Grounding(None, None, None, f"grounding: {exc}")
-    init = graph_to_init(graph)
+        return Grounding(None, None, f"grounding: {exc}")
 
+    objects = scene.typed_objects()
     try:
         spec = _goal_spec(domain, entry, config)
-        goal = resolve_goal(spec, scene.typed_objects(), domain)
+        goal = resolve_goal(spec, objects, domain)
     except GoalError as exc:
-        return Grounding(graph, init, None, f"goal: {exc}")
-
-    problem = Problem(entry.name, domain.name, scene.typed_objects(), init, goal)
-    try:
-        parse_problem(serialize_problem(problem), domain)
-    except PddlError as exc:
-        return Grounding(graph, init, None, f"invalid-problem: {exc}")
-    return Grounding(graph, init, problem, None)
+        return Grounding(graph, None, f"goal: {exc}")
+    problem = Problem(entry.name, domain.name, objects, graph.atoms, goal)
+    return Grounding(graph, problem, None)
 
 
 def evaluate_problem(
@@ -447,23 +437,30 @@ def evaluate_problem(
     """Score one manifest entry, never raising on per-problem failures.
 
     Ground truth that cannot be read or parsed is a manifest defect and
-    does raise.  Pipeline stages fail softly: a stage failure zeroes that
-    stage and everything after it (a failed goal stage still reports the
-    grounding scores, matching the single-attempt protocol).
+    raises, naming the entry and file.  Pipeline stages fail softly: a
+    stage failure zeroes that stage and everything after it, and
+    problem_valid means the goal stage passed (a failed goal stage still
+    reports the grounding scores, matching the single-attempt protocol).
 
     A found plan is replayed on the predicted problem (plan_valid) and on
     the truth (success).  When the two problems have the same init and
     the same goal literals, the first verdict is also the second: replay
     depends on nothing else, so the plan is replayed once.
     """
-    truth = parse_problem(read_text(entry.ground_truth_problem), domain)
+    path = entry.ground_truth_problem
+    try:
+        truth = parse_problem(read_text(path), domain)
+    except (SceneError, PddlError) as exc:
+        raise EvalError(f"{entry.name}: ground truth {path}: {exc}") from None
     observed = {sig.name for sig in domain.observed}
     grounded = ground(domain, entry, config)
-    if grounded.init is None:
+    if grounded.graph is None:
         truth_observed = {a for a in truth.init if a.predicate in observed}
         grounding = GroundingScore(0.0, 0.0, 0, 0, len(truth_observed))
     else:
-        grounding = triplet_pr(grounded.init, truth.init, observed, config.empty_precision)
+        grounding = triplet_pr(
+            grounded.graph.atoms, truth.init, observed, config.empty_precision
+        )
     problem = grounded.problem
     if problem is None:
         return ProblemRecord(

@@ -222,8 +222,6 @@ def _flatten_and(node: _Node) -> list[_Node]:
     lst = _expect_list(node, "a formula")
     if lst and isinstance(lst[0], _Tok) and lst[0].text == "and":
         return lst[1:]
-    if not lst:
-        return []
     return [lst]
 
 
@@ -275,9 +273,13 @@ def parse_domain(text: str | bytes) -> Domain:
                 plist = _expect_list(p, "a predicate declaration")
                 if not plist:
                     _fail("empty predicate declaration", plist)
-                if _expect_tok(plist[0], "predicate name").text == EQUALITY:
-                    _fail("'=' is builtin and cannot be declared", plist)
-                name = _name_tok(plist[0], "predicate name")
+                name = _expect_tok(plist[0], "predicate name")
+                if name.text == EQUALITY:
+                    _fail("'=' is builtin and cannot be declared", name)
+                if name.text in ("and", "not"):
+                    # A formula would read an atom of it as the connective.
+                    _fail(f"{name.text!r} is a connective and cannot be declared", name)
+                name = _name_tok(name, "predicate name")
                 pred_decls.append((name, _typed_list(plist[1:], "parameter", variables=True)))
         elif key == ":action":
             action_nodes.append(lst)

@@ -35,6 +35,7 @@ from sceneground.metrics import (
     PipelineConfig,
     evaluate_suite,
     ground,
+    load_manifest,
     triplet_pr,
     validate_plan,
 )
@@ -123,11 +124,22 @@ def test_criterion_1_noiseless_end_to_end(noiseless):
 
 
 def test_criterion_2_problem_validity(noiseless):
-    _, reports, _ = noiseless
+    # ground builds its problem without writing it out, so every problem it
+    # returns must also survive the text round trip.
+    root, reports, _ = noiseless
     for label, report in reports.items():
         (row,) = report.rows
         assert row.problem_validity == 1.0, label
-    print("criterion 2: PASS - problem validity 1.0 on all 150 problems")
+        domain, entries = load_manifest(root / label / "manifest.json")
+        for entry in entries:
+            problem = ground(domain, entry, PipelineConfig()).problem
+            text = serialize_problem(problem)
+            assert parse_problem(text, domain) == problem, entry.name
+            assert serialize_problem(parse_problem(text, domain)) == text, entry.name
+    print(
+        "criterion 2: PASS - problem validity 1.0 on all 150 problems, "
+        "each grounded problem round-trips through its text"
+    )
 
 
 def test_criterion_3_planner_optimality():

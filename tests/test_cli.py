@@ -545,6 +545,23 @@ def test_non_string_detection_field_fails_one_problem(
     assert f"{field} must be a string or null" in records[1]["failure"]
 
 
+def test_scene_file_not_in_utf8_fails_one_problem(cooking_dir, tmp_path, capsys):
+    suite = tmp_path / "suite"
+    shutil.copytree(cooking_dir, suite)
+    scene = suite / "problems" / "001" / "scene.json"
+    scene.write_bytes(b"\xff" + scene.read_bytes())
+    report_path = tmp_path / "report.json"
+    assert main(["eval", str(suite / "manifest.json"), "--out", str(report_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    records = json.loads(report_path.read_text())["problems"]
+    assert [r["failure"] for r in records] == [
+        None,
+        f"grounding: cannot read {scene}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte",
+        None,
+    ]
+
+
 def test_non_finite_canvas_fails_ground(suite_dir, first_goal, tmp_path, capsys):
     doc = json.loads((suite_dir / "problems" / "000" / "scene.json").read_text())
     for value in ("nan", "inf"):
@@ -629,6 +646,16 @@ def drop_domain_file(suite: Path) -> str:
     return f"cannot read domain file: [Errno 2] No such file or directory: '{suite / 'domain.pddl'}'"
 
 
+def domain_not_utf8(suite: Path) -> str:
+    domain = suite / "domain.pddl"
+    size = len(domain.read_bytes())
+    domain.write_bytes(domain.read_bytes() + b"\xff")
+    return (
+        f"cannot read domain file: 'utf-8' codec can't decode byte 0xff in position {size}: "
+        "invalid start byte"
+    )
+
+
 def replace_second_problem(suite: Path) -> str:
     manifest = suite / "manifest.json"
     raw = json.loads(manifest.read_text())
@@ -637,7 +664,7 @@ def replace_second_problem(suite: Path) -> str:
     return "problem 1 is not an object"
 
 
-@pytest.mark.parametrize("breaks", [drop_domain_file, replace_second_problem])
+@pytest.mark.parametrize("breaks", [drop_domain_file, domain_not_utf8, replace_second_problem])
 def test_broken_manifest_is_a_user_error(suite_dir, tmp_path, capsys, breaks):
     suite = tmp_path / "suite"
     shutil.copytree(suite_dir, suite)
@@ -645,6 +672,17 @@ def test_broken_manifest_is_a_user_error(suite_dir, tmp_path, capsys, breaks):
     assert main(["eval", str(suite / "manifest.json")]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_truncated_truth_names_its_entry_and_file(cooking_dir, tmp_path, capsys):
+    suite = tmp_path / "suite"
+    shutil.copytree(cooking_dir, suite)
+    truth = suite / "problems" / "001" / "truth.pddl"
+    truth.write_text("(define (problem x) (:domain cooking)")
+    assert main(["eval", str(suite / "manifest.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: 001-scene: ground truth {truth}: unbalanced '(' at 1:1\n"
     assert captured.out == ""
 
 

@@ -1,5 +1,6 @@
 """Parser, writer, and model tests for the typed STRIPS subset."""
 
+import itertools
 import pickle
 import random
 import re
@@ -374,6 +375,10 @@ PARSE_ERRORS = [
      'expected predicate name, got a list', 2, 17),
     ('domain', '(define (domain d)\n (:predicates (= ?a ?b)))',
      "'=' is builtin and cannot be declared", 2, 16),
+    ('domain', '(define (domain d)\n (:predicates (not ?x)))',
+     "'not' is a connective and cannot be declared", 2, 16),
+    ('domain', '(define (domain d)\n (:predicates (and ?x ?y)))',
+     "'and' is a connective and cannot be declared", 2, 16),
     ('domain', '(define (domain d)\n (:predicates (p! ?a)))',
      "bad predicate name 'p!'", 2, 16),
     ('domain', '(define (domain d)\n (:predicates (p a)))',
@@ -583,10 +588,26 @@ PARSE_ERRORS = [
 ]
 
 
+# An empty form is never a condition, effect or rule body (the empty
+# conjunction is '(and)').  Each row is keyed by where its '()' sits, and the
+# key names its test: the message alone repeats a row of the table above.
+EMPTY_FORM_ERRORS = {
+    ':precondition ()': ('domain', TABLE_ACTION + ' :precondition () :effect (p ?x)))',
+                         'empty formula', 4, 16),
+    ':effect ()': ('domain', TABLE_ACTION + ' :effect ()))',
+                   'empty formula', 4, 10),
+    'rule body ()': ('domain', TABLE_DOMAIN + '(:derived (q ?a) ()))',
+                     'empty formula', 3, 18),
+    '(:goal ())': ('problem', '(define (problem q) (:domain toy)\n (:goal ()))',
+                   'empty formula', 2, 9),
+}
+
+
 @pytest.mark.parametrize(
     "kind, text, message, line, col",
-    PARSE_ERRORS,
-    ids=[f"{kind}-{message}" for kind, _, message, _, _ in PARSE_ERRORS],
+    [*PARSE_ERRORS, *EMPTY_FORM_ERRORS.values()],
+    ids=[f"{kind}-{message}" for kind, _, message, _, _ in PARSE_ERRORS]
+    + [f"{row[0]}-{row[2]} at {where}" for where, row in EMPTY_FORM_ERRORS.items()],
 )
 def test_parse_errors_report_message_line_and_column(toy_domain, kind, text, message, line, col):
     parse = {
@@ -679,6 +700,56 @@ def test_problem_atoms_are_checked_as_the_naive_reference_does(atom, section):
     message, token = error
     col = 9 + sum(len(tok) + 1 for tok in [predicate, *args][:token])
     assert (err.value.message, err.value.line, err.value.col) == (message, 3, col)
+
+
+SHIPPED = {kind: parse_domain(domain_text(kind)) for kind in ("blocksworld", "hanoi", "cooking")}
+# Legal names that read like PDDL keywords, a type or a number.
+KEYWORD_NAMES = ("not", "and", "define", "object", "-1")
+NAMES = st.sampled_from(KEYWORD_NAMES) | st.text("ab19_-", min_size=1, max_size=3).filter(
+    lambda name: name != "-"
+)
+
+
+@st.composite
+def shipped_problems(draw):
+    """A valid problem over a shipped domain: objects of any declared type,
+    named keyword-like or not; init a subset of the typed observed atoms
+    over them, often empty; goal literals of either sign over any
+    predicate, derived ones included."""
+    domain = draw(st.sampled_from(list(SHIPPED.values())))
+    names = draw(st.lists(NAMES, min_size=1, max_size=6, unique=True))
+    objects = [(name, draw(st.sampled_from(domain.hierarchy.all_types()))) for name in names]
+
+    def instances(signatures):
+        return [
+            GroundAtom(sig.name, args)
+            for sig in signatures
+            for args in itertools.product(
+                *(
+                    [name for name, typ in objects if domain.hierarchy.is_subtype(typ, want)]
+                    for _, want in sig.params
+                )
+            )
+        ]
+
+    observed, every = instances(domain.observed), instances(domain.predicates)
+    init = draw(st.lists(st.sampled_from(observed), unique=True)) if observed else []
+    goal = (
+        draw(st.lists(st.builds(GroundLiteral, st.sampled_from(every), st.booleans())))
+        if every
+        else []
+    )
+    return Problem(draw(NAMES), domain.name, tuple(objects), frozenset(init), tuple(goal))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shipped_problems())
+def test_problems_survive_the_text_round_trip(problem):
+    domain = SHIPPED[problem.domain_name]
+    text = serialize_problem(problem)
+    again = parse_problem(text, domain)
+    assert again == problem
+    assert serialize_problem(again) == text
 
 
 def test_type_hierarchy_subtyping():
