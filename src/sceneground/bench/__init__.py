@@ -23,12 +23,10 @@ def shipped_domain(kind: str) -> Domain:
 
 
 from sceneground.bench.generate import (  # noqa: E402  (needs domain_text above)
-    SEPARATION_MARGIN,
     BenchError,
     GenConfig,
     GeneratedProblem,
     Meta,
-    derive_atoms,
     gen_blocksworld,
     gen_cooking,
     gen_hanoi,
@@ -40,12 +38,10 @@ from sceneground.bench.generate import (  # noqa: E402  (needs domain_text above
 
 __all__ = [
     "DOMAIN_KINDS",
-    "SEPARATION_MARGIN",
     "BenchError",
     "GenConfig",
     "GeneratedProblem",
     "Meta",
-    "derive_atoms",
     "domain_text",
     "gen_blocksworld",
     "gen_cooking",

@@ -2,9 +2,10 @@
 
 Every generator lays out its scenes on a fixed 1280x960 canvas (constants
 are canvas fractions) and merges each once (_merged); atoms and goals use
-the names merging gives.  The true atoms agree with the geometry rules
-tests can re-run (derive_atoms); a solvable goal is picked and the optimal
-plan length filled from an exhaustive search oracle.
+the names merging gives.  Blocksworld and hanoi place boxes from their
+true atoms; cooking reads its true atoms off the boxes it placed
+(derive_cooking_atoms).  A solvable goal is picked and the optimal plan
+length filled from an exhaustive search oracle.
 
 Exemplar policy per domain, driven by what the box features can carry:
 
@@ -50,14 +51,6 @@ from sceneground.scene import (
 
 CANVAS_W = 1280.0
 CANVAS_H = 960.0
-
-# Guaranteed feature-space gap between true and false candidates in any
-# noiseless generated scene (measured minima are 0.148 / 0.078 / 0.067).
-SEPARATION_MARGIN = {
-    "blocksworld": 0.10,
-    "hanoi": 0.05,
-    "cooking": 0.05,
-}
 
 
 class BenchError(ValueError):
@@ -365,7 +358,7 @@ def gen_hanoi(d: int, g: int, seed: int) -> GeneratedProblem:
     truth = Problem(
         f"hanoi-{d}-{g}-{seed}", domain.name, scene.typed_objects(), frozenset(init), goal
     )
-    result = solve(domain, truth, SearchConfig(mode="optimal", node_limit=10**6))
+    result = solve(domain, truth, SearchConfig(mode="optimal"))
     assert result.status == "solved" and result.plan is not None
     instruction = (
         f"move the whole tower from {peg[start_peg]} to {peg[goal_peg]}"
@@ -536,49 +529,8 @@ def gen_cooking(seed: int) -> GeneratedProblem:
 
 
 # ---------------------------------------------------------------------------
-# Geometry-to-atoms rules (ground truth and consistency checks)
+# Geometry-to-atoms rules (cooking ground truth)
 # ---------------------------------------------------------------------------
-
-
-def derive_blocks_atoms(scene: Scene) -> frozenset[GroundAtom]:
-    """on(a, b): a sits directly on b (aligned, small downward gap)."""
-    atoms = set()
-    blocks = [o for o in scene.objects if o.type == "block"]
-    for a in blocks:
-        for b in blocks:
-            if a.name == b.name:
-                continue
-            aligned = abs(_center(a.box)[0] - _center(b.box)[0]) < 0.5 * BLOCK_W
-            gap = b.box.y_min - a.box.y_max
-            if aligned and 0 <= gap < 0.1 * BLOCK_H:
-                atoms.add(on_atom(a.name, b.name))
-    return frozenset(atoms)
-
-
-def derive_hanoi_atoms(scene: Scene) -> frozenset[GroundAtom]:
-    """smaller from widths, onpeg from pad alignment, on from adjacency."""
-    disks = [o for o in scene.objects if o.type == "disk"]
-    pegs = [o for o in scene.objects if o.type == "peg"]
-    atoms = set()
-    for a in disks:
-        for b in disks:
-            if a.name != b.name and a.box.width < b.box.width:
-                atoms.add(GroundAtom("smaller", (a.name, b.name)))
-    column = {}
-    for d in disks:
-        cx = _center(d.box)[0]
-        for p in pegs:
-            if p.box.x_min <= cx <= p.box.x_max:
-                atoms.add(GroundAtom("onpeg", (d.name, p.name)))
-                column[d.name] = p.name
-    for a in disks:
-        for b in disks:
-            if a.name == b.name or column.get(a.name) != column.get(b.name):
-                continue
-            gap = b.box.y_min - a.box.y_max
-            if 0 <= gap < 0.25 * DISK_H:
-                atoms.add(GroundAtom("on", (a.name, b.name)))
-    return frozenset(atoms)
 
 
 def _contains(outer: Box, inner: Box) -> bool:
@@ -621,17 +573,6 @@ def derive_cooking_atoms(scene: Scene) -> frozenset[GroundAtom]:
         if o.type == "vegetable" and o.box.height / o.box.width < SLICED_ASPECT:
             atoms.add(GroundAtom("sliced", (o.name,)))
     return frozenset(atoms)
-
-
-def derive_atoms(kind: str, scene: Scene) -> frozenset[GroundAtom]:
-    """Re-derive the true atoms from named boxes with the layout rules."""
-    if kind == "blocksworld":
-        return derive_blocks_atoms(scene)
-    if kind == "hanoi":
-        return derive_hanoi_atoms(scene)
-    if kind == "cooking":
-        return derive_cooking_atoms(scene)
-    raise BenchError(f"unknown domain kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

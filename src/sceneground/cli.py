@@ -5,8 +5,9 @@ scene into a problem, planning, validating plans, generating benchmark
 suites, and scoring them.  Exit status is 0 on success, 1 on domain
 errors (bad input files, unsolvable problems, failed validation), 2 on
 usage errors.  Flag values win over the --config file, which wins over
-built-in defaults.  Output files never embed timing, so reruns with the
-same inputs are byte-identical.
+built-in defaults; a --config key no subcommand reads is an error.
+Output files never embed timing, so reruns with the same inputs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ USER_ERRORS = (
 )
 
 
+# The --config keys some subcommand reads; a section maps to its own keys.
+CONFIG_KEYS = {
+    **dict.fromkeys(("match_threshold", "cassette", "cassette_mode", "jobs", "sigma")),
+    "search": ("mode", "node_limit", "time_limit_s"),
+    "llm": ("base_url", "model", "api_key_env"),
+}
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -64,6 +73,17 @@ def _load_config(path: str | None) -> dict:
         raise EvalError(f"bad config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise EvalError(f"config file {path} must hold a JSON object")
+    for key in sorted(raw):  # the same error whatever order the file lists keys in
+        if key not in CONFIG_KEYS:
+            raise EvalError(f"config key {key!r} is not a setting")
+        known, section = CONFIG_KEYS[key], raw[key]
+        if known is None or section is None:
+            continue
+        if not isinstance(section, dict):
+            raise EvalError(f"config key {key!r} must be an object, got {section!r}")
+        for inner in sorted(section):
+            if inner not in known:
+                raise EvalError(f"config key {inner!r} in {key!r} is not a setting")
     return raw
 
 
@@ -86,21 +106,11 @@ def _setting(flag, config: dict, key: str, default):
     return value
 
 
-def _section(config: dict, key: str) -> dict:
-    section = config.get(key)
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise EvalError(f"config key {key!r} must be an object, got {section!r}")
-    return section
-
-
 def _search_config(args, config: dict) -> SearchConfig:
-    section = _section(config, "search")
+    section = config.get("search") or {}
     defaults = SearchConfig()
     return SearchConfig(
         mode=_setting(args.mode, section, "mode", defaults.mode),
-        heuristic=_setting(args.heuristic, section, "heuristic", defaults.heuristic),
         node_limit=_setting(args.node_limit, section, "node_limit", defaults.node_limit),
         time_limit_s=_setting(
             args.time_limit, section, "time_limit_s", defaults.time_limit_s
@@ -126,7 +136,7 @@ def _pipeline_config(args, config: dict, **flags) -> PipelineConfig:
 
 
 def _llm_config(args, config: dict) -> LlmEndpointConfig | None:
-    section = _section(config, "llm")
+    section = config.get("llm") or {}
     base_url = _setting(getattr(args, "llm_base_url", None), section, "base_url", None)
     model = _setting(getattr(args, "llm_model", None), section, "model", None)
     if base_url is None and model is None:
@@ -230,7 +240,6 @@ def _cmd_eval(args, config: dict) -> int:
         args,
         config,
         search=_search_config(args, config),
-        empty_precision=args.empty_precision,
         jobs=args.jobs,
     )
     report = evaluate_suite(Path(args.manifest), pipeline)
@@ -253,9 +262,6 @@ def _problem_name(text: str) -> str:
 
 def _add_search_flags(sub):
     sub.add_argument("--mode", choices=("optimal", "satisficing"))
-    sub.add_argument(
-        "--heuristic", choices=("additive-cost", "goal-count", "blind")
-    )
     sub.add_argument("--node-limit", type=int)
     sub.add_argument("--time-limit", type=float, metavar="SECONDS")
 
@@ -324,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("manifest")
     evaluate.add_argument("--out", metavar="FILE", help="also write report JSON")
     evaluate.add_argument("--threshold", type=float, metavar="IOU")
-    evaluate.add_argument("--empty-precision", type=float, choices=(0.0, 1.0))
     evaluate.add_argument("--jobs", type=int)
     _add_search_flags(evaluate)
     _add_llm_flags(evaluate)

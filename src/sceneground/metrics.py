@@ -66,7 +66,7 @@ class EvalError(ValueError):
 @dataclass(frozen=True)
 class GroundingScore:
     """Exact-match triplet counts.  As produced by triplet_pr, precision is
-    tp/(tp+fp) with the empty-prediction convention and recall is tp/(tp+fn)
+    tp/(tp+fp) (1.0 when nothing was predicted) and recall is tp/(tp+fn)
     (1.0 when the truth is empty).  Failure records constructed elsewhere
     may carry explicit zeros instead."""
 
@@ -91,17 +91,12 @@ class Verdict:
             raise ValueError("a passing verdict carries no failure data")
 
 
-def triplet_pr(
-    predicted, truth, observed, empty_precision: float = 1.0
-) -> GroundingScore:
+def triplet_pr(predicted, truth, observed) -> GroundingScore:
     """Compare two atom sets, restricted to the observed predicates.
 
-    empty_precision picks the convention when nothing was predicted
-    (tp+fp=0): vacuous 1.0 by default, 0.0 if preferred.  Empty truth
-    always gives recall 1.0.
+    Nothing predicted gives the vacuous precision 1.0, and empty truth
+    gives recall 1.0.
     """
-    if empty_precision not in (0.0, 1.0):
-        raise EvalError("empty_precision must be 0.0 or 1.0")
     # Accept predicate names or PredicateSignature objects.
     names = {getattr(p, "name", p) for p in observed}
     predicted = {a for a in predicted if a.predicate in names}
@@ -109,7 +104,7 @@ def triplet_pr(
     tp = len(predicted & truth)
     fp = len(predicted - truth)
     fn = len(truth - predicted)
-    precision = tp / (tp + fp) if tp + fp else empty_precision
+    precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
     return GroundingScore(precision, recall, tp, fp, fn)
 
@@ -165,7 +160,6 @@ def validate_plan(domain: Domain, init, goal, plan: Plan) -> Verdict:
 class PipelineConfig:
     match_threshold: float = MATCH_THRESHOLD
     search: SearchConfig = SearchConfig()
-    empty_precision: float = 1.0
     llm: LlmEndpointConfig | None = None
     cassette: str | None = None
     cassette_mode: str = "replay"
@@ -174,8 +168,6 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 <= self.match_threshold <= 1.0:
             raise EvalError("match_threshold must lie in [0, 1]")
-        if self.empty_precision not in (0.0, 1.0):
-            raise EvalError("empty_precision must be 0.0 or 1.0")
         if self.jobs < 1:
             raise EvalError("jobs must be at least 1")
 
@@ -277,9 +269,7 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def aggregate(
-    domain_name: str, records, empty_precision: float = 1.0
-) -> DomainRow:
+def aggregate(domain_name: str, records) -> DomainRow:
     records = tuple(records)
     if not records:
         raise EvalError("nothing to aggregate")
@@ -289,7 +279,7 @@ def aggregate(
     return DomainRow(
         domain=domain_name,
         n=len(records),
-        precision=tp / (tp + fp) if tp + fp else empty_precision,
+        precision=tp / (tp + fp) if tp + fp else 1.0,
         recall=tp / (tp + fn) if tp + fn else 1.0,
         macro_precision=fmean(r.grounding.precision for r in records),
         macro_recall=fmean(r.grounding.recall for r in records),
@@ -458,9 +448,7 @@ def evaluate_problem(
         truth_observed = {a for a in truth.init if a.predicate in observed}
         grounding = GroundingScore(0.0, 0.0, 0, 0, len(truth_observed))
     else:
-        grounding = triplet_pr(
-            grounded.graph.atoms, truth.init, observed, config.empty_precision
-        )
+        grounding = triplet_pr(grounded.graph.atoms, truth.init, observed)
     problem = grounded.problem
     if problem is None:
         return ProblemRecord(
@@ -517,5 +505,5 @@ def evaluate_suite(
             )
     else:
         records = tuple(evaluate_problem(domain, e, config, solver) for e in entries)
-    row = aggregate(domain.name, records, config.empty_precision)
+    row = aggregate(domain.name, records)
     return SuiteReport((row,), records)

@@ -40,9 +40,9 @@ ignores head types and so may also prove ill-typed atoms; no action
 precondition or typed goal reads one.
 
 Both search modes run one best-first loop over a heap ordered by score,
-then insertion.  "satisficing" scores a state by a heuristic, by default
-additive cost on the delete relaxation (derived rules cost nothing; Bonet &
-Geffner 2001).  "optimal" scores every state 0, so the heap pops first in,
+then insertion.  "satisficing" scores a state by additive cost on the
+delete relaxation, h_add (derived rules cost nothing; Bonet & Geffner
+2001).  "optimal" scores every state 0, so the heap pops first in,
 first out, and the loop is breadth-first search over unit-cost actions.
 Every action costs 1, so every cost is a whole number, and h_add settles
 atoms from a bucket queue keyed by cost (Dial 1969).  It watches only the
@@ -89,15 +89,12 @@ class PlannerError(ValueError):
 @dataclass(frozen=True)
 class SearchConfig:
     mode: str = "satisficing"
-    heuristic: str = "additive-cost"
     node_limit: int = 1_000_000
     time_limit_s: float = 120.0
 
     def __post_init__(self):
         if self.mode not in ("optimal", "satisficing"):
             raise PlannerError(f"unknown mode {self.mode!r}")
-        if self.heuristic not in ("additive-cost", "goal-count", "blind"):
-            raise PlannerError(f"unknown heuristic {self.heuristic!r}")
         if self.node_limit <= 0 or not 0 < self.time_limit_s < INFINITY:
             raise PlannerError("limits must be positive and finite")
 
@@ -545,10 +542,6 @@ class GroundTask:
     def satisfied(self, full: frozenset[int]) -> bool:
         return full.issuperset(self.goal_pos) and full.isdisjoint(self.goal_neg)
 
-    def goal_count(self, full: frozenset[int]) -> float:
-        missed = sum(atom not in full for atom in self.goal_pos)
-        return float(missed + sum(atom in full for atom in self.goal_neg))
-
     def h_add(self, full: frozenset[int]) -> float:
         """Additive cost of the goal under the delete relaxation.
 
@@ -616,15 +609,9 @@ class GroundTask:
 # ---------------------------------------------------------------------------
 
 
-def make_heuristic(task: GroundTask, name: str):
-    """The named heuristic, scoring a task state by its full atom-id set."""
-    if name == "additive-cost":
-        return task.h_add
-    if name == "goal-count":
-        return task.goal_count
-    if name == "blind":
-        return lambda full: 0.0
-    raise PlannerError(f"unknown heuristic {name!r}")
+def make_heuristic(task: GroundTask):
+    """h_add, satisficing mode's score of a state's full atom-id set."""
+    return task.h_add
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +625,7 @@ def solve(
     """Search for a plan from problem.init to problem.goal.
 
     One best-first loop serves both modes.  Satisficing mode is greedy
-    best-first under cfg.heuristic.  Optimal mode scores every state 0, so
+    best-first under h_add.  Optimal mode scores every state 0, so
     the insertion counter alone orders the heap, first in, first out, and
     the loop is breadth-first (shortest plan under unit costs).  Ties break
     on insertion order, and so on grounded-action order, so equal inputs
@@ -655,7 +642,8 @@ def solve(
     if cfg.mode == "optimal":
         heuristic = lambda full: 0.0
     else:
-        heuristic = make_heuristic(task, cfg.heuristic)
+        # Looked up by name: perfbench wraps make_heuristic to count its calls.
+        heuristic = make_heuristic(task)
 
     # The closed set: each reached base maps to its parent base and the
     # index of the action between them, the root to None.

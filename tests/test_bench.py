@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geometry_ref import SEPARATION_MARGIN, derive_atoms
 from sceneground.bench import (
     DOMAIN_KINDS,
-    SEPARATION_MARGIN,
     BenchError,
     GenConfig,
-    derive_atoms,
     domain_text,
     gen_blocksworld,
     gen_cooking,

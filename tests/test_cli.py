@@ -67,6 +67,17 @@ def test_usage_errors_exit_2(argv):
     assert exc.value.code == 2
 
 
+def test_heuristic_and_empty_precision_flags_are_usage_errors(suite_dir, capsys):
+    truth = suite_dir / "problems" / "000" / "truth.pddl"
+    plan = ["plan", str(suite_dir / "domain.pddl"), str(truth)]
+    evaluate = ["eval", str(suite_dir / "manifest.json")]
+    for argv in (plan + ["--heuristic", "blind"], evaluate + ["--empty-precision", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_pddl_check_accepts_generated_files(suite_dir, capsys):
     code = main(
         [
@@ -481,6 +492,10 @@ def test_config_file_reaches_ground_and_eval(suite_dir, first_goal, tmp_path, mo
         ("plan", {"search": {"time_limit_s": False}}),
         ("plan", {"search": {"mode": 1}}),
         ("plan", {"search": "fast"}),
+        ("eval", {"match_treshold": 0.9}),
+        ("plan", {"search": {"heuristic": "goal-count"}}),
+        ("ground", {"llm": {"timeout_s": 5}}),
+        ("pddl", {"search": "fast"}),
     ],
 )
 def test_wrong_typed_config_value_is_a_user_error(
@@ -494,6 +509,7 @@ def test_wrong_typed_config_value_is_a_user_error(
             str(suite_dir / "domain.pddl"),
             str(suite_dir / "problems" / "000" / "truth.pddl"),
         ],
+        "pddl": ["pddl", "check", str(suite_dir / "domain.pddl")],
     }[command]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

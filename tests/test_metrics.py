@@ -86,11 +86,8 @@ def test_derived_atoms_are_ignored():
 def test_empty_prediction_conventions():
     truth = {on("x", "y")}
     assert triplet_pr(set(), truth, OBSERVED).precision == 1.0
-    assert triplet_pr(set(), truth, OBSERVED, empty_precision=0.0).precision == 0.0
     assert triplet_pr(set(), truth, OBSERVED).recall == 0.0
     assert triplet_pr({on("x", "y")}, set(), OBSERVED).recall == 1.0
-    with pytest.raises(EvalError):
-        triplet_pr(set(), set(), OBSERVED, empty_precision=0.5)
 
 
 def test_scores_do_not_depend_on_iteration_order():
@@ -690,5 +687,3 @@ def test_pipeline_config_validation():
         PipelineConfig(match_threshold=1.5)
     with pytest.raises(EvalError):
         PipelineConfig(jobs=0)
-    with pytest.raises(EvalError):
-        PipelineConfig(empty_precision=0.25)

@@ -544,15 +544,13 @@ def test_derived_goal_literals_are_supported():
     assert len(result.plan) == 1  # b3 straight onto the existing stack
 
 
-@pytest.mark.parametrize("heuristic", ["additive-cost", "goal-count", "blind"])
-def test_satisficing_plans_replay_cleanly(heuristic):
+def test_satisficing_plans_replay_cleanly():
     problem = blocks_problem(
         4,
         init_on=[("b1", "b2"), ("b2", "b3")],
         goal=[positive("on", "b3", "b4"), positive("on", "b2", "b1")],
     )
-    cfg = SearchConfig(mode="satisficing", heuristic=heuristic)
-    result = solve(BLOCKS, problem, cfg)
+    result = solve(BLOCKS, problem, SearchConfig(mode="satisficing"))
     assert result.status == "solved"
     ok, reason, step = naive_run(BLOCKS, problem.init, problem.goal, result.plan)
     assert (ok, reason, step) == (True, None, None)
@@ -725,8 +723,8 @@ def test_solve_scores_no_sibling_of_a_goal(monkeypatch):
     scored = []
     original = planner.make_heuristic
 
-    def counting(task, name):
-        heuristic = original(task, name)
+    def counting(task):
+        heuristic = original(task)
 
         def score(full):
             scored.append(full)
@@ -751,7 +749,7 @@ def test_solve_scores_no_sibling_of_a_goal(monkeypatch):
 def test_additive_cost_zero_exactly_on_goal_states():
     problem = blocks_problem(3, goal=[positive("on", "b1", "b2")])
     task = GroundTask(BLOCKS, problem)
-    h = make_heuristic(task, "additive-cost")
+    h = make_heuristic(task)
     states = reachable(task)
     assert len(states) == 13
     for _, full in states:
@@ -760,9 +758,9 @@ def test_additive_cost_zero_exactly_on_goal_states():
         assert (h(full) == 0.0) == satisfied
 
 
-def init_score(problem: Problem, name: str) -> float:
+def init_score(problem: Problem) -> float:
     task = GroundTask(BLOCKS, problem)
-    return make_heuristic(task, name)(task.init[1])
+    return make_heuristic(task)(task.init[1])
 
 
 def test_additive_cost_counts_violated_negative_goals():
@@ -771,21 +769,12 @@ def test_additive_cost_counts_violated_negative_goals():
         init_on=[("b1", "b2")],
         goal=[negative("on", "b1", "b2"), negative("covered", "b2")],
     )
-    assert init_score(problem, "additive-cost") == 2.0
-
-
-def test_goal_count_heuristic_counts_unsatisfied_literals():
-    problem = blocks_problem(
-        3,
-        init_on=[("b1", "b2")],
-        goal=[positive("on", "b1", "b2"), positive("on", "b2", "b3")],
-    )
-    assert init_score(problem, "goal-count") == 1.0
+    assert init_score(problem) == 2.0
 
 
 def test_unreachable_goal_scores_infinite():
     problem = blocks_problem(2, goal=[positive("on", "b1", "b1")])
-    assert init_score(problem, "additive-cost") == float("inf")
+    assert init_score(problem) == float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +786,6 @@ def test_unreachable_goal_scores_infinite():
     "kwargs",
     [
         {"mode": "fastest"},
-        {"heuristic": "manhattan"},
         {"node_limit": 0},
         {"time_limit_s": 0.0},
         {"time_limit_s": float("nan")},
@@ -895,7 +883,7 @@ def test_task_agrees_with_naive_reference(domain, problem):
         problem.init,
         tuple(GroundLiteral(lit.atom, not lit.negated) for lit in problem.goal),
     )
-    flipped_h = make_heuristic(GroundTask(domain, flipped), "additive-cost")
+    flipped_h = make_heuristic(GroundTask(domain, flipped))
     states = reachable(task, limit=120)
     assert len(states) > 1
     for base, full in states:
