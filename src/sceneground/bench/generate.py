@@ -33,10 +33,11 @@ import math
 import random
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from sceneground.bench import DOMAIN_KINDS, domain_text, shipped_domain
+from sceneground.goals import format_goal
 from sceneground.graph import Exemplar, exemplar_to_json
 from sceneground.pddl import serialize_problem
 from sceneground.pddl.model import Domain, GroundAtom, GroundLiteral, Problem
@@ -46,6 +47,7 @@ from sceneground.scene import (
     Detection,
     Scene,
     SceneObservation,
+    iou,
     merge_detections,
 )
 
@@ -118,14 +120,6 @@ def _merged(
     obs = SceneObservation(int(CANVAS_W), int(CANVAS_H), tuple(detections), tuple(phrases))
     scene = merge_detections(obs, domain)
     return obs, scene, {obj.box: obj.name for obj in scene.objects}
-
-
-def _goal_text(goal: tuple[GroundLiteral, ...]) -> str:
-    """``goal`` in the structured goal grammar (``parse_structured_goal``)."""
-    return " AND ".join(
-        f"{'NOT ' if negated else ''}{atom.predicate}({', '.join(atom.args)})"
-        for atom, negated in goal
-    )
 
 
 def on_atom(a: str, b: str) -> GroundAtom:
@@ -274,7 +268,7 @@ def gen_blocksworld(n: int, seed: int) -> GeneratedProblem:
         exemplar,
         exemplar_obs,
         instruction,
-        _goal_text(goal),
+        format_goal(goal),
         truth,
         Meta(seed, 0.0, optimal),
     )
@@ -377,7 +371,7 @@ def gen_hanoi(d: int, g: int, seed: int) -> GeneratedProblem:
         exemplar,
         exemplar_obs,
         instruction,
-        _goal_text(goal),
+        format_goal(goal),
         truth,
         Meta(seed, 0.0, len(result.plan)),
     )
@@ -522,7 +516,7 @@ def gen_cooking(seed: int) -> GeneratedProblem:
         exemplar,
         exemplar_obs,
         instruction,
-        _goal_text(goal),
+        format_goal(goal),
         truth,
         Meta(seed, 0.0, len(result.plan)),
     )
@@ -539,13 +533,6 @@ def _contains(outer: Box, inner: Box) -> bool:
         and outer.y_min < inner.y_min
         and inner.x_max < outer.x_max
         and inner.y_max < outer.y_max
-    )
-
-
-def _overlaps(a: Box, b: Box) -> bool:
-    return (
-        min(a.x_max, b.x_max) > max(a.x_min, b.x_min)
-        and min(a.y_max, b.y_max) > max(a.y_min, b.y_min)
     )
 
 
@@ -567,7 +554,7 @@ def derive_cooking_atoms(scene: Scene) -> frozenset[GroundAtom]:
                 atoms.add(GroundAtom("carry", (g.name, o.name)))
     for o in carriables:
         for loc in locations:
-            if _overlaps(o.box, loc.box):
+            if iou(o.box, loc.box) > 0:
                 atoms.add(GroundAtom("at", (o.name, loc.name)))
     for o in carriables:
         if o.type == "vegetable" and o.box.height / o.box.width < SLICED_ASPECT:
@@ -674,11 +661,7 @@ def write_suite(cfg: GenConfig, count: int, out_dir) -> Path:
                 "exemplar": f"{rel}/exemplar.json",
                 "goal_structured": problem.goal_structured,
                 "ground_truth_problem": f"{rel}/truth.pddl",
-                "meta": {
-                    "seed": problem.meta.seed,
-                    "sigma": problem.meta.sigma,
-                    "optimal_length": problem.meta.optimal_length,
-                },
+                "meta": asdict(problem.meta),
             }
         )
     manifest = out / "manifest.json"

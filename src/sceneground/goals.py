@@ -18,7 +18,6 @@ import json
 import math
 import os
 import re
-import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,6 +76,15 @@ def parse_structured_goal(text: str, domain: Domain) -> GoalSpec:
             raise GoalError(message)
         literals.append(GroundLiteral(atom, negated))
     return GoalSpec(tuple(literals))
+
+
+def format_goal(literals: tuple[GroundLiteral, ...]) -> str:
+    """``literals`` in the structured goal grammar; the inverse of
+    :func:`parse_structured_goal`."""
+    return " AND ".join(
+        f"{'NOT ' if negated else ''}{atom.predicate}({', '.join(atom.args)})"
+        for atom, negated in literals
+    )
 
 
 def resolve_goal(
@@ -258,10 +266,8 @@ def llm_parse_goal(
             return _extract_goal_line(content, domain)
         except (
             GoalError,
-            urllib.error.URLError,
             http.client.HTTPException,  # a garbled status line or a cut-off body
-            TimeoutError,
-            OSError,
+            OSError,  # URLError and TimeoutError included
         ) as exc:
             last = exc
     raise GoalError(f"goal translation failed after {cfg.retries + 1} attempts: {last}")

@@ -170,6 +170,8 @@ class PipelineConfig:
             raise EvalError("match_threshold must lie in [0, 1]")
         if self.jobs < 1:
             raise EvalError("jobs must be at least 1")
+        if self.cassette_mode not in ("replay", "record"):
+            raise EvalError(f"bad cassette mode {self.cassette_mode!r}")
 
 
 @dataclass(frozen=True)

@@ -2,21 +2,21 @@
 
 Text is lowercased before tokenizing (identifiers are case-insensitive) and
 ``;`` comments run to end of line.  Nesting is handled with an explicit stack
-so arbitrarily deep input cannot overflow the interpreter stack: any input,
-including random bytes, either parses or raises :class:`PddlError`.
+so arbitrarily deep input cannot overflow the interpreter stack: any text
+either parses or raises :class:`PddlError`.
 
 Domains and problems share one reader of the ``(define (WHAT NAME) ...)``
 form.  Tokens are the only carriers of a source position: each nested form
 keeps its ``(`` token, and ``_fail`` raises at a token, at a form's first
 token, or at an empty form's ``(``.  Only errors about the whole input
-carry no position: bad UTF-8, not exactly one top form, a missing name
-form, a type cycle or duplicate type, an undeclared derived predicate,
-unstratified rules, and a missing ``:domain`` or ``:goal`` or a domain name
-mismatch.
+carry no position: not exactly one top form, a missing name form, a type
+cycle or duplicate type, an undeclared derived predicate, unstratified
+rules, and a missing ``:domain`` or ``:goal`` or a domain name mismatch.
 """
 
 from __future__ import annotations
 
+import graphlib
 import re
 from collections.abc import Iterator
 from typing import NamedTuple, NoReturn
@@ -128,27 +128,16 @@ def _expect_list(node: _Node, what: str) -> _Form:
     return node
 
 
-def _decode(text: str | bytes, what: str) -> str:
-    if isinstance(text, bytes):
-        try:
-            return text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise PddlError(f"{what} is not valid UTF-8: {exc}") from None
-    return text
-
-
 _SECTION_KEYS = {
     "domain": (":requirements", ":types", ":predicates", ":action", ":derived"),
     "problem": (":domain", ":objects", ":init", ":goal"),
 }
 
 
-def _prepare(
-    text: str | bytes, what: str
-) -> tuple[str, Iterator[tuple[str, _Form]]]:
+def _prepare(text: str, what: str) -> tuple[str, Iterator[tuple[str, _Form]]]:
     """NAME and the sections of the one ``(define (WHAT NAME) ...)`` form,
     each section checked when the caller reaches it."""
-    forms = _nest(_tokenize(_decode(text, what).lower().split("\n")))
+    forms = _nest(_tokenize(text.lower().split("\n")))
     if len(forms) != 1:
         raise PddlError(f"expected exactly one (define ...) form in {what}")
     form = _expect_list(forms[0], "(define ...)")
@@ -250,7 +239,7 @@ def _parse_literal(node: _Node) -> tuple[_Tok, list[_Tok], bool]:
 # ---------------------------------------------------------------------------
 
 
-def parse_domain(text: str | bytes) -> Domain:
+def parse_domain(text: str) -> Domain:
     """Parse a domain file, enforcing all domain invariants.
 
     Raises :class:`PddlError` on any malformed input: syntax, duplicate
@@ -472,24 +461,14 @@ def parse_domain(text: str | bytes) -> Domain:
         for atom in rule.body:
             if atom.predicate in derived_names:
                 deps[rule.head.predicate].add(atom.predicate)
-    # Depth-first in sorted order, on an explicit stack so that deep rule
-    # chains cannot exhaust the recursion limit.  The bottom iterator holds
-    # the roots; state is 1 while a predicate is on the path, 2 when done.
-    state: dict[str, int] = {}
-    path: list[str] = []
-    stack = [iter(sorted(deps))]
-    while stack:
-        n = next(stack[-1], None)
-        if n is None:
-            stack.pop()
-            if path:
-                state[path.pop()] = 2
-        elif state.get(n) == 1:
-            raise PddlError("unstratified rules: cycle through " + " -> ".join([*path, n]))
-        elif n not in state:
-            state[n] = 1
-            path.append(n)
-            stack.append(iter(sorted(deps[n])))
+    # Sorted lists, not sets: graphlib walks nodes in insertion order, so
+    # the cycle it names must not follow the iteration order of a set.
+    try:
+        graphlib.TopologicalSorter({n: sorted(deps[n]) for n in sorted(deps)}).prepare()
+    except graphlib.CycleError as exc:
+        raise PddlError(
+            "unstratified rules: cycle through " + " -> ".join(reversed(exc.args[1]))
+        ) from None
 
     return Domain(dom_name, hierarchy, tuple(sigs.values()), tuple(actions), tuple(rules))
 
@@ -499,7 +478,7 @@ def parse_domain(text: str | bytes) -> Domain:
 # ---------------------------------------------------------------------------
 
 
-def parse_problem(text: str | bytes, domain: Domain) -> Problem:
+def parse_problem(text: str, domain: Domain) -> Problem:
     """Parse a problem file and type-check it against ``domain``.
 
     Init atoms must be observed predicates over declared objects; the goal
@@ -572,14 +551,14 @@ def parse_problem(text: str | bytes, domain: Domain) -> Problem:
 # ---------------------------------------------------------------------------
 
 
-def parse_plan(text: str | bytes) -> Plan:
+def parse_plan(text: str) -> Plan:
     """Parse one ``(action arg ...)`` per line; blanks and comments skipped.
 
     The plan is purely syntactic: the validator reports unknown actions
     and arity mismatches as verdicts.
     """
     steps: list[PlanStep] = []
-    for line, raw in enumerate(_decode(text, "plan").lower().splitlines(), start=1):
+    for line, raw in enumerate(text.lower().splitlines(), start=1):
         toks = _tokenize((raw,), line)
         if not toks:
             continue

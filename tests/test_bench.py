@@ -354,6 +354,12 @@ def test_write_suite_reruns_byte_identical(tmp_path):
     assert "problems/001/truth.pddl" in a
 
 
+def test_write_suite_needs_at_least_one_problem(tmp_path):
+    with pytest.raises(BenchError, match="count must be at least 1"):
+        write_suite(GenConfig("hanoi", d=3, g=3), 0, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_written_suite_loads_and_reports_meta(tmp_path):
     manifest = write_suite(GenConfig("blocksworld", n=3, seed=2), 2, tmp_path)
     domain, entries = load_manifest(manifest)

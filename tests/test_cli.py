@@ -79,6 +79,8 @@ def test_heuristic_and_empty_precision_flags_are_usage_errors(suite_dir, capsys)
 
 
 def test_pddl_check_accepts_generated_files(suite_dir, capsys):
+    assert main(["pddl", "check", str(suite_dir / "domain.pddl")]) == 0
+    assert capsys.readouterr().out == "domain hanoi: ok\n"
     code = main(
         [
             "pddl",
@@ -473,6 +475,21 @@ def test_config_file_reaches_ground_and_eval(suite_dir, first_goal, tmp_path, mo
     assert sorted(seen) == ["eval", "ground"]
     for pipeline in seen.values():
         assert (pipeline.match_threshold, pipeline.cassette_mode) == (0.3, "record")
+
+
+def test_bad_cassette_mode_in_config_is_a_user_error(suite_dir, first_goal, tmp_path, capsys):
+    # The goal is in the grammar, so no cassette is ever opened.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cassette_mode": "bogus"}))
+    report = tmp_path / "report.json"
+    for argv in (
+        ground_argv(suite_dir, first_goal, tmp_path),
+        ["eval", str(suite_dir / "manifest.json"), "--out", str(report)],
+    ):
+        assert main(["--config", str(config)] + argv) == 1
+        assert capsys.readouterr().err == "error: bad cassette mode 'bogus'\n"
+    assert not (tmp_path / "p0.pddl").exists()
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(

@@ -7,14 +7,17 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sceneground.bench import GenConfig, write_suite
+from sceneground.bench import DOMAIN_KINDS, GenConfig, shipped_domain, write_suite
 from sceneground.cli import main
 from sceneground.goals import (
     Cassette,
     GoalError,
     GoalSpec,
     LlmEndpointConfig,
+    format_goal,
     llm_parse_goal,
     parse_structured_goal,
     resolve_goal,
@@ -105,6 +108,29 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+NAMES = st.from_regex(r"[a-z0-9_-]{1,8}", fullmatch=True).filter(lambda s: s != "-")
+
+
+@st.composite
+def domain_and_goal(draw):
+    """A shipped domain and 1-4 literals over its predicates, either sign,
+    with arbitrary legal names."""
+    domain = shipped_domain(draw(st.sampled_from(DOMAIN_KINDS)))
+    literals = []
+    for _ in range(draw(st.integers(1, 4))):
+        sig = draw(st.sampled_from(domain.predicates))
+        atom = GroundAtom(sig.name, tuple(draw(NAMES) for _ in sig.params))
+        literals.append(GroundLiteral(atom, draw(st.booleans())))
+    return domain, tuple(literals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain_and_goal())
+def test_format_goal_is_the_inverse_of_the_parser(case):
+    domain, literals = case
+    assert parse_structured_goal(format_goal(literals), domain).literals == literals
+
+
 def test_ground_goal_resolves_names():
     spec = parse_structured_goal("in(cucumber, white_bowl) AND sliced(cucumber)", KITCHEN)
     assert resolve_goal(spec, OBJECTS, KITCHEN) == (
@@ -149,10 +175,12 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     responses: list[str | bytes] = []
     calls: list[dict] = []
+    authorizations: list[str | None] = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         _StubHandler.calls.append(json.loads(self.rfile.read(length)))
+        _StubHandler.authorizations.append(self.headers["Authorization"])
         body = _StubHandler.responses.pop(0)
         if isinstance(body, str):
             body = json.dumps({"choices": [{"message": {"content": body}}]}).encode()
@@ -173,6 +201,7 @@ def stub_server():
     thread.start()
     _StubHandler.responses = []
     _StubHandler.calls = []
+    _StubHandler.authorizations = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
@@ -299,6 +328,35 @@ def test_eval_scores_a_malformed_endpoint_body_as_a_goal_failure(
     assert len(_StubHandler.calls) == 6
 
 
+def test_api_key_env_flag_sends_the_key_as_a_bearer_token(
+    stub_server, tmp_path, monkeypatch
+):
+    suite = tmp_path / "suite"
+    write_suite(GenConfig("hanoi", d=3, g=3, seed=0), 1, suite)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    entry = manifest["problems"][0]
+    _StubHandler.responses = [entry.pop("goal_structured")]
+    entry["goal_text"] = "move the tower to the last peg"
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setenv("SCENEGROUND_TEST_KEY", "sk-test")
+    argv = [
+        "eval",
+        str(suite / "manifest.json"),
+        "--llm-base-url",
+        stub_server,
+        "--llm-model",
+        "stub",
+        "--llm-api-key-env",
+        "SCENEGROUND_TEST_KEY",
+        "--out",
+        str(tmp_path / "report.json"),
+    ]
+    assert main(argv) == 0
+    assert _StubHandler.authorizations == ["Bearer sk-test"]
+    record = json.loads((tmp_path / "report.json").read_text())["problems"][0]
+    assert record["failure"] is None and record["success"]
+
+
 def test_llm_unreachable_endpoint_fails():
     cfg = LlmEndpointConfig(
         base_url="http://127.0.0.1:9", model="stub", retries=0, timeout_s=0.5
@@ -348,6 +406,11 @@ def test_corrupt_cassette_is_a_goal_error(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(GoalError, match="cassette"):
         Cassette(path)
+
+
+def test_bad_cassette_mode_is_a_goal_error(tmp_path):
+    with pytest.raises(GoalError, match="bad cassette mode 'bogus'"):
+        Cassette(tmp_path / "cassette.json", mode="bogus")
 
 
 def test_cassette_record_leaves_no_temporary_file(tmp_path):

@@ -420,6 +420,16 @@ def test_goal_text_without_endpoint_is_a_goal_failure(tmp_path):
     assert rec.grounding.precision == 1.0
 
 
+def test_structured_goal_the_grammar_rejects_fails_its_problem_only(tmp_path):
+    manifest = write_suite(tmp_path, TWO_GOALS)
+    raw = json.loads(manifest.read_text())
+    raw["problems"][0]["goal_structured"] = "stack block2 onto block1"
+    manifest.write_text(json.dumps(raw))
+    first, second = evaluate_suite(manifest).records
+    assert first.failure == "goal: cannot parse goal clause 'stack block2 onto block1'"
+    assert second.failure is None and second.success
+
+
 DEAD_ENDPOINT = LlmEndpointConfig(base_url="http://127.0.0.1:9", model="stub", retries=0)
 
 
@@ -687,3 +697,5 @@ def test_pipeline_config_validation():
         PipelineConfig(match_threshold=1.5)
     with pytest.raises(EvalError):
         PipelineConfig(jobs=0)
+    with pytest.raises(EvalError, match="bad cassette mode 'bogus'"):
+        PipelineConfig(cassette_mode="bogus")
