@@ -196,7 +196,8 @@ def _blocks_scene(
 
 
 def _blocks_distance_map(domain: Domain, problem_objects, init):
-    """Breadth-first distances from init over the whole reachable space."""
+    """Breadth-first distances from init over the whole reachable space,
+    keyed by each base state's atoms (the task's bit sets, decoded)."""
     problem = Problem("distances", domain.name, problem_objects, init, ())
     task = GroundTask(domain, problem)
     dist = {task.init[0]: 0}

@@ -10,25 +10,31 @@ literal, add and delete as a predicate and the binding positions of its
 arguments, as Fast Downward's translator grounds into integer facts
 (Helmert 2009); a ``GroundAtom`` is built only for each new distinct atom.
 Derived rules become ground (head, body) id instances the same way, over
-type-valid bindings from the same table.  Only the rules ``relevant_rules`` keeps are ground: those whose
-head a precondition, a goal literal or another kept rule's body reads (the
-relevance analysis of Fast Downward's translator, Helmert 2009).  No other
-derived atom can change which actions apply or whether the goal holds, so
-a task state holds no atom of an unread derived predicate.  The search and
-the heuristic both run on that task.
+type-valid bindings from the same table.  Only the rules ``relevant_rules``
+keeps are ground: those whose head a precondition, a goal literal or
+another kept rule's body reads (the relevance analysis of Fast Downward's
+translator, Helmert 2009).  No other derived atom can change which actions
+apply or whether the goal holds, so a task state holds no atom of an
+unread derived predicate.  The search and the heuristic both run on that
+task, whose states are bit sets: a Python int with bit ``i`` set for each
+atom ``i`` that holds, so an action's test and effect are a few whole-int
+operations, and a state is its own hash key.
 
-Derived predicates are recomputed after every state change by counter-based
-forward chaining over the rule instances (Dowling & Gallier 1984): each
-instance counts its unmet body atoms and fires when the count reaches zero,
-so the rules need no evaluation order.  Static atoms, the init atoms no
-action deletes, are chained once when the task is compiled (as Fast
-Downward's translator does, Helmert 2006): instances they make fire, or
-that read an atom nothing can make true, are dropped, and the rest stop
-watching them.  A state's chaining starts only from its atoms that some
-instance still watches.  So the task's closure is exact only for a base
-that holds every static atom, which every state reachable from init does.
-The closure is also typed: a rule derives a head only for bindings that
-fit the head predicate's parameter types, as PDDL requires.  The lifted
+Derived predicates are recomputed after every state change by one pass
+over the rule instances, as Fast Downward evaluates axioms layer by layer
+(Helmert 2006).  Each derived predicate sits one layer above the highest
+derived predicate its rules read; the parser admits only acyclic rules, so
+the layers exist.  The instances are ordered by the layer of their head,
+so each comes after every instance that makes one of its body atoms, and
+an instance whose body bits are all set when the pass reaches it sets its
+head bit.  Static atoms, the init atoms no action deletes, are closed
+once when the task is compiled (as Fast Downward's translator does,
+Helmert 2006): instances they make fire, or that read an atom nothing can
+make true, are dropped, and the rest stop reading them.  So the task's
+closure is exact only for a base that holds every static atom, which
+every state reachable from init does.  The closure is also typed: a rule
+derives a head only for bindings that fit the head predicate's parameter
+types, as PDDL requires.  The lifted
 ``axiom_closure`` is the plan validator's closure in ``metrics``, kept
 apart from the task so that it judges independently.  It derives nothing
 up front: its view of a state proves each atom it is asked about
@@ -49,7 +55,9 @@ atoms from a bucket queue keyed by cost (Dial 1969).  It watches only the
 goal-relevant actions and rule instances, those a walk back from the
 positive goal atoms through their achievers reaches (Nebel, Dimopoulos &
 Koehler 1997); every achiever of a relevant atom is relevant, so its
-values are those of h_add over the whole task.  A search tests each new
+values are those of h_add over the whole task.  It reads a state only
+through its relevant and negative goal atoms, so the task memoizes each
+value by those bits of the state.  A search tests each new
 child of a node for the goal before it scores any of them, so no
 heuristic call goes to a sibling of the goal.  A returned plan is not
 replayed here: the plan validator in ``metrics`` judges it wherever it
@@ -63,6 +71,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import TopologicalSorter
 from heapq import heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
@@ -332,6 +341,40 @@ class ClosureView:
 # ---------------------------------------------------------------------------
 
 
+def _mask(ids) -> int:
+    """The bit set with bit ``i`` set for each id ``i`` in ``ids``."""
+    mask = 0
+    for atom in ids:
+        mask |= 1 << atom
+    return mask
+
+
+def _bits(mask: int) -> list[int]:
+    """The ids whose bits are set in ``mask``, lowest first."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
+
+
+def _layers(rules: tuple[DerivedRule, ...]) -> dict[str, int]:
+    """Each head predicate's layer: one above the highest layer of a head
+    predicate its rule bodies read, base predicates being layer 0.  The
+    parser admits only acyclic rules, so the layers follow a topological
+    order, computed without recursion over sorted names, never set order.
+    """
+    reads: dict[str, set[str]] = {}
+    for rule in rules:
+        reads.setdefault(rule.head.predicate, set()).update(a.predicate for a in rule.body)
+    graph = {head: sorted(reads[head] & reads.keys()) for head in sorted(reads)}
+    layer: dict[str, int] = {}
+    for head in TopologicalSorter(graph).static_order():
+        layer[head] = 1 + max((layer[read] for read in graph[head]), default=0)
+    return layer
+
+
 def _watch_lists(size: int, bodies) -> tuple[tuple[int, ...], ...]:
     """Per atom id below ``size``, the indices of the bodies that list it,
     once per occurrence, so a body that names an atom twice counts it twice
@@ -353,11 +396,14 @@ class Relaxation(NamedTuple):
     ``makes[i]`` (an action's relevant adds, an instance's head).
     ``watch[atom]`` lists the producers that need the atom, once per
     occurrence.  ``free`` holds what the actions that need nothing make,
-    which costs 1 in every state; every folded instance has a body."""
+    which costs 1 in every state; every folded instance has a body.
+    ``atoms`` is the bit set of the relevant atoms, and ``reads`` adds the
+    negative goal atoms to it: all that h_add reads of a state."""
 
     actions: tuple[int, ...]
     rules: tuple[int, ...]
-    atoms: frozenset[int]
+    atoms: int
+    reads: int
     base: list[int]
     size: list[int]
     makes: list[tuple[int, ...]]
@@ -369,12 +415,19 @@ class GroundTask:
     """One problem compiled to integers, built once per ``solve`` call.
 
     ``atoms[i]`` is the atom with id ``i``, and ``ids`` maps an atom, or a
-    plain ``(predicate, args)`` key, back to its id.  ``actions`` are the
-    steps ``ground_actions`` returns, in its order, and ``compiled[i]`` is
-    step ``i`` as (positive precondition, negative precondition, add,
-    delete) ids, instantiated from its schema's templates.  A
-    task state is a pair ``(base, full)`` of id frozensets: the observed
-    atoms, and those plus every atom the rule instances derive from them.
+    plain ``(predicate, args)`` key, back to its id.  A set of atoms is a
+    bit set: a Python int with bit ``i`` set for each atom ``i`` in it,
+    which ``decode`` turns back into atoms.  A task state is a pair
+    ``(base, full)`` of bit sets: the observed atoms, and those plus every
+    atom the rule instances derive from them.
+
+    ``actions`` are the steps ``ground_actions`` returns, in its order.
+    ``compiled[i]`` is step ``i`` as (positive precondition, negative
+    precondition, add, delete) id tuples, instantiated from its schema's
+    templates, and ``masks[i]`` is it as the bit sets ``(pos, neg, keep,
+    add)``, ``keep`` being every atom but the deletes: the step applies
+    when ``full & pos == pos and not full & neg``, and its next base is
+    ``base & keep | add``.
 
     The rule instances are folded over the static atoms (init atoms no
     action deletes) and the atoms they derive, the const atoms: an instance
@@ -382,9 +435,12 @@ class GroundTask:
     not added by an action and not a rule head, is dropped, and the rest
     lose their const body atoms.  ``const_derived`` holds the const atoms
     that are not static.  Every state reachable from init keeps the static
-    atoms, and ``closure`` relies on it.  ``rule_head``, ``rule_body`` and
-    ``rule_watch`` describe the folded instances, which the closure reads in
-    full; h_add reads only their goal-relevant part, ``relaxed``.
+    atoms, and ``closure`` relies on it.  ``rule_head`` and ``rule_body``
+    give the folded instances as ids and ``rule_masks`` as (body, head)
+    bit sets, ordered by the layer of the head predicate (``_layers``), so
+    every instance that makes an atom comes before every instance whose
+    body reads it.  The closure reads them all; h_add reads only their
+    goal-relevant part, ``relaxed``, and keeps its values in ``h_memo``.
     """
 
     def __init__(self, domain: Domain, problem: Problem):
@@ -393,59 +449,60 @@ class GroundTask:
         self.ids: dict[GroundAtom, int] = {}
         intern = self._intern
 
-        def ground(templates, binding) -> list[int]:
-            return [intern(predicate, pick(binding)) for predicate, pick in templates]
+        def ground(templates, binding) -> tuple[int, ...]:
+            return tuple([intern(predicate, pick(binding)) for predicate, pick in templates])
 
         templates = {schema.name: _action_templates(schema) for schema in domain.actions}
-        compiled = []
-        for step in self.actions:
-            pos, neg, add, delete = templates[step.action]
-            args = step.args
-            compiled.append(
-                (
-                    tuple(ground(pos, args)),
-                    tuple(ground(neg, args)),
-                    frozenset(ground(add, args)),
-                    frozenset(ground(delete, args)),
-                )
-            )
-        self.compiled = tuple(compiled)
+        self.compiled = tuple(
+            tuple(ground(part, step.args) for part in templates[step.action])
+            for step in self.actions
+        )
+        self.masks = tuple(
+            (_mask(pos), _mask(neg), ~_mask(delete), _mask(add))
+            for pos, neg, add, delete in self.compiled
+        )
+        kept = relevant_rules(domain, problem.goal)
+        layer = _layers(kept)
         rules = [
-            (intern(head, pick_head(combo)), tuple(ground(body, combo)))
+            (intern(head, pick_head(combo)), ground(body, combo))
             for (head, pick_head), body, bindings in _rule_instances(
-                relevant_rules(domain, problem.goal), problem.objects, domain
+                sorted(kept, key=lambda rule: layer[rule.head.predicate]),
+                problem.objects,
+                domain,
             )
             for combo in bindings
         ]
         self.goal_pos = tuple(intern(*lit.atom) for lit in problem.goal if not lit.negated)
         self.goal_neg = tuple(intern(*lit.atom) for lit in problem.goal if lit.negated)
-        base = frozenset(intern(*atom) for atom in problem.init)
+        self.goal = (_mask(self.goal_pos), _mask(self.goal_neg))
+        base = _mask(intern(*atom) for atom in problem.init)
 
-        # The const atoms hold in every reachable state, so they are chained
-        # once, here, with the unfolded instances.
-        static = base.difference(*(delete for _, _, _, delete in self.compiled))
-        self.const_derived = frozenset()
-        self._watch_rules(rules)
+        # The const atoms hold in every reachable state, so they are derived
+        # once, here, from the unfolded instances.
+        adds = deletes = 0
+        for _, _, keep, add in self.masks:
+            adds |= add
+            deletes |= ~keep
+        static = base & ~deletes
+        self.const_derived = 0
+        self._set_rules(rules)
         const = self.closure(static)
-        never = set(range(len(self.atoms))).difference(
-            base, *(add for _, _, add, _ in self.compiled), self.rule_head
-        )
-        self._watch_rules(
+        never = ~(base | adds | _mask(self.rule_head))
+        self._set_rules(
             [
-                (head, tuple(atom for atom in body if atom not in const))
+                (head, tuple(atom for atom in body if not const >> atom & 1))
                 for head, body in rules
-                if head not in const and never.isdisjoint(body)
+                if not const >> head & 1 and not never & _mask(body)
             ]
         )
-        self.const_derived = const - static
+        self.const_derived = const & ~static
         self.init = (base, self.closure(base))
+        self.h_memo: dict[int, float] = {}
 
-    def _watch_rules(self, rules) -> None:
+    def _set_rules(self, rules) -> None:
         self.rule_head = [head for head, _ in rules]
         self.rule_body = [body for _, body in rules]
-        self.rule_size = [len(body) for _, body in rules]
-        self.rule_watch = _watch_lists(len(self.atoms), (body for _, body in rules))
-        self.watched = frozenset(i for i, ids in enumerate(self.rule_watch) if ids)
+        self.rule_masks = tuple((_mask(body), 1 << head) for head, body in rules)
 
     @cached_property
     def relaxed(self) -> Relaxation:
@@ -482,10 +539,12 @@ class GroundTask:
         order = sorted(kept)
         actions = len(self.compiled)
         kept_makes = [tuple(atom for atom in makes[i] if atom in atoms) for i in order]
+        relevant = _mask(atoms)
         return Relaxation(
             tuple(i for i in order if i < actions),
             tuple(i - actions for i in order if i >= actions),
-            frozenset(atoms),
+            relevant,
+            relevant | self.goal[1],
             [int(i < actions) for i in order],
             [len(needs[i]) for i in order],
             kept_makes,
@@ -503,47 +562,56 @@ class GroundTask:
             self.atoms.append(atom)
         return index
 
-    def decode(self, ids) -> frozenset[GroundAtom]:
-        return frozenset(self.atoms[i] for i in ids)
+    def decode(self, mask: int) -> frozenset[GroundAtom]:
+        """The atoms of the bit set ``mask``."""
+        return frozenset(self.atoms[i] for i in _bits(mask))
 
-    def closure(self, base: frozenset[int]) -> frozenset[int]:
-        """The base plus every atom derivable from it, by forward chaining:
-        each rule instance fires once its count of unmet body atoms is 0.
-        Only the base atoms in ``watched``, those some instance watches,
-        start the chaining.
+    def closure(self, base: int) -> int:
+        """The base plus every atom derivable from it, in one pass over
+        ``rule_masks``: an instance whose body bits are all set sets its
+        head bit.  One pass is enough because of the layer order: each
+        instance comes after every instance that makes one of its body
+        atoms.
 
         The base must hold the task's static atoms, as every reachable
-        state does: ``const_derived`` is added without chaining, and no
-        instance watches a const atom.
+        state does: ``const_derived`` is added without a pass, and no
+        folded instance reads a const atom.
         """
-        unmet = self.rule_size.copy()
-        heads = self.rule_head
-        watch = self.rule_watch
-        known = set(base)
-        known |= self.const_derived
-        queue = list(base & self.watched)
-        while queue:
-            for rule in watch[queue.pop()]:
-                unmet[rule] -= 1
-                if not unmet[rule]:
-                    head = heads[rule]
-                    if head not in known:
-                        known.add(head)
-                        queue.append(head)
-        return frozenset(known)
+        full = base | self.const_derived
+        for body, head in self.rule_masks:
+            if full & body == body:
+                full |= head
+        return full
 
-    def successors(self, state):
+    def successors(self, state) -> list[tuple[int, int]]:
         """(action index, next base) for each applicable action, in order."""
         base, full = state
-        for index, (pos, neg, add, delete) in enumerate(self.compiled):
-            if full.issuperset(pos) and full.isdisjoint(neg):
-                yield index, (base - delete) | add
+        return [
+            (index, base & keep | add)
+            for index, (pos, neg, keep, add) in enumerate(self.masks)
+            if full & pos == pos and not full & neg
+        ]
 
-    def satisfied(self, full: frozenset[int]) -> bool:
-        return full.issuperset(self.goal_pos) and full.isdisjoint(self.goal_neg)
+    def satisfied(self, full: int) -> bool:
+        pos, neg = self.goal
+        return full & pos == pos and not full & neg
 
-    def h_add(self, full: frozenset[int]) -> float:
+    def h_add(self, full: int) -> float:
         """Additive cost of the goal under the delete relaxation.
+
+        It reads only the bits of ``full`` in ``relaxed.reads``, so its
+        values are memoized in ``h_memo`` by ``full & relaxed.reads``; a
+        state that differs from one already scored only in atoms the
+        relaxation never reads costs a dict lookup.
+        """
+        key = full & self.relaxed.reads
+        value = self.h_memo.get(key)
+        if value is None:
+            value = self.h_memo[key] = self._h_add(key)
+        return value
+
+    def _h_add(self, full: int) -> float:
+        """h_add, computed afresh.
 
         An action costs 1 plus the summed costs of its positive
         preconditions (negative ones are free in the relaxation); a rule
@@ -561,15 +629,16 @@ class GroundTask:
         negative goal literal whose atom holds, so it is zero exactly on
         goal states.
         """
-        violated = sum(atom in full for atom in self.goal_neg)
-        pending = set(self.goal_pos).difference(full)
+        violated = sum(full >> atom & 1 for atom in self.goal_neg)
+        pending = {atom for atom in self.goal_pos if not full >> atom & 1}
         relaxed = self.relaxed
         makes, watch = relaxed.makes, relaxed.watch
         unmet = relaxed.size.copy()
         total = relaxed.base.copy()
-        cost = dict.fromkeys(full & relaxed.atoms, 0)
+        settled = _bits(full & relaxed.atoms)
+        cost = dict.fromkeys(settled, 0)
         buckets = {1: list(relaxed.free)} if relaxed.free else {}
-        level, settled = 0, list(cost)
+        level = 0
         while True:
             # ``settled`` holds the atoms that cost ``level``, and grows
             # while it is walked when a rule instance's body costs ``level``.
@@ -610,7 +679,7 @@ class GroundTask:
 
 
 def make_heuristic(task: GroundTask):
-    """h_add, satisficing mode's score of a state's full atom-id set."""
+    """h_add, satisficing mode's score of a state's full bit set."""
     return task.h_add
 
 
@@ -647,7 +716,7 @@ def solve(
 
     # The closed set: each reached base maps to its parent base and the
     # index of the action between them, the root to None.
-    parents: dict[frozenset[int], tuple[frozenset[int], int] | None] = {init[0]: None}
+    parents: dict[int, tuple[int, int] | None] = {init[0]: None}
     expanded = 0
     counter = itertools.count()
     frontier: list[tuple[float, int, tuple]] = [(0.0, next(counter), init)]

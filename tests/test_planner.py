@@ -34,7 +34,7 @@ from naive_ref import (
     well_typed,
 )
 from sceneground.bench import domain_text
-from sceneground.bench.generate import gen_cooking
+from sceneground.bench.generate import gen_blocksworld, gen_cooking
 from sceneground.graph import enumerate_candidates
 from sceneground.metrics import validate_plan
 from sceneground.pddl import parse_domain
@@ -127,8 +127,8 @@ def test_hanoi_three_disks_grounds_to_18_actions():
 
 def test_grounding_resolves_equality_away():
     task = GroundTask(HANOI, hanoi_problem(2))
-    for action, (pos, neg, _, _) in zip(task.actions, task.compiled):
-        assert all(atom.predicate != "=" for atom in task.decode(pos + neg))
+    for action, (pos, neg, _, _) in zip(task.actions, task.masks):
+        assert all(atom.predicate != "=" for atom in task.decode(pos | neg))
         _, from_peg, to_peg = action.args
         assert from_peg != to_peg
 
@@ -388,14 +388,65 @@ def test_validator_proves_only_the_derived_atoms_a_step_reads(monkeypatch):
 
 def test_task_folds_static_atoms_out_of_its_rule_instances():
     # Nothing reads hanoi's above, so 6-disk hanoi grounds only its 108
-    # blocked instances, with 216 watch entries.  Its 15 smaller atoms are
+    # blocked instances, with 216 body atoms.  Its 15 smaller atoms are
     # static and the other 21 ordered pairs never hold, so 45 remain, each
-    # watching only its onpeg atom.  Blocksworld's actions read only covered
+    # reading only its onpeg atom.  Blocksworld's actions read only covered
     # and supported (50 instances), and (on ?b ?b) never holds: 40 remain.
     task = GroundTask(HANOI, hanoi_problem(6))
     assert len(task.rule_head) == 45
-    assert sum(map(len, task.rule_watch)) == 45
+    assert sum(body.bit_count() for body, _ in task.rule_masks) == 45
     assert len(GroundTask(BLOCKS, blocks_problem(5)).rule_head) == 40
+
+
+def layered_domain(depth: int, jump: int) -> Domain:
+    """Nullary rules d{depth} <- ... <- d1 <- d0 <- (s ?x), declared top
+    first, so that every rule's body is made by rules declared after it;
+    d{jump} also holds when some (t ?x) does.  Actions add s and t, and
+    ``wipe``, which reads d{depth}, deletes them."""
+    preds = " ".join(f"(d{i})" for i in range(depth + 1))
+    rules = [f"(:derived (d{i}) (d{i - 1}))" for i in range(depth, 0, -1)]
+    rules += [f"(:derived (d{jump}) (t ?x))", "(:derived (d0) (s ?x))"]
+    actions = [
+        f"(:action set-{p} :parameters (?x - {typ}) :precondition (not ({p} ?x))"
+        f" :effect ({p} ?x))"
+        for p, typ in (("s", "spot"), ("t", "thing"))
+    ]
+    actions.append(
+        f"(:action wipe :parameters (?x - spot ?y - thing) :precondition (d{depth})"
+        " :effect (and (not (s ?x)) (not (t ?y))))"
+    )
+    return parse_domain(
+        "(define (domain layered) (:requirements :strips :typing :derived-predicates)"
+        f" (:types spot thing) (:predicates (s ?x - spot) (t ?x - thing) {preds})"
+        f" {' '.join(rules)} {' '.join(actions)})"
+    )
+
+
+@pytest.mark.parametrize(
+    "depth, jump, objects",
+    [
+        # Every layer fires: the chain from (s p) is 40 rules long.
+        (40, 20, (("p", "spot"), ("a", "thing"))),
+        # No spot, so d0 never holds and only the 6 layers from d1495 up
+        # fire; the pass still orders 1500 layers, which a recursive walk
+        # of the rule graph could not do under the default recursion limit.
+        (1500, 1495, (("a", "thing"),)),
+    ],
+    ids=["reversed", "deep"],
+)
+def test_task_closure_follows_the_layers_not_the_declaration_order(depth, jump, objects):
+    # A pass in declaration order would derive only the heads of the rules
+    # that read base atoms; the layer order derives every layer in one.
+    domain = layered_domain(depth, jump)
+    problem = Problem("layered", "layered", objects, frozenset(), (negative(f"d{depth}"),))
+    task = GroundTask(domain, problem)
+    states = reachable(task)
+    assert len(states) == 2 ** len(objects)
+    for base, full in states:
+        assert task.decode(full) == naive_closure(task.decode(base), domain)
+    # Only the empty state derives nothing.
+    top = GroundAtom(f"d{depth}", ())
+    assert sum(top in task.decode(full) for _, full in states) == len(states) - 1
 
 
 def test_h_add_reads_only_the_goal_relevant_actions_and_rule_instances():
@@ -465,8 +516,8 @@ def test_apply_action_refreshes_derived_atoms():
     assert GroundAtom("covered", ("b2",)) in task.decode(task.init[1])
     moves = dict(task.successors(task.init))
     after = moves[action_index(task, "unstack-from-base", "b1", "b2")]
-    assert after == frozenset()
-    assert task.closure(after) == frozenset()
+    assert task.decode(after) == frozenset()
+    assert task.decode(task.closure(after)) == frozenset()
 
 
 def test_hanoi_reachable_states_number_three_to_the_d():
@@ -758,6 +809,55 @@ def test_additive_cost_zero_exactly_on_goal_states():
         assert (h(full) == 0.0) == satisfied
 
 
+@pytest.mark.parametrize(
+    "domain, problem",
+    [(COOKING, gen_cooking(0).truth), (BLOCKS, gen_blocksworld(5, 0).truth)],
+    ids=["cooking", "blocksworld"],
+)
+def test_h_add_memo_holds_fresh_values(monkeypatch, domain, problem):
+    # Over a whole greedy search, each state's memoized value equals the
+    # value computed afresh and the Bellman-Ford h_add, and the memo holds
+    # exactly one entry per distinct part of a state that h_add reads.
+    tasks, scored = [], []
+    original = planner.make_heuristic
+
+    def recording(task):
+        tasks.append(task)
+        heuristic = original(task)
+
+        def score(full):
+            scored.append(full)
+            return heuristic(full)
+
+        return score
+
+    monkeypatch.setattr(planner, "make_heuristic", recording)
+    assert solve(domain, problem, SearchConfig(mode="satisficing")).status == "solved"
+    (task,) = tasks
+    reads = task.relaxed.reads
+    assert task.h_memo.keys() == {full & reads for full in scored}
+    checked = set()
+    for full in scored:
+        key = full & reads
+        assert task.h_memo[key] == task._h_add(full)
+        if key not in checked:
+            checked.add(key)
+            assert task.h_memo[key] == naive_h_add(domain, problem, task.decode(full))
+
+
+def test_tasks_do_not_share_a_memo():
+    problem = gen_cooking(0).truth
+    flipped = replace(
+        problem, goal=tuple(GroundLiteral(lit.atom, not lit.negated) for lit in problem.goal)
+    )
+    first, second = GroundTask(COOKING, problem), GroundTask(COOKING, flipped)
+    assert first.h_add(first.init[1]) == naive_h_add(COOKING, problem, problem.init)
+    assert len(first.h_memo) == 1 and not second.h_memo
+    assert second.h_add(second.init[1]) == naive_h_add(COOKING, flipped, problem.init)
+    assert first.h_add(first.init[1]) != second.h_add(second.init[1])
+    assert len(first.h_memo) == len(second.h_memo) == 1
+
+
 def init_score(problem: Problem) -> float:
     task = GroundTask(BLOCKS, problem)
     return make_heuristic(task)(task.init[1])
@@ -870,7 +970,7 @@ def differential_cases():
 
 @pytest.mark.parametrize("domain,problem", differential_cases())
 def test_task_agrees_with_naive_reference(domain, problem):
-    # Over reachable states (breadth-first, capped): the counter closure is
+    # Over reachable states (breadth-first, capped): the task's closure is
     # the naive closure restricted to well-typed atoms, less exactly the
     # atoms of derived predicates that nothing reads, and the bucket-queue
     # h_add equals Bellman-Ford h_add, for the problem's goal and for the
@@ -1105,7 +1205,7 @@ def flipped_goals(problem: Problem) -> list[Problem]:
 def h_add_of(task: GroundTask, atoms) -> float:
     """The task's h_add on the reachable base ``atoms``, interned by the task
     itself: tasks with different goals may number atoms differently."""
-    return task.h_add(task.closure(frozenset(task.ids[atom] for atom in atoms)))
+    return task.h_add(task.closure(sum({1 << task.ids[atom] for atom in atoms})))
 
 
 @settings(max_examples=50, deadline=None)
@@ -1148,14 +1248,17 @@ def assert_compiled_as_substituted(domain: Domain, problem: Problem) -> None:
     state exposes."""
     task = GroundTask(domain, problem)
     assert len(task.compiled) == len(task.actions)
-    for step, (pos, neg, add, delete) in zip(task.actions, task.compiled):
+    for step, (pos, neg, add, delete), masks in zip(task.actions, task.compiled, task.masks):
         decoded = (
             [task.atoms[i] for i in pos],
             [task.atoms[i] for i in neg],
-            task.decode(add),
-            task.decode(delete),
+            task.decode(masks[3]),
+            task.decode(~masks[2]),
         )
         assert decoded == naive_ground_action(domain, step), step
+        # The masks and the id tuples h_add's relaxation reads agree.
+        for ids, mask in zip((pos, neg, add, delete), (*masks[:2], masks[3], ~masks[2])):
+            assert frozenset(task.atoms[i] for i in ids) == task.decode(mask)
 
 
 # A derived predicate of arity 0, read by a negative precondition.
@@ -1307,8 +1410,8 @@ def folding_cases(domain, problem) -> tuple[bool, bool, bool]:
     only (so its head holds in every reachable state).  Only the rules of
     read predicates count: the task grounds no other."""
     task = GroundTask(domain, problem)
-    adds = [task.decode(add) for _, _, add, _ in task.compiled]
-    deletes = [task.decode(delete) for _, _, _, delete in task.compiled]
+    adds = [task.decode(add) for _, _, _, add in task.masks]
+    deletes = [task.decode(~keep) for _, _, keep, _ in task.masks]
     read = naive_read_predicates(domain, problem.goal)
     instances = [
         (head, body)
@@ -1394,7 +1497,7 @@ def test_random_domains_draw_every_relevance_case():
 def goal_relevance_cases(domain, problem) -> tuple[bool, bool]:
     """Whether h_add leaves out an action that has a positive
     precondition, and whether it leaves out a rule instance the closure
-    watches."""
+    reads."""
     task = GroundTask(domain, problem)
     relaxed = task.relaxed
     return (
