@@ -1,11 +1,12 @@
 """Model types for the typed STRIPS subset.
 
 Everything here is an immutable value object.  Construction-time validation
-is limited to local shape checks; cross-object invariants (types exist,
-variables declared, rules stratified) are enforced by the parser.  The one
-exception is ``atom_faults``, the check that a ground atom is a typed
-instance of a declared predicate: problem atoms, exemplar labels and
-resolved goals all pass through it.
+is limited to local shape checks, plus the two that the tables built at
+construction need: a ``TypeHierarchy`` has no type cycle, and a ``Domain``'s
+rules are stratified.  Other cross-object invariants (types exist, variables
+declared) are enforced by the parser.  The one exception is ``atom_faults``,
+the check that a ground atom is a typed instance of a declared predicate:
+problem atoms, exemplar labels and resolved goals all pass through it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple
 
 ROOT_TYPE = "object"
@@ -207,7 +209,15 @@ class DerivedRule:
 
 @dataclass(frozen=True)
 class Domain:
-    """A parsed domain: hierarchy, predicate signatures, actions, rules."""
+    """A parsed domain: hierarchy, predicate signatures, actions, rules.
+
+    ``layer`` tables each rule head predicate's layer once, when the domain
+    is built: one above the highest layer of a head predicate its rules
+    read, other predicates being layer 0.  A dependency cycle among head
+    predicates (a rule reading its own head included) has no layers and
+    raises ``ModelError``; the walk runs over sorted names, so the cycle
+    it names never follows the iteration order of a set.
+    """
 
     name: str
     hierarchy: TypeHierarchy
@@ -217,11 +227,25 @@ class Domain:
     _by_name: dict[str, PredicateSignature] = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
+    layer: dict[str, int] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_by_name", {p.name: p for p in self.predicates}
         )
+        reads: dict[str, set[str]] = {}
+        for rule in self.derived:
+            reads.setdefault(rule.head.predicate, set()).update(a.predicate for a in rule.body)
+        graph = {head: sorted(reads[head] & reads.keys()) for head in sorted(reads)}
+        try:
+            for head in TopologicalSorter(graph).static_order():
+                self.layer[head] = 1 + max((self.layer[read] for read in graph[head]), default=0)
+        except CycleError as exc:
+            raise ModelError(
+                "unstratified rules: cycle through " + " -> ".join(reversed(exc.args[1]))
+            ) from None
 
     def predicate(self, name: str) -> PredicateSignature | None:
         return self._by_name.get(name)

@@ -16,7 +16,6 @@ rules, and a missing ``:domain`` or ``:goal`` or a domain name mismatch.
 
 from __future__ import annotations
 
-import graphlib
 import re
 from collections.abc import Iterator
 from typing import NamedTuple, NoReturn
@@ -454,23 +453,10 @@ def parse_domain(text: str) -> Domain:
         except ModelError as exc:
             _fail(str(exc), head_name)
 
-    # Stratification: the dependency graph over derived predicates must be
-    # acyclic (self-dependency included).
-    deps: dict[str, set[str]] = {n: set() for n in derived_names}
-    for rule in rules:
-        for atom in rule.body:
-            if atom.predicate in derived_names:
-                deps[rule.head.predicate].add(atom.predicate)
-    # Sorted lists, not sets: graphlib walks nodes in insertion order, so
-    # the cycle it names must not follow the iteration order of a set.
-    try:
-        graphlib.TopologicalSorter({n: sorted(deps[n]) for n in sorted(deps)}).prepare()
-    except graphlib.CycleError as exc:
-        raise PddlError(
-            "unstratified rules: cycle through " + " -> ".join(reversed(exc.args[1]))
-        ) from None
-
-    return Domain(dom_name, hierarchy, tuple(sigs.values()), tuple(actions), tuple(rules))
+    try:  # Building the domain checks that the rules are stratified.
+        return Domain(dom_name, hierarchy, tuple(sigs.values()), tuple(actions), tuple(rules))
+    except ModelError as exc:
+        raise PddlError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -23,18 +23,17 @@ operations, and a state is its own hash key.
 Derived predicates are recomputed after every state change by one pass
 over the rule instances, as Fast Downward evaluates axioms layer by layer
 (Helmert 2006).  Each derived predicate sits one layer above the highest
-derived predicate its rules read; the parser admits only acyclic rules, so
-the layers exist.  The instances are ordered by the layer of their head,
-so each comes after every instance that makes one of its body atoms, and
-an instance whose body bits are all set when the pass reaches it sets its
-head bit.  Static atoms, the init atoms no action deletes, are closed
-once when the task is compiled (as Fast Downward's translator does,
-Helmert 2006): instances they make fire, or that read an atom nothing can
-make true, are dropped, and the rest stop reading them.  So the task's
-closure is exact only for a base that holds every static atom, which
-every state reachable from init does.  The closure is also typed: a rule
-derives a head only for bindings that fit the head predicate's parameter
-types, as PDDL requires.  The lifted
+derived predicate its rules read, as ``Domain.layer`` tables once per
+domain; a domain admits only stratified rules, so the layers exist.  The
+instances are ordered by the layer of their head, so each comes after
+every instance that makes one of its body atoms, and an instance whose
+body bits are all set when the pass reaches it sets its head bit.  An
+instance that reads an atom no state can hold (one not in init, added by
+no action and the head of no instance) is dropped when the task is
+compiled, and nothing else is, so the closure is exact on every base of
+init and action-add atoms.  The closure is also typed: a rule derives a
+head only for bindings that fit the head predicate's parameter types, as
+PDDL requires.  The lifted
 ``axiom_closure`` is the plan validator's closure in ``metrics``, kept
 apart from the task so that it judges independently.  It derives nothing
 up front: its view of a state proves each atom it is asked about
@@ -71,7 +70,6 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from graphlib import TopologicalSorter
 from heapq import heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
@@ -359,22 +357,6 @@ def _bits(mask: int) -> list[int]:
     return ids
 
 
-def _layers(rules: tuple[DerivedRule, ...]) -> dict[str, int]:
-    """Each head predicate's layer: one above the highest layer of a head
-    predicate its rule bodies read, base predicates being layer 0.  The
-    parser admits only acyclic rules, so the layers follow a topological
-    order, computed without recursion over sorted names, never set order.
-    """
-    reads: dict[str, set[str]] = {}
-    for rule in rules:
-        reads.setdefault(rule.head.predicate, set()).update(a.predicate for a in rule.body)
-    graph = {head: sorted(reads[head] & reads.keys()) for head in sorted(reads)}
-    layer: dict[str, int] = {}
-    for head in TopologicalSorter(graph).static_order():
-        layer[head] = 1 + max((layer[read] for read in graph[head]), default=0)
-    return layer
-
-
 def _watch_lists(size: int, bodies) -> tuple[tuple[int, ...], ...]:
     """Per atom id below ``size``, the indices of the bodies that list it,
     once per occurrence, so a body that names an atom twice counts it twice
@@ -396,7 +378,7 @@ class Relaxation(NamedTuple):
     ``makes[i]`` (an action's relevant adds, an instance's head).
     ``watch[atom]`` lists the producers that need the atom, once per
     occurrence.  ``free`` holds what the actions that need nothing make,
-    which costs 1 in every state; every folded instance has a body.
+    which costs 1 in every state; every rule instance has a body.
     ``atoms`` is the bit set of the relevant atoms, and ``reads`` adds the
     negative goal atoms to it: all that h_add reads of a state."""
 
@@ -429,18 +411,15 @@ class GroundTask:
     when ``full & pos == pos and not full & neg``, and its next base is
     ``base & keep | add``.
 
-    The rule instances are folded over the static atoms (init atoms no
-    action deletes) and the atoms they derive, the const atoms: an instance
-    whose head is const, or whose body names an atom that is not in init,
-    not added by an action and not a rule head, is dropped, and the rest
-    lose their const body atoms.  ``const_derived`` holds the const atoms
-    that are not static.  Every state reachable from init keeps the static
-    atoms, and ``closure`` relies on it.  ``rule_head`` and ``rule_body``
-    give the folded instances as ids and ``rule_masks`` as (body, head)
-    bit sets, ordered by the layer of the head predicate (``_layers``), so
-    every instance that makes an atom comes before every instance whose
-    body reads it.  The closure reads them all; h_add reads only their
-    goal-relevant part, ``relaxed``, and keeps its values in ``h_memo``.
+    A rule instance whose body names an atom no state can hold, one that
+    is not in init, not added by an action and not a rule instance's head,
+    is dropped; the others are kept whole.  ``rule_head`` and
+    ``rule_body`` give the kept instances as ids and ``rule_masks`` as
+    (body, head) bit sets, ordered by the layer of the head predicate
+    (``Domain.layer``), so every instance that makes an atom comes before
+    every instance whose body reads it.  The closure reads them all; h_add
+    reads only their goal-relevant part, ``relaxed``, and keeps its values
+    in ``h_memo``.
     """
 
     def __init__(self, domain: Domain, problem: Problem):
@@ -462,11 +441,10 @@ class GroundTask:
             for pos, neg, add, delete in self.compiled
         )
         kept = relevant_rules(domain, problem.goal)
-        layer = _layers(kept)
         rules = [
             (intern(head, pick_head(combo)), ground(body, combo))
             for (head, pick_head), body, bindings in _rule_instances(
-                sorted(kept, key=lambda rule: layer[rule.head.predicate]),
+                sorted(kept, key=lambda rule: domain.layer[rule.head.predicate]),
                 problem.objects,
                 domain,
             )
@@ -477,32 +455,15 @@ class GroundTask:
         self.goal = (_mask(self.goal_pos), _mask(self.goal_neg))
         base = _mask(intern(*atom) for atom in problem.init)
 
-        # The const atoms hold in every reachable state, so they are derived
-        # once, here, from the unfolded instances.
-        adds = deletes = 0
-        for _, _, keep, add in self.masks:
-            adds |= add
-            deletes |= ~keep
-        static = base & ~deletes
-        self.const_derived = 0
-        self._set_rules(rules)
-        const = self.closure(static)
-        never = ~(base | adds | _mask(self.rule_head))
-        self._set_rules(
-            [
-                (head, tuple(atom for atom in body if not const >> atom & 1))
-                for head, body in rules
-                if not const >> head & 1 and not never & _mask(body)
-            ]
-        )
-        self.const_derived = const & ~static
-        self.init = (base, self.closure(base))
-        self.h_memo: dict[int, float] = {}
-
-    def _set_rules(self, rules) -> None:
+        possible = base | _mask(head for head, _ in rules)
+        for _, _, _, add in self.masks:
+            possible |= add
+        rules = [(head, body) for head, body in rules if not _mask(body) & ~possible]
         self.rule_head = [head for head, _ in rules]
         self.rule_body = [body for _, body in rules]
         self.rule_masks = tuple((_mask(body), 1 << head) for head, body in rules)
+        self.init = (base, self.closure(base))
+        self.h_memo: dict[int, float] = {}
 
     @cached_property
     def relaxed(self) -> Relaxation:
@@ -571,13 +532,10 @@ class GroundTask:
         ``rule_masks``: an instance whose body bits are all set sets its
         head bit.  One pass is enough because of the layer order: each
         instance comes after every instance that makes one of its body
-        atoms.
-
-        The base must hold the task's static atoms, as every reachable
-        state does: ``const_derived`` is added without a pass, and no
-        folded instance reads a const atom.
+        atoms.  A dropped instance reads an atom no state holds, so the
+        closure is exact for any base of init and action-add atoms.
         """
-        full = base | self.const_derived
+        full = base
         for body, head in self.rule_masks:
             if full & body == body:
                 full |= head

@@ -386,16 +386,37 @@ def test_validator_proves_only_the_derived_atoms_a_step_reads(monkeypatch):
     assert {query[0] for view in views for query in view.answers} == {"blocked"}
 
 
-def test_task_folds_static_atoms_out_of_its_rule_instances():
+def test_task_drops_the_rule_instances_that_read_never_true_atoms():
     # Nothing reads hanoi's above, so 6-disk hanoi grounds only its 108
-    # blocked instances, with 216 body atoms.  Its 15 smaller atoms are
-    # static and the other 21 ordered pairs never hold, so 45 remain, each
-    # reading only its onpeg atom.  Blocksworld's actions read only covered
-    # and supported (50 instances), and (on ?b ?b) never holds: 40 remain.
+    # blocked instances, with 216 body atoms.  Its 15 smaller atoms are in
+    # init and no action adds the other 21 ordered pairs, so 45 remain,
+    # each reading its smaller and its onpeg atom.  Blocksworld's actions
+    # read only covered and supported (50 instances), and (on ?b ?b) never
+    # holds: 40 remain.
     task = GroundTask(HANOI, hanoi_problem(6))
     assert len(task.rule_head) == 45
-    assert sum(body.bit_count() for body, _ in task.rule_masks) == 45
+    assert sum(body.bit_count() for body, _ in task.rule_masks) == 90
     assert len(GroundTask(BLOCKS, blocks_problem(5)).rule_head) == 40
+
+
+# (big ?x) holds exactly when (s ?x) does, and no action writes s.
+BIG = parse_domain(
+    "(define (domain big) (:requirements :strips :typing :derived-predicates)"
+    " (:types thing) (:predicates (s ?x - thing) (m ?x - thing) (big ?x - thing))"
+    " (:derived (big ?x) (s ?x))"
+    " (:action go :parameters (?x - thing) :precondition (big ?x) :effect (m ?x)))"
+)
+
+
+def test_task_closure_is_exact_on_a_base_that_lacks_a_static_atom():
+    # Every state reachable from init holds (s a) and so (big a); the
+    # closure must not take that for granted on a base without (s a).
+    s, m, big = (GroundAtom(p, ("a",)) for p in ("s", "m", "big"))
+    problem = Problem("big", "big", (("a", "thing"),), frozenset({s}), (positive("m", "a"),))
+    task = GroundTask(BIG, problem)
+    assert task.decode(task.init[1]) == {s, big}
+    assert task.decode(task.closure(1 << task.ids[m])) == {m}
+    assert task.decode(task.closure(1 << task.ids[m] | 1 << task.ids[s])) == {s, m, big}
 
 
 def layered_domain(depth: int, jump: int) -> Domain:
@@ -1016,6 +1037,9 @@ def small_typed_tasks(draw):
     Each rule-head parameter takes the most specific type among the body
     positions its variable occupies, so every binding the untyped naive
     closure finds for a state of well-typed atoms is itself well typed.
+    A rule's body reads only predicates drawn before it, but the rules are
+    declared in a drawn order, so a rule often comes before one that makes
+    its body atoms.
     """
     parent = {"t0": "object"}
     if draw(st.booleans()):
@@ -1072,6 +1096,7 @@ def small_typed_tasks(draw):
         params = " ".join(f"{var} - {t}" for var, t in zip(variables, signatures["s"]))
         signatures["f"] = signatures["s"]
         rules.append(f"(:derived (f {params}) (s {' '.join(variables)}))")
+    rules = draw(st.permutations(rules))
 
     def literal(predicates, params, negated=None):
         """A literal over ``params`` (variable -> type) that type-checks, or
@@ -1200,6 +1225,23 @@ def flipped_goals(problem: Problem) -> list[Problem]:
         for i, lit in enumerate(goal)
     ]
     return [problem] + [replace(problem, goal=flipped) for flipped in flips]
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_typed_tasks(), st.data())
+def test_task_closure_is_exact_on_any_base_of_init_and_added_atoms(case, data):
+    # Reachable or not, a base of init and action-add atoms closes to the
+    # naive closure's well-typed atoms, less the atoms of the derived
+    # predicates nothing reads.
+    domain, problem = case
+    task = GroundTask(domain, problem)
+    observed = problem.init.union(*(task.decode(add) for _, _, _, add in task.masks))
+    atoms = data.draw(st.frozensets(st.sampled_from(sorted(observed))))
+    expected = {
+        a for a in naive_closure(atoms, domain) if well_typed(a, domain, problem.objects)
+    }
+    expected -= naive_unread(domain, problem.goal, expected)
+    assert task.decode(task.closure(sum({1 << task.ids[atom] for atom in atoms}))) == expected
 
 
 def h_add_of(task: GroundTask, atoms) -> float:
@@ -1451,8 +1493,10 @@ def drawn_counts(cases) -> list[int]:
 
 
 def test_random_domains_draw_every_folding_case():
-    # The differential test above runs 50 examples; each case the task's
-    # static-atom folding handles must turn up in at least a fifth of them.
+    # The differential tests run 50 examples; rule bodies that read static
+    # atoms, never-true atoms (which the task prunes) and static atoms only
+    # (heads that hold in every reachable state but not on every base) must
+    # each turn up in at least a fifth of them.
     assert min(drawn_counts(folding_cases)) >= 10
 
 
