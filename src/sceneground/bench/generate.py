@@ -200,6 +200,9 @@ def _blocks_distance_map(domain: Domain, problem_objects, init):
     keyed by each base state's atoms (the task's bit sets, decoded)."""
     problem = Problem("distances", domain.name, problem_objects, init, ())
     task = GroundTask(domain, problem)
+    # The shipped domain lives as long as the process, so the planner's
+    # tables for this problem's objects are released once it is compiled.
+    domain.tables.clear()
     dist = {task.init[0]: 0}
     queue = deque([task.init])
     while queue:
@@ -354,6 +357,7 @@ def gen_hanoi(d: int, g: int, seed: int) -> GeneratedProblem:
         f"hanoi-{d}-{g}-{seed}", domain.name, scene.typed_objects(), frozenset(init), goal
     )
     result = solve(domain, truth, SearchConfig(mode="optimal"))
+    domain.tables.clear()  # as in _blocks_distance_map
     assert result.status == "solved" and result.plan is not None
     instruction = (
         f"move the whole tower from {peg[start_peg]} to {peg[goal_peg]}"
@@ -506,6 +510,7 @@ def gen_cooking(seed: int) -> GeneratedProblem:
         f"cooking-{seed}", domain.name, scene.typed_objects(), init, goal
     )
     result = solve(domain, truth, SearchConfig(mode="optimal"))
+    domain.tables.clear()  # as in _blocks_distance_map
     assert result.status == "solved" and result.plan is not None
     instruction = (
         f"slice the {target} and put it in the {bowl.replace('_', ' ')}"

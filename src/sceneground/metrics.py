@@ -492,6 +492,11 @@ def evaluate_suite(
     no entry needs a live LLM call (worker processes cannot share a
     cassette safely).  The pool has at most one worker per CPU.  Records
     keep manifest order either way.
+
+    The planner builds its action and rule tables once per object set and
+    kept rule set, in ``domain.tables``; each task adds its goal and init
+    to them.  They serve this suite only, so they are emptied when it
+    returns or raises.
     """
     domain, entries = load_manifest(manifest)
     parallel = (
@@ -499,13 +504,16 @@ def evaluate_suite(
         and solver is solve
         and all(e.goal_text is None for e in entries)
     )
-    if parallel:
-        workers = min(config.jobs, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = tuple(
-                pool.map(_pool_worker, [(domain, e, config) for e in entries])
-            )
-    else:
-        records = tuple(evaluate_problem(domain, e, config, solver) for e in entries)
+    try:
+        if parallel:
+            workers = min(config.jobs, os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = tuple(
+                    pool.map(_pool_worker, [(domain, e, config) for e in entries])
+                )
+        else:
+            records = tuple(evaluate_problem(domain, e, config, solver) for e in entries)
+    finally:
+        domain.tables.clear()
     row = aggregate(domain.name, records)
     return SuiteReport((row,), records)

@@ -217,6 +217,15 @@ class Domain:
     predicates (a rule reading its own head included) has no layers and
     raises ``ModelError``; the walk runs over sorted names, so the cycle
     it names never follows the iteration order of a set.
+
+    ``tables`` is the planner's memo of compiled object tables
+    (``planner.ObjectTable``), keyed by ``(objects, kept rules)``: a
+    problem's sorted objects and the rules ``relevant_rules`` keeps for its
+    goal.  ``planner.GroundTask`` fills it, and it lives as long as the
+    domain unless emptied: ``metrics.evaluate_suite`` empties it when the
+    suite ends, and the generator after each problem it solves on a shipped
+    domain.  It holds only tuples, ints, dicts, steps and atoms, so a domain
+    still pickles.
     """
 
     name: str
@@ -228,6 +237,9 @@ class Domain:
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
     layer: dict[str, int] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
+    tables: dict = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
 

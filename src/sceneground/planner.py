@@ -1,6 +1,10 @@
 """Forward state-space search over the typed STRIPS subset.
 
-Each ``solve`` call compiles its problem once into a ``GroundTask``.
+Each ``solve`` call compiles its problem once into a ``GroundTask``.  The
+part of that compile which depends only on the problem's objects and on the
+rules its goal keeps, an ``ObjectTable``, is built once per such pair and
+kept in ``Domain.tables``, so the problems of a suite that share their
+objects share it; the task adds its goal, init and pruning to it.
 ``ground_actions`` lists each schema's type-valid bindings as steps
 (equality literals are resolved away there, dropping the bindings they rule
 out), drawing each parameter's objects from one type table
@@ -132,8 +136,9 @@ def ground_actions(
     order.
 
     Equality literals are evaluated against the binding right here: a
-    binding that falsifies one is dropped.  No atom is built here;
-    ``GroundTask`` instantiates the survivors from per-schema templates.
+    binding that falsifies one is dropped.  No atom is built here; the
+    task's ``ObjectTable`` instantiates the survivors from per-schema
+    templates.
     """
     fits = domain.hierarchy.fitting(typ for _, typ in objects)
     pools = {typ: [objects[i][0] for i in fit] for typ, fit in fits.items()}
@@ -368,22 +373,101 @@ def _watch_lists(size: int, bodies) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, watch))
 
 
+def _interner(atoms: list[GroundAtom], ids: dict[GroundAtom, int]):
+    """A function from ``(predicate, args)`` to the atom's id, appending
+    the atom to ``atoms`` and ``ids`` if it has none yet; the
+    ``GroundAtom`` is built only then."""
+
+    def intern(predicate: str, args: tuple[str, ...]) -> int:
+        index = ids.get((predicate, args))
+        if index is None:
+            atom = GroundAtom(predicate, args)
+            index = ids[atom] = len(atoms)
+            atoms.append(atom)
+        return index
+
+    return intern
+
+
+class ObjectTable(NamedTuple):
+    """The part of a task that depends only on its objects and its kept
+    rules, built once per such pair and kept in ``Domain.tables``.
+
+    ``atoms`` and ``ids`` hold the atoms interned so far: every action's,
+    then every rule instance's.  ``actions``, ``compiled`` and ``masks``
+    are the task's.  ``rules`` holds every type-valid instance of the kept
+    rules as ``(head, body, (body mask, head bit))``, ordered by the layer
+    of the head predicate, and ``made`` is the bit set of every atom that an
+    action adds or an instance has as head.  A task copies ``atoms`` and
+    ``ids`` before it interns its goal and init atoms.
+    """
+
+    atoms: tuple[GroundAtom, ...]
+    ids: dict[GroundAtom, int]
+    actions: tuple[PlanStep, ...]
+    compiled: tuple[tuple[tuple[int, ...], ...], ...]
+    masks: tuple[tuple[int, int, int, int], ...]
+    made: int
+    rules: tuple[tuple[int, tuple[int, ...], tuple[int, int]], ...]
+
+
+def _object_table(
+    domain: Domain, objects: tuple[tuple[str, str], ...], kept: tuple[DerivedRule, ...]
+) -> ObjectTable:
+    """Ground every action and every instance of the ``kept`` rules over
+    ``objects``, interning the actions' atoms first."""
+    atoms: list[GroundAtom] = []
+    ids: dict[GroundAtom, int] = {}
+    intern = _interner(atoms, ids)
+
+    def ground(templates, binding) -> tuple[int, ...]:
+        return tuple([intern(predicate, pick(binding)) for predicate, pick in templates])
+
+    actions = ground_actions(domain, objects)
+    templates = {schema.name: _action_templates(schema) for schema in domain.actions}
+    compiled = tuple(
+        tuple(ground(part, step.args) for part in templates[step.action]) for step in actions
+    )
+    masks = tuple(
+        (_mask(pos), _mask(neg), ~_mask(delete), _mask(add))
+        for pos, neg, add, delete in compiled
+    )
+    rules = [
+        (intern(head, pick_head(combo)), ground(body, combo))
+        for (head, pick_head), body, bindings in _rule_instances(
+            sorted(kept, key=lambda rule: domain.layer[rule.head.predicate]),
+            objects,
+            domain,
+        )
+        for combo in bindings
+    ]
+    made = _mask(head for head, _ in rules)
+    for _, _, _, add in masks:
+        made |= add
+    return ObjectTable(
+        tuple(atoms),
+        ids,
+        actions,
+        compiled,
+        masks,
+        made,
+        tuple((head, body, (_mask(body), 1 << head)) for head, body in rules),
+    )
+
+
 class Relaxation(NamedTuple):
     """The goal-relevant actions and rule instances of a task, as h_add
-    reads them: one list of producers, the actions first.  ``actions`` and
-    ``rules`` index ``GroundTask.compiled`` and ``GroundTask.rule_head``.
-    Producer ``i`` needs ``size[i]`` atoms (an action's positive
-    precondition, an instance's body), costs ``base[i]`` more than their
-    summed costs (1 for an action, 0 for an instance) and makes
-    ``makes[i]`` (an action's relevant adds, an instance's head).
+    reads them: one list of producers, the actions first.  Producer ``i``
+    needs ``size[i]`` atoms (an action's positive precondition, an
+    instance's body), costs ``base[i]`` more than their summed costs (1 for
+    an action, 0 for an instance) and makes ``makes[i]`` (an action's
+    relevant adds, an instance's head).
     ``watch[atom]`` lists the producers that need the atom, once per
     occurrence.  ``free`` holds what the actions that need nothing make,
     which costs 1 in every state; every rule instance has a body.
     ``atoms`` is the bit set of the relevant atoms, and ``reads`` adds the
     negative goal atoms to it: all that h_add reads of a state."""
 
-    actions: tuple[int, ...]
-    rules: tuple[int, ...]
     atoms: int
     reads: int
     base: list[int]
@@ -395,6 +479,14 @@ class Relaxation(NamedTuple):
 
 class GroundTask:
     """One problem compiled to integers, built once per ``solve`` call.
+
+    What depends only on the objects and the kept rules comes from an
+    ``ObjectTable``, looked up in ``Domain.tables`` and built on a miss:
+    ``actions``, ``compiled`` and ``masks`` are the table's own, and
+    ``atoms`` and ``ids`` start as copies of its atoms, after which the
+    task interns its goal atoms and then its init atoms.  That is the
+    order of a compile on a domain with no tables, so no id, and so no
+    plan, depends on which problem built the table.
 
     ``atoms[i]`` is the atom with id ``i``, and ``ids`` maps an atom, or a
     plain ``(predicate, args)`` key, back to its id.  A set of atoms is a
@@ -411,9 +503,10 @@ class GroundTask:
     when ``full & pos == pos and not full & neg``, and its next base is
     ``base & keep | add``.
 
-    A rule instance whose body names an atom no state can hold, one that
-    is not in init, not added by an action and not a rule instance's head,
-    is dropped; the others are kept whole.  ``rule_head`` and
+    A rule instance of the table whose body names an atom no state can
+    hold, one that is not in init, not added by an action and not a rule
+    instance's head, is dropped; the others are kept whole.  This step
+    reads init, so each task takes it anew.  ``rule_head`` and
     ``rule_body`` give the kept instances as ids and ``rule_masks`` as
     (body, head) bit sets, ordered by the layer of the head predicate
     (``Domain.layer``), so every instance that makes an atom comes before
@@ -423,45 +516,27 @@ class GroundTask:
     """
 
     def __init__(self, domain: Domain, problem: Problem):
-        self.actions = ground_actions(domain, problem.objects)
-        self.atoms: list[GroundAtom] = []
-        self.ids: dict[GroundAtom, int] = {}
-        intern = self._intern
-
-        def ground(templates, binding) -> tuple[int, ...]:
-            return tuple([intern(predicate, pick(binding)) for predicate, pick in templates])
-
-        templates = {schema.name: _action_templates(schema) for schema in domain.actions}
-        self.compiled = tuple(
-            tuple(ground(part, step.args) for part in templates[step.action])
-            for step in self.actions
-        )
-        self.masks = tuple(
-            (_mask(pos), _mask(neg), ~_mask(delete), _mask(add))
-            for pos, neg, add, delete in self.compiled
-        )
         kept = relevant_rules(domain, problem.goal)
-        rules = [
-            (intern(head, pick_head(combo)), ground(body, combo))
-            for (head, pick_head), body, bindings in _rule_instances(
-                sorted(kept, key=lambda rule: domain.layer[rule.head.predicate]),
-                problem.objects,
-                domain,
-            )
-            for combo in bindings
-        ]
+        key = (problem.objects, kept)
+        table = domain.tables.get(key)
+        if table is None:
+            table = domain.tables[key] = _object_table(domain, problem.objects, kept)
+        self.actions, self.compiled, self.masks = table.actions, table.compiled, table.masks
+        self.atoms: list[GroundAtom] = list(table.atoms)
+        self.ids: dict[GroundAtom, int] = table.ids.copy()
+        intern = _interner(self.atoms, self.ids)
         self.goal_pos = tuple(intern(*lit.atom) for lit in problem.goal if not lit.negated)
         self.goal_neg = tuple(intern(*lit.atom) for lit in problem.goal if lit.negated)
         self.goal = (_mask(self.goal_pos), _mask(self.goal_neg))
         base = _mask(intern(*atom) for atom in problem.init)
 
-        possible = base | _mask(head for head, _ in rules)
-        for _, _, _, add in self.masks:
-            possible |= add
-        rules = [(head, body) for head, body in rules if not _mask(body) & ~possible]
-        self.rule_head = [head for head, _ in rules]
-        self.rule_body = [body for _, body in rules]
-        self.rule_masks = tuple((_mask(body), 1 << head) for head, body in rules)
+        possible = base | table.made
+        rules = [
+            (head, body, masks) for head, body, masks in table.rules if not masks[0] & ~possible
+        ]
+        self.rule_head = [head for head, _, _ in rules]
+        self.rule_body = [body for _, body, _ in rules]
+        self.rule_masks = tuple(masks for _, _, masks in rules)
         self.init = (base, self.closure(base))
         self.h_memo: dict[int, float] = {}
 
@@ -502,8 +577,6 @@ class GroundTask:
         kept_makes = [tuple(atom for atom in makes[i] if atom in atoms) for i in order]
         relevant = _mask(atoms)
         return Relaxation(
-            tuple(i for i in order if i < actions),
-            tuple(i - actions for i in order if i >= actions),
             relevant,
             relevant | self.goal[1],
             [int(i < actions) for i in order],
@@ -512,16 +585,6 @@ class GroundTask:
             _watch_lists(len(self.atoms), (needs[i] for i in order)),
             tuple(atom for i, made in zip(order, kept_makes) if not needs[i] for atom in made),
         )
-
-    def _intern(self, predicate: str, args: tuple[str, ...]) -> int:
-        """The id of the atom, a new one if it has none yet; the
-        ``GroundAtom`` is built only then."""
-        index = self.ids.get((predicate, args))
-        if index is None:
-            atom = GroundAtom(predicate, args)
-            index = self.ids[atom] = len(self.atoms)
-            self.atoms.append(atom)
-        return index
 
     def decode(self, mask: int) -> frozenset[GroundAtom]:
         """The atoms of the bit set ``mask``."""

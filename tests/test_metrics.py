@@ -382,6 +382,34 @@ def test_parallel_evaluation_matches_inline(tmp_path):
     assert inline == pooled
 
 
+def test_evaluate_suite_releases_the_planner_tables(tmp_path, monkeypatch):
+    # Both problems have the same objects and keep the same rules, so they
+    # share one table; it is gone when the suite returns, and when a bad
+    # truth file makes the suite raise after the first problem filled it.
+    manifest = write_suite(tmp_path, TWO_GOALS)
+    domains, sizes = [], []
+    load, evaluate = metrics.load_manifest, metrics.evaluate_problem
+
+    def loading(path):
+        domain, entries = load(path)
+        domains.append(domain)
+        return domain, entries
+
+    def evaluating(domain, *args):
+        record = evaluate(domain, *args)
+        sizes.append(len(domain.tables))
+        return record
+
+    monkeypatch.setattr(metrics, "load_manifest", loading)
+    monkeypatch.setattr(metrics, "evaluate_problem", evaluating)
+    assert evaluate_suite(manifest).rows[0].success == 1.0
+    assert sizes == [1, 1] and domains[0].tables == {}
+    (tmp_path / "truth-1.pddl").write_text("(define")
+    with pytest.raises(EvalError, match="001-scene-1: ground truth"):
+        evaluate_suite(manifest)
+    assert sizes == [1, 1, 1] and domains[1].tables == {}
+
+
 def test_broken_scene_zeroes_one_problem_only(tmp_path):
     manifest = write_suite(tmp_path, TWO_GOALS)
     (tmp_path / "scene-0.json").write_text("{not json")

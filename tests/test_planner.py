@@ -8,6 +8,7 @@ counts worked out by hand from the schema signatures.
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 from collections import deque
 from dataclasses import replace
@@ -33,11 +34,11 @@ from naive_ref import (
     naive_unread,
     well_typed,
 )
-from sceneground.bench import domain_text
+from sceneground.bench import GenConfig, domain_text, write_suite
 from sceneground.bench.generate import gen_blocksworld, gen_cooking
 from sceneground.graph import enumerate_candidates
 from sceneground.metrics import validate_plan
-from sceneground.pddl import parse_domain
+from sceneground.pddl import parse_domain, parse_problem, serialize_domain
 from sceneground.pddl.model import (
     Atom,
     DerivedRule,
@@ -478,12 +479,13 @@ def test_h_add_reads_only_the_goal_relevant_actions_and_rule_instances():
     # move adds an onpeg atom that a goal atom's achievers read, and blocked
     # is read only by negative preconditions, which cost nothing in the
     # relaxation.
+    # A producer's base cost is 1 for an action and 0 for a rule instance.
     task = GroundTask(COOKING, gen_cooking(0).truth)
-    assert (len(task.relaxed.actions), len(task.compiled)) == (26, 40)
-    assert (len(task.relaxed.rules), len(task.rule_head)) == (1, 18)
+    assert (task.relaxed.base.count(1), len(task.compiled)) == (26, 40)
+    assert (task.relaxed.base.count(0), len(task.rule_head)) == (1, 18)
     hanoi = GroundTask(HANOI, hanoi_problem(6))
-    assert len(hanoi.relaxed.actions) == len(hanoi.compiled) == 36
-    assert (len(hanoi.relaxed.rules), len(hanoi.rule_head)) == (0, 45)
+    assert hanoi.relaxed.base.count(1) == len(hanoi.compiled) == 36
+    assert (hanoi.relaxed.base.count(0), len(hanoi.rule_head)) == (0, 45)
 
 
 @pytest.mark.parametrize(
@@ -745,8 +747,10 @@ def test_identical_inputs_give_identical_plans():
         assert first.expanded == second.expanded
 
 
-@pytest.mark.parametrize("mode", ["optimal", "satisficing"])
-def test_solve_grounds_once(monkeypatch, mode):
+def test_solve_grounds_once_per_object_set_and_rule_set(monkeypatch):
+    # A freshly parsed domain: the module-level HANOI already holds the
+    # tables of other tests.
+    domain = parse_domain(domain_text("hanoi"))
     calls = []
     original = planner.ground_actions
 
@@ -755,9 +759,26 @@ def test_solve_grounds_once(monkeypatch, mode):
         return original(*args)
 
     monkeypatch.setattr(planner, "ground_actions", counting)
-    result = solve(HANOI, hanoi_problem(3), SearchConfig(mode=mode))
-    assert result.status == "solved"
+    three = hanoi_problem(3)
+    assert solve(domain, three, SearchConfig(mode="optimal")).status == "solved"
     assert len(calls) == 1
+    # The same objects with another init and goal reuse the table.
+    moved = hanoi_problem(3, start="p2", target="p1")
+    assert moved.objects == three.objects and moved.init != three.init
+    assert solve(domain, moved, SearchConfig(mode="satisficing")).status == "solved"
+    assert len(calls) == 1
+    # One more object is another object set.
+    assert solve(domain, hanoi_problem(4), SearchConfig(mode="optimal")).status == "solved"
+    assert len(calls) == 2
+    # A goal that reads above keeps above's rule as well as blocked's.
+    above = replace(three, goal=(positive("above", "d1", "d2"),))
+    assert solve(domain, above, SearchConfig(mode="optimal")).status == "solved"
+    assert len(calls) == 3
+    assert sorted(
+        (len(objects), [rule.head.predicate for rule in kept]) for objects, kept in domain.tables
+    ) == [(6, ["blocked"]), (6, ["blocked", "above"]), (7, ["blocked"])]
+    # Worker processes get the domain pickled, tables and all.
+    assert pickle.loads(pickle.dumps(domain)).tables == domain.tables
 
 
 def score_every_child(domain: Domain, problem: Problem):
@@ -1342,6 +1363,109 @@ def test_compiled_actions_match_naive_substitution_on_random_domains(case):
     assert_compiled_as_substituted(*case)
 
 
+# The fields of a task compiled from a domain's object table.
+TASK_FIELDS = (
+    "atoms",
+    "ids",
+    "actions",
+    "compiled",
+    "masks",
+    "rule_head",
+    "rule_body",
+    "rule_masks",
+    "goal",
+    "init",
+)
+
+
+def assert_warm_compiles_as_cold(domain: Domain, fresh: Domain, problem: Problem) -> None:
+    """``problem`` compiles and solves on ``domain``, whose tables other
+    problems may have filled, as on ``fresh``, emptied before each use; and
+    its task keeps exactly the typed instances of its read rules whose body
+    atoms init, an action's adds or an instance's head can make true."""
+    fresh.tables.clear()
+    warm, cold = GroundTask(domain, problem), GroundTask(fresh, problem)
+    for name in TASK_FIELDS:
+        assert getattr(warm, name) == getattr(cold, name), name
+    read = naive_read_predicates(domain, problem.goal)
+    instances = [
+        (head, tuple(body))
+        for body, head in _typed_rule_instances(domain, problem.objects)
+        if head.predicate in read
+    ]
+    possible = problem.init.union(
+        *(warm.decode(add) for _, _, _, add in warm.masks), (head for head, _ in instances)
+    )
+    kept = [
+        (warm.atoms[head], tuple(warm.atoms[atom] for atom in body))
+        for head, body in zip(warm.rule_head, warm.rule_body)
+    ]
+    assert sorted(kept) == sorted(i for i in instances if possible.issuperset(i[1]))
+    for mode in ("optimal", "satisficing"):
+        fresh.tables.clear()
+        first = solve(domain, problem, SearchConfig(mode=mode))
+        second = solve(fresh, problem, SearchConfig(mode=mode))
+        assert (first.status, first.plan, first.expanded) == (
+            second.status,
+            second.plan,
+            second.expanded,
+        )
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_typed_tasks(), st.data())
+def test_a_shared_table_compiles_as_a_fresh_one_on_random_domains(case, data):
+    # Problem A fills the domain's table for its objects; problem B has the
+    # same objects and a drawn init and goal, so its goal may keep other
+    # rules and its init may name atoms A's never did.
+    domain, first = case
+    names = [name for name, _ in first.objects]
+    atoms = [
+        GroundAtom(sig.name, combo)
+        for sig in domain.predicates
+        for combo in itertools.product(names, repeat=sig.arity)
+    ]
+    atoms = [atom for atom in atoms if well_typed(atom, domain, first.objects)]
+    observed = [atom for atom in atoms if domain.predicate(atom.predicate).kind == "observed"]
+    init = data.draw(st.frozensets(st.sampled_from(observed)))
+    literals = st.builds(GroundLiteral, st.sampled_from(atoms), st.booleans())
+    goal = tuple(data.draw(st.lists(literals, max_size=3)))
+    GroundTask(domain, first)
+    fresh = parse_domain(serialize_domain(domain))
+    assert_warm_compiles_as_cold(domain, fresh, replace(first, init=init, goal=goal))
+
+
+@pytest.mark.parametrize(
+    "cfg,count",
+    [
+        (GenConfig("hanoi", d=3, sigma=0.2, seed=11), 4),
+        (GenConfig("blocksworld", n=4, sigma=0.2, seed=11), 4),
+        (GenConfig("cooking", sigma=0.2, seed=11), 12),
+    ],
+    ids=["hanoi", "blocksworld", "cooking"],
+)
+def test_a_shared_table_compiles_as_a_fresh_one_on_generated_suites(tmp_path, cfg, count):
+    # The truth and the grounded problem of every entry, in suite order, on
+    # one domain: a problem meets the tables of the problems before it.
+    domain, entries = metrics.load_manifest(write_suite(cfg, count, tmp_path))
+    problems = []
+    for entry in entries:
+        problems.append(parse_problem(metrics.read_text(entry.ground_truth_problem), domain))
+        grounded = metrics.ground(domain, entry, metrics.PipelineConfig()).problem
+        if grounded is not None:
+            problems.append(grounded)
+    fresh = parse_domain(domain_text(cfg.kind))
+    shared = 0
+    for index, problem in enumerate(problems):
+        shared += any(
+            other.objects == problem.objects
+            and (other.init, other.goal) != (problem.init, problem.goal)
+            for other in problems[:index]
+        )
+        assert_warm_compiles_as_cold(domain, fresh, problem)
+    assert shared >= 2 and len(domain.tables) < len(problems)
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_typed_tasks(), st.data())
 def test_validator_agrees_with_naive_reference_on_random_domains(case, data):
@@ -1544,12 +1668,12 @@ def goal_relevance_cases(domain, problem) -> tuple[bool, bool]:
     reads."""
     task = GroundTask(domain, problem)
     relaxed = task.relaxed
+    # A relevant action's base cost is 1, and its size is its number of
+    # positive preconditions; a rule instance's base cost is 0.
+    kept = sum(1 for base, size in zip(relaxed.base, relaxed.size) if base and size)
     return (
-        any(
-            pos and index not in relaxed.actions
-            for index, (pos, _, _, _) in enumerate(task.compiled)
-        ),
-        len(relaxed.rules) < len(task.rule_head),
+        kept < sum(1 for pos, _, _, _ in task.compiled if pos),
+        relaxed.base.count(0) < len(task.rule_head),
     )
 
 
