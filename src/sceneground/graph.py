@@ -6,6 +6,12 @@ against the exemplar's labeled candidates by nearest neighbor in
 spatial-feature space, and keep the true-classified ones as ground atoms:
 the scene graph's edges and the problem's init.  The problem around them
 is assembled by ``metrics.ground``.
+
+The exemplar side is fixed per exemplar file, so ``compile_exemplar``
+turns it into an ``ExemplarModel`` once: its label fault, if any, and
+each predicate's positive and negative features.  ``exemplar_from_json``
+returns that model, ``metrics.ground`` keeps one per distinct exemplar
+file for a suite, and ``classify_scene`` reads only it.
 """
 
 from __future__ import annotations
@@ -32,8 +38,9 @@ from sceneground.scene import (
 class ExemplarError(ValueError):
     """The one-shot exemplar cannot teach the classifier.
 
-    Raised when, for some predicate present in the test scene's candidates,
-    the exemplar has no candidates at all, or all of them share one label.
+    Raised when its labels do not fit the domain, or when, for some
+    predicate present in the test scene's candidates, the exemplar has no
+    candidates at all, or all of them share one label.
     """
 
 
@@ -43,6 +50,24 @@ class Exemplar:
 
     scene: Scene
     true_atoms: frozenset[GroundAtom]
+
+
+Features = tuple[tuple[float, ...], ...]
+
+
+@dataclass(frozen=True)
+class ExemplarModel:
+    """An exemplar compiled for the 1-NN pass: all ``classify_scene`` reads.
+
+    ``fault`` is why the labels cannot teach this domain (``classify_scene``
+    raises it), else None.  ``labeled`` maps each observed predicate to the
+    features of its positive and of its negative exemplar candidates, in
+    scene order; it is empty when there is a fault.
+    """
+
+    true_atoms: frozenset[GroundAtom]
+    fault: str | None
+    labeled: dict[str, tuple[Features, Features]]
 
 
 class CandidateTriplet(NamedTuple):
@@ -159,30 +184,48 @@ def _distance2_unary(a: tuple[float, ...], b: tuple[float, ...]) -> float:
 _DISTANCE2 = {4: _distance2_binary, 6: _distance2_unary}
 
 
-def _validate_exemplar(exemplar: Exemplar, domain: Domain) -> None:
+def _exemplar_fault(exemplar: Exemplar, domain: Domain) -> str | None:
     observed = {sig.name for sig in domain.observed}
-    # Sorted, so the error names the same atom under every hash seed.
+    # Sorted, so the fault names the same atom under every hash seed.
     atoms = sorted(exemplar.true_atoms)
     for atom in atoms:
         if atom.predicate not in observed:
-            raise ExemplarError(
-                f"exemplar labels non-observed predicate {atom.predicate!r}"
-            )
+            return f"exemplar labels non-observed predicate {atom.predicate!r}"
     types = dict(exemplar.scene.typed_objects())
     for atom in atoms:
         for _, message in atom_faults(atom, domain, types):
-            raise ExemplarError(f"malformed exemplar atom {atom}: {message}")
+            return f"malformed exemplar atom {atom}: {message}"
+    return None
+
+
+def compile_exemplar(exemplar: Exemplar, domain: Domain) -> ExemplarModel:
+    """Validate the labels and split each predicate's exemplar candidates
+    into positive and negative features.  A fault is kept, not raised, so
+    that it surfaces where the exemplar is used, after the test scene has
+    merged."""
+    fault = _exemplar_fault(exemplar, domain)
+    labeled = {}
+    if fault is None:
+        true_atoms = exemplar.true_atoms
+        for predicate, cands in enumerate_candidates(exemplar.scene, domain).items():
+            positives, negatives = [], []
+            for c in cands:
+                # A ground atom is a tuple, so the plain key finds it.
+                side = positives if (predicate, c.args) in true_atoms else negatives
+                side.append(c.feature)
+            labeled[predicate] = (tuple(positives), tuple(negatives))
+    return ExemplarModel(exemplar.true_atoms, fault, labeled)
 
 
 def classify(
     test: tuple[CandidateTriplet, ...] | list[CandidateTriplet],
-    labeled: tuple[CandidateTriplet, ...],
-    true_atoms: frozenset[GroundAtom],
+    positives: Features,
+    negatives: Features,
 ) -> tuple[CandidateTriplet, ...]:
-    """Label each test candidate by its nearest exemplar candidate.
+    """Label each test candidate by its nearest exemplar feature.
 
-    ``labeled`` holds the exemplar's candidates of the same predicate; those
-    in ``true_atoms`` are positive.  The squared distance is the
+    ``positives`` and ``negatives`` are the features of the exemplar's
+    candidates of the same predicate.  The squared distance is the
     left-to-right float sum of ``d_i * d_i`` for ``d_i = a_i - b_i``.  A
     test candidate is rejected at the first negative exemplar candidate
     that is at least as near as its nearest positive, so an exact tie
@@ -191,11 +234,6 @@ def classify(
     """
     if not test:
         return ()
-    positives: list[tuple[float, ...]] = []
-    negatives: list[tuple[float, ...]] = []
-    for c in labeled:
-        # A ground atom is a tuple, so the plain key finds it.
-        (positives if (c.predicate, c.args) in true_atoms else negatives).append(c.feature)
     if not positives or not negatives:
         raise ExemplarError(
             f"exemplar is uninformative for {test[0].predicate!r}: "
@@ -219,15 +257,15 @@ def graph_to_init(graph: SceneGraph) -> frozenset[GroundAtom]:
     return graph.atoms
 
 
-def classify_scene(scene: Scene, domain: Domain, exemplar: Exemplar) -> SceneGraph:
-    """Enumerate the scene's and the exemplar's candidates once each, then
-    classify each predicate's candidates."""
-    _validate_exemplar(exemplar, domain)
-    labeled = enumerate_candidates(exemplar.scene, domain)
+def classify_scene(scene: Scene, domain: Domain, exemplar: ExemplarModel) -> SceneGraph:
+    """Enumerate the scene's candidates once, then classify each
+    predicate's candidates against the compiled exemplar."""
+    if exemplar.fault is not None:
+        raise ExemplarError(exemplar.fault)
     atoms = set()
     for predicate, cands in enumerate_candidates(scene, domain).items():
         if cands:
-            kept = classify(cands, labeled[predicate], exemplar.true_atoms)
+            kept = classify(cands, *exemplar.labeled[predicate])
             atoms.update(c.atom() for c in kept)
     return SceneGraph(scene.objects, frozenset(atoms))
 
@@ -241,8 +279,11 @@ def exemplar_to_json(exemplar_obs: SceneObservation, true_atoms) -> str:
 
 def exemplar_from_json(
     text: str | bytes, domain: Domain, threshold: float = MATCH_THRESHOLD
-) -> Exemplar:
-    """Load an exemplar file; names come from merging its observation."""
+) -> ExemplarModel:
+    """Load and compile an exemplar file; names come from merging its
+    observation.  A file that cannot be read as an exemplar raises
+    ``SceneError``; labels that do not fit the domain are kept as the
+    model's fault."""
     try:
         raw = json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -261,4 +302,4 @@ def exemplar_from_json(
         if not all(isinstance(part, str) for part in row):
             raise SceneError(f"bad true_atoms entry {i}: parts must be strings")
         atoms.add(GroundAtom(row[0], tuple(row[1:])))
-    return Exemplar(scene, frozenset(atoms))
+    return compile_exemplar(Exemplar(scene, frozenset(atoms)), domain)

@@ -402,12 +402,20 @@ def ground(domain: Domain, entry: ManifestEntry, config: PipelineConfig) -> Grou
     only (never from the predicted init).  Each part of the problem is
     checked where it is made, so it needs no text round trip to be valid.
     Stage failures are returned, never raised.
+
+    The compiled exemplar is kept in ``domain.tables`` under its file text
+    and the match threshold, so the entries of a suite that share an
+    exemplar file load and compile it once.
     """
     try:
         obs = observation_from_json(read_text(entry.scene))
-        exemplar = exemplar_from_json(
-            read_text(entry.exemplar), domain, config.match_threshold
-        )
+        text = read_text(entry.exemplar)
+        key = (text, config.match_threshold)
+        exemplar = domain.tables.get(key)
+        if exemplar is None:
+            exemplar = domain.tables[key] = exemplar_from_json(
+                text, domain, config.match_threshold
+            )
         scene = merge_detections(obs, domain, config.match_threshold)
         graph = classify_scene(scene, domain, exemplar)
     except (SceneError, ExemplarError) as exc:
@@ -493,10 +501,11 @@ def evaluate_suite(
     cassette safely).  The pool has at most one worker per CPU.  Records
     keep manifest order either way.
 
-    The planner builds its action and rule tables once per object set and
-    kept rule set, in ``domain.tables``; each task adds its goal and init
-    to them.  They serve this suite only, so they are emptied when it
-    returns or raises.
+    ``domain.tables`` holds what the suite compiles once and shares among
+    its entries: the planner's action and rule tables per object set and
+    kept rule set (each task adds its goal and init to them), and
+    ``ground``'s compiled exemplar per distinct exemplar file.  They serve
+    this suite only, so they are emptied when it returns or raises.
     """
     domain, entries = load_manifest(manifest)
     parallel = (

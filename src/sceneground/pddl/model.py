@@ -218,14 +218,17 @@ class Domain:
     raises ``ModelError``; the walk runs over sorted names, so the cycle
     it names never follows the iteration order of a set.
 
-    ``tables`` is the planner's memo of compiled object tables
+    ``tables`` is the memo of what a suite compiles once for this domain.
+    ``planner.GroundTask`` fills it with object tables
     (``planner.ObjectTable``), keyed by ``(objects, kept rules)``: a
     problem's sorted objects and the rules ``relevant_rules`` keeps for its
-    goal.  ``planner.GroundTask`` fills it, and it lives as long as the
-    domain unless emptied: ``metrics.evaluate_suite`` empties it when the
-    suite ends, and the generator after each problem it solves on a shipped
-    domain.  It holds only tuples, ints, dicts, steps and atoms, so a domain
-    still pickles.
+    goal.  ``metrics.ground`` fills it with compiled exemplars
+    (``graph.ExemplarModel``), keyed by ``(exemplar text, match
+    threshold)``.  It lives as long as the domain unless emptied:
+    ``metrics.evaluate_suite`` empties it when the suite ends, and the
+    generator after each problem it solves on a shipped domain.  It holds
+    only plain data (tuples, numbers, strings, dicts, steps, atoms and
+    exemplar models), so a domain still pickles.
     """
 
     name: str

@@ -27,6 +27,7 @@ from sceneground.bench import (
 )
 from sceneground.graph import (
     classify_scene,
+    compile_exemplar,
     exemplar_to_json,
     graph_to_init,
 )
@@ -229,7 +230,7 @@ def test_criterion_5_noise_degrades_precision(blocks_101):
 
     def precision(problem):
         scene = merge_detections(problem.scene, domain)
-        graph = classify_scene(scene, domain, problem.exemplar)
+        graph = classify_scene(scene, domain, compile_exemplar(problem.exemplar, domain))
         score = triplet_pr(graph_to_init(graph), problem.truth.init, domain.observed)
         return score.precision
 

@@ -27,6 +27,7 @@ from sceneground.graph import (
     ExemplarError,
     Exemplar,
     classify_scene,
+    compile_exemplar,
     enumerate_candidates,
     graph_to_init,
 )
@@ -57,7 +58,7 @@ def observed_names(kind):
 def predicted_init(problem):
     domain = DOMAINS[problem.kind]
     scene = merge_detections(problem.scene, domain)
-    return graph_to_init(classify_scene(scene, domain, problem.exemplar))
+    return graph_to_init(classify_scene(scene, domain, compile_exemplar(problem.exemplar, domain)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +197,7 @@ def test_gutted_exemplar_is_rejected():
     domain = DOMAINS["cooking"]
     scene = merge_detections(problem.scene, domain)
     with pytest.raises(ExemplarError):
-        classify_scene(scene, domain, no_positives)
+        classify_scene(scene, domain, compile_exemplar(no_positives, domain))
 
 
 def test_cross_class_margin_exceeds_documented_constant():

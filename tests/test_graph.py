@@ -23,6 +23,7 @@ from sceneground.graph import (
     SceneGraph,
     classify,
     classify_scene,
+    compile_exemplar,
     enumerate_candidates,
     exemplar_from_json,
     exemplar_to_json,
@@ -44,6 +45,7 @@ from sceneground.scene import (
     SceneObject,
     SceneError,
     SceneObservation,
+    merge_detections,
 )
 
 BLOCKS = parse_domain(
@@ -125,6 +127,15 @@ def _three_block_exemplar():
     return Exemplar(scene, frozenset({GroundAtom("on", ("exa", "exb"))}))
 
 
+def _classify(scene, exemplar, domain, predicate):
+    """classify() on one predicate's test candidates, against the compiled
+    exemplar's features of that predicate."""
+    return classify(
+        enumerate_candidates(scene, domain)[predicate],
+        *compile_exemplar(exemplar, domain).labeled[predicate],
+    )
+
+
 def test_classify_nearest_neighbor_oracle():
     exemplar = _three_block_exemplar()
     # Test pair with feature (0.01, 0.29, 0.01, 0.31): nearest is the positive.
@@ -132,11 +143,7 @@ def test_classify_nearest_neighbor_oracle():
         SceneObject("s", "block", Box(11, 39, 21, 51)),
         _block("o", 10, 10),
     )
-    kept = classify(
-        enumerate_candidates(scene, BLOCKS)["on"],
-        enumerate_candidates(exemplar.scene, BLOCKS)["on"],
-        exemplar.true_atoms,
-    )
+    kept = _classify(scene, exemplar, BLOCKS, "on")
     assert [c.atom() for c in kept] == [GroundAtom("on", ("s", "o"))]
 
 
@@ -144,11 +151,7 @@ def test_classify_zero_distance_to_negative_is_false():
     exemplar = _three_block_exemplar()
     # Exactly the negative exemplar layout: side-by-side blocks.
     scene = _scene(_block("p", 50, 10), _block("q", 10, 10))
-    kept = classify(
-        enumerate_candidates(scene, BLOCKS)["on"],
-        enumerate_candidates(exemplar.scene, BLOCKS)["on"],
-        exemplar.true_atoms,
-    )
+    kept = _classify(scene, exemplar, BLOCKS, "on")
     assert kept == ()
 
 
@@ -164,11 +167,7 @@ def test_classify_tie_resolves_to_false():
         SceneObject("p", "block", Box(10, 10, 20, 20)),
         SceneObject("q", "block", Box(10, 10, 20, 20)),
     )
-    kept = classify(
-        enumerate_candidates(scene, BLOCKS)["on"],
-        enumerate_candidates(exemplar.scene, BLOCKS)["on"],
-        exemplar.true_atoms,
-    )
+    kept = _classify(scene, exemplar, BLOCKS, "on")
     assert kept == ()
 
 
@@ -189,7 +188,7 @@ def test_classification_is_the_same_on_every_python():
         SceneObject("s", "block", Box(0, 0, 20, 20)),
         SceneObject("o", "block", Box(60, 60, 90, 70)),
     )
-    graph = classify_scene(scene, BLOCKS, exemplar)
+    graph = classify_scene(scene, BLOCKS, compile_exemplar(exemplar, BLOCKS))
     assert graph_to_init(graph) == {GroundAtom("on", ("s", "o"))}
 
 
@@ -199,11 +198,7 @@ def test_gate_rejects_all_false_exemplar():
     )
     scene = _scene(_block("a", 0, 0), _block("b", 30, 0))
     with pytest.raises(ExemplarError) as err:
-        classify(
-            enumerate_candidates(scene, BLOCKS)["on"],
-            enumerate_candidates(exemplar.scene, BLOCKS)["on"],
-            exemplar.true_atoms,
-        )
+        _classify(scene, exemplar, BLOCKS, "on")
     assert "uninformative" in str(err.value)
 
 
@@ -216,29 +211,23 @@ def test_gate_rejects_all_true_exemplar():
     )
     scene = _scene(_block("a", 0, 0), _block("b", 30, 0))
     with pytest.raises(ExemplarError):
-        classify(
-            enumerate_candidates(scene, BLOCKS)["on"],
-            enumerate_candidates(exemplar.scene, BLOCKS)["on"],
-            exemplar.true_atoms,
-        )
+        _classify(scene, exemplar, BLOCKS, "on")
 
 
 def test_gate_rejects_candidate_free_exemplar():
     exemplar = Exemplar(_scene(_block("lone", 10, 10)), frozenset())
     scene = _scene(_block("a", 0, 0), _block("b", 30, 0))
     with pytest.raises(ExemplarError):
-        classify(
-            enumerate_candidates(scene, BLOCKS)["on"],
-            enumerate_candidates(exemplar.scene, BLOCKS)["on"],
-            exemplar.true_atoms,
-        )
+        _classify(scene, exemplar, BLOCKS, "on")
 
 
 def test_gate_skipped_when_predicate_absent_from_test():
     # One test block: no "on" candidates, so the uninformative exemplar
     # never gets consulted.
     exemplar = Exemplar(_scene(_block("lone", 10, 10)), frozenset())
-    graph = classify_scene(_scene(_block("a", 0, 0)), BLOCKS, exemplar)
+    graph = classify_scene(
+        _scene(_block("a", 0, 0)), BLOCKS, compile_exemplar(exemplar, BLOCKS)
+    )
     assert graph.atoms == frozenset()
 
 
@@ -261,13 +250,15 @@ def test_malformed_exemplar_atoms_rejected():
     ]
     for scene, domain, atom, message in cases:
         with pytest.raises(ExemplarError) as err:
-            classify_scene(scene, domain, Exemplar(scene, frozenset({atom})))
+            classify_scene(
+                scene, domain, compile_exemplar(Exemplar(scene, frozenset({atom})), domain)
+            )
         assert str(err.value) == message
 
 
 _LABEL_TWO_DERIVED_PREDICATES = """
 from sceneground.bench import domain_text
-from sceneground.graph import Exemplar, ExemplarError, classify_scene
+from sceneground.graph import Exemplar, ExemplarError, classify_scene, compile_exemplar
 from sceneground.pddl import GroundAtom, parse_domain
 from sceneground.scene import Box, Scene, SceneObject
 
@@ -282,7 +273,7 @@ atoms = frozenset({
 })
 try:
     domain = parse_domain(domain_text("blocksworld"))
-    classify_scene(scene, domain, Exemplar(scene, atoms))
+    classify_scene(scene, domain, compile_exemplar(Exemplar(scene, atoms), domain))
 except ExemplarError as exc:
     print(exc)
 """
@@ -325,9 +316,9 @@ def test_classification_invariant_under_common_translation():
         ),
         exemplar.true_atoms,
     )
-    before = classify_scene(scene, BLOCKS, exemplar).atoms
-    after = classify_scene(moved_scene, BLOCKS, moved_exemplar).atoms
-    assert before == after
+    before = classify_scene(scene, BLOCKS, compile_exemplar(exemplar, BLOCKS))
+    after = classify_scene(moved_scene, BLOCKS, compile_exemplar(moved_exemplar, BLOCKS))
+    assert before.atoms == after.atoms
 
 
 def test_classification_invariant_under_exemplar_object_order():
@@ -341,8 +332,8 @@ def test_classification_invariant_under_exemplar_object_order():
         _block("o", 10, 10),
     )
     assert (
-        classify_scene(scene, BLOCKS, exemplar).atoms
-        == classify_scene(scene, BLOCKS, reordered).atoms
+        classify_scene(scene, BLOCKS, compile_exemplar(exemplar, BLOCKS)).atoms
+        == classify_scene(scene, BLOCKS, compile_exemplar(reordered, BLOCKS)).atoms
     )
 
 
@@ -362,11 +353,7 @@ def test_unary_classification_by_shape():
         SceneObject("veg1", "vegetable", Box(11, 11, 42, 17)),  # flat
         SceneObject("veg2", "vegetable", Box(11, 11, 27, 27)),  # square
     )
-    kept = classify(
-        enumerate_candidates(scene, KITCHEN)["sliced"],
-        enumerate_candidates(exemplar.scene, KITCHEN)["sliced"],
-        exemplar.true_atoms,
-    )
+    kept = _classify(scene, exemplar, KITCHEN, "sliced")
     assert [c.atom() for c in kept] == [GroundAtom("sliced", ("veg1",))]
 
 
@@ -469,12 +456,11 @@ def test_exemplar_json_round_trip():
     atoms = [GroundAtom("on", ("block1", "block2"))]
     text = exemplar_to_json(obs, atoms)
     loaded = exemplar_from_json(text, BLOCKS)
-    assert loaded.true_atoms == frozenset(atoms)
-    assert [o.name for o in loaded.scene.objects] == ["block1", "block2", "block3"]
-    kept = classify_scene(
-        Scene(100, 100, loaded.scene.objects), BLOCKS, loaded
-    )
-    assert graph_to_init(kept) == frozenset(atoms)
+    scene = merge_detections(obs, BLOCKS)
+    assert [o.name for o in scene.objects] == ["block1", "block2", "block3"]
+    assert loaded == compile_exemplar(Exemplar(scene, frozenset(atoms)), BLOCKS)
+    assert loaded.fault is None and loaded.true_atoms == frozenset(atoms)
+    assert graph_to_init(classify_scene(scene, BLOCKS, loaded)) == frozenset(atoms)
 
 
 COOKING = parse_domain(domain_text("cooking"))
@@ -530,11 +516,12 @@ def classification_cases(draw):
 def test_classify_scene_agrees_with_naive_1nn(case):
     domain, scene, exemplar = case
     expected = naive_classify_scene(scene, domain, exemplar)
+    model = compile_exemplar(exemplar, domain)
     if expected is None:
         with pytest.raises(ExemplarError, match="uninformative"):
-            classify_scene(scene, domain, exemplar)
+            classify_scene(scene, domain, model)
     else:
-        assert graph_to_init(classify_scene(scene, domain, exemplar)) == expected
+        assert graph_to_init(classify_scene(scene, domain, model)) == expected
 
 
 def kernel_cases(domain, scene, exemplar) -> tuple[bool, bool]:

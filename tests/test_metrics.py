@@ -5,11 +5,15 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import pickle
 import random
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sceneground.goals as goals
 import sceneground.metrics as metrics
@@ -382,13 +386,29 @@ def test_parallel_evaluation_matches_inline(tmp_path):
     assert inline == pooled
 
 
+def count_exemplar_loads(monkeypatch) -> list[str]:
+    """The text of each exemplar ``metrics.ground`` loads and compiles."""
+    texts = []
+    load = metrics.exemplar_from_json
+
+    def loading(text, *args):
+        texts.append(text)
+        return load(text, *args)
+
+    monkeypatch.setattr(metrics, "exemplar_from_json", loading)
+    return texts
+
+
 def test_evaluate_suite_releases_the_planner_tables(tmp_path, monkeypatch):
     # Both problems have the same objects and keep the same rules, so they
-    # share one table; it is gone when the suite returns, and when a bad
-    # truth file makes the suite raise after the first problem filled it.
+    # share one table, and the same exemplar file, so they share one
+    # compiled exemplar: two memo entries, loaded once.  Both are gone when
+    # the suite returns, and when a bad truth file makes the suite raise
+    # after the first problem filled them.
     manifest = write_suite(tmp_path, TWO_GOALS)
     domains, sizes = [], []
     load, evaluate = metrics.load_manifest, metrics.evaluate_problem
+    loads = count_exemplar_loads(monkeypatch)
 
     def loading(path):
         domain, entries = load(path)
@@ -398,16 +418,100 @@ def test_evaluate_suite_releases_the_planner_tables(tmp_path, monkeypatch):
     def evaluating(domain, *args):
         record = evaluate(domain, *args)
         sizes.append(len(domain.tables))
+        # A domain with a filled memo still pickles, for --jobs.
+        assert pickle.loads(pickle.dumps(domain)).tables == domain.tables
         return record
 
     monkeypatch.setattr(metrics, "load_manifest", loading)
     monkeypatch.setattr(metrics, "evaluate_problem", evaluating)
     assert evaluate_suite(manifest).rows[0].success == 1.0
-    assert sizes == [1, 1] and domains[0].tables == {}
+    assert sizes == [2, 2] and domains[0].tables == {}
+    assert len(loads) == 1
     (tmp_path / "truth-1.pddl").write_text("(define")
     with pytest.raises(EvalError, match="001-scene-1: ground truth"):
         evaluate_suite(manifest)
-    assert sizes == [1, 1, 1] and domains[1].tables == {}
+    assert sizes == [2, 2, 2] and domains[1].tables == {}
+    assert len(loads) == 2
+
+
+def test_each_distinct_exemplar_text_is_compiled_once_per_suite(tmp_path, monkeypatch):
+    # Three entries over two exemplar files; the second file holds the same
+    # exemplar written without indentation, so its text differs.
+    manifest = write_suite(tmp_path, TWO_GOALS + TWO_GOALS[:1])
+    exemplar = json.loads((tmp_path / "exemplar.json").read_text())
+    (tmp_path / "exemplar-b.json").write_text(json.dumps(exemplar))
+    doc = json.loads(manifest.read_text())
+    doc["problems"][2]["exemplar"] = "exemplar-b.json"
+    manifest.write_text(json.dumps(doc))
+    loads = count_exemplar_loads(monkeypatch)
+    first = evaluate_suite(manifest)
+    assert len(loads) == 2 and len(set(loads)) == 2
+    # The memo is the suite's, not the process's: a rerun loads both again.
+    assert evaluate_suite(manifest) == first
+    assert len(loads) == 4
+    assert first.rows[0].success == 1.0
+
+
+def relabel_exemplar(tmp_path, rows) -> None:
+    path = tmp_path / "exemplar.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "true_atoms": rows}))
+
+
+def test_a_shared_malformed_exemplar_fails_each_entry_alike(tmp_path):
+    manifest = write_suite(tmp_path, TWO_GOALS)
+    relabel_exemplar(tmp_path, [["on", "block1", "ghost"]])
+    report = evaluate_suite(manifest)
+    assert [r.failure for r in report.records] == [
+        "grounding: malformed exemplar atom (on block1 ghost): unknown object 'ghost'"
+    ] * 2
+
+
+def test_a_scene_error_wins_over_a_malformed_exemplar(tmp_path):
+    # The first entry's scene cannot merge, and it is the one that loads
+    # the exemplar: its record names the scene, and the second entry, which
+    # finds the exemplar compiled, still names the exemplar's fault.
+    manifest = write_suite(tmp_path, TWO_GOALS)
+    relabel_exemplar(tmp_path, [["covered", "block1"]])
+    (tmp_path / "scene-0.json").write_text(block_obs([]).to_json())
+    report = evaluate_suite(manifest)
+    assert [r.failure for r in report.records] == [
+        "grounding: empty scene: no detections at all",
+        "grounding: exemplar labels non-observed predicate 'covered'",
+    ]
+
+
+def test_a_shared_uninformative_exemplar_fails_only_entries_that_consult_it(tmp_path):
+    # No positive "on" label: the three-block scene has "on" candidates and
+    # fails; the one-block scene has none, so it grounds to an empty init.
+    manifest = write_suite(tmp_path, TWO_GOALS)
+    relabel_exemplar(tmp_path, [])
+    (tmp_path / "scene-1.json").write_text(block_obs([(12, 40)]).to_json())
+    report = evaluate_suite(manifest)
+    assert report.records[0].failure == (
+        "grounding: exemplar is uninformative for 'on': 0 positive / 6 negative candidates"
+    )
+    assert report.records[1].failure == "planner: unsolvable"
+    assert report.records[1].problem_valid
+
+
+@pytest.mark.parametrize("sigma", (0.0, 0.2, 0.6))
+@pytest.mark.parametrize("kind", ("blocksworld", "cooking", "hanoi"))
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_suite_records_equal_cold_memo_records(kind, sigma, seed):
+    # Each entry scored against a freshly parsed domain starts from an
+    # empty memo, so what a suite shares among its entries (compiled
+    # exemplars, planner tables) must change no record, inline or pooled.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = GenConfig(kind, n=4, d=3, sigma=sigma, seed=seed)
+        manifest = write_bench_suite(cfg, 3, tmp)
+        text = (Path(tmp) / "domain.pddl").read_text()
+        _, entries = load_manifest(manifest)
+        cold = tuple(
+            evaluate_problem(parse_domain(text), entry, PipelineConfig()) for entry in entries
+        )
+        assert evaluate_suite(manifest).records == cold
+        assert evaluate_suite(manifest, PipelineConfig(jobs=2)).records == cold
 
 
 def test_broken_scene_zeroes_one_problem_only(tmp_path):
