@@ -29,6 +29,9 @@ from sceneground.scene import (
     SceneObject,
     SceneObservation,
     binary_feature,
+    box_json,
+    json_items,
+    json_string,
     merge_detections,
     observation_from_json,
     unary_feature,
@@ -103,20 +106,24 @@ class SceneGraph:
     vertices: tuple[SceneObject, ...]
     atoms: frozenset[GroundAtom]
 
-    def as_dict(self) -> dict:
-        edges = sorted((a.args[0], a.predicate, a.args[-1]) for a in self.atoms)
-        return {
-            "vertices": [
-                {"name": v.name, "type": v.type, "box": v.box.as_list()}
-                for v in self.vertices
-            ],
-            "edges": [
-                {"subject": s, "predicate": p, "object": o} for s, p, o in edges
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        """The scene-graph file: each edge's subject, predicate and object,
+        sorted, and each vertex's name, type and box."""
+        edges = [
+            _EDGE_JSON % (json_string(o), json_string(p), json_string(s))
+            for s, p, o in sorted((a.args[0], a.predicate, a.args[-1]) for a in self.atoms)
+        ]
+        vertices = [
+            _VERTEX_JSON % (box_json(v.box), json_string(v.name), json_string(v.type))
+            for v in self.vertices
+        ]
+        return (
+            f'{{\n  "edges": {json_items(edges)},\n  "vertices": {json_items(vertices)}\n}}\n'
+        )
+
+
+_EDGE_JSON = '    {\n      "object": %s,\n      "predicate": %s,\n      "subject": %s\n    }'
+_VERTEX_JSON = '    {\n%s,\n      "name": %s,\n      "type": %s\n    }'
 
 
 def enumerate_candidates(
@@ -271,10 +278,12 @@ def classify_scene(scene: Scene, domain: Domain, exemplar: ExemplarModel) -> Sce
 
 
 def exemplar_to_json(exemplar_obs: SceneObservation, true_atoms) -> str:
-    """Exemplar file: the scene observation JSON plus its true atoms."""
-    doc = exemplar_obs.as_dict()
-    doc["true_atoms"] = sorted([a.predicate, *a.args] for a in true_atoms)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Exemplar file: the scene observation JSON plus its true atoms.
+    ``true_atoms`` sorts after every observation key, so the text is the
+    observation's less its closing ``\\n}\\n``, then the atoms."""
+    rows = sorted([a.predicate, *a.args] for a in true_atoms)
+    atoms = ["    [\n      " + ",\n      ".join(map(json_string, r)) + "\n    ]" for r in rows]
+    return f'{exemplar_obs.to_json()[:-3]},\n  "true_atoms": {json_items(atoms)}\n}}\n'
 
 
 def exemplar_from_json(
@@ -286,7 +295,7 @@ def exemplar_from_json(
     model's fault."""
     try:
         raw = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
         raise SceneError(f"bad exemplar JSON: {exc}") from None
     if not isinstance(raw, dict) or "true_atoms" not in raw:
         raise SceneError("exemplar JSON must be an object with true_atoms")

@@ -6,19 +6,23 @@ so arbitrarily deep input cannot overflow the interpreter stack: any text
 either parses or raises :class:`PddlError`.
 
 Domains and problems share one reader of the ``(define (WHAT NAME) ...)``
-form.  Tokens are the only carriers of a source position: each nested form
-keeps its ``(`` token, and ``_fail`` raises at a token, at a form's first
-token, or at an empty form's ``(``.  Only errors about the whole input
-carry no position: not exactly one top form, a missing name form, a type
-cycle or duplicate type, an undeclared derived predicate, unstratified
-rules, and a missing ``:domain`` or ``:goal`` or a domain name mismatch.
+form.  Each nested form keeps its ``(`` token, and ``_fail`` raises at a
+token, at a form's first token, or at an empty form's ``(``.  A parse first
+runs over plain string tokens, one ``findall`` over the whole text, which
+carry no position.  Only when it raises does the same parser body run
+again, over tokens that carry their line and column (``_Pos``, a ``str``),
+and that run raises the error with its position.  Only errors about the
+whole input carry no position: not exactly one top form, a missing name
+form, a type cycle or duplicate type, an undeclared derived predicate,
+unstratified rules, and a missing ``:domain`` or ``:goal`` or a domain name
+mismatch.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from sceneground.pddl.model import (
     EQUALITY,
@@ -56,13 +60,51 @@ class PddlError(ValueError):
 # Tokenizing and nesting
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[()]|[^\s();]+")
+# A token is a parenthesis or a run of other non-whitespace characters; a
+# ``;`` match is a comment, which runs to the next newline.
+_TOKEN_RE = re.compile(r"[()]|[^\s();]+|;[^\n]*")
 
 
-class _Tok(NamedTuple):
-    text: str
-    line: int
-    col: int
+def _tokens(text: str) -> list[str]:
+    """The tokens of lowercased text, as plain strings: one pass, comments
+    dropped."""
+    toks = _TOKEN_RE.findall(text)
+    if ";" in text:
+        toks = [tok for tok in toks if tok[0] != ";"]
+    return toks
+
+
+class _Pos(str):
+    """A token that also carries its 1-based ``line`` and ``col``."""
+
+    def __new__(cls, text: str, line: int, col: int):
+        tok = super().__new__(cls, text)
+        tok.line, tok.col = line, col
+        return tok
+
+
+def _positioned(lines, first: int = 1) -> list[str]:
+    """The tokens of each line, numbered from ``first``, a ``;`` comment cut
+    off first, each a ``_Pos``.  No token spans a newline, and ``;`` cannot
+    occur inside one, so the first ``;`` of a line starts its comment."""
+    toks: list[str] = []
+    for line, chars in enumerate(lines, first):
+        if ";" in chars:
+            chars = chars[: chars.index(";")]
+        toks.extend(_Pos(m.group(), line, m.start() + 1) for m in _TOKEN_RE.finditer(chars))
+    return toks
+
+
+def _parse(body, text: str, *args, first: int = 1):
+    """``body`` over the plain tokens of lowercased ``text``.  If that
+    raises ``PddlError``, ``body`` runs again over the same tokens as
+    ``_Pos``, its lines split at ``\\n`` and numbered from ``first``, and
+    raises the same error with its position."""
+    try:
+        return body(_tokens(text), *args)
+    except PddlError:
+        pass
+    return body(_positioned(text.split("\n"), first), *args)
 
 
 class _Form(list):
@@ -72,51 +114,43 @@ class _Form(list):
     __slots__ = ("open",)
 
 
-_Node = _Tok | _Form
+_Node = str | _Form
 
 
-def _tokenize(lines, first: int = 1) -> list[_Tok]:
-    """The tokens of each line, numbered from ``first``, a ``;`` comment cut
-    off first.  No token spans a newline, and ``;`` cannot occur inside one,
-    so the first ``;`` of a line starts its comment."""
-    toks: list[_Tok] = []
-    for line, chars in enumerate(lines, first):
-        if ";" in chars:
-            chars = chars[: chars.index(";")]
-        toks.extend(_Tok(m.group(), line, m.start() + 1) for m in _TOKEN_RE.finditer(chars))
-    return toks
-
-
-def _nest(toks: list[_Tok]) -> list[_Node]:
+def _nest(toks: list[str]) -> list[_Node]:
     """Group tokens into nested forms with an explicit stack."""
     stack: list[list[_Node]] = [[]]
+    top = stack[0]
     for tok in toks:
-        if tok.text == "(":
+        if tok == "(":
             form = _Form()
             form.open = tok
-            stack[-1].append(form)
+            top.append(form)
             stack.append(form)
-        elif tok.text == ")":
+            top = form
+        elif tok == ")":
             if len(stack) == 1:
                 _fail("unbalanced ')'", tok)
             stack.pop()
+            top = stack[-1]
         else:
-            stack[-1].append(tok)
+            top.append(tok)
     if len(stack) != 1:
-        _fail("unbalanced '('", stack[-1].open)
+        _fail("unbalanced '('", top.open)
     return stack[0]
 
 
 def _fail(message: str, node: _Node) -> NoReturn:
     """Raise at ``node``: a token, a form's first token, an empty form's
-    ``(``."""
+    ``(``.  A plain token has no position, so the error has none either;
+    ``_parse`` then finds it."""
     while isinstance(node, list):
         node = node[0] if node else node.open
-    raise PddlError(message, node.line, node.col) from None
+    raise PddlError(message, getattr(node, "line", 0), getattr(node, "col", 0)) from None
 
 
-def _expect_tok(node: _Node, what: str) -> _Tok:
-    if not isinstance(node, _Tok):
+def _expect_tok(node: _Node, what: str) -> str:
+    if not isinstance(node, str):
         _fail(f"expected {what}, got a list", node)
     return node
 
@@ -133,21 +167,21 @@ _SECTION_KEYS = {
 }
 
 
-def _prepare(text: str, what: str) -> tuple[str, Iterator[tuple[str, _Form]]]:
+def _prepare(toks: list[str], what: str) -> tuple[str, Iterator[tuple[str, _Form]]]:
     """NAME and the sections of the one ``(define (WHAT NAME) ...)`` form,
     each section checked when the caller reaches it."""
-    forms = _nest(_tokenize(text.lower().split("\n")))
+    forms = _nest(toks)
     if len(forms) != 1:
         raise PddlError(f"expected exactly one (define ...) form in {what}")
     form = _expect_list(forms[0], "(define ...)")
-    if not form or _expect_tok(form[0], "define").text != "define":
+    if not form or _expect_tok(form[0], "define") != "define":
         _fail("expected (define ...)", form)
     if len(form) == 1:
         raise PddlError(f"missing ({what} NAME)")
     head = _expect_list(form[1], f"({what} NAME)")
-    if len(head) != 2 or _expect_tok(head[0], what).text != what:
+    if len(head) != 2 or _expect_tok(head[0], what) != what:
         _fail(f"expected ({what} NAME)", head)
-    return _name_tok(head[1], f"{what} name").text, _sections(form[2:], what)
+    return _name_tok(head[1], f"{what} name"), _sections(form[2:], what)
 
 
 def _sections(forms: list[_Node], what: str) -> Iterator[tuple[str, _Form]]:
@@ -157,7 +191,7 @@ def _sections(forms: list[_Node], what: str) -> Iterator[tuple[str, _Form]]:
     for form in forms:
         lst = _expect_list(form, f"a {what} section")
         if lst:
-            key = _expect_tok(lst[0], "a section keyword").text
+            key = _expect_tok(lst[0], "a section keyword")
             if key not in _SECTION_KEYS[what]:
                 _fail(f"unsupported section {key!r}", lst)
             if key in seen:
@@ -167,33 +201,33 @@ def _sections(forms: list[_Node], what: str) -> Iterator[tuple[str, _Form]]:
             yield key, lst
 
 
-def _name_tok(node: _Node, what: str) -> _Tok:
+def _name_tok(node: _Node, what: str) -> str:
     tok = _expect_tok(node, what)
-    if not valid_name(tok.text):
-        _fail(f"bad {what} {tok.text!r}", tok)
+    if not valid_name(tok):
+        _fail(f"bad {what} {tok!r}", tok)
     return tok
 
 
-def _typed_list(nodes: list[_Node], what: str, variables: bool) -> list[tuple[_Tok, str]]:
+def _typed_list(nodes: list[_Node], what: str, variables: bool) -> list[tuple[str, str]]:
     """Parse ``a b - t c - s d`` into (name token, type), ``object`` by
     default."""
-    out: list[tuple[_Tok, str]] = []
-    pending: list[_Tok] = []
+    out: list[tuple[str, str]] = []
+    pending: list[str] = []
     rest = iter(nodes)
     for node in rest:
         tok = _expect_tok(node, what)
-        if tok.text == "-":
+        if tok == "-":
             if not pending:
                 _fail("dangling '-' in typed list", tok)
             after = next(rest, None)
             if after is None:
                 _fail("missing type after '-'", tok)
-            typ = _name_tok(after, "type name").text
+            typ = _name_tok(after, "type name")
             out += [(p, typ) for p in pending]
             pending = []
         elif variables:
-            if not tok.text.startswith("?") or not valid_name(tok.text[1:]):
-                _fail(f"expected a ?variable, got {tok.text!r}", tok)
+            if not tok.startswith("?") or not valid_name(tok[1:]):
+                _fail(f"expected a ?variable, got {tok!r}", tok)
             pending.append(tok)
         else:
             pending.append(_name_tok(tok, what))
@@ -208,19 +242,19 @@ def _typed_list(nodes: list[_Node], what: str, variables: bool) -> list[tuple[_T
 def _flatten_and(node: _Node) -> list[_Node]:
     """Return conjuncts of ``(and ...)``, or the single formula itself."""
     lst = _expect_list(node, "a formula")
-    if lst and isinstance(lst[0], _Tok) and lst[0].text == "and":
+    if lst and lst[0] == "and":
         return lst[1:]
     return [lst]
 
 
-def _parse_literal(node: _Node) -> tuple[_Tok, list[_Tok], bool]:
+def _parse_literal(node: _Node) -> tuple[str, list[str], bool]:
     """Parse ``(p a b)`` or ``(not (p a b))`` into (predicate token, args,
     negated)."""
     lst = _expect_list(node, "a literal")
     if not lst:
         _fail("empty formula", lst)
     head = _expect_tok(lst[0], "predicate name")
-    negated = head.text == "not"
+    negated = head == "not"
     if negated:
         if len(lst) != 2:
             _fail("(not ...) takes one formula", head)
@@ -228,8 +262,8 @@ def _parse_literal(node: _Node) -> tuple[_Tok, list[_Tok], bool]:
         if not lst:
             _fail("empty negated formula", head)
         head = _expect_tok(lst[0], "predicate name")
-    if head.text != EQUALITY and not valid_name(head.text):
-        _fail(f"bad predicate name {head.text!r}", head)
+    if head != EQUALITY and not valid_name(head):
+        _fail(f"bad predicate name {head!r}", head)
     return head, [_expect_tok(a, "an argument") for a in lst[1:]], negated
 
 
@@ -245,10 +279,14 @@ def parse_domain(text: str) -> Domain:
     names, cyclic types, effects on derived predicates, unstratified
     (cyclic) rules, observed predicates of arity other than 1 or 2.
     """
-    dom_name, sections = _prepare(text, "domain")
+    return _parse(_domain, text.lower())
 
-    type_decls: list[tuple[_Tok, str]] = []
-    pred_decls: list[tuple[_Tok, list[tuple[_Tok, str]]]] = []
+
+def _domain(toks: list[str]) -> Domain:
+    dom_name, sections = _prepare(toks, "domain")
+
+    type_decls: list[tuple[str, str]] = []
+    pred_decls: list[tuple[str, list[tuple[str, str]]]] = []
     action_nodes: list[_Form] = []
     derived_nodes: list[_Form] = []
 
@@ -262,11 +300,11 @@ def parse_domain(text: str) -> Domain:
                 if not plist:
                     _fail("empty predicate declaration", plist)
                 name = _expect_tok(plist[0], "predicate name")
-                if name.text == EQUALITY:
+                if name == EQUALITY:
                     _fail("'=' is builtin and cannot be declared", name)
-                if name.text in ("and", "not"):
+                if name in ("and", "not"):
                     # A formula would read an atom of it as the connective.
-                    _fail(f"{name.text!r} is a connective and cannot be declared", name)
+                    _fail(f"{name!r} is a connective and cannot be declared", name)
                 name = _name_tok(name, "predicate name")
                 pred_decls.append((name, _typed_list(plist[1:], "parameter", variables=True)))
         elif key == ":action":
@@ -277,9 +315,9 @@ def parse_domain(text: str) -> Domain:
     # Types: parents referenced but not declared become children of the root.
     parents: list[tuple[str, str]] = []
     for tok, parent in type_decls:
-        if tok.text == ROOT_TYPE:
+        if tok == ROOT_TYPE:
             _fail("cannot redeclare type 'object'", tok)
-        parents.append((tok.text, parent))
+        parents.append((tok, parent))
     declared = {name for name, _ in parents}
     for _, parent in type_decls:
         if parent != ROOT_TYPE and parent not in declared:
@@ -292,7 +330,7 @@ def parse_domain(text: str) -> Domain:
 
     # Predicate kinds: heads of :derived rules are derived, the rest observed.
     # Each rule keeps its head name token, head parameter nodes and body.
-    rule_forms: list[tuple[_Tok, list[_Node], _Node]] = []
+    rule_forms: list[tuple[str, list[_Node], _Node]] = []
     for lst in derived_nodes:
         if len(lst) != 3:
             _fail("(:derived HEAD BODY) takes two forms", lst)
@@ -300,19 +338,19 @@ def parse_domain(text: str) -> Domain:
         if not hd:
             _fail("empty rule head", hd)
         rule_forms.append((_name_tok(hd[0], "predicate name"), hd[1:], lst[2]))
-    derived_names = {head_name.text for head_name, _, _ in rule_forms}
+    derived_names = {head_name for head_name, _, _ in rule_forms}
 
     sigs: dict[str, PredicateSignature] = {}
     for name, params in pred_decls:
-        if name.text in sigs:
-            _fail(f"duplicate predicate {name.text!r}", name)
+        if name in sigs:
+            _fail(f"duplicate predicate {name!r}", name)
         for var, typ in params:
             if not hierarchy.contains(typ):
                 _fail(f"unknown type {typ!r}", var)
-        kind = "derived" if name.text in derived_names else "observed"
+        kind = "derived" if name in derived_names else "observed"
         try:
-            sigs[name.text] = PredicateSignature(
-                name.text, tuple((v.text, t) for v, t in params), kind
+            sigs[name] = PredicateSignature(
+                name, tuple(params), kind
             )
         except ModelError as exc:
             _fail(str(exc), name)
@@ -323,36 +361,35 @@ def parse_domain(text: str) -> Domain:
         )
 
     def check_atom_types(
-        head: _Tok, args: list[_Tok], var_types: dict[str, str], where: str
+        head: str, args: list[str], var_types: dict[str, str], where: str
     ) -> Atom:
-        pred = head.text
-        if pred == EQUALITY:
+        if head == EQUALITY:
             if len(args) != 2:
                 _fail("'=' takes two arguments", head)
             for a in args:
-                if not a.text.startswith("?"):
-                    _fail(f"'=' arguments must be variables, got {a.text!r}", a)
-                if a.text not in var_types:
-                    _fail(f"variable {a.text!r} is not declared", a)
-            return Atom(EQUALITY, tuple(a.text for a in args))
-        sig = sigs.get(pred)
+                if not a.startswith("?"):
+                    _fail(f"'=' arguments must be variables, got {a!r}", a)
+                if a not in var_types:
+                    _fail(f"variable {a!r} is not declared", a)
+            return Atom(EQUALITY, tuple(args))
+        sig = sigs.get(head)
         if sig is None:
-            _fail(f"unknown predicate {pred!r} in {where}", head)
+            _fail(f"unknown predicate {head!r} in {where}", head)
         if len(args) != sig.arity:
-            _fail(f"{pred!r} takes {sig.arity} args, got {len(args)}", head)
+            _fail(f"{head!r} takes {sig.arity} args, got {len(args)}", head)
         for a, (_, want) in zip(args, sig.params):
-            if not a.text.startswith("?"):
-                _fail(f"constants are not supported; got {a.text!r}", a)
-            have = var_types.get(a.text)
+            if not a.startswith("?"):
+                _fail(f"constants are not supported; got {a!r}", a)
+            have = var_types.get(a)
             # A free rule variable has no type; matching facts bind it.
             if have is not None and not hierarchy.is_subtype(have, want):
-                _fail(f"{a.text} has type {have!r}, {pred!r} requires {want!r}", a)
-        return Atom(pred, tuple(a.text for a in args))
+                _fail(f"{a} has type {have!r}, {head!r} requires {want!r}", a)
+        return Atom(head, tuple(args))
 
-    def check_parameters(args: list[_Tok], var_types: dict[str, str]) -> None:
+    def check_parameters(args: list[str], var_types: dict[str, str]) -> None:
         for a in args:
-            if a.text not in var_types:
-                _fail(f"variable {a.text!r} is not a parameter", a)
+            if a not in var_types:
+                _fail(f"variable {a!r} is not a parameter", a)
 
     # Actions.
     actions: list[ActionSchema] = []
@@ -361,32 +398,32 @@ def parse_domain(text: str) -> Domain:
         if len(lst) < 2:
             _fail("(:action ...) missing a name", lst)
         name = _name_tok(lst[1], "action name")
-        if name.text in action_names:
-            _fail(f"duplicate action {name.text!r}", name)
-        action_names.add(name.text)
+        if name in action_names:
+            _fail(f"duplicate action {name!r}", name)
+        action_names.add(name)
         parts: dict[str, _Node] = {}
         for i in range(2, len(lst), 2):
             key = _expect_tok(lst[i], "an action keyword")
-            if key.text not in (":parameters", ":precondition", ":effect"):
-                _fail(f"unexpected {key.text!r} in action", key)
+            if key not in (":parameters", ":precondition", ":effect"):
+                _fail(f"unexpected {key!r} in action", key)
             if i + 1 == len(lst):
-                _fail(f"{key.text} missing its form", key)
-            if key.text in parts:
-                _fail(f"duplicate {key.text} in action", key)
-            parts[key.text] = lst[i + 1]
+                _fail(f"{key} missing its form", key)
+            if key in parts:
+                _fail(f"duplicate {key} in action", key)
+            parts[key] = lst[i + 1]
         if ":parameters" not in parts or ":effect" not in parts:
-            _fail(f"action {name.text!r} needs :parameters and :effect", name)
+            _fail(f"action {name!r} needs :parameters and :effect", name)
         var_types: dict[str, str] = {}
         for var, typ in _typed_list(
             _expect_list(parts[":parameters"], "a parameter list"),
             "parameter",
             variables=True,
         ):
-            if var.text in var_types:
-                _fail(f"duplicate parameter {var.text!r}", var)
+            if var in var_types:
+                _fail(f"duplicate parameter {var!r}", var)
             if not hierarchy.contains(typ):
                 _fail(f"unknown type {typ!r}", var)
-            var_types[var.text] = typ
+            var_types[var] = typ
 
         pre: list[Literal] = []
         if ":precondition" in parts:
@@ -399,16 +436,16 @@ def parse_domain(text: str) -> Domain:
         delete: list[Atom] = []
         for c in _flatten_and(parts[":effect"]):
             head, args, negated = _parse_literal(c)
-            if head.text == EQUALITY:
+            if head == EQUALITY:
                 _fail("'=' cannot appear in effects", head)
             atom = check_atom_types(head, args, var_types, "effect")
-            if sigs[head.text].kind == "derived":
-                _fail(f"effect on derived predicate {head.text!r}", head)
+            if sigs[head].kind == "derived":
+                _fail(f"effect on derived predicate {head!r}", head)
             check_parameters(args, var_types)
             (delete if negated else add).append(atom)
         actions.append(
             ActionSchema(
-                name.text,
+                name,
                 tuple(var_types.items()),
                 tuple(pre),
                 tuple(add),
@@ -419,37 +456,37 @@ def parse_domain(text: str) -> Domain:
     # Derived rules.
     rules: list[DerivedRule] = []
     for head_name, head_nodes, body_node in rule_forms:
-        sig = sigs[head_name.text]
+        sig = sigs[head_name]
         head_params = _typed_list(head_nodes, "parameter", variables=True)
         if len(head_params) != sig.arity:
             _fail(
-                f"rule head for {head_name.text!r} has {len(head_params)} "
+                f"rule head for {head_name!r} has {len(head_params)} "
                 f"args, signature says {sig.arity}",
                 head_name,
             )
         var_types = {}
         for (var, typ), (_, declared_t) in zip(head_params, sig.params):
-            if var.text in var_types:
-                _fail(f"duplicate head variable {var.text!r}", var)
+            if var in var_types:
+                _fail(f"duplicate head variable {var!r}", var)
             # An untyped head variable takes the signature's type; a rule
             # head may not narrow or change it.
             if typ not in (ROOT_TYPE, declared_t):
                 _fail(
-                    f"head variable {var.text} has type {typ!r}, "
-                    f"{head_name.text!r} declares {declared_t!r}",
+                    f"head variable {var} has type {typ!r}, "
+                    f"{head_name!r} declares {declared_t!r}",
                     var,
                 )
-            var_types[var.text] = declared_t
+            var_types[var] = declared_t
         body: list[Atom] = []
         for c in _flatten_and(body_node):
             head, args, negated = _parse_literal(c)
             if negated:
                 _fail("negation is not allowed in rule bodies", head)
-            if head.text == EQUALITY:
+            if head == EQUALITY:
                 _fail("'=' is not allowed in rule bodies", head)
             body.append(check_atom_types(head, args, var_types, "rule body"))
         try:
-            rules.append(DerivedRule(Atom(head_name.text, tuple(var_types)), tuple(body)))
+            rules.append(DerivedRule(Atom(head_name, tuple(var_types)), tuple(body)))
         except ModelError as exc:
             _fail(str(exc), head_name)
 
@@ -471,40 +508,44 @@ def parse_problem(text: str, domain: Domain) -> Problem:
     may also reference derived predicates.  Each section appears at most
     once.  Raises :class:`PddlError` otherwise.
     """
-    prob_name, sections = _prepare(text, "problem")
+    return _parse(_problem, text.lower(), domain)
+
+
+def _problem(toks: list[str], domain: Domain) -> Problem:
+    prob_name, sections = _prepare(toks, "problem")
 
     domain_name: str | None = None
     object_types: dict[str, str] = {}
     init: set[GroundAtom] = set()
     goal: list[GroundLiteral] | None = None
 
-    def check_ground_atom(head: _Tok, args: list[_Tok], in_goal: bool) -> GroundAtom:
-        if head.text == EQUALITY:
+    def check_ground_atom(head: str, args: list[str], in_goal: bool) -> GroundAtom:
+        if head == EQUALITY:
             _fail("'=' cannot appear in problems", head)
-        atom = GroundAtom(head.text, tuple(a.text for a in args))
+        atom = GroundAtom(head, tuple(args))
         for position, message in atom_faults(atom, domain, object_types):
             if position < 0:
                 _fail(message, head)
             tok = args[position]
-            if tok.text.startswith("?"):  # never an object name, so always a fault
-                message = f"variables are not allowed here: {tok.text!r}"
+            if tok.startswith("?"):  # never an object name, so always a fault
+                message = f"variables are not allowed here: {tok!r}"
             _fail(message, tok)
-        if not in_goal and domain.predicate(head.text).kind == "derived":
-            _fail(f"derived predicate {head.text!r} cannot appear in :init", head)
+        if not in_goal and domain.predicate(head).kind == "derived":
+            _fail(f"derived predicate {head!r} cannot appear in :init", head)
         return atom
 
     for key, lst in sections:
         if key == ":domain":
             if len(lst) != 2:
                 _fail("(:domain NAME) takes one name", lst)
-            domain_name = _name_tok(lst[1], "domain name").text
+            domain_name = _name_tok(lst[1], "domain name")
         elif key == ":objects":
             for name, typ in _typed_list(lst[1:], "object name", variables=False):
-                if name.text in object_types:
-                    _fail(f"duplicate object {name.text!r}", name)
+                if name in object_types:
+                    _fail(f"duplicate object {name!r}", name)
                 if not domain.hierarchy.contains(typ):
                     _fail(f"unknown type {typ!r}", name)
-                object_types[name.text] = typ
+                object_types[name] = typ
         elif key == ":init":
             for c in lst[1:]:
                 head, args, negated = _parse_literal(c)
@@ -543,18 +584,24 @@ def parse_plan(text: str) -> Plan:
     The plan is purely syntactic: the validator reports unknown actions
     and arity mismatches as verdicts.
     """
-    steps: list[PlanStep] = []
+    steps = []
+    # A line from splitlines holds no "\n", so _parse reads it as one line.
     for line, raw in enumerate(text.lower().splitlines(), start=1):
-        toks = _tokenize((raw,), line)
-        if not toks:
-            continue
-        forms = _nest(toks)
-        if len(forms) != 1 or not isinstance(forms[0], list):
-            _fail("expected one (action args...) form", toks[0])
-        lst = forms[0]
-        if not lst:
-            _fail("empty plan step", lst)
-        name = _name_tok(lst[0], "action name").text
-        args = tuple(_name_tok(a, "argument").text for a in lst[1:])
-        steps.append(PlanStep(name, args))
+        step = _parse(_step, raw, first=line)
+        if step is not None:
+            steps.append(step)
     return Plan(tuple(steps))
+
+
+def _step(toks: list[str]) -> PlanStep | None:
+    """The step on one plan line, or None for a blank or comment line."""
+    if not toks:
+        return None
+    forms = _nest(toks)
+    if len(forms) != 1 or not isinstance(forms[0], list):
+        _fail("expected one (action args...) form", toks[0])
+    lst = forms[0]
+    if not lst:
+        _fail("empty plan step", lst)
+    name = _name_tok(lst[0], "action name")
+    return PlanStep(name, tuple(_name_tok(a, "argument") for a in lst[1:]))

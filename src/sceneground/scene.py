@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as json_string
 
 from sceneground.pddl.model import ROOT_TYPE, Domain, valid_name
 
@@ -19,6 +20,37 @@ MATCH_THRESHOLD = 0.5
 
 class SceneError(ValueError):
     """Raised for malformed boxes, names, or detection streams."""
+
+
+# The scene, exemplar and scene-graph files have fixed shapes, so they are
+# written straight from templates: the same bytes as ``json.dumps(doc,
+# indent=2, sort_keys=True) + "\n"`` of their dicts, whose indenting
+# encoder runs in pure Python.  Strings go through ``json_string``, json's
+# own ASCII escaper.  Each list sits at the second level of its document,
+# its items indented by four.
+
+
+def json_number(x: float) -> str:
+    """``x`` as ``json.dumps`` spells it."""
+    if not isinstance(x, float):
+        return int.__repr__(x)
+    if x in (math.inf, -math.inf):  # a Box, canvas or score is never NaN
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def json_items(items: list[str]) -> str:
+    """A second-level list of ``items``, each already written and indented."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+_BOX_JSON = '      "box": [\n        %s,\n        %s,\n        %s,\n        %s\n      ]'
+
+
+def box_json(box: "Box") -> str:
+    """The ``"box"`` entry of a third-level object."""
+    corners = (box.x_min, box.y_min, box.x_max, box.y_max)
+    return _BOX_JSON % tuple(map(json_number, corners))
 
 
 @dataclass(frozen=True)
@@ -48,9 +80,6 @@ class Box:
 
     def shifted(self, dx: float, dy: float) -> "Box":
         return Box(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
-
-    def as_list(self) -> list[float]:
-        return [self.x_min, self.y_min, self.x_max, self.y_max]
 
 
 def iou(a: Box, b: Box) -> float:
@@ -101,41 +130,56 @@ class SceneObservation:
             if b.x_min < 0 or b.y_min < 0 or b.x_max > self.image_width or b.y_max > self.image_height:
                 raise SceneError(f"box {b} outside {self.image_width}x{self.image_height} canvas")
 
-    def as_dict(self) -> dict:
-        return {
-            "image_width": self.image_width,
-            "image_height": self.image_height,
-            "class_detections": [_det_dict(d) for d in self.class_detections],
-            "phrase_detections": [_det_dict(d) for d in self.phrase_detections],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        """The scene file: the canvas size and both detection lists, each
+        detection with its box, query and score and its suggested type and
+        referent name unless None."""
+        classes = json_items([_det_json(d) for d in self.class_detections])
+        phrases = json_items([_det_json(d) for d in self.phrase_detections])
+        return (
+            f'{{\n  "class_detections": {classes},'
+            f'\n  "image_height": {json_number(self.image_height)},'
+            f'\n  "image_width": {json_number(self.image_width)},'
+            f'\n  "phrase_detections": {phrases}\n}}\n'
+        )
 
 
-def _det_dict(det: Detection) -> dict:
-    out = {"query": det.query, "box": det.box.as_list(), "score": det.score}
-    if det.suggested_type is not None:
-        out["suggested_type"] = det.suggested_type
+def _det_json(det: Detection) -> str:
+    text = "    {\n" + box_json(det.box) + ',\n      "query": ' + json_string(det.query)
     if det.referent_name is not None:
-        out["referent_name"] = det.referent_name
-    return out
+        text += ',\n      "referent_name": ' + json_string(det.referent_name)
+    text += ',\n      "score": ' + json_number(det.score)
+    if det.suggested_type is not None:
+        text += ',\n      "suggested_type": ' + json_string(det.suggested_type)
+    return text + "\n    }"
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a string or a boolean is not one."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:  # a bool's type is bool, not int
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _det_from_dict(raw: dict) -> Detection:
     try:
-        box = Box(*(float(v) for v in raw["box"]))
+        box = Box(*(_number(v, "a box coordinate") for v in raw["box"]))
         names = {key: raw.get(key) for key in ("suggested_type", "referent_name")}
         for key, value in names.items():
             if value is not None and not isinstance(value, str):
                 raise TypeError(f"{key} must be a string or null, got {value!r}")
+        query = raw["query"]
+        if not isinstance(query, str):
+            raise TypeError(f"query must be a string, got {query!r}")
         return Detection(
-            query=str(raw["query"]),
+            query=query,
             box=box,
-            score=float(raw.get("score", 1.0)),
+            score=_number(raw.get("score", 1.0), "score"),
             **names,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SceneError):
             raise
         raise SceneError(f"bad detection entry {raw!r}: {exc}") from None
@@ -145,7 +189,7 @@ def observation_from_json(text: str | bytes | dict) -> SceneObservation:
     if not isinstance(text, dict):
         try:
             raw = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
             raise SceneError(f"bad scene JSON: {exc}") from None
     else:
         raw = text
@@ -153,8 +197,8 @@ def observation_from_json(text: str | bytes | dict) -> SceneObservation:
         raise SceneError("scene JSON must be an object")
     try:
         return SceneObservation(
-            image_width=float(raw["image_width"]),
-            image_height=float(raw["image_height"]),
+            image_width=_number(raw["image_width"], "image_width"),
+            image_height=_number(raw["image_height"], "image_height"),
             class_detections=tuple(
                 _det_from_dict(d) for d in raw.get("class_detections", [])
             ),
@@ -162,7 +206,7 @@ def observation_from_json(text: str | bytes | dict) -> SceneObservation:
                 _det_from_dict(d) for d in raw.get("phrase_detections", [])
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SceneError):
             raise
         raise SceneError(f"bad scene JSON: {exc}") from None

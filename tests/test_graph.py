@@ -2,10 +2,12 @@
 
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -371,7 +373,7 @@ def test_build_graph_and_init_round_trip():
     graph = SceneGraph(scene.objects, chosen)
     assert graph_to_init(graph) == chosen
     # A unary atom is a self-edge; the edges come sorted.
-    assert graph.as_dict()["edges"] == [
+    assert json.loads(graph.to_json())["edges"] == [
         {"subject": "grip1", "predicate": "carry", "object": "veg1"},
         {"subject": "veg1", "predicate": "sliced", "object": "veg1"},
     ]
@@ -380,7 +382,7 @@ def test_build_graph_and_init_round_trip():
 def test_empty_graph():
     graph = SceneGraph((_block("a", 0, 0),), frozenset())
     assert graph_to_init(graph) == frozenset()
-    assert graph.as_dict()["edges"] == []
+    assert json.loads(graph.to_json())["edges"] == []
     assert len(graph.vertices) == 1
 
 
@@ -388,7 +390,7 @@ def test_graph_json_shape():
     graph = SceneGraph(
         (_block("a", 0, 0),), frozenset({GroundAtom("on", ("a",))})
     )
-    doc = graph.as_dict()
+    doc = json.loads(graph.to_json())
     assert doc["vertices"] == [
         {"name": "a", "type": "block", "box": [0.0, 0.0, 10.0, 10.0]}
     ]
@@ -597,3 +599,176 @@ def test_squares_are_correctly_rounded_products():
     for a, square in cases:
         zero = (0.0,) * len(a)
         assert _DISTANCE2[len(a)](a, zero) == naive_distance2(a, zero) == square
+
+
+# ---------------------------------------------------------------------------
+# The template writers against json.dumps
+# ---------------------------------------------------------------------------
+
+# Quotes, backslashes, control characters, non-ASCII characters, one
+# outside the Basic Multilingual Plane and a lone surrogate all need escaping.
+writer_names = st.text(
+    alphabet=st.sampled_from('a_"\\\x00\x1f\x7f\n\t \xe9\u2028\U0001f600\ud800'), max_size=6
+)
+writer_numbers = (
+    st.integers(-(10**20), 10**20)
+    | st.floats(allow_nan=False)
+    | st.sampled_from([0.0, -0.0, 0.1, 1e16, 1e-7, math.inf, -math.inf])
+)
+
+
+@st.composite
+def writer_boxes(draw, numbers=writer_numbers):
+    # Two distinct values per axis, so the box is never degenerate.
+    pairs = st.lists(numbers, min_size=2, max_size=2, unique=True).map(sorted)
+    (x0, x1), (y0, y1) = draw(pairs), draw(pairs)
+    return Box(x0, y0, x1, y1)
+
+
+writer_atoms = st.frozensets(
+    st.builds(
+        GroundAtom, writer_names, st.lists(writer_names, min_size=1, max_size=2).map(tuple)
+    ),
+    max_size=3,
+)
+writer_graphs = st.builds(
+    SceneGraph,
+    st.lists(st.builds(SceneObject, writer_names, writer_names, writer_boxes()), max_size=3)
+    .map(tuple),
+    writer_atoms,
+)
+
+# Observations are checked against their canvas, so their numbers are
+# finite, non-negative and at most 1000, and the canvas is 1000 square.
+canvas_numbers = (
+    st.integers(0, 1000) | st.floats(0, 1000) | st.sampled_from([0.0, 0.1, 999.9])
+)
+writer_detections = st.builds(
+    Detection,
+    writer_names,
+    writer_boxes(canvas_numbers),
+    st.sampled_from([0, 1, 0.0, 1.0]) | st.floats(0, 1),
+    st.none() | writer_names,
+    st.none() | writer_names,
+)
+writer_observations = st.builds(
+    SceneObservation,
+    st.sampled_from([1000, 1000.0]),
+    st.sampled_from([1000, 1000.0]),
+    st.lists(writer_detections, max_size=3).map(tuple),
+    st.lists(writer_detections, max_size=3).map(tuple),
+)
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def graph_doc(graph: SceneGraph) -> dict:
+    edges = sorted((a.args[0], a.predicate, a.args[-1]) for a in graph.atoms)
+    return {
+        "vertices": [
+            {"name": v.name, "type": v.type, "box": list(astuple(v.box))}
+            for v in graph.vertices
+        ],
+        "edges": [{"subject": s, "predicate": p, "object": o} for s, p, o in edges],
+    }
+
+
+def detection_doc(det: Detection) -> dict:
+    doc = {"query": det.query, "box": list(astuple(det.box)), "score": det.score}
+    if det.suggested_type is not None:
+        doc["suggested_type"] = det.suggested_type
+    if det.referent_name is not None:
+        doc["referent_name"] = det.referent_name
+    return doc
+
+
+def observation_doc(obs: SceneObservation) -> dict:
+    return {
+        "image_width": obs.image_width,
+        "image_height": obs.image_height,
+        "class_detections": [detection_doc(d) for d in obs.class_detections],
+        "phrase_detections": [detection_doc(d) for d in obs.phrase_detections],
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(writer_graphs, writer_observations, writer_atoms)
+def test_writers_equal_json_dumps(graph, obs, atoms):
+    # The writers' dict forms, as json.dumps wrote them before the templates.
+    assert graph.to_json() == dumps(graph_doc(graph))
+    assert obs.to_json() == dumps(observation_doc(obs))
+    doc = observation_doc(obs)
+    doc["true_atoms"] = sorted([a.predicate, *a.args] for a in atoms)
+    assert exemplar_to_json(obs, atoms) == dumps(doc)
+
+
+def test_writer_strategies_draw_the_edge_cases():
+    # Each case the writers must spell like json turns up within as many
+    # examples as the property above runs.
+    seen = set()
+
+    @settings(
+        max_examples=100,
+        derandomize=True,
+        database=None,
+        phases=[Phase.generate],
+        deadline=None,
+    )
+    @given(writer_graphs, writer_observations)
+    def record(graph, obs):
+        text = graph.to_json() + obs.to_json()
+        seen.update(
+            key
+            for key, hit in (
+                ("no vertices", not graph.vertices),
+                ("no edges", not graph.atoms),
+                ("no detections", not obs.class_detections),
+                ("infinity", "Infinity" in text),
+                ("int", any(type(v) is int for o in graph.vertices for v in astuple(o.box))),
+                ("escape", "\\u" in text),
+                ("quote", '\\"' in text),
+                ("backslash", "\\\\" in text),
+                ("with names", '"referent_name"' in text and '"suggested_type"' in text),
+                ("without names", any(
+                    d.referent_name is None and d.suggested_type is None
+                    for d in obs.class_detections + obs.phrase_detections
+                )),
+            )
+            if hit
+        )
+
+    record()
+    assert seen == {
+        "no vertices", "no edges", "no detections", "infinity", "int", "escape",
+        "quote", "backslash", "with names", "without names",
+    }
+
+
+# Strings and booleans where numbers belong, and a number for the query: a
+# scene or exemplar file like this used to load as a 10x1 canvas.
+LOOSE_SCENE = {
+    "image_width": "10",
+    "image_height": True,
+    "class_detections": [{"query": 7, "box": ["0", False, "1e0", True], "score": "1"}],
+}
+
+
+def test_exemplar_with_strings_and_booleans_for_numbers_is_rejected():
+    text = json.dumps({**LOOSE_SCENE, "true_atoms": []})
+    message = "^bad scene JSON: image_width must be a number, got '10'$"
+    with pytest.raises(SceneError, match=message):
+        exemplar_from_json(text, BLOCKS)
+    detection = {**LOOSE_SCENE["class_detections"][0], "box": [0, 0, 1, 1], "score": 1}
+    doc = {"image_width": 10, "image_height": 10, "class_detections": [detection]}
+    text = json.dumps({**doc, "true_atoms": []})
+    message = "^bad detection entry .*: query must be a string, got 7$"
+    with pytest.raises(SceneError, match=message):
+        exemplar_from_json(text, BLOCKS)
+
+
+def test_exemplar_with_an_integer_too_long_to_read_is_a_scene_error():
+    text = '{"image_width": ' + "1" * 5000 + ', "image_height": 10, "true_atoms": []}'
+    with pytest.raises(SceneError, match="^bad (exemplar|scene) JSON: "):
+        exemplar_from_json(text, BLOCKS)

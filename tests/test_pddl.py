@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from naive_ref import naive_atom_error, naive_is_subtype, naive_type_chain
@@ -28,6 +28,7 @@ from sceneground.pddl import (
     serialize_plan,
     serialize_problem,
 )
+from sceneground.pddl import parser
 from sceneground.pddl.model import ROOT_TYPE, ModelError, PredicateSignature
 
 DOMAIN_TEXT = """
@@ -904,3 +905,145 @@ def test_plan_len():
     plan = Plan((PlanStep("a", ()), PlanStep("b", ("x",))))
     assert len(plan) == 2
     assert serialize_plan(Plan(())) == ""
+
+
+# ---------------------------------------------------------------------------
+# Plain tokens first, positions only when a parse fails
+# ---------------------------------------------------------------------------
+
+# Parentheses, a comment start, a newline, characters str.splitlines breaks
+# at but a domain line does not, and a capital that lowercases to two
+# characters.
+TOKEN_ALPHABET = st.sampled_from(list("(); a?-:\n\r\t\x0b\x0c\x1c\x85\u2028\u0130"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(TOKEN_ALPHABET, max_size=40))
+def test_plain_tokens_are_the_texts_of_the_positioned_tokens(text):
+    text = text.lower()
+    plain = parser._tokens(text)
+    assert all(type(tok) is str for tok in plain)
+    assert plain == parser._positioned(text.split("\n"))
+    lines = text.splitlines()
+    assert [parser._tokens(raw) for raw in lines] == [
+        parser._positioned((raw,), line) for line, raw in enumerate(lines, 1)
+    ]
+
+
+def _form_end(toks: list[str], i: int) -> int:
+    """The index after the form or token at ``i``."""
+    depth = 0
+    for j in range(i, len(toks)):
+        depth += {"(": 1, ")": -1}.get(toks[j], 0)
+        if depth <= 0:
+            return j + 1
+    return len(toks)
+
+
+def mutate(toks: list[str], rng: random.Random) -> list[str]:
+    """Drop, duplicate or swap a token or a form, or insert ``()``."""
+    i = rng.randrange(len(toks))
+    end = _form_end(toks, i) if rng.random() < 0.5 else i + 1
+    part = toks[i:end]
+    op = rng.choice(["drop", "duplicate", "swap", "insert ()"])
+    if op == "drop":
+        return toks[:i] + toks[end:]
+    if op == "duplicate":
+        return toks[:end] + part + toks[end:]
+    if op == "insert ()":
+        return toks[:i] + ["(", ")"] + toks[i:]
+    after = _form_end(toks, end) if end < len(toks) else end
+    return toks[:i] + toks[end:after] + part + toks[after:]
+
+
+# Whitespace, a comment and CRLF line ends between tokens, and characters
+# that end a plan line but not a domain or problem line.
+SEPARATORS = [" ", " ", "\n", "\r\n", "\t", " ; (note) ;\n", "\n;\n", "\r", "\x85", "\u2028"]
+
+
+@st.composite
+def mutated_texts(draw, text: str) -> str:
+    rng = draw(st.randoms(use_true_random=False))
+    toks = parser._tokens(text)
+    for _ in range(rng.randint(1, 3)):
+        toks = mutate(toks, rng) or ["("]
+    return "".join(tok + rng.choice(SEPARATORS) for tok in toks)
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except PddlError as exc:
+        return type(exc), exc.message, exc.line, exc.col
+
+
+def positioned_lines(text: str) -> list[str]:
+    return parser._positioned(text.lower().split("\n"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([DOMAIN_TEXT, domain_text("hanoi"), domain_text("cooking")]).flatmap(
+        mutated_texts
+    )
+)
+def test_a_domain_error_is_the_positioned_parse_error(text):
+    assert outcome(parse_domain, text) == outcome(parser._domain, positioned_lines(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_texts(PROBLEM_TEXT))
+def test_a_problem_error_is_the_positioned_parse_error(text):
+    domain = parse_domain(DOMAIN_TEXT)
+    assert outcome(parse_problem, text, domain) == outcome(
+        parser._problem, positioned_lines(text), domain
+    )
+
+
+PLAN_TEXT = "(move-to-table b1 b2)\n(move-from-table b2 b1)\n(move-to-table b2 b1)\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_texts(PLAN_TEXT))
+def test_a_plan_error_is_the_positioned_parse_error(text):
+    def positioned_parse():
+        lines = enumerate(text.lower().splitlines(), 1)
+        steps = (parser._step(parser._positioned((raw,), line)) for line, raw in lines)
+        return Plan(tuple(step for step in steps if step is not None))
+
+    assert outcome(parse_plan, text) == outcome(positioned_parse)
+
+
+def test_mutated_texts_draw_errors_at_positions_and_valid_texts():
+    kinds = set()
+
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        database=None,
+        phases=[Phase.generate],
+        deadline=None,
+    )
+    @given(mutated_texts(DOMAIN_TEXT))
+    def collect(text):
+        result = outcome(parse_domain, text)
+        if isinstance(result, Domain):
+            kinds.add("valid")
+        else:
+            kinds.add("positioned" if result[2] else "no position")
+        kinds.update(sep for sep in ("\r\n", ";") if sep in text)
+
+    collect()
+    assert kinds == {"valid", "positioned", "no position", "\r\n", ";"}
+
+
+def test_a_column_counts_characters_of_the_lowercased_line():
+    # "İ" lowercases to two characters, so ":bogus", at character 40 of
+    # the raw line, is reported at column 41.
+    text = "(define (domain d) (:requirements :İ) (:bogus))"
+    assert text.index(":bogus") + 1 == 40
+    with pytest.raises(PddlError) as err:
+        parse_domain(text)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "unsupported section ':bogus'", 1, 41
+    )

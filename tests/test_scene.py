@@ -1,8 +1,10 @@
 """Boxes, IoU, detection merging, naming, spatial features."""
 
+import json
 import math
 import random
 import re
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -320,6 +322,70 @@ def test_scene_json_rejects_garbage():
             '{"image_width": 10, "image_height": 10,'
             ' "class_detections": [{"query": "b", "box": [0, 0, 99, 5]}]}'
         )
+
+
+# Strings and booleans where numbers belong, and a number for the query: a
+# scene like the first used to load as a 10x1 canvas with the box (0, 0, 1,
+# 1) and the query "7".  Each later one breaks one field of a valid scene.
+GOOD_DETECTION = {"query": "block", "box": [0, 0, 1.5, 1], "score": 1}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"image_width": "10", "image_height": True,
+          "class_detections": [{"query": 7, "box": ["0", False, "1e0", True], "score": "1"}]},
+         "bad scene JSON: image_width must be a number, got '10'"),
+        ({"image_width": 10, "image_height": True},
+         "bad scene JSON: image_height must be a number, got True"),
+        ({"image_width": 10, "image_height": 10,
+          "class_detections": [{**GOOD_DETECTION, "query": 7}]},
+         "query must be a string, got 7"),
+        ({"image_width": 10, "image_height": 10,
+          "phrase_detections": [{**GOOD_DETECTION, "box": [0, False, 1, 1]}]},
+         "a box coordinate must be a number, got False"),
+        ({"image_width": 10, "image_height": 10,
+          "class_detections": [{**GOOD_DETECTION, "box": [0, 0, "1e0", 1]}]},
+         "a box coordinate must be a number, got '1e0'"),
+        ({"image_width": 10, "image_height": 10,
+          "class_detections": [{**GOOD_DETECTION, "score": "1"}]},
+         "score must be a number, got '1'"),
+        ({"image_width": 10, "image_height": 10,
+          "class_detections": [{**GOOD_DETECTION, "score": True}]},
+         "score must be a number, got True"),
+        # An integer too large for a float is a bad entry, not an OverflowError.
+        ({"image_width": 10**400, "image_height": 10},
+         "bad scene JSON: int too large to convert to float"),
+    ],
+    ids=[
+        "strings-and-booleans", "bool-canvas", "int-query", "bool-coordinate",
+        "string-coordinate", "string-score", "bool-score", "huge-int",
+    ],
+)
+def test_scene_json_rejects_strings_and_booleans_for_numbers(doc, message):
+    with pytest.raises(SceneError) as err:
+        observation_from_json(json.dumps(doc))
+    text = str(err.value)
+    assert text.startswith("bad scene JSON: ") or text.startswith("bad detection entry ")
+    assert text.endswith(message)
+
+
+def test_scene_json_with_an_integer_too_long_to_read_is_a_scene_error():
+    # Past Python's digit limit json.loads raises a plain ValueError; a
+    # Python without the limit reads the int, and it overflows a float.
+    text = '{"image_width": ' + "1" * 5000 + ', "image_height": 10}'
+    with pytest.raises(SceneError, match="^bad scene JSON: "):
+        observation_from_json(text)
+
+
+def test_scene_json_reads_ints_and_floats_as_floats():
+    obs = observation_from_json(json.dumps(
+        {"image_width": 10, "image_height": 10.0, "class_detections": [GOOD_DETECTION]}
+    ))
+    assert (obs.image_width, obs.image_height) == (10.0, 10.0)
+    det = obs.class_detections[0]
+    assert (det.box, det.score) == (Box(0.0, 0.0, 1.5, 1.0), 1.0)
+    assert all(type(v) is float for v in (*astuple(det.box), det.score, obs.image_width))
 
 
 def test_detection_score_validated():
