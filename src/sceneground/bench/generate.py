@@ -38,7 +38,7 @@ from pathlib import Path
 
 from sceneground.bench import DOMAIN_KINDS, domain_text, shipped_domain
 from sceneground.goals import format_goal
-from sceneground.graph import Exemplar, exemplar_to_json
+from sceneground.graph import exemplar_to_json
 from sceneground.pddl import serialize_problem
 from sceneground.pddl.model import Domain, GroundAtom, GroundLiteral, Problem
 from sceneground.planner import GroundTask, SearchConfig, solve
@@ -96,8 +96,8 @@ class Meta:
 class GeneratedProblem:
     kind: str
     scene: SceneObservation
-    exemplar: Exemplar
     exemplar_obs: SceneObservation
+    exemplar_labels: frozenset[GroundAtom]
     instruction: str
     goal_structured: str
     truth: Problem
@@ -124,6 +124,14 @@ def _merged(
 
 def on_atom(a: str, b: str) -> GroundAtom:
     return GroundAtom("on", (a, b))
+
+
+def _optimal_length(domain: Domain, truth: Problem) -> int:
+    """The length of an optimal plan for the truth, which must be solvable."""
+    result = solve(domain, truth, SearchConfig(mode="optimal"))
+    domain.tables.clear()  # the shipped domain outlives this problem
+    assert result.status == "solved" and result.plan is not None
+    return len(result.plan)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +222,10 @@ def _blocks_distance_map(domain: Domain, problem_objects, init):
     return {task.decode(base): d for base, d in dist.items()}
 
 
-def _blocks_exemplar(domain: Domain) -> tuple[SceneObservation, Exemplar]:
+def _blocks_exemplar(domain: Domain) -> tuple[SceneObservation, frozenset[GroundAtom]]:
     """The fixed independent exemplar: one 3-stack and one 2-stack."""
-    obs, scene, atoms = _blocks_scene(domain, [["e1", "e2", "e3"], ["e4", "e5"]])
-    return obs, Exemplar(scene, atoms)
+    obs, _, atoms = _blocks_scene(domain, [["e1", "e2", "e3"], ["e4", "e5"]])
+    return obs, atoms
 
 
 def gen_blocksworld(n: int, seed: int) -> GeneratedProblem:
@@ -265,12 +273,12 @@ def gen_blocksworld(n: int, seed: int) -> GeneratedProblem:
     instruction = "restack the blocks so that " + " and ".join(
         f"{a.args[0]} rests on {a.args[1]}" for a in ordered
     )
-    exemplar_obs, exemplar = _blocks_exemplar(domain)
+    exemplar_obs, exemplar_labels = _blocks_exemplar(domain)
     return GeneratedProblem(
         "blocksworld",
         obs,
-        exemplar,
         exemplar_obs,
+        exemplar_labels,
         instruction,
         format_goal(goal),
         truth,
@@ -356,29 +364,25 @@ def gen_hanoi(d: int, g: int, seed: int) -> GeneratedProblem:
     truth = Problem(
         f"hanoi-{d}-{g}-{seed}", domain.name, scene.typed_objects(), frozenset(init), goal
     )
-    result = solve(domain, truth, SearchConfig(mode="optimal"))
-    domain.tables.clear()  # as in _blocks_distance_map
-    assert result.status == "solved" and result.plan is not None
     instruction = (
         f"move the whole tower from {peg[start_peg]} to {peg[goal_peg]}"
     )
 
     dx = EXEMPLAR_SHIFT * CANVAS_W
     dy = EXEMPLAR_SHIFT * CANVAS_H
-    exemplar_obs, exemplar_scene, _ = _merged(
-        domain, (Detection(det.query, det.box.shifted(dx, dy)) for det in detections)
-    )
-    # Uniform shifts preserve raster order, so names carry over one to one.
-    exemplar = Exemplar(exemplar_scene, frozenset(init))
+    # Uniform shifts preserve raster order, so merging the exemplar gives
+    # its boxes the scene's names and the init labels it.
+    shifted = tuple(Detection(det.query, det.box.shifted(dx, dy)) for det in detections)
+    exemplar_obs = replace(obs, class_detections=shifted)
     return GeneratedProblem(
         "hanoi",
         obs,
-        exemplar,
         exemplar_obs,
+        truth.init,
         instruction,
         format_goal(goal),
         truth,
-        Meta(seed, 0.0, len(result.plan)),
+        Meta(seed, 0.0, _optimal_length(domain, truth)),
     )
 
 
@@ -436,7 +440,7 @@ def _veg_box(slot: str, sliced: bool) -> Box:
     return _centered(cx, cy, VEG_W, VEG_H)
 
 
-def _cooking_exemplar(domain: Domain) -> tuple[SceneObservation, Exemplar]:
+def _cooking_exemplar(domain: Domain) -> tuple[SceneObservation, frozenset[GroundAtom]]:
     """Fixed coverage scene: both vegetable shapes at every vegetable slot.
 
     Extra tool copies sit on the board and inside a gripper so carried
@@ -451,7 +455,7 @@ def _cooking_exemplar(domain: Domain) -> tuple[SceneObservation, Exemplar]:
         detections.append(Detection("vegetable", _veg_box(slot, False)))
         detections.append(Detection("vegetable", _veg_box(slot, True)))
     obs, scene, _ = _merged(domain, detections)
-    return obs, Exemplar(scene, derive_cooking_atoms(scene))
+    return obs, derive_cooking_atoms(scene)
 
 
 def gen_cooking(seed: int) -> GeneratedProblem:
@@ -509,22 +513,19 @@ def gen_cooking(seed: int) -> GeneratedProblem:
     truth = Problem(
         f"cooking-{seed}", domain.name, scene.typed_objects(), init, goal
     )
-    result = solve(domain, truth, SearchConfig(mode="optimal"))
-    domain.tables.clear()  # as in _blocks_distance_map
-    assert result.status == "solved" and result.plan is not None
     instruction = (
         f"slice the {target} and put it in the {bowl.replace('_', ' ')}"
     )
-    exemplar_obs, exemplar = _cooking_exemplar(domain)
+    exemplar_obs, exemplar_labels = _cooking_exemplar(domain)
     return GeneratedProblem(
         "cooking",
         obs,
-        exemplar,
         exemplar_obs,
+        exemplar_labels,
         instruction,
         format_goal(goal),
         truth,
-        Meta(seed, 0.0, len(result.plan)),
+        Meta(seed, 0.0, _optimal_length(domain, truth)),
     )
 
 
@@ -651,7 +652,7 @@ def write_suite(cfg: GenConfig, count: int, out_dir) -> Path:
         folder.mkdir(parents=True, exist_ok=True)
         (folder / "scene.json").write_text(problem.scene.to_json(), encoding="utf-8")
         (folder / "exemplar.json").write_text(
-            exemplar_to_json(problem.exemplar_obs, problem.exemplar.true_atoms),
+            exemplar_to_json(problem.exemplar_obs, problem.exemplar_labels),
             encoding="utf-8",
         )
         (folder / "truth.pddl").write_text(

@@ -67,9 +67,10 @@ CONFIG_KEYS = {
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
+    text = read_text(path)  # outside the try: its SceneError is a ValueError too
     try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text)
+    except ValueError as exc:  # bad JSON, or an int past the digit limit
         raise EvalError(f"bad config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise EvalError(f"config file {path} must hold a JSON object")

@@ -7,11 +7,13 @@ spatial-feature space, and keep the true-classified ones as ground atoms:
 the scene graph's edges and the problem's init.  The problem around them
 is assembled by ``metrics.ground``.
 
-The exemplar side is fixed per exemplar file, so ``compile_exemplar``
-turns it into an ``ExemplarModel`` once: its label fault, if any, and
-each predicate's positive and negative features.  ``exemplar_from_json``
-returns that model, ``metrics.ground`` keeps one per distinct exemplar
-file for a suite, and ``classify_scene`` reads only it.
+An exemplar has two forms: an observation plus the atoms that hold in it,
+as its file (``exemplar_to_json``) and the generator keep it, and the
+``ExemplarModel`` that ``compile_exemplar`` builds once from the merged
+observation and those labels: the label fault, if any, and each
+predicate's positive and negative features.  ``exemplar_from_json`` turns
+a file into a model, ``metrics.ground`` keeps one per distinct exemplar
+file for a suite, and ``classify_scene`` reads only the model.
 """
 
 from __future__ import annotations
@@ -47,14 +49,6 @@ class ExemplarError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class Exemplar:
-    """A labeled sibling scene: its objects plus the atoms that truly hold."""
-
-    scene: Scene
-    true_atoms: frozenset[GroundAtom]
-
-
 Features = tuple[tuple[float, ...], ...]
 
 
@@ -68,7 +62,6 @@ class ExemplarModel:
     scene order; it is empty when there is a fault.
     """
 
-    true_atoms: frozenset[GroundAtom]
     fault: str | None
     labeled: dict[str, tuple[Features, Features]]
 
@@ -191,37 +184,36 @@ def _distance2_unary(a: tuple[float, ...], b: tuple[float, ...]) -> float:
 _DISTANCE2 = {4: _distance2_binary, 6: _distance2_unary}
 
 
-def _exemplar_fault(exemplar: Exemplar, domain: Domain) -> str | None:
+def _exemplar_fault(scene: Scene, labels: frozenset[GroundAtom], domain: Domain) -> str | None:
     observed = {sig.name for sig in domain.observed}
     # Sorted, so the fault names the same atom under every hash seed.
-    atoms = sorted(exemplar.true_atoms)
+    atoms = sorted(labels)
     for atom in atoms:
         if atom.predicate not in observed:
             return f"exemplar labels non-observed predicate {atom.predicate!r}"
-    types = dict(exemplar.scene.typed_objects())
+    types = dict(scene.typed_objects())
     for atom in atoms:
         for _, message in atom_faults(atom, domain, types):
             return f"malformed exemplar atom {atom}: {message}"
     return None
 
 
-def compile_exemplar(exemplar: Exemplar, domain: Domain) -> ExemplarModel:
-    """Validate the labels and split each predicate's exemplar candidates
-    into positive and negative features.  A fault is kept, not raised, so
-    that it surfaces where the exemplar is used, after the test scene has
-    merged."""
-    fault = _exemplar_fault(exemplar, domain)
+def compile_exemplar(scene: Scene, labels: frozenset[GroundAtom], domain: Domain) -> ExemplarModel:
+    """Validate the labels of the merged exemplar scene and split each
+    predicate's exemplar candidates into positive and negative features.
+    A fault is kept, not raised, so that it surfaces where the exemplar is
+    used, after the test scene has merged."""
+    fault = _exemplar_fault(scene, labels, domain)
     labeled = {}
     if fault is None:
-        true_atoms = exemplar.true_atoms
-        for predicate, cands in enumerate_candidates(exemplar.scene, domain).items():
+        for predicate, cands in enumerate_candidates(scene, domain).items():
             positives, negatives = [], []
             for c in cands:
                 # A ground atom is a tuple, so the plain key finds it.
-                side = positives if (predicate, c.args) in true_atoms else negatives
+                side = positives if (predicate, c.args) in labels else negatives
                 side.append(c.feature)
             labeled[predicate] = (tuple(positives), tuple(negatives))
-    return ExemplarModel(exemplar.true_atoms, fault, labeled)
+    return ExemplarModel(fault, labeled)
 
 
 def classify(
@@ -311,4 +303,4 @@ def exemplar_from_json(
         if not all(isinstance(part, str) for part in row):
             raise SceneError(f"bad true_atoms entry {i}: parts must be strings")
         atoms.add(GroundAtom(row[0], tuple(row[1:])))
-    return compile_exemplar(Exemplar(scene, frozenset(atoms)), domain)
+    return compile_exemplar(scene, frozenset(atoms), domain)

@@ -303,7 +303,7 @@ def load_manifest(path) -> tuple[Domain, tuple[ManifestEntry, ...]]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or an int past the digit limit
         raise EvalError(f"cannot read manifest {path}: {exc}") from None
     if not isinstance(raw, dict) or "domain_file" not in raw or "problems" not in raw:
         raise EvalError("manifest must be an object with domain_file and problems")
@@ -403,9 +403,9 @@ def ground(domain: Domain, entry: ManifestEntry, config: PipelineConfig) -> Grou
     checked where it is made, so it needs no text round trip to be valid.
     Stage failures are returned, never raised.
 
-    The compiled exemplar is kept in ``domain.tables`` under its file text
-    and the match threshold, so the entries of a suite that share an
-    exemplar file load and compile it once.
+    An exemplar file (an observation plus its labels) is compiled once per
+    suite: its ``graph.ExemplarModel`` is kept in ``domain.tables`` under
+    the file text and the match threshold for every entry that shares it.
     """
     try:
         obs = observation_from_json(read_text(entry.scene))

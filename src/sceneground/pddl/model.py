@@ -222,13 +222,13 @@ class Domain:
     ``planner.GroundTask`` fills it with object tables
     (``planner.ObjectTable``), keyed by ``(objects, kept rules)``: a
     problem's sorted objects and the rules ``relevant_rules`` keeps for its
-    goal.  ``metrics.ground`` fills it with compiled exemplars
-    (``graph.ExemplarModel``), keyed by ``(exemplar text, match
-    threshold)``.  It lives as long as the domain unless emptied:
-    ``metrics.evaluate_suite`` empties it when the suite ends, and the
-    generator after each problem it solves on a shipped domain.  It holds
-    only plain data (tuples, numbers, strings, dicts, steps, atoms and
-    exemplar models), so a domain still pickles.
+    goal.  ``metrics.ground`` fills it with exemplars in their compiled form
+    (``graph.ExemplarModel``), keyed by their file form (the observation
+    plus labels, as text) and the match threshold.  It lives as long as the
+    domain unless emptied: ``metrics.evaluate_suite`` empties it when the
+    suite ends, and the generator after each problem it solves on a shipped
+    domain.  It holds only plain data (tuples, numbers, strings, dicts,
+    steps, atoms and exemplar models), so a domain still pickles.
     """
 
     name: str

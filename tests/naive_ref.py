@@ -352,8 +352,9 @@ def _naive_candidates(scene, domain: Domain, sig):
     return out
 
 
-def naive_classify_scene(scene, domain: Domain, exemplar):
-    """Atoms 1-NN puts in the init, or None for an uninformative exemplar.
+def naive_classify_scene(scene, domain: Domain, ex_scene, labels):
+    """Atoms 1-NN puts in the init, or None for an uninformative exemplar
+    (the scene ``ex_scene`` and the atoms ``labels`` that hold in it).
 
     Every test candidate is compared with every labeled exemplar candidate
     of its predicate; it is kept when the nearest positive is strictly
@@ -367,8 +368,8 @@ def naive_classify_scene(scene, domain: Domain, exemplar):
         if not test:
             continue
         positives, negatives = [], []
-        for args, feature in _naive_candidates(exemplar.scene, domain, sig):
-            if GroundAtom(sig.name, args) in exemplar.true_atoms:
+        for args, feature in _naive_candidates(ex_scene, domain, sig):
+            if GroundAtom(sig.name, args) in labels:
                 positives.append(feature)
             else:
                 negatives.append(feature)

@@ -230,7 +230,9 @@ def test_criterion_5_noise_degrades_precision(blocks_101):
 
     def precision(problem):
         scene = merge_detections(problem.scene, domain)
-        graph = classify_scene(scene, domain, compile_exemplar(problem.exemplar, domain))
+        ex_scene = merge_detections(problem.exemplar_obs, domain)
+        model = compile_exemplar(ex_scene, problem.exemplar_labels, domain)
+        graph = classify_scene(scene, domain, model)
         score = triplet_pr(graph_to_init(graph), problem.truth.init, domain.observed)
         return score.precision
 
@@ -269,7 +271,7 @@ def test_criterion_6_round_trip_identity(noiseless):
 
 
 def _jittered_exemplar_doc(problem, rng):
-    doc = json.loads(exemplar_to_json(problem.exemplar_obs, problem.exemplar.true_atoms))
+    doc = json.loads(exemplar_to_json(problem.exemplar_obs, problem.exemplar_labels))
     width, height = doc["image_width"], doc["image_height"]
     for stream in ("class_detections", "phrase_detections"):
         for det in doc[stream]:
@@ -283,7 +285,7 @@ def _jittered_exemplar_doc(problem, rng):
 
 
 def _label_flipped_doc(problem, domain, rng):
-    doc = json.loads(exemplar_to_json(problem.exemplar_obs, problem.exemplar.true_atoms))
+    doc = json.loads(exemplar_to_json(problem.exemplar_obs, problem.exemplar_labels))
     rows = doc["true_atoms"]
     by_pred = {}
     for row in rows:
@@ -316,7 +318,7 @@ def test_criterion_7_goal_first_isolation(tmp_path):
         problem = generate(cfg)
         domain = DOMAINS[kind]
         clean_doc = json.loads(
-            exemplar_to_json(problem.exemplar_obs, problem.exemplar.true_atoms)
+            exemplar_to_json(problem.exemplar_obs, problem.exemplar_labels)
         )
         clean_run = ground_with(problem, domain, clean_doc, tmp_path / f"{case}-clean")
         if case % 3 == 2:
@@ -351,7 +353,7 @@ def test_criterion_8_exemplar_gate(tmp_path):
             }[kind]
             problem = generate(cfg)
             base = json.loads(
-                exemplar_to_json(problem.exemplar_obs, problem.exemplar.true_atoms)
+                exemplar_to_json(problem.exemplar_obs, problem.exemplar_labels)
             )
             scene = merge_detections(problem.exemplar_obs, domain)
             candidates = enumerate_candidates(scene, domain)

@@ -25,7 +25,6 @@ from sceneground.bench import (
 from sceneground.bench.generate import CANVAS_H, CANVAS_W, _jitter_box
 from sceneground.graph import (
     ExemplarError,
-    Exemplar,
     classify_scene,
     compile_exemplar,
     enumerate_candidates,
@@ -55,10 +54,16 @@ def observed_names(kind):
     return {sig.name for sig in DOMAINS[kind].observed}
 
 
+def exemplar_scene(problem):
+    """The merged scene of the problem's exemplar observation."""
+    return merge_detections(problem.exemplar_obs, DOMAINS[problem.kind])
+
+
 def predicted_init(problem):
     domain = DOMAINS[problem.kind]
     scene = merge_detections(problem.scene, domain)
-    return graph_to_init(classify_scene(scene, domain, compile_exemplar(problem.exemplar, domain)))
+    model = compile_exemplar(exemplar_scene(problem), problem.exemplar_labels, domain)
+    return graph_to_init(classify_scene(scene, domain, model))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +170,8 @@ def test_classification_is_perfect_on_clean_scenes(cfg):
 def test_exemplar_labels_match_its_own_geometry():
     for cfg in SAMPLE_CONFIGS:
         problem = generate(cfg)
-        derived = derive_atoms(cfg.kind, problem.exemplar.scene)
-        assert derived == problem.exemplar.true_atoms
+        derived = derive_atoms(cfg.kind, exemplar_scene(problem))
+        assert derived == problem.exemplar_labels
 
 
 def test_exemplar_covers_both_labels_for_used_predicates():
@@ -175,12 +180,12 @@ def test_exemplar_covers_both_labels_for_used_predicates():
         domain = DOMAINS[cfg.kind]
         scene = merge_detections(problem.scene, domain)
         test_candidates = enumerate_candidates(scene, domain)
-        exemplar_candidates = enumerate_candidates(problem.exemplar.scene, domain)
+        exemplar_candidates = enumerate_candidates(exemplar_scene(problem), domain)
         for predicate, cands in test_candidates.items():
             if not cands:
                 continue
             labels = {
-                GroundAtom(predicate, c.args) in problem.exemplar.true_atoms
+                GroundAtom(predicate, c.args) in problem.exemplar_labels
                 for c in exemplar_candidates[predicate]
             }
             assert labels == {True, False}, predicate
@@ -188,16 +193,14 @@ def test_exemplar_covers_both_labels_for_used_predicates():
 
 def test_gutted_exemplar_is_rejected():
     problem = gen_cooking(0)
-    no_positives = Exemplar(
-        problem.exemplar.scene,
-        frozenset(
-            a for a in problem.exemplar.true_atoms if a.predicate != "sliced"
-        ),
+    no_positives = frozenset(
+        a for a in problem.exemplar_labels if a.predicate != "sliced"
     )
     domain = DOMAINS["cooking"]
     scene = merge_detections(problem.scene, domain)
+    model = compile_exemplar(exemplar_scene(problem), no_positives, domain)
     with pytest.raises(ExemplarError):
-        classify_scene(scene, domain, compile_exemplar(no_positives, domain))
+        classify_scene(scene, domain, model)
 
 
 def test_cross_class_margin_exceeds_documented_constant():
@@ -207,7 +210,7 @@ def test_cross_class_margin_exceeds_documented_constant():
         rows = {}
         for scene, atoms in (
             (merge_detections(problem.scene, domain), problem.truth.init),
-            (problem.exemplar.scene, problem.exemplar.true_atoms),
+            (exemplar_scene(problem), problem.exemplar_labels),
         ):
             for predicate, cands in enumerate_candidates(scene, domain).items():
                 for c in cands:
@@ -237,7 +240,8 @@ def test_perturb_moves_scene_but_not_truth():
     noisy = perturb(clean, 0.5, 11)
     assert noisy.scene != clean.scene
     assert noisy.truth == clean.truth
-    assert noisy.exemplar == clean.exemplar
+    assert noisy.exemplar_obs == clean.exemplar_obs
+    assert noisy.exemplar_labels == clean.exemplar_labels
     assert noisy.meta.sigma == 0.5
     again = perturb(clean, 0.5, 11)
     assert again == noisy

@@ -665,6 +665,25 @@ def test_unreadable_config_file_is_a_user_error(suite_dir, tmp_path, capsys, tex
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "data, prefix",
+    [
+        (b'{"search": {"node_limit": ' + b"1" * 5000 + b"}}", "bad config file {}: "),
+        (b'{"search": {}}\xff', "cannot read {}: "),
+    ],
+    ids=["int-past-the-digit-limit", "not-utf8"],
+)
+def test_undecodable_config_file_is_one_error_line(suite_dir, tmp_path, capsys, data, prefix):
+    # json.loads raises a plain ValueError for the long integer; a file
+    # that cannot be decoded keeps the message every unreadable input gets.
+    config = tmp_path / "config.json"
+    config.write_bytes(data)
+    assert main(["--config", str(config), "pddl", "check", str(suite_dir / "domain.pddl")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + prefix.format(config))
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_llm_flags_need_a_model_with_the_base_url(suite_dir, first_goal, tmp_path, capsys):
     argv = ground_argv(suite_dir, first_goal, tmp_path, "--llm-base-url", "http://127.0.0.1:9")
     assert main(argv) == 1
@@ -706,6 +725,15 @@ def test_broken_manifest_is_a_user_error(suite_dir, tmp_path, capsys, breaks):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_manifest_with_an_integer_too_long_to_read_is_a_user_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"domain_file": "domain.pddl", "problems": [' + "1" * 5000 + "]}")
+    assert main(["eval", str(manifest)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read manifest {manifest}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_truncated_truth_names_its_entry_and_file(cooking_dir, tmp_path, capsys):

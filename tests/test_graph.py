@@ -20,7 +20,6 @@ from sceneground.bench import domain_text
 from sceneground.graph import (
     _DISTANCE2,
     CandidateTriplet,
-    Exemplar,
     ExemplarError,
     SceneGraph,
     classify,
@@ -126,7 +125,7 @@ def _three_block_exemplar():
         _block("exb", 10, 10),
         _block("exc", 50, 10),
     )
-    return Exemplar(scene, frozenset({GroundAtom("on", ("exa", "exb"))}))
+    return scene, frozenset({GroundAtom("on", ("exa", "exb"))})
 
 
 def _classify(scene, exemplar, domain, predicate):
@@ -134,7 +133,7 @@ def _classify(scene, exemplar, domain, predicate):
     exemplar's features of that predicate."""
     return classify(
         enumerate_candidates(scene, domain)[predicate],
-        *compile_exemplar(exemplar, domain).labeled[predicate],
+        *compile_exemplar(*exemplar, domain).labeled[predicate],
     )
 
 
@@ -160,7 +159,7 @@ def test_classify_zero_distance_to_negative_is_false():
 def test_classify_tie_resolves_to_false():
     # Two-block exemplar: the only candidates are (a over b) true and
     # (b under a) false, with features (0, 0.3, 0, 0.3) and its negation.
-    exemplar = Exemplar(
+    exemplar = (
         _scene(_block("exa", 10, 40), _block("exb", 10, 10)),
         frozenset({GroundAtom("on", ("exa", "exb"))}),
     )
@@ -178,7 +177,7 @@ def test_classification_is_the_same_on_every_python():
     # 0.8599999999999999 and the nearest negative (exb under exa) at 0.86
     # when summed left to right; the compensated float sum of CPython 3.12
     # rounds both to 0.86, a tie, which would drop the edge.
-    exemplar = Exemplar(
+    exemplar = (
         _scene(
             SceneObject("exa", "block", Box(0, 0, 20, 20)),
             SceneObject("exb", "block", Box(30, 0, 50, 20)),
@@ -190,12 +189,12 @@ def test_classification_is_the_same_on_every_python():
         SceneObject("s", "block", Box(0, 0, 20, 20)),
         SceneObject("o", "block", Box(60, 60, 90, 70)),
     )
-    graph = classify_scene(scene, BLOCKS, compile_exemplar(exemplar, BLOCKS))
+    graph = classify_scene(scene, BLOCKS, compile_exemplar(*exemplar, BLOCKS))
     assert graph_to_init(graph) == {GroundAtom("on", ("s", "o"))}
 
 
 def test_gate_rejects_all_false_exemplar():
-    exemplar = Exemplar(
+    exemplar = (
         _scene(_block("exa", 10, 10), _block("exb", 50, 10)), frozenset()
     )
     scene = _scene(_block("a", 0, 0), _block("b", 30, 0))
@@ -205,7 +204,7 @@ def test_gate_rejects_all_false_exemplar():
 
 
 def test_gate_rejects_all_true_exemplar():
-    exemplar = Exemplar(
+    exemplar = (
         _scene(_block("exa", 10, 40), _block("exb", 10, 10)),
         frozenset(
             {GroundAtom("on", ("exa", "exb")), GroundAtom("on", ("exb", "exa"))}
@@ -217,7 +216,7 @@ def test_gate_rejects_all_true_exemplar():
 
 
 def test_gate_rejects_candidate_free_exemplar():
-    exemplar = Exemplar(_scene(_block("lone", 10, 10)), frozenset())
+    exemplar = (_scene(_block("lone", 10, 10)), frozenset())
     scene = _scene(_block("a", 0, 0), _block("b", 30, 0))
     with pytest.raises(ExemplarError):
         _classify(scene, exemplar, BLOCKS, "on")
@@ -226,9 +225,9 @@ def test_gate_rejects_candidate_free_exemplar():
 def test_gate_skipped_when_predicate_absent_from_test():
     # One test block: no "on" candidates, so the uninformative exemplar
     # never gets consulted.
-    exemplar = Exemplar(_scene(_block("lone", 10, 10)), frozenset())
+    exemplar = (_scene(_block("lone", 10, 10)), frozenset())
     graph = classify_scene(
-        _scene(_block("a", 0, 0)), BLOCKS, compile_exemplar(exemplar, BLOCKS)
+        _scene(_block("a", 0, 0)), BLOCKS, compile_exemplar(*exemplar, BLOCKS)
     )
     assert graph.atoms == frozenset()
 
@@ -253,14 +252,14 @@ def test_malformed_exemplar_atoms_rejected():
     for scene, domain, atom, message in cases:
         with pytest.raises(ExemplarError) as err:
             classify_scene(
-                scene, domain, compile_exemplar(Exemplar(scene, frozenset({atom})), domain)
+                scene, domain, compile_exemplar(scene, frozenset({atom}), domain)
             )
         assert str(err.value) == message
 
 
 _LABEL_TWO_DERIVED_PREDICATES = """
 from sceneground.bench import domain_text
-from sceneground.graph import Exemplar, ExemplarError, classify_scene, compile_exemplar
+from sceneground.graph import ExemplarError, classify_scene, compile_exemplar
 from sceneground.pddl import GroundAtom, parse_domain
 from sceneground.scene import Box, Scene, SceneObject
 
@@ -275,7 +274,7 @@ atoms = frozenset({
 })
 try:
     domain = parse_domain(domain_text("blocksworld"))
-    classify_scene(scene, domain, compile_exemplar(Exemplar(scene, atoms), domain))
+    classify_scene(scene, domain, compile_exemplar(scene, atoms, domain))
 except ExemplarError as exc:
     print(exc)
 """
@@ -301,7 +300,7 @@ def test_exemplar_error_is_the_same_under_every_string_hash_seed():
 
 
 def test_classification_invariant_under_common_translation():
-    exemplar = _three_block_exemplar()
+    ex_scene, labels = _three_block_exemplar()
     scene = _scene(
         SceneObject("s", "block", Box(11, 39, 21, 51)),
         _block("o", 10, 10),
@@ -309,33 +308,24 @@ def test_classification_invariant_under_common_translation():
     moved_scene = _scene(
         *(SceneObject(o.name, o.type, o.box.shifted(15, 9)) for o in scene.objects)
     )
-    moved_exemplar = Exemplar(
-        _scene(
-            *(
-                SceneObject(o.name, o.type, o.box.shifted(15, 9))
-                for o in exemplar.scene.objects
-            )
-        ),
-        exemplar.true_atoms,
+    moved_ex_scene = _scene(
+        *(SceneObject(o.name, o.type, o.box.shifted(15, 9)) for o in ex_scene.objects)
     )
-    before = classify_scene(scene, BLOCKS, compile_exemplar(exemplar, BLOCKS))
-    after = classify_scene(moved_scene, BLOCKS, compile_exemplar(moved_exemplar, BLOCKS))
+    before = classify_scene(scene, BLOCKS, compile_exemplar(ex_scene, labels, BLOCKS))
+    after = classify_scene(moved_scene, BLOCKS, compile_exemplar(moved_ex_scene, labels, BLOCKS))
     assert before.atoms == after.atoms
 
 
 def test_classification_invariant_under_exemplar_object_order():
-    exemplar = _three_block_exemplar()
-    reordered = Exemplar(
-        Scene(100, 100, tuple(reversed(exemplar.scene.objects))),
-        exemplar.true_atoms,
-    )
+    ex_scene, labels = _three_block_exemplar()
+    reordered = Scene(100, 100, tuple(reversed(ex_scene.objects)))
     scene = _scene(
         SceneObject("s", "block", Box(11, 39, 21, 51)),
         _block("o", 10, 10),
     )
     assert (
-        classify_scene(scene, BLOCKS, compile_exemplar(exemplar, BLOCKS)).atoms
-        == classify_scene(scene, BLOCKS, compile_exemplar(reordered, BLOCKS)).atoms
+        classify_scene(scene, BLOCKS, compile_exemplar(ex_scene, labels, BLOCKS)).atoms
+        == classify_scene(scene, BLOCKS, compile_exemplar(reordered, labels, BLOCKS)).atoms
     )
 
 
@@ -344,7 +334,7 @@ def test_unary_classification_by_shape():
     # also encodes position offsets, so the boxes are kept near one spot to
     # let shape dominate (the benchmark generator does the same with fixed
     # layout slots).
-    exemplar = Exemplar(
+    exemplar = (
         _scene(
             SceneObject("exveg1", "vegetable", Box(10, 10, 40, 16)),
             SceneObject("exveg2", "vegetable", Box(12, 12, 27, 27)),
@@ -460,8 +450,8 @@ def test_exemplar_json_round_trip():
     loaded = exemplar_from_json(text, BLOCKS)
     scene = merge_detections(obs, BLOCKS)
     assert [o.name for o in scene.objects] == ["block1", "block2", "block3"]
-    assert loaded == compile_exemplar(Exemplar(scene, frozenset(atoms)), BLOCKS)
-    assert loaded.fault is None and loaded.true_atoms == frozenset(atoms)
+    assert loaded == compile_exemplar(scene, frozenset(atoms), BLOCKS)
+    assert loaded.fault is None
     assert graph_to_init(classify_scene(scene, BLOCKS, loaded)) == frozenset(atoms)
 
 
@@ -510,15 +500,15 @@ def classification_cases(draw):
         and well_typed(GroundAtom(sig.name, args), domain, objects)
     ]
     true_atoms = frozenset(a for a in labels if draw(st.booleans()))
-    return domain, scene("t", 1), Exemplar(ex_scene, true_atoms)
+    return domain, scene("t", 1), (ex_scene, true_atoms)
 
 
 @settings(max_examples=150, deadline=None)
 @given(classification_cases())
 def test_classify_scene_agrees_with_naive_1nn(case):
     domain, scene, exemplar = case
-    expected = naive_classify_scene(scene, domain, exemplar)
-    model = compile_exemplar(exemplar, domain)
+    expected = naive_classify_scene(scene, domain, *exemplar)
+    model = compile_exemplar(*exemplar, domain)
     if expected is None:
         with pytest.raises(ExemplarError, match="uninformative"):
             classify_scene(scene, domain, model)
@@ -531,11 +521,12 @@ def kernel_cases(domain, scene, exemplar) -> tuple[bool, bool]:
     are exactly as far, and whether some candidate is rejected by a
     negative after the first one the classifier scans."""
     tie = late = False
-    labeled = enumerate_candidates(exemplar.scene, domain)
+    ex_scene, labels = exemplar
+    labeled = enumerate_candidates(ex_scene, domain)
     for predicate, test in enumerate_candidates(scene, domain).items():
         positives, negatives = [], []
         for c in labeled[predicate]:
-            truth = c.atom() in exemplar.true_atoms
+            truth = c.atom() in labels
             (positives if truth else negatives).append(c.feature)
         if not test or not positives or not negatives:
             continue

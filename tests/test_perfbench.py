@@ -1,5 +1,6 @@
-"""The traced benchmark wraps layer functions by module attribute name, so
-renaming or dropping one of them breaks `perfbench/run.py --trace 1`."""
+"""The traced benchmark wraps layer functions by module attribute name, and
+the workloads call other functions directly, so renaming or dropping one of
+them breaks `perfbench/run.py`."""
 
 import sys
 from pathlib import Path
@@ -22,3 +23,41 @@ def test_layer_spans_find_every_wrapped_attribute(monkeypatch):
     finally:
         tracer.close()
     assert all(getattr(module, attr) is original for module, attr, original in patched)
+
+
+def test_direct_calls_run_on_a_one_entry_suite(monkeypatch, tmp_path):
+    # Besides the wrapped attributes, the workloads call graph_to_init,
+    # pddl.Problem, load_manifest, triplet_pr and evaluate_suite(solver=...)
+    # directly; one ground operation with its score and one untraced eval
+    # pass reach each of them.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from spans import Tracer
+
+    from sceneground.bench import GenConfig, write_suite
+    from sceneground.metrics import load_manifest
+
+    cfg = GenConfig("hanoi", d=3, g=3)
+    manifest = write_suite(cfg, 1, tmp_path)
+    domain, (entry,) = load_manifest(manifest)
+    text, graph_json, failure, init = workloads.ground_op(domain, entry)
+    assert failure is None and text and graph_json
+    grounded = workloads.Outcome(
+        0.0,
+        "",
+        detail={"domain": domain, "entry": entry, "text": text, "graph": graph_json, "init": init},
+    )
+    assert workloads.check_ground(None, grounded) is None
+    tp, fp, fn, _, _ = workloads.ground_score(grounded)
+    assert tp > 0 and fp == fn == 0
+
+    workload = workloads.WORKLOADS["eval-hanoi-optimal"]
+    with Tracer() as tracer:
+        outcomes = workloads.eval_pass(
+            workload, [workloads.Suite("0.0", cfg, manifest)], 0, tracer, False
+        )
+    (evaluated,) = outcomes.values()
+    assert evaluated.error is None and evaluated.digest is not None
+    assert workloads.check_eval(workload, evaluated) is None
+    assert workloads.eval_score(evaluated) == (tp, 0, 0, True, 7)

@@ -60,6 +60,7 @@ from sceneground.planner import (
     make_heuristic,
     solve,
 )
+from sceneground.scene import merge_detections
 
 BLOCKS = parse_domain(domain_text("blocksworld"))
 HANOI = parse_domain(domain_text("hanoi"))
@@ -718,7 +719,8 @@ def test_optimal_mode_expands_as_breadth_first_search(domain, problem):
 
 def test_grounding_and_candidates_read_the_type_table(monkeypatch):
     generated = gen_cooking(0)
-    objects, scene = generated.truth.objects, generated.exemplar.scene
+    objects = generated.truth.objects
+    scene = merge_detections(generated.exemplar_obs, COOKING)
 
     def enumerated():
         rules = planner._rule_instances(COOKING.derived, objects, COOKING)
@@ -1402,9 +1404,13 @@ def assert_warm_compiles_as_cold(domain: Domain, fresh: Domain, problem: Problem
     ]
     assert sorted(kept) == sorted(i for i in instances if possible.issuperset(i[1]))
     for mode in ("optimal", "satisficing"):
+        # A node limit the search reaches long before the time limit, so a
+        # search stops on a count, never on the clock, and ``expanded``
+        # compares exactly.  The generated suites' searches stay far below it.
+        cfg = SearchConfig(mode=mode, node_limit=10_000)
         fresh.tables.clear()
-        first = solve(domain, problem, SearchConfig(mode=mode))
-        second = solve(fresh, problem, SearchConfig(mode=mode))
+        first = solve(domain, problem, cfg)
+        second = solve(fresh, problem, cfg)
         assert (first.status, first.plan, first.expanded) == (
             second.status,
             second.plan,
