@@ -503,7 +503,8 @@ def evaluate_suite(
 
     ``domain.tables`` holds what the suite compiles once and shares among
     its entries: the planner's action and rule tables per object set and
-    kept rule set (each task adds its goal and init to them), and
+    kept rule set (each task adds its goal and init to them), with h_add's
+    relaxation and memo per goal and pruning nested in them, and
     ``ground``'s compiled exemplar per distinct exemplar file.  They serve
     this suite only, so they are emptied when it returns or raises.
     """

@@ -222,13 +222,15 @@ class Domain:
     ``planner.GroundTask`` fills it with object tables
     (``planner.ObjectTable``), keyed by ``(objects, kept rules)``: a
     problem's sorted objects and the rules ``relevant_rules`` keeps for its
-    goal.  ``metrics.ground`` fills it with exemplars in their compiled form
-    (``graph.ExemplarModel``), keyed by their file form (the observation
-    plus labels, as text) and the match threshold.  It lives as long as the
-    domain unless emptied: ``metrics.evaluate_suite`` empties it when the
-    suite ends, and the generator after each problem it solves on a shipped
-    domain.  It holds only plain data (tuples, numbers, strings, dicts,
-    steps, atoms and exemplar models), so a domain still pickles.
+    goal.  Each object table holds, nested, h_add's relaxations and memos
+    per goal and pruning.  ``metrics.ground`` fills it with exemplars in
+    their compiled form (``graph.ExemplarModel``), keyed by their file form
+    (the observation plus labels, as text) and the match threshold.  It
+    lives as long as the domain unless emptied: ``metrics.evaluate_suite``
+    empties it when the suite ends, and the generator after each problem
+    it solves on a shipped domain.  It holds only plain data (tuples,
+    lists, numbers, strings, dicts, steps, atoms and exemplar models), so
+    a domain still pickles.
     """
 
     name: str

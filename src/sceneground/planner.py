@@ -4,7 +4,9 @@ Each ``solve`` call compiles its problem once into a ``GroundTask``.  The
 part of that compile which depends only on the problem's objects and on the
 rules its goal keeps, an ``ObjectTable``, is built once per such pair and
 kept in ``Domain.tables``, so the problems of a suite that share their
-objects share it; the task adds its goal, init and pruning to it.
+objects share it; the task adds its goal, init and pruning to it.  h_add's
+relaxation and memo depend on the table, the goal and the pruning only, so
+they are kept in the table too, one per goal and pruning.
 ``ground_actions`` lists each schema's type-valid bindings as steps
 (equality literals are resolved away there, dropping the bindings they rule
 out), drawing each parameter's objects from one type table
@@ -58,9 +60,13 @@ atoms from a bucket queue keyed by cost (Dial 1969).  It watches only the
 goal-relevant actions and rule instances, those a walk back from the
 positive goal atoms through their achievers reaches (Nebel, Dimopoulos &
 Koehler 1997); every achiever of a relevant atom is relevant, so its
-values are those of h_add over the whole task.  It reads a state only
-through its relevant and negative goal atoms, so the task memoizes each
-value by those bits of the state.  A search tests each new
+values are those of h_add over the whole task.  A producer that needs
+one atom prices what it makes as soon as that atom settles; only the
+others count their unmet needs.  h_add reads a state only through its
+relevant and negative goal atoms, so each value is memoized by those bits
+of the state, in a memo that every task with the same object table, goal
+and pruning shares (Fast Downward likewise caches heuristic values per
+state, Helmert 2006).  A search tests each new
 child of a node for the goal before it scores any of them, so no
 heuristic call goes to a sibling of the goal.  A returned plan is not
 replayed here: the plan validator in ``metrics`` judges it wherever it
@@ -362,15 +368,25 @@ def _bits(mask: int) -> list[int]:
     return ids
 
 
-def _watch_lists(size: int, bodies) -> tuple[tuple[int, ...], ...]:
-    """Per atom id below ``size``, the indices of the bodies that list it,
-    once per occurrence, so a body that names an atom twice counts it twice
-    (as h_add sums it twice)."""
+def _watch_lists(size: int, needs, base, makes):
+    """Per atom id below ``size``, the producers that need it, split in two.
+    ``single[atom]`` holds ``(base cost, makes)`` per base cost, ``makes``
+    joining what every producer whose only need is the atom makes.
+    ``watch[atom]`` holds the index of each other producer, once per
+    occurrence, so a producer that names an atom twice counts it twice (as
+    h_add sums it twice)."""
     watch: list[list[int]] = [[] for _ in range(size)]
-    for index, body in enumerate(bodies):
-        for atom in body:
-            watch[atom].append(index)
-    return tuple(map(tuple, watch))
+    single: list[dict[int, list[int]]] = [{} for _ in range(size)]
+    for index, need in enumerate(needs):
+        if len(need) == 1:
+            single[need[0]].setdefault(base[index], []).extend(makes[index])
+        else:
+            for atom in need:
+                watch[atom].append(index)
+    return tuple(map(tuple, watch)), tuple(
+        tuple((cost, tuple(made)) for cost, made in sorted(by_cost.items()))
+        for by_cost in single
+    )
 
 
 def _interner(atoms: list[GroundAtom], ids: dict[GroundAtom, int]):
@@ -398,8 +414,19 @@ class ObjectTable(NamedTuple):
     are the task's.  ``rules`` holds every type-valid instance of the kept
     rules as ``(head, body, (body mask, head bit))``, ordered by the layer
     of the head predicate, and ``made`` is the bit set of every atom that an
-    action adds or an instance has as head.  A task copies ``atoms`` and
+    action adds or an instance has as head.  ``static`` is the bit set of
+    the atoms some instance's body reads and nothing makes: a task's
+    pruning reads its init only through them.  A task copies ``atoms`` and
     ``ids`` before it interns its goal and init atoms.
+
+    ``relaxations`` holds h_add's ``Relaxation`` of every task compiled
+    from the table that has scored a state, keyed by the task's positive
+    and negative goal atom ids and its init's ``static`` bits.  That key
+    fixes the relaxation and so every h_add value: every precondition and
+    body atom has its table id in every task, the goal atoms are interned
+    in goal order right after the table's atoms, and the instances a task
+    drops follow from its ``static`` bits alone.  So the tasks of a suite
+    that share the key share one relaxation and one memo.
     """
 
     atoms: tuple[GroundAtom, ...]
@@ -408,7 +435,9 @@ class ObjectTable(NamedTuple):
     compiled: tuple[tuple[tuple[int, ...], ...], ...]
     masks: tuple[tuple[int, int, int, int], ...]
     made: int
+    static: int
     rules: tuple[tuple[int, tuple[int, ...], tuple[int, int]], ...]
+    relaxations: dict[tuple[tuple[int, ...], tuple[int, ...], int], Relaxation]
 
 
 def _object_table(
@@ -444,14 +473,12 @@ def _object_table(
     made = _mask(head for head, _ in rules)
     for _, _, _, add in masks:
         made |= add
+    rules = tuple((head, body, (_mask(body), 1 << head)) for head, body in rules)
+    read = 0
+    for _, _, (body, _) in rules:
+        read |= body
     return ObjectTable(
-        tuple(atoms),
-        ids,
-        actions,
-        compiled,
-        masks,
-        made,
-        tuple((head, body, (_mask(body), 1 << head)) for head, body in rules),
+        tuple(atoms), ids, actions, compiled, masks, made, read & ~made, rules, {}
     )
 
 
@@ -462,11 +489,16 @@ class Relaxation(NamedTuple):
     instance's body), costs ``base[i]`` more than their summed costs (1 for
     an action, 0 for an instance) and makes ``makes[i]`` (an action's
     relevant adds, an instance's head).
-    ``watch[atom]`` lists the producers that need the atom, once per
-    occurrence.  ``free`` holds what the actions that need nothing make,
-    which costs 1 in every state; every rule instance has a body.
-    ``atoms`` is the bit set of the relevant atoms, and ``reads`` adds the
-    negative goal atoms to it: all that h_add reads of a state."""
+    The producers that need one atom are listed in ``single[atom]`` as
+    ``(base cost, makes)``, one pair per base cost that joins their makes;
+    ``watch[atom]`` lists every other producer that needs the atom, once
+    per occurrence.  ``free`` holds what the actions
+    that need nothing make, which costs 1 in every state; every rule
+    instance has a body.  ``atoms`` is the bit set of the relevant atoms,
+    and ``reads`` adds the negative goal atoms to it: all that h_add reads
+    of a state.  ``memo`` maps ``full & reads`` to h_add's value; it is
+    shared by every task of the ``ObjectTable`` entry that holds this
+    relaxation."""
 
     atoms: int
     reads: int
@@ -474,7 +506,9 @@ class Relaxation(NamedTuple):
     size: list[int]
     makes: list[tuple[int, ...]]
     watch: tuple[tuple[int, ...], ...]
+    single: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     free: tuple[int, ...]
+    memo: dict[int, float]
 
 
 class GroundTask:
@@ -512,7 +546,9 @@ class GroundTask:
     (``Domain.layer``), so every instance that makes an atom comes before
     every instance whose body reads it.  The closure reads them all; h_add
     reads only their goal-relevant part, ``relaxed``, and keeps its values
-    in ``h_memo``.
+    in ``h_memo``.  Both are the table's, shared with every task that has
+    the same goal and the same pruning (see ``ObjectTable``), so a task
+    may start with values that an earlier task of the suite scored.
     """
 
     def __init__(self, domain: Domain, problem: Problem):
@@ -538,11 +574,31 @@ class GroundTask:
         self.rule_body = [body for _, body, _ in rules]
         self.rule_masks = tuple(masks for _, _, masks in rules)
         self.init = (base, self.closure(base))
-        self.h_memo: dict[int, float] = {}
+        self._relaxations = table.relaxations
+        self._relaxation_key = (self.goal_pos, self.goal_neg, base & table.static)
 
     @cached_property
     def relaxed(self) -> Relaxation:
         """h_add's tables, over the goal-relevant part of the task only.
+
+        Looked up in the table's ``relaxations`` on the first h_add call
+        and built on a miss, so a search that runs no h_add never pays for
+        it, and a task whose goal and pruning an earlier task of the suite
+        had reuses that task's relaxation and memo.
+        """
+        relaxed = self._relaxations.get(self._relaxation_key)
+        if relaxed is None:
+            relaxed = self._relaxations[self._relaxation_key] = self._relax()
+        return relaxed
+
+    @property
+    def h_memo(self) -> dict[int, float]:
+        """h_add's values by the bits of a state it reads, shared with
+        every task that shares ``relaxed``."""
+        return self.relaxed.memo
+
+    def _relax(self) -> Relaxation:
+        """``relaxed``, built afresh.
 
         Walking back from the positive goal atoms: an action that adds a
         relevant atom is relevant, and so are its positive preconditions; a
@@ -551,8 +607,8 @@ class GroundTask:
         preconditions and negative goal literals cost nothing in the
         relaxation, so they make nothing relevant.  Every achiever of a
         relevant atom is relevant, so each goal atom costs what it would
-        over the whole task.  Built on the first h_add call, so a search
-        that runs no h_add never pays for it.
+        over the whole task.  Only relevant atoms are watched, so the watch
+        lists end at the highest relevant id, which the goal fixes.
         """
         # Producers: the actions, then the rule instances.
         needs = [pos for pos, _, _, _ in self.compiled] + self.rule_body
@@ -574,16 +630,21 @@ class GroundTask:
                     queue.extend(fresh)
         order = sorted(kept)
         actions = len(self.compiled)
+        kept_needs = [needs[i] for i in order]
         kept_makes = [tuple(atom for atom in makes[i] if atom in atoms) for i in order]
+        base = [int(i < actions) for i in order]
         relevant = _mask(atoms)
+        watch, single = _watch_lists(relevant.bit_length(), kept_needs, base, kept_makes)
         return Relaxation(
             relevant,
             relevant | self.goal[1],
-            [int(i < actions) for i in order],
-            [len(needs[i]) for i in order],
+            base,
+            list(map(len, kept_needs)),
             kept_makes,
-            _watch_lists(len(self.atoms), (needs[i] for i in order)),
-            tuple(atom for i, made in zip(order, kept_makes) if not needs[i] for atom in made),
+            watch,
+            single,
+            tuple(atom for need, made in zip(kept_needs, kept_makes) if not need for atom in made),
+            {},
         )
 
     def decode(self, mask: int) -> frozenset[GroundAtom]:
@@ -625,10 +686,12 @@ class GroundTask:
         state that differs from one already scored only in atoms the
         relaxation never reads costs a dict lookup.
         """
-        key = full & self.relaxed.reads
-        value = self.h_memo.get(key)
+        relaxed = self.relaxed
+        key = full & relaxed.reads
+        memo = relaxed.memo
+        value = memo.get(key)
         if value is None:
-            value = self.h_memo[key] = self._h_add(key)
+            value = memo[key] = self._h_add(key)
         return value
 
     def _h_add(self, full: int) -> float:
@@ -642,6 +705,9 @@ class GroundTask:
         state's relevant atoms settle at level 0, ``relaxed.free`` waits at
         level 1, a rule head that costs the current level joins it, and the
         next level is the smallest cost waiting, however far up that is.
+        A producer that needs one atom prices its makes at that atom's
+        level plus its base cost as soon as the atom settles; the others
+        count their unmet needs and sum their costs.
         Only the goal-relevant actions and rule instances (``relaxed``) are
         watched, and only relevant atoms get a cost; the goal atoms cost
         what they would over the whole task.  This stops once every
@@ -653,7 +719,7 @@ class GroundTask:
         violated = sum(full >> atom & 1 for atom in self.goal_neg)
         pending = {atom for atom in self.goal_pos if not full >> atom & 1}
         relaxed = self.relaxed
-        makes, watch = relaxed.makes, relaxed.watch
+        makes, watch, single = relaxed.makes, relaxed.watch, relaxed.single
         unmet = relaxed.size.copy()
         total = relaxed.base.copy()
         settled = _bits(full & relaxed.atoms)
@@ -666,6 +732,18 @@ class GroundTask:
             for atom in settled:
                 if not pending:
                     break
+                for extra, made in single[atom]:
+                    price = level + extra
+                    if price == level:
+                        for head in made:
+                            if head not in cost:
+                                cost[head] = level
+                                settled.append(head)
+                                pending.discard(head)
+                    elif price in buckets:
+                        buckets[price].extend(made)
+                    else:
+                        buckets[price] = list(made)
                 for index in watch[atom]:
                     total[index] += level
                     unmet[index] -= 1

@@ -293,20 +293,29 @@ def _typed_rule_instances(domain: Domain, objects):
     return out
 
 
-def naive_h_add(domain: Domain, problem: Problem, atoms) -> float:
+def naive_relaxed_steps(domain: Domain, objects):
+    """(needs, makes, own cost) of every relaxed action and every typed
+    rule instance over ``objects``: what ``naive_h_add`` sweeps.  It
+    depends on the domain and the objects only, so a caller that scores
+    many states or goals over one object set grounds it once."""
+    steps = [(pre, add, 1.0) for pre, add in _relaxed_actions(domain, objects)]
+    steps += [(body, [head], 0.0) for body, head in _typed_rule_instances(domain, objects)]
+    return steps
+
+
+def naive_h_add(domain: Domain, problem: Problem, atoms, steps=None) -> float:
     """Additive delete-relaxation cost of problem.goal from base atoms.
 
     Bellman-Ford sweeps until no cost drops.  Base atoms cost 0; an action
     costs 1 plus the summed costs of its positive preconditions; a typed
     rule instance costs the summed costs of its body.  The value sums the
     positive goal atoms' costs and adds 1 per negative goal literal whose
-    atom costs 0 (holds in the state).
+    atom costs 0 (holds in the state).  ``steps`` is
+    ``naive_relaxed_steps(domain, problem.objects)``, ground here if not
+    given.
     """
-    steps = [(pre, add, 1.0) for pre, add in _relaxed_actions(domain, problem.objects)]
-    steps += [
-        (body, [head], 0.0)
-        for body, head in _typed_rule_instances(domain, problem.objects)
-    ]
+    if steps is None:
+        steps = naive_relaxed_steps(domain, problem.objects)
     cost = {atom: 0.0 for atom in atoms}
     changed = True
     while changed:

@@ -30,6 +30,7 @@ from naive_ref import (
     naive_ground_action,
     naive_h_add,
     naive_read_predicates,
+    naive_relaxed_steps,
     naive_run,
     naive_unread,
     well_typed,
@@ -67,6 +68,16 @@ HANOI = parse_domain(domain_text("hanoi"))
 COOKING = parse_domain(domain_text("cooking"))
 
 PEGS = ("p1", "p2", "p3")
+
+
+@pytest.fixture(autouse=True)
+def fresh_tables():
+    """Empty the module's domains' tables after each test: they hold the
+    relaxations and h_add memos of every task compiled on them, so a test
+    would otherwise start from the values its predecessors scored."""
+    yield
+    for domain in (BLOCKS, HANOI, COOKING):
+        domain.tables.clear()
 
 
 def hanoi_problem(disks: int, start: str = "p1", target: str = "p3") -> Problem:
@@ -902,6 +913,61 @@ def test_tasks_do_not_share_a_memo():
     assert len(first.h_memo) == len(second.h_memo) == 1
 
 
+def test_tasks_with_one_goal_and_pruning_share_a_relaxation():
+    # Moved from p1 to p2, the tower keeps its objects, its goal and its
+    # smaller atoms, the only init atoms that blocked's pruning reads: the
+    # two tasks share one relaxation and one memo.
+    three, moved = hanoi_problem(3), hanoi_problem(3, start="p2")
+    first, second = GroundTask(HANOI, three), GroundTask(HANOI, moved)
+    assert first.init != second.init
+    assert first.h_add(first.init[1]) == naive_h_add(HANOI, three, three.init) == 3.0
+    assert second.relaxed is first.relaxed and second.h_memo is first.h_memo
+    assert len(second.h_memo) == 1
+    assert second.h_add(second.init[1]) == naive_h_add(HANOI, moved, moved.init)
+    assert len(first.h_memo) == 2
+    # Another goal, or another static atom that a rule body reads, is
+    # another entry of the same object table.
+    others = [
+        hanoi_problem(3, target="p2"),
+        replace(three, init=three.init - {GroundAtom("smaller", ("d1", "d3"))}),
+    ]
+    for problem in others:
+        task = GroundTask(HANOI, problem)
+        assert task.relaxed is not first.relaxed and not task.h_memo
+    ((_, table),) = HANOI.tables.items()
+    assert len(table.relaxations) == 3
+
+
+def test_a_task_with_other_static_atoms_keeps_its_own_rule_instances():
+    # ready's body reads the static atom open and the made atom lit, so
+    # the instances a task keeps follow its open atoms.  The first task
+    # drops ready(a), whose open(a) it lacks, and cannot reach its goal;
+    # the second, with the same objects and goal, must not score with the
+    # first's relaxation.
+    gated = parse_domain(
+        "(define (domain gated) (:requirements :strips :typing :derived-predicates)"
+        " (:types thing) (:predicates (open ?x - thing) (lit ?x - thing)"
+        " (ready ?x - thing) (done ?x - thing))"
+        " (:derived (ready ?x - thing) (and (lit ?x) (open ?x)))"
+        " (:action light :parameters (?x - thing) :effect (lit ?x))"
+        " (:action finish :parameters (?x - thing) :precondition (ready ?x)"
+        " :effect (done ?x)))"
+    )
+    closed = Problem(
+        "gated",
+        "gated",
+        (("a", "thing"), ("b", "thing")),
+        frozenset({GroundAtom("open", ("b",))}),
+        (positive("done", "a"),),
+    )
+    opened = replace(closed, init=frozenset({GroundAtom("open", ("a",))}))
+    first = GroundTask(gated, closed)
+    assert first.h_add(first.init[1]) == float("inf")
+    second = GroundTask(gated, opened)
+    assert second.h_add(second.init[1]) == naive_h_add(gated, opened, opened.init) == 2.0
+    assert len(solve(gated, opened).plan) == 2
+
+
 def init_score(problem: Problem) -> float:
     task = GroundTask(BLOCKS, problem)
     return make_heuristic(task)(task.init[1])
@@ -1028,6 +1094,7 @@ def test_task_agrees_with_naive_reference(domain, problem):
         tuple(GroundLiteral(lit.atom, not lit.negated) for lit in problem.goal),
     )
     flipped_h = make_heuristic(GroundTask(domain, flipped))
+    relaxed = naive_relaxed_steps(domain, problem.objects)
     states = reachable(task, limit=120)
     assert len(states) > 1
     for base, full in states:
@@ -1039,8 +1106,8 @@ def test_task_agrees_with_naive_reference(domain, problem):
         }
         unread = naive_unread(domain, problem.goal, expected)
         assert task.decode(full) == expected - unread
-        assert task.h_add(full) == naive_h_add(domain, problem, atoms)
-        assert flipped_h(full) == naive_h_add(domain, flipped, atoms)
+        assert task.h_add(full) == naive_h_add(domain, problem, atoms, relaxed)
+        assert flipped_h(full) == naive_h_add(domain, flipped, atoms, relaxed)
 
 
 @st.composite
@@ -1286,11 +1353,13 @@ def test_task_agrees_with_naive_reference_on_random_domains(case):
     task = GroundTask(domain, problem)
     posed = [(GroundTask(domain, p), p) for p in flipped_goals(problem)]
     steps = _ground_steps(domain, problem.objects)
+    relaxed = naive_relaxed_steps(domain, problem.objects)
     closures: dict = {}
     states = reachable(task, limit=150)
     for base, full in states:
         atoms = task.decode(base)
-        reference = naive_closure(atoms, domain)
+        # naive_apply reads the closure of ``atoms`` from ``closures``.
+        reference = closures[atoms] = naive_closure(atoms, domain)
         unread = naive_unread(domain, problem.goal, reference)
         assert task.decode(full) == reference - unread
         expected = set()
@@ -1300,7 +1369,7 @@ def test_task_agrees_with_naive_reference_on_random_domains(case):
                 expected.add(nxt)
         assert {task.decode(nxt) for _, nxt in task.successors((base, full))} == expected
         for judged, goal_problem in posed:
-            assert h_add_of(judged, atoms) == naive_h_add(domain, goal_problem, atoms)
+            assert h_add_of(judged, atoms) == naive_h_add(domain, goal_problem, atoms, relaxed)
     if len(states) < 150:
         result = solve(domain, problem, SearchConfig(mode="optimal"))
         length = None if result.plan is None else len(result.plan)
@@ -1380,6 +1449,17 @@ TASK_FIELDS = (
 )
 
 
+def typed_atoms(domain: Domain, objects) -> list[GroundAtom]:
+    """Every well-typed atom over ``objects``, predicate by predicate."""
+    names = [name for name, _ in objects]
+    atoms = [
+        GroundAtom(sig.name, combo)
+        for sig in domain.predicates
+        for combo in itertools.product(names, repeat=sig.arity)
+    ]
+    return [atom for atom in atoms if well_typed(atom, domain, objects)]
+
+
 def assert_warm_compiles_as_cold(domain: Domain, fresh: Domain, problem: Problem) -> None:
     """``problem`` compiles and solves on ``domain``, whose tables other
     problems may have filled, as on ``fresh``, emptied before each use; and
@@ -1425,13 +1505,7 @@ def test_a_shared_table_compiles_as_a_fresh_one_on_random_domains(case, data):
     # same objects and a drawn init and goal, so its goal may keep other
     # rules and its init may name atoms A's never did.
     domain, first = case
-    names = [name for name, _ in first.objects]
-    atoms = [
-        GroundAtom(sig.name, combo)
-        for sig in domain.predicates
-        for combo in itertools.product(names, repeat=sig.arity)
-    ]
-    atoms = [atom for atom in atoms if well_typed(atom, domain, first.objects)]
+    atoms = typed_atoms(domain, first.objects)
     observed = [atom for atom in atoms if domain.predicate(atom.predicate).kind == "observed"]
     init = data.draw(st.frozensets(st.sampled_from(observed)))
     literals = st.builds(GroundLiteral, st.sampled_from(atoms), st.booleans())
@@ -1452,7 +1526,8 @@ def test_a_shared_table_compiles_as_a_fresh_one_on_random_domains(case, data):
 )
 def test_a_shared_table_compiles_as_a_fresh_one_on_generated_suites(tmp_path, cfg, count):
     # The truth and the grounded problem of every entry, in suite order, on
-    # one domain: a problem meets the tables of the problems before it.
+    # one domain: a problem meets the tables of the problems before it, and
+    # the relaxations and memos they filled, some of which it shares.
     domain, entries = metrics.load_manifest(write_suite(cfg, count, tmp_path))
     problems = []
     for entry in entries:
@@ -1462,14 +1537,63 @@ def test_a_shared_table_compiles_as_a_fresh_one_on_generated_suites(tmp_path, cf
             problems.append(grounded)
     fresh = parse_domain(domain_text(cfg.kind))
     shared = 0
+    relaxations = set()
     for index, problem in enumerate(problems):
         shared += any(
             other.objects == problem.objects
             and (other.init, other.goal) != (problem.init, problem.goal)
             for other in problems[:index]
         )
+        assert_scores_as_naive(domain, problem)
         assert_warm_compiles_as_cold(domain, fresh, problem)
+        relaxations.add(id(GroundTask(domain, problem).relaxed))
     assert shared >= 2 and len(domain.tables) < len(problems)
+    assert len(relaxations) < len(problems)
+
+
+def assert_scores_as_naive(domain: Domain, problem: Problem) -> None:
+    """``problem``'s h_add on ``domain``, whose relaxations and memos other
+    problems may have filled, equals the Bellman-Ford h_add on every
+    reachable state (breadth-first, capped)."""
+    task = GroundTask(domain, problem)
+    relaxed = naive_relaxed_steps(domain, problem.objects)
+    for base, full in reachable(task, limit=150):
+        assert task.h_add(full) == naive_h_add(domain, problem, task.decode(base), relaxed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_typed_tasks(), st.data())
+def test_a_shared_relaxation_scores_as_a_fresh_one_on_random_domains(case, data):
+    # Problem A scores every reachable state and is solved, which fills its
+    # relaxation and memo.  Problem B has A's objects, A's goal half the
+    # time and one with a literal flipped otherwise, and A's init, A's init
+    # with other static s atoms, or a drawn init: B shares A's relaxation
+    # exactly when it has A's goal and the s atoms that A's rules read.
+    domain, first = case
+    assert_scores_as_naive(domain, first)
+    solve(domain, first, SearchConfig(node_limit=10_000))
+    observed = [
+        atom
+        for atom in typed_atoms(domain, first.objects)
+        if domain.predicate(atom.predicate).kind == "observed"
+    ]
+    static = {atom for atom in observed if atom.predicate == "s"}
+    init = data.draw(
+        st.one_of(
+            st.just(first.init),
+            st.frozensets(st.sampled_from(sorted(static))).map(
+                lambda atoms: first.init - static | atoms
+            ),
+            st.frozensets(st.sampled_from(observed)),
+        ),
+        label="init",
+    )
+    goals = flipped_goals(first)
+    if len(goals) > 1 and data.draw(st.booleans(), label="flip"):
+        goals = goals[1:]
+    second = replace(data.draw(st.sampled_from(goals), label="goal"), init=init)
+    assert_scores_as_naive(domain, second)
+    assert_warm_compiles_as_cold(domain, parse_domain(serialize_domain(domain)), second)
 
 
 @settings(max_examples=50, deadline=None)
@@ -1636,8 +1760,9 @@ def heuristic_cases(domain, problem) -> tuple[bool, bool]:
     reachable state for the goal or a goal with one literal flipped."""
     task = GroundTask(domain, problem)
     free = any(not pos for pos, _, _, _ in task.compiled)
+    relaxed = naive_relaxed_steps(domain, problem.objects)
     infinite = any(
-        naive_h_add(domain, posed, task.decode(base)) == float("inf")
+        naive_h_add(domain, posed, task.decode(base), relaxed) == float("inf")
         for base, _ in reachable(task, limit=150)
         for posed in flipped_goals(problem)
     )
