@@ -11,16 +11,20 @@ An exemplar has two forms: an observation plus the atoms that hold in it,
 as its file (``exemplar_to_json``) and the generator keep it, and the
 ``ExemplarModel`` that ``compile_exemplar`` builds once from the merged
 observation and those labels: the label fault, if any, and each
-predicate's positive and negative features.  ``exemplar_from_json`` turns
-a file into a model, ``metrics.ground`` keeps one per distinct exemplar
-file for a suite, and ``classify_scene`` reads only the model.
+predicate's positive and negative features, each side sorted.
+``exemplar_from_json`` turns a file into a model, ``metrics.ground`` keeps
+one per distinct exemplar file for a suite, and ``classify_scene`` reads
+only the model.  The sorted sides let ``classify`` search each side
+outward from a test feature's first coordinate and stop early, with the
+same answer as a full scan.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 from sceneground.pddl.model import Domain, GroundAtom, atom_faults
@@ -30,7 +34,6 @@ from sceneground.scene import (
     SceneError,
     SceneObject,
     SceneObservation,
-    binary_feature,
     box_json,
     json_items,
     json_string,
@@ -58,8 +61,9 @@ class ExemplarModel:
 
     ``fault`` is why the labels cannot teach this domain (``classify_scene``
     raises it), else None.  ``labeled`` maps each observed predicate to the
-    features of its positive and of its negative exemplar candidates, in
-    scene order; it is empty when there is a fault.
+    features of its positive and of its negative exemplar candidates, each
+    side sorted (by first coordinate, as tuples sort); it is empty when
+    there is a fault.
     """
 
     fault: str | None
@@ -126,31 +130,38 @@ def enumerate_candidates(
 
     Binary predicates get every ordered pair of distinct, subtype-compatible
     objects; unary ones get every compatible object paired with itself.
+    A binary feature is ``binary_feature``'s, each box's corners read once.
     """
     out: dict[str, tuple[CandidateTriplet, ...]] = {}
     objects, width, height = scene.objects, scene.width, scene.height
     fits = domain.hierarchy.fitting(obj.type for obj in objects)
     for sig in domain.observed:
+        name = sig.name
         pools = [[objects[i] for i in fits.get(want, ())] for _, want in sig.params]
         if sig.arity == 1:
-            out[sig.name] = tuple(
-                CandidateTriplet(
-                    obj, sig.name, obj, unary_feature(obj.box, width, height)
-                )
+            out[name] = tuple(
+                CandidateTriplet(obj, name, obj, unary_feature(obj.box, width, height))
                 for obj in pools[0]
             )
-        else:
-            out[sig.name] = tuple(
-                CandidateTriplet(
-                    subj,
-                    sig.name,
-                    obj,
-                    binary_feature(subj.box, obj.box, width, height),
-                )
-                for subj in pools[0]
-                for obj in pools[1]
-                if obj.name != subj.name
-            )
+            continue
+        others = [
+            (obj, obj.name, obj.box.x_min, obj.box.y_min, obj.box.x_max, obj.box.y_max)
+            for obj in pools[1]
+        ]
+        cands = []
+        for subj in pools[0]:
+            box = subj.box
+            subj_name, x0, y0, x1, y1 = subj.name, box.x_min, box.y_min, box.x_max, box.y_max
+            for obj, obj_name, bx0, by0, bx1, by1 in others:
+                if obj_name != subj_name:
+                    feature = (
+                        (x0 - bx0) / width,
+                        (y0 - by0) / height,
+                        (x1 - bx1) / width,
+                        (y1 - by1) / height,
+                    )
+                    cands.append(CandidateTriplet(subj, name, obj, feature))
+        out[name] = tuple(cands)
     return out
 
 
@@ -200,20 +211,35 @@ def _exemplar_fault(scene: Scene, labels: frozenset[GroundAtom], domain: Domain)
 
 def compile_exemplar(scene: Scene, labels: frozenset[GroundAtom], domain: Domain) -> ExemplarModel:
     """Validate the labels of the merged exemplar scene and split each
-    predicate's exemplar candidates into positive and negative features.
-    A fault is kept, not raised, so that it surfaces where the exemplar is
-    used, after the test scene has merged."""
-    fault = _exemplar_fault(scene, labels, domain)
+    predicate's exemplar candidates into positive and negative features,
+    each side sorted.  A fault is kept, not raised, so that it surfaces
+    where the exemplar is used, after the test scene has merged.
+
+    A label that is some candidate's atom names an observed predicate, has
+    its arity, and names scene objects of fitting types, so it has no
+    fault.  The labels are checked one by one only when some label is no
+    candidate's atom."""
     labeled = {}
-    if fault is None:
-        for predicate, cands in enumerate_candidates(scene, domain).items():
-            positives, negatives = [], []
-            for c in cands:
-                # A ground atom is a tuple, so the plain key finds it.
-                side = positives if (predicate, c.args) in labels else negatives
-                side.append(c.feature)
-            labeled[predicate] = (tuple(positives), tuple(negatives))
-    return ExemplarModel(fault, labeled)
+    matched = 0
+    for predicate, cands in enumerate_candidates(scene, domain).items():
+        positives, negatives = [], []
+        for c in cands:
+            subject, obj = c.subject.name, c.object.name
+            # A ground atom is a tuple, so the plain key finds it.
+            key = (predicate, (subject,) if subject == obj else (subject, obj))
+            if key in labels:
+                matched += 1
+                positives.append(c.feature)
+            else:
+                negatives.append(c.feature)
+        positives.sort()
+        negatives.sort()
+        labeled[predicate] = (tuple(positives), tuple(negatives))
+    if matched != len(labels):
+        fault = _exemplar_fault(scene, labels, domain)
+        if fault is not None:
+            return ExemplarModel(fault, {})
+    return ExemplarModel(None, labeled)
 
 
 def classify(
@@ -224,11 +250,19 @@ def classify(
     """Label each test candidate by its nearest exemplar feature.
 
     ``positives`` and ``negatives`` are the features of the exemplar's
-    candidates of the same predicate.  The squared distance is the
-    left-to-right float sum of ``d_i * d_i`` for ``d_i = a_i - b_i``.  A
-    test candidate is rejected at the first negative exemplar candidate
-    that is at least as near as its nearest positive, so an exact tie
-    resolves to false.
+    candidates of the same predicate, each sorted, as ``compile_exemplar``
+    leaves them.  The squared distance is the left-to-right float sum of
+    ``d_i * d_i`` for ``d_i = a_i - b_i``.  A test candidate is kept when
+    its nearest positive is strictly nearer than every negative, so an
+    exact tie resolves to false.
+
+    Each side is searched outward from the test feature's place among the
+    sorted first coordinates, and a direction stops once the squared gap
+    ``g * g`` of first coordinates exceeds the distance that matters: the
+    nearest positive so far, or on the negatives the nearest positive.
+    The search is exact: ``g * g`` is the first term of the distance's
+    sum, adding non-negative terms never lowers a float sum, and the stop
+    test is strict (projection pruning, Friedman, Baskett & Shustek 1975).
     Returns the true-labeled candidates in their input order.
     """
     if not test:
@@ -239,14 +273,50 @@ def classify(
             f"{len(positives)} positive / {len(negatives)} negative candidates"
         )
     distance2 = _DISTANCE2[len(positives[0])]
+    pos_keys = [f[0] for f in positives]
+    neg_keys = [f[0] for f in negatives]
+    n_pos, n_neg = len(positives), len(negatives)
     kept = []
     for cand in test:
         x = cand.feature
-        d_pos = min(map(distance2, repeat(x), positives))
-        for f in negatives:
-            if distance2(x, f) <= d_pos:
+        x0 = x[0]
+        # The nearest positive, up then down from x0's place.
+        d_pos = math.inf
+        start = j = bisect_left(pos_keys, x0)
+        while j < n_pos:
+            g = x0 - pos_keys[j]
+            if g * g > d_pos:
                 break
-        else:
+            d = distance2(x, positives[j])
+            if d < d_pos:
+                d_pos = d
+            j += 1
+        j = start - 1
+        while j >= 0:
+            g = x0 - pos_keys[j]
+            if g * g > d_pos:
+                break
+            d = distance2(x, positives[j])
+            if d < d_pos:
+                d_pos = d
+            j -= 1
+        # Any negative at least as near, up then down.
+        near = False
+        start = j = bisect_left(neg_keys, x0)
+        while not near and j < n_neg:
+            g = x0 - neg_keys[j]
+            if g * g > d_pos:
+                break
+            near = distance2(x, negatives[j]) <= d_pos
+            j += 1
+        j = start - 1
+        while not near and j >= 0:
+            g = x0 - neg_keys[j]
+            if g * g > d_pos:
+                break
+            near = distance2(x, negatives[j]) <= d_pos
+            j -= 1
+        if not near:
             kept.append(cand)
     return tuple(kept)
 

@@ -165,20 +165,20 @@ def _number(value, what: str) -> float:
 
 def _det_from_dict(raw: dict) -> Detection:
     try:
-        box = Box(*(_number(v, "a box coordinate") for v in raw["box"]))
-        names = {key: raw.get(key) for key in ("suggested_type", "referent_name")}
-        for key, value in names.items():
-            if value is not None and not isinstance(value, str):
-                raise TypeError(f"{key} must be a string or null, got {value!r}")
+        box = Box(
+            *[v if type(v) is float else _number(v, "a box coordinate") for v in raw["box"]]
+        )
+        suggested_type = raw.get("suggested_type")
+        referent_name = raw.get("referent_name")
+        if suggested_type is not None and not isinstance(suggested_type, str):
+            raise TypeError(f"suggested_type must be a string or null, got {suggested_type!r}")
+        if referent_name is not None and not isinstance(referent_name, str):
+            raise TypeError(f"referent_name must be a string or null, got {referent_name!r}")
         query = raw["query"]
         if not isinstance(query, str):
             raise TypeError(f"query must be a string, got {query!r}")
-        return Detection(
-            query=query,
-            box=box,
-            score=_number(raw.get("score", 1.0), "score"),
-            **names,
-        )
+        score = _number(raw.get("score", 1.0), "score")
+        return Detection(query, box, score, suggested_type, referent_name)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SceneError):
             raise
@@ -199,12 +199,8 @@ def observation_from_json(text: str | bytes | dict) -> SceneObservation:
         return SceneObservation(
             image_width=_number(raw["image_width"], "image_width"),
             image_height=_number(raw["image_height"], "image_height"),
-            class_detections=tuple(
-                _det_from_dict(d) for d in raw.get("class_detections", [])
-            ),
-            phrase_detections=tuple(
-                _det_from_dict(d) for d in raw.get("phrase_detections", [])
-            ),
+            class_detections=tuple(map(_det_from_dict, raw.get("class_detections", []))),
+            phrase_detections=tuple(map(_det_from_dict, raw.get("phrase_detections", []))),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SceneError):
@@ -273,41 +269,65 @@ def merge_detections(
 ) -> Scene:
     """Fuse class and phrase detections into one named scene.
 
-    Each phrase claims the class detection it overlaps most, provided the
-    overlap reaches ``threshold``; the claimed object is renamed to the
-    phrase's referent.  A phrase that matches nothing becomes a new object
-    of its suggested type (the root type when none is given).
+    Phrase by phrase, each claims the object so far it overlaps most,
+    provided the overlap is positive and reaches ``threshold``.  The
+    objects so far are the class detections in raster order, then earlier
+    phrases' new objects; of equal overlaps the first wins.  The claimed
+    object is renamed to the phrase's referent, so of two phrases that
+    claim one object the later names it.  A phrase that matches nothing
+    becomes a new object of its suggested type (the root type when none
+    is given).
     """
     if not obs.class_detections and not obs.phrase_detections:
         raise SceneError("empty scene: no detections at all")
-    entries: list[dict] = []
+    # Each entry is [type, box, name or None]; corners[i] holds entry i's
+    # box corners and area, read once for every phrase's IoU.
+    entries: list[list] = []
+    corners: list[tuple[float, ...]] = []
     for det in sorted(obs.class_detections, key=lambda d: _raster_key(d.box)):
         typ = det.suggested_type or det.query
         if not domain.hierarchy.contains(typ):
             raise SceneError(f"class detection type {typ!r} not in domain")
-        entries.append({"type": typ, "box": det.box, "name": None})
+        entries.append([typ, det.box, None])
+        corners.append(_corners(det.box))
     for det in obs.phrase_detections:
-        if det.referent_name is not None and not valid_name(det.referent_name):
-            raise SceneError(
-                f"bad referent name {det.referent_name!r} for phrase {det.query!r}"
-            )
+        name = det.referent_name
+        if name is not None and not valid_name(name):
+            raise SceneError(f"bad referent name {name!r} for phrase {det.query!r}")
+        phrase = _corners(det.box)
+        ax0, ay0, ax1, ay1, a_area = phrase
         best = None
         best_iou = 0.0
-        for entry in entries:
-            overlap = iou(det.box, entry["box"])
+        for entry, (bx0, by0, bx1, by1, b_area) in zip(entries, corners):
+            # ``iou(det.box, entry box)`` inlined, min and max included:
+            # min(a, b) is b only if b < a, max(a, b) is b only if b > a.
+            ix = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
+            if ix <= 0:
+                continue
+            iy = (by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)
+            if iy <= 0:
+                continue
+            inter = ix * iy
+            overlap = inter / (a_area + b_area - inter)
             if overlap > best_iou:
                 best = entry
                 best_iou = overlap
         if best is not None and best_iou >= threshold:
-            if det.referent_name is not None:
-                best["name"] = det.referent_name
+            if name is not None:
+                best[2] = name
         else:
             typ = det.suggested_type or ROOT_TYPE
             if typ != ROOT_TYPE and not domain.hierarchy.contains(typ):
                 raise SceneError(f"suggested type {typ!r} not in domain")
-            entries.append({"type": typ, "box": det.box, "name": det.referent_name})
-    objects = assign_names((e["type"], e["box"], e["name"]) for e in entries)
-    return Scene(obs.image_width, obs.image_height, objects)
+            entries.append([typ, det.box, name])
+            corners.append(phrase)
+    return Scene(obs.image_width, obs.image_height, assign_names(entries))
+
+
+def _corners(box: Box) -> tuple[float, float, float, float, float]:
+    """A box's corners and its area, as ``Box.area`` computes it."""
+    x0, y0, x1, y1 = box.x_min, box.y_min, box.x_max, box.y_max
+    return x0, y0, x1, y1, (x1 - x0) * (y1 - y0)
 
 
 def binary_feature(a: Box, b: Box, width: float, height: float) -> tuple[float, ...]:

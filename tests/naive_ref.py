@@ -1,14 +1,16 @@
 """Reference interpreter used to cross-check the planner, the validator,
-the type hierarchy, the problem parser's atom checks and the scene
-classifier.
+the type hierarchy, the problem parser's atom checks, the scene
+classifier and the detection merge.
 
 Deliberately naive: subtyping by walking the parent pairs, problem atoms
 checked by linear scans, generate-and-test grounding, closure by repeated
 full re-derivation of every rule, read or not, read predicates by a
 depth-first walk, h_add by Bellman-Ford sweeps, breadth-first search with
-no ordering tricks, and 1-NN labels by nested loops.  It imports only the model types and the box features, never
-the graph, planner or metrics modules, so agreement between the
-implementations is meaningful evidence rather than an echo.
+no ordering tricks, 1-NN labels by nested loops, and detection merging
+by a list of overlaps per phrase.  It imports only the model types, the
+box features and ``iou``, never the graph, planner or metrics modules,
+so agreement between the implementations is meaningful evidence rather
+than an echo.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from sceneground.pddl.model import (
     Problem,
     TypeHierarchy,
 )
-from sceneground.scene import binary_feature, unary_feature
+from sceneground.scene import binary_feature, iou, unary_feature
 
 
 def naive_type_chain(parents, name: str) -> list[str] | None:
@@ -59,27 +61,54 @@ def _subst(atom, env):
     return GroundAtom(atom.predicate, tuple(env[a] for a in atom.args))
 
 
-def naive_closure(atoms, domain: Domain) -> frozenset[GroundAtom]:
+def _rule_variables(rule) -> list[str]:
+    variables = []
+    for atom in (rule.head, *rule.body):
+        for var in atom.args:
+            if var not in variables:
+                variables.append(var)
+    return variables
+
+
+def naive_rule_instances(domain: Domain, objects):
+    """(body, head) of every binding of every rule's variables to the
+    names of ``objects``, untyped.  It depends on the domain and the
+    objects only, so a caller that closes many states over one object set
+    grounds it once."""
+    names = [name for name, _ in objects]
+    out = []
+    for rule in domain.derived:
+        variables = _rule_variables(rule)
+        for combo in itertools.product(names, repeat=len(variables)):
+            env = dict(zip(variables, combo))
+            out.append((tuple(_subst(b, env) for b in rule.body), _subst(rule.head, env)))
+    return out
+
+
+def naive_closure(atoms, domain: Domain, instances=None) -> frozenset[GroundAtom]:
     """Base plus derived atoms, by exhaustive re-derivation to a fixpoint.
 
     Variables range over every constant mentioned anywhere in the current
     atom set; the body-membership test discards ill-typed combinations
-    because ill-typed atoms can never be present.
+    because ill-typed atoms can never be present.  ``instances`` may be
+    ``naive_rule_instances`` over objects that include every constant of
+    ``atoms``: a rule's head variables all occur in its body, so a binding
+    to a constant no atom mentions never fires, and the fixpoint is the
+    same.
     """
     known = set(atoms)
     while True:
-        constants = sorted({name for atom in known for name in atom.args})
-        fresh = set()
-        for rule in domain.derived:
-            variables = []
-            for atom in (rule.head, *rule.body):
-                for var in atom.args:
-                    if var not in variables:
-                        variables.append(var)
-            for combo in itertools.product(constants, repeat=len(variables)):
-                env = dict(zip(variables, combo))
-                if all(_subst(b, env) in known for b in rule.body):
-                    fresh.add(_subst(rule.head, env))
+        if instances is not None:
+            fresh = {head for body, head in instances if known.issuperset(body)}
+        else:
+            constants = sorted({name for atom in known for name in atom.args})
+            fresh = set()
+            for rule in domain.derived:
+                variables = _rule_variables(rule)
+                for combo in itertools.product(constants, repeat=len(variables)):
+                    env = dict(zip(variables, combo))
+                    if all(_subst(b, env) in known for b in rule.body):
+                        fresh.add(_subst(rule.head, env))
         fresh -= known
         if not fresh:
             return frozenset(known)
@@ -190,11 +219,12 @@ def naive_bfs(domain: Domain, problem: Problem, state_limit: int = 10**5):
     smaller instances instead of raising the limit.
     """
     steps = _ground_steps(domain, problem.objects)
+    instances = naive_rule_instances(domain, problem.objects)
     closures: dict[frozenset, frozenset] = {}
 
     def satisfied(atoms):
         if atoms not in closures:
-            closures[atoms] = naive_closure(atoms, domain)
+            closures[atoms] = naive_closure(atoms, domain, instances)
         reached = closures[atoms]
         return all((lit.atom in reached) != lit.negated for lit in problem.goal)
 
@@ -279,11 +309,7 @@ def _typed_rule_instances(domain: Domain, objects):
     names = [name for name, _ in objects]
     out = []
     for rule in domain.derived:
-        variables = []
-        for atom in (rule.head, *rule.body):
-            for var in atom.args:
-                if var not in variables:
-                    variables.append(var)
+        variables = _rule_variables(rule)
         for combo in itertools.product(names, repeat=len(variables)):
             env = dict(zip(variables, combo))
             head = _subst(rule.head, env)
@@ -385,9 +411,15 @@ def naive_classify_scene(scene, domain: Domain, ex_scene, labels):
         if not positives or not negatives:
             return None
         for args, feature in test:
-            if _nearest(feature, positives) < _nearest(feature, negatives):
+            if naive_1nn(feature, positives, negatives):
                 kept.add(GroundAtom(sig.name, args))
     return frozenset(kept)
+
+
+def naive_1nn(feature, positives, negatives) -> bool:
+    """The 1-NN label of ``feature``: true when its nearest positive is
+    strictly nearer than its nearest negative, so an exact tie is false."""
+    return _nearest(feature, positives) < _nearest(feature, negatives)
 
 
 def naive_distance2(a, b) -> float:
@@ -413,3 +445,40 @@ def _nearest(feature, pool) -> float:
         if best is None or d < best:
             best = d
     return best
+
+
+def naive_merge(obs, threshold: float = 0.5):
+    """(name, type, box) of each object ``merge_detections`` makes of a
+    valid observation, following its docstring with ``scene.iou``.
+
+    The class detections, in raster order (y_min, x_min, y_max, x_max),
+    come first; then, phrase by phrase, a phrase whose greatest overlap
+    with an object so far is positive and reaches ``threshold`` renames
+    the first object with that overlap to its referent, if it has one,
+    and any other phrase is a new object of its suggested type (the root
+    type without one).  Objects are then named in raster order:
+    unnamed ones ``<type><k>`` with k counting per type from 1.
+    """
+    def raster(box):
+        return (box.y_min, box.x_min, box.y_max, box.x_max)
+
+    objects = [
+        [det.suggested_type or det.query, det.box, None]
+        for det in sorted(obs.class_detections, key=lambda d: raster(d.box))
+    ]
+    for det in obs.phrase_detections:
+        overlaps = [iou(det.box, box) for _, box, _ in objects]
+        best = max(overlaps, default=0.0)
+        if best > 0 and best >= threshold:
+            if det.referent_name is not None:
+                objects[overlaps.index(best)][2] = det.referent_name
+        else:
+            objects.append([det.suggested_type or ROOT_TYPE, det.box, det.referent_name])
+    counts: dict[str, int] = {}
+    named = []
+    for typ, box, name in sorted(objects, key=lambda o: raster(o[1])):
+        if name is None:
+            counts[typ] = counts.get(typ, 0) + 1
+            name = f"{typ}{counts[typ]}"
+        named.append((name, typ, box))
+    return named

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from bisect import bisect_left
 from dataclasses import astuple
 from pathlib import Path
 
@@ -14,14 +15,15 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from naive_ref import naive_classify_scene, naive_distance2, well_typed
+from naive_ref import naive_1nn, naive_classify_scene, naive_distance2, well_typed
 import sceneground
-from sceneground.bench import domain_text
+from sceneground.bench import DOMAIN_KINDS, GenConfig, domain_text, generate, shipped_domain
 from sceneground.graph import (
     _DISTANCE2,
     CandidateTriplet,
     ExemplarError,
     SceneGraph,
+    _exemplar_fault,
     classify,
     classify_scene,
     compile_exemplar,
@@ -519,7 +521,9 @@ def test_classify_scene_agrees_with_naive_1nn(case):
 def kernel_cases(domain, scene, exemplar) -> tuple[bool, bool]:
     """Whether some test candidate's nearest positive and nearest negative
     are exactly as far, and whether some candidate is rejected by a
-    negative after the first one the classifier scans."""
+    negative after the first one the classifier visits: the sorted
+    negatives are walked up from the first whose first coordinate is at
+    least the candidate's, or down from the last if there is none."""
     tie = late = False
     ex_scene, labels = exemplar
     labeled = enumerate_candidates(ex_scene, domain)
@@ -530,11 +534,13 @@ def kernel_cases(domain, scene, exemplar) -> tuple[bool, bool]:
             (positives if truth else negatives).append(c.feature)
         if not test or not positives or not negatives:
             continue
+        negatives.sort()
         for cand in test:
             d_pos = min(naive_distance2(cand.feature, f) for f in positives)
             d_neg = [naive_distance2(cand.feature, f) for f in negatives]
+            first = min(bisect_left([f[0] for f in negatives], cand.feature[0]), len(d_neg) - 1)
             tie |= d_pos == min(d_neg)
-            late |= d_neg[0] > d_pos >= min(d_neg)
+            late |= d_neg[first] > d_pos >= min(d_neg)
     return tie, late
 
 
@@ -559,6 +565,237 @@ def test_classification_cases_draw_ties_and_late_rejections():
     assert len(cases) == 150
     assert min(sum(drawn) for drawn in zip(*cases)) >= 10
 
+
+
+# ---------------------------------------------------------------------------
+# The pruned 1-NN search against brute force
+# ---------------------------------------------------------------------------
+
+# A coarse dyadic grid: features repeat, first coordinates coincide, and
+# differences, squares and mirror images are exact, so distances tie
+# exactly.  Both signed zeros are on it.
+GRID = (-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0)
+_NN_OBJECT = SceneObject("o", "block", Box(0, 0, 1, 1))
+
+
+@st.composite
+def nn_cases(draw):
+    """Test features and the two sides of an exemplar, unsorted.
+
+    Side features come from a shared pool (duplicates on one side and
+    across sides), fresh from the grid, or from a test feature with only
+    its first coordinate changed (a distance that is the first term
+    alone).  A negative may mirror a test feature's nearest positive
+    through it, exactly as far away."""
+    n = draw(st.sampled_from((4, 6)))
+    feature = st.tuples(*[st.sampled_from(GRID)] * n)
+    tests = draw(st.lists(feature, min_size=1, max_size=5))
+    pool = draw(st.lists(feature, min_size=1, max_size=4))
+    shifted = st.tuples(st.sampled_from(GRID), st.sampled_from(tests)).map(
+        lambda pair: (pair[0], *pair[1][1:])
+    )
+    side = st.lists(feature | st.sampled_from(pool) | shifted, min_size=1, max_size=8)
+    positives, negatives = draw(side), draw(side)
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(tests))
+        p = min(positives, key=lambda f: naive_distance2(t, f))
+        negatives.append(tuple(2 * a - b for a, b in zip(t, p)))
+    return tests, positives, negatives
+
+
+def nn_kinds(tests, positives, negatives) -> set[str]:
+    """Which of the cases the pruned search must get right a draw holds."""
+    seen = set()
+    firsts = {f[0] for f in positives} & {f[0] for f in negatives}
+    if len(set(positives)) < len(positives) or len(set(negatives)) < len(negatives):
+        seen.add("duplicate on a side")
+    if set(positives) & set(negatives):
+        seen.add("duplicate across sides")
+    if any(p[0] == q[0] and p != q for p in positives for q in negatives):
+        seen.add("equal first coordinates")
+    zeros = [f[0] for f in (*tests, *positives, *negatives) if f[0] == 0]
+    if {math.copysign(1.0, z) for z in zeros} == {1.0, -1.0}:
+        seen.add("-0.0 against 0.0")
+    for t in tests:
+        d_pos = min(naive_distance2(t, f) for f in positives)
+        near = [f for f in negatives if naive_distance2(t, f) == d_pos]
+        if near:
+            seen.add("negative as near as the nearest positive")
+        if any((t[0] - f[0]) ** 2 == d_pos for f in near):
+            seen.add("tie at the first coordinate's gap")
+    seen.add(f"{len(tests[0])}-dim")
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(nn_cases())
+# The tying negative sits exactly at the stop gap: a walk that stopped
+# at g * g == d_pos would keep the candidate.
+@example(([(0.0, 0.0, 0.0, 0.0)], [(0.5, 0.0, 0.0, 0.0)], [(-0.5, 0.0, 0.0, 0.0)]))
+# The nearest positive and the only near negative lie below the test
+# feature's first coordinate, the far ones above.
+@example(([(0.0,) * 6], [(-0.25,) + (0.0,) * 5, (1.0,) * 6], [(-0.5,) + (0.0,) * 5, (1.0,) * 6]))
+def test_pruned_classify_is_the_brute_force_1nn(case):
+    tests, positives, negatives = case
+    cands = tuple(CandidateTriplet(_NN_OBJECT, "p", _NN_OBJECT, f) for f in tests)
+    kept = classify(cands, tuple(sorted(positives)), tuple(sorted(negatives)))
+    assert kept == tuple(c for c in cands if naive_1nn(c.feature, positives, negatives))
+
+
+def test_nn_cases_draw_every_tie():
+    # Each kind of tie and coincidence turns up in at least 10 of the 300
+    # examples the property above runs.
+    counts: dict[str, int] = {}
+
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        database=None,
+        phases=[Phase.generate],
+        deadline=None,
+    )
+    @given(nn_cases())
+    def record(case):
+        for kind in nn_kinds(*case):
+            counts[kind] = counts.get(kind, 0) + 1
+
+    record()
+    assert set(counts) == {
+        "duplicate on a side", "duplicate across sides", "equal first coordinates",
+        "-0.0 against 0.0", "negative as near as the nearest positive",
+        "tie at the first coordinate's gap", "4-dim", "6-dim",
+    }
+    assert min(counts.values()) >= 10, counts
+
+
+@settings(max_examples=50, deadline=None)
+@given(classification_cases())
+def test_compiled_exemplar_sides_are_sorted(case):
+    domain, _, exemplar = case
+    for positives, negatives in compile_exemplar(*exemplar, domain).labeled.values():
+        assert list(positives) == sorted(positives)
+        assert list(negatives) == sorted(negatives)
+
+
+# ---------------------------------------------------------------------------
+# The exemplar label check: candidate membership, else every label
+# ---------------------------------------------------------------------------
+
+_LABEL_SCENE = _scene(_block("exa", 10, 40), _block("exb", 10, 10), _block("exc", 50, 10))
+_ON_AB = GroundAtom("on", ("exa", "exb"))
+
+
+@pytest.mark.parametrize(
+    "scene, domain, labels, message",
+    [
+        # The first faulty label in sorted order is named.
+        (_LABEL_SCENE, BLOCKS,
+         {_ON_AB, GroundAtom("on", ("exc", "ghost")), GroundAtom("on", ("exb", "zz"))},
+         "malformed exemplar atom (on exb zz): unknown object 'zz'"),
+        # A reflexive label is type-valid but no candidate: no fault.
+        (_LABEL_SCENE, BLOCKS, {_ON_AB, GroundAtom("on", ("exa", "exa"))}, None),
+        # A predicate without candidates: one block has no ordered pair.
+        (_scene(_block("exa", 10, 40)), BLOCKS, {GroundAtom("on", ("exa", "exa"))}, None),
+        # No gripper, so carry has no candidates, and the label is ill-typed.
+        (_scene(SceneObject("veg", "vegetable", Box(0, 0, 10, 10))), KITCHEN,
+         {GroundAtom("sliced", ("veg",)), GroundAtom("carry", ("veg", "veg"))},
+         "malformed exemplar atom (carry veg veg): "
+         "'veg' has type 'vegetable', 'carry' requires 'gripper'"),
+        (_LABEL_SCENE, BLOCKS, {_ON_AB, GroundAtom("on", ("exa", "ghost"))},
+         "malformed exemplar atom (on exa ghost): unknown object 'ghost'"),
+        (_LABEL_SCENE, BLOCKS, {_ON_AB, GroundAtom("on", ("exa", "exb", "exc"))},
+         "malformed exemplar atom (on exa exb exc): 'on' takes 2 args, got 3"),
+        # Non-observed predicates are looked for first, among all labels.
+        (_LABEL_SCENE, BLOCKS,
+         {_ON_AB, GroundAtom("on", ("exa", "ghost")), GroundAtom("zz", ("exa",))},
+         "exemplar labels non-observed predicate 'zz'"),
+        (_LABEL_SCENE, BLOCKS, set(), None),
+    ],
+    ids=[
+        "first-faulty-sorted", "reflexive", "no-candidates-valid", "no-candidates-faulty",
+        "unknown-object", "wrong-arity", "non-observed-first", "no-labels",
+    ],
+)
+def test_exemplar_label_fault_falls_back_to_every_label(scene, domain, labels, message):
+    labels = frozenset(labels)
+    model = compile_exemplar(scene, labels, domain)
+    assert model.fault == _exemplar_fault(scene, labels, domain) == message
+    if message is None:
+        candidates = frozenset(a for a in labels if len(set(a.args)) == len(a.args))
+        assert model == compile_exemplar(scene, candidates, domain)
+    else:
+        assert model.labeled == {}
+
+
+@st.composite
+def labeled_exemplars(draw):
+    """A drawn exemplar with extra labels, some of them faulty."""
+    domain, _, (ex_scene, labels) = draw(classification_cases())
+    names = [o.name for o in ex_scene.objects] + ["ghost"]
+    predicates = [sig.name for sig in domain.predicates] + ["unknown"]
+    extra = st.builds(
+        GroundAtom,
+        st.sampled_from(predicates),
+        st.lists(st.sampled_from(names), min_size=0, max_size=3).map(tuple),
+    )
+    return domain, ex_scene, labels | draw(st.frozensets(extra, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_exemplars())
+def test_exemplar_fault_is_the_check_of_every_label(case):
+    domain, scene, labels = case
+    assert compile_exemplar(scene, labels, domain).fault == _exemplar_fault(scene, labels, domain)
+
+
+# ---------------------------------------------------------------------------
+# Relations over generated scenes
+# ---------------------------------------------------------------------------
+
+
+def _scaled(obs: SceneObservation, factor: float) -> SceneObservation:
+    def scale(dets):
+        return tuple(
+            Detection(
+                d.query,
+                Box(d.box.x_min * factor, d.box.y_min * factor,
+                    d.box.x_max * factor, d.box.y_max * factor),
+                d.score, d.suggested_type, d.referent_name,
+            )
+            for d in dets
+        )
+
+    return SceneObservation(
+        obs.image_width * factor, obs.image_height * factor,
+        scale(obs.class_detections), scale(obs.phrase_detections),
+    )
+
+
+def _graph_atoms(domain, obs, ex_obs, labels):
+    model = compile_exemplar(merge_detections(ex_obs, domain), labels, domain)
+    try:
+        return classify_scene(merge_detections(obs, domain), domain, model).atoms
+    except ExemplarError as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(DOMAIN_KINDS),
+    st.sampled_from((0.0, 0.2, 0.6)),
+    st.integers(0, 10**6),
+    st.integers(-8, 8),
+)
+def test_scaling_by_a_power_of_two_leaves_the_graph_unchanged(kind, sigma, seed, k):
+    # IoU and both features are ratios of coordinates, and scaling by 2^k
+    # is exact while nothing overflows or goes subnormal.
+    domain = shipped_domain(kind)
+    problem = generate(GenConfig(kind=kind, sigma=sigma, seed=seed))
+    labels = problem.exemplar_labels
+    factor = math.ldexp(1.0, k)
+    assert _graph_atoms(
+        domain, _scaled(problem.scene, factor), _scaled(problem.exemplar_obs, factor), labels
+    ) == _graph_atoms(domain, problem.scene, problem.exemplar_obs, labels)
 
 # Unit-range floats with the edge values drawn on purpose: signed zeros,
 # the smallest subnormal and the largest subnormal.

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naive_ref import naive_merge
+from sceneground.bench import DOMAIN_KINDS, GenConfig, generate, shipped_domain
 from sceneground.pddl import parse_domain
 from sceneground.scene import (
     Box,
@@ -18,6 +20,7 @@ from sceneground.scene import (
     SceneError,
     SceneObject,
     SceneObservation,
+    _det_from_dict,
     assign_names,
     binary_feature,
     iou,
@@ -416,3 +419,179 @@ def test_scene_lookup_and_typed_objects():
 def test_feature_values_are_finite():
     f = unary_feature(Box(0, 0, 1280, 960), 1280, 960)
     assert all(math.isfinite(v) for v in f)
+
+
+# ---------------------------------------------------------------------------
+# The merge against the naive reference, and its invariances
+# ---------------------------------------------------------------------------
+
+
+def _merged_rows(obs, domain):
+    return [(o.name, o.type, o.box) for o in merge_detections(obs, domain).objects]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2, 0.6])
+@pytest.mark.parametrize("kind", DOMAIN_KINDS)
+def test_merge_agrees_with_naive_reference_on_generated_scenes(kind, sigma):
+    domain = shipped_domain(kind)
+    for seed in range(12):
+        problem = generate(GenConfig(kind=kind, sigma=sigma, seed=900 + seed))
+        for obs in (problem.scene, problem.exemplar_obs):
+            assert _merged_rows(obs, domain) == naive_merge(obs), (kind, sigma, seed)
+
+
+def _phrase(query, box, referent=None, typ=None):
+    return Detection(query, box, suggested_type=typ, referent_name=referent)
+
+
+MERGE_EDGE_CASES = {
+    # The phrase shares only an edge with the class box: ix == 0.
+    "touching": _obs(
+        [_class("block", 0, 0)], [_phrase("p", Box(10, 0, 20, 10), "p", "block")]
+    ),
+    # Identical class boxes of two types, and a phrase on both: the first
+    # in raster order (a stable sort keeps input order) is claimed.
+    "identical": _obs(
+        [_class("vegetable", 20, 20), _class("block", 20, 20)],
+        [_phrase("it", Box(20, 20, 30, 30), "it")],
+    ),
+    # Overlap exactly at the threshold claims the box.
+    "iou-one-half": _obs(
+        [_class("block", 0, 0)], [_phrase("it", Box(0, 0, 10, 5), "it")]
+    ),
+    # Just under the threshold makes a new object of the root type.
+    "below-one-half": _obs(
+        [_class("block", 0, 0)], [_phrase("it", Box(0, 0, 10, 4.99), "it")]
+    ),
+    # Signed zeros in corners and in the overlap arithmetic.
+    "negative-zero": _obs(
+        [Detection("block", Box(-0.0, -0.0, 10, 10), suggested_type="block")],
+        [_phrase("z", Box(0.0, -0.0, 10, 10), "z"), _phrase("w", Box(-0.0, 0.0, 5, 5))],
+    ),
+    # A phrase that matches nothing becomes an object a later phrase can
+    # claim.
+    "phrase-claims-phrase": _obs(
+        [_class("block", 60, 60)],
+        [_phrase("a", Box(0, 0, 10, 10), typ="tool"), _phrase("b", Box(0, 0, 10, 10), "b")],
+    ),
+    # Two phrases on one box: the later referent wins.
+    "double-claim": _obs(
+        [_class("vegetable", 10, 10)],
+        [_phrase("the cucumber", Box(10, 10, 20, 20), "cucumber"),
+         _phrase("the tomato", Box(11, 10, 20, 20), "tomato")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_EDGE_CASES))
+def test_merge_agrees_with_naive_reference_on_edge_cases(name):
+    obs = MERGE_EDGE_CASES[name]
+    rows = _merged_rows(obs, TOY_DOMAIN)
+    assert rows == naive_merge(obs)
+    # The rows hold the detections' own boxes, signed zeros included.
+    boxes = {b.box for b in (*obs.class_detections, *obs.phrase_detections)}
+    assert all(box in boxes for _, _, box in rows)
+
+
+def test_merge_edge_cases_resolve_as_documented():
+    names = {
+        name: [row[0] for row in _merged_rows(obs, TOY_DOMAIN)]
+        for name, obs in MERGE_EDGE_CASES.items()
+    }
+    assert names == {
+        "touching": ["block1", "p"],
+        "identical": ["it", "block1"],
+        "iou-one-half": ["it"],
+        "below-one-half": ["it", "block1"],
+        "negative-zero": ["object1", "z"],
+        "phrase-claims-phrase": ["b", "block1"],
+        "double-claim": ["tomato"],
+    }
+
+
+@st.composite
+def generated_observations(draw):
+    kind = draw(st.sampled_from(DOMAIN_KINDS))
+    sigma = draw(st.sampled_from((0.0, 0.2, 0.6)))
+    problem = generate(GenConfig(kind=kind, sigma=sigma, seed=draw(st.integers(0, 10**6))))
+    return shipped_domain(kind), draw(st.sampled_from((problem.scene, problem.exemplar_obs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_observations(), st.randoms(use_true_random=False))
+def test_merge_ignores_class_detection_order(case, rng):
+    domain, obs = case
+    shuffled = list(obs.class_detections)
+    rng.shuffle(shuffled)
+    again = SceneObservation(
+        obs.image_width, obs.image_height, tuple(shuffled), obs.phrase_detections
+    )
+    assert merge_detections(again, domain) == merge_detections(obs, domain)
+
+
+# ---------------------------------------------------------------------------
+# Detection entries: the message of every rejection
+# ---------------------------------------------------------------------------
+
+
+def _arity_message(*coords) -> str:
+    """What the interpreter says when ``Box`` gets the wrong number of
+    corners; its wording is the interpreter's, not the loader's."""
+    with pytest.raises(TypeError) as err:
+        Box(*coords)
+    return str(err.value)
+
+
+DETECTION = {"query": "block", "box": [0, 0, 1.5, 1], "score": 1}
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({**DETECTION, "box": [0, 0, 1]}, _arity_message(0.0, 0.0, 1.0)),
+        ({**DETECTION, "box": [0, 0, 1, 1, 2]}, _arity_message(0.0, 0.0, 1.0, 1.0, 2.0)),
+        ({**DETECTION, "box": [0, "0", 1, 1]}, "a box coordinate must be a number, got '0'"),
+        ({**DETECTION, "box": [0, 0, None, 1]}, "a box coordinate must be a number, got None"),
+        ({**DETECTION, "box": [0, 0, True, 1]}, "a box coordinate must be a number, got True"),
+        ({**DETECTION, "box": 5}, "'int' object is not iterable"),
+        ({**DETECTION, "query": 7}, "query must be a string, got 7"),
+        ({**DETECTION, "suggested_type": 3}, "suggested_type must be a string or null, got 3"),
+        ({**DETECTION, "referent_name": ["x"]},
+         "referent_name must be a string or null, got ['x']"),
+        # Both names are checked before the query, suggested_type first.
+        ({**DETECTION, "query": 4, "suggested_type": 3, "referent_name": 5},
+         "suggested_type must be a string or null, got 3"),
+        ({**DETECTION, "query": 4, "referent_name": 5},
+         "referent_name must be a string or null, got 5"),
+        ({"query": "b", "score": 1}, "'box'"),
+        ({"box": [0, 0, 1, 1]}, "'query'"),
+        ({**DETECTION, "score": "1"}, "score must be a number, got '1'"),
+        ({**DETECTION, "box": [0, 0, 10**400, 1]}, "int too large to convert to float"),
+    ],
+    ids=[
+        "three-corners", "five-corners", "string-coordinate", "null-coordinate",
+        "bool-coordinate", "number-box", "int-query", "int-type", "list-referent",
+        "type-before-referent", "referent-before-query", "no-box", "no-query",
+        "string-score", "huge-coordinate",
+    ],
+)
+def test_detection_entry_messages(raw, message):
+    with pytest.raises(SceneError) as err:
+        _det_from_dict(raw)
+    assert str(err.value) == f"bad detection entry {raw!r}: {message}"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({**DETECTION, "score": 1.5}, "score 1.5 outside [0, 1]"),
+        ({**DETECTION, "score": -0.1}, "score -0.1 outside [0, 1]"),
+        ({**DETECTION, "box": [1, 0, 0, 1]},
+         "degenerate box Box(x_min=1.0, y_min=0.0, x_max=0.0, y_max=1.0)"),
+    ],
+    ids=["score-above-one", "score-below-zero", "degenerate-box"],
+)
+def test_detection_entry_scene_errors_pass_through(raw, message):
+    with pytest.raises(SceneError) as err:
+        _det_from_dict(raw)
+    assert str(err.value) == message
