@@ -129,7 +129,6 @@ def on_atom(a: str, b: str) -> GroundAtom:
 def _optimal_length(domain: Domain, truth: Problem) -> int:
     """The length of an optimal plan for the truth, which must be solvable."""
     result = solve(domain, truth, SearchConfig(mode="optimal"))
-    domain.tables.clear()  # the shipped domain outlives this problem
     assert result.status == "solved" and result.plan is not None
     return len(result.plan)
 
@@ -208,9 +207,6 @@ def _blocks_distance_map(domain: Domain, problem_objects, init):
     keyed by each base state's atoms (the task's bit sets, decoded)."""
     problem = Problem("distances", domain.name, problem_objects, init, ())
     task = GroundTask(domain, problem)
-    # The shipped domain lives as long as the process, so the planner's
-    # tables for this problem's objects are released once it is compiled.
-    domain.tables.clear()
     dist = {task.init[0]: 0}
     queue = deque([task.init])
     while queue:

@@ -45,7 +45,7 @@ from sceneground.pddl.model import (
     Problem,
     valid_name,
 )
-from sceneground.planner import SearchConfig, axiom_closure, solve
+from sceneground.planner import SearchConfig, axiom_closure, solve, suite, suite_tables
 from sceneground.scene import (
     MATCH_THRESHOLD,
     SceneError,
@@ -404,18 +404,18 @@ def ground(domain: Domain, entry: ManifestEntry, config: PipelineConfig) -> Grou
     Stage failures are returned, never raised.
 
     An exemplar file (an observation plus its labels) is compiled once per
-    suite: its ``graph.ExemplarModel`` is kept in ``domain.tables`` under
-    the file text and the match threshold for every entry that shares it.
+    suite: its ``graph.ExemplarModel`` is kept in ``planner.suite_tables``
+    under the file text and the match threshold for every entry that
+    shares it.
     """
     try:
         obs = observation_from_json(read_text(entry.scene))
         text = read_text(entry.exemplar)
         key = (text, config.match_threshold)
-        exemplar = domain.tables.get(key)
+        tables = suite_tables(domain)
+        exemplar = tables.get(key)
         if exemplar is None:
-            exemplar = domain.tables[key] = exemplar_from_json(
-                text, domain, config.match_threshold
-            )
+            exemplar = tables[key] = exemplar_from_json(text, domain, config.match_threshold)
         scene = merge_detections(obs, domain, config.match_threshold)
         graph = classify_scene(scene, domain, exemplar)
     except (SceneError, ExemplarError) as exc:
@@ -501,12 +501,10 @@ def evaluate_suite(
     cassette safely).  The pool has at most one worker per CPU.  Records
     keep manifest order either way.
 
-    ``domain.tables`` holds what the suite compiles once and shares among
-    its entries: the planner's action and rule tables per object set and
-    kept rule set (each task adds its goal and init to them), with h_add's
-    relaxation and memo per goal and pruning nested in them, and
-    ``ground``'s compiled exemplar per distinct exemplar file.  They serve
-    this suite only, so they are emptied when it returns or raises.
+    The entries are scored in one ``planner.suite`` on the manifest's
+    domain, so they share what it compiles once: the planner's object
+    tables, with h_add's relaxations and memos, and ``ground``'s compiled
+    exemplars.  A pool worker, outside the suite, compiles each entry anew.
     """
     domain, entries = load_manifest(manifest)
     parallel = (
@@ -514,7 +512,7 @@ def evaluate_suite(
         and solver is solve
         and all(e.goal_text is None for e in entries)
     )
-    try:
+    with suite(domain):
         if parallel:
             workers = min(config.jobs, os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -523,7 +521,5 @@ def evaluate_suite(
                 )
         else:
             records = tuple(evaluate_problem(domain, e, config, solver) for e in entries)
-    finally:
-        domain.tables.clear()
     row = aggregate(domain.name, records)
     return SuiteReport((row,), records)

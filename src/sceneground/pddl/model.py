@@ -216,21 +216,9 @@ class Domain:
     read, other predicates being layer 0.  A dependency cycle among head
     predicates (a rule reading its own head included) has no layers and
     raises ``ModelError``; the walk runs over sorted names, so the cycle
-    it names never follows the iteration order of a set.
-
-    ``tables`` is the memo of what a suite compiles once for this domain.
-    ``planner.GroundTask`` fills it with object tables
-    (``planner.ObjectTable``), keyed by ``(objects, kept rules)``: a
-    problem's sorted objects and the rules ``relevant_rules`` keeps for its
-    goal.  Each object table holds, nested, h_add's relaxations and memos
-    per goal and pruning.  ``metrics.ground`` fills it with exemplars in
-    their compiled form (``graph.ExemplarModel``), keyed by their file form
-    (the observation plus labels, as text) and the match threshold.  It
-    lives as long as the domain unless emptied: ``metrics.evaluate_suite``
-    empties it when the suite ends, and the generator after each problem
-    it solves on a shipped domain.  It holds only plain data (tuples,
-    lists, numbers, strings, dicts, steps, atoms and exemplar models), so
-    a domain still pickles.
+    it names never follows the iteration order of a set.  What a suite
+    compiles for the domain lives in the tables of a ``planner.suite``
+    on it, while the suite is open.
     """
 
     name: str
@@ -242,9 +230,6 @@ class Domain:
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
     layer: dict[str, int] = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
-    )
-    tables: dict = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
 

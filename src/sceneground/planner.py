@@ -3,10 +3,10 @@
 Each ``solve`` call compiles its problem once into a ``GroundTask``.  The
 part of that compile which depends only on the problem's objects and on the
 rules its goal keeps, an ``ObjectTable``, is built once per such pair and
-kept in ``Domain.tables``, so the problems of a suite that share their
-objects share it; the task adds its goal, init and pruning to it.  h_add's
-relaxation and memo depend on the table, the goal and the pruning only, so
-they are kept in the table too, one per goal and pruning.
+kept in the open ``suite``'s tables, so the problems of a suite that share
+their objects share it; the task adds its goal, init and pruning to it.
+h_add's relaxation and memo depend on the table, the goal and the pruning
+only, so they are kept in the table too, one per goal and pruning.
 ``ground_actions`` lists each schema's type-valid bindings as steps
 (equality literals are resolved away there, dropping the bindings they rule
 out), drawing each parameter's objects from one type table
@@ -77,7 +77,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -405,9 +407,32 @@ def _interner(atoms: list[GroundAtom], ids: dict[GroundAtom, int]):
     return intern
 
 
+_SUITE: ContextVar[tuple[Domain, dict] | None] = ContextVar("suite", default=None)
+
+
+@contextmanager
+def suite(domain: Domain) -> Iterator[dict]:
+    """Open a suite on ``domain`` for the body and yield its tables, where
+    ``GroundTask`` and ``metrics.ground`` keep what the suite compiles once.
+    They go, and an enclosing suite is open again, when the body ends."""
+    tables: dict = {}
+    token = _SUITE.set((domain, tables))
+    try:
+        yield tables
+    finally:
+        _SUITE.reset(token)
+
+
+def suite_tables(domain: Domain) -> dict:
+    """The open suite's tables if it is on ``domain`` (by identity, as no
+    key names the domain), else a fresh dict that dies with the caller."""
+    open_suite = _SUITE.get()
+    return open_suite[1] if open_suite is not None and open_suite[0] is domain else {}
+
+
 class ObjectTable(NamedTuple):
     """The part of a task that depends only on its objects and its kept
-    rules, built once per such pair and kept in ``Domain.tables``.
+    rules, built once per such pair and kept in its domain's ``suite_tables``.
 
     ``atoms`` and ``ids`` hold the atoms interned so far: every action's,
     then every rule instance's.  ``actions``, ``compiled`` and ``masks``
@@ -515,12 +540,12 @@ class GroundTask:
     """One problem compiled to integers, built once per ``solve`` call.
 
     What depends only on the objects and the kept rules comes from an
-    ``ObjectTable``, looked up in ``Domain.tables`` and built on a miss:
-    ``actions``, ``compiled`` and ``masks`` are the table's own, and
+    ``ObjectTable``, looked up in ``suite_tables(domain)`` and built on a
+    miss: ``actions``, ``compiled`` and ``masks`` are the table's own, and
     ``atoms`` and ``ids`` start as copies of its atoms, after which the
     task interns its goal atoms and then its init atoms.  That is the
-    order of a compile on a domain with no tables, so no id, and so no
-    plan, depends on which problem built the table.
+    order of a compile outside any suite, so no id, and so no plan,
+    depends on which problem built the table.
 
     ``atoms[i]`` is the atom with id ``i``, and ``ids`` maps an atom, or a
     plain ``(predicate, args)`` key, back to its id.  A set of atoms is a
@@ -554,9 +579,10 @@ class GroundTask:
     def __init__(self, domain: Domain, problem: Problem):
         kept = relevant_rules(domain, problem.goal)
         key = (problem.objects, kept)
-        table = domain.tables.get(key)
+        tables = suite_tables(domain)
+        table = tables.get(key)
         if table is None:
-            table = domain.tables[key] = _object_table(domain, problem.objects, kept)
+            table = tables[key] = _object_table(domain, problem.objects, kept)
         self.actions, self.compiled, self.masks = table.actions, table.compiled, table.masks
         self.atoms: list[GroundAtom] = list(table.atoms)
         self.ids: dict[GroundAtom, int] = table.ids.copy()
@@ -583,8 +609,8 @@ class GroundTask:
 
         Looked up in the table's ``relaxations`` on the first h_add call
         and built on a miss, so a search that runs no h_add never pays for
-        it, and a task whose goal and pruning an earlier task of the suite
-        had reuses that task's relaxation and memo.
+        it, and a task whose goal and pruning an earlier task of the open
+        suite had reuses that task's relaxation and memo.
         """
         relaxed = self._relaxations.get(self._relaxation_key)
         if relaxed is None:

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 from bisect import bisect_left
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
@@ -642,6 +642,26 @@ def test_pruned_classify_is_the_brute_force_1nn(case):
     assert kept == tuple(c for c in cands if naive_1nn(c.feature, positives, negatives))
 
 
+@settings(max_examples=300, deadline=None)
+@given(nn_cases(), st.data())
+def test_classify_is_monotone_in_each_side(case, data):
+    # Adding a positive feature never drops a kept candidate, and adding a
+    # negative never adds one.  Each side stays sorted, as compile_exemplar
+    # leaves it; the added feature may repeat one already there or a test
+    # feature.
+    tests, positives, negatives = case
+    grid = st.tuples(*[st.sampled_from(GRID)] * len(tests[0]))
+    extra = data.draw(grid | st.sampled_from(tests + positives + negatives), label="extra")
+    cands = tuple(CandidateTriplet(_NN_OBJECT, "p", _NN_OBJECT, f) for f in tests)
+
+    def kept(pos, neg) -> set[int]:
+        return {id(c) for c in classify(cands, tuple(sorted(pos)), tuple(sorted(neg)))}
+
+    before = kept(positives, negatives)
+    assert before <= kept(positives + [extra], negatives)
+    assert kept(positives, negatives + [extra]) <= before
+
+
 def test_nn_cases_draw_every_tie():
     # Each kind of tie and coincidence turns up in at least 10 of the 300
     # examples the property above runs.
@@ -796,6 +816,45 @@ def test_scaling_by_a_power_of_two_leaves_the_graph_unchanged(kind, sigma, seed,
     assert _graph_atoms(
         domain, _scaled(problem.scene, factor), _scaled(problem.exemplar_obs, factor), labels
     ) == _graph_atoms(domain, problem.scene, problem.exemplar_obs, labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((0.0, 0.2, 0.6)), st.integers(0, 10**6))
+def test_renaming_referents_renames_the_graph_only(sigma, seed):
+    # Names play no part in merging or classifying, so a consistent
+    # renaming of the test scene's phrase referents, to names that clash
+    # with no other object, renames the graph's objects and atoms and
+    # changes nothing else.  Only cooking scenes have phrases.
+    domain = shipped_domain("cooking")
+    problem = generate(GenConfig(kind="cooking", sigma=sigma, seed=seed))
+    obs = problem.scene
+    referents = {d.referent_name for d in obs.phrase_detections} - {None}
+    assert referents
+    fresh = {name: f"renamed{index}x" for index, name in enumerate(sorted(referents))}
+    renamed = replace(
+        obs,
+        phrase_detections=tuple(
+            replace(d, referent_name=fresh.get(d.referent_name)) for d in obs.phrase_detections
+        ),
+    )
+    model = compile_exemplar(
+        merge_detections(problem.exemplar_obs, domain), problem.exemplar_labels, domain
+    )
+    before = merge_detections(obs, domain)
+    after = merge_detections(renamed, domain)
+    assert after.objects == tuple(
+        replace(o, name=fresh.get(o.name, o.name)) for o in before.objects
+    )
+    assert not {o.name for o in before.objects} & set(fresh.values())
+    try:
+        atoms = classify_scene(before, domain, model).atoms
+    except ExemplarError as exc:
+        with pytest.raises(ExemplarError, match=re.escape(str(exc))):
+            classify_scene(after, domain, model)
+        return
+    assert classify_scene(after, domain, model).atoms == {
+        GroundAtom(a.predicate, tuple(fresh.get(x, x) for x in a.args)) for a in atoms
+    }
 
 # Unit-range floats with the edge values drawn on purpose: signed zeros,
 # the smallest subnormal and the largest subnormal.

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import pickle
 import random
 import tempfile
 from dataclasses import replace
@@ -43,7 +42,7 @@ from sceneground.pddl.model import (
     PlanStep,
     Problem,
 )
-from sceneground.planner import GroundTask, SearchConfig, SolveResult, solve
+from sceneground.planner import GroundTask, SearchConfig, SolveResult, solve, suite_tables
 from sceneground.graph import exemplar_to_json
 from sceneground.scene import Box, Detection, SceneObservation
 from test_pddl import chain_domain
@@ -402,11 +401,11 @@ def count_exemplar_loads(monkeypatch) -> list[str]:
 def test_evaluate_suite_releases_the_planner_tables(tmp_path, monkeypatch):
     # Both problems have the same objects and keep the same rules, so they
     # share one table, and the same exemplar file, so they share one
-    # compiled exemplar: two memo entries, loaded once.  Both are gone when
-    # the suite returns, and when a bad truth file makes the suite raise
-    # after the first problem filled them.
+    # compiled exemplar: two memo entries, loaded once.  The suite's scope
+    # is closed when it returns, and when a bad truth file makes it raise
+    # after the first problem filled its tables.
     manifest = write_suite(tmp_path, TWO_GOALS)
-    domains, sizes = [], []
+    domains, sizes, scoped = [], [], []
     load, evaluate = metrics.load_manifest, metrics.evaluate_problem
     loads = count_exemplar_loads(monkeypatch)
 
@@ -417,20 +416,23 @@ def test_evaluate_suite_releases_the_planner_tables(tmp_path, monkeypatch):
 
     def evaluating(domain, *args):
         record = evaluate(domain, *args)
-        sizes.append(len(domain.tables))
-        # A domain with a filled memo still pickles, for --jobs.
-        assert pickle.loads(pickle.dumps(domain)).tables == domain.tables
+        scoped.append(suite_tables(domain))
+        sizes.append(len(scoped[-1]))
         return record
+
+    def closed(domain) -> bool:
+        tables = suite_tables(domain)
+        return tables == {} and all(tables is not inside for inside in scoped)
 
     monkeypatch.setattr(metrics, "load_manifest", loading)
     monkeypatch.setattr(metrics, "evaluate_problem", evaluating)
     assert evaluate_suite(manifest).rows[0].success == 1.0
-    assert sizes == [2, 2] and domains[0].tables == {}
+    assert sizes == [2, 2] and scoped[0] is scoped[1] and closed(domains[0])
     assert len(loads) == 1
     (tmp_path / "truth-1.pddl").write_text("(define")
     with pytest.raises(EvalError, match="001-scene-1: ground truth"):
         evaluate_suite(manifest)
-    assert sizes == [2, 2, 2] and domains[1].tables == {}
+    assert sizes == [2, 2, 2] and closed(domains[1])
     assert len(loads) == 2
 
 
@@ -499,9 +501,10 @@ def test_a_shared_uninformative_exemplar_fails_only_entries_that_consult_it(tmp_
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_suite_records_equal_cold_memo_records(kind, sigma, seed):
-    # Each entry scored against a freshly parsed domain starts from an
-    # empty memo, so what a suite shares among its entries (compiled
-    # exemplars, planner tables) must change no record, inline or pooled.
+    # Each entry scored on its own, outside any suite and against a freshly
+    # parsed domain, compiles everything anew, so what a suite shares among
+    # its entries (compiled exemplars, planner tables) must change no
+    # record, inline or pooled.
     with tempfile.TemporaryDirectory() as tmp:
         cfg = GenConfig(kind, n=4, d=3, sigma=sigma, seed=seed)
         manifest = write_bench_suite(cfg, 3, tmp)

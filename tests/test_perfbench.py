@@ -61,3 +61,35 @@ def test_direct_calls_run_on_a_one_entry_suite(monkeypatch, tmp_path):
     assert evaluated.error is None and evaluated.digest is not None
     assert workloads.check_eval(workload, evaluated) is None
     assert workloads.eval_score(evaluated) == (tp, 0, 0, True, 7)
+
+
+def test_a_traced_eval_pass_compiles_once_per_suite(monkeypatch, tmp_path):
+    # The benchmark's eval pass solves through its own wrapper around
+    # planner.solve, inside evaluate_suite: its four entries share one
+    # object set and three exemplar files, so the pass grounds the actions
+    # once and compiles each distinct exemplar text once.  Were the suite's
+    # compiles lost to that wrapper, both counts would be one per entry and
+    # the pinned benchmark counters would move.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from spans import Tracer
+
+    from sceneground.bench import GenConfig, write_suite
+    from sceneground.metrics import load_manifest, read_text
+
+    cfg = GenConfig("hanoi", d=3, g=3, seed=5)
+    manifest = write_suite(cfg, 4, tmp_path)
+    _, entries = load_manifest(manifest)
+    exemplars = {read_text(entry.exemplar) for entry in entries}
+    workload = workloads.WORKLOADS["eval-hanoi-optimal"]
+    with Tracer() as tracer:
+        workloads.install_layer_spans(tracer)
+        outcomes = workloads.eval_pass(
+            workload, [workloads.Suite("0.0", cfg, manifest)], 0, tracer, True
+        )
+        calls = {name: row["calls"] for name, row in tracer.summary([0])[0].items()}
+    assert len(outcomes) == len(entries) == 4
+    assert all(outcome.error is None for outcome in outcomes.values())
+    assert calls["planner.ground_actions"] == 1
+    assert calls["graph.exemplar_from_json"] == len(exemplars) == 3

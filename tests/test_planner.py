@@ -7,9 +7,11 @@ counts worked out by hand from the schema signatures.
 
 from __future__ import annotations
 
+import contextvars
+import gc
 import itertools
-import pickle
 import random
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from heapq import heappop, heappush
@@ -39,7 +41,7 @@ from sceneground.bench import GenConfig, domain_text, write_suite
 from sceneground.bench.generate import gen_blocksworld, gen_cooking
 from sceneground.graph import enumerate_candidates
 from sceneground.metrics import validate_plan
-from sceneground.pddl import parse_domain, parse_problem, serialize_domain
+from sceneground.pddl import parse_domain, parse_problem
 from sceneground.pddl.model import (
     Atom,
     DerivedRule,
@@ -60,6 +62,8 @@ from sceneground.planner import (
     ground_actions,
     make_heuristic,
     solve,
+    suite,
+    suite_tables,
 )
 from sceneground.scene import merge_detections
 
@@ -68,16 +72,6 @@ HANOI = parse_domain(domain_text("hanoi"))
 COOKING = parse_domain(domain_text("cooking"))
 
 PEGS = ("p1", "p2", "p3")
-
-
-@pytest.fixture(autouse=True)
-def fresh_tables():
-    """Empty the module's domains' tables after each test: they hold the
-    relaxations and h_add memos of every task compiled on them, so a test
-    would otherwise start from the values its predecessors scored."""
-    yield
-    for domain in (BLOCKS, HANOI, COOKING):
-        domain.tables.clear()
 
 
 def hanoi_problem(disks: int, start: str = "p1", target: str = "p3") -> Problem:
@@ -761,9 +755,6 @@ def test_identical_inputs_give_identical_plans():
 
 
 def test_solve_grounds_once_per_object_set_and_rule_set(monkeypatch):
-    # A freshly parsed domain: the module-level HANOI already holds the
-    # tables of other tests.
-    domain = parse_domain(domain_text("hanoi"))
     calls = []
     original = planner.ground_actions
 
@@ -773,25 +764,103 @@ def test_solve_grounds_once_per_object_set_and_rule_set(monkeypatch):
 
     monkeypatch.setattr(planner, "ground_actions", counting)
     three = hanoi_problem(3)
-    assert solve(domain, three, SearchConfig(mode="optimal")).status == "solved"
-    assert len(calls) == 1
-    # The same objects with another init and goal reuse the table.
-    moved = hanoi_problem(3, start="p2", target="p1")
-    assert moved.objects == three.objects and moved.init != three.init
-    assert solve(domain, moved, SearchConfig(mode="satisficing")).status == "solved"
-    assert len(calls) == 1
-    # One more object is another object set.
-    assert solve(domain, hanoi_problem(4), SearchConfig(mode="optimal")).status == "solved"
-    assert len(calls) == 2
-    # A goal that reads above keeps above's rule as well as blocked's.
-    above = replace(three, goal=(positive("above", "d1", "d2"),))
-    assert solve(domain, above, SearchConfig(mode="optimal")).status == "solved"
-    assert len(calls) == 3
+    with suite(HANOI) as tables:
+        assert solve(HANOI, three, SearchConfig(mode="optimal")).status == "solved"
+        assert len(calls) == 1
+        # The same objects with another init and goal reuse the table.
+        moved = hanoi_problem(3, start="p2", target="p1")
+        assert moved.objects == three.objects and moved.init != three.init
+        assert solve(HANOI, moved, SearchConfig(mode="satisficing")).status == "solved"
+        assert len(calls) == 1
+        # One more object is another object set.
+        assert solve(HANOI, hanoi_problem(4), SearchConfig(mode="optimal")).status == "solved"
+        assert len(calls) == 2
+        # A goal that reads above keeps above's rule as well as blocked's.
+        above = replace(three, goal=(positive("above", "d1", "d2"),))
+        assert solve(HANOI, above, SearchConfig(mode="optimal")).status == "solved"
+        assert len(calls) == 3
     assert sorted(
-        (len(objects), [rule.head.predicate for rule in kept]) for objects, kept in domain.tables
+        (len(objects), [rule.head.predicate for rule in kept]) for objects, kept in tables
     ) == [(6, ["blocked"]), (6, ["blocked", "above"]), (7, ["blocked"])]
-    # Worker processes get the domain pickled, tables and all.
-    assert pickle.loads(pickle.dumps(domain)).tables == domain.tables
+    # Outside a suite every solve grounds afresh.
+    solve(HANOI, three, SearchConfig(mode="optimal"))
+    solve(HANOI, three, SearchConfig(mode="optimal"))
+    assert len(calls) == 5
+
+
+def test_solves_outside_a_suite_retain_nothing():
+    # 300 problems on one domain, each over its own four block names: the
+    # tables each solve compiles die with it.  Kept, they would come to
+    # about 15 MB.
+    assert not hasattr(BLOCKS, "tables")
+
+    def four_blocks(index: int) -> Problem:
+        a, b, c, d = (f"p{index}b{i}" for i in range(4))
+        objects = tuple((name, "block") for name in (a, b, c, d))
+        init = frozenset({GroundAtom("on", (b, a))})
+        return Problem("stacks", "blocksworld", objects, init, (positive("on", a, b),))
+
+    problems = [four_blocks(index) for index in range(300)]
+    solve(BLOCKS, problems[0])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for problem in problems:
+            assert solve(BLOCKS, problem).status == "solved"
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
+
+
+def test_another_domain_in_a_suite_grounds_its_own_table():
+    # Two domains with one name, the same predicates and no rules: in the
+    # first finish needs lit, in the second it needs nothing.  The problem
+    # has the same objects and keeps the same (no) rules on both, so the
+    # table key is the same; only the suite's domain tells them apart.
+    text = (
+        "(define (domain lamps) (:requirements :strips :typing)"
+        " (:types thing) (:predicates (lit ?x - thing) (done ?x - thing))"
+        " (:action light :parameters (?x - thing) :effect (lit ?x))"
+        " (:action finish :parameters (?x - thing) {} :effect (done ?x)))"
+    )
+    gated = parse_domain(text.format(":precondition (lit ?x)"))
+    direct = parse_domain(text.format(""))
+    problem = Problem("lamps", "lamps", (("a", "thing"),), frozenset(), (positive("done", "a"),))
+    alone = solve(direct, problem)
+    assert len(alone.plan) == 1 and len(solve(gated, problem).plan) == 2
+    with suite(gated) as tables:
+        assert len(solve(gated, problem).plan) == 2
+        assert len(tables) == 1
+        assert suite_tables(direct) is not tables
+        inside = solve(direct, problem)
+        assert (inside.status, inside.plan, inside.expanded) == (
+            alone.status,
+            alone.plan,
+            alone.expanded,
+        )
+        assert len(tables) == 1
+
+
+def test_a_nested_suite_restores_the_outer_one():
+    with suite(HANOI) as outer:
+        assert suite_tables(HANOI) is outer
+        with suite(HANOI) as inner:
+            assert inner is not outer and suite_tables(HANOI) is inner
+            with suite(BLOCKS) as other:
+                assert suite_tables(BLOCKS) is other
+                hidden = suite_tables(HANOI)
+                assert hidden is not inner and hidden is not outer
+            assert suite_tables(HANOI) is inner
+        assert suite_tables(HANOI) is outer
+        with pytest.raises(PlannerError):
+            with suite(HANOI):
+                raise PlannerError("raised in the body")
+        assert suite_tables(HANOI) is outer
+    # Closed: each call gets a dict of its own.
+    assert suite_tables(HANOI) is not suite_tables(HANOI)
 
 
 def score_every_child(domain: Domain, problem: Problem):
@@ -905,7 +974,8 @@ def test_tasks_do_not_share_a_memo():
     flipped = replace(
         problem, goal=tuple(GroundLiteral(lit.atom, not lit.negated) for lit in problem.goal)
     )
-    first, second = GroundTask(COOKING, problem), GroundTask(COOKING, flipped)
+    with suite(COOKING):
+        first, second = GroundTask(COOKING, problem), GroundTask(COOKING, flipped)
     assert first.h_add(first.init[1]) == naive_h_add(COOKING, problem, problem.init)
     assert len(first.h_memo) == 1 and not second.h_memo
     assert second.h_add(second.init[1]) == naive_h_add(COOKING, flipped, problem.init)
@@ -918,23 +988,24 @@ def test_tasks_with_one_goal_and_pruning_share_a_relaxation():
     # smaller atoms, the only init atoms that blocked's pruning reads: the
     # two tasks share one relaxation and one memo.
     three, moved = hanoi_problem(3), hanoi_problem(3, start="p2")
-    first, second = GroundTask(HANOI, three), GroundTask(HANOI, moved)
-    assert first.init != second.init
-    assert first.h_add(first.init[1]) == naive_h_add(HANOI, three, three.init) == 3.0
-    assert second.relaxed is first.relaxed and second.h_memo is first.h_memo
-    assert len(second.h_memo) == 1
-    assert second.h_add(second.init[1]) == naive_h_add(HANOI, moved, moved.init)
-    assert len(first.h_memo) == 2
-    # Another goal, or another static atom that a rule body reads, is
-    # another entry of the same object table.
-    others = [
-        hanoi_problem(3, target="p2"),
-        replace(three, init=three.init - {GroundAtom("smaller", ("d1", "d3"))}),
-    ]
-    for problem in others:
-        task = GroundTask(HANOI, problem)
-        assert task.relaxed is not first.relaxed and not task.h_memo
-    ((_, table),) = HANOI.tables.items()
+    with suite(HANOI) as tables:
+        first, second = GroundTask(HANOI, three), GroundTask(HANOI, moved)
+        assert first.init != second.init
+        assert first.h_add(first.init[1]) == naive_h_add(HANOI, three, three.init) == 3.0
+        assert second.relaxed is first.relaxed and second.h_memo is first.h_memo
+        assert len(second.h_memo) == 1
+        assert second.h_add(second.init[1]) == naive_h_add(HANOI, moved, moved.init)
+        assert len(first.h_memo) == 2
+        # Another goal, or another static atom that a rule body reads, is
+        # another entry of the same object table.
+        others = [
+            hanoi_problem(3, target="p2"),
+            replace(three, init=three.init - {GroundAtom("smaller", ("d1", "d3"))}),
+        ]
+        for problem in others:
+            task = GroundTask(HANOI, problem)
+            assert task.relaxed is not first.relaxed and not task.h_memo
+    ((_, table),) = tables.items()
     assert len(table.relaxations) == 3
 
 
@@ -961,11 +1032,13 @@ def test_a_task_with_other_static_atoms_keeps_its_own_rule_instances():
         (positive("done", "a"),),
     )
     opened = replace(closed, init=frozenset({GroundAtom("open", ("a",))}))
-    first = GroundTask(gated, closed)
-    assert first.h_add(first.init[1]) == float("inf")
-    second = GroundTask(gated, opened)
-    assert second.h_add(second.init[1]) == naive_h_add(gated, opened, opened.init) == 2.0
-    assert len(solve(gated, opened).plan) == 2
+    with suite(gated) as tables:
+        first = GroundTask(gated, closed)
+        assert first.h_add(first.init[1]) == float("inf")
+        second = GroundTask(gated, opened)
+        assert second.h_add(second.init[1]) == naive_h_add(gated, opened, opened.init) == 2.0
+        assert len(solve(gated, opened).plan) == 2
+    assert len(tables) == 1
 
 
 def init_score(problem: Problem) -> float:
@@ -1460,13 +1533,18 @@ def typed_atoms(domain: Domain, objects) -> list[GroundAtom]:
     return [atom for atom in atoms if well_typed(atom, domain, objects)]
 
 
-def assert_warm_compiles_as_cold(domain: Domain, fresh: Domain, problem: Problem) -> None:
-    """``problem`` compiles and solves on ``domain``, whose tables other
-    problems may have filled, as on ``fresh``, emptied before each use; and
+def outside_any_suite(function, *args):
+    """``function(*args)`` with no suite open, so it compiles afresh."""
+    return contextvars.Context().run(function, *args)
+
+
+def assert_warm_compiles_as_cold(domain: Domain, problem: Problem) -> None:
+    """``problem`` compiles and solves in the open suite on ``domain``,
+    whose tables other problems may have filled, as outside any suite; and
     its task keeps exactly the typed instances of its read rules whose body
     atoms init, an action's adds or an instance's head can make true."""
-    fresh.tables.clear()
-    warm, cold = GroundTask(domain, problem), GroundTask(fresh, problem)
+    assert suite_tables(domain) is suite_tables(domain), "no suite is open on the domain"
+    warm, cold = GroundTask(domain, problem), outside_any_suite(GroundTask, domain, problem)
     for name in TASK_FIELDS:
         assert getattr(warm, name) == getattr(cold, name), name
     read = naive_read_predicates(domain, problem.goal)
@@ -1488,9 +1566,8 @@ def assert_warm_compiles_as_cold(domain: Domain, fresh: Domain, problem: Problem
         # search stops on a count, never on the clock, and ``expanded``
         # compares exactly.  The generated suites' searches stay far below it.
         cfg = SearchConfig(mode=mode, node_limit=10_000)
-        fresh.tables.clear()
         first = solve(domain, problem, cfg)
-        second = solve(fresh, problem, cfg)
+        second = outside_any_suite(solve, domain, problem, cfg)
         assert (first.status, first.plan, first.expanded) == (
             second.status,
             second.plan,
@@ -1510,9 +1587,9 @@ def test_a_shared_table_compiles_as_a_fresh_one_on_random_domains(case, data):
     init = data.draw(st.frozensets(st.sampled_from(observed)))
     literals = st.builds(GroundLiteral, st.sampled_from(atoms), st.booleans())
     goal = tuple(data.draw(st.lists(literals, max_size=3)))
-    GroundTask(domain, first)
-    fresh = parse_domain(serialize_domain(domain))
-    assert_warm_compiles_as_cold(domain, fresh, replace(first, init=init, goal=goal))
+    with suite(domain):
+        GroundTask(domain, first)
+        assert_warm_compiles_as_cold(domain, replace(first, init=init, goal=goal))
 
 
 @pytest.mark.parametrize(
@@ -1530,31 +1607,31 @@ def test_a_shared_table_compiles_as_a_fresh_one_on_generated_suites(tmp_path, cf
     # the relaxations and memos they filled, some of which it shares.
     domain, entries = metrics.load_manifest(write_suite(cfg, count, tmp_path))
     problems = []
-    for entry in entries:
-        problems.append(parse_problem(metrics.read_text(entry.ground_truth_problem), domain))
-        grounded = metrics.ground(domain, entry, metrics.PipelineConfig()).problem
-        if grounded is not None:
-            problems.append(grounded)
-    fresh = parse_domain(domain_text(cfg.kind))
     shared = 0
     relaxations = set()
-    for index, problem in enumerate(problems):
-        shared += any(
-            other.objects == problem.objects
-            and (other.init, other.goal) != (problem.init, problem.goal)
-            for other in problems[:index]
-        )
-        assert_scores_as_naive(domain, problem)
-        assert_warm_compiles_as_cold(domain, fresh, problem)
-        relaxations.add(id(GroundTask(domain, problem).relaxed))
-    assert shared >= 2 and len(domain.tables) < len(problems)
+    with suite(domain) as tables:
+        for entry in entries:
+            problems.append(parse_problem(metrics.read_text(entry.ground_truth_problem), domain))
+            grounded = metrics.ground(domain, entry, metrics.PipelineConfig()).problem
+            if grounded is not None:
+                problems.append(grounded)
+        for index, problem in enumerate(problems):
+            shared += any(
+                other.objects == problem.objects
+                and (other.init, other.goal) != (problem.init, problem.goal)
+                for other in problems[:index]
+            )
+            assert_scores_as_naive(domain, problem)
+            assert_warm_compiles_as_cold(domain, problem)
+            relaxations.add(id(GroundTask(domain, problem).relaxed))
+    assert shared >= 2 and len(tables) < len(problems)
     assert len(relaxations) < len(problems)
 
 
 def assert_scores_as_naive(domain: Domain, problem: Problem) -> None:
-    """``problem``'s h_add on ``domain``, whose relaxations and memos other
-    problems may have filled, equals the Bellman-Ford h_add on every
-    reachable state (breadth-first, capped)."""
+    """``problem``'s h_add in the open suite on ``domain``, whose
+    relaxations and memos other problems may have filled, equals the
+    Bellman-Ford h_add on every reachable state (breadth-first, capped)."""
     task = GroundTask(domain, problem)
     relaxed = naive_relaxed_steps(domain, problem.objects)
     for base, full in reachable(task, limit=150):
@@ -1570,8 +1647,6 @@ def test_a_shared_relaxation_scores_as_a_fresh_one_on_random_domains(case, data)
     # with other static s atoms, or a drawn init: B shares A's relaxation
     # exactly when it has A's goal and the s atoms that A's rules read.
     domain, first = case
-    assert_scores_as_naive(domain, first)
-    solve(domain, first, SearchConfig(node_limit=10_000))
     observed = [
         atom
         for atom in typed_atoms(domain, first.objects)
@@ -1592,8 +1667,11 @@ def test_a_shared_relaxation_scores_as_a_fresh_one_on_random_domains(case, data)
     if len(goals) > 1 and data.draw(st.booleans(), label="flip"):
         goals = goals[1:]
     second = replace(data.draw(st.sampled_from(goals), label="goal"), init=init)
-    assert_scores_as_naive(domain, second)
-    assert_warm_compiles_as_cold(domain, parse_domain(serialize_domain(domain)), second)
+    with suite(domain):
+        assert_scores_as_naive(domain, first)
+        solve(domain, first, SearchConfig(node_limit=10_000))
+        assert_scores_as_naive(domain, second)
+        assert_warm_compiles_as_cold(domain, second)
 
 
 @settings(max_examples=50, deadline=None)
