@@ -47,7 +47,6 @@ from sceneground.scene import (
     Detection,
     Scene,
     SceneObservation,
-    iou,
     merge_detections,
 )
 
@@ -99,7 +98,6 @@ class GeneratedProblem:
     exemplar_obs: SceneObservation
     exemplar_labels: frozenset[GroundAtom]
     instruction: str
-    goal_structured: str
     truth: Problem
     meta: Meta
 
@@ -120,10 +118,6 @@ def _merged(
     obs = SceneObservation(int(CANVAS_W), int(CANVAS_H), tuple(detections), tuple(phrases))
     scene = merge_detections(obs, domain)
     return obs, scene, {obj.box: obj.name for obj in scene.objects}
-
-
-def on_atom(a: str, b: str) -> GroundAtom:
-    return GroundAtom("on", (a, b))
 
 
 def _optimal_length(domain: Domain, truth: Problem) -> int:
@@ -182,7 +176,7 @@ def _stack_atoms(stacks: list[list[str]]) -> frozenset[GroundAtom]:
     atoms = set()
     for stack in stacks:
         for lower, upper in zip(stack, stack[1:]):
-            atoms.add(on_atom(upper, lower))
+            atoms.add(GroundAtom("on", (upper, lower)))
     return frozenset(atoms)
 
 
@@ -276,7 +270,6 @@ def gen_blocksworld(n: int, seed: int) -> GeneratedProblem:
         exemplar_obs,
         exemplar_labels,
         instruction,
-        format_goal(goal),
         truth,
         Meta(seed, 0.0, optimal),
     )
@@ -376,7 +369,6 @@ def gen_hanoi(d: int, g: int, seed: int) -> GeneratedProblem:
         exemplar_obs,
         truth.init,
         instruction,
-        format_goal(goal),
         truth,
         Meta(seed, 0.0, _optimal_length(domain, truth)),
     )
@@ -519,7 +511,6 @@ def gen_cooking(seed: int) -> GeneratedProblem:
         exemplar_obs,
         exemplar_labels,
         instruction,
-        format_goal(goal),
         truth,
         Meta(seed, 0.0, _optimal_length(domain, truth)),
     )
@@ -536,6 +527,15 @@ def _contains(outer: Box, inner: Box) -> bool:
         and outer.y_min < inner.y_min
         and inner.x_max < outer.x_max
         and inner.y_max < outer.y_max
+    )
+
+
+def _overlaps(a: Box, b: Box) -> bool:
+    return (
+        a.x_min < b.x_max
+        and b.x_min < a.x_max
+        and a.y_min < b.y_max
+        and b.y_min < a.y_max
     )
 
 
@@ -557,7 +557,7 @@ def derive_cooking_atoms(scene: Scene) -> frozenset[GroundAtom]:
                 atoms.add(GroundAtom("carry", (g.name, o.name)))
     for o in carriables:
         for loc in locations:
-            if iou(o.box, loc.box) > 0:
+            if _overlaps(o.box, loc.box):
                 atoms.add(GroundAtom("at", (o.name, loc.name)))
     for o in carriables:
         if o.type == "vegetable" and o.box.height / o.box.width < SLICED_ASPECT:
@@ -662,7 +662,7 @@ def write_suite(cfg: GenConfig, count: int, out_dir) -> Path:
             {
                 "scene": f"{rel}/scene.json",
                 "exemplar": f"{rel}/exemplar.json",
-                "goal_structured": problem.goal_structured,
+                "goal_structured": format_goal(problem.truth.goal),
                 "ground_truth_problem": f"{rel}/truth.pddl",
                 "meta": asdict(problem.meta),
             }

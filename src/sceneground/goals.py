@@ -29,18 +29,6 @@ class GoalError(ValueError):
     """Unparsable, unknown, ill-typed, or unresolvable goal."""
 
 
-@dataclass(frozen=True)
-class GoalSpec:
-    """A parsed goal: a conjunction of ground literals over known predicates
-    with the right arity, whose names are not yet resolved against a scene."""
-
-    literals: tuple[GroundLiteral, ...]
-
-    def __post_init__(self):
-        if not self.literals:
-            raise GoalError("empty goal")
-
-
 _CLAUSE_RE = re.compile(
     r"^\s*(not\s+)?([a-z0-9_-]+)\s*\(\s*([a-z0-9_,\s-]*?)\s*\)\s*$"
 )
@@ -49,11 +37,11 @@ _CLAUSE_RE = re.compile(
 _AND_RE = re.compile(r"(?<=\))\s*and(?![a-z0-9_-])")
 
 
-def parse_structured_goal(text: str, domain: Domain) -> GoalSpec:
+def parse_structured_goal(text: str, domain: Domain) -> tuple[GroundLiteral, ...]:
     """Parse and validate the structured goal grammar.
 
     Keywords and names are case-insensitive; predicates must exist in the
-    domain (observed or derived) with matching arity.
+    domain (observed or derived) with matching arity.  The goal is never empty.
     """
     lowered = text.lower().strip()
     if not lowered:
@@ -75,7 +63,7 @@ def parse_structured_goal(text: str, domain: Domain) -> GoalSpec:
         if position < 0:
             raise GoalError(message)
         literals.append(GroundLiteral(atom, negated))
-    return GoalSpec(tuple(literals))
+    return tuple(literals)
 
 
 def format_goal(literals: tuple[GroundLiteral, ...]) -> str:
@@ -88,19 +76,19 @@ def format_goal(literals: tuple[GroundLiteral, ...]) -> str:
 
 
 def resolve_goal(
-    spec: GoalSpec,
+    literals: tuple[GroundLiteral, ...],
     objects: tuple[tuple[str, str], ...],
     domain: Domain,
 ) -> tuple[GroundLiteral, ...]:
     """Check a goal's names against the named objects and return its literals.
 
     An argument whose object's type does not fit the predicate raises at
-    once, as does a wrong predicate or arity (only a hand-built spec has
+    once, as does a wrong predicate or arity (only hand-built literals have
     one); names that name no object raise together, sorted, after the walk.
     """
     types = dict(objects)
     unresolved = set()
-    for atom, _ in spec.literals:
+    for atom, _ in literals:
         for position, message in atom_faults(atom, domain, types):
             if position < 0 or atom.args[position] in types:
                 raise GoalError(message)
@@ -109,7 +97,7 @@ def resolve_goal(
         raise GoalError(
             "unresolvable goal names: " + ", ".join(sorted(unresolved))
         )
-    return spec.literals
+    return literals
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +208,7 @@ def _post_chat(request: dict, cfg: LlmEndpointConfig) -> str:
     return content
 
 
-def _extract_goal_line(content: str, domain: Domain) -> GoalSpec:
+def _extract_goal_line(content: str, domain: Domain) -> tuple[GroundLiteral, ...]:
     stripped = content.replace("```", "\n")
     for line in stripped.splitlines():
         line = line.strip()
@@ -238,7 +226,7 @@ def llm_parse_goal(
     domain: Domain,
     cfg: LlmEndpointConfig,
     cassette: Cassette | None = None,
-) -> GoalSpec:
+) -> tuple[GroundLiteral, ...]:
     """Ask the endpoint to translate an instruction; validate its answer.
 
     The request is deterministic (temperature 0).  Invalid or failed

@@ -5,7 +5,8 @@ candidate triplets a domain's observed predicates allow, score each
 against the exemplar's labeled candidates by nearest neighbor in
 spatial-feature space, and keep the true-classified ones as ground atoms:
 the scene graph's edges and the problem's init.  The problem around them
-is assembled by ``metrics.ground``.
+is assembled by ``metrics.ground``.  Both spatial features, normalized by
+the canvas size, are computed here (``enumerate_candidates``).
 
 An exemplar has two forms: an observation plus the atoms that hold in it,
 as its file (``exemplar_to_json``) and the generator keep it, and the
@@ -30,6 +31,7 @@ from typing import NamedTuple
 from sceneground.pddl.model import Domain, GroundAtom, atom_faults
 from sceneground.scene import (
     MATCH_THRESHOLD,
+    Box,
     Scene,
     SceneError,
     SceneObject,
@@ -39,7 +41,6 @@ from sceneground.scene import (
     json_string,
     merge_detections,
     observation_from_json,
-    unary_feature,
 )
 
 
@@ -123,6 +124,25 @@ _EDGE_JSON = '    {\n      "object": %s,\n      "predicate": %s,\n      "subject
 _VERTEX_JSON = '    {\n%s,\n      "name": %s,\n      "type": %s\n    }'
 
 
+def unary_feature(box: Box, width: float, height: float) -> tuple[float, ...]:
+    """Ordered pairwise differences of the normalized box coordinates.
+
+    With c = (x_min/w, y_min/h, x_max/w, y_max/h) the feature is
+    (c2-c1, c3-c1, c4-c1, c3-c2, c4-c2, c4-c3), which captures the box's
+    shape and the mixed-axis offsets but not its position along the
+    proportional diagonal.
+    """
+    c = (box.x_min / width, box.y_min / height, box.x_max / width, box.y_max / height)
+    return (
+        c[1] - c[0],
+        c[2] - c[0],
+        c[3] - c[0],
+        c[2] - c[1],
+        c[3] - c[1],
+        c[3] - c[2],
+    )
+
+
 def enumerate_candidates(
     scene: Scene, domain: Domain
 ) -> dict[str, tuple[CandidateTriplet, ...]]:
@@ -130,7 +150,8 @@ def enumerate_candidates(
 
     Binary predicates get every ordered pair of distinct, subtype-compatible
     objects; unary ones get every compatible object paired with itself.
-    A binary feature is ``binary_feature``'s, each box's corners read once.
+    A binary feature is the subject's box corners less the object's, x by
+    the canvas width and y by its height (``unary_feature`` for unary ones).
     """
     out: dict[str, tuple[CandidateTriplet, ...]] = {}
     objects, width, height = scene.objects, scene.width, scene.height

@@ -370,7 +370,7 @@ class Grounding:
     failure: str | None
 
 
-def _goal_spec(domain, entry, config):
+def _goal_literals(domain, entry, config):
     """goal_structured goes through the grammar and goal_text through the
     LLM.  An entry with both (the CLI's --goal) asks the LLM only when the
     grammar rejects the text."""
@@ -423,8 +423,7 @@ def ground(domain: Domain, entry: ManifestEntry, config: PipelineConfig) -> Grou
 
     objects = scene.typed_objects()
     try:
-        spec = _goal_spec(domain, entry, config)
-        goal = resolve_goal(spec, objects, domain)
+        goal = resolve_goal(_goal_literals(domain, entry, config), objects, domain)
     except GoalError as exc:
         return Grounding(graph, None, f"goal: {exc}")
     problem = Problem(entry.name, domain.name, objects, graph.atoms, goal)

@@ -571,8 +571,8 @@ class GroundTask:
     (``Domain.layer``), so every instance that makes an atom comes before
     every instance whose body reads it.  The closure reads them all; h_add
     reads only their goal-relevant part, ``relaxed``, and keeps its values
-    in ``h_memo``.  Both are the table's, shared with every task that has
-    the same goal and the same pruning (see ``ObjectTable``), so a task
+    in ``relaxed.memo``.  Both are the table's, shared with every task that
+    has the same goal and the same pruning (see ``ObjectTable``), so a task
     may start with values that an earlier task of the suite scored.
     """
 
@@ -616,12 +616,6 @@ class GroundTask:
         if relaxed is None:
             relaxed = self._relaxations[self._relaxation_key] = self._relax()
         return relaxed
-
-    @property
-    def h_memo(self) -> dict[int, float]:
-        """h_add's values by the bits of a state it reads, shared with
-        every task that shares ``relaxed``."""
-        return self.relaxed.memo
 
     def _relax(self) -> Relaxation:
         """``relaxed``, built afresh.
@@ -708,9 +702,9 @@ class GroundTask:
         """Additive cost of the goal under the delete relaxation.
 
         It reads only the bits of ``full`` in ``relaxed.reads``, so its
-        values are memoized in ``h_memo`` by ``full & relaxed.reads``; a
-        state that differs from one already scored only in atoms the
-        relaxation never reads costs a dict lookup.
+        values are memoized in ``relaxed.memo`` by those bits; a state that
+        differs from one already scored only in atoms the relaxation never
+        reads costs a dict lookup.
         """
         relaxed = self.relaxed
         key = full & relaxed.reads

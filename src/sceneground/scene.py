@@ -1,4 +1,4 @@
-"""Scene observations: boxes, detection merging, naming, spatial features.
+"""Scene observations: boxes, detection merging, naming.
 
 A scene observation is what a detector hands us: class-query boxes (one per
 hypothesized object, labeled with a domain type) and phrase-query boxes
@@ -74,22 +74,8 @@ class Box:
     def height(self) -> float:
         return self.y_max - self.y_min
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
     def shifted(self, dx: float, dy: float) -> "Box":
         return Box(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union; 0.0 for disjoint boxes."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
 
 
 @dataclass(frozen=True)
@@ -269,10 +255,10 @@ def merge_detections(
 ) -> Scene:
     """Fuse class and phrase detections into one named scene.
 
-    Phrase by phrase, each claims the object so far it overlaps most,
-    provided the overlap is positive and reaches ``threshold``.  The
+    Phrase by phrase, each claims the object so far it overlaps most by
+    IoU, provided the IoU is positive and reaches ``threshold``.  The
     objects so far are the class detections in raster order, then earlier
-    phrases' new objects; of equal overlaps the first wins.  The claimed
+    phrases' new objects; of equal IoUs the first wins.  The claimed
     object is renamed to the phrase's referent, so of two phrases that
     claim one object the later names it.  A phrase that matches nothing
     becomes a new object of its suggested type (the root type when none
@@ -299,7 +285,7 @@ def merge_detections(
         best = None
         best_iou = 0.0
         for entry, (bx0, by0, bx1, by1, b_area) in zip(entries, corners):
-            # ``iou(det.box, entry box)`` inlined, min and max included:
+            # The phrase's IoU with the entry's box, min and max inlined:
             # min(a, b) is b only if b < a, max(a, b) is b only if b > a.
             ix = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
             if ix <= 0:
@@ -325,35 +311,7 @@ def merge_detections(
 
 
 def _corners(box: Box) -> tuple[float, float, float, float, float]:
-    """A box's corners and its area, as ``Box.area`` computes it."""
+    """A box's corners and its area, ``(x_max - x_min) * (y_max - y_min)``."""
     x0, y0, x1, y1 = box.x_min, box.y_min, box.x_max, box.y_max
     return x0, y0, x1, y1, (x1 - x0) * (y1 - y0)
 
-
-def binary_feature(a: Box, b: Box, width: float, height: float) -> tuple[float, ...]:
-    """Corner differences of two boxes, normalized by the canvas size."""
-    return (
-        (a.x_min - b.x_min) / width,
-        (a.y_min - b.y_min) / height,
-        (a.x_max - b.x_max) / width,
-        (a.y_max - b.y_max) / height,
-    )
-
-
-def unary_feature(box: Box, width: float, height: float) -> tuple[float, ...]:
-    """Ordered pairwise differences of the normalized box coordinates.
-
-    With c = (x_min/w, y_min/h, x_max/w, y_max/h) the feature is
-    (c2-c1, c3-c1, c4-c1, c3-c2, c4-c2, c4-c3), which captures the box's
-    shape and the mixed-axis offsets but not its position along the
-    proportional diagonal.
-    """
-    c = (box.x_min / width, box.y_min / height, box.x_max / width, box.y_max / height)
-    return (
-        c[1] - c[0],
-        c[2] - c[0],
-        c[3] - c[0],
-        c[2] - c[1],
-        c[3] - c[1],
-        c[3] - c[2],
-    )

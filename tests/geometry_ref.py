@@ -15,7 +15,6 @@ from sceneground.bench.generate import (
     DISK_H,
     _center,
     derive_cooking_atoms,
-    on_atom,
 )
 from sceneground.pddl.model import GroundAtom
 from sceneground.scene import Scene
@@ -40,7 +39,7 @@ def derive_blocks_atoms(scene: Scene) -> frozenset[GroundAtom]:
             aligned = abs(_center(a.box)[0] - _center(b.box)[0]) < 0.5 * BLOCK_W
             gap = b.box.y_min - a.box.y_max
             if aligned and 0 <= gap < 0.1 * BLOCK_H:
-                atoms.add(on_atom(a.name, b.name))
+                atoms.add(GroundAtom("on", (a.name, b.name)))
     return frozenset(atoms)
 
 

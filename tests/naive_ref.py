@@ -7,9 +7,11 @@ checked by linear scans, generate-and-test grounding, closure by repeated
 full re-derivation of every rule, read or not, read predicates by a
 depth-first walk, h_add by Bellman-Ford sweeps, breadth-first search with
 no ordering tricks, 1-NN labels by nested loops, and detection merging
-by a list of overlaps per phrase.  It imports only the model types, the
-box features and ``iou``, never the graph, planner or metrics modules,
-so agreement between the implementations is meaningful evidence rather
+by a list of overlaps per phrase.  The box features and the IoU are
+written here again from the docstrings of ``graph.enumerate_candidates``,
+``graph.unary_feature`` and ``scene.merge_detections``.  It imports only
+the model types, never the scene, graph, planner or metrics modules, so
+agreement between the implementations is meaningful evidence rather
 than an echo.
 """
 
@@ -28,7 +30,6 @@ from sceneground.pddl.model import (
     Problem,
     TypeHierarchy,
 )
-from sceneground.scene import binary_feature, iou, unary_feature
 
 
 def naive_type_chain(parents, name: str) -> list[str] | None:
@@ -365,6 +366,34 @@ def naive_h_add(domain: Domain, problem: Problem, atoms, steps=None) -> float:
     return h
 
 
+def naive_iou(a, b) -> float:
+    """Intersection over union of two boxes; 0.0 unless they share area."""
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
+    area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
+    return ix * iy / (area_a + area_b - ix * iy)
+
+
+def naive_binary_feature(a, b, width, height) -> tuple[float, ...]:
+    """Box ``a``'s corners less box ``b``'s, normalized by the canvas."""
+    return (
+        (a.x_min - b.x_min) / width,
+        (a.y_min - b.y_min) / height,
+        (a.x_max - b.x_max) / width,
+        (a.y_max - b.y_max) / height,
+    )
+
+
+def naive_unary_feature(box, width, height) -> tuple[float, ...]:
+    """Every difference c[j] - c[i] (i < j, in order) of the normalized
+    corners c = (x_min/w, y_min/h, x_max/w, y_max/h)."""
+    c = (box.x_min / width, box.y_min / height, box.x_max / width, box.y_max / height)
+    return tuple(c[j] - c[i] for i in range(4) for j in range(i + 1, 4))
+
+
 def _naive_candidates(scene, domain: Domain, sig):
     """(args, feature) of every type-valid candidate of one observed
     predicate, in scene order."""
@@ -375,14 +404,14 @@ def _naive_candidates(scene, domain: Domain, sig):
                 if obj is subj and naive_is_subtype(
                     domain.hierarchy, subj.type, sig.params[0][1]
                 ):
-                    feature = unary_feature(subj.box, scene.width, scene.height)
+                    feature = naive_unary_feature(subj.box, scene.width, scene.height)
                     out.append(((subj.name,), feature))
             elif (
                 obj.name != subj.name
                 and naive_is_subtype(domain.hierarchy, subj.type, sig.params[0][1])
                 and naive_is_subtype(domain.hierarchy, obj.type, sig.params[1][1])
             ):
-                feature = binary_feature(subj.box, obj.box, scene.width, scene.height)
+                feature = naive_binary_feature(subj.box, obj.box, scene.width, scene.height)
                 out.append(((subj.name, obj.name), feature))
     return out
 
@@ -449,7 +478,7 @@ def _nearest(feature, pool) -> float:
 
 def naive_merge(obs, threshold: float = 0.5):
     """(name, type, box) of each object ``merge_detections`` makes of a
-    valid observation, following its docstring with ``scene.iou``.
+    valid observation, following its docstring with ``naive_iou``.
 
     The class detections, in raster order (y_min, x_min, y_max, x_max),
     come first; then, phrase by phrase, a phrase whose greatest overlap
@@ -467,7 +496,7 @@ def naive_merge(obs, threshold: float = 0.5):
         for det in sorted(obs.class_detections, key=lambda d: raster(d.box))
     ]
     for det in obs.phrase_detections:
-        overlaps = [iou(det.box, box) for _, box, _ in objects]
+        overlaps = [naive_iou(det.box, box) for _, box, _ in objects]
         best = max(overlaps, default=0.0)
         if best > 0 and best >= threshold:
             if det.referent_name is not None:

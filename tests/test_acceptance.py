@@ -25,6 +25,7 @@ from sceneground.bench import (
     perturb,
     write_suite,
 )
+from sceneground.goals import format_goal
 from sceneground.graph import (
     classify_scene,
     compile_exemplar,
@@ -89,7 +90,7 @@ def ground_with(problem, domain, exemplar_doc, folder):
     exemplar = folder / "exemplar.json"
     exemplar.write_text(json.dumps(exemplar_doc))
     entry = ManifestEntry(
-        "scene", str(scene), str(exemplar), None, problem.goal_structured, None
+        "scene", str(scene), str(exemplar), None, format_goal(problem.truth.goal), None
     )
     return ground(domain, entry, PipelineConfig())
 

@@ -330,7 +330,7 @@ def test_cooking_roster_and_banded_plan_length():
         }
         assert 2 <= problem.meta.optimal_length <= 8
         sliced = {a.args[0] for a in problem.truth.init if a.predicate == "sliced"}
-        target = problem.goal_structured.split("(")[1].split(")")[0]
+        target = problem.truth.goal[0].atom.args[0]
         assert sliced == {"cucumber", "tomato"} - {target}
         assert any(a.predicate == "carry" for a in problem.truth.init)
 

@@ -7,7 +7,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sceneground.bench import DOMAIN_KINDS, GenConfig, shipped_domain, write_suite
@@ -15,7 +15,6 @@ from sceneground.cli import main
 from sceneground.goals import (
     Cassette,
     GoalError,
-    GoalSpec,
     LlmEndpointConfig,
     format_goal,
     llm_parse_goal,
@@ -48,28 +47,28 @@ OBJECTS = (
 
 
 def test_parse_two_conjuncts():
-    spec = parse_structured_goal(
+    goal = parse_structured_goal(
         "in(cucumber, white_bowl) AND sliced(cucumber)", KITCHEN
     )
-    assert spec.literals == (
+    assert goal == (
         GroundLiteral(GroundAtom("in", ("cucumber", "white_bowl")), False),
         GroundLiteral(GroundAtom("sliced", ("cucumber",)), False),
     )
 
 
 def test_parse_negated_clause():
-    spec = parse_structured_goal("NOT carry(gripper1, cucumber)", KITCHEN)
-    assert spec.literals == (
+    goal = parse_structured_goal("NOT carry(gripper1, cucumber)", KITCHEN)
+    assert goal == (
         GroundLiteral(GroundAtom("carry", ("gripper1", "cucumber")), True),
     )
 
 
 def test_and_inside_a_name_does_not_split_clauses():
     assert valid_name("salt-and-pepper")
-    spec = parse_structured_goal(
+    goal = parse_structured_goal(
         "sliced(salt-and-pepper) AND in(salt-and-pepper, white_bowl)", KITCHEN
     )
-    assert spec.literals == (
+    assert goal == (
         GroundLiteral(GroundAtom("sliced", ("salt-and-pepper",)), False),
         GroundLiteral(GroundAtom("in", ("salt-and-pepper", "white_bowl")), False),
     )
@@ -128,45 +127,87 @@ def domain_and_goal(draw):
 @given(domain_and_goal())
 def test_format_goal_is_the_inverse_of_the_parser(case):
     domain, literals = case
-    assert parse_structured_goal(format_goal(literals), domain).literals == literals
+    assert parse_structured_goal(format_goal(literals), domain) == literals
 
 
 def test_ground_goal_resolves_names():
-    spec = parse_structured_goal("in(cucumber, white_bowl) AND sliced(cucumber)", KITCHEN)
-    assert resolve_goal(spec, OBJECTS, KITCHEN) == (
+    goal = parse_structured_goal("in(cucumber, white_bowl) AND sliced(cucumber)", KITCHEN)
+    assert resolve_goal(goal, OBJECTS, KITCHEN) == (
         GroundLiteral(GroundAtom("in", ("cucumber", "white_bowl")), False),
         GroundLiteral(GroundAtom("sliced", ("cucumber",)), False),
     )
 
 
 def test_ground_goal_reports_unresolved_names():
-    spec = parse_structured_goal("in(tomato, red_bowl) AND sliced(radish)", KITCHEN)
+    goal = parse_structured_goal("in(tomato, red_bowl) AND sliced(radish)", KITCHEN)
     with pytest.raises(GoalError) as err:
-        resolve_goal(spec, OBJECTS, KITCHEN)
+        resolve_goal(goal, OBJECTS, KITCHEN)
     assert str(err.value) == "unresolvable goal names: radish, red_bowl"
 
 
 def test_ground_goal_type_checks():
-    spec = parse_structured_goal("sliced(white_bowl)", KITCHEN)
+    goal = parse_structured_goal("sliced(white_bowl)", KITCHEN)
     with pytest.raises(GoalError) as err:
-        resolve_goal(spec, OBJECTS, KITCHEN)
+        resolve_goal(goal, OBJECTS, KITCHEN)
     assert "requires" in str(err.value)
     # A type error raises at once, before names that did not resolve.
-    spec = parse_structured_goal("sliced(radish) AND sliced(white_bowl)", KITCHEN)
+    goal = parse_structured_goal("sliced(radish) AND sliced(white_bowl)", KITCHEN)
     with pytest.raises(GoalError, match="'white_bowl' has type 'container'"):
-        resolve_goal(spec, OBJECTS, KITCHEN)
+        resolve_goal(goal, OBJECTS, KITCHEN)
 
 
 def test_resolve_goal_raises_on_unresolved():
-    spec = parse_structured_goal("sliced(radish)", KITCHEN)
+    goal = parse_structured_goal("sliced(radish)", KITCHEN)
     with pytest.raises(GoalError) as err:
-        resolve_goal(spec, OBJECTS, KITCHEN)
+        resolve_goal(goal, OBJECTS, KITCHEN)
     assert "radish" in str(err.value)
 
 
-def test_goal_spec_must_be_nonempty():
-    with pytest.raises(GoalError):
-        GoalSpec(())
+# Grammar-shaped goal texts and near misses: clauses of either sign,
+# clauses with no or the wrong arguments, bare parentheses and blanks,
+# joined by single, doubled or missing ANDs, with an AND or blanks at
+# either end.
+GOAL_CLAUSES = st.sampled_from(
+    (
+        "sliced(cucumber)",
+        "NOT carry(gripper1, tomato)",
+        "in(cucumber, white_bowl)",
+        "at(salt-and-pepper,white_bowl)",
+        "in(cucumber)",
+        "sliced()",
+        "()",
+        "",
+        "  ",
+    )
+)
+GOAL_JOINERS = st.sampled_from((" AND ", " and ", "AND", " AND AND ", " ", ""))
+GOAL_ENDS = st.sampled_from(("", " ", "AND ", " AND", "\t"))
+
+
+@st.composite
+def goal_texts(draw):
+    clauses = draw(st.lists(GOAL_CLAUSES, max_size=4))
+    text = "".join(c + draw(GOAL_JOINERS) for c in clauses[:-1]) + "".join(clauses[-1:])
+    return draw(GOAL_ENDS) + text + draw(GOAL_ENDS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(goal_texts())
+@example("")
+@example(" \t ")
+@example("sliced(cucumber) AND")
+@example("()")
+@example("sliced(cucumber) AND AND sliced(tomato)")
+@example("sliced(cucumber) AND NOT carry(gripper1, tomato)")
+def test_a_parsed_goal_is_a_nonempty_tuple_of_literals(text):
+    # The parser either refuses a text or returns at least one literal, so
+    # no caller has to check for an empty goal.
+    try:
+        goal = parse_structured_goal(text, KITCHEN)
+    except GoalError:
+        return
+    assert type(goal) is tuple and goal
+    assert all(type(literal) is GroundLiteral for literal in goal)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -212,8 +253,8 @@ def stub_server():
 def test_llm_parse_goal_against_stub(stub_server):
     _StubHandler.responses = ["in(cucumber, white_bowl) AND sliced(cucumber)"]
     cfg = LlmEndpointConfig(base_url=stub_server, model="stub", retries=0)
-    spec = llm_parse_goal("put the cucumber in the white bowl, sliced", KITCHEN, cfg)
-    assert spec == parse_structured_goal(
+    goal = llm_parse_goal("put the cucumber in the white bowl, sliced", KITCHEN, cfg)
+    assert goal == parse_structured_goal(
         "in(cucumber, white_bowl) AND sliced(cucumber)", KITCHEN
     )
     sent = _StubHandler.calls[0]
@@ -227,8 +268,8 @@ def test_llm_answer_with_fences_and_prose(stub_server):
         "Sure! Here is the goal:\n```\nsliced(cucumber)\n```\nHope that helps."
     ]
     cfg = LlmEndpointConfig(base_url=stub_server, model="stub", retries=0)
-    spec = llm_parse_goal("slice it", KITCHEN, cfg)
-    assert spec.literals == (GroundLiteral(GroundAtom("sliced", ("cucumber",)), False),)
+    goal = llm_parse_goal("slice it", KITCHEN, cfg)
+    assert goal == (GroundLiteral(GroundAtom("sliced", ("cucumber",)), False),)
 
 
 def test_llm_answer_skips_a_line_the_grammar_refuses(stub_server):
@@ -238,8 +279,8 @@ def test_llm_answer_skips_a_line_the_grammar_refuses(stub_server):
     assert str(err.value) == "cannot parse goal clause 'goal: (the cucumber, sliced)'"
     _StubHandler.responses = [f"{refused}\nsliced(cucumber)"]
     cfg = LlmEndpointConfig(base_url=stub_server, model="stub", retries=0)
-    spec = llm_parse_goal("slice it", KITCHEN, cfg)
-    assert spec.literals == (GroundLiteral(GroundAtom("sliced", ("cucumber",)), False),)
+    goal = llm_parse_goal("slice it", KITCHEN, cfg)
+    assert goal == (GroundLiteral(GroundAtom("sliced", ("cucumber",)), False),)
     assert len(_StubHandler.calls) == 1
 
 

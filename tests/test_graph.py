@@ -518,6 +518,22 @@ def test_classify_scene_agrees_with_naive_1nn(case):
         assert graph_to_init(classify_scene(scene, domain, model)) == expected
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.2, 0.6])
+@pytest.mark.parametrize("kind", DOMAIN_KINDS)
+def test_classify_scene_agrees_with_naive_1nn_on_generated_scenes(kind, sigma):
+    # The generators' canvas is 1280x960, so a feature that divides an x
+    # coordinate by the height differs from the documented one; the random
+    # cases above draw on a square canvas.
+    domain = shipped_domain(kind)
+    for seed in range(12):
+        problem = generate(GenConfig(kind=kind, sigma=sigma, seed=seed))
+        ex_scene = merge_detections(problem.exemplar_obs, domain)
+        scene = merge_detections(problem.scene, domain)
+        model = compile_exemplar(ex_scene, problem.exemplar_labels, domain)
+        expected = naive_classify_scene(scene, domain, ex_scene, problem.exemplar_labels)
+        assert classify_scene(scene, domain, model).atoms == expected, (kind, sigma, seed)
+
+
 def kernel_cases(domain, scene, exemplar) -> tuple[bool, bool]:
     """Whether some test candidate's nearest positive and nearest negative
     are exactly as far, and whether some candidate is rejected by a

@@ -959,14 +959,14 @@ def test_h_add_memo_holds_fresh_values(monkeypatch, domain, problem):
     assert solve(domain, problem, SearchConfig(mode="satisficing")).status == "solved"
     (task,) = tasks
     reads = task.relaxed.reads
-    assert task.h_memo.keys() == {full & reads for full in scored}
+    assert task.relaxed.memo.keys() == {full & reads for full in scored}
     checked = set()
     for full in scored:
         key = full & reads
-        assert task.h_memo[key] == task._h_add(full)
+        assert task.relaxed.memo[key] == task._h_add(full)
         if key not in checked:
             checked.add(key)
-            assert task.h_memo[key] == naive_h_add(domain, problem, task.decode(full))
+            assert task.relaxed.memo[key] == naive_h_add(domain, problem, task.decode(full))
 
 
 def test_tasks_do_not_share_a_memo():
@@ -977,10 +977,10 @@ def test_tasks_do_not_share_a_memo():
     with suite(COOKING):
         first, second = GroundTask(COOKING, problem), GroundTask(COOKING, flipped)
     assert first.h_add(first.init[1]) == naive_h_add(COOKING, problem, problem.init)
-    assert len(first.h_memo) == 1 and not second.h_memo
+    assert len(first.relaxed.memo) == 1 and not second.relaxed.memo
     assert second.h_add(second.init[1]) == naive_h_add(COOKING, flipped, problem.init)
     assert first.h_add(first.init[1]) != second.h_add(second.init[1])
-    assert len(first.h_memo) == len(second.h_memo) == 1
+    assert len(first.relaxed.memo) == len(second.relaxed.memo) == 1
 
 
 def test_tasks_with_one_goal_and_pruning_share_a_relaxation():
@@ -992,10 +992,10 @@ def test_tasks_with_one_goal_and_pruning_share_a_relaxation():
         first, second = GroundTask(HANOI, three), GroundTask(HANOI, moved)
         assert first.init != second.init
         assert first.h_add(first.init[1]) == naive_h_add(HANOI, three, three.init) == 3.0
-        assert second.relaxed is first.relaxed and second.h_memo is first.h_memo
-        assert len(second.h_memo) == 1
+        assert second.relaxed is first.relaxed
+        assert len(second.relaxed.memo) == 1
         assert second.h_add(second.init[1]) == naive_h_add(HANOI, moved, moved.init)
-        assert len(first.h_memo) == 2
+        assert len(first.relaxed.memo) == 2
         # Another goal, or another static atom that a rule body reads, is
         # another entry of the same object table.
         others = [
@@ -1004,7 +1004,7 @@ def test_tasks_with_one_goal_and_pruning_share_a_relaxation():
         ]
         for problem in others:
             task = GroundTask(HANOI, problem)
-            assert task.relaxed is not first.relaxed and not task.h_memo
+            assert task.relaxed is not first.relaxed and not task.relaxed.memo
     ((_, table),) = tables.items()
     assert len(table.relaxations) == 3
 
