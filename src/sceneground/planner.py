@@ -5,8 +5,10 @@ part of that compile which depends only on the problem's objects and on the
 rules its goal keeps, an ``ObjectTable``, is built once per such pair and
 kept in the open ``suite``'s tables, so the problems of a suite that share
 their objects share it; the task adds its goal, init and pruning to it.
-h_add's relaxation and memo depend on the table, the goal and the pruning
-only, so they are kept in the table too, one per goal and pruning.
+The kept rule instances and their closure memos depend on the table and
+the pruning only, and h_add's relaxation and memo on the table, the goal
+and the pruning only, so they are kept in the table too, one per pruning
+or per goal and pruning.
 ``ground_actions`` lists each schema's type-valid bindings as steps
 (equality literals are resolved away there, dropping the bindings they rule
 out), drawing each parameter's objects from one type table
@@ -31,15 +33,28 @@ over the rule instances, as Fast Downward evaluates axioms layer by layer
 (Helmert 2006).  Each derived predicate sits one layer above the highest
 derived predicate its rules read, as ``Domain.layer`` tables once per
 domain; a domain admits only stratified rules, so the layers exist.  The
-instances are ordered by the layer of their head, so each comes after
-every instance that makes one of its body atoms, and an instance whose
-body bits are all set when the pass reaches it sets its head bit.  An
-instance that reads an atom no state can hold (one not in init, added by
-no action and the head of no instance) is dropped when the task is
-compiled, and nothing else is, so the closure is exact on every base of
-init and action-add atoms.  The closure is also typed: a rule derives a
-head only for bindings that fit the head predicate's parameter types, as
-PDDL requires.  The lifted
+instances are grouped by head predicate and first head argument, and the
+groups are ordered by the layer of their head, so each comes after every
+group that makes one of its body atoms, and no member reads an atom of
+its own layer.  Each group sets the head bit of every member whose body
+bits are all set when the pass reaches it, and memoizes that set of
+heads by the bits its members read, so a state that agrees on them with
+one already closed costs one dict lookup per group.  An instance that
+reads an atom no state can hold (one not in init, added by no action and
+the head of no instance) is dropped when the task is compiled, and
+nothing else is, so the closure is exact on every base of init and
+action-add atoms; a memo entry depends only on the bits its key holds, so
+it is exact on every base too.  The closure is also typed: a rule derives
+a head only for bindings that fit the head predicate's parameter types,
+as PDDL requires.  The applicable steps are found the same way: the steps
+are grouped by schema and first argument, and each group memoizes its
+applicable members by the bits their preconditions read (Fast Downward
+likewise precompiles a successor generator, Helmert 2006).  A lookup
+costs about as much as testing a few members, so a group of fewer than
+``MEMO_MIN_MEMBERS`` members keeps no memo: each run of such groups is
+scanned member by member, in order.  Both kinds of memo live in the object
+table, so they last as long as the open suite, or as one solve outside
+any.  The lifted
 ``axiom_closure`` is the plan validator's closure in ``metrics``, kept
 apart from the task so that it judges independently.  It derives nothing
 up front: its view of a state proves each atom it is asked about
@@ -141,7 +156,9 @@ def ground_actions(
     domain: Domain, objects: tuple[tuple[str, str], ...]
 ) -> tuple[PlanStep, ...]:
     """All type-valid bindings of every schema, as steps, in deterministic
-    order.
+    order: schema by schema, each schema's bindings in product order, the
+    first parameter varying slowest (``GroundTask.successors`` relies on
+    this).
 
     Equality literals are evaluated against the binding right here: a
     binding that falsifies one is dropped.  No atom is built here; the
@@ -430,19 +447,78 @@ def suite_tables(domain: Domain) -> dict:
     return open_suite[1] if open_suite is not None and open_suite[0] is domain else {}
 
 
+class MemoGroup(NamedTuple):
+    """A group of steps or rule instances whose answers on a state read
+    only its bits in ``reads``, the OR of what the ``members`` read.
+    ``memo`` maps ``full & reads`` to the group's answer on every state
+    with those bits, so a state that agrees on them with one already
+    answered costs one dict lookup.  A call adds at most one entry.  A
+    group with ``memo`` None is a run of small groups, scanned member by
+    member (see ``MEMO_MIN_MEMBERS``)."""
+
+    reads: int
+    members: tuple
+    memo: dict | None
+
+
+# The fewest members a group memoizes.  A lookup costs about as much as
+# testing four members, and a miss adds the scan and the insertion: rule
+# groups of 4 members with 99% of lookups hitting ran no faster than a
+# scan, and step groups of 4 and 5 members hitting 56-72% ran 19-28%
+# slower (blocksworld's distance search over 501 states), while hanoi's
+# 6-member step groups hit 97% and its solves ran a third faster.
+MEMO_MIN_MEMBERS = 6
+
+
+def _memo_groups(keyed) -> tuple[MemoGroup, ...]:
+    """The ``(key, reads, member)`` triples of ``keyed`` as one group per
+    key, in the order the keys first appear, each holding its members in
+    their order and the OR of their reads.  Each run of consecutive groups
+    under ``MEMO_MIN_MEMBERS`` members becomes one group with no memo."""
+    groups: dict = {}
+    for key, reads, member in keyed:
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [reads, [member]]
+        else:
+            group[0] |= reads
+            group[1].append(member)
+    out: list[MemoGroup] = []
+    for memoized, run in itertools.groupby(
+        groups.values(), key=lambda group: len(group[1]) >= MEMO_MIN_MEMBERS
+    ):
+        if memoized:
+            out += [MemoGroup(reads, tuple(members), {}) for reads, members in run]
+        else:
+            members = itertools.chain.from_iterable(members for _, members in run)
+            out.append(MemoGroup(0, tuple(members), None))
+    return tuple(out)
+
+
 class ObjectTable(NamedTuple):
     """The part of a task that depends only on its objects and its kept
     rules, built once per such pair and kept in its domain's ``suite_tables``.
 
     ``atoms`` and ``ids`` hold the atoms interned so far: every action's,
     then every rule instance's.  ``actions``, ``compiled`` and ``masks``
-    are the task's.  ``rules`` holds every type-valid instance of the kept
+    are the task's.  ``step_groups`` holds the steps as ``MemoGroup``s
+    keyed by schema and first argument, in the order the keys first come
+    in ``actions``; each member is ``(pos, neg, (index, keep, add))``, and
+    ``memo`` maps ``full & reads`` to the ``(index, keep, add)`` tuples of
+    the applicable members, in index order, shared with the members.
+    Those memos read nothing but the table's masks, so every task of the
+    table shares them.  Small groups are merged into runs with no memo
+    (see ``MemoGroup``).
+    ``rules`` holds every type-valid instance of the kept
     rules as ``(head, body, (body mask, head bit))``, ordered by the layer
     of the head predicate, and ``made`` is the bit set of every atom that an
     action adds or an instance has as head.  ``static`` is the bit set of
     the atoms some instance's body reads and nothing makes: a task's
-    pruning reads its init only through them.  A task copies ``atoms`` and
-    ``ids`` before it interns its goal and init atoms.
+    pruning reads its init only through them.  So ``kept`` maps a task's
+    init ``static`` bits to the ``KeptRules`` every task with those bits
+    keeps, closure memos included.  A task copies ``atoms`` and ``ids``
+    before it interns its goal and init atoms.  Every memo here lives as
+    long as the table: the open suite, or one solve outside any.
 
     ``relaxations`` holds h_add's ``Relaxation`` of every task compiled
     from the table that has scored a state, keyed by the task's positive
@@ -459,9 +535,11 @@ class ObjectTable(NamedTuple):
     actions: tuple[PlanStep, ...]
     compiled: tuple[tuple[tuple[int, ...], ...], ...]
     masks: tuple[tuple[int, int, int, int], ...]
+    step_groups: tuple[MemoGroup, ...]
     made: int
     static: int
     rules: tuple[tuple[int, tuple[int, ...], tuple[int, int]], ...]
+    kept: dict[int, KeptRules]
     relaxations: dict[tuple[tuple[int, ...], tuple[int, ...], int], Relaxation]
 
 
@@ -502,8 +580,43 @@ def _object_table(
     read = 0
     for _, _, (body, _) in rules:
         read |= body
+    step_groups = _memo_groups(
+        ((step.action, step.args[:1]), pos | neg, (pos, neg, (index, keep, add)))
+        for index, (step, (pos, neg, keep, add)) in enumerate(zip(actions, masks))
+    )
     return ObjectTable(
-        tuple(atoms), ids, actions, compiled, masks, made, read & ~made, rules, {}
+        tuple(atoms), ids, actions, compiled, masks, step_groups, made, read & ~made, rules, {}, {}
+    )
+
+
+class KeptRules(NamedTuple):
+    """The rule instances of an ``ObjectTable`` that a task keeps, in the
+    table's layer order: ``head`` and ``body`` as ids, and ``groups`` as
+    ``MemoGroup``s keyed by head predicate and first head argument, in the
+    order the keys first come, each member ``(body, head)`` as bit sets
+    and each memo mapping ``full & reads`` to the heads of the members
+    whose body is set."""
+
+    head: tuple[int, ...]
+    body: tuple[tuple[int, ...], ...]
+    groups: tuple[MemoGroup, ...]
+
+
+def _kept_rules(table: ObjectTable, static: int) -> KeptRules:
+    """The instances of ``table`` kept by a task whose init holds the
+    ``static`` bits of ``table.static``: those whose every body atom is
+    among them or made by an action or an instance.  An atom some body
+    reads is either made or in ``table.static``, so those bits decide."""
+    possible = static | table.made
+    rules = [(head, body, masks) for head, body, masks in table.rules if not masks[0] & ~possible]
+    atoms = table.atoms
+    return KeptRules(
+        tuple(head for head, _, _ in rules),
+        tuple(body for _, body, _ in rules),
+        _memo_groups(
+            ((atoms[head].predicate, atoms[head].args[:1]), masks[0], masks)
+            for head, _, masks in rules
+        ),
     )
 
 
@@ -562,18 +675,29 @@ class GroundTask:
     when ``full & pos == pos and not full & neg``, and its next base is
     ``base & keep | add``.
 
+    ``step_groups`` are the table's (see ``ObjectTable``), so a task may
+    start with the applicable steps of states an earlier task of the suite
+    stepped.
+
     A rule instance of the table whose body names an atom no state can
     hold, one that is not in init, not added by an action and not a rule
     instance's head, is dropped; the others are kept whole.  This step
-    reads init, so each task takes it anew.  ``rule_head`` and
-    ``rule_body`` give the kept instances as ids and ``rule_masks`` as
-    (body, head) bit sets, ordered by the layer of the head predicate
-    (``Domain.layer``), so every instance that makes an atom comes before
-    every instance whose body reads it.  The closure reads them all; h_add
-    reads only their goal-relevant part, ``relaxed``, and keeps its values
-    in ``relaxed.memo``.  Both are the table's, shared with every task that
-    has the same goal and the same pruning (see ``ObjectTable``), so a task
-    may start with values that an earlier task of the suite scored.
+    reads init only through its ``static`` bits, so the table keeps its
+    result per those bits (``ObjectTable.kept``).  ``rule_head`` and
+    ``rule_body`` give the kept instances as ids, ordered by the layer of
+    the head predicate (``Domain.layer``), so every instance that makes an
+    atom comes before every instance whose body reads it.
+    ``rule_groups`` holds them as ``MemoGroup``s keyed by head predicate
+    and first head argument, in the order the keys first come, which is
+    layer order; each member is ``(body, head)`` as bit sets, and ``memo``
+    maps ``full & reads`` to the heads of the members whose body is set;
+    small groups are merged into runs with no memo, as steps are.
+    The closure reads every group; h_add reads only the goal-relevant
+    instances, ``relaxed``, and keeps its values in ``relaxed.memo``.
+    All of these are the table's, shared with every task that has the
+    same pruning (and, for h_add, the same goal; see ``ObjectTable``), so
+    a task may start with closures and values that an earlier task of the
+    suite computed.
     """
 
     def __init__(self, domain: Domain, problem: Problem):
@@ -592,16 +716,15 @@ class GroundTask:
         self.goal = (_mask(self.goal_pos), _mask(self.goal_neg))
         base = _mask(intern(*atom) for atom in problem.init)
 
-        possible = base | table.made
-        rules = [
-            (head, body, masks) for head, body, masks in table.rules if not masks[0] & ~possible
-        ]
-        self.rule_head = [head for head, _, _ in rules]
-        self.rule_body = [body for _, body, _ in rules]
-        self.rule_masks = tuple(masks for _, _, masks in rules)
+        static = base & table.static
+        kept = table.kept.get(static)
+        if kept is None:
+            kept = table.kept[static] = _kept_rules(table, static)
+        self.rule_head, self.rule_body, self.rule_groups = kept
+        self.step_groups = table.step_groups
         self.init = (base, self.closure(base))
         self._relaxations = table.relaxations
-        self._relaxation_key = (self.goal_pos, self.goal_neg, base & table.static)
+        self._relaxation_key = (self.goal_pos, self.goal_neg, static)
 
     @cached_property
     def relaxed(self) -> Relaxation:
@@ -631,7 +754,8 @@ class GroundTask:
         lists end at the highest relevant id, which the goal fixes.
         """
         # Producers: the actions, then the rule instances.
-        needs = [pos for pos, _, _, _ in self.compiled] + self.rule_body
+        needs = [pos for pos, _, _, _ in self.compiled]
+        needs += self.rule_body
         makes = [add for _, _, add, _ in self.compiled]
         makes += [(head,) for head in self.rule_head]
         producers: list[list[int]] = [[] for _ in self.atoms]
@@ -672,27 +796,69 @@ class GroundTask:
         return frozenset(self.atoms[i] for i in _bits(mask))
 
     def closure(self, base: int) -> int:
-        """The base plus every atom derivable from it, in one pass over
-        ``rule_masks``: an instance whose body bits are all set sets its
-        head bit.  One pass is enough because of the layer order: each
-        instance comes after every instance that makes one of its body
-        atoms.  A dropped instance reads an atom no state holds, so the
+        """The base plus every atom derivable from it.
+
+        Walks ``rule_groups`` in order: each group sets the heads of its
+        members whose body bits are all set, memoized in the group by
+        ``full & reads`` (a run of small groups, with no memo, tests each
+        member as the pass reaches it).  One pass is enough because of the
+        layer order: a group's members share a head predicate and so a
+        layer, no member reads an atom of its own layer, and each group
+        comes after every group that makes one of its body atoms.  So when
+        a group is reached, every bit its members read is final, and a
+        memo entry, which depends on those bits alone, is exact on any
+        base.  A dropped instance reads an atom no state holds, so the
         closure is exact for any base of init and action-add atoms.
         """
         full = base
-        for body, head in self.rule_masks:
-            if full & body == body:
-                full |= head
+        for reads, members, memo in self.rule_groups:
+            if memo is None:
+                for body, head in members:
+                    if full & body == body:
+                        full |= head
+                continue
+            key = full & reads
+            heads = memo.get(key)
+            if heads is None:
+                heads = 0
+                for body, head in members:
+                    if key & body == body:
+                        heads |= head
+                memo[key] = heads
+            full |= heads
         return full
 
     def successors(self, state) -> list[tuple[int, int]]:
-        """(action index, next base) for each applicable action, in order."""
+        """(action index, next base) for each applicable action, in index
+        order.
+
+        Walks ``step_groups`` in order; each group's applicable members
+        are memoized in the group by ``full & reads``, which holds every
+        bit its members' tests read, so an entry is exact on any state (a
+        run of small groups, with no memo, tests each member).
+        ``ground_actions`` lists each schema's bindings with the first
+        parameter varying slowest, so each group is one run of indices
+        and the groups come in index order: the list is the one a scan of
+        ``masks`` gives, in the same order, so the search breaks ties on
+        grounded-action order as ``solve`` says.
+        """
         base, full = state
-        return [
-            (index, base & keep | add)
-            for index, (pos, neg, keep, add) in enumerate(self.masks)
-            if full & pos == pos and not full & neg
-        ]
+        out = []
+        for reads, members, memo in self.step_groups:
+            if memo is None:
+                for pos, neg, (index, keep, add) in members:
+                    if full & pos == pos and not full & neg:
+                        out.append((index, base & keep | add))
+                continue
+            key = full & reads
+            applicable = memo.get(key)
+            if applicable is None:
+                applicable = memo[key] = tuple(
+                    [step for pos, neg, step in members if key & pos == pos and not key & neg]
+                )
+            for index, keep, add in applicable:
+                out.append((index, base & keep | add))
+        return out
 
     def satisfied(self, full: int) -> bool:
         pos, neg = self.goal

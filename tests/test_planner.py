@@ -13,6 +13,7 @@ import itertools
 import random
 import tracemalloc
 from collections import deque
+from unittest import mock
 from dataclasses import replace
 from heapq import heappop, heappush
 from types import SimpleNamespace
@@ -402,7 +403,8 @@ def test_task_drops_the_rule_instances_that_read_never_true_atoms():
     # holds: 40 remain.
     task = GroundTask(HANOI, hanoi_problem(6))
     assert len(task.rule_head) == 45
-    assert sum(body.bit_count() for body, _ in task.rule_masks) == 90
+    bodies = [body for group in task.rule_groups for body, _ in group.members]
+    assert len(bodies) == 45 and sum(body.bit_count() for body in bodies) == 90
     assert len(GroundTask(BLOCKS, blocks_problem(5)).rule_head) == 40
 
 
@@ -788,10 +790,15 @@ def test_solve_grounds_once_per_object_set_and_rule_set(monkeypatch):
     assert len(calls) == 5
 
 
+def memo_groups() -> int:
+    """How many memo groups are alive, in tables and tasks alike."""
+    return sum(isinstance(item, planner.MemoGroup) for item in gc.get_objects())
+
+
 def test_solves_outside_a_suite_retain_nothing():
     # 300 problems on one domain, each over its own four block names: the
-    # tables each solve compiles die with it.  Kept, they would come to
-    # about 15 MB.
+    # tables each solve compiles die with it, and so do the step and
+    # closure memos they hold.  Kept, the tables would come to about 15 MB.
     assert not hasattr(BLOCKS, "tables")
 
     def four_blocks(index: int) -> Problem:
@@ -803,6 +810,11 @@ def test_solves_outside_a_suite_retain_nothing():
     problems = [four_blocks(index) for index in range(300)]
     solve(BLOCKS, problems[0])
     gc.collect()
+    alive = memo_groups()
+    task = GroundTask(BLOCKS, problems[0])
+    assert memo_groups() == alive + len(task.step_groups) + len(task.rule_groups)
+    del task
+    gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -813,6 +825,7 @@ def test_solves_outside_a_suite_retain_nothing():
     finally:
         tracemalloc.stop()
     assert retained < 1_000_000
+    assert memo_groups() == alive
 
 
 def test_another_domain_in_a_suite_grounds_its_own_table():
@@ -1516,10 +1529,17 @@ TASK_FIELDS = (
     "masks",
     "rule_head",
     "rule_body",
-    "rule_masks",
     "goal",
     "init",
 )
+# The task's memo groups, compared without their memos: a shared table's
+# memos hold what earlier problems of the suite stepped and closed.
+GROUP_FIELDS = ("step_groups", "rule_groups")
+
+
+def group_layout(groups) -> list:
+    """Each memo group's reads and members, without its memo."""
+    return [(group.reads, group.members) for group in groups]
 
 
 def typed_atoms(domain: Domain, objects) -> list[GroundAtom]:
@@ -1547,6 +1567,8 @@ def assert_warm_compiles_as_cold(domain: Domain, problem: Problem) -> None:
     warm, cold = GroundTask(domain, problem), outside_any_suite(GroundTask, domain, problem)
     for name in TASK_FIELDS:
         assert getattr(warm, name) == getattr(cold, name), name
+    for name in GROUP_FIELDS:
+        assert group_layout(getattr(warm, name)) == group_layout(getattr(cold, name)), name
     read = naive_read_predicates(domain, problem.goal)
     instances = [
         (head, tuple(body))
@@ -1590,6 +1612,169 @@ def test_a_shared_table_compiles_as_a_fresh_one_on_random_domains(case, data):
     with suite(domain):
         GroundTask(domain, first)
         assert_warm_compiles_as_cold(domain, replace(first, init=init, goal=goal))
+
+
+def scanned_successors(task: GroundTask, state) -> list[tuple[int, int]]:
+    """The task's successors by a plain scan of ``masks``, in index order."""
+    base, full = state
+    return [
+        (index, base & keep | add)
+        for index, (pos, neg, keep, add) in enumerate(task.masks)
+        if full & pos == pos and not full & neg
+    ]
+
+
+def scanned_closure(task: GroundTask, base: int) -> int:
+    """The task's closure by one plain pass over its kept instances, which
+    come in layer order."""
+    full = base
+    for head, body in zip(task.rule_head, task.rule_body):
+        if all(full >> atom & 1 for atom in body):
+            full |= 1 << head
+    return full
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    small_typed_tasks(),
+    st.data(),
+    st.booleans(),
+    st.sampled_from([1, 2, planner.MEMO_MIN_MEMBERS]),
+)
+def test_memoized_steps_and_closure_equal_a_plain_scan_on_any_base(
+    case, data, warmed, minimum
+):
+    # On drawn bases of init and action-add atoms, reachable or not and
+    # possibly repeated, so later bases meet memo entries earlier ones
+    # made.  Warmed, another problem over the same objects and goal, and so
+    # the same table, first steps and closes its own states in the suite;
+    # its init may share the problem's pruning, and so its closure memos.
+    # The small random domains seldom make a group of the real minimum
+    # size, so the minimum is drawn too, down to memoizing every group.
+    domain, problem = case
+    with mock.patch.object(planner, "MEMO_MIN_MEMBERS", minimum), suite(domain) as tables:
+        if warmed:
+            observed = [
+                atom
+                for atom in typed_atoms(domain, problem.objects)
+                if domain.predicate(atom.predicate).kind == "observed"
+            ]
+            init = data.draw(st.frozensets(st.sampled_from(observed)))
+            reachable(GroundTask(domain, replace(problem, init=init)), limit=50)
+        task = GroundTask(domain, problem)
+        assert len(tables) == 1
+        made = problem.init.union(*(task.decode(add) for _, _, _, add in task.masks))
+        for atoms in data.draw(
+            st.lists(st.frozensets(st.sampled_from(sorted(made))), min_size=1, max_size=8)
+        ):
+            base = sum({1 << task.ids[atom] for atom in atoms})
+            full = task.closure(base)
+            assert full == scanned_closure(task, base)
+            steps = task.successors((base, full))
+            assert steps == scanned_successors(task, (base, full))
+            indices = [index for index, _ in steps]
+            assert indices == sorted(set(indices))
+
+
+def memo_entries(groups) -> int:
+    return sum(len(group.memo) for group in groups if group.memo is not None)
+
+
+# One-parameter schemas around a two-parameter one: with six objects, a
+# run of 1-member step groups, six 6-member groups, and another run.
+RUNS = parse_domain(
+    "(define (domain runs) (:requirements :strips :typing)"
+    " (:types thing) (:predicates (p ?x - thing) (q ?x ?y - thing))"
+    " (:action a :parameters (?x - thing) :effect (p ?x))"
+    " (:action b :parameters (?x - thing ?y - thing) :effect (q ?x ?y))"
+    " (:action c :parameters (?x - thing) :precondition (p ?x) :effect (not (p ?x))))"
+)
+
+
+def test_groups_under_the_minimum_are_scanned_as_one_run():
+    # 6-disk hanoi: one 6-member step group per disk; one blocked group per
+    # disk but the smallest, whose members are its 3 pegs times the smaller
+    # disks, so the first has 3.  Blocksworld over 5 blocks: an unstack
+    # group has 5 members and a stack group 4 (no block stacks on itself),
+    # so all 90 steps are one scanned run.
+    assert planner.MEMO_MIN_MEMBERS == 6
+    hanoi = GroundTask(HANOI, hanoi_problem(6))
+    assert [(len(g.members), g.memo is None) for g in hanoi.step_groups] == [(6, False)] * 6
+    assert [(len(g.members), g.memo is None) for g in hanoi.rule_groups] == [
+        (3, True),
+        (6, False),
+        (9, False),
+        (12, False),
+        (15, False),
+    ]
+    blocks = GroundTask(BLOCKS, blocks_problem(5))
+    (run,) = blocks.step_groups
+    assert run.memo is None and [member[2][0] for member in run.members] == list(range(90))
+    # Small groups on both sides of memoized ones make two runs, so the
+    # groups still list every step in index order.
+    objects = tuple((f"o{i}", "thing") for i in range(6))
+    problem = Problem("runs", "runs", objects, frozenset(), (positive("q", "o0", "o1"),))
+    task = GroundTask(RUNS, problem)
+    assert [(len(g.members), g.memo is None) for g in task.step_groups] == [
+        (6, True),
+        *[(6, False)] * 6,
+        (6, True),
+    ]
+    assert [m[2][0] for g in task.step_groups for m in g.members] == list(range(48))
+
+
+def test_a_repeated_solve_adds_no_memo_entry():
+    # The second solve steps and closes exactly the states the first did,
+    # so every group lookup hits an entry the first left in the shared
+    # table: the step memos, and the closure memos of its one pruning.
+    problem = hanoi_problem(6)
+    cfg = SearchConfig(mode="optimal")
+    with suite(HANOI) as tables:
+        first = solve(HANOI, problem, cfg)
+        (table,) = tables.values()
+        (kept,) = table.kept.values()
+        filled = memo_entries(table.step_groups), memo_entries(kept.groups)
+        second = solve(HANOI, problem, cfg)
+        assert (memo_entries(table.step_groups), memo_entries(kept.groups)) == filled
+        assert min(filled) > 0
+    assert (len(first.plan), first.expanded) == (63, second.expanded)
+    assert first.plan == second.plan
+
+
+@pytest.mark.parametrize(
+    "domain,problem,mode",
+    [
+        (HANOI, hanoi_problem(5), "optimal"),
+        (
+            BLOCKS,
+            blocks_problem(7, [("b1", "b2"), ("b2", "b3")], [positive("on", "b3", "b1")]),
+            "satisficing",
+        ),
+        (COOKING, gen_cooking(0).truth, "satisficing"),
+    ],
+    ids=["hanoi", "blocksworld", "cooking"],
+)
+def test_memo_groups_hold_at_most_one_entry_per_call(monkeypatch, domain, problem, mode):
+    # Each lookup that misses adds one entry, so no group's memo outgrows
+    # the number of calls that read it.  Each case has memoized step groups
+    # (6 to 9 members).
+    calls = {"successors": 0, "closure": 0}
+    tasks: list[GroundTask] = []
+    for name in calls:
+
+        def counted(self, arg, method=getattr(GroundTask, name), name=name):
+            calls[name] += 1
+            if self not in tasks:
+                tasks.append(self)
+            return method(self, arg)
+
+        monkeypatch.setattr(GroundTask, name, counted)
+    assert solve(domain, problem, SearchConfig(mode=mode)).status == "solved"
+    (task,) = tasks
+    assert any(group.memo for group in task.step_groups)
+    for name, groups in (("successors", task.step_groups), ("closure", task.rule_groups)):
+        memos = [group.memo for group in groups if group.memo is not None]
+        assert all(len(memo) <= calls[name] for memo in memos), name
 
 
 @pytest.mark.parametrize(
