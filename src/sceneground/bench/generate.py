@@ -41,7 +41,7 @@ from sceneground.goals import format_goal
 from sceneground.graph import exemplar_to_json
 from sceneground.pddl import serialize_problem
 from sceneground.pddl.model import Domain, GroundAtom, GroundLiteral, Problem
-from sceneground.planner import GroundTask, SearchConfig, solve
+from sceneground.planner import GroundTask, SearchConfig, solve, suite
 from sceneground.scene import (
     Box,
     Detection,
@@ -635,15 +635,20 @@ def write_suite(cfg: GenConfig, count: int, out_dir) -> Path:
     Layout: domain.pddl, manifest.json, problems/NNN/{scene.json,
     exemplar.json, truth.pddl, instruction.txt}.  Returns the manifest
     path.  Reruns with equal arguments produce byte-identical trees.
+
+    The problems are generated in one ``planner.suite`` on the shipped
+    domain.  The merged objects of one kind and size are the same in every
+    problem, so their solves share one object table and its memos.
     """
     if count < 1:
         raise BenchError("count must be at least 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "domain.pddl").write_text(domain_text(cfg.kind), encoding="utf-8")
+    with suite(shipped_domain(cfg.kind)):
+        problems = [generate(replace(cfg, seed=cfg.seed + i)) for i in range(count)]
     rows = []
-    for index in range(count):
-        problem = generate(replace(cfg, seed=cfg.seed + index))
+    for index, problem in enumerate(problems):
         folder = out / "problems" / f"{index:03d}"
         folder.mkdir(parents=True, exist_ok=True)
         (folder / "scene.json").write_text(problem.scene.to_json(), encoding="utf-8")

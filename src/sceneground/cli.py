@@ -58,7 +58,7 @@ USER_ERRORS = (
 
 # The --config keys some subcommand reads; a section maps to its own keys.
 CONFIG_KEYS = {
-    **dict.fromkeys(("match_threshold", "cassette", "cassette_mode", "jobs", "sigma")),
+    **dict.fromkeys(("match_threshold", "cassette", "cassette_mode", "sigma")),
     "search": ("mode", "node_limit", "time_limit_s"),
     "llm": ("base_url", "model", "api_key_env"),
 }
@@ -119,21 +119,21 @@ def _search_config(args, config: dict) -> SearchConfig:
     )
 
 
-def _pipeline_config(args, config: dict, **flags) -> PipelineConfig:
-    """Settings for ``ground`` and ``eval``.  ``flags`` maps further fields to
-    the subcommand's own flag values.  Each field takes its flag, else its
-    --config key, else the PipelineConfig default."""
+def _pipeline_config(args, config: dict, search=SearchConfig()) -> PipelineConfig:
+    """Settings for ``ground`` and ``eval``, which passes its own search
+    settings.  Each other field takes its flag, else its --config key, else
+    the PipelineConfig default."""
     defaults = PipelineConfig()
-    flags.update(
-        match_threshold=args.threshold,
-        cassette=args.cassette,
-        cassette_mode=args.cassette_mode,
-    )
+    flags = {
+        "match_threshold": args.threshold,
+        "cassette": args.cassette,
+        "cassette_mode": args.cassette_mode,
+    }
     settings = {
         key: _setting(flag, config, key, getattr(defaults, key))
         for key, flag in flags.items()
     }
-    return PipelineConfig(llm=_llm_config(args, config), **settings)
+    return PipelineConfig(search=search, llm=_llm_config(args, config), **settings)
 
 
 def _llm_config(args, config: dict) -> LlmEndpointConfig | None:
@@ -237,12 +237,7 @@ def _cmd_genbench(args, config: dict) -> int:
 
 
 def _cmd_eval(args, config: dict) -> int:
-    pipeline = _pipeline_config(
-        args,
-        config,
-        search=_search_config(args, config),
-        jobs=args.jobs,
-    )
+    pipeline = _pipeline_config(args, config, _search_config(args, config))
     report = evaluate_suite(Path(args.manifest), pipeline)
     print(report.to_table())
     if args.out is not None:
@@ -331,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("manifest")
     evaluate.add_argument("--out", metavar="FILE", help="also write report JSON")
     evaluate.add_argument("--threshold", type=float, metavar="IOU")
-    evaluate.add_argument("--jobs", type=int)
     _add_search_flags(evaluate)
     _add_llm_flags(evaluate)
     evaluate.set_defaults(handler=_cmd_eval)

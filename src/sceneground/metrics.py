@@ -14,9 +14,7 @@ bad manifest or ground truth file aborts the suite, never one bad problem.
 from __future__ import annotations
 
 import json
-import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import fmean
@@ -163,13 +161,13 @@ class PipelineConfig:
     llm: LlmEndpointConfig | None = None
     cassette: str | None = None
     cassette_mode: str = "replay"
-    jobs: int = 1
+    jobs: int = 1  # 1 only; deleted once perfbench/workloads.py stops passing it
 
     def __post_init__(self):
         if not 0.0 <= self.match_threshold <= 1.0:
             raise EvalError("match_threshold must lie in [0, 1]")
-        if self.jobs < 1:
-            raise EvalError("jobs must be at least 1")
+        if self.jobs != 1:
+            raise EvalError(f"jobs must be 1 (suites run in one process), not {self.jobs!r}")
         if self.cassette_mode not in ("replay", "record"):
             raise EvalError(f"bad cassette mode {self.cassette_mode!r}")
 
@@ -485,40 +483,19 @@ def evaluate_problem(
     )
 
 
-def _pool_worker(packed):
-    domain, entry, config = packed
-    return evaluate_problem(domain, entry, config)
-
-
 def evaluate_suite(
     manifest, config: PipelineConfig = PipelineConfig(), solver=solve
 ) -> SuiteReport:
-    """Evaluate every manifest problem; one report row per domain.
-
-    Runs in-process unless config.jobs > 1, the solver is the default, and
-    no entry needs a live LLM call (worker processes cannot share a
-    cassette safely).  The pool has at most one worker per CPU.  Records
-    keep manifest order either way.
+    """Evaluate every manifest problem in manifest order; one report row
+    per domain.
 
     The entries are scored in one ``planner.suite`` on the manifest's
     domain, so they share what it compiles once: the planner's object
     tables, with h_add's relaxations and memos, and ``ground``'s compiled
-    exemplars.  A pool worker, outside the suite, compiles each entry anew.
+    exemplars.
     """
     domain, entries = load_manifest(manifest)
-    parallel = (
-        config.jobs > 1
-        and solver is solve
-        and all(e.goal_text is None for e in entries)
-    )
     with suite(domain):
-        if parallel:
-            workers = min(config.jobs, os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = tuple(
-                    pool.map(_pool_worker, [(domain, e, config) for e in entries])
-                )
-        else:
-            records = tuple(evaluate_problem(domain, e, config, solver) for e in entries)
+        records = tuple(evaluate_problem(domain, e, config, solver) for e in entries)
     row = aggregate(domain.name, records)
     return SuiteReport((row,), records)

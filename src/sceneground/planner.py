@@ -431,7 +431,10 @@ _SUITE: ContextVar[tuple[Domain, dict] | None] = ContextVar("suite", default=Non
 def suite(domain: Domain) -> Iterator[dict]:
     """Open a suite on ``domain`` for the body and yield its tables, where
     ``GroundTask`` and ``metrics.ground`` keep what the suite compiles once.
-    They go, and an enclosing suite is open again, when the body ends."""
+    They go, and an enclosing suite is open again, when the body ends.
+    ``metrics.evaluate_suite`` scores a manifest in one, and
+    ``bench.write_suite`` generates a suite's problems in one; a compile
+    outside any has tables of its own that die with it."""
     tables: dict = {}
     token = _SUITE.set((domain, tables))
     try:

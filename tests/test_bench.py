@@ -1,5 +1,7 @@
 """Generator invariants: determinism, geometry, solvability, separation."""
 
+import contextlib
+import importlib
 import json
 import math
 from pathlib import Path
@@ -33,6 +35,7 @@ from sceneground.graph import (
 from sceneground.metrics import evaluate_suite, load_manifest, triplet_pr
 from sceneground.pddl import parse_domain, serialize_problem
 from sceneground.pddl.model import GroundAtom, atom_faults
+import sceneground.planner as planner
 from sceneground.planner import SearchConfig, solve
 from sceneground.scene import Box, merge_detections
 
@@ -357,6 +360,37 @@ def test_write_suite_reruns_byte_identical(tmp_path):
     assert "manifest.json" in a
     assert "problems/000/scene.json" in a
     assert "problems/001/truth.pddl" in a
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GenConfig("cooking", sigma=0.2, seed=3),
+        GenConfig("blocksworld", n=4, sigma=0.2, seed=3),
+        GenConfig("hanoi", d=4, g=3, sigma=0.2, seed=3),
+    ],
+    ids=lambda cfg: cfg.kind,
+)
+def test_write_suite_shares_tables_and_writes_cold_bytes(cfg, tmp_path, monkeypatch):
+    # A suite's problems are generated in one planner.suite, so their
+    # solves share object tables; a write whose every solve compiles cold
+    # (no suite open) must give the same bytes.
+    built = []
+    make = planner._object_table
+
+    def counting(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(planner, "_object_table", counting)
+    write_suite(cfg, 4, tmp_path / "shared")
+    shared = len(built)
+    # Imported by path: the package's ``generate`` attribute is the function.
+    generate_module = importlib.import_module("sceneground.bench.generate")
+    monkeypatch.setattr(generate_module, "suite", lambda domain: contextlib.nullcontext())
+    write_suite(cfg, 4, tmp_path / "cold")
+    assert shared < 4 <= len(built) - shared
+    assert tree_bytes(tmp_path / "shared") == tree_bytes(tmp_path / "cold")
 
 
 def test_write_suite_needs_at_least_one_problem(tmp_path):

@@ -6,6 +6,7 @@ generated once per module and reused for the chained runs.
 """
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from sceneground.cli import main
 from sceneground.pddl import parse_domain, parse_problem
 from sceneground.pddl.model import Plan, PlanStep
 from sceneground.planner import SolveResult
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 UNSOLVABLE_PROBLEM = """
 (define (problem impossible)
@@ -71,7 +74,11 @@ def test_heuristic_and_empty_precision_flags_are_usage_errors(suite_dir, capsys)
     truth = suite_dir / "problems" / "000" / "truth.pddl"
     plan = ["plan", str(suite_dir / "domain.pddl"), str(truth)]
     evaluate = ["eval", str(suite_dir / "manifest.json")]
-    for argv in (plan + ["--heuristic", "blind"], evaluate + ["--empty-precision", "0"]):
+    for argv in (
+        plan + ["--heuristic", "blind"],
+        evaluate + ["--empty-precision", "0"],
+        evaluate + ["--jobs", "2"],  # a suite is scored in one process
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -500,7 +507,7 @@ def test_bad_cassette_mode_in_config_is_a_user_error(suite_dir, first_goal, tmp_
         ("ground", {"llm": "http://127.0.0.1:9"}),
         ("ground", {"llm": {"base_url": "http://127.0.0.1:9", "model": 7}}),
         ("eval", {"match_threshold": "high"}),
-        ("eval", {"jobs": True}),
+        ("eval", {"jobs": 1}),
         ("eval", {"empty_precision": None}),
         ("eval", {"cassette_mode": None}),
         ("eval", {"search": {"node_limit": "many"}}),
@@ -535,6 +542,19 @@ def test_wrong_typed_config_value_is_a_user_error(
     assert err.startswith("error: config key ")
     assert "Traceback" not in err
     assert not (tmp_path / "p0.pddl").exists()
+
+
+def test_readme_lists_exactly_the_config_keys():
+    # The README's --config paragraph names every key and section key the
+    # reader accepts, so adding or removing one must change the README too.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listing = re.search(r"Its keys are (.*?)\. Any other key", text).group(1)
+    plain, sections = listing.split(" and the sections ")
+    documented = dict.fromkeys(re.findall(r"`(\w+)`", plain))
+    for name, inner in re.findall(r"`(\w+)` \(([^)]*)\)", sections):
+        documented[name] = set(re.findall(r"`(\w+)`", inner))
+    accepted = {key: keys and set(keys) for key, keys in cli.CONFIG_KEYS.items()}
+    assert documented == accepted
 
 
 def test_well_typed_config_values_are_accepted(suite_dir, tmp_path):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 import tempfile
 from dataclasses import replace
@@ -378,13 +377,6 @@ def test_a_defective_plan_fails_its_record_only(tmp_path):
     assert report.rows[0].plan_validity == report.rows[0].success == 0.5
 
 
-def test_parallel_evaluation_matches_inline(tmp_path):
-    manifest = write_suite(tmp_path, TWO_GOALS)
-    inline = evaluate_suite(manifest, PipelineConfig(jobs=1))
-    pooled = evaluate_suite(manifest, PipelineConfig(jobs=2))
-    assert inline == pooled
-
-
 def count_exemplar_loads(monkeypatch) -> list[str]:
     """The text of each exemplar ``metrics.ground`` loads and compiles."""
     texts = []
@@ -504,7 +496,7 @@ def test_suite_records_equal_cold_memo_records(kind, sigma, seed):
     # Each entry scored on its own, outside any suite and against a freshly
     # parsed domain, compiles everything anew, so what a suite shares among
     # its entries (compiled exemplars, planner tables) must change no
-    # record, inline or pooled.
+    # record.
     with tempfile.TemporaryDirectory() as tmp:
         cfg = GenConfig(kind, n=4, d=3, sigma=sigma, seed=seed)
         manifest = write_bench_suite(cfg, 3, tmp)
@@ -514,7 +506,6 @@ def test_suite_records_equal_cold_memo_records(kind, sigma, seed):
             evaluate_problem(parse_domain(text), entry, PipelineConfig()) for entry in entries
         )
         assert evaluate_suite(manifest).records == cold
-        assert evaluate_suite(manifest, PipelineConfig(jobs=2)).records == cold
 
 
 def test_broken_scene_zeroes_one_problem_only(tmp_path):
@@ -624,30 +615,6 @@ def test_corrupt_cassette_fails_one_goal_only(tmp_path):
     assert bad.failure.startswith("goal: bad cassette")
     assert bad.grounding.precision == 1.0
     assert good.failure is None and good.success
-
-
-def test_pool_size_is_clamped_to_cpu_count(tmp_path, monkeypatch):
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(metrics, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    manifest = write_suite(tmp_path, TWO_GOALS)
-    report = evaluate_suite(manifest, PipelineConfig(jobs=10**6))
-    assert sizes == [3]
-    assert report == evaluate_suite(manifest, PipelineConfig(jobs=1))
 
 
 def test_plan_is_replayed_once_when_prediction_is_the_truth(tmp_path, monkeypatch):
@@ -832,5 +799,8 @@ def test_pipeline_config_validation():
         PipelineConfig(match_threshold=1.5)
     with pytest.raises(EvalError):
         PipelineConfig(jobs=0)
+    with pytest.raises(EvalError, match="jobs must be 1"):
+        PipelineConfig(jobs=2)
+    assert PipelineConfig(jobs=1) == PipelineConfig()
     with pytest.raises(EvalError, match="bad cassette mode 'bogus'"):
         PipelineConfig(cassette_mode="bogus")
