@@ -70,7 +70,7 @@ def _load_config(path: str | None) -> dict:
     text = read_text(path)  # outside the try: its SceneError is a ValueError too
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, big int, deep nesting
         raise EvalError(f"bad config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise EvalError(f"config file {path} must hold a JSON object")

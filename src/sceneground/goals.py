@@ -13,12 +13,10 @@ an input, so state-grounding mistakes cannot bend the goal.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import re
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -148,7 +146,7 @@ class Cassette:
                     "request" in e and isinstance(e["response"], str) for e in self.entries
                 ):
                     raise ValueError("not an array of {request, response} objects")
-            except (OSError, ValueError, TypeError, KeyError) as exc:
+            except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
                 raise GoalError(f"bad cassette {self.path}: {exc}") from None
 
     def replay(self, request: dict) -> str | None:
@@ -186,6 +184,11 @@ def _goal_prompt(instruction: str, domain: Domain) -> str:
 
 
 def _post_chat(request: dict, cfg: LlmEndpointConfig) -> str:
+    # Imported here, not at module level: they pull in ssl, email and
+    # socket, which no process needs unless it calls an endpoint.
+    import http.client
+    import urllib.request
+
     url = cfg.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(cfg.api_key_env)
@@ -194,12 +197,16 @@ def _post_chat(request: dict, cfg: LlmEndpointConfig) -> str:
     req = urllib.request.Request(
         url, data=json.dumps(request).encode(), headers=headers, method="POST"
     )
-    with urllib.request.urlopen(req, timeout=cfg.timeout_s) as resp:
-        raw = resp.read()
-    # ValueError covers bytes that are not UTF-8 and text that is not JSON.
+    try:
+        with urllib.request.urlopen(req, timeout=cfg.timeout_s) as resp:
+            raw = resp.read()
+    except http.client.HTTPException as exc:  # a garbled status line or a cut-off body
+        raise GoalError(f"broken endpoint answer: {type(exc).__name__}: {exc}") from None
+    # ValueError covers bytes that are not UTF-8 and text that is not JSON,
+    # RecursionError JSON nested too deep to decode.
     try:
         content = json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
         raise GoalError(f"malformed endpoint response: {exc}") from None
     if not isinstance(content, str):
         raise GoalError(
@@ -252,10 +259,6 @@ def llm_parse_goal(
                 if cassette is not None:
                     cassette.record(request, content)
             return _extract_goal_line(content, domain)
-        except (
-            GoalError,
-            http.client.HTTPException,  # a garbled status line or a cut-off body
-            OSError,  # URLError and TimeoutError included
-        ) as exc:
+        except (GoalError, OSError) as exc:  # URLError and TimeoutError are OSErrors
             last = exc
     raise GoalError(f"goal translation failed after {cfg.retries + 1} attempts: {last}")

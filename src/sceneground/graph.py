@@ -378,7 +378,7 @@ def exemplar_from_json(
     model's fault."""
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, big int, deep nesting
         raise SceneError(f"bad exemplar JSON: {exc}") from None
     if not isinstance(raw, dict) or "true_atoms" not in raw:
         raise SceneError("exemplar JSON must be an object with true_atoms")

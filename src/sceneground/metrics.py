@@ -301,7 +301,7 @@ def load_manifest(path) -> tuple[Domain, tuple[ManifestEntry, ...]]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or an int past the digit limit
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, big int, deep nesting
         raise EvalError(f"cannot read manifest {path}: {exc}") from None
     if not isinstance(raw, dict) or "domain_file" not in raw or "problems" not in raw:
         raise EvalError("manifest must be an object with domain_file and problems")

@@ -30,40 +30,43 @@ operations, and a state is its own hash key.
 
 Derived predicates are recomputed after every state change by one pass
 over the rule instances, as Fast Downward evaluates axioms layer by layer
-(Helmert 2006).  Each derived predicate sits one layer above the highest
-derived predicate its rules read, as ``Domain.layer`` tables once per
-domain; a domain admits only stratified rules, so the layers exist.  The
-instances are grouped by head predicate and first head argument, and the
-groups are ordered by the layer of their head, so each comes after every
-group that makes one of its body atoms, and no member reads an atom of
-its own layer.  Each group sets the head bit of every member whose body
-bits are all set when the pass reaches it, and memoizes that set of
-heads by the bits its members read, so a state that agrees on them with
-one already closed costs one dict lookup per group.  An instance that
-reads an atom no state can hold (one not in init, added by no action and
-the head of no instance) is dropped when the task is compiled, and
-nothing else is, so the closure is exact on every base of init and
-action-add atoms; a memo entry depends only on the bits its key holds, so
-it is exact on every base too.  The closure is also typed: a rule derives
-a head only for bindings that fit the head predicate's parameter types,
-as PDDL requires.  The applicable steps are found the same way: the steps
-are grouped by schema and first argument, and each group memoizes its
-applicable members by the bits their preconditions read (Fast Downward
-likewise precompiles a successor generator, Helmert 2006).  A lookup
-costs about as much as testing a few members, so a group of fewer than
-``MEMO_MIN_MEMBERS`` members keeps no memo: each run of such groups is
-scanned member by member, in order.  Both kinds of memo live in the object
-table, so they last as long as the open suite, or as one solve outside
-any.  The lifted
-``axiom_closure`` is the plan validator's closure in ``metrics``, kept
-apart from the task so that it judges independently.  It derives nothing
-up front: its view of a state proves each atom it is asked about
-top-down, joining rule bodies against the state's facts and answering
-derived body atoms as memoized subqueries (query-subquery evaluation,
-Vieille 1986); a join that met unanswered subqueries runs again once they
-are answered.  So a plan step costs only the literals it reads.  It
-ignores head types and so may also prove ill-typed atoms; no action
-precondition or typed goal reads one.
+(Helmert 2006).  An instance whose body is one atom that no instance
+derives is not walked: such instances are joined into a map from the body
+atom to the OR of their head bits, and the pass starts by ORing in the
+heads of each set bit of the base that the map holds.  The map is exact on
+any base, since such a body bit is final before anything is derived.  Each
+derived predicate sits one layer above the highest derived predicate its
+rules read, as ``Domain.layer`` tables once per domain; a domain admits
+only stratified rules, so the layers exist.  The other instances are
+grouped by head predicate and first head argument, and the groups are
+ordered by the layer of their head, so each comes after every group that
+makes one of its body atoms, and no member reads an atom of its own layer.
+Each group sets the head bit of every member whose body bits are all set
+when the pass reaches it, and memoizes that set of heads by the bits its
+members read, so a state that agrees on them with one already closed costs
+one dict lookup per group.  An instance that reads an atom no state can
+hold (one not in init, added by no action and the head of no instance) is
+dropped when the task is compiled, and nothing else is, so the closure is
+exact on every base of init and action-add atoms; a memo entry depends
+only on the bits its key holds, so it is exact on every base too.  The
+closure is also typed: a rule derives a head only for bindings that fit
+the head predicate's parameter types, as PDDL requires.  The applicable
+steps are found the same way: the steps are grouped by schema and first
+argument, and each group memoizes its applicable members by the bits their
+preconditions read (Fast Downward likewise precompiles a successor
+generator, Helmert 2006).  A lookup costs about as much as testing a few
+members, so a group of fewer than ``MEMO_MIN_MEMBERS`` members keeps no
+memo: each run of such groups is scanned member by member, in order.  Both
+kinds of memo live in the object table, so they last as long as the open
+suite, or as one solve outside any.  The lifted ``axiom_closure`` is the
+plan validator's closure in ``metrics``, kept apart from the task so that
+it judges independently.  It derives nothing up front: its view of a state
+proves each atom it is asked about top-down, joining rule bodies against
+the state's facts and answering derived body atoms as memoized subqueries
+(query-subquery evaluation, Vieille 1986); a join that met unanswered
+subqueries runs again once they are answered.  So a plan step costs only
+the literals it reads.  It ignores head types and so may also prove
+ill-typed atoms; no action precondition or typed goal reads one.
 
 Both search modes run one best-first loop over a heap ordered by score,
 then insertion.  "satisficing" scores a state by additive cost on the
@@ -71,17 +74,19 @@ delete relaxation, h_add (derived rules cost nothing; Bonet & Geffner
 2001).  "optimal" scores every state 0, so the heap pops first in,
 first out, and the loop is breadth-first search over unit-cost actions.
 Every action costs 1, so every cost is a whole number, and h_add settles
-atoms from a bucket queue keyed by cost (Dial 1969).  It watches only the
-goal-relevant actions and rule instances, those a walk back from the
-positive goal atoms through their achievers reaches (Nebel, Dimopoulos &
-Koehler 1997); every achiever of a relevant atom is relevant, so its
-values are those of h_add over the whole task.  A producer that needs
-one atom prices what it makes as soon as that atom settles; only the
-others count their unmet needs.  h_add reads a state only through its
-relevant and negative goal atoms, so each value is memoized by those bits
-of the state, in a memo that every task with the same object table, goal
-and pruning shares (Fast Downward likewise caches heuristic values per
-state, Helmert 2006).  A search tests each new
+atoms from a bucket queue keyed by cost (Dial 1969), one whole cost
+level at a time as a bit set.  It watches only the goal-relevant actions
+and rule instances, those a walk back from the positive goal atoms
+through their achievers reaches (Nebel, Dimopoulos & Koehler 1997);
+every achiever of a relevant atom is relevant, so its values are those
+of h_add over the whole task.  What the producers that need one atom
+make is joined per atom into two bit sets, made at the atom's cost (rule
+instances) and at 1 more (actions), so a level grows by whole-int ORs;
+only the other producers count their unmet needs.  h_add reads a state
+only through its relevant and negative goal atoms, so each value is
+memoized by those bits of the state, in a memo that every task with the
+same object table, goal and pruning shares (Fast Downward likewise
+caches heuristic values per state, Helmert 2006).  A search tests each new
 child of a node for the goal before it scores any of them, so no
 heuristic call goes to a sibling of the goal.  A returned plan is not
 replayed here: the plan validator in ``metrics`` judges it wherever it
@@ -388,24 +393,24 @@ def _bits(mask: int) -> list[int]:
 
 
 def _watch_lists(size: int, needs, base, makes):
-    """Per atom id below ``size``, the producers that need it, split in two.
-    ``single[atom]`` holds ``(base cost, makes)`` per base cost, ``makes``
-    joining what every producer whose only need is the atom makes.
+    """Per atom id below ``size``, the producers that need it, as
+    ``(watch, zero, one)``.  ``zero[atom]`` and ``one[atom]`` are the bit
+    sets of what the producers whose only need is the atom make (``makes``
+    holds bit sets), at base cost 0 (rule instances) and 1 (actions).
     ``watch[atom]`` holds the index of each other producer, once per
     occurrence, so a producer that names an atom twice counts it twice (as
     h_add sums it twice)."""
     watch: list[list[int]] = [[] for _ in range(size)]
-    single: list[dict[int, list[int]]] = [{} for _ in range(size)]
+    zero = [0] * size
+    one = [0] * size
     for index, need in enumerate(needs):
         if len(need) == 1:
-            single[need[0]].setdefault(base[index], []).extend(makes[index])
+            by_cost = one if base[index] else zero
+            by_cost[need[0]] |= makes[index]
         else:
             for atom in need:
                 watch[atom].append(index)
-    return tuple(map(tuple, watch)), tuple(
-        tuple((cost, tuple(made)) for cost, made in sorted(by_cost.items()))
-        for by_cost in single
-    )
+    return tuple(map(tuple, watch)), tuple(zero), tuple(one)
 
 
 def _interner(atoms: list[GroundAtom], ids: dict[GroundAtom, int]):
@@ -519,9 +524,10 @@ class ObjectTable(NamedTuple):
     the atoms some instance's body reads and nothing makes: a task's
     pruning reads its init only through them.  So ``kept`` maps a task's
     init ``static`` bits to the ``KeptRules`` every task with those bits
-    keeps, closure memos included.  A task copies ``atoms`` and ``ids``
-    before it interns its goal and init atoms.  Every memo here lives as
-    long as the table: the open suite, or one solve outside any.
+    keeps, its unit map and closure memos included.  A task copies
+    ``atoms`` and ``ids`` before it interns its goal and init atoms.  Every
+    memo here lives as long as the table: the open suite, or one solve
+    outside any.
 
     ``relaxations`` holds h_add's ``Relaxation`` of every task compiled
     from the table that has scored a state, keyed by the task's positive
@@ -594,14 +600,19 @@ def _object_table(
 
 class KeptRules(NamedTuple):
     """The rule instances of an ``ObjectTable`` that a task keeps, in the
-    table's layer order: ``head`` and ``body`` as ids, and ``groups`` as
-    ``MemoGroup``s keyed by head predicate and first head argument, in the
-    order the keys first come, each member ``(body, head)`` as bit sets
-    and each memo mapping ``full & reads`` to the heads of the members
-    whose body is set."""
+    table's layer order: ``head`` and ``body`` as ids.  The closure reads
+    them in two parts.  ``unit_heads`` maps the id of each atom that is
+    some kept instance's whole body, and no kept instance's head, to the OR
+    of those instances' head bits; ``unit_bodies`` is the bit set of those
+    ids.  ``groups`` holds every other instance as ``MemoGroup``s keyed by
+    head predicate and first head argument, in the order the keys first
+    come, each member ``(body, head)`` as bit sets and each memo mapping
+    ``full & reads`` to the heads of the members whose body is set."""
 
     head: tuple[int, ...]
     body: tuple[tuple[int, ...], ...]
+    unit_bodies: int
+    unit_heads: dict[int, int]
     groups: tuple[MemoGroup, ...]
 
 
@@ -609,16 +620,28 @@ def _kept_rules(table: ObjectTable, static: int) -> KeptRules:
     """The instances of ``table`` kept by a task whose init holds the
     ``static`` bits of ``table.static``: those whose every body atom is
     among them or made by an action or an instance.  An atom some body
-    reads is either made or in ``table.static``, so those bits decide."""
+    reads is either made or in ``table.static``, so those bits decide.
+    A kept instance whose body is one atom that no kept instance makes
+    goes into ``unit_heads``; the rest into ``groups``."""
     possible = static | table.made
     rules = [(head, body, masks) for head, body, masks in table.rules if not masks[0] & ~possible]
+    derived = _mask(head for head, _, _ in rules)
+    units: dict[int, int] = {}
+    grouped = []
+    for head, body, masks in rules:
+        if len(body) == 1 and not masks[0] & derived:
+            units[body[0]] = units.get(body[0], 0) | masks[1]
+        else:
+            grouped.append((head, masks))
     atoms = table.atoms
     return KeptRules(
         tuple(head for head, _, _ in rules),
         tuple(body for _, body, _ in rules),
+        _mask(units),
+        units,
         _memo_groups(
             ((atoms[head].predicate, atoms[head].args[:1]), masks[0], masks)
-            for head, _, masks in rules
+            for head, masks in grouped
         ),
     )
 
@@ -628,16 +651,17 @@ class Relaxation(NamedTuple):
     reads them: one list of producers, the actions first.  Producer ``i``
     needs ``size[i]`` atoms (an action's positive precondition, an
     instance's body), costs ``base[i]`` more than their summed costs (1 for
-    an action, 0 for an instance) and makes ``makes[i]`` (an action's
-    relevant adds, an instance's head).
-    The producers that need one atom are listed in ``single[atom]`` as
-    ``(base cost, makes)``, one pair per base cost that joins their makes;
-    ``watch[atom]`` lists every other producer that needs the atom, once
-    per occurrence.  ``free`` holds what the actions
-    that need nothing make, which costs 1 in every state; every rule
-    instance has a body.  ``atoms`` is the bit set of the relevant atoms,
-    and ``reads`` adds the negative goal atoms to it: all that h_add reads
-    of a state.  ``memo`` maps ``full & reads`` to h_add's value; it is
+    an action, 0 for an instance) and makes the bit set ``makes[i]`` (an
+    action's relevant adds, an instance's head).
+    What the producers that need one atom make is joined per atom and base
+    cost into two bit sets: ``zero[atom]`` (rule instances, which make
+    their heads at the atom's cost) and ``one[atom]`` (actions, which make
+    their adds at 1 more); ``watch[atom]`` lists every other producer that
+    needs the atom, once per occurrence.  ``free`` is the bit set of what
+    the actions that need nothing make, which costs 1 in every state;
+    every rule instance has a body.  ``atoms`` is the bit set of the
+    relevant atoms, and ``reads`` adds the negative goal atoms to it: all
+    that h_add reads of a state.  ``memo`` maps ``full & reads`` to h_add's value; it is
     shared by every task of the ``ObjectTable`` entry that holds this
     relaxation."""
 
@@ -645,10 +669,11 @@ class Relaxation(NamedTuple):
     reads: int
     base: list[int]
     size: list[int]
-    makes: list[tuple[int, ...]]
+    makes: list[int]
     watch: tuple[tuple[int, ...], ...]
-    single: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    free: tuple[int, ...]
+    zero: tuple[int, ...]
+    one: tuple[int, ...]
+    free: int
     memo: dict[int, float]
 
 
@@ -690,13 +715,17 @@ class GroundTask:
     ``rule_body`` give the kept instances as ids, ordered by the layer of
     the head predicate (``Domain.layer``), so every instance that makes an
     atom comes before every instance whose body reads it.
-    ``rule_groups`` holds them as ``MemoGroup``s keyed by head predicate
-    and first head argument, in the order the keys first come, which is
-    layer order; each member is ``(body, head)`` as bit sets, and ``memo``
-    maps ``full & reads`` to the heads of the members whose body is set;
-    small groups are merged into runs with no memo, as steps are.
-    The closure reads every group; h_add reads only the goal-relevant
-    instances, ``relaxed``, and keeps its values in ``relaxed.memo``.
+    ``unit_heads`` maps each atom that is the whole body of some kept
+    instance, and no kept instance's head, to the OR of those instances'
+    head bits, and ``unit_bodies`` is the bit set of those atoms.
+    ``rule_groups`` holds the other instances as ``MemoGroup``s keyed by
+    head predicate and first head argument, in the order the keys first
+    come, which is layer order; each member is ``(body, head)`` as bit
+    sets, and ``memo`` maps ``full & reads`` to the heads of the members
+    whose body is set; small groups are merged into runs with no memo, as
+    steps are.  The closure reads the map and every group; h_add reads
+    only the goal-relevant instances, ``relaxed``, and keeps its values in
+    ``relaxed.memo``.
     All of these are the table's, shared with every task that has the
     same pruning (and, for h_add, the same goal; see ``ObjectTable``), so
     a task may start with closures and values that an earlier task of the
@@ -723,7 +752,7 @@ class GroundTask:
         kept = table.kept.get(static)
         if kept is None:
             kept = table.kept[static] = _kept_rules(table, static)
-        self.rule_head, self.rule_body, self.rule_groups = kept
+        self.rule_head, self.rule_body, self.unit_bodies, self.unit_heads, self.rule_groups = kept
         self.step_groups = table.step_groups
         self.init = (base, self.closure(base))
         self._relaxations = table.relaxations
@@ -778,10 +807,14 @@ class GroundTask:
         order = sorted(kept)
         actions = len(self.compiled)
         kept_needs = [needs[i] for i in order]
-        kept_makes = [tuple(atom for atom in makes[i] if atom in atoms) for i in order]
-        base = [int(i < actions) for i in order]
         relevant = _mask(atoms)
-        watch, single = _watch_lists(relevant.bit_length(), kept_needs, base, kept_makes)
+        kept_makes = [_mask(makes[i]) & relevant for i in order]
+        base = [int(i < actions) for i in order]
+        watch, zero, one = _watch_lists(relevant.bit_length(), kept_needs, base, kept_makes)
+        free = 0
+        for need, made in zip(kept_needs, kept_makes):
+            if not need:
+                free |= made
         return Relaxation(
             relevant,
             relevant | self.goal[1],
@@ -789,8 +822,9 @@ class GroundTask:
             list(map(len, kept_needs)),
             kept_makes,
             watch,
-            single,
-            tuple(atom for need, made in zip(kept_needs, kept_makes) if not need for atom in made),
+            zero,
+            one,
+            free,
             {},
         )
 
@@ -801,19 +835,31 @@ class GroundTask:
     def closure(self, base: int) -> int:
         """The base plus every atom derivable from it.
 
-        Walks ``rule_groups`` in order: each group sets the heads of its
-        members whose body bits are all set, memoized in the group by
-        ``full & reads`` (a run of small groups, with no memo, tests each
-        member as the pass reaches it).  One pass is enough because of the
-        layer order: a group's members share a head predicate and so a
-        layer, no member reads an atom of its own layer, and each group
-        comes after every group that makes one of its body atoms.  So when
-        a group is reached, every bit its members read is final, and a
-        memo entry, which depends on those bits alone, is exact on any
-        base.  A dropped instance reads an atom no state holds, so the
-        closure is exact for any base of init and action-add atoms.
+        First ORs in ``unit_heads[atom]`` for each set bit of ``base &
+        unit_bodies``, then walks ``rule_groups`` in order: each group sets
+        the heads of its members whose body bits are all set, memoized in
+        the group by ``full & reads`` (a run of small groups, with no memo,
+        tests each member as the pass reaches it).  The map is exact on any
+        base: no kept instance makes one of its body atoms, so each such
+        bit is final before anything runs, and its heads are set before
+        any group that reads them.  One pass over the groups is enough
+        because of the layer order: a group's members share a head
+        predicate and so a layer, no member reads an atom of its own layer,
+        and each group comes after every group that makes one of its body
+        atoms.  So when a group is reached, every bit its members read is
+        final, and a memo entry, which depends on those bits alone, is
+        exact on any base.  A dropped instance reads an atom no state
+        holds, so the closure is exact for any base of init and action-add
+        atoms.
         """
         full = base
+        hits = base & self.unit_bodies
+        if hits:
+            heads = self.unit_heads
+            while hits:
+                low = hits & -hits
+                full |= heads[low.bit_length() - 1]
+                hits ^= low
         for reads, members, memo in self.rule_groups:
             if memo is None:
                 for body, head in members:
@@ -890,75 +936,72 @@ class GroundTask:
         preconditions (negative ones are free in the relaxation); a rule
         instance costs the summed costs of its body.  The atoms of the
         state cost 0.  So every cost is a whole number, and atoms are
-        settled cheapest first from buckets keyed by cost (Dial 1969): the
+        settled cheapest first, one whole cost level at a time, from
+        buckets keyed by cost (Dial 1969), each level a bit set: the
         state's relevant atoms settle at level 0, ``relaxed.free`` waits at
-        level 1, a rule head that costs the current level joins it, and the
-        next level is the smallest cost waiting, however far up that is.
-        A producer that needs one atom prices its makes at that atom's
-        level plus its base cost as soon as the atom settles; the others
-        count their unmet needs and sum their costs.
+        level 1, and the next level is the smallest cost waiting, however
+        far up that is.  A level grows by rounds: the ``zero`` heads of
+        the atoms it settled last round, and the makes of every producer
+        whose needs that round completed at the level's cost, join it
+        unless already settled; their ``one`` makes wait at the next
+        level.  Only the producers that need more than one atom count
+        their unmet needs and sum their costs, through ``watch``.
         Only the goal-relevant actions and rule instances (``relaxed``) are
         watched, and only relevant atoms get a cost; the goal atoms cost
         what they would over the whole task.  This stops once every
-        positive goal atom is settled.  The value is the
-        summed cost of the positive goal literals, plus 1 for each
-        negative goal literal whose atom holds, so it is zero exactly on
-        goal states.
+        positive goal atom is settled.  The value is the summed cost of the
+        positive goal literals, an atom named twice counting twice, plus 1
+        for each negative goal literal whose atom holds, so it is zero
+        exactly on goal states.
         """
         violated = sum(full >> atom & 1 for atom in self.goal_neg)
-        pending = {atom for atom in self.goal_pos if not full >> atom & 1}
         relaxed = self.relaxed
-        makes, watch, single = relaxed.makes, relaxed.watch, relaxed.single
+        fresh = full & relaxed.atoms
+        pending = self.goal[0] & ~fresh
+        if not pending:
+            return float(violated)
+        zero, one, watch, makes = relaxed.zero, relaxed.one, relaxed.watch, relaxed.makes
         unmet = relaxed.size.copy()
         total = relaxed.base.copy()
-        settled = _bits(full & relaxed.atoms)
-        cost = dict.fromkeys(settled, 0)
-        buckets = {1: list(relaxed.free)} if relaxed.free else {}
-        level = 0
+        buckets = {1: relaxed.free} if relaxed.free else {}
+        settled = cost = level = later = 0
         while True:
-            # ``settled`` holds the atoms that cost ``level``, and grows
-            # while it is walked when a rule instance's body costs ``level``.
-            for atom in settled:
-                if not pending:
-                    break
-                for extra, made in single[atom]:
-                    price = level + extra
-                    if price == level:
-                        for head in made:
-                            if head not in cost:
-                                cost[head] = level
-                                settled.append(head)
-                                pending.discard(head)
-                    elif price in buckets:
-                        buckets[price].extend(made)
-                    else:
-                        buckets[price] = list(made)
-                for index in watch[atom]:
-                    total[index] += level
-                    unmet[index] -= 1
-                    if not unmet[index]:
-                        price = total[index]
-                        if price == level:
-                            for made in makes[index]:
-                                if made not in cost:
-                                    cost[made] = level
-                                    settled.append(made)
-                                    pending.discard(made)
-                        elif price in buckets:
-                            buckets[price].extend(makes[index])
-                        else:
-                            buckets[price] = list(makes[index])
-            if not pending:
-                return float(violated + sum(cost[atom] for atom in self.goal_pos))
+            if fresh:
+                # ``fresh`` holds the atoms that cost ``level`` and are
+                # settled now; ``later`` gathers what they make at level + 1.
+                settled |= fresh
+                hit = fresh & pending
+                if hit:
+                    # Once per literal: a goal may name an atom twice.
+                    cost += level * sum([hit >> atom & 1 for atom in self.goal_pos])
+                    pending ^= hit
+                    if not pending:
+                        return float(violated + cost)
+                made = 0
+                while fresh:
+                    low = fresh & -fresh
+                    atom = low.bit_length() - 1
+                    fresh ^= low
+                    made |= zero[atom]
+                    later |= one[atom]
+                    for index in watch[atom]:
+                        total[index] += level
+                        unmet[index] -= 1
+                        if not unmet[index]:
+                            price = total[index]
+                            if price == level:
+                                made |= makes[index]
+                            else:
+                                buckets[price] = buckets.get(price, 0) | makes[index]
+                fresh = made & ~settled
+                continue
+            if later:
+                buckets[level + 1] = buckets.get(level + 1, 0) | later
+                later = 0
             if not buckets:
                 return INFINITY
             level = min(buckets)
-            settled = []
-            for atom in buckets.pop(level):
-                if atom not in cost:
-                    cost[atom] = level
-                    settled.append(atom)
-            pending.difference_update(settled)
+            fresh = buckets.pop(level) & ~settled
 
 
 # ---------------------------------------------------------------------------

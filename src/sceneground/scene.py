@@ -175,7 +175,7 @@ def observation_from_json(text: str | bytes | dict) -> SceneObservation:
     if not isinstance(text, dict):
         try:
             raw = json.loads(text)
-        except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, big int, deep nesting
             raise SceneError(f"bad scene JSON: {exc}") from None
     else:
         raw = text

@@ -615,6 +615,30 @@ def test_scene_file_not_in_utf8_fails_one_problem(cooking_dir, tmp_path, capsys)
     ]
 
 
+# JSON nested too deep for ``json.loads``, which raises RecursionError.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("artifact", ["scene", "exemplar"])
+def test_deeply_nested_scene_or_exemplar_fails_one_problem(
+    cooking_dir, tmp_path, capsys, artifact
+):
+    clean_path = tmp_path / "clean.json"
+    assert main(["eval", str(cooking_dir / "manifest.json"), "--out", str(clean_path)]) == 0
+    suite = tmp_path / "suite"
+    shutil.copytree(cooking_dir, suite)
+    (suite / "problems" / "001" / f"{artifact}.json").write_text(DEEP)
+    report_path = tmp_path / "report.json"
+    assert main(["eval", str(suite / "manifest.json"), "--out", str(report_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    clean = json.loads(clean_path.read_text())["problems"]
+    records = json.loads(report_path.read_text())["problems"]
+    assert records[0] == clean[0] and records[2] == clean[2]
+    assert records[1]["failure"].startswith(
+        f"grounding: bad {artifact} JSON: maximum recursion depth exceeded"
+    )
+
+
 def test_non_finite_canvas_fails_ground(suite_dir, first_goal, tmp_path, capsys):
     doc = json.loads((suite_dir / "problems" / "000" / "scene.json").read_text())
     for value in ("nan", "inf"):
@@ -754,6 +778,20 @@ def test_manifest_with_an_integer_too_long_to_read_is_a_user_error(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot read manifest {manifest}: ")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_deeply_nested_manifest_or_config_is_one_error_line(suite_dir, tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text(DEEP)
+    manifest = str(suite_dir / "manifest.json")
+    for argv, prefix in (
+        (["eval", str(nested)], f"error: cannot read manifest {nested}: "),
+        (["--config", str(nested), "eval", manifest], f"error: bad config file {nested}: "),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix + "maximum recursion depth exceeded")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_truncated_truth_names_its_entry_and_file(cooking_dir, tmp_path, capsys):

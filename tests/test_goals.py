@@ -2,6 +2,9 @@
 
 import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -23,6 +26,9 @@ from sceneground.goals import (
 )
 from sceneground.pddl import GroundAtom, GroundLiteral, parse_domain
 from sceneground.scene import valid_name
+
+# JSON nested too deep for ``json.loads``, which raises RecursionError.
+DEEP = b"[" * 100_000 + b"]" * 100_000
 
 KITCHEN = parse_domain(
     """
@@ -338,6 +344,54 @@ def test_broken_http_answer_is_retried_then_a_goal_error(monkeypatch, error):
     assert len(calls) == 2
 
 
+class _Answer:
+    """What ``urlopen`` returns: a context manager whose ``read`` gives
+    ``body``."""
+
+    def __init__(self, body: bytes):
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self) -> bytes:
+        return self.body
+
+
+def test_deeply_nested_endpoint_body_is_retried_then_a_goal_error(monkeypatch):
+    # json.loads raises RecursionError on it, which is no ValueError.
+    calls = []
+
+    def nested(*args, **kwargs):
+        calls.append(args)
+        return _Answer(DEEP)
+
+    monkeypatch.setattr(urllib.request, "urlopen", nested)
+    cfg = LlmEndpointConfig(base_url="http://127.0.0.1:9", model="stub", retries=1)
+    with pytest.raises(GoalError) as err:
+        llm_parse_goal("slice it", KITCHEN, cfg)
+    assert "2 attempts: malformed endpoint response: maximum recursion depth" in str(err.value)
+    assert len(calls) == 2
+
+
+def test_importing_the_cli_loads_no_network_stack():
+    # Only an endpoint call needs http.client and urllib.request, and with
+    # them ssl, email and socket; one fresh interpreter shows what the
+    # command line loads on import.
+    code = (
+        "import sys, sceneground.cli; "
+        "print(sorted(m for m in ('ssl', 'http.client', 'urllib.request') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout == "[]\n"
+
+
 def test_eval_scores_a_malformed_endpoint_body_as_a_goal_failure(
     stub_server, tmp_path, capsys
 ):
@@ -440,6 +494,7 @@ def test_cassette_replay_miss_is_an_error(tmp_path):
         b'{"request": {}}',
         b'[{"request": {}}]',
         b'[{"request": {}, "response": 3}]',
+        pytest.param(DEEP, id="deep-nesting"),
     ],
 )
 def test_corrupt_cassette_is_a_goal_error(tmp_path, content):

@@ -1073,6 +1073,88 @@ def test_unreachable_goal_scores_infinite():
     assert init_score(problem) == float("inf")
 
 
+def twice(*literals: GroundLiteral) -> tuple[GroundLiteral, ...]:
+    return literals + literals
+
+
+COOKING_3 = gen_cooking(3).truth
+HANOI_3 = hanoi_problem(3)
+
+
+@pytest.mark.parametrize(
+    "domain,problem,h_init,plan",
+    [
+        # (sliced cucumber) costs 3 and is named three times, (in cucumber
+        # red_bowl) costs 1, and two literals forbid that gripper2 holds
+        # the cucumber, as it does in init: 9 + 1 + 2.
+        (
+            COOKING,
+            replace(
+                COOKING_3,
+                goal=COOKING_3.goal
+                + twice(positive("sliced", "cucumber"), negative("carry", "gripper2", "cucumber")),
+            ),
+            12.0,
+            [
+                "place gripper2 cucumber board1",
+                "pick gripper1 knife board1",
+                "slice gripper1 knife cucumber board1",
+                "place gripper1 knife board1",
+                "pick gripper1 cucumber board1",
+                "place gripper1 cucumber red_bowl",
+            ],
+        ),
+        (
+            BLOCKS,
+            blocks_problem(
+                4,
+                [("b1", "b2"), ("b2", "b3")],
+                twice(positive("on", "b3", "b1"), negative("covered", "b2")),
+            ),
+            4.0,
+            ["unstack-from-tower b1 b2", "unstack-from-base b2 b3", "stack-on-base b3 b1"],
+        ),
+        (
+            HANOI,
+            replace(
+                HANOI_3,
+                goal=HANOI_3.goal
+                + twice(positive("onpeg", "d1", "p3"), negative("onpeg", "d3", "p1")),
+            ),
+            7.0,
+            [
+                "move d1 p1 p2",
+                "move d2 p1 p3",
+                "move d1 p2 p3",
+                "move d3 p1 p2",
+                "move d1 p3 p1",
+                "move d2 p3 p2",
+                "move d1 p1 p3",
+                "move d2 p2 p1",
+                "move d1 p3 p1",
+                "move d3 p2 p3",
+                "move d1 p1 p2",
+                "move d2 p1 p3",
+                "move d1 p2 p3",
+            ],
+        ),
+    ],
+    ids=["cooking", "blocksworld", "hanoi"],
+)
+def test_repeated_goal_literals_keep_their_weight(domain, problem, h_init, plan):
+    # h_add sums a positive goal atom's cost once per literal naming it, and
+    # counts a violated negative literal once per literal too, as the
+    # Bellman-Ford h_add does.  The plans are those the search found before
+    # h_add settled whole cost levels as bit sets.
+    task = GroundTask(domain, problem)
+    assert task.h_add(task.init[1]) == naive_h_add(domain, problem, problem.init) == h_init
+    relaxed = naive_relaxed_steps(domain, problem.objects)
+    for base, full in reachable(task, limit=150):
+        assert task.h_add(full) == naive_h_add(domain, problem, task.decode(base), relaxed)
+    result = solve(domain, problem)
+    assert [" ".join((step.action, *step.args)) for step in result.plan.steps] == plan
+
+
 # ---------------------------------------------------------------------------
 # Configuration and results
 # ---------------------------------------------------------------------------
@@ -1403,6 +1485,16 @@ def flipped_goals(problem: Problem) -> list[Problem]:
     return [problem] + [replace(problem, goal=flipped) for flipped in flips]
 
 
+def assert_closes_as_naive(task: GroundTask, domain: Domain, problem: Problem, atoms) -> None:
+    """The task closes the base ``atoms`` to the naive closure's well-typed
+    atoms, less the atoms of the derived predicates nothing reads."""
+    expected = {
+        a for a in naive_closure(atoms, domain) if well_typed(a, domain, problem.objects)
+    }
+    expected -= naive_unread(domain, problem.goal, expected)
+    assert task.decode(task.closure(sum({1 << task.ids[atom] for atom in atoms}))) == expected
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_typed_tasks(), st.data())
 def test_task_closure_is_exact_on_any_base_of_init_and_added_atoms(case, data):
@@ -1413,11 +1505,176 @@ def test_task_closure_is_exact_on_any_base_of_init_and_added_atoms(case, data):
     task = GroundTask(domain, problem)
     observed = problem.init.union(*(task.decode(add) for _, _, _, add in task.masks))
     atoms = data.draw(st.frozensets(st.sampled_from(sorted(observed))))
-    expected = {
-        a for a in naive_closure(atoms, domain) if well_typed(a, domain, problem.objects)
+    assert_closes_as_naive(task, domain, problem, atoms)
+
+
+@st.composite
+def mixed_rule_tasks(draw):
+    """A random domain whose closure meets the three kinds of kept rule
+    instance: one-atom bodies over observed atoms (``unit_heads``), and
+    one-atom bodies over derived atoms and two-atom bodies (both in
+    ``rule_groups``).
+
+    The observed predicates p0 and p1 are set and cleared by actions, so
+    every atom of them is a base atom and nothing is pruned.  The rules
+    come in a drawn order, the first reading an observed atom, then at
+    least one reading one derived atom and one reading two atoms of
+    different predicates; each body reads only predicates drawn before it,
+    and each head keeps a drawn subset of its body's variables.  The goal
+    names an atom of every derived predicate, so every rule is kept.
+    """
+    arity = {"p0": draw(st.integers(1, 2)), "p1": draw(st.integers(1, 2))}
+    observed = sorted(arity)
+    kinds = ["unit", "derived-unit", "pair"]
+    kinds[1:] = draw(st.permutations(kinds[1:]))
+    kinds += draw(st.lists(st.sampled_from(["unit", "derived-unit", "pair"]), max_size=3))
+    rules = []
+    for index, kind in enumerate(kinds):
+        derived = sorted(set(arity) - set(observed))
+        if kind == "unit":
+            predicates = [draw(st.sampled_from(observed))]
+        elif kind == "derived-unit":
+            predicates = [draw(st.sampled_from(derived))]
+        else:
+            predicates = draw(
+                st.lists(st.sampled_from(sorted(arity)), min_size=2, max_size=2, unique=True)
+            )
+        variable = st.sampled_from(["?x", "?y", "?z"])
+        body = [
+            (predicate, [draw(variable) for _ in range(arity[predicate])])
+            for predicate in predicates
+        ]
+        variables = sorted({var for _, args in body for var in args})
+        head = []
+        if variables:
+            head = draw(st.lists(st.sampled_from(variables), max_size=2, unique=True))
+        name = f"d{index}"
+        arity[name] = len(head)
+        atoms = " ".join(f"({predicate} {' '.join(args)})" for predicate, args in body)
+        rules.append(f"(:derived ({name} {' '.join(f'{v} - thing' for v in head)}) (and {atoms}))")
+    declared = " ".join(
+        f"({name} {' '.join(f'?v{k} - thing' for k in range(n))})" for name, n in arity.items()
+    )
+    actions = [
+        f"(:action {verb}-{p} :parameters ({' '.join(f'?v{k} - thing' for k in range(arity[p]))})"
+        f" :effect {effect})"
+        for p in observed
+        for verb, effect in (
+            ("set", f"({p} {' '.join(f'?v{k}' for k in range(arity[p]))})"),
+            ("clear", f"(not ({p} {' '.join(f'?v{k}' for k in range(arity[p]))}))"),
+        )
+    ]
+    domain = parse_domain(
+        "(define (domain mixed) (:requirements :strips :typing :derived-predicates)"
+        f" (:types thing) (:predicates {declared}) {' '.join(actions + rules)})"
+    )
+    names = [f"o{k}" for k in range(draw(st.integers(2, 3)))]
+    objects = tuple((name, "thing") for name in names)
+    atoms = {
+        name: [GroundAtom(name, combo) for combo in itertools.product(names, repeat=n)]
+        for name, n in arity.items()
     }
-    expected -= naive_unread(domain, problem.goal, expected)
-    assert task.decode(task.closure(sum({1 << task.ids[atom] for atom in atoms}))) == expected
+    init = draw(st.frozensets(st.sampled_from(atoms["p0"] + atoms["p1"])))
+    goal = tuple(
+        GroundLiteral(draw(st.sampled_from(atoms[name])), draw(st.booleans()))
+        for name in arity
+        if name not in observed
+    )
+    return domain, Problem("mixed", "mixed", objects, init, goal)
+
+
+def closure_kinds(task: GroundTask) -> tuple[bool, bool, bool]:
+    """Whether the task's closure holds one-atom instances over observed
+    atoms (in ``unit_heads``), one-atom instances over derived atoms (in
+    the groups) and instances of more than one atom."""
+    derived = sum({1 << head for head in task.rule_head})
+    grouped = [body for group in task.rule_groups for body, _ in group.members]
+    return (
+        bool(task.unit_heads),
+        any(body.bit_count() == 1 and body & derived for body in grouped),
+        any(len(body) > 1 for body in task.rule_body),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixed_rule_tasks(), st.data(), st.sampled_from([1, 2, planner.MEMO_MIN_MEMBERS]))
+def test_unit_heads_and_memo_groups_close_as_naive_on_any_base(case, data, minimum):
+    # The three kinds of instance meet in one closure: the unit heads are
+    # set first, and groups then read them, other derived atoms and base
+    # atoms.  Bases are drawn at random and may repeat, so later ones meet
+    # memo entries earlier ones made; the minimum group size is drawn too,
+    # down to memoizing every group.
+    domain, problem = case
+    with mock.patch.object(planner, "MEMO_MIN_MEMBERS", minimum):
+        task = GroundTask(domain, problem)
+        assert closure_kinds(task) == (True, True, True)
+        observed = sorted(problem.init.union(*(task.decode(add) for _, _, _, add in task.masks)))
+        for atoms in data.draw(
+            st.lists(st.frozensets(st.sampled_from(observed)), min_size=1, max_size=8)
+        ):
+            assert_closes_as_naive(task, domain, problem, atoms)
+
+
+# (a ?x) holds when (p ?x) does: an instance in the unit map.  (b ?x) holds
+# when (a ?x) does, one atom over a derived atom, or when (q ?x ?x) does, a
+# unit instance whose head predicate also heads a group.  (c ?x) reads two
+# atoms, one of them derived, and (d ?x) reads c alone, a layer higher.
+TWO_LAYER = parse_domain(
+    "(define (domain layers) (:requirements :strips :typing :derived-predicates)"
+    " (:types thing)"
+    " (:predicates (p ?x - thing) (q ?x - thing ?y - thing)"
+    " (a ?x - thing) (b ?x - thing) (c ?x - thing) (d ?x - thing))"
+    " (:derived (d ?x) (c ?x))"
+    " (:derived (c ?x) (and (q ?x ?y) (b ?y)))"
+    " (:derived (b ?x) (a ?x))"
+    " (:derived (b ?x) (q ?x ?x))"
+    " (:derived (a ?x) (p ?x))"
+    " (:action set-p :parameters (?x - thing) :effect (p ?x))"
+    " (:action set-q :parameters (?x - thing ?y - thing) :effect (q ?x ?y)))"
+)
+
+
+@pytest.mark.parametrize(
+    "domain,problem,kinds",
+    [
+        (
+            TWO_LAYER,
+            Problem(
+                "layers",
+                "layers",
+                (("o1", "thing"), ("o2", "thing")),
+                frozenset(),
+                (positive("d", "o1"),),
+            ),
+            (True, True, True),
+        ),
+        (
+            BLOCKS,
+            blocks_problem(
+                3,
+                [("b1", "b2")],
+                (
+                    positive("elevated", "b1"),
+                    positive("buried", "b2"),
+                    positive("stacked-over", "b1", "b3"),
+                ),
+            ),
+            # No blocksworld rule reads one derived atom alone.
+            (True, False, True),
+        ),
+    ],
+    ids=["two-layer", "blocksworld"],
+)
+def test_unit_heads_and_memo_groups_close_as_naive_on_every_base(domain, problem, kinds):
+    # Every base of the observed atoms the actions add.  Blocksworld's
+    # covered and supported are unit instances; elevated reads an on and a
+    # supported atom, buried two derived atoms, stacked-over two on atoms.
+    task = GroundTask(domain, problem)
+    assert closure_kinds(task) == kinds
+    observed = sorted(frozenset().union(*(task.decode(add) for _, _, _, add in task.masks)))
+    for size in range(len(observed) + 1):
+        for atoms in itertools.combinations(observed, size):
+            assert_closes_as_naive(task, domain, problem, frozenset(atoms))
 
 
 def h_add_of(task: GroundTask, atoms) -> float:
@@ -1529,6 +1786,8 @@ TASK_FIELDS = (
     "masks",
     "rule_head",
     "rule_body",
+    "unit_bodies",
+    "unit_heads",
     "goal",
     "init",
 )
