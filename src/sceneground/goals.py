@@ -57,9 +57,9 @@ def parse_structured_goal(text: str, domain: Domain) -> tuple[GroundLiteral, ...
         atom = GroundAtom(predicate, args)
         # With no objects given, a predicate or arity fault comes first;
         # names are resolved against a scene later.
-        position, message = next(atom_faults(atom, domain, {}), (0, ""))
-        if position < 0:
-            raise GoalError(message)
+        faults = atom_faults(atom, domain, {})
+        if faults and faults[0][0] < 0:
+            raise GoalError(faults[0][1])
         literals.append(GroundLiteral(atom, negated))
     return tuple(literals)
 

@@ -6,7 +6,9 @@ against the exemplar's labeled candidates by nearest neighbor in
 spatial-feature space, and keep the true-classified ones as ground atoms:
 the scene graph's edges and the problem's init.  The problem around them
 is assembled by ``metrics.ground``.  Both spatial features, normalized by
-the canvas size, are computed here (``enumerate_candidates``).
+the canvas size, are computed here (``enumerate_candidates``), as two
+parallel columns per predicate, atom arguments and features: ``classify``
+returns the kept indices, and only those become ``GroundAtom`` values.
 
 An exemplar has two forms: an observation plus the atoms that hold in it,
 as its file (``exemplar_to_json``) and the generator keep it, and the
@@ -26,7 +28,6 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from sceneground.pddl.model import Domain, GroundAtom, atom_faults
 from sceneground.scene import (
@@ -69,29 +70,6 @@ class ExemplarModel:
 
     fault: str | None
     labeled: dict[str, tuple[Features, Features]]
-
-
-class CandidateTriplet(NamedTuple):
-    """One type-valid (subject, predicate, object) hypothesis with its feature.
-
-    Unary predicates use subject == object and the 6-dim shape feature;
-    binary ones use distinct objects and the 4-dim difference feature.
-    A tuple, so building one costs no per-field ``__setattr__``.
-    """
-
-    subject: SceneObject
-    predicate: str
-    object: SceneObject
-    feature: tuple[float, ...]
-
-    @property
-    def args(self) -> tuple[str, ...]:
-        if self.subject.name == self.object.name:
-            return (self.subject.name,)
-        return (self.subject.name, self.object.name)
-
-    def atom(self) -> GroundAtom:
-        return GroundAtom(self.predicate, self.args)
 
 
 @dataclass(frozen=True)
@@ -145,44 +123,42 @@ def unary_feature(box: Box, width: float, height: float) -> tuple[float, ...]:
 
 def enumerate_candidates(
     scene: Scene, domain: Domain
-) -> dict[str, tuple[CandidateTriplet, ...]]:
-    """All type-valid candidates per observed predicate, in scene order.
+) -> dict[str, tuple[tuple[tuple[str, ...], ...], Features]]:
+    """All type-valid candidates per observed predicate, in scene order, as
+    two parallel columns: each candidate's atom arguments and its feature.
 
     Binary predicates get every ordered pair of distinct, subtype-compatible
-    objects; unary ones get every compatible object paired with itself.
-    A binary feature is the subject's box corners less the object's, x by
-    the canvas width and y by its height (``unary_feature`` for unary ones).
+    objects; unary ones get every compatible object, alone.  A binary
+    feature is the subject's box corners less the object's, x by the
+    canvas width and y by its height (``unary_feature`` for unary ones).
     """
-    out: dict[str, tuple[CandidateTriplet, ...]] = {}
+    out = {}
     objects, width, height = scene.objects, scene.width, scene.height
     fits = domain.hierarchy.fitting(obj.type for obj in objects)
+    rows = [(o.name, o.box.x_min, o.box.y_min, o.box.x_max, o.box.y_max) for o in objects]
     for sig in domain.observed:
-        name = sig.name
-        pools = [[objects[i] for i in fits.get(want, ())] for _, want in sig.params]
         if sig.arity == 1:
-            out[name] = tuple(
-                CandidateTriplet(obj, name, obj, unary_feature(obj.box, width, height))
-                for obj in pools[0]
+            pool = [objects[i] for i in fits.get(sig.params[0][1], ())]
+            out[sig.name] = (
+                tuple([(obj.name,) for obj in pool]),
+                tuple([unary_feature(obj.box, width, height) for obj in pool]),
             )
             continue
-        others = [
-            (obj, obj.name, obj.box.x_min, obj.box.y_min, obj.box.x_max, obj.box.y_max)
-            for obj in pools[1]
-        ]
-        cands = []
-        for subj in pools[0]:
-            box = subj.box
-            subj_name, x0, y0, x1, y1 = subj.name, box.x_min, box.y_min, box.x_max, box.y_max
-            for obj, obj_name, bx0, by0, bx1, by1 in others:
+        subjects, others = [[rows[i] for i in fits.get(want, ())] for _, want in sig.params]
+        args, features = [], []
+        for subj_name, x0, y0, x1, y1 in subjects:
+            for obj_name, bx0, by0, bx1, by1 in others:
                 if obj_name != subj_name:
-                    feature = (
-                        (x0 - bx0) / width,
-                        (y0 - by0) / height,
-                        (x1 - bx1) / width,
-                        (y1 - by1) / height,
+                    args.append((subj_name, obj_name))
+                    features.append(
+                        (
+                            (x0 - bx0) / width,
+                            (y0 - by0) / height,
+                            (x1 - bx1) / width,
+                            (y1 - by1) / height,
+                        )
                     )
-                    cands.append(CandidateTriplet(subj, name, obj, feature))
-        out[name] = tuple(cands)
+        out[sig.name] = (tuple(args), tuple(features))
     return out
 
 
@@ -242,17 +218,15 @@ def compile_exemplar(scene: Scene, labels: frozenset[GroundAtom], domain: Domain
     candidate's atom."""
     labeled = {}
     matched = 0
-    for predicate, cands in enumerate_candidates(scene, domain).items():
+    for predicate, (args, features) in enumerate_candidates(scene, domain).items():
         positives, negatives = [], []
-        for c in cands:
-            subject, obj = c.subject.name, c.object.name
+        for arg, feature in zip(args, features):
             # A ground atom is a tuple, so the plain key finds it.
-            key = (predicate, (subject,) if subject == obj else (subject, obj))
-            if key in labels:
+            if (predicate, arg) in labels:
                 matched += 1
-                positives.append(c.feature)
+                positives.append(feature)
             else:
-                negatives.append(c.feature)
+                negatives.append(feature)
         positives.sort()
         negatives.sort()
         labeled[predicate] = (tuple(positives), tuple(negatives))
@@ -264,16 +238,14 @@ def compile_exemplar(scene: Scene, labels: frozenset[GroundAtom], domain: Domain
 
 
 def classify(
-    test: tuple[CandidateTriplet, ...] | list[CandidateTriplet],
-    positives: Features,
-    negatives: Features,
-) -> tuple[CandidateTriplet, ...]:
-    """Label each test candidate by its nearest exemplar feature.
+    features: Features, positives: Features, negatives: Features, predicate: str
+) -> tuple[int, ...]:
+    """Label each test feature of ``predicate`` by its nearest exemplar one.
 
     ``positives`` and ``negatives`` are the features of the exemplar's
     candidates of the same predicate, each sorted, as ``compile_exemplar``
     leaves them.  The squared distance is the left-to-right float sum of
-    ``d_i * d_i`` for ``d_i = a_i - b_i``.  A test candidate is kept when
+    ``d_i * d_i`` for ``d_i = a_i - b_i``.  A test feature is kept when
     its nearest positive is strictly nearer than every negative, so an
     exact tie resolves to false.
 
@@ -284,13 +256,13 @@ def classify(
     The search is exact: ``g * g`` is the first term of the distance's
     sum, adding non-negative terms never lowers a float sum, and the stop
     test is strict (projection pruning, Friedman, Baskett & Shustek 1975).
-    Returns the true-labeled candidates in their input order.
+    Returns the indices of the true-labeled test features, ascending.
     """
-    if not test:
+    if not features:
         return ()
     if not positives or not negatives:
         raise ExemplarError(
-            f"exemplar is uninformative for {test[0].predicate!r}: "
+            f"exemplar is uninformative for {predicate!r}: "
             f"{len(positives)} positive / {len(negatives)} negative candidates"
         )
     distance2 = _DISTANCE2[len(positives[0])]
@@ -298,8 +270,7 @@ def classify(
     neg_keys = [f[0] for f in negatives]
     n_pos, n_neg = len(positives), len(negatives)
     kept = []
-    for cand in test:
-        x = cand.feature
+    for index, x in enumerate(features):
         x0 = x[0]
         # The nearest positive, up then down from x0's place.
         d_pos = math.inf
@@ -338,7 +309,7 @@ def classify(
             near = distance2(x, negatives[j]) <= d_pos
             j -= 1
         if not near:
-            kept.append(cand)
+            kept.append(index)
     return tuple(kept)
 
 
@@ -353,10 +324,10 @@ def classify_scene(scene: Scene, domain: Domain, exemplar: ExemplarModel) -> Sce
     if exemplar.fault is not None:
         raise ExemplarError(exemplar.fault)
     atoms = set()
-    for predicate, cands in enumerate_candidates(scene, domain).items():
-        if cands:
-            kept = classify(cands, *exemplar.labeled[predicate])
-            atoms.update(c.atom() for c in kept)
+    for predicate, (args, features) in enumerate_candidates(scene, domain).items():
+        if features:
+            for index in classify(features, *exemplar.labeled[predicate], predicate):
+                atoms.add(GroundAtom(predicate, args[index]))
     return SceneGraph(scene.objects, frozenset(atoms))
 
 

@@ -12,7 +12,7 @@ problem atoms, exemplar labels and resolved goals all pass through it.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple
@@ -216,9 +216,10 @@ class Domain:
     read, other predicates being layer 0.  A dependency cycle among head
     predicates (a rule reading its own head included) has no layers and
     raises ``ModelError``; the walk runs over sorted names, so the cycle
-    it names never follows the iteration order of a set.  What a suite
-    compiles for the domain lives in the tables of a ``planner.suite``
-    on it, while the suite is open.
+    it names never follows the iteration order of a set.  ``_fits`` tables
+    the types that fit each predicate parameter, for ``atom_faults``.
+    What a suite compiles for the domain lives in the tables of a
+    ``planner.suite`` on it, while the suite is open.
     """
 
     name: str
@@ -232,11 +233,18 @@ class Domain:
     layer: dict[str, int] = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
+    _fits: dict[str, tuple[frozenset[str], ...]] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_by_name", {p.name: p for p in self.predicates}
         )
+        ancestors = self.hierarchy._ancestors.items()
+        for p in self.predicates:
+            fits = [frozenset(typ for typ, ups in ancestors if want in ups) for _, want in p.params]
+            self._fits[p.name] = tuple(fits)
         reads: dict[str, set[str]] = {}
         for rule in self.derived:
             reads.setdefault(rule.head.predicate, set()).update(a.predicate for a in rule.body)
@@ -356,24 +364,26 @@ class Plan:
 
 def atom_faults(
     atom: GroundAtom, domain: Domain, types: Mapping[str, str]
-) -> Iterator[tuple[int, str]]:
+) -> tuple[tuple[int, str], ...]:
     """Why ``atom`` is not a typed instance of a declared predicate over the
-    objects ``types`` maps to their type names.
+    objects ``types`` maps to their type names, as ``(position, message)``
+    pairs: none for a typed instance.
 
     An unknown predicate or a wrong arity is one fault at position -1.
     Otherwise each argument that names no object, or an object whose type
     does not fit its parameter, is a fault at that argument's position, in
-    argument order.  No fault means the atom is a typed instance.
-    """
-    sig = domain.predicate(atom.predicate)
-    if sig is None:
-        yield -1, f"unknown predicate {atom.predicate!r}"
-    elif len(atom.args) != sig.arity:
-        yield -1, f"{atom.predicate!r} takes {sig.arity} args, got {len(atom.args)}"
-    else:
-        for position, (arg, (_, want)) in enumerate(zip(atom.args, sig.params)):
-            have = types.get(arg)
-            if have is None:
-                yield position, f"unknown object {arg!r}"
-            elif not domain.hierarchy.is_subtype(have, want):
-                yield position, f"{arg!r} has type {have!r}, {atom.predicate!r} requires {want!r}"
+    argument order."""
+    predicate, args = atom
+    fits = domain._fits.get(predicate)
+    if fits is None:
+        return ((-1, f"unknown predicate {predicate!r}"),)
+    if len(args) != len(fits):
+        return ((-1, f"{predicate!r} takes {len(fits)} args, got {len(args)}"),)
+    faults = ()
+    for position, arg in enumerate(args):
+        have = types.get(arg)
+        if have not in fits[position]:
+            want = domain._by_name[predicate].params[position][1]
+            message = f"{arg!r} has type {have!r}, {predicate!r} requires {want!r}"
+            faults += ((position, f"unknown object {arg!r}" if have is None else message),)
+    return faults

@@ -264,7 +264,10 @@ def _parse_literal(node: _Node) -> tuple[str, list[str], bool]:
         head = _expect_tok(lst[0], "predicate name")
     if head != EQUALITY and not valid_name(head):
         _fail(f"bad predicate name {head!r}", head)
-    return head, [_expect_tok(a, "an argument") for a in lst[1:]], negated
+    for arg in lst[1:]:
+        if not isinstance(arg, str):
+            _fail("expected an argument, got a list", arg)
+    return head, lst[1:], negated
 
 
 # ---------------------------------------------------------------------------

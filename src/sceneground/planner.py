@@ -394,23 +394,25 @@ def _bits(mask: int) -> list[int]:
 
 def _watch_lists(size: int, needs, base, makes):
     """Per atom id below ``size``, the producers that need it, as
-    ``(watch, zero, one)``.  ``zero[atom]`` and ``one[atom]`` are the bit
-    sets of what the producers whose only need is the atom make (``makes``
-    holds bit sets), at base cost 0 (rule instances) and 1 (actions).
-    ``watch[atom]`` holds the index of each other producer, once per
-    occurrence, so a producer that names an atom twice counts it twice (as
-    h_add sums it twice)."""
+    ``(watch, zero, one, multi)``.  ``zero[atom]`` and ``one[atom]`` are
+    the bit sets of what the producers whose only need is the atom make
+    (``makes`` holds bit sets), at base cost 0 (rule instances) and 1
+    (actions).  ``multi`` lists the producers that need more atoms, and
+    ``watch[atom]`` the place in ``multi`` of each that needs the atom,
+    once per occurrence, so a need named twice counts twice."""
     watch: list[list[int]] = [[] for _ in range(size)]
     zero = [0] * size
     one = [0] * size
+    multi: list[int] = []
     for index, need in enumerate(needs):
         if len(need) == 1:
             by_cost = one if base[index] else zero
             by_cost[need[0]] |= makes[index]
-        else:
+        elif need:
             for atom in need:
-                watch[atom].append(index)
-    return tuple(map(tuple, watch)), tuple(zero), tuple(one)
+                watch[atom].append(len(multi))
+            multi.append(index)
+    return tuple(map(tuple, watch)), tuple(zero), tuple(one), multi
 
 
 def _interner(atoms: list[GroundAtom], ids: dict[GroundAtom, int]):
@@ -648,25 +650,27 @@ def _kept_rules(table: ObjectTable, static: int) -> KeptRules:
 
 class Relaxation(NamedTuple):
     """The goal-relevant actions and rule instances of a task, as h_add
-    reads them: one list of producers, the actions first.  Producer ``i``
-    needs ``size[i]`` atoms (an action's positive precondition, an
-    instance's body), costs ``base[i]`` more than their summed costs (1 for
-    an action, 0 for an instance) and makes the bit set ``makes[i]`` (an
-    action's relevant adds, an instance's head).
-    What the producers that need one atom make is joined per atom and base
-    cost into two bit sets: ``zero[atom]`` (rule instances, which make
-    their heads at the atom's cost) and ``one[atom]`` (actions, which make
-    their adds at 1 more); ``watch[atom]`` lists every other producer that
-    needs the atom, once per occurrence.  ``free`` is the bit set of what
-    the actions that need nothing make, which costs 1 in every state;
-    every rule instance has a body.  ``atoms`` is the bit set of the
-    relevant atoms, and ``reads`` adds the negative goal atoms to it: all
-    that h_add reads of a state.  ``memo`` maps ``full & reads`` to h_add's value; it is
-    shared by every task of the ``ObjectTable`` entry that holds this
-    relaxation."""
+    reads them.  ``producers`` holds their indices among the task's
+    actions, then rule instances.  A producer needs some atoms (an
+    action's positive precondition, an instance's body), costs 1 (an
+    action) or 0 (an instance) more than their summed costs, and makes a
+    bit set (an action's relevant adds, an instance's head).  What the
+    producers that need one atom make is joined per atom and base cost
+    into two bit sets: ``zero[atom]`` (rule instances, which make their
+    heads at the atom's cost) and ``one[atom]`` (actions, which make their
+    adds at 1 more).  The ``i``-th producer that needs more atoms needs
+    ``size[i]``, costs ``base[i]`` more and makes ``makes[i]``, and
+    ``watch[atom]`` lists its ``i`` once per occurrence of the atom.
+    ``free`` is the bit set of what the actions that need nothing make,
+    which costs 1 in every state; every rule instance has a body.
+    ``atoms`` is the bit set of the relevant atoms, and ``reads`` adds the
+    negative goal atoms to it: all that h_add reads of a state.  ``memo``
+    maps ``full & reads`` to h_add's value; it is shared by every task of
+    the ``ObjectTable`` entry that holds this relaxation."""
 
     atoms: int
     reads: int
+    producers: tuple[int, ...]
     base: list[int]
     size: list[int]
     makes: list[int]
@@ -810,7 +814,7 @@ class GroundTask:
         relevant = _mask(atoms)
         kept_makes = [_mask(makes[i]) & relevant for i in order]
         base = [int(i < actions) for i in order]
-        watch, zero, one = _watch_lists(relevant.bit_length(), kept_needs, base, kept_makes)
+        watch, zero, one, multi = _watch_lists(relevant.bit_length(), kept_needs, base, kept_makes)
         free = 0
         for need, made in zip(kept_needs, kept_makes):
             if not need:
@@ -818,9 +822,10 @@ class GroundTask:
         return Relaxation(
             relevant,
             relevant | self.goal[1],
-            base,
-            list(map(len, kept_needs)),
-            kept_makes,
+            tuple(order),
+            [base[i] for i in multi],
+            [len(kept_needs[i]) for i in multi],
+            [kept_makes[i] for i in multi],
             watch,
             zero,
             one,

@@ -44,12 +44,19 @@ def json_items(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
+_INF, _repr = math.inf, float.__repr__
 _BOX_JSON = '      "box": [\n        %s,\n        %s,\n        %s,\n        %s\n      ]'
 
 
 def box_json(box: "Box") -> str:
     """The ``"box"`` entry of a third-level object."""
-    corners = (box.x_min, box.y_min, box.x_max, box.y_max)
+    x0, y0, x1, y1 = corners = (box.x_min, box.y_min, box.x_max, box.y_max)
+    # Finite float corners are written as json_number writes them, without
+    # its checks; x_min < x_max and y_min < y_max, so these bounds make all
+    # four finite.  A box with an int or infinite corner goes through it.
+    finite = -_INF < x0 and -_INF < y0 and x1 < _INF and y1 < _INF
+    if finite and type(x0) is type(y0) is type(x1) is type(y1) is float:
+        return _BOX_JSON % (_repr(x0), _repr(y0), _repr(x1), _repr(y1))
     return _BOX_JSON % tuple(map(json_number, corners))
 
 

@@ -297,9 +297,9 @@ def _label_flipped_doc(problem, domain, rng):
     from sceneground.graph import enumerate_candidates
 
     spare = [
-        [predicate, *c.args]
-        for c in enumerate_candidates(scene, domain)[predicate]
-        if [predicate, *c.args] not in rows
+        [predicate, *args]
+        for args in enumerate_candidates(scene, domain)[predicate][0]
+        if [predicate, *args] not in rows
     ]
     rows.append(rng.choice(spare))
     return doc
@@ -361,7 +361,7 @@ def test_criterion_8_exemplar_gate(tmp_path):
             for sig in domain.observed:
                 always = dict(base)
                 always["true_atoms"] = base["true_atoms"] + [
-                    [sig.name, *c.args] for c in candidates[sig.name]
+                    [sig.name, *args] for args in candidates[sig.name][0]
                 ]
                 never = dict(base)
                 never["true_atoms"] = [r for r in base["true_atoms"] if r[0] != sig.name]

@@ -184,12 +184,12 @@ def test_exemplar_covers_both_labels_for_used_predicates():
         scene = merge_detections(problem.scene, domain)
         test_candidates = enumerate_candidates(scene, domain)
         exemplar_candidates = enumerate_candidates(exemplar_scene(problem), domain)
-        for predicate, cands in test_candidates.items():
+        for predicate, (cands, _) in test_candidates.items():
             if not cands:
                 continue
             labels = {
-                GroundAtom(predicate, c.args) in problem.exemplar_labels
-                for c in exemplar_candidates[predicate]
+                GroundAtom(predicate, args) in problem.exemplar_labels
+                for args in exemplar_candidates[predicate][0]
             }
             assert labels == {True, False}, predicate
 
@@ -216,9 +216,9 @@ def test_cross_class_margin_exceeds_documented_constant():
             (exemplar_scene(problem), problem.exemplar_labels),
         ):
             for predicate, cands in enumerate_candidates(scene, domain).items():
-                for c in cands:
+                for args, feature in zip(*cands):
                     rows.setdefault(predicate, []).append(
-                        (c.feature, GroundAtom(predicate, c.args) in atoms)
+                        (feature, GroundAtom(predicate, args) in atoms)
                     )
         for predicate, feats in rows.items():
             positives = [f for f, label in feats if label]

@@ -15,12 +15,17 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from naive_ref import naive_1nn, naive_classify_scene, naive_distance2, well_typed
+from naive_ref import (
+    _naive_candidates,
+    naive_1nn,
+    naive_classify_scene,
+    naive_distance2,
+    well_typed,
+)
 import sceneground
 from sceneground.bench import DOMAIN_KINDS, GenConfig, domain_text, generate, shipped_domain
 from sceneground.graph import (
     _DISTANCE2,
-    CandidateTriplet,
     ExemplarError,
     SceneGraph,
     _exemplar_fault,
@@ -83,8 +88,9 @@ def test_enumerate_candidates_counts():
     scene = _scene(_block("a", 0, 0), _block("b", 30, 0), _block("c", 60, 0))
     cands = enumerate_candidates(scene, BLOCKS)
     assert set(cands) == {"on"}
-    assert len(cands["on"]) == 6  # ordered pairs of 3 objects
-    assert all(c.subject.name != c.object.name for c in cands["on"])
+    args, features = cands["on"]
+    assert len(args) == len(features) == 6  # ordered pairs of 3 objects
+    assert all(subject != obj for subject, obj in args)
 
 
 def test_enumerate_candidates_respects_types():
@@ -95,17 +101,11 @@ def test_enumerate_candidates_respects_types():
     )
     cands = enumerate_candidates(scene, KITCHEN)
     # carry: gripper subjects only, carriable objects only.
-    assert [(c.subject.name, c.object.name) for c in cands["carry"]] == [
-        ("grip1", "veg1"),
-        ("grip1", "veg2"),
-    ]
-    # sliced: unary over vegetables, subject == object.
-    assert [(c.subject.name, c.object.name) for c in cands["sliced"]] == [
-        ("veg1", "veg1"),
-        ("veg2", "veg2"),
-    ]
-    assert all(len(c.feature) == 4 for c in cands["carry"])
-    assert all(len(c.feature) == 6 for c in cands["sliced"])
+    assert cands["carry"][0] == (("grip1", "veg1"), ("grip1", "veg2"))
+    # sliced: unary over vegetables, one argument each.
+    assert cands["sliced"][0] == (("veg1",), ("veg2",))
+    assert all(len(f) == 4 for f in cands["carry"][1])
+    assert all(len(f) == 6 for f in cands["sliced"][1])
 
 
 def test_candidate_atom_forms():
@@ -114,8 +114,9 @@ def test_candidate_atom_forms():
         SceneObject("grip1", "gripper", Box(40, 0, 60, 20)),
     )
     cands = enumerate_candidates(scene, KITCHEN)
-    assert cands["carry"][0].atom() == GroundAtom("carry", ("grip1", "veg1"))
-    assert cands["sliced"][0].atom() == GroundAtom("sliced", ("veg1",))
+    # A candidate's arguments are its atom's: a pair, or one name alone.
+    assert cands["carry"][0][0] == ("grip1", "veg1")
+    assert cands["sliced"][0][0] == ("veg1",)
 
 
 def _three_block_exemplar():
@@ -131,12 +132,11 @@ def _three_block_exemplar():
 
 
 def _classify(scene, exemplar, domain, predicate):
-    """classify() on one predicate's test candidates, against the compiled
-    exemplar's features of that predicate."""
-    return classify(
-        enumerate_candidates(scene, domain)[predicate],
-        *compile_exemplar(*exemplar, domain).labeled[predicate],
-    )
+    """The atoms classify() keeps of one predicate's test candidates,
+    against the compiled exemplar's features of that predicate."""
+    args, features = enumerate_candidates(scene, domain)[predicate]
+    labeled = compile_exemplar(*exemplar, domain).labeled[predicate]
+    return tuple(GroundAtom(predicate, args[i]) for i in classify(features, *labeled, predicate))
 
 
 def test_classify_nearest_neighbor_oracle():
@@ -147,7 +147,7 @@ def test_classify_nearest_neighbor_oracle():
         _block("o", 10, 10),
     )
     kept = _classify(scene, exemplar, BLOCKS, "on")
-    assert [c.atom() for c in kept] == [GroundAtom("on", ("s", "o"))]
+    assert kept == (GroundAtom("on", ("s", "o")),)
 
 
 def test_classify_zero_distance_to_negative_is_false():
@@ -348,7 +348,7 @@ def test_unary_classification_by_shape():
         SceneObject("veg2", "vegetable", Box(11, 11, 27, 27)),  # square
     )
     kept = _classify(scene, exemplar, KITCHEN, "sliced")
-    assert [c.atom() for c in kept] == [GroundAtom("sliced", ("veg1",))]
+    assert kept == (GroundAtom("sliced", ("veg1",)),)
 
 
 def test_build_graph_and_init_round_trip():
@@ -357,7 +357,9 @@ def test_build_graph_and_init_round_trip():
         SceneObject("grip1", "gripper", Box(5, 5, 50, 50)),
     )
     cands = enumerate_candidates(scene, KITCHEN)
-    chosen = frozenset(c.atom() for c in (cands["carry"][0], cands["sliced"][0]))
+    chosen = frozenset(
+        GroundAtom(predicate, cands[predicate][0][0]) for predicate in ("carry", "sliced")
+    )
     assert chosen == {
         GroundAtom("carry", ("grip1", "veg1")),
         GroundAtom("sliced", ("veg1",)),
@@ -534,6 +536,29 @@ def test_classify_scene_agrees_with_naive_1nn_on_generated_scenes(kind, sigma):
         assert classify_scene(scene, domain, model).atoms == expected, (kind, sigma, seed)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.2, 0.6])
+@pytest.mark.parametrize("kind", DOMAIN_KINDS)
+def test_candidate_columns_are_the_naive_candidates_on_generated_scenes(kind, sigma):
+    # Per observed predicate, the argument column equals the naive
+    # enumeration's arguments and the feature column its features, bit for
+    # bit (float.hex tells -0.0 from 0.0), both in scene order, on the
+    # test and the exemplar scene.
+    domain = shipped_domain(kind)
+    for seed in range(12):
+        problem = generate(GenConfig(kind=kind, sigma=sigma, seed=seed))
+        for obs in (problem.scene, problem.exemplar_obs):
+            scene = merge_detections(obs, domain)
+            columns = enumerate_candidates(scene, domain)
+            assert list(columns) == [sig.name for sig in domain.observed]
+            for sig in domain.observed:
+                expected = _naive_candidates(scene, domain, sig)
+                args, features = columns[sig.name]
+                assert args == tuple(a for a, _ in expected), (kind, sigma, seed)
+                assert [tuple(map(float.hex, f)) for f in features] == [
+                    tuple(map(float.hex, f)) for _, f in expected
+                ], (kind, sigma, seed)
+
+
 def kernel_cases(domain, scene, exemplar) -> tuple[bool, bool]:
     """Whether some test candidate's nearest positive and nearest negative
     are exactly as far, and whether some candidate is rejected by a
@@ -543,18 +568,18 @@ def kernel_cases(domain, scene, exemplar) -> tuple[bool, bool]:
     tie = late = False
     ex_scene, labels = exemplar
     labeled = enumerate_candidates(ex_scene, domain)
-    for predicate, test in enumerate_candidates(scene, domain).items():
+    for predicate, (_, test) in enumerate_candidates(scene, domain).items():
         positives, negatives = [], []
-        for c in labeled[predicate]:
-            truth = c.atom() in labels
-            (positives if truth else negatives).append(c.feature)
+        for args, feature in zip(*labeled[predicate]):
+            truth = GroundAtom(predicate, args) in labels
+            (positives if truth else negatives).append(feature)
         if not test or not positives or not negatives:
             continue
         negatives.sort()
-        for cand in test:
-            d_pos = min(naive_distance2(cand.feature, f) for f in positives)
-            d_neg = [naive_distance2(cand.feature, f) for f in negatives]
-            first = min(bisect_left([f[0] for f in negatives], cand.feature[0]), len(d_neg) - 1)
+        for x in test:
+            d_pos = min(naive_distance2(x, f) for f in positives)
+            d_neg = [naive_distance2(x, f) for f in negatives]
+            first = min(bisect_left([f[0] for f in negatives], x[0]), len(d_neg) - 1)
             tie |= d_pos == min(d_neg)
             late |= d_neg[first] > d_pos >= min(d_neg)
     return tie, late
@@ -591,7 +616,6 @@ def test_classification_cases_draw_ties_and_late_rejections():
 # differences, squares and mirror images are exact, so distances tie
 # exactly.  Both signed zeros are on it.
 GRID = (-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0)
-_NN_OBJECT = SceneObject("o", "block", Box(0, 0, 1, 1))
 
 
 @st.composite
@@ -653,9 +677,8 @@ def nn_kinds(tests, positives, negatives) -> set[str]:
 @example(([(0.0,) * 6], [(-0.25,) + (0.0,) * 5, (1.0,) * 6], [(-0.5,) + (0.0,) * 5, (1.0,) * 6]))
 def test_pruned_classify_is_the_brute_force_1nn(case):
     tests, positives, negatives = case
-    cands = tuple(CandidateTriplet(_NN_OBJECT, "p", _NN_OBJECT, f) for f in tests)
-    kept = classify(cands, tuple(sorted(positives)), tuple(sorted(negatives)))
-    assert kept == tuple(c for c in cands if naive_1nn(c.feature, positives, negatives))
+    kept = classify(tuple(tests), tuple(sorted(positives)), tuple(sorted(negatives)), "p")
+    assert kept == tuple(i for i, x in enumerate(tests) if naive_1nn(x, positives, negatives))
 
 
 @settings(max_examples=300, deadline=None)
@@ -668,10 +691,9 @@ def test_classify_is_monotone_in_each_side(case, data):
     tests, positives, negatives = case
     grid = st.tuples(*[st.sampled_from(GRID)] * len(tests[0]))
     extra = data.draw(grid | st.sampled_from(tests + positives + negatives), label="extra")
-    cands = tuple(CandidateTriplet(_NN_OBJECT, "p", _NN_OBJECT, f) for f in tests)
 
     def kept(pos, neg) -> set[int]:
-        return {id(c) for c in classify(cands, tuple(sorted(pos)), tuple(sorted(neg)))}
+        return set(classify(tuple(tests), tuple(sorted(pos)), tuple(sorted(neg)), "p"))
 
     before = kept(positives, negatives)
     assert before <= kept(positives + [extra], negatives)

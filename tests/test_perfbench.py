@@ -93,3 +93,49 @@ def test_a_traced_eval_pass_compiles_once_per_suite(monkeypatch, tmp_path):
     assert all(outcome.error is None for outcome in outcomes.values())
     assert calls["planner.ground_actions"] == 1
     assert calls["graph.exemplar_from_json"] == len(exemplars) == 3
+
+
+def test_traced_ground_pass_counts_candidate_columns_and_kept_atoms(monkeypatch, tmp_path):
+    # The benchmark wraps graph.classify and counts len(args[0]) as
+    # graph.candidates and len(result) as graph.kept: the candidate feature
+    # column must stay classify's first argument and the kept sequence its
+    # result, or the pinned counter digests move.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from spans import Tracer
+
+    from sceneground import graph
+    from sceneground.bench import GenConfig, write_suite
+    from sceneground.metrics import load_manifest, read_text
+    from sceneground.scene import merge_detections, observation_from_json
+
+    suites = [
+        workloads.Suite(str(i), cfg, write_suite(cfg, 2, tmp_path / str(i)))
+        for i, cfg in enumerate(
+            (
+                GenConfig("blocksworld", n=4, sigma=0.2, seed=3),
+                GenConfig("hanoi", d=3, g=3, sigma=0.2, seed=3),
+                GenConfig("cooking", sigma=0.2, seed=3),
+            )
+        )
+    ]
+    candidates = kept = 0
+    for suite in suites:
+        domain, entries = load_manifest(suite.manifest)
+        for entry in entries:
+            scene = merge_detections(observation_from_json(read_text(entry.scene)), domain)
+            exemplar = graph.exemplar_from_json(read_text(entry.exemplar), domain)
+            columns = graph.enumerate_candidates(scene, domain).values()
+            candidates += sum(len(features) for _, features in columns)
+            kept += len(graph.classify_scene(scene, domain, exemplar).atoms)
+    workload = workloads.WORKLOADS["ground-noisy"]
+    with Tracer() as tracer:
+        workloads.install_layer_spans(tracer)
+        outcomes = workloads.ground_pass(workload, suites, 0, tracer, True)
+        calls = tracer.summary([0])[0]["graph.classify"]["calls"]
+    assert len(outcomes) == 6
+    assert all(outcome.error is None for outcome in outcomes.values())
+    assert calls > 0 and candidates > kept > 0
+    assert tracer.counts[0]["graph.candidates"] == candidates
+    assert tracer.counts[0]["graph.kept"] == kept

@@ -487,13 +487,18 @@ def test_h_add_reads_only_the_goal_relevant_actions_and_rule_instances():
     # move adds an onpeg atom that a goal atom's achievers read, and blocked
     # is read only by negative preconditions, which cost nothing in the
     # relaxation.
-    # A producer's base cost is 1 for an action and 0 for a rule instance.
+    # The actions come first among the producers, then the rule instances.
     task = GroundTask(COOKING, gen_cooking(0).truth)
-    assert (task.relaxed.base.count(1), len(task.compiled)) == (26, 40)
-    assert (task.relaxed.base.count(0), len(task.rule_head)) == (1, 18)
+    assert (relevant_actions(task), len(task.compiled)) == (26, 40)
+    assert (len(task.relaxed.producers) - 26, len(task.rule_head)) == (1, 18)
     hanoi = GroundTask(HANOI, hanoi_problem(6))
-    assert hanoi.relaxed.base.count(1) == len(hanoi.compiled) == 36
-    assert (hanoi.relaxed.base.count(0), len(hanoi.rule_head)) == (0, 45)
+    assert relevant_actions(hanoi) == len(hanoi.compiled) == 36
+    assert (len(hanoi.relaxed.producers) - 36, len(hanoi.rule_head)) == (0, 45)
+
+
+def relevant_actions(task) -> int:
+    """How many of the task's actions its relaxation keeps."""
+    return sum(index < len(task.compiled) for index in task.relaxed.producers)
 
 
 @pytest.mark.parametrize(
@@ -2320,13 +2325,13 @@ def goal_relevance_cases(domain, problem) -> tuple[bool, bool]:
     precondition, and whether it leaves out a rule instance the closure
     reads."""
     task = GroundTask(domain, problem)
-    relaxed = task.relaxed
-    # A relevant action's base cost is 1, and its size is its number of
-    # positive preconditions; a rule instance's base cost is 0.
-    kept = sum(1 for base, size in zip(relaxed.base, relaxed.size) if base and size)
+    producers = task.relaxed.producers
+    actions = len(task.compiled)
+    # The actions come first among the producers, then the rule instances.
+    kept = sum(1 for index in producers if index < actions and task.compiled[index][0])
     return (
         kept < sum(1 for pos, _, _, _ in task.compiled if pos),
-        relaxed.base.count(0) < len(task.rule_head),
+        sum(index >= actions for index in producers) < len(task.rule_head),
     )
 
 

@@ -77,8 +77,7 @@ def _binary_features(a: Box, b: Box, width, height):
     """The features of the candidates on(a, b) and on(b, a) that
     ``enumerate_candidates`` gives a scene of two blocks with boxes a and b."""
     blocks = (SceneObject("a", "block", a), SceneObject("b", "block", b))
-    cands = enumerate_candidates(Scene(width, height, blocks), TOY_DOMAIN)["on"]
-    features = {c.args: c.feature for c in cands}
+    features = dict(zip(*enumerate_candidates(Scene(width, height, blocks), TOY_DOMAIN)["on"]))
     assert len(features) == 2
     return features["a", "b"], features["b", "a"]
 
