@@ -30,7 +30,6 @@ from sceneground.bench.generate import (  # noqa: E402  (needs domain_text above
     gen_blocksworld,
     gen_cooking,
     gen_hanoi,
-    gen_hanoi_preset,
     generate,
     perturb,
     write_suite,
@@ -46,7 +45,6 @@ __all__ = [
     "gen_blocksworld",
     "gen_cooking",
     "gen_hanoi",
-    "gen_hanoi_preset",
     "generate",
     "perturb",
     "write_suite",

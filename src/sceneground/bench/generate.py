@@ -374,12 +374,6 @@ def gen_hanoi(d: int, g: int, seed: int) -> GeneratedProblem:
     )
 
 
-def gen_hanoi_preset(seed: int) -> GeneratedProblem:
-    """The evaluation preset: three pegs, four to six disks."""
-    rng = random.Random(f"hanoi-preset-{seed}")
-    return gen_hanoi(rng.choice((4, 5, 6)), 3, seed)
-
-
 # ---------------------------------------------------------------------------
 # Cooking
 # ---------------------------------------------------------------------------

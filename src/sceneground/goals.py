@@ -116,8 +116,8 @@ class LlmEndpointConfig:
     def __post_init__(self):
         if not 0 < self.timeout_s < math.inf:
             raise GoalError("timeout must be positive and finite")
-        if self.retries < 0:
-            raise GoalError("retries must be nonnegative")
+        if type(self.retries) is not int or self.retries < 0:
+            raise GoalError("retries must be a nonnegative int")
 
 
 @dataclass

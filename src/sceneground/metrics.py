@@ -120,7 +120,9 @@ def validate_plan(domain: Domain, init, goal, plan: Plan) -> Verdict:
     literals and the goal literals are looked up in a fresh
     ``axiom_closure`` view of the state, which proves only the derived
     atoms they ask about.  A step naming no schema (or the wrong number of
-    arguments) is unknown-action; the first violation wins.
+    arguments) is unknown-action; the first violation wins.  Only a step's
+    action name and arity are checked, not its argument types, so an
+    ill-typed step whose literals hold is accepted.
     """
     facts: dict[str, set[tuple[str, ...]]] = {}
     for atom in init:

@@ -1,96 +1,23 @@
 """Forward state-space search over the typed STRIPS subset.
 
-Each ``solve`` call compiles its problem once into a ``GroundTask``.  The
-part of that compile which depends only on the problem's objects and on the
-rules its goal keeps, an ``ObjectTable``, is built once per such pair and
-kept in the open ``suite``'s tables, so the problems of a suite that share
-their objects share it; the task adds its goal, init and pruning to it.
-The kept rule instances and their closure memos depend on the table and
-the pruning only, and h_add's relaxation and memo on the table, the goal
-and the pruning only, so they are kept in the table too, one per pruning
-or per goal and pruning.
-``ground_actions`` lists each schema's type-valid bindings as steps
-(equality literals are resolved away there, dropping the bindings they rule
-out), drawing each parameter's objects from one type table
-(``TypeHierarchy.fitting``).  The task instantiates every step straight to
-atom ids from one template per schema, which gives each precondition
-literal, add and delete as a predicate and the binding positions of its
-arguments, as Fast Downward's translator grounds into integer facts
-(Helmert 2009); a ``GroundAtom`` is built only for each new distinct atom.
-Derived rules become ground (head, body) id instances the same way, over
-type-valid bindings from the same table.  Only the rules ``relevant_rules``
-keeps are ground: those whose head a precondition, a goal literal or
-another kept rule's body reads (the relevance analysis of Fast Downward's
-translator, Helmert 2009).  No other derived atom can change which actions
-apply or whether the goal holds, so a task state holds no atom of an
-unread derived predicate.  The search and the heuristic both run on that
-task, whose states are bit sets: a Python int with bit ``i`` set for each
-atom ``i`` that holds, so an action's test and effect are a few whole-int
-operations, and a state is its own hash key.
+``solve`` compiles its problem once into a ``GroundTask``, whose states
+are bit sets, and runs one best-first loop over it.  Each mechanism is
+described where it is implemented:
 
-Derived predicates are recomputed after every state change by one pass
-over the rule instances, as Fast Downward evaluates axioms layer by layer
-(Helmert 2006).  An instance whose body is one atom that no instance
-derives is not walked: such instances are joined into a map from the body
-atom to the OR of their head bits, and the pass starts by ORing in the
-heads of each set bit of the base that the map holds.  The map is exact on
-any base, since such a body bit is final before anything is derived.  Each
-derived predicate sits one layer above the highest derived predicate its
-rules read, as ``Domain.layer`` tables once per domain; a domain admits
-only stratified rules, so the layers exist.  The other instances are
-grouped by head predicate and first head argument, and the groups are
-ordered by the layer of their head, so each comes after every group that
-makes one of its body atoms, and no member reads an atom of its own layer.
-Each group sets the head bit of every member whose body bits are all set
-when the pass reaches it, and memoizes that set of heads by the bits its
-members read, so a state that agrees on them with one already closed costs
-one dict lookup per group.  An instance that reads an atom no state can
-hold (one not in init, added by no action and the head of no instance) is
-dropped when the task is compiled, and nothing else is, so the closure is
-exact on every base of init and action-add atoms; a memo entry depends
-only on the bits its key holds, so it is exact on every base too.  The
-closure is also typed: a rule derives a head only for bindings that fit
-the head predicate's parameter types, as PDDL requires.  The applicable
-steps are found the same way: the steps are grouped by schema and first
-argument, and each group memoizes its applicable members by the bits their
-preconditions read (Fast Downward likewise precompiles a successor
-generator, Helmert 2006).  A lookup costs about as much as testing a few
-members, so a group of fewer than ``MEMO_MIN_MEMBERS`` members keeps no
-memo: each run of such groups is scanned member by member, in order.  Both
-kinds of memo live in the object table, so they last as long as the open
-suite, or as one solve outside any.  The lifted ``axiom_closure`` is the
-plan validator's closure in ``metrics``, kept apart from the task so that
-it judges independently.  It derives nothing up front: its view of a state
-proves each atom it is asked about top-down, joining rule bodies against
-the state's facts and answering derived body atoms as memoized subqueries
-(query-subquery evaluation, Vieille 1986); a join that met unanswered
-subqueries runs again once they are answered.  So a plan step costs only
-the literals it reads.  It ignores head types and so may also prove
-ill-typed atoms; no action precondition or typed goal reads one.
-
-Both search modes run one best-first loop over a heap ordered by score,
-then insertion.  "satisficing" scores a state by additive cost on the
-delete relaxation, h_add (derived rules cost nothing; Bonet & Geffner
-2001).  "optimal" scores every state 0, so the heap pops first in,
-first out, and the loop is breadth-first search over unit-cost actions.
-Every action costs 1, so every cost is a whole number, and h_add settles
-atoms from a bucket queue keyed by cost (Dial 1969), one whole cost
-level at a time as a bit set.  It watches only the goal-relevant actions
-and rule instances, those a walk back from the positive goal atoms
-through their achievers reaches (Nebel, Dimopoulos & Koehler 1997);
-every achiever of a relevant atom is relevant, so its values are those
-of h_add over the whole task.  What the producers that need one atom
-make is joined per atom into two bit sets, made at the atom's cost (rule
-instances) and at 1 more (actions), so a level grows by whole-int ORs;
-only the other producers count their unmet needs.  h_add reads a state
-only through its relevant and negative goal atoms, so each value is
-memoized by those bits of the state, in a memo that every task with the
-same object table, goal and pruning shares (Fast Downward likewise
-caches heuristic values per state, Helmert 2006).  A search tests each new
-child of a node for the goal before it scores any of them, so no
-heuristic call goes to a sibling of the goal.  A returned plan is not
-replayed here: the plan validator in ``metrics`` judges it wherever it
-leaves the program.
+- what a suite compiles once: ``suite`` and ``suite_tables``;
+- grounding to atom ids from per-schema templates: ``ground_actions``,
+  ``_rule_instances`` and ``_object_table``, kept as an ``ObjectTable``;
+- the rule instances a task's init keeps, and the unit map: ``_kept_rules``
+  and ``KeptRules``, which also own h_add's relaxations;
+- memo groups and their size gate: ``MemoGroup``, ``MEMO_MIN_MEMBERS``
+  and ``_memo_groups``;
+- the derived-predicate closure and the successor order:
+  ``GroundTask.closure`` and ``GroundTask.successors``;
+- h_add: goal relevance in ``GroundTask._relax``, its memo in
+  ``GroundTask.h_add`` and its cost levels in ``GroundTask._h_add``;
+- the search loop: ``solve``;
+- the lifted closure the plan validator in ``metrics`` judges with, kept
+  apart from the task: ``axiom_closure`` and ``ClosureView``.
 """
 
 from __future__ import annotations
@@ -127,6 +54,9 @@ class PlannerError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """How ``solve`` searches: its mode, a positive int node limit and a
+    positive, finite time limit in seconds."""
+
     mode: str = "satisficing"
     node_limit: int = 1_000_000
     time_limit_s: float = 120.0
@@ -134,12 +64,15 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in ("optimal", "satisficing"):
             raise PlannerError(f"unknown mode {self.mode!r}")
-        if self.node_limit <= 0 or not 0 < self.time_limit_s < INFINITY:
+        nodes = self.node_limit
+        if type(nodes) is not int or nodes <= 0 or not 0 < self.time_limit_s < INFINITY:
             raise PlannerError("limits must be positive and finite")
 
 
 @dataclass(frozen=True)
 class SolveResult:
+    """What ``solve`` found, and how many nodes it expanded."""
+
     status: str  # solved | unsolvable | node-limit | time-limit
     plan: Plan | None
     expanded: int
@@ -160,16 +93,10 @@ class SolveResult:
 def ground_actions(
     domain: Domain, objects: tuple[tuple[str, str], ...]
 ) -> tuple[PlanStep, ...]:
-    """All type-valid bindings of every schema, as steps, in deterministic
-    order: schema by schema, each schema's bindings in product order, the
-    first parameter varying slowest (``GroundTask.successors`` relies on
-    this).
-
-    Equality literals are evaluated against the binding right here: a
-    binding that falsifies one is dropped.  No atom is built here; the
-    task's ``ObjectTable`` instantiates the survivors from per-schema
-    templates.
-    """
+    """All type-valid bindings of every schema, as steps: schema by schema,
+    each schema's bindings in product order, the first parameter varying
+    slowest.  A binding that falsifies an equality literal is dropped, so
+    no compiled step reads one."""
     fits = domain.hierarchy.fitting(typ for _, typ in objects)
     pools = {typ: [objects[i][0] for i in fit] for typ, fit in fits.items()}
     out: list[PlanStep] = []
@@ -223,12 +150,12 @@ def _rule_instances(
     objects: tuple[tuple[str, str], ...],
     domain: Domain,
 ):
-    """Per rule: its head template, its body templates, and every
-    type-valid binding of its variables."""
+    """Per rule: its head template, its body templates, and every binding
+    of its variables that fits the type of each predicate position they
+    occupy, the head's included, so a rule derives only well-typed heads,
+    as PDDL requires."""
     fits = domain.hierarchy.fitting(typ for _, typ in objects)
     for rule in rules:
-        # Each variable must fit every predicate position it occupies, so
-        # its pool is the intersection of those types' pools.
         pools: dict[str, set[int]] = {}
         for atom in (rule.head, *rule.body):
             sig = domain.predicate(atom.predicate)
@@ -375,7 +302,8 @@ class ClosureView:
 
 
 def _mask(ids) -> int:
-    """The bit set with bit ``i`` set for each id ``i`` in ``ids``."""
+    """``ids`` as a bit set: a Python int with bit ``i`` set for each id
+    ``i`` in ``ids``, so a set test or union is one whole-int operation."""
     mask = 0
     for atom in ids:
         mask |= 1 << atom
@@ -392,18 +320,15 @@ def _bits(mask: int) -> list[int]:
     return ids
 
 
-def _watch_lists(size: int, needs, base, makes):
-    """Per atom id below ``size``, the producers that need it, as
-    ``(watch, zero, one, multi)``.  ``zero[atom]`` and ``one[atom]`` are
-    the bit sets of what the producers whose only need is the atom make
-    (``makes`` holds bit sets), at base cost 0 (rule instances) and 1
-    (actions).  ``multi`` lists the producers that need more atoms, and
-    ``watch[atom]`` the place in ``multi`` of each that needs the atom,
-    once per occurrence, so a need named twice counts twice."""
+def _producer_tables(size: int, needs, base, makes) -> tuple:
+    """A ``Relaxation``'s fields ``base`` to ``free``, over the atom ids
+    below ``size``, for the producers with ``needs``, ``base`` costs and
+    ``makes``."""
     watch: list[list[int]] = [[] for _ in range(size)]
     zero = [0] * size
     one = [0] * size
     multi: list[int] = []
+    free = 0
     for index, need in enumerate(needs):
         if len(need) == 1:
             by_cost = one if base[index] else zero
@@ -412,7 +337,17 @@ def _watch_lists(size: int, needs, base, makes):
             for atom in need:
                 watch[atom].append(len(multi))
             multi.append(index)
-    return tuple(map(tuple, watch)), tuple(zero), tuple(one), multi
+        else:
+            free |= makes[index]
+    return (
+        [base[i] for i in multi],
+        [len(needs[i]) for i in multi],
+        [makes[i] for i in multi],
+        tuple(map(tuple, watch)),
+        tuple(zero),
+        tuple(one),
+        free,
+    )
 
 
 def _interner(atoms: list[GroundAtom], ids: dict[GroundAtom, int]):
@@ -458,13 +393,12 @@ def suite_tables(domain: Domain) -> dict:
 
 
 class MemoGroup(NamedTuple):
-    """A group of steps or rule instances whose answers on a state read
-    only its bits in ``reads``, the OR of what the ``members`` read.
-    ``memo`` maps ``full & reads`` to the group's answer on every state
-    with those bits, so a state that agrees on them with one already
-    answered costs one dict lookup.  A call adds at most one entry.  A
-    group with ``memo`` None is a run of small groups, scanned member by
-    member (see ``MEMO_MIN_MEMBERS``)."""
+    """Steps or rule instances whose answer on a state reads only its bits
+    in ``reads``, the OR of what the ``members`` read.  ``memo`` maps
+    ``full & reads`` to that answer, so an entry is exact on every state
+    and a state that agrees on those bits with one already answered costs
+    one dict lookup; a call adds at most one entry.  ``memo`` is None for
+    a run of small groups, which is scanned member by member."""
 
     reads: int
     members: tuple
@@ -506,39 +440,24 @@ def _memo_groups(keyed) -> tuple[MemoGroup, ...]:
 
 
 class ObjectTable(NamedTuple):
-    """The part of a task that depends only on its objects and its kept
-    rules, built once per such pair and kept in its domain's ``suite_tables``.
+    """What a task compiles from its objects and the rules that
+    ``relevant_rules`` keeps for its goal, built once per such pair and
+    kept in ``suite_tables``.
 
-    ``atoms`` and ``ids`` hold the atoms interned so far: every action's,
-    then every rule instance's.  ``actions``, ``compiled`` and ``masks``
-    are the task's.  ``step_groups`` holds the steps as ``MemoGroup``s
-    keyed by schema and first argument, in the order the keys first come
-    in ``actions``; each member is ``(pos, neg, (index, keep, add))``, and
-    ``memo`` maps ``full & reads`` to the ``(index, keep, add)`` tuples of
-    the applicable members, in index order, shared with the members.
-    Those memos read nothing but the table's masks, so every task of the
-    table shares them.  Small groups are merged into runs with no memo
-    (see ``MemoGroup``).
-    ``rules`` holds every type-valid instance of the kept
-    rules as ``(head, body, (body mask, head bit))``, ordered by the layer
-    of the head predicate, and ``made`` is the bit set of every atom that an
-    action adds or an instance has as head.  ``static`` is the bit set of
-    the atoms some instance's body reads and nothing makes: a task's
-    pruning reads its init only through them.  So ``kept`` maps a task's
-    init ``static`` bits to the ``KeptRules`` every task with those bits
-    keeps, its unit map and closure memos included.  A task copies
-    ``atoms`` and ``ids`` before it interns its goal and init atoms.  Every
-    memo here lives as long as the table: the open suite, or one solve
-    outside any.
-
-    ``relaxations`` holds h_add's ``Relaxation`` of every task compiled
-    from the table that has scored a state, keyed by the task's positive
-    and negative goal atom ids and its init's ``static`` bits.  That key
-    fixes the relaxation and so every h_add value: every precondition and
-    body atom has its table id in every task, the goal atoms are interned
-    in goal order right after the table's atoms, and the instances a task
-    drops follow from its ``static`` bits alone.  So the tasks of a suite
-    that share the key share one relaxation and one memo.
+    ``atoms[i]`` is the atom with id ``i``, every action's and then every
+    rule instance's, and ``ids`` maps an atom, or a plain ``(predicate,
+    args)`` key, back to its id.  ``actions`` are ``ground_actions``' steps,
+    ``compiled[i]`` is step ``i`` as (positive precondition, negative
+    precondition, add, delete) id tuples, and ``masks[i]`` is it as the bit
+    sets ``(pos, neg, keep, add)``, ``keep`` being every atom but the
+    deletes.  ``step_groups`` holds the steps as ``MemoGroup``s keyed by
+    schema and first argument, each member ``(pos, neg, (index, keep,
+    add))``.  ``rules`` holds every instance of the kept rules as ``(head,
+    body, (body mask, head bit))``, ordered by the ``Domain.layer`` of the
+    head predicate.  ``made`` is the bit set of every atom that an action
+    adds or an instance has as head, and ``static`` that of the atoms some
+    body reads and nothing makes.  ``kept`` maps a task's ``init & static``
+    to its ``KeptRules``.  The table's memos live as long as it does.
     """
 
     atoms: tuple[GroundAtom, ...]
@@ -551,14 +470,16 @@ class ObjectTable(NamedTuple):
     static: int
     rules: tuple[tuple[int, tuple[int, ...], tuple[int, int]], ...]
     kept: dict[int, KeptRules]
-    relaxations: dict[tuple[tuple[int, ...], tuple[int, ...], int], Relaxation]
 
 
 def _object_table(
     domain: Domain, objects: tuple[tuple[str, str], ...], kept: tuple[DerivedRule, ...]
 ) -> ObjectTable:
     """Ground every action and every instance of the ``kept`` rules over
-    ``objects``, interning the actions' atoms first."""
+    ``objects``.  Each is instantiated straight to atom ids from its
+    schema's or rule's templates, as Fast Downward's translator grounds
+    into integer facts (Helmert 2009); the actions' atoms are interned
+    first, and a ``GroundAtom`` is built only for each new atom."""
     atoms: list[GroundAtom] = []
     ids: dict[GroundAtom, int] = {}
     intern = _interner(atoms, ids)
@@ -596,35 +517,39 @@ def _object_table(
         for index, (step, (pos, neg, keep, add)) in enumerate(zip(actions, masks))
     )
     return ObjectTable(
-        tuple(atoms), ids, actions, compiled, masks, step_groups, made, read & ~made, rules, {}, {}
+        tuple(atoms), ids, actions, compiled, masks, step_groups, made, read & ~made, rules, {}
     )
 
 
 class KeptRules(NamedTuple):
-    """The rule instances of an ``ObjectTable`` that a task keeps, in the
-    table's layer order: ``head`` and ``body`` as ids.  The closure reads
-    them in two parts.  ``unit_heads`` maps the id of each atom that is
-    some kept instance's whole body, and no kept instance's head, to the OR
-    of those instances' head bits; ``unit_bodies`` is the bit set of those
-    ids.  ``groups`` holds every other instance as ``MemoGroup``s keyed by
-    head predicate and first head argument, in the order the keys first
-    come, each member ``(body, head)`` as bit sets and each memo mapping
-    ``full & reads`` to the heads of the members whose body is set."""
+    """The rule instances of an ``ObjectTable`` that the tasks with one
+    ``init & table.static`` keep, in the table's layer order, with what
+    the closure and h_add build from them.  ``head`` and ``body`` are the
+    instances as ids.  ``unit_heads`` maps each atom that is some kept
+    instance's whole body, and no kept instance's head, to the OR of those
+    instances' head bits, and ``unit_bodies`` is the bit set of those
+    atoms.  ``groups`` holds the other instances as ``MemoGroup``s keyed by
+    head predicate and first head argument, each member ``(body, head)``
+    as bit sets.  ``relaxations`` maps a task's positive and negative goal
+    ids to its h_add ``Relaxation``: a relaxation reads nothing of a task
+    but those ids, the table's actions and these instances, so the tasks
+    that share them share it and its memo."""
 
     head: tuple[int, ...]
     body: tuple[tuple[int, ...], ...]
     unit_bodies: int
     unit_heads: dict[int, int]
     groups: tuple[MemoGroup, ...]
+    relaxations: dict[tuple[tuple[int, ...], tuple[int, ...]], Relaxation]
 
 
 def _kept_rules(table: ObjectTable, static: int) -> KeptRules:
-    """The instances of ``table`` kept by a task whose init holds the
-    ``static`` bits of ``table.static``: those whose every body atom is
-    among them or made by an action or an instance.  An atom some body
-    reads is either made or in ``table.static``, so those bits decide.
-    A kept instance whose body is one atom that no kept instance makes
-    goes into ``unit_heads``; the rest into ``groups``."""
+    """The ``KeptRules`` of a task whose init holds the ``static`` bits of
+    ``table.static``.  An atom some body reads is made or in
+    ``table.static``, so an instance that reads an atom neither made nor
+    among ``static`` can never fire, and it is dropped; the rest are kept
+    whole, so the closure stays exact on every base of init and
+    action-add atoms."""
     possible = static | table.made
     rules = [(head, body, masks) for head, body, masks in table.rules if not masks[0] & ~possible]
     derived = _mask(head for head, _, _ in rules)
@@ -645,28 +570,24 @@ def _kept_rules(table: ObjectTable, static: int) -> KeptRules:
             ((atoms[head].predicate, atoms[head].args[:1]), masks[0], masks)
             for head, masks in grouped
         ),
+        {},
     )
 
 
 class Relaxation(NamedTuple):
-    """The goal-relevant actions and rule instances of a task, as h_add
-    reads them.  ``producers`` holds their indices among the task's
-    actions, then rule instances.  A producer needs some atoms (an
-    action's positive precondition, an instance's body), costs 1 (an
-    action) or 0 (an instance) more than their summed costs, and makes a
-    bit set (an action's relevant adds, an instance's head).  What the
-    producers that need one atom make is joined per atom and base cost
-    into two bit sets: ``zero[atom]`` (rule instances, which make their
-    heads at the atom's cost) and ``one[atom]`` (actions, which make their
-    adds at 1 more).  The ``i``-th producer that needs more atoms needs
-    ``size[i]``, costs ``base[i]`` more and makes ``makes[i]``, and
-    ``watch[atom]`` lists its ``i`` once per occurrence of the atom.
-    ``free`` is the bit set of what the actions that need nothing make,
-    which costs 1 in every state; every rule instance has a body.
-    ``atoms`` is the bit set of the relevant atoms, and ``reads`` adds the
-    negative goal atoms to it: all that h_add reads of a state.  ``memo``
-    maps ``full & reads`` to h_add's value; it is shared by every task of
-    the ``ObjectTable`` entry that holds this relaxation."""
+    """A task's goal-relevant actions and rule instances, as h_add reads
+    them.  ``producers`` holds their indices among the task's actions,
+    then rule instances.  A producer needs some atoms (an action's positive
+    precondition, an instance's body), costs ``base`` more than they do (1
+    for an action, 0 for an instance) and makes a bit set (an action's
+    relevant adds, an instance's head).  What the producers that need only
+    ``atom`` make is joined into ``zero[atom]`` (instances) and
+    ``one[atom]`` (actions).  The ``i``-th producer that needs more atoms
+    needs ``size[i]``, costs ``base[i]`` more and makes ``makes[i]``, and
+    ``watch[atom]`` lists its ``i`` once per occurrence of ``atom``.
+    ``free`` is what the actions that need nothing make.  ``atoms`` is the
+    bit set of the relevant atoms, ``reads`` adds the negative goal atoms
+    to it, and ``memo`` maps ``full & reads`` to h_add's value."""
 
     atoms: int
     reads: int
@@ -684,56 +605,17 @@ class Relaxation(NamedTuple):
 class GroundTask:
     """One problem compiled to integers, built once per ``solve`` call.
 
-    What depends only on the objects and the kept rules comes from an
-    ``ObjectTable``, looked up in ``suite_tables(domain)`` and built on a
-    miss: ``actions``, ``compiled`` and ``masks`` are the table's own, and
-    ``atoms`` and ``ids`` start as copies of its atoms, after which the
-    task interns its goal atoms and then its init atoms.  That is the
-    order of a compile outside any suite, so no id, and so no plan,
-    depends on which problem built the table.
-
-    ``atoms[i]`` is the atom with id ``i``, and ``ids`` maps an atom, or a
-    plain ``(predicate, args)`` key, back to its id.  A set of atoms is a
-    bit set: a Python int with bit ``i`` set for each atom ``i`` in it,
-    which ``decode`` turns back into atoms.  A task state is a pair
-    ``(base, full)`` of bit sets: the observed atoms, and those plus every
-    atom the rule instances derive from them.
-
-    ``actions`` are the steps ``ground_actions`` returns, in its order.
-    ``compiled[i]`` is step ``i`` as (positive precondition, negative
-    precondition, add, delete) id tuples, instantiated from its schema's
-    templates, and ``masks[i]`` is it as the bit sets ``(pos, neg, keep,
-    add)``, ``keep`` being every atom but the deletes: the step applies
-    when ``full & pos == pos and not full & neg``, and its next base is
-    ``base & keep | add``.
-
-    ``step_groups`` are the table's (see ``ObjectTable``), so a task may
-    start with the applicable steps of states an earlier task of the suite
-    stepped.
-
-    A rule instance of the table whose body names an atom no state can
-    hold, one that is not in init, not added by an action and not a rule
-    instance's head, is dropped; the others are kept whole.  This step
-    reads init only through its ``static`` bits, so the table keeps its
-    result per those bits (``ObjectTable.kept``).  ``rule_head`` and
-    ``rule_body`` give the kept instances as ids, ordered by the layer of
-    the head predicate (``Domain.layer``), so every instance that makes an
-    atom comes before every instance whose body reads it.
-    ``unit_heads`` maps each atom that is the whole body of some kept
-    instance, and no kept instance's head, to the OR of those instances'
-    head bits, and ``unit_bodies`` is the bit set of those atoms.
-    ``rule_groups`` holds the other instances as ``MemoGroup``s keyed by
-    head predicate and first head argument, in the order the keys first
-    come, which is layer order; each member is ``(body, head)`` as bit
-    sets, and ``memo`` maps ``full & reads`` to the heads of the members
-    whose body is set; small groups are merged into runs with no memo, as
-    steps are.  The closure reads the map and every group; h_add reads
-    only the goal-relevant instances, ``relaxed``, and keeps its values in
-    ``relaxed.memo``.
-    All of these are the table's, shared with every task that has the
-    same pruning (and, for h_add, the same goal; see ``ObjectTable``), so
-    a task may start with closures and values that an earlier task of the
-    suite computed.
+    The task takes ``actions``, ``compiled``, ``masks`` and ``step_groups``
+    from the ``ObjectTable`` of its objects and kept rules, and
+    ``rule_head``, ``rule_body``, ``unit_bodies``, ``unit_heads`` and
+    ``rule_groups`` from that table's ``KeptRules`` for its init, building
+    either on a miss.  It copies the table's ``atoms`` and ``ids``, then
+    interns its goal atoms and then its init atoms: the order of a compile
+    outside any suite, so no id, and so no plan, depends on which problem
+    built the table.  ``goal_pos`` and ``goal_neg`` are the goal literals'
+    atom ids and ``goal`` their bit sets.  A state, such as ``init``, is a
+    pair ``(base, full)`` of bit sets: the observed atoms, and those plus
+    every atom the kept rules derive from them.
     """
 
     def __init__(self, domain: Domain, problem: Problem):
@@ -756,39 +638,31 @@ class GroundTask:
         kept = table.kept.get(static)
         if kept is None:
             kept = table.kept[static] = _kept_rules(table, static)
-        self.rule_head, self.rule_body, self.unit_bodies, self.unit_heads, self.rule_groups = kept
+        self.rule_head, self.rule_body, self.unit_bodies, self.unit_heads = kept[:4]
+        self.rule_groups, self._relaxations = kept[4:]
         self.step_groups = table.step_groups
         self.init = (base, self.closure(base))
-        self._relaxations = table.relaxations
-        self._relaxation_key = (self.goal_pos, self.goal_neg, static)
 
     @cached_property
     def relaxed(self) -> Relaxation:
-        """h_add's tables, over the goal-relevant part of the task only.
-
-        Looked up in the table's ``relaxations`` on the first h_add call
-        and built on a miss, so a search that runs no h_add never pays for
-        it, and a task whose goal and pruning an earlier task of the open
-        suite had reuses that task's relaxation and memo.
-        """
-        relaxed = self._relaxations.get(self._relaxation_key)
+        """h_add's ``Relaxation``, looked up in the kept rules'
+        ``relaxations`` on the first h_add call and built on a miss, so a
+        search that runs no h_add never builds one."""
+        key = (self.goal_pos, self.goal_neg)
+        relaxed = self._relaxations.get(key)
         if relaxed is None:
-            relaxed = self._relaxations[self._relaxation_key] = self._relax()
+            relaxed = self._relaxations[key] = self._relax()
         return relaxed
 
     def _relax(self) -> Relaxation:
-        """``relaxed``, built afresh.
-
-        Walking back from the positive goal atoms: an action that adds a
-        relevant atom is relevant, and so are its positive preconditions; a
-        rule instance whose head is relevant is relevant, and so are its
-        body atoms (Nebel, Dimopoulos & Koehler 1997).  Negative
-        preconditions and negative goal literals cost nothing in the
-        relaxation, so they make nothing relevant.  Every achiever of a
-        relevant atom is relevant, so each goal atom costs what it would
-        over the whole task.  Only relevant atoms are watched, so the watch
-        lists end at the highest relevant id, which the goal fixes.
-        """
+        """``relaxed``, built afresh by walking back from the positive goal
+        atoms: an action that adds a relevant atom is relevant, and so are
+        its positive preconditions; a rule instance whose head is relevant
+        is relevant, and so are its body atoms
+        (Nebel, Dimopoulos & Koehler 1997).  Negative preconditions and
+        goal literals cost nothing in the relaxation, so they make nothing
+        relevant.  Every achiever of a relevant atom is relevant, so each
+        goal atom costs what it would over the whole task."""
         # Producers: the actions, then the rule instances.
         needs = [pos for pos, _, _, _ in self.compiled]
         needs += self.rule_body
@@ -809,53 +683,30 @@ class GroundTask:
                     atoms |= fresh
                     queue.extend(fresh)
         order = sorted(kept)
-        actions = len(self.compiled)
         kept_needs = [needs[i] for i in order]
         relevant = _mask(atoms)
         kept_makes = [_mask(makes[i]) & relevant for i in order]
-        base = [int(i < actions) for i in order]
-        watch, zero, one, multi = _watch_lists(relevant.bit_length(), kept_needs, base, kept_makes)
-        free = 0
-        for need, made in zip(kept_needs, kept_makes):
-            if not need:
-                free |= made
-        return Relaxation(
-            relevant,
-            relevant | self.goal[1],
-            tuple(order),
-            [base[i] for i in multi],
-            [len(kept_needs[i]) for i in multi],
-            [kept_makes[i] for i in multi],
-            watch,
-            zero,
-            one,
-            free,
-            {},
-        )
+        base = [int(i < len(self.compiled)) for i in order]
+        tables = _producer_tables(relevant.bit_length(), kept_needs, base, kept_makes)
+        return Relaxation(relevant, relevant | self.goal[1], tuple(order), *tables, {})
 
     def decode(self, mask: int) -> frozenset[GroundAtom]:
         """The atoms of the bit set ``mask``."""
         return frozenset(self.atoms[i] for i in _bits(mask))
 
     def closure(self, base: int) -> int:
-        """The base plus every atom derivable from it.
+        """``base`` plus every atom the kept rules derive from it, in one
+        pass, as Fast Downward evaluates axioms layer by layer
+        (Helmert 2006).
 
-        First ORs in ``unit_heads[atom]`` for each set bit of ``base &
-        unit_bodies``, then walks ``rule_groups`` in order: each group sets
-        the heads of its members whose body bits are all set, memoized in
-        the group by ``full & reads`` (a run of small groups, with no memo,
-        tests each member as the pass reaches it).  The map is exact on any
-        base: no kept instance makes one of its body atoms, so each such
-        bit is final before anything runs, and its heads are set before
-        any group that reads them.  One pass over the groups is enough
-        because of the layer order: a group's members share a head
-        predicate and so a layer, no member reads an atom of its own layer,
-        and each group comes after every group that makes one of its body
-        atoms.  So when a group is reached, every bit its members read is
-        final, and a memo entry, which depends on those bits alone, is
-        exact on any base.  A dropped instance reads an atom no state
-        holds, so the closure is exact for any base of init and action-add
-        atoms.
+        First each set bit of ``base & unit_bodies`` ORs in its
+        ``unit_heads``: no kept instance makes such a body atom, so its bit
+        is final before anything is derived.  Then each of ``rule_groups``
+        in turn sets the heads of its members whose body bits are all set.
+        A group's members share a head predicate and so a ``Domain.layer``,
+        none reads an atom of its own layer, and the groups come in layer
+        order, so every bit a group reads is final when the pass reaches
+        it, and one pass is enough.
         """
         full = base
         hits = base & self.unit_bodies
@@ -883,19 +734,14 @@ class GroundTask:
         return full
 
     def successors(self, state) -> list[tuple[int, int]]:
-        """(action index, next base) for each applicable action, in index
-        order.
-
-        Walks ``step_groups`` in order; each group's applicable members
-        are memoized in the group by ``full & reads``, which holds every
-        bit its members' tests read, so an entry is exact on any state (a
-        run of small groups, with no memo, tests each member).
-        ``ground_actions`` lists each schema's bindings with the first
-        parameter varying slowest, so each group is one run of indices
-        and the groups come in index order: the list is the one a scan of
-        ``masks`` gives, in the same order, so the search breaks ties on
-        grounded-action order as ``solve`` says.
-        """
+        """(action index, next base) for each applicable step of ``state``,
+        in index order, from ``step_groups``, as Fast Downward precompiles
+        a successor generator (Helmert 2006).  A step applies when ``full &
+        pos == pos and not full & neg``, and its next base is ``base & keep
+        | add``.  ``ground_actions`` varies each schema's first parameter
+        slowest, so each group is one run of indices and the groups come
+        in index order: the list, and so the search's ties, are those a
+        scan of ``masks`` gives."""
         base, full = state
         out = []
         for reads, members, memo in self.step_groups:
@@ -915,17 +761,16 @@ class GroundTask:
         return out
 
     def satisfied(self, full: int) -> bool:
+        """Whether the goal holds in the full bit set ``full``."""
         pos, neg = self.goal
         return full & pos == pos and not full & neg
 
     def h_add(self, full: int) -> float:
-        """Additive cost of the goal under the delete relaxation.
-
-        It reads only the bits of ``full`` in ``relaxed.reads``, so its
-        values are memoized in ``relaxed.memo`` by those bits; a state that
-        differs from one already scored only in atoms the relaxation never
-        reads costs a dict lookup.
-        """
+        """The additive cost of the goal under the delete relaxation, h_add
+        (Bonet & Geffner 2001); rule instances cost nothing.  It reads
+        only ``full``'s bits in ``relaxed.reads``, so it is memoized in
+        ``relaxed.memo`` by those bits, as Fast Downward caches heuristic
+        values per state (Helmert 2006)."""
         relaxed = self.relaxed
         key = full & relaxed.reads
         memo = relaxed.memo
@@ -937,27 +782,18 @@ class GroundTask:
     def _h_add(self, full: int) -> float:
         """h_add, computed afresh.
 
-        An action costs 1 plus the summed costs of its positive
-        preconditions (negative ones are free in the relaxation); a rule
-        instance costs the summed costs of its body.  The atoms of the
-        state cost 0.  So every cost is a whole number, and atoms are
-        settled cheapest first, one whole cost level at a time, from
-        buckets keyed by cost (Dial 1969), each level a bit set: the
-        state's relevant atoms settle at level 0, ``relaxed.free`` waits at
-        level 1, and the next level is the smallest cost waiting, however
-        far up that is.  A level grows by rounds: the ``zero`` heads of
-        the atoms it settled last round, and the makes of every producer
-        whose needs that round completed at the level's cost, join it
-        unless already settled; their ``one`` makes wait at the next
-        level.  Only the producers that need more than one atom count
-        their unmet needs and sum their costs, through ``watch``.
-        Only the goal-relevant actions and rule instances (``relaxed``) are
-        watched, and only relevant atoms get a cost; the goal atoms cost
-        what they would over the whole task.  This stops once every
-        positive goal atom is settled.  The value is the summed cost of the
-        positive goal literals, an atom named twice counting twice, plus 1
-        for each negative goal literal whose atom holds, so it is zero
-        exactly on goal states.
+        Every cost is a whole number, so atoms are settled cheapest first,
+        one whole cost level at a time, from buckets keyed by cost
+        (Dial 1969), each level a bit set: the state's relevant atoms at
+        level 0, ``relaxed.free`` waiting at level 1, and each next level
+        the smallest cost waiting.  A level grows by rounds: the ``zero``
+        makes of the atoms it settled last round, and the makes of each
+        watched producer whose needs that round completed at the level's
+        cost, join it unless already settled; their ``one`` makes wait at
+        the next level.  It stops once every positive goal atom is settled.
+        The value sums the positive goal literals' costs, an atom named
+        twice counting twice, plus 1 per negative goal literal whose atom
+        holds, so it is zero exactly on goal states.
         """
         violated = sum(full >> atom & 1 for atom in self.goal_neg)
         relaxed = self.relaxed
@@ -1027,15 +863,17 @@ def make_heuristic(task: GroundTask):
 def solve(
     domain: Domain, problem: Problem, cfg: SearchConfig = SearchConfig()
 ) -> SolveResult:
-    """Search for a plan from problem.init to problem.goal.
+    """Search for a plan from ``problem.init`` to ``problem.goal``.
 
-    One best-first loop serves both modes.  Satisficing mode is greedy
-    best-first under h_add.  Optimal mode scores every state 0, so
-    the insertion counter alone orders the heap, first in, first out, and
-    the loop is breadth-first (shortest plan under unit costs).  Ties break
-    on insertion order, and so on grounded-action order, so equal inputs
-    give equal plans.  The plan is the one the search path spells out;
-    callers that hand it on check it with ``metrics.validate_plan``.
+    One best-first loop over a heap ordered by score, then insertion,
+    serves both modes.  Satisficing mode scores a state by h_add, so it is
+    greedy best-first search; optimal mode scores every state 0, so the
+    heap pops first in, first out, and the loop is breadth-first search
+    (shortest plans under unit costs).  Ties break on insertion order, and
+    so on grounded-action order, so equal inputs give equal plans.  Every
+    new child of a node is goal-tested before any is scored, so no
+    heuristic call goes to a sibling of a goal.  The plan is not replayed
+    here: callers that hand it on check it with ``metrics.validate_plan``.
     """
     start = time.perf_counter()
     task = GroundTask(domain, problem)
@@ -1063,8 +901,6 @@ def solve(
             return SolveResult("time-limit", None, expanded)
         state = heappop(frontier)[2]
         expanded += 1
-        # Every new child is goal-tested before any is scored, so no
-        # heuristic call goes to a sibling of a goal.
         children = []
         for index, base in task.successors(state):
             if base in parents:

@@ -20,7 +20,6 @@ from sceneground.bench import (
     gen_blocksworld,
     gen_cooking,
     gen_hanoi,
-    gen_hanoi_preset,
     generate,
     perturb,
     write_suite,
@@ -378,7 +377,11 @@ def test_criterion_8_exemplar_gate(tmp_path):
 def test_criterion_9_calibration_bands(blocks_101):
     blocks_median = statistics.median(p.meta.optimal_length for p in blocks_101)
     assert 6 <= blocks_median <= 10, blocks_median
-    hanoi_lengths = [gen_hanoi_preset(seed).meta.optimal_length for seed in range(101)]
+    # The evaluation preset: three pegs, four to six disks drawn per seed.
+    hanoi_lengths = []
+    for seed in range(101):
+        disks = random.Random(f"hanoi-preset-{seed}").choice((4, 5, 6))
+        hanoi_lengths.append(gen_hanoi(disks, 3, seed).meta.optimal_length)
     hanoi_median = statistics.median(hanoi_lengths)
     assert hanoi_median >= 31, hanoi_median
     print(

@@ -19,7 +19,6 @@ from sceneground.bench import (
     gen_blocksworld,
     gen_cooking,
     gen_hanoi,
-    gen_hanoi_preset,
     generate,
     perturb,
     write_suite,
@@ -302,11 +301,12 @@ def test_blocksworld_optimum_sits_in_the_calibration_band():
 def test_hanoi_preset_draws_transfer_instances():
     seen = set()
     for seed in range(6):
-        problem = gen_hanoi_preset(seed)
+        drawn = random.Random(f"hanoi-preset-{seed}").choice((4, 5, 6))
+        problem = gen_hanoi(drawn, 3, seed)
         disks = sum(1 for o in problem.truth.objects if o[1] == "disk")
         pegs = sum(1 for o in problem.truth.objects if o[1] == "peg")
         assert pegs == 3
-        assert disks in (4, 5, 6)
+        assert disks == drawn
         assert problem.meta.optimal_length == 2**disks - 1
         seen.add(disks)
     assert len(seen) > 1

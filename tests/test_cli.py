@@ -404,6 +404,28 @@ def test_validate_flags_a_broken_plan(suite_dir, tmp_path, capsys):
     assert verdict["reason"] is not None
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the validator checks a step's arity, not its argument types",
+)
+def test_validate_rejects_an_ill_typed_step(tmp_path, capsys):
+    # slice takes ?b - board, and red_bowl is a container.
+    assert main(["genbench", "cooking", "--seeds", "1", "--out", str(tmp_path / "suite")]) == 0
+    suite = tmp_path / "suite"
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text(
+        "(pick gripper2 cucumber board1)\n"
+        "(place gripper2 cucumber red_bowl)\n"
+        "(slice gripper1 knife cucumber red_bowl)\n"
+    )
+    truth = suite / "problems" / "000" / "truth.pddl"
+    capsys.readouterr()
+    code = main(["validate", str(suite / "domain.pddl"), str(truth), str(plan_file)])
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    assert code == 1
+
+
 def test_validate_skips_comments_and_blanks(suite_dir, tmp_path):
     truth = suite_dir / "problems" / "001" / "truth.pddl"
     run_dir = tmp_path / "run"

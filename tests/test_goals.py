@@ -524,6 +524,14 @@ def test_endpoint_timeout_must_be_positive_and_finite(timeout):
         LlmEndpointConfig(base_url="x", model="m", timeout_s=timeout)
 
 
+@pytest.mark.parametrize("retries", [2.5, float("nan"), True])
+def test_endpoint_retries_must_be_a_nonnegative_int(retries):
+    # range() would raise TypeError on the first goal translation, which
+    # no caller catches.
+    with pytest.raises(GoalError, match="retries must be a nonnegative int"):
+        LlmEndpointConfig(base_url="x", model="m", retries=retries)
+
+
 def test_endpoint_config_validation():
     with pytest.raises(GoalError):
         LlmEndpointConfig(base_url="x", model="m", timeout_s=0)

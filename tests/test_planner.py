@@ -1014,17 +1014,22 @@ def test_tasks_with_one_goal_and_pruning_share_a_relaxation():
         assert len(second.relaxed.memo) == 1
         assert second.h_add(second.init[1]) == naive_h_add(HANOI, moved, moved.init)
         assert len(first.relaxed.memo) == 2
-        # Another goal, or another static atom that a rule body reads, is
-        # another entry of the same object table.
-        others = [
-            hanoi_problem(3, target="p2"),
-            replace(three, init=three.init - {GroundAtom("smaller", ("d1", "d3"))}),
-        ]
-        for problem in others:
-            task = GroundTask(HANOI, problem)
+        # Another goal is another relaxation of the same kept rules, and
+        # another static atom that a rule body reads is another kept rules
+        # entry of the same object table, with a relaxation of its own.
+        other_goal = GroundTask(HANOI, hanoi_problem(3, target="p2"))
+        smaller = three.init - {GroundAtom("smaller", ("d1", "d3"))}
+        other_static = GroundTask(HANOI, replace(three, init=smaller))
+        for task in (other_goal, other_static):
             assert task.relaxed is not first.relaxed and not task.relaxed.memo
     ((_, table),) = tables.items()
-    assert len(table.relaxations) == 3
+    assert sum(len(kept.relaxations) for kept in table.kept.values()) == 3
+    shared, own = (table.kept[task.init[0] & table.static] for task in (first, other_static))
+    assert shared is not own and len(shared.relaxations) == 2
+    for task in (first, other_goal):
+        assert shared.relaxations[task.goal_pos, task.goal_neg] is task.relaxed
+    ((_, only),) = own.relaxations.items()
+    assert only is other_static.relaxed
 
 
 def test_a_task_with_other_static_atoms_keeps_its_own_rule_instances():
@@ -1170,6 +1175,10 @@ def test_repeated_goal_literals_keep_their_weight(domain, problem, h_init, plan)
     [
         {"mode": "fastest"},
         {"node_limit": 0},
+        {"node_limit": float("nan")},
+        {"node_limit": float("inf")},
+        {"node_limit": 2.5},
+        {"node_limit": True},
         {"time_limit_s": 0.0},
         {"time_limit_s": float("nan")},
         {"time_limit_s": float("inf")},
