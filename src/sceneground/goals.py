@@ -105,7 +105,9 @@ def resolve_goal(
 
 @dataclass(frozen=True)
 class LlmEndpointConfig:
-    """Where and how to reach the goal-translation endpoint."""
+    """Where and how to reach the goal-translation endpoint.  The timeout
+    is a positive, finite int or float (not a bool), and retries a
+    nonnegative int."""
 
     base_url: str
     model: str
@@ -114,7 +116,9 @@ class LlmEndpointConfig:
     retries: int = 2
 
     def __post_init__(self):
-        if not 0 < self.timeout_s < math.inf:
+        timeout = self.timeout_s
+        number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+        if not number or not 0 < timeout < math.inf:
             raise GoalError("timeout must be positive and finite")
         if type(self.retries) is not int or self.retries < 0:
             raise GoalError("retries must be a nonnegative int")

@@ -43,7 +43,15 @@ from sceneground.pddl.model import (
     Problem,
     valid_name,
 )
-from sceneground.planner import SearchConfig, axiom_closure, solve, suite, suite_tables
+from sceneground.planner import (
+    JoinPlans,
+    SearchConfig,
+    axiom_closure,
+    picker,
+    solve,
+    suite,
+    suite_tables,
+)
 from sceneground.scene import (
     MATCH_THRESHOLD,
     SceneError,
@@ -112,41 +120,96 @@ def triplet_pr(predicted, truth, observed) -> GroundingScore:
 # ---------------------------------------------------------------------------
 
 
+def _pick(atom, variables: list[str]):
+    """A picker of ``atom``'s arguments from a binding of ``variables``."""
+    return picker(tuple(map(variables.index, atom.args)))
+
+
+# The kinds of a compiled precondition literal.
+_EQUALITY, _OBSERVED, _DERIVED = range(3)
+
+
+def _judge(domain: Domain):
+    """What ``validate_plan`` compiles from ``domain``, kept in its
+    ``planner.suite_tables`` under ``"judge"``: each schema by name as
+    ``(arity, precondition, deletes, adds)``, and the ``JoinPlans`` of its
+    rules.  A precondition literal is ``(kind, predicate, pick,
+    negated)`` and an effect atom ``(predicate, pick)``, where ``pick``
+    reads the atom's arguments from a step's (see ``planner.picker``)."""
+    tables = suite_tables(domain)
+    judge = tables.get("judge")
+    if judge is not None:
+        return judge
+    plans = JoinPlans(domain.derived)
+    schemas = {}
+    for schema in domain.actions:
+        variables = [v for v, _ in schema.params]
+        precondition = []
+        for lit in schema.precondition:
+            predicate = lit.atom.predicate
+            if predicate == EQUALITY:
+                kind = _EQUALITY
+            else:
+                kind = _DERIVED if predicate in plans.rules else _OBSERVED
+            precondition.append((kind, predicate, _pick(lit.atom, variables), lit.negated))
+        schemas[schema.name] = (
+            len(variables),
+            tuple(precondition),
+            tuple((atom.predicate, _pick(atom, variables)) for atom in schema.delete),
+            tuple((atom.predicate, _pick(atom, variables)) for atom in schema.add),
+        )
+    judge = tables["judge"] = (schemas, plans)
+    return judge
+
+
 def validate_plan(domain: Domain, init, goal, plan: Plan) -> Verdict:
     """Replay the plan from init; the goal must hold after the last step.
 
     The state is kept as per-predicate sets of argument tuples, changed in
-    place by each step (deletes, then adds).  Each step's precondition
-    literals and the goal literals are looked up in a fresh
-    ``axiom_closure`` view of the state, which proves only the derived
-    atoms they ask about.  A step naming no schema (or the wrong number of
-    arguments) is unknown-action; the first violation wins.  Only a step's
-    action name and arity are checked, not its argument types, so an
-    ill-typed step whose literals hold is accepted.
+    place by each step (deletes, then adds).  The schemas are compiled
+    into position templates once per suite, or per call outside one (see
+    ``_judge``).  An observed literal is looked up in the state and an
+    equality compares the step's arguments.  One ``axiom_closure`` view of
+    the state, opened once per replay, proves only the derived atoms that
+    the preconditions and the goal literals ask about; its ``answers`` are
+    cleared after each step's effects.  A step naming no schema (or the
+    wrong number of arguments) is unknown-action; the first violation
+    wins.  Only a step's action name and arity are checked, not its
+    argument types, so an ill-typed step whose literals hold is accepted.
     """
+    schemas, plans = _judge(domain)
     facts: dict[str, set[tuple[str, ...]]] = {}
     for atom in init:
         facts.setdefault(atom.predicate, set()).add(atom.args)
+    view = axiom_closure(facts, plans)
+    derives, answers = view.derives, view.answers
     for index, step in enumerate(plan.steps):
-        schema = domain.action(step.action)
-        if schema is None or len(schema.params) != len(step.args):
+        args = step.args
+        schema = schemas.get(step.action)
+        if schema is None or schema[0] != len(args):
             return Verdict(False, index, "unknown-action")
-        env = dict(zip((v for v, _ in schema.params), step.args))
-        reached = axiom_closure(facts, domain.derived)
-        for lit in schema.precondition:
-            args = tuple(env[a] for a in lit.atom.args)
-            if lit.atom.predicate == EQUALITY:
-                holds = args[0] == args[1]
+        _, precondition, deletes, adds = schema
+        for kind, predicate, pick, negated in precondition:
+            if kind == _OBSERVED:
+                holds = pick(args) in facts.get(predicate, ())
+            elif kind == _DERIVED:
+                holds = derives(predicate, pick(args))
             else:
-                holds = (lit.atom.predicate, args) in reached
-            if holds == lit.negated:
+                left, right = pick(args)
+                holds = left == right
+            if holds == negated:
                 return Verdict(False, index, "precondition-unsatisfied")
-        for atom in schema.delete:
-            facts.get(atom.predicate, set()).discard(tuple(env[a] for a in atom.args))
-        for atom in schema.add:
-            facts.setdefault(atom.predicate, set()).add(tuple(env[a] for a in atom.args))
-    reached = axiom_closure(facts, domain.derived)
-    if all((lit.atom in reached) != lit.negated for lit in goal):
+        for predicate, pick in deletes:
+            rows = facts.get(predicate)
+            if rows is not None:
+                rows.discard(pick(args))
+        for predicate, pick in adds:
+            rows = facts.get(predicate)
+            if rows is None:
+                rows = facts[predicate] = set()
+            rows.add(pick(args))
+        answers.clear()
+    if all((lit.atom in view) != lit.negated for lit in goal):
         return Verdict(True, None, None)
     return Verdict(False, None, "goal-unsatisfied")
 
@@ -351,7 +414,8 @@ def load_manifest(path) -> tuple[Domain, tuple[ManifestEntry, ...]]:
 def read_text(path: str) -> str:
     """A UTF-8 input file; an unreadable one is a SceneError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SceneError(f"cannot read {path}: {exc}") from None
 

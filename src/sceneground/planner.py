@@ -17,7 +17,8 @@ described where it is implemented:
   ``GroundTask.h_add`` and its cost levels in ``GroundTask._h_add``;
 - the search loop: ``solve``;
 - the lifted closure the plan validator in ``metrics`` judges with, kept
-  apart from the task: ``axiom_closure`` and ``ClosureView``.
+  apart from the task: ``axiom_closure``, its rules compiled into join
+  plans in ``JoinPlans``, and their evaluation in ``ClosureView``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class PlannerError(ValueError):
 @dataclass(frozen=True)
 class SearchConfig:
     """How ``solve`` searches: its mode, a positive int node limit and a
-    positive, finite time limit in seconds."""
+    positive, finite time limit in seconds, an int or a float (not a
+    bool)."""
 
     mode: str = "satisficing"
     node_limit: int = 1_000_000
@@ -64,8 +66,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in ("optimal", "satisficing"):
             raise PlannerError(f"unknown mode {self.mode!r}")
-        nodes = self.node_limit
-        if type(nodes) is not int or nodes <= 0 or not 0 < self.time_limit_s < INFINITY:
+        nodes, seconds = self.node_limit, self.time_limit_s
+        number = isinstance(seconds, (int, float)) and not isinstance(seconds, bool)
+        if type(nodes) is not int or nodes <= 0 or not number or not 0 < seconds < INFINITY:
             raise PlannerError("limits must be positive and finite")
 
 
@@ -113,13 +116,15 @@ def ground_actions(
     return tuple(out)
 
 
-def _picker(positions: tuple[int, ...]):
-    """A function from a binding to its values at ``positions``, a tuple."""
+def picker(positions: tuple[int, ...]):
+    """A function from a tuple to its values at ``positions``, as a tuple,
+    made by C-level ``itemgetter`` alone: one position is a one-item
+    slice, and no position the empty slice."""
     if len(positions) == 1:
         (position,) = positions
-        return lambda values: (values[position],)
+        return itemgetter(slice(position, position + 1))
     if not positions:
-        return lambda values: ()
+        return itemgetter(slice(0, 0))
     return itemgetter(*positions)
 
 
@@ -127,7 +132,7 @@ def _templates(atoms, variables: list[str]) -> tuple[tuple[str, Callable], ...]:
     """Each atom as ``(predicate, picker)``, the picker taking its arguments
     from a binding of ``variables``."""
     return tuple(
-        (atom.predicate, _picker(tuple(map(variables.index, atom.args))))
+        (atom.predicate, picker(tuple(map(variables.index, atom.args))))
         for atom in atoms
     )
 
@@ -176,123 +181,234 @@ def _rule_instances(
 
 
 def axiom_closure(
-    facts: dict[str, set[tuple[str, ...]]], rules: tuple[DerivedRule, ...]
+    facts: dict[str, set[tuple[str, ...]]], rules: tuple[DerivedRule, ...] | JoinPlans
 ) -> ClosureView:
     """The closure of ``facts`` under ``rules``, as a view that proves each
     atom it is asked about (see ``ClosureView``).
 
     ``facts`` maps each predicate to the argument tuples of its atoms.  The
     view reads it without copying, so it answers for the state that
-    ``facts`` holds until the next change to it.
+    ``facts`` holds until the next change to it; after a change, clear the
+    view's ``answers`` and it answers for the new state.  ``rules`` are
+    the rules, or the ``JoinPlans`` compiled from them, which a caller can
+    keep and share between views.
 
     The view trusts what the parser checked: ``facts`` holds observed atoms
     only, every atom (fact, query, rule head or body atom) has its
     predicate's arity, and no rule head names a variable twice.  Input that
     breaks this contract gets unspecified answers.
     """
+    if not isinstance(rules, JoinPlans):
+        rules = JoinPlans(rules)
     return ClosureView(facts, rules)
+
+
+# How a compiled body atom is joined: a membership test of a fully bound
+# observed atom, a scan of an observed predicate's rows, or a subquery.
+_TEST, _SCAN, _QUERY = range(3)
+
+
+class JoinPlans:
+    """Rules compiled into nested-loop join plans, as Souffle compiles
+    Datalog rules (Jordan, Scholz & Subotic 2016): one plan per rule and
+    shape of bound head arguments, compiled the first time a query of
+    that shape is asked and kept in ``compiled``.
+
+    A plan binds the rule's variables to numbered slots of an ``env``
+    tuple, in the order they are bound: slot 0 holds ``None``, then come
+    the head variables the query binds, then each variable the body binds
+    first, left to right.  Each body atom is one step ``(kind, predicate,
+    args, check, want, same, bind)`` whose pickers (see ``picker``) read
+    tuples at fixed positions: ``args`` reads the atom's arguments from
+    ``env``, ``None`` where unbound (slot 0); a scan with bound arguments
+    keeps the rows whose ``check`` positions equal ``want`` of ``env``;
+    ``same``, if the atom binds a variable twice, is a pair of pickers
+    that must agree on a row; and ``bind``, if the atom binds variables,
+    picks their values from a row, to be appended to ``env``.  A shape's
+    plans are a tuple of ``(start, steps, head)``, one per rule for the
+    predicate: ``start`` picks the bound arguments of a query, and
+    ``head`` the head arguments from a full ``env``.
+    """
+
+    __slots__ = ("rules", "compiled")
+
+    def __init__(self, rules: tuple[DerivedRule, ...]) -> None:
+        self.rules: dict[str, list[DerivedRule]] = {}
+        for rule in rules:
+            self.rules.setdefault(rule.head.predicate, []).append(rule)
+        self.compiled: dict = {}
+
+    def compile(self, predicate: str, pattern: tuple) -> tuple:
+        """The plans for queries of ``predicate`` shaped like ``pattern``,
+        kept in ``compiled`` under the predicate if ``pattern`` is fully
+        bound, else under ``(predicate, bound)``, ``bound`` telling for
+        each argument whether it is bound."""
+        bound = tuple([value is not None for value in pattern])
+        key = predicate if all(bound) else (predicate, bound)
+        plans = self.compiled.get(key)
+        if plans is None:
+            plans = self.compiled[key] = tuple(
+                self._compile(rule, bound) for rule in self.rules[predicate]
+            )
+        return plans
+
+    def _compile(self, rule: DerivedRule, bound: tuple[bool, ...]) -> tuple:
+        """``rule``'s ``(start, steps, head)`` for queries whose arguments
+        are bound where ``bound`` is true."""
+        slot: dict[str, int] = {}
+        start = []
+        for position, (var, known) in enumerate(zip(rule.head.args, bound)):
+            if known:
+                slot[var] = len(slot) + 1
+                start.append(position)
+        steps = []
+        for atom in rule.body:
+            check, want, first, same = [], [], {}, []
+            for position, var in enumerate(atom.args):
+                if var in slot:
+                    check.append(position)
+                    want.append(slot[var])
+                elif var in first:
+                    same.append((first[var], position))
+                else:
+                    first[var] = position
+            args = picker(tuple(slot.get(var, 0) for var in atom.args))
+            for var in first:
+                slot[var] = len(slot) + 1
+            if atom.predicate in self.rules:
+                kind = _QUERY
+            else:
+                kind = _SCAN if first else _TEST
+            if kind != _SCAN or not check:
+                check = want = None
+            else:
+                check, want = picker(tuple(check)), picker(tuple(want))
+            if same:
+                left, right = zip(*same)
+                same = (picker(left), picker(right))
+            bind = picker(tuple(first.values())) if first else None
+            steps.append((kind, atom.predicate, args, check, want, same or None, bind))
+        head = picker(tuple(slot[var] for var in rule.head.args))
+        return picker(tuple(start)), tuple(steps), head
 
 
 class ClosureView:
     """``atom in view`` is true when the atom is a fact or some rule proves
     it from the facts, by query-subquery evaluation (Vieille 1986).
 
-    A base atom is a lookup in ``facts``.  A derived atom is unified with
-    each rule head of its predicate, and the rule body is joined left to
-    right against the facts: a body atom's arguments are read from the
-    binding, ``None`` where unbound; a fully bound base atom is looked up,
-    any other is scanned, and each row binds its variables unless it
-    contradicts the binding.  A derived body atom is a subquery with that
-    pattern, whose answers are memoized once per view in ``answers``.  A
-    join that meets unanswered subqueries scans on, collecting them all,
-    and is simply run again once they are answered.  Queries run from an
-    explicit stack, so a deep rule chain does not recurse on the
-    interpreter stack.  The parser admits only acyclic rules; a query that
-    comes to depend on itself raises ``PlannerError``.  Head types are not
-    checked: a rule proves a head for every binding its body matches.
+    A base atom is a lookup in ``facts``.  A derived atom is answered by
+    the ``JoinPlans`` of its predicate and shape: each rule body is joined
+    left to right as a nested loop over slot tuples.  A fully bound
+    observed atom is looked up, any other is scanned; a derived body atom
+    is a subquery, whose answers are memoized in ``answers`` until the
+    owner clears them.  A query is answered from the memo or by one
+    ``_solve`` call.  Only a join that meets unanswered subqueries goes to
+    ``_query``: it scans on, collecting them all, and is simply run again
+    once they are answered, from an explicit stack, so a deep rule chain
+    does not recurse on the interpreter stack.  The parser admits only
+    acyclic rules; a query that comes to depend on itself raises
+    ``PlannerError``.  Head types are not checked: a rule proves a head for
+    every binding its body matches.
     """
 
-    __slots__ = ("facts", "rules", "answers")
+    __slots__ = ("facts", "plans", "answers")
 
-    def __init__(self, facts, rules) -> None:
+    def __init__(self, facts, plans: JoinPlans) -> None:
         self.facts = facts
-        self.rules: dict[str, list[DerivedRule]] = {}
-        for rule in rules:
-            self.rules.setdefault(rule.head.predicate, []).append(rule)
+        self.plans = plans
         self.answers: dict[tuple, set[tuple[str, ...]]] = {}
 
     def __contains__(self, atom) -> bool:
         predicate, args = atom
-        if predicate in self.rules:
-            return bool(self._query((predicate, args)))
+        if predicate in self.plans.rules:
+            return self.derives(predicate, args)
         return args in self.facts.get(predicate, ())
 
-    def _query(self, query) -> set[tuple[str, ...]]:
-        """The answers to ``query`` and to every subquery it needs.  Depth
+    def derives(self, predicate: str, args: tuple[str, ...]) -> bool:
+        """Whether the rules prove the derived atom ``(predicate, args)``."""
+        query = (predicate, args)
+        rows = self.answers.get(query)
+        if rows is None:
+            rows = self._solve(predicate, args)
+            if type(rows) is list:
+                rows = self._query(query, rows)
+            else:
+                self.answers[query] = rows
+        return bool(rows)
+
+    def _query(self, query, missing: list) -> set[tuple[str, ...]]:
+        """The answers to ``query``, whose join met the unanswered
+        subqueries ``missing``, and to every subquery it needs.  Depth
         first, the queries ``waiting`` for subqueries are exactly the
         ancestors of the one on top, so a subquery among them is a cycle."""
         answers = self.answers
         stack = [query]
         waiting = set()
-        while stack:
+        result = missing
+        while True:
             top = stack[-1]
-            if top in answers:
-                stack.pop()
-                continue
-            result = self._solve(*top)
-            if isinstance(result, set):
+            if type(result) is list:
+                waiting.add(top)
+                for sub in result:
+                    if sub in waiting:
+                        raise PlannerError(f"recursive rules for {sub[0]!r}")
+                    stack.append(sub)
+            else:
                 answers[top] = result
                 waiting.discard(top)
                 stack.pop()
-                continue
-            waiting.add(top)
-            for sub in result:
-                if sub in waiting:
-                    raise PlannerError(f"recursive rules for {sub[0]!r}")
-                stack.append(sub)
-        return answers[query]
+            while stack and stack[-1] in answers:
+                stack.pop()
+            if not stack:
+                return answers[query]
+            result = self._solve(*stack[-1])
 
     def _solve(self, predicate: str, pattern: tuple):
         """The argument tuples of ``predicate`` that match ``pattern``, or
         the unanswered subqueries its joins met, as a list; when the pattern
         is fully bound, the first proof ends the search."""
-        facts, rules, answers = self.facts, self.rules, self.answers
+        facts, answers = self.facts, self.answers
         complete = None not in pattern
+        plans = self.plans.compiled.get(predicate) if complete else None
+        if plans is None:
+            plans = self.plans.compile(predicate, pattern)
         found = set()
         missing = []
-        for rule in rules[predicate]:
-            body = rule.body
-            env = {
-                var: value for var, value in zip(rule.head.args, pattern) if value is not None
-            }
-            pending = [(0, env)]
+        for start, steps, head in plans:
+            last = len(steps)
+            pending = [(0, (None, *start(pattern)))]
             while pending:
                 depth, env = pending.pop()
-                if depth == len(body):
+                if depth == last:
                     if complete:
                         return {pattern}
-                    found.add(tuple([env[var] for var in rule.head.args]))
+                    found.add(head(env))
                     continue
-                atom = body[depth]
-                args = tuple(map(env.get, atom.args))
-                if atom.predicate in rules:
-                    rows = answers.get((atom.predicate, args))
+                kind, atom, args, check, want, same, bind = steps[depth]
+                depth += 1
+                if kind == _TEST:
+                    if args(env) in facts.get(atom, ()):
+                        pending.append((depth, env))
+                    continue
+                if kind == _QUERY:
+                    sub = (atom, args(env))
+                    rows = answers.get(sub)
                     if rows is None:
-                        missing.append((atom.predicate, args))
+                        missing.append(sub)
                         continue
-                elif None in args:
-                    rows = facts.get(atom.predicate, ())
                 else:
-                    if args in facts.get(atom.predicate, ()):
-                        pending.append((depth + 1, env))
-                    continue
-                for values in rows:
-                    trial = env.copy()
-                    for var, value in zip(atom.args, values):
-                        if trial.setdefault(var, value) != value:
-                            break
-                    else:
-                        pending.append((depth + 1, trial))
+                    rows = facts.get(atom, ())
+                    if check is not None:
+                        value = want(env)
+                        rows = [row for row in rows if check(row) == value]
+                if same is not None:
+                    left, right = same
+                    rows = [row for row in rows if left(row) == right(row)]
+                if bind is None:
+                    if rows:
+                        pending.append((depth, env))
+                else:
+                    pending += [(depth, env + bind(row)) for row in rows]
         return missing or found
 
 

@@ -518,7 +518,7 @@ def test_cassette_record_leaves_no_temporary_file(tmp_path):
     assert Cassette(path).replay({"q": 2}) == "sliced(cucumber)"
 
 
-@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0, True, "5", None])
 def test_endpoint_timeout_must_be_positive_and_finite(timeout):
     with pytest.raises(GoalError, match="timeout must be positive and finite"):
         LlmEndpointConfig(base_url="x", model="m", timeout_s=timeout)

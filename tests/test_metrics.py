@@ -393,7 +393,8 @@ def count_exemplar_loads(monkeypatch) -> list[str]:
 def test_evaluate_suite_releases_the_planner_tables(tmp_path, monkeypatch):
     # Both problems have the same objects and keep the same rules, so they
     # share one table, and the same exemplar file, so they share one
-    # compiled exemplar: two memo entries, loaded once.  The suite's scope
+    # compiled exemplar, loaded once; with the plan judge's compile that is
+    # three memo entries.  The suite's scope
     # is closed when it returns, and when a bad truth file makes it raise
     # after the first problem filled its tables.
     manifest = write_suite(tmp_path, TWO_GOALS)
@@ -419,12 +420,12 @@ def test_evaluate_suite_releases_the_planner_tables(tmp_path, monkeypatch):
     monkeypatch.setattr(metrics, "load_manifest", loading)
     monkeypatch.setattr(metrics, "evaluate_problem", evaluating)
     assert evaluate_suite(manifest).rows[0].success == 1.0
-    assert sizes == [2, 2] and scoped[0] is scoped[1] and closed(domains[0])
+    assert sizes == [3, 3] and scoped[0] is scoped[1] and closed(domains[0])
     assert len(loads) == 1
     (tmp_path / "truth-1.pddl").write_text("(define")
     with pytest.raises(EvalError, match="001-scene-1: ground truth"):
         evaluate_suite(manifest)
-    assert sizes == [2, 2, 2] and closed(domains[1])
+    assert sizes == [3, 3, 3] and closed(domains[1])
     assert len(loads) == 2
 
 

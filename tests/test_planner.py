@@ -374,24 +374,147 @@ def test_fan_out_query_runs_its_join_at_most_twice(monkeypatch):
             assert (atom in view) == (atom in reference)
 
 
+# Drawn rule sets read three observed predicates and each derived predicate
+# defined before theirs, over four variables and three names.
+DRAWN_OBSERVED = (("e", 2), ("f", 1), ("g", 2))
+DRAWN_VARS = ("?a", "?b", "?c", "?d")
+DRAWN_NAMES = ("o1", "o2", "o3")
+
+
+@st.composite
+def drawn_rule_sets(draw):
+    """Rules for two or three derived predicates ``d0``, ``d1``, ``d2`` of
+    arity 0 to 2, one or two rules each, with one to three body atoms
+    (half of them derived, after ``d0``) whose arguments are drawn with
+    repetition; a head variable no body atom
+    names gets an ``f`` atom, so every rule is range-restricted.  Returns
+    the rules, every predicate with its arity, and a base of observed
+    atoms."""
+    predicates = list(DRAWN_OBSERVED)
+    rules = []
+    for index in range(draw(st.integers(2, 3))):
+        arity = draw(st.integers(0, 2))
+        for _ in range(draw(st.integers(1, 2))):
+            head = tuple(draw(st.permutations(DRAWN_VARS))[:arity])
+            reads = st.sampled_from(predicates)
+            if index:  # half the body atoms are derived
+                reads = st.one_of(st.sampled_from(predicates[len(DRAWN_OBSERVED):]), reads)
+            body = [
+                Atom(name, tuple(draw(st.lists(st.sampled_from(DRAWN_VARS), min_size=n, max_size=n))))
+                for name, n in draw(st.lists(reads, min_size=1, max_size=3))
+            ]
+            named = {var for atom in body for var in atom.args}
+            body += [Atom("f", (var,)) for var in head if var not in named]
+            rules.append(DerivedRule(Atom(f"d{index}", head), tuple(body)))
+        predicates.append((f"d{index}", arity))
+    names = st.sampled_from(DRAWN_NAMES)
+    atom = st.sampled_from(DRAWN_OBSERVED).flatmap(
+        lambda sig: st.tuples(st.just(sig[0]), st.tuples(*[names] * sig[1]))
+    )
+    base = frozenset(GroundAtom(*drawn) for drawn in draw(st.frozensets(atom, max_size=10)))
+    return tuple(rules), predicates, base
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_rule_sets())
+def test_closure_agrees_with_naive_reference_on_drawn_rules(case):
+    # One view answers every ground atom in turn, so later queries also
+    # read the answers that earlier ones memoized.
+    rules, predicates, base = case
+    reference = naive_closure(base, SimpleNamespace(derived=rules))
+    view = axiom_closure(facts_of(base), rules)
+    for name, arity in predicates:
+        for args in itertools.product(DRAWN_NAMES, repeat=arity):
+            atom = GroundAtom(name, args)
+            assert (atom in view) == (atom in reference), atom
+
+
+def drawn_rule_cases(rules) -> tuple[bool, bool, bool, bool]:
+    """Whether two rules share a head, some body variable is not in its
+    head, some body atom names a variable twice, and some derived body
+    atom is queried with an unbound argument when its rule's head is
+    fully bound, reading the body left to right."""
+    heads = [rule.head.predicate for rule in rules]
+    unbound = False
+    for rule in rules:
+        bound = set(rule.head.args)
+        for atom in rule.body:
+            if atom.predicate in heads and not bound.issuperset(atom.args):
+                unbound = True
+            bound.update(atom.args)
+    return (
+        len(set(heads)) < len(heads),
+        any(set(atom.args) - set(rule.head.args) for rule in rules for atom in rule.body),
+        any(len(set(atom.args)) < len(atom.args) for rule in rules for atom in rule.body),
+        unbound,
+    )
+
+
+def test_drawn_rule_sets_draw_every_join_case():
+    # Over 50 derandomized draws, each case the join compiles apart must
+    # turn up in at least a fifth of them.
+    drawn = []
+
+    @settings(
+        max_examples=50, derandomize=True, database=None, phases=[Phase.generate], deadline=None
+    )
+    @given(drawn_rule_sets())
+    def collect(case):
+        drawn.append(drawn_rule_cases(case[0]))
+
+    collect()
+    assert len(drawn) == 50
+    assert min(sum(column) for column in zip(*drawn)) >= 10
+
+
+class RecordedAnswers(dict):
+    """A view's ``answers`` that keep a copy of what they held each time
+    they are cleared, as ``validate_plan`` clears them after each step's
+    effects."""
+
+    def __init__(self):
+        super().__init__()
+        self.cleared: list[dict] = []
+
+    def clear(self):
+        self.cleared.append(dict(self))
+        super().clear()
+
+
+def record_answers(monkeypatch) -> list[RecordedAnswers]:
+    """Hook ``metrics.axiom_closure`` so that each replay's view records
+    its answers; returns the records, one per replay."""
+    records = []
+
+    def capture(facts, rules):
+        view = axiom_closure(facts, rules)
+        view.answers = RecordedAnswers()
+        records.append(view.answers)
+        return view
+
+    monkeypatch.setattr(metrics, "axiom_closure", capture)
+    return records
+
+
+def step_answers(records: list[RecordedAnswers]) -> list[dict]:
+    """Over every replay, the answers of each step, then those of the goal
+    (or of the step that failed)."""
+    return [answers for record in records for answers in (*record.cleared, dict(record))]
+
+
 def test_validator_proves_only_the_derived_atoms_a_step_reads(monkeypatch):
     # A hanoi move reads two blocked atoms and the goal reads only onpeg,
     # so replaying the 63-step 6-disk plan answers two blocked queries per
     # step and none for the goal.  A full closure of a state would derive
     # every blocked atom that holds in it.
-    views = []
-
-    def capture(facts, rules):
-        views.append(axiom_closure(facts, rules))
-        return views[-1]
-
-    monkeypatch.setattr(metrics, "axiom_closure", capture)
+    records = record_answers(monkeypatch)
     problem = hanoi_problem(6)
     plan = solve(HANOI, problem, SearchConfig(mode="optimal")).plan
     assert len(plan) == 63
     assert validate_plan(HANOI, problem.init, problem.goal, plan).ok
-    assert [len(view.answers) for view in views] == [2] * 63 + [0]
-    assert {query[0] for view in views for query in view.answers} == {"blocked"}
+    answered = step_answers(records)
+    assert [len(answers) for answers in answered] == [2] * 63 + [0]
+    assert {query[0] for answers in answered for query in answers} == {"blocked"}
 
 
 def test_task_drops_the_rule_instances_that_read_never_true_atoms():
@@ -1182,6 +1305,9 @@ def test_repeated_goal_literals_keep_their_weight(domain, problem, h_init, plan)
         {"time_limit_s": 0.0},
         {"time_limit_s": float("nan")},
         {"time_limit_s": float("inf")},
+        {"time_limit_s": True},
+        {"time_limit_s": "5"},
+        {"time_limit_s": None},
     ],
 )
 def test_search_config_rejects_bad_values(kwargs):
@@ -2205,13 +2331,7 @@ UNBOUND = parse_domain(
 def test_validator_answers_subqueries_with_unbound_arguments(
     monkeypatch, init, goal, plan, expected
 ):
-    views = []
-
-    def capture(facts, rules):
-        views.append(axiom_closure(facts, rules))
-        return views[-1]
-
-    monkeypatch.setattr(metrics, "axiom_closure", capture)
+    records = record_answers(monkeypatch)
     init = frozenset(GroundAtom("r", args) for args in init)
     goal = () if goal is None else (goal,)
     plan = Plan(tuple(plan))
@@ -2222,8 +2342,8 @@ def test_validator_answers_subqueries_with_unbound_arguments(
     # that match it.
     subqueries = [
         (pattern, rows)
-        for view in views
-        for (predicate, pattern), rows in view.answers.items()
+        for answers in step_answers(records)
+        for (predicate, pattern), rows in answers.items()
         if predicate == "d"
     ]
     assert subqueries and all(None in pattern for pattern, _ in subqueries)
